@@ -85,7 +85,10 @@ def turan3_tournament(n: int, filler: str = "transitive", seed: int = 0) -> Tour
     for a, b, c in combinations(range(n), 3):
         if cls[a] != cls[b] != cls[c] != cls[a]:
             # one vertex per class: must be a 3-cycle
-            assert (t.out[a] >> b & 1) == (t.out[b] >> c & 1) == (t.out[c] >> a & 1)
+            if not (t.out[a] >> b & 1) == (t.out[b] >> c & 1) == (t.out[c] >> a & 1):
+                raise AssertionError(
+                    f"turan3 self-check failed: cross-class triple {(a, b, c)} is transitive"
+                )
     return t
 
 
@@ -148,5 +151,8 @@ def blowup(base: Tournament, factor: int, filler: str = "transitive", seed: int 
                 seen = 0
                 for v in vs:
                     seen |= 1 << (t.out[v] & vmask).bit_count()
-                assert seen != 0b1111
+                if seen == 0b1111:
+                    raise AssertionError(
+                        f"blowup self-check failed: {vs} is a transitive quad across four classes"
+                    )
     return t

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from multiprocessing import Pool
 
 from . import FORMAT_VERSION
@@ -99,7 +98,8 @@ def _min_code_rows(n: int, out: tuple[int, ...]) -> list[int]:
         rows.pop()
 
     dfs([(1 << n) - 1], [])
-    assert best is not None
+    if best is None:
+        raise AssertionError("canonical labeling self-check failed: the search reached no leaf")
     return best
 
 
@@ -175,8 +175,19 @@ def resolve_cache_dir(cache_dir: str | None = None) -> str:
     return cache_dir or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
 
 
-@lru_cache(maxsize=None)
-def _codes_memo(n: int, cache_dir: str, workers: int) -> tuple[str, ...]:
+# Codes already read or built, keyed by (n, cache_dir): the worker count
+# changes how the codes are computed, never what they are.
+_codes_memo: dict[tuple[int, str], tuple[str, ...]] = {}
+
+
+def _codes(n: int, cache_dir: str, workers: int) -> tuple[str, ...]:
+    key = (n, cache_dir)
+    if key not in _codes_memo:
+        _codes_memo[key] = _read_or_build_codes(n, cache_dir, workers)
+    return _codes_memo[key]
+
+
+def _read_or_build_codes(n: int, cache_dir: str, workers: int) -> tuple[str, ...]:
     path = _cache_path(cache_dir, n)
     cached = _read_cache(path, n)
     if cached is not None:
@@ -184,7 +195,7 @@ def _codes_memo(n: int, cache_dir: str, workers: int) -> tuple[str, ...]:
     if n == 1:
         codes = [""]
     else:
-        prev = _codes_memo(n - 1, cache_dir, workers)
+        prev = _codes(n - 1, cache_dir, workers)
         jobs = [(code, n - 1) for code in prev]
         out: set[str] = set()
         if workers > 1:
@@ -203,7 +214,7 @@ def enumerate_codes(n: int, cache_dir: str | None = None, workers: int = 1) -> t
     """Sorted canonical codes of all isomorphism classes of order n."""
     if not 1 <= n <= MAX_ENUMERATION_VERTICES:
         raise EnumerationError(f"enumeration capped at n <= {MAX_ENUMERATION_VERTICES}")
-    return _codes_memo(n, resolve_cache_dir(cache_dir), workers)
+    return _codes(n, resolve_cache_dir(cache_dir), workers)
 
 
 def enumerate_nonisomorphic(

@@ -188,7 +188,11 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
                 changed = True
                 break
     ordered = sorted(members)
-    assert covered.bit_count() == len(ordered) * per_copy
+    if covered.bit_count() != len(ordered) * per_copy:
+        raise AssertionError(
+            f"improve_packing self-check failed: {len(ordered)} copies cover "
+            f"{covered.bit_count()} edges, not {len(ordered) * per_copy}"
+        )
     return Packing(
         n=n,
         k=p.k,

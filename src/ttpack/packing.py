@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .rng import stdlib_rng
@@ -133,6 +134,46 @@ def _check_copy_list(t: Tournament, cl: CopyList, k: int) -> None:
             raise PackingError(f"copy {vs} carries a wrong edge mask")
 
 
+@lru_cache(maxsize=None)
+def _vertex_edge_masks(n: int) -> tuple[int, ...]:
+    """Per vertex, the bitmask of the n-1 unordered-pair indices at it."""
+    return tuple(
+        sum(1 << edge_index(n, u, v) for u in range(n) if u != v) for v in range(n)
+    )
+
+
+def _leave_bound(coverable: int, n: int, k: int) -> int:
+    """Upper bound on how many edge-disjoint copies fit inside `coverable`.
+
+    Soundness.  A copy meets each of its k vertices in exactly k-1 edges.
+    So once any family of copies is packed inside `coverable`, the unused
+    edges (the leave) have degree d_v - (k-1)*c_v at each vertex v, where
+    d_v is the degree of v in `coverable` and c_v counts the copies at v.
+    That degree is at least r_v = d_v mod (k-1), so the leave has
+    L >= ceil(sum r_v / 2) edges; and L = |coverable| - C(k,2) * copies, so
+    L = |coverable| (mod C(k,2)).  For k = 3 with every d_v even, every leave
+    degree is even too: a nonempty leave contains a cycle, so L >= 3 once
+    |coverable| mod 3 != 0 rules out L = 0.  The least such L gives
+    copies <= (|coverable| - L) / C(k,2).  This is the leave argument behind
+    Schönheim's bound (1966); it is why K_n with n = 5 (mod 6) packs one
+    triangle fewer than floor(C(n,2) / 3).
+
+    Since L >= 0 and 2L >= sum r_v = sum d_v - (k-1) * sum floor(d_v/(k-1)),
+    the bound never exceeds floor(|coverable| / C(k,2)) nor
+    floor(sum floor(d_v/(k-1)) / k), the edge-count and degree bounds.
+    """
+    per_copy = k * (k - 1) // 2
+    size = coverable.bit_count()
+    residue = 0
+    for vm in _vertex_edge_masks(n):
+        residue += (coverable & vm).bit_count() % (k - 1)
+    leave = (residue + 1) // 2
+    if k == 3 and residue == 0 and size % 3:
+        leave = 3
+    # floor division rounds the leave up to the least L = size (mod per_copy)
+    return (size - leave) // per_copy
+
+
 def max_packing_exact(
     t: Tournament,
     k: int,
@@ -145,20 +186,29 @@ def max_packing_exact(
 
     Each node picks the lowest-index edge still coverable and branches on
     every surviving copy through it, plus one branch abandoning the edge.
-    Subtrees are cut once current + floor(coverable/C(k,2)) cannot beat the
-    incumbent; a greedy completion at every node moves the incumbent early.
+    A greedy completion at every node moves the incumbent early.  Two
+    admissible prunes cut a node whose chosen copies plus an upper bound
+    on the copies still addable cannot beat the incumbent:
+
+    - the leave bound of `_leave_bound` on the coverable edges;
+    - a hitting set: any edge set meeting every surviving copy caps the
+      copies still addable, since disjoint copies use distinct edges of it.
+      It is built greedily (the edge through the most surviving copies,
+      lowest edge index on ties) from one bitset per edge over copy
+      indices, and abandoned once it grows too large to prune.
 
     time_budget (seconds) turns the result into a best-found lower bound
-    with optimal=False once exceeded.  stop_at aborts as soon as the
-    incumbent reaches the threshold, again with optimal=False; callers
+    with optimal=False once exceeded; the deadline is checked at every
+    node and at every round of the hitting set.  stop_at aborts as soon as
+    the incumbent reaches the threshold, again with optimal=False; callers
     that only need "value >= stop_at or exact value below it" use this.
     """
     if copy_list is None:
         copy_list = enumerate_copies(t, k)
     else:
         _check_copy_list(t, copy_list, k)
+    n = t.n
     masks = [c.edge_mask for c in copy_list.copies]
-    per_copy = k * (k - 1) // 2
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
     best = -1
@@ -166,57 +216,57 @@ def max_packing_exact(
     nodes = 0
     aborted = False
 
-    copy_edges = []
-    for m in masks:
-        bits = []
+    # edge_copies[e]: bitset over copy indices of the copies through edge e
+    edge_copies = [0] * (n * (n - 1) // 2)
+    for c, m in enumerate(masks):
         while m:
-            e = m & -m
-            m ^= e
-            bits.append(e)
-        copy_edges.append(tuple(bits))
-    endpoint_masks = []
-    for v in range(t.n):
-        vm = 0
-        for u in range(t.n):
-            if u != v:
-                vm |= 1 << edge_index(t.n, min(u, v), max(u, v))
-        endpoint_masks.append(vm)
+            low = m & -m
+            m ^= low
+            edge_copies[low.bit_length() - 1] |= 1 << c
 
-    def degree_bound(coverable: int) -> int:
-        # Each further copy consumes k-1 coverable edges at each of its k
-        # vertices, so summing floor(coverable degree / (k-1)) over vertices
-        # counts every copy k times.
-        total = 0
-        for vm in endpoint_masks:
-            total += (coverable & vm).bit_count() // (k - 1)
-        return total // k
+    def out_of_time() -> bool:
+        nonlocal aborted
+        if deadline is not None and time.monotonic() > deadline:
+            aborted = True
+        return aborted
 
-    def hits_within(alive: list[int], target: int) -> bool:
-        # Any edge set meeting every alive copy caps the packing that can still
+    def hits_within(alive: list[int], coverable: int, target: int) -> bool:
+        # Any edge set meeting every live copy caps the packing that can still
         # be added: disjoint copies consume distinct edges of the set.  Greedy
-        # max-frequency choice keeps this deterministic; bail out as soon as
-        # the partial hitting set is too large to prune.
-        remaining = alive
+        # max-frequency choice, lowest edge index on ties, keeps this
+        # deterministic; bail out as soon as the partial hitting set is too
+        # large to prune.  A passed deadline also returns True, ending the node.
+        through = []
+        while coverable:
+            low = coverable & -coverable
+            coverable ^= low
+            through.append(edge_copies[low.bit_length() - 1])
+        live = 0
+        for c in alive:
+            live |= 1 << c
         bound = 0
-        while remaining:
+        while live:
             bound += 1
             if bound > target:
                 return False
-            freq: dict[int, int] = {}
-            for c in remaining:
-                for e in copy_edges[c]:
-                    freq[e] = freq.get(e, 0) + 1
-            pick = min(freq, key=lambda e: (-freq[e], e))
-            remaining = [c for c in remaining if masks[c] & pick == 0]
+            if out_of_time():
+                return True
+            top = 0
+            kept = []
+            for m in through:
+                freq = (live & m).bit_count()
+                if freq:
+                    kept.append(m)
+                    if freq > top:
+                        top, pick = freq, m
+            live &= ~pick
+            through = kept
         return True
 
     def dfs(alive: list[int], chosen: list[int]) -> None:
         nonlocal best, best_members, nodes, aborted
-        if aborted:
-            return
         nodes += 1
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            aborted = True
+        if out_of_time():
             return
         coverable = 0
         for c in alive:
@@ -233,11 +283,9 @@ def max_packing_exact(
             if stop_at is not None and best >= stop_at:
                 aborted = True
                 return
-        if len(chosen) + coverable.bit_count() // per_copy <= best:
+        if len(chosen) + _leave_bound(coverable, n, k) <= best:
             return
-        if len(chosen) + degree_bound(coverable) <= best:
-            return
-        if hits_within(alive, best - len(chosen)):
+        if hits_within(alive, coverable, best - len(chosen)):
             return
         bit = coverable & -coverable
         for c in alive:

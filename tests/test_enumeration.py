@@ -108,3 +108,21 @@ def test_enumeration_respects_workers(cache_dir, tmp_path):
 def test_transitive_class_is_enumerated(cache_dir):
     codes = enumerate_codes(6, cache_dir=cache_dir)
     assert canonical_code(transitive_tournament(6)) in codes
+
+
+def test_memo_ignores_worker_count(tmp_path, monkeypatch):
+    from ttpack import enumeration
+
+    built = []
+    original = enumeration._read_or_build_codes
+
+    def counting(n, cache_dir, workers):
+        built.append((n, workers))
+        return original(n, cache_dir, workers)
+
+    monkeypatch.setattr(enumeration, "_read_or_build_codes", counting)
+    first = enumerate_codes(5, cache_dir=str(tmp_path))
+    # a second worker count must reuse the memo, not rebuild or even reread
+    again = enumerate_codes(5, cache_dir=str(tmp_path), workers=2)
+    assert first == again
+    assert built == [(n, 1) for n in range(5, 0, -1)]

@@ -1,5 +1,6 @@
 """Exact branch-and-bound solver, greedy baseline, and the verifier."""
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from ttpack.enumeration import enumerate_nonisomorphic
 from ttpack.packing import (
     Packing,
     PackingError,
+    _leave_bound,
     enumerate_copies,
     greedy_packing,
     max_packing_exact,
@@ -94,6 +96,44 @@ def test_time_budget_marks_result_nonoptimal():
     assert not p.optimal
     assert p.value > 0
     assert verify_packing(t, p)
+
+
+def test_time_budget_is_honoured_on_a_large_host():
+    # a single node here costs tens of milliseconds, so the deadline must be
+    # checked at every node and inside the hitting-set rounds
+    t = random_tournament(40, 1)
+    budget = 2.0
+    start = time.monotonic()
+    p = max_packing_exact(t, 3, time_budget=budget)
+    assert time.monotonic() - start < 2 * budget + 1
+    assert not p.optimal
+    assert verify_packing(t, p)
+
+
+@pytest.mark.parametrize("n", [11, 17])
+def test_leave_bound_proves_transitive_hosts(n):
+    # every triple of a transitive host is transitive, and for n = 5 (mod 6)
+    # the leave of any triangle packing of K_n has at least 4 edges
+    t = transitive_tournament(n)
+    p = max_packing_exact(t, 3)
+    assert p.optimal
+    assert p.value == n * (n - 1) // 6 - 1
+    assert verify_packing(t, p)
+
+
+def test_node_count_is_deterministic():
+    p = max_packing_exact(random_tournament(11, 0), 3)
+    assert (p.value, p.optimal, p.nodes_explored) == (17, True, 67)
+
+
+def test_leave_bound_is_at_least_brute_force(cache_dir):
+    for k, orders in ((3, range(1, 7)), (4, range(4, 7))):
+        for n in orders:
+            for t in enumerate_nonisomorphic(n, cache_dir=cache_dir):
+                coverable = 0
+                for c in enumerate_copies(t, k).copies if n >= k else ():
+                    coverable |= c.edge_mask
+                assert _leave_bound(coverable, n, k) >= brute_max_packing(t, k)
 
 
 def test_verifier_rejects_overlap_and_bad_copies():
