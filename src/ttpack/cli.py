@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import DEFAULT_SEED, FORMAT_VERSION, TOOL_VERSION
-from .constructions import ConstructionError, blowup, qr7, turan3_tournament
+from .constructions import ConstructionError, blowup, intra_class_edge_bound, qr7, turan3_tournament
 from .designs import (
     DesignError,
     ag2_lines,
@@ -36,7 +36,7 @@ from .enumeration import (
     tournament_from_code,
 )
 from .experiments import ExperimentError, density_experiment, edge_copy_stats
-from .packing import Packing, PackingError, max_packing_exact, verify_packing
+from .packing import Packing, PackingError, _pair_mask, max_packing_exact, verify_packing
 from .pipeline import (
     PipelineError,
     decomposition_pipeline,
@@ -48,16 +48,11 @@ from .tournament import (
     Tournament,
     TournamentFormatError,
     census,
-    edge_index,
     parse_tournament,
     random_tournament,
     serialize_tournament,
     transitive_triples_lower_bound,
 )
-
-def _ceiling_target(n: int) -> int:
-    """ceil(n(n-1)/6 - n/3), the conjectured minimum packing value."""
-    return -(-n * (n - 3) // 6)
 
 
 def _jsonable(obj):
@@ -165,7 +160,7 @@ def _cmd_verify_conjecture(args) -> int:
     ok = True
     for n in range(3, args.max_n + 1):
         record = f_min(n, cache_dir=args.cache, workers=args.workers)
-        target = _ceiling_target(n)
+        target = intra_class_edge_bound(n)
         rows[str(n)] = {
             "f": record.f_value,
             "ceiling_formula": target,
@@ -208,9 +203,7 @@ def _cmd_verify_packing(args) -> int:
         if len(set(c)) != len(c) or any(not 0 <= v < t.n for v in c):
             ok = False
             break
-        for i, u in enumerate(sorted(c)):
-            for w in sorted(c)[i + 1 :]:
-                covered |= 1 << edge_index(t.n, u, w)
+        covered |= _pair_mask(t.n, c)
     packing = Packing(
         n=t.n,
         k=k,

@@ -40,22 +40,31 @@ class EnumerationError(ValueError):
 
 @dataclass(frozen=True)
 class CanonicalForm:
+    """The canonical code, and one relabeling that reaches it.
+
+    order[i] is the vertex placed at canonical position i, so vertex
+    order[i] beats order[j] exactly when the code says i beats j.
+    """
+
     n: int
     code: str
-
-    def tournament(self) -> Tournament:
-        return tournament_from_bits(self.n, self.code)
+    order: tuple[int, ...]
 
 
-def _min_code_rows(n: int, out: tuple[int, ...]) -> list[int]:
-    """Rows of the minimal code; rows[i] is the n-1-i bits of row i as an int."""
+def _min_code_rows(n: int, out: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
+    """Rows of the minimal code, and the vertex order of the first leaf reaching them.
+
+    rows[i] is the n-1-i bits of row i as an int.
+    """
     best: list[int] | None = None
+    best_order: tuple[int, ...] = ()
+    order = [0] * n  # order[i]: the vertex placed at position i on the current path
 
     def dfs(cells: list[int], rows: list[int]) -> None:
-        nonlocal best
+        nonlocal best, best_order
         if not cells:
             if best is None or rows < best:
-                best = rows.copy()
+                best, best_order = rows.copy(), tuple(order)
             return
         head = cells[0]
         rest = cells[1:]
@@ -80,10 +89,11 @@ def _min_code_rows(n: int, out: tuple[int, ...]) -> list[int]:
         sizes = [head.bit_count() - 1] + [c.bit_count() for c in rest]
         for size, ones in zip(sizes, best_sig):
             row = (row << size) | ((1 << ones) - 1)
+        depth = len(rows)
         rows.append(row)
         # prune against the live incumbent; equal widths per index make the
         # row-int list comparison the same as bit-string comparison
-        if best is None or rows <= best[: len(rows)]:
+        if best is None or rows <= best[: depth + 1]:
             for u in cands:
                 ou = out[u]
                 new_cells: list[int] = []
@@ -94,25 +104,28 @@ def _min_code_rows(n: int, out: tuple[int, ...]) -> list[int]:
                         new_cells.append(z)
                     if o:
                         new_cells.append(o)
+                order[depth] = u
                 dfs(new_cells, rows)
         rows.pop()
 
     dfs([(1 << n) - 1], [])
     if best is None:
         raise AssertionError("canonical labeling self-check failed: the search reached no leaf")
-    return best
+    return best, best_order
+
+
+def _code_of_rows(n: int, rows: list[int]) -> str:
+    return "".join(
+        format(row, f"0{n - 1 - i}b") if n - 1 - i else "" for i, row in enumerate(rows)
+    )
 
 
 def canonical_form(t: Tournament) -> CanonicalForm:
     """Lexicographically minimal serialization over all relabelings."""
     if t.n > MAX_CANONICAL_VERTICES:
         raise EnumerationError(f"canonical form capped at n <= {MAX_CANONICAL_VERTICES}")
-    rows = _min_code_rows(t.n, t.out)
-    code = "".join(
-        format(row, f"0{t.n - 1 - i}b") if t.n - 1 - i else ""
-        for i, row in enumerate(rows)
-    )
-    return CanonicalForm(t.n, code)
+    rows, order = _min_code_rows(t.n, t.out)
+    return CanonicalForm(t.n, _code_of_rows(t.n, rows), order)
 
 
 def canonical_code(t: Tournament) -> str:
@@ -140,10 +153,7 @@ def _extension_codes(args: tuple[str, int]) -> set[str]:
             if not mask >> v & 1:
                 out[v] |= 1 << new
         out.append(mask)
-        rows = _min_code_rows(m + 1, tuple(out))
-        codes.add(
-            "".join(format(r, f"0{m - i}b") if m - i else "" for i, r in enumerate(rows))
-        )
+        codes.add(_code_of_rows(m + 1, _min_code_rows(m + 1, tuple(out))[0]))
     return codes
 
 
@@ -152,12 +162,20 @@ def _cache_path(cache_dir: str, n: int) -> str:
 
 
 def _read_cache(path: str, n: int) -> list[str] | None:
+    """The cached codes of order n, or None when the file is absent or fails a check.
+
+    A file passes when its header names order n and its body holds exactly
+    the known class count of that order, so a truncated or padded file is
+    rebuilt rather than used.
+    """
     if not os.path.exists(path):
         return None
     with open(path) as fh:
         header = fh.readline().split()
         codes = [line.strip() for line in fh if line.strip()]
     if len(header) != 2 or header[1] != f"n={n}" or header[0] != f"count={len(codes)}":
+        return None
+    if len(codes) != CLASS_COUNTS[n - 1]:
         return None
     return codes
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .packing import Packing, greedy_packing
+from .packing import Packing, _pair_mask, greedy_packing
 from .rng import sub_seed
 from .tournament import Tournament, census, edge_index, random_tournament
 
@@ -156,7 +156,7 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
     """
     n = t.n
     per_copy = p.k * (p.k - 1) // 2
-    members = {vs: _pair_mask_of(t.n, vs) for vs in p.copies}
+    members = {vs: _pair_mask(t.n, vs) for vs in p.copies}
     covered = 0
     for m in members.values():
         covered |= m
@@ -165,7 +165,7 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
     while changed:
         changed = False
         for vs in _transitive_subsets_within(t, p.k, all_edges & ~covered):
-            m = _pair_mask_of(n, vs)
+            m = _pair_mask(n, vs)
             if m & covered == 0:
                 members[vs] = m
                 covered |= m
@@ -174,7 +174,7 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
             allowed = (all_edges & ~covered) | members[vs]
             found = []
             for cand in _transitive_subsets_within(t, p.k, allowed):
-                cm = _pair_mask_of(n, cand)
+                cm = _pair_mask(n, cand)
                 if found and cm & found[0][1] == 0:
                     found.append((cand, cm))
                     break
@@ -202,14 +202,6 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
         optimal=False,
         nodes_explored=p.nodes_explored,
     )
-
-
-def _pair_mask_of(n: int, vertices: tuple[int, ...]) -> int:
-    mask = 0
-    for a, u in enumerate(vertices):
-        for w in vertices[a + 1 :]:
-            mask |= 1 << edge_index(n, u, w)
-    return mask
 
 
 def density_experiment(

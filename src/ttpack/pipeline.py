@@ -19,10 +19,10 @@ from multiprocessing import Pool
 
 from .constructions import turan3_tournament
 from .designs import BlockDesign, ag2_lines, all_sts7, all_sts9, sts_triangle_count, verify_design
-from .enumeration import enumerate_codes, tournament_from_code
-from .packing import Packing, max_packing_exact, verify_packing
+from .enumeration import canonical_form, enumerate_codes, tournament_from_code
+from .packing import Packing, _pair_mask, max_packing_exact, verify_packing
 from .rng import stdlib_rng, sub_seed
-from .tournament import Tournament, census, edge_index, induced
+from .tournament import Tournament, census, induced
 
 __all__ = [
     "ClassThreshold",
@@ -256,11 +256,35 @@ def lp_step(
     return LPResult(minimum=minimum, argmin=argmin)
 
 
+# Exact answers per 7-vertex block class, keyed by canonical code: the
+# directed-triangle count, the packing value and one optimal packing in
+# canonical labels.  Scoped to one decomposition_pipeline call: cleared at
+# its start and in each of its pool workers.
+_class_memo: dict[str, tuple[int, int, tuple[tuple[int, ...], ...]]] = {}
+
+
+def _clear_class_memo() -> None:
+    _class_memo.clear()
+
+
+def _block_class(code: str) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """(t, P_3, optimal copies) of the class with this code, solved once per call."""
+    entry = _class_memo.get(code)
+    if entry is None:
+        rep = tournament_from_code(code)
+        packed = max_packing_exact(rep, 3)
+        # one answer is reused for every block of the class, so it must be exact
+        if not packed.optimal:
+            raise PipelineError(f"solver gave up on block class {code}")
+        entry = _class_memo[code] = (census(rep).t, packed.value, packed.copies)
+    return entry
+
+
 def _map_trials(jobs: list, workers: int):
     if workers <= 1:
         yield from map(_pipeline_trial, jobs)
         return
-    with Pool(workers) as pool:
+    with Pool(workers, initializer=_clear_class_memo) as pool:
         yield from pool.imap(_pipeline_trial, jobs)
 
 
@@ -272,17 +296,20 @@ def _pipeline_trial(args: tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...
     block_values = []
     block_ts = []
     copies: list[tuple[int, ...]] = []
-    nodes = 0
+    covered = 0
     for block in blocks:
         vertices = sorted(perm[p] for p in block)
-        sub = induced(host, vertices)
-        block_ts.append(census(sub).t)
-        packed = max_packing_exact(sub, 3)
-        nodes += packed.nodes_explored
-        block_values.append(packed.value)
-        for copy in packed.copies:
-            copies.append(tuple(vertices[v] for v in copy))
-    return block_values, block_ts, copies, nodes
+        form = canonical_form(induced(host, vertices))
+        t_count, value, class_copies = _block_class(form.code)
+        block_ts.append(t_count)
+        block_values.append(value)
+        # canonical vertex v is block vertex form.order[v]
+        host_of = [vertices[u] for u in form.order]
+        for copy in class_copies:
+            copy = tuple(sorted(host_of[v] for v in copy))
+            copies.append(copy)
+            covered |= _pair_mask(host.n, copy)
+    return block_values, block_ts, copies, covered
 
 
 def decomposition_pipeline(
@@ -300,6 +327,10 @@ def decomposition_pipeline(
     verified from first principles.  Blocks are edge-disjoint, so the
     assembly is always a valid packing; each trial total is the sum of
     56 per-block exact values.
+
+    Each block is canonicalized, and each isomorphism class is solved
+    once per call: later blocks of the class reuse its packing, mapped
+    back through the block's canonical relabeling.
     """
     if design is None:
         design = ag2_lines(7)
@@ -310,16 +341,14 @@ def decomposition_pipeline(
     if trials < 1:
         raise PipelineError(f"trials must be positive, got {trials}")
 
+    _clear_class_memo()
     jobs = [(t.out, sub_seed(seed, i), design.blocks) for i in range(trials)]
     totals = []
     histogram: Counter[int] = Counter()
     regime_counts = [0, 0, 0]
     block_count = len(design.blocks)
-    for i, (block_values, block_ts, copies, nodes) in enumerate(_map_trials(jobs, workers)):
-        covered = 0
-        for copy in copies:
-            for a, b in combinations(copy, 2):
-                covered |= 1 << edge_index(t.n, a, b)
+    for i, (block_values, block_ts, copies, covered) in enumerate(_map_trials(jobs, workers)):
+        # verify_packing recomputes the covered edges from the copies alone
         assembled = Packing(
             n=t.n,
             k=3,
@@ -327,7 +356,7 @@ def decomposition_pipeline(
             copies=tuple(copies),
             covered_edges=covered,
             optimal=False,
-            nodes_explored=nodes,
+            nodes_explored=0,
         )
         if not verify_packing(t, assembled):
             raise PipelineError(f"assembled packing failed verification in trial {i}")

@@ -266,16 +266,3 @@ def max_transitive_subset(t: Tournament) -> tuple[int, ...]:
     _, chain = longest((1 << t.n) - 1)
     return tuple(sorted(chain))
 
-
-def satisfies_landau(score: tuple[int, ...]) -> bool:
-    """Landau's condition on a non-increasing score sequence."""
-    inc = sorted(score)
-    n = len(inc)
-    if sum(inc) != n * (n - 1) // 2:
-        return False
-    run = 0
-    for m, d in enumerate(inc, start=1):
-        run += d
-        if run < m * (m - 1) // 2:
-            return False
-    return True

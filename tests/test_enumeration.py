@@ -1,5 +1,6 @@
 """Isomorph-free enumeration, canonical labeling, and the class cache."""
 
+import random
 from collections import Counter
 from itertools import permutations
 from math import comb, factorial
@@ -10,15 +11,22 @@ from oracles import automorphism_count, labeled_count_with_score, oracle_canonic
 from ttpack.enumeration import (
     CLASS_COUNTS,
     EnumerationError,
+    _cache_path,
     brute_force_canonical_code,
     canonical_code,
+    canonical_form,
     enumerate_codes,
     enumerate_nonisomorphic,
     filter_by_score,
     scores_with_triangle_count,
     tournament_from_code,
 )
-from ttpack.tournament import Tournament, random_tournament, transitive_tournament
+from ttpack.tournament import (
+    Tournament,
+    random_tournament,
+    tournament_bits,
+    transitive_tournament,
+)
 
 
 def relabel(t: Tournament, perm) -> Tournament:
@@ -64,6 +72,25 @@ def test_canonical_code_is_relabeling_invariant():
         assert canonical_code(relabel(t, perm)) == reference
 
 
+def test_canonical_order_relabels_to_the_code(cache_dir):
+    rng = random.Random(4)
+    for n in range(1, 8):
+        for code in enumerate_codes(n, cache_dir=cache_dir):
+            base = tournament_from_code(code)
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                t = relabel(base, perm)
+                form = canonical_form(t)
+                assert form.code == code
+                assert sorted(form.order) == list(range(n))
+                # send vertex order[i] to position i
+                to_position = [0] * n
+                for i, v in enumerate(form.order):
+                    to_position[v] = i
+                assert tournament_bits(relabel(t, to_position)) == code
+
+
 def test_canonical_code_matches_brute_force_on_small_orders():
     for n in range(1, 5):
         for seed in range(10):
@@ -85,6 +112,20 @@ def test_cache_round_trip(tmp_path):
     assert first == again
     header = files[0].read_text().splitlines()[0]
     assert header.startswith("count=")
+
+
+def test_truncated_cache_is_rebuilt(tmp_path):
+    full = enumerate_codes(5, cache_dir=str(tmp_path / "full"))
+    short = tmp_path / "short"
+    short.mkdir()
+    path = _cache_path(str(short), 5)
+    # the header matches the body, but one class is missing
+    with open(path, "w") as fh:
+        fh.write(f"count={len(full) - 1} n=5\n")
+        fh.writelines(code + "\n" for code in full[:-1])
+    assert enumerate_codes(5, cache_dir=str(short)) == full
+    with open(path) as fh:
+        assert fh.readline().split() == [f"count={CLASS_COUNTS[4]}", "n=5"]
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

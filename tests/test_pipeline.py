@@ -1,11 +1,13 @@
 """Threshold sweeps, minimum packing values, expectation identities, the
 rational LP corner, and the 49-vertex decomposition pipeline."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from ttpack import pipeline
 from ttpack.designs import ag2_lines
 from ttpack.enumeration import canonical_code, tournament_from_code
 from ttpack.packing import max_packing_exact
@@ -160,6 +162,37 @@ def test_pipeline_workers_agree():
     a = decomposition_pipeline(t, trials=2, seed=5)
     b = decomposition_pipeline(t, trials=2, seed=5, workers=2)
     assert a.totals == b.totals
+
+
+def test_pipeline_solves_each_block_class_once_per_call(monkeypatch):
+    solved = []
+    original = pipeline.max_packing_exact
+
+    def counting(t, k, **kwargs):
+        solved.append(canonical_code(t))
+        return original(t, k, **kwargs)
+
+    monkeypatch.setattr(pipeline, "max_packing_exact", counting)
+    t = random_tournament(49, 7)
+    # 10 trials cut 560 blocks, more than there are classes of order 7
+    first = decomposition_pipeline(t, trials=10, seed=11)
+    per_call = len(solved)
+    second = decomposition_pipeline(t, trials=10, seed=11)
+    assert len(solved) == 2 * per_call
+    assert solved[:per_call] == solved[per_call:]
+    assert len(set(solved[:per_call])) == per_call <= 456
+    assert first == second
+
+
+def test_pipeline_rejects_a_non_optimal_class_solve(monkeypatch):
+    original = pipeline.max_packing_exact
+
+    def gave_up(t, k, **kwargs):
+        return replace(original(t, k, **kwargs), optimal=False)
+
+    monkeypatch.setattr(pipeline, "max_packing_exact", gave_up)
+    with pytest.raises(PipelineError, match="gave up"):
+        decomposition_pipeline(random_tournament(49, 7), trials=1, seed=11)
 
 
 def test_pipeline_accepts_explicit_design():
