@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .rng import coin
-from .tournament import MAX_VERTICES, Tournament, edge_index
+from .tournament import MAX_VERTICES, Tournament, edge_index, is_transitive_on
 
 __all__ = [
     "ConstructionError",
@@ -101,19 +101,6 @@ def qr7() -> Tournament:
     return Tournament(7, tuple(out))
 
 
-def _has_tt4(t: Tournament) -> bool:
-    for vs in combinations(range(t.n), 4):
-        vmask = 0
-        for v in vs:
-            vmask |= 1 << v
-        seen = 0
-        for v in vs:
-            seen |= 1 << (t.out[v] & vmask).bit_count()
-        if seen == 0b1111:
-            return True
-    return False
-
-
 def blowup(base: Tournament, factor: int, filler: str = "transitive", seed: int = 0) -> Tournament:
     """Replace each base vertex by a class of `factor` vertices.
 
@@ -142,17 +129,11 @@ def blowup(base: Tournament, factor: int, filler: str = "transitive", seed: int 
         members = list(range(v * factor, (v + 1) * factor))
         _fill_intra(n, members, filler, seed, out)
     t = Tournament(n, tuple(out))
-    if n <= 20 and not _has_tt4(base):
+    base_quads = combinations(range(base.n), 4)
+    if n <= 20 and not any(is_transitive_on(base, vs) for vs in base_quads):
         for vs in combinations(range(n), 4):
-            if len({v // factor for v in vs}) == 4:
-                vmask = 0
-                for v in vs:
-                    vmask |= 1 << v
-                seen = 0
-                for v in vs:
-                    seen |= 1 << (t.out[v] & vmask).bit_count()
-                if seen == 0b1111:
-                    raise AssertionError(
-                        f"blowup self-check failed: {vs} is a transitive quad across four classes"
-                    )
+            if len({v // factor for v in vs}) == 4 and is_transitive_on(t, vs):
+                raise AssertionError(
+                    f"blowup self-check failed: {vs} is a transitive quad across four classes"
+                )
     return t

@@ -6,12 +6,15 @@ rather than an n! scan: the code is minimized row by row, and the set of
 orderings achieving the minimal rows so far is exactly captured by a list of
 position cells that get split by each newly placed vertex's out-set.  Ties
 branch; the answer is the minimum over branch leaves, which equals the
-unpruned definition (asserted against a full permutation scan for n <= 5 in
+unpruned definition (asserted against a full permutation scan for n <= 4 in
 the test suite).
 
 Enumeration is orderly: extend each canonical representative of order n-1 by
-one new vertex in all 2^(n-1) ways, canonicalize, deduplicate.  Results are
-cached on disk keyed by order and format version.
+one new vertex, canonicalize, deduplicate.  Of the 2^(n-1) extensions, only
+those whose new vertex has the least key (out-degree, then the sum of its
+out-neighbours' out-degrees) are canonicalized; every class still has such an
+extension (see `_extension_codes`).  Results are cached on disk keyed by
+order and format version.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import FORMAT_VERSION
-from .tournament import Tournament, census, tournament_bits, tournament_from_bits
+from .tournament import Tournament, census, tournament_from_bits
 
 MAX_CANONICAL_VERTICES = 10
 MAX_ENUMERATION_VERTICES = 8
@@ -141,17 +144,56 @@ def tournament_from_code(code: str) -> Tournament:
     return tournament_from_bits(n, code)
 
 
+def _degree_sum(nbrs: int, degree: list[int]) -> int:
+    """Sum of degree[w] over the vertices w in the bitset nbrs."""
+    total = 0
+    while nbrs:
+        low = nbrs & -nbrs
+        nbrs ^= low
+        total += degree[low.bit_length() - 1]
+    return total
+
+
 def _extension_codes(args: tuple[str, int]) -> set[str]:
-    """All canonical codes obtained by adding one vertex to a representative."""
+    """Canonical codes of the one-vertex extensions of a representative.
+
+    Only extensions whose new vertex has the least key are canonicalized.
+    The key of a vertex is (its out-degree, the sum of its out-neighbours'
+    out-degrees), both taken in the extended tournament.  The out-degree is
+    tested first, as it costs nothing: the new vertex has mask.bit_count(),
+    and an old vertex v has deg[v] plus one unless v is in mask.
+
+    Soundness (McKay's orderly generation, J. Algorithms 26 (1998)): the
+    key is an isomorphism invariant.  Every tournament T of order m+1 has a
+    vertex v of least key, and T - v is isomorphic, by some phi, to one
+    representative R of order m.  The extension of R by phi(N+(v)) is then
+    isomorphic to T, with the new vertex in the place of v, so its new
+    vertex has the least key.  Every class is still reached, and the set of
+    canonical codes is unchanged.
+    """
     code, m = args
     base = tournament_from_bits(m, code)
-    new = m  # label of the added vertex
+    bit = 1 << m  # the added vertex
+    deg = [o.bit_count() for o in base.out]
+    ceiling = min(deg) + 1  # no old vertex gains more than one win
     codes: set[str] = set()
     for mask in range(1 << m):
-        out = list(base.out)
-        for v in range(m):
-            if not mask >> v & 1:
-                out[v] |= 1 << new
+        d = mask.bit_count()
+        if d > ceiling:
+            continue
+        # the new vertex beats mask; every other old vertex gains a win over it
+        degree = [deg[v] + 1 - (mask >> v & 1) for v in range(m)]
+        least = min(degree)
+        if d > least:
+            continue
+        out = [o if mask >> v & 1 else o | bit for v, o in enumerate(base.out)]
+        if d == least:
+            degree.append(d)
+            own = _degree_sum(mask, degree)
+            if any(
+                degree[v] == d and _degree_sum(out[v], degree) < own for v in range(m)
+            ):
+                continue
         out.append(mask)
         codes.add(_code_of_rows(m + 1, _min_code_rows(m + 1, tuple(out))[0]))
     return codes
@@ -260,26 +302,3 @@ def scores_with_triangle_count(
         if census(rep).t == t
     }
 
-
-def brute_force_canonical_code(t: Tournament) -> str:
-    """Reference definition: minimum serialization over all n! relabelings.
-
-    Exponential; only used to validate `canonical_form` at small orders.
-    """
-    from itertools import permutations
-
-    best = None
-    for perm in permutations(range(t.n)):
-        relabeled = [0] * t.n
-        for v in range(t.n):
-            m = t.out[perm[v]]
-            row = 0
-            for w in range(t.n):
-                if m >> perm[w] & 1:
-                    row |= 1 << w
-            relabeled[v] = row
-        bits = tournament_bits(Tournament(t.n, tuple(relabeled)))
-        if best is None or bits < best:
-            best = bits
-    assert best is not None
-    return best

@@ -16,7 +16,7 @@ from math import comb, factorial
 
 from .packing import Packing, _pair_mask, greedy_packing
 from .rng import sub_seed
-from .tournament import Tournament, census, edge_index, random_tournament
+from .tournament import Tournament, census, edge_index, is_transitive_on, random_tournament
 
 __all__ = [
     "DensityReport",
@@ -89,13 +89,7 @@ def edge_copy_stats(t: Tournament, k: int) -> EdgeCopyStats:
     else:
         total = 0
         for vs in combinations(range(n), 4):
-            vmask = 0
-            for v in vs:
-                vmask |= 1 << v
-            seen = 0
-            for v in vs:
-                seen |= 1 << (t.out[v] & vmask).bit_count()
-            if seen != 0b1111:
+            if not is_transitive_on(t, vs):
                 continue
             total += 1
             for a, u in enumerate(vs):
@@ -126,13 +120,7 @@ def _transitive_subsets_within(t: Tournament, k: int, allowed: int):
 
     def extend(chosen: list[int], common: int):
         if len(chosen) == k:
-            vmask = 0
-            for v in chosen:
-                vmask |= 1 << v
-            seen = 0
-            for v in chosen:
-                seen |= 1 << (t.out[v] & vmask).bit_count()
-            if seen == (1 << k) - 1:
+            if is_transitive_on(t, chosen):
                 yield tuple(chosen)
             return
         m = common

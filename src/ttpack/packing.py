@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .rng import stdlib_rng
-from .tournament import Tournament, edge_index
+from .tournament import Tournament, edge_index, is_transitive_on
 
 __all__ = [
     "CopyList",
@@ -79,14 +79,6 @@ class Packing:
         return len(self.members)
 
 
-def _is_transitive_subset(t: Tournament, vertices: tuple[int, ...], mask: int) -> bool:
-    # Sub-out-degrees live in 0..k-1, so "all distinct" means exactly {0..k-1}.
-    seen = 0
-    for v in vertices:
-        seen |= 1 << (t.out[v] & mask).bit_count()
-    return seen == (1 << len(vertices)) - 1
-
-
 def _pair_mask(n: int, vertices: tuple[int, ...]) -> int:
     mask = 0
     for a, u in enumerate(vertices):
@@ -95,16 +87,28 @@ def _pair_mask(n: int, vertices: tuple[int, ...]) -> int:
     return mask
 
 
-def enumerate_copies(t: Tournament, k: int) -> CopyList:
-    """List every k-subset inducing a transitive subtournament, in vertex order."""
+def _until(deadline: float, items):
+    """The items, until the monotonic clock passes deadline; then TimeoutError."""
+    for item in items:
+        if time.monotonic() > deadline:
+            raise TimeoutError("copy enumeration ran past its deadline")
+        yield item
+
+
+def enumerate_copies(t: Tournament, k: int, deadline: float | None = None) -> CopyList:
+    """List every k-subset inducing a transitive subtournament, in vertex order.
+
+    deadline, a time.monotonic() instant, bounds the scan: once it passes,
+    TimeoutError is raised.  Only a set deadline adds a check per subset.
+    """
     if not 3 <= k <= t.n:
         raise PackingError(f"k must satisfy 3 <= k <= n={t.n}, got {k}")
     copies: list[TTCopy] = []
-    for vs in combinations(range(t.n), k):
-        vmask = 0
-        for v in vs:
-            vmask |= 1 << v
-        if not _is_transitive_subset(t, vs, vmask):
+    subsets = combinations(range(t.n), k)
+    if deadline is not None:
+        subsets = _until(deadline, subsets)
+    for vs in subsets:
+        if not is_transitive_on(t, vs):
             continue
         edges = []
         for a, u in enumerate(vs):
@@ -125,10 +129,7 @@ def _check_copy_list(t: Tournament, cl: CopyList, k: int) -> None:
         if vs in seen:
             raise PackingError(f"duplicate copy {vs}")
         seen.add(vs)
-        vmask = 0
-        for v in vs:
-            vmask |= 1 << v
-        if not _is_transitive_subset(t, vs, vmask):
+        if not is_transitive_on(t, vs):
             raise PackingError(f"copy {vs} does not induce a transitive subtournament")
         if c.edge_mask != _pair_mask(t.n, vs):
             raise PackingError(f"copy {vs} carries a wrong edge mask")
@@ -199,17 +200,24 @@ def max_packing_exact(
 
     time_budget (seconds) turns the result into a best-found lower bound
     with optimal=False once exceeded; the deadline is checked at every
-    node and at every round of the hitting set.  stop_at aborts as soon as
-    the incumbent reaches the threshold, again with optimal=False; callers
-    that only need "value >= stop_at or exact value below it" use this.
+    subset of the copy enumeration, at every node and at every round of the
+    hitting set.  A budget spent before the copies are all listed returns
+    the empty packing.  stop_at aborts as soon as the incumbent reaches the
+    threshold, again with optimal=False; callers that only need
+    "value >= stop_at or exact value below it" use this.
     """
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     if copy_list is None:
-        copy_list = enumerate_copies(t, k)
+        try:
+            copy_list = enumerate_copies(t, k, deadline)
+        except TimeoutError:
+            return Packing(
+                n=t.n, k=k, members=(), copies=(), covered_edges=0, optimal=False, nodes_explored=0
+            )
     else:
         _check_copy_list(t, copy_list, k)
     n = t.n
     masks = [c.edge_mask for c in copy_list.copies]
-    deadline = None if time_budget is None else time.monotonic() + time_budget
 
     best = -1
     best_members: tuple[int, ...] = ()
@@ -352,10 +360,7 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
             return False
         if not all(isinstance(v, int) and 0 <= v < t.n for v in vs):
             return False
-        vmask = 0
-        for v in vs:
-            vmask |= 1 << v
-        if not _is_transitive_subset(t, tuple(vs), vmask):
+        if not is_transitive_on(t, vs):
             return False
         emask = _pair_mask(t.n, tuple(sorted(vs)))
         if emask & covered:

@@ -233,6 +233,22 @@ def is_transitive(t: Tournament) -> bool:
     return sorted(m.bit_count() for m in t.out) == list(range(t.n))
 
 
+def is_transitive_on(t: Tournament, vertices) -> bool:
+    """True iff the distinct `vertices` induce a transitive subtournament.
+
+    Sub-out-degrees lie in 0..k-1, so they are all distinct exactly when
+    they are {0..k-1}, which is when the subset is a total order.
+    """
+    out = t.out
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    seen = 0
+    for v in vertices:
+        seen |= 1 << (out[v] & mask).bit_count()
+    return seen == (1 << len(vertices)) - 1
+
+
 def max_transitive_subset(t: Tournament) -> tuple[int, ...]:
     """A largest vertex subset inducing a transitive subtournament.
 

@@ -10,11 +10,38 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from ttpack.tournament import Tournament
+from ttpack.enumeration import canonical_code
+from ttpack.tournament import Tournament, tournament_from_bits
 
 
 def beats(t: Tournament, u: int, v: int) -> bool:
     return bool(t.out[u] >> v & 1)
+
+
+def brute_force_canonical_code(t: Tournament) -> str:
+    """Reference definition of the canonical code: the minimum over all n! relabelings."""
+    pairs = list(combinations(range(t.n), 2))
+    return min(
+        "".join("1" if beats(t, perm[i], perm[j]) else "0" for i, j in pairs)
+        for perm in permutations(range(t.n))
+    )
+
+
+def all_extension_codes(codes, m: int) -> set[str]:
+    """Canonical codes of every one-vertex extension of the order-m classes `codes`.
+
+    Orderly generation with no filter: all 2^m extensions of each class are
+    canonicalized, so starting from {""} at order 1 this yields every class
+    of each order.  It uses the library's canonical code, which the other
+    oracles check, so agreement tests which extensions the library skips.
+    """
+    out = set()
+    for code in codes:
+        base = tournament_from_bits(m, code)
+        for mask in range(1 << m):
+            rows = tuple(o if mask >> v & 1 else o | 1 << m for v, o in enumerate(base.out))
+            out.add(canonical_code(Tournament(m + 1, rows + (mask,))))
+    return out
 
 
 def triangle_counts(t: Tournament) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """Isomorph-free enumeration, canonical labeling, and the class cache."""
 
+import hashlib
 import random
 from collections import Counter
 from itertools import permutations
@@ -7,12 +8,17 @@ from math import comb, factorial
 
 import pytest
 
-from oracles import automorphism_count, labeled_count_with_score, oracle_canonical_code
+from oracles import (
+    all_extension_codes,
+    automorphism_count,
+    brute_force_canonical_code,
+    labeled_count_with_score,
+    oracle_canonical_code,
+)
 from ttpack.enumeration import (
     CLASS_COUNTS,
     EnumerationError,
     _cache_path,
-    brute_force_canonical_code,
     canonical_code,
     canonical_form,
     enumerate_codes,
@@ -41,6 +47,36 @@ def relabel(t: Tournament, perm) -> Tournament:
 def test_class_counts_up_to_seven(cache_dir):
     for n in range(1, 8):
         assert len(enumerate_codes(n, cache_dir=cache_dir)) == CLASS_COUNTS[n - 1]
+
+
+def test_key_filter_keeps_every_class(cache_dir):
+    codes = {""}
+    for n in range(2, 8):
+        codes = all_extension_codes(codes, n - 1)
+        assert enumerate_codes(n, cache_dir=cache_dir) == tuple(sorted(codes))
+
+
+def test_order_eight_classes(cache_dir):
+    codes = enumerate_codes(8, cache_dir=cache_dir)
+    assert len(codes) == 6880
+    digest = hashlib.sha256("\n".join(codes).encode()).hexdigest()
+    assert digest == "cda7ebc640161eb812fef4d217d5ca092e4aeea73481c811b186f2be4dfef4d1"
+
+
+def test_cold_build_canonicalizes_only_least_key_extensions(tmp_path, monkeypatch):
+    from ttpack import enumeration
+
+    calls = Counter()
+    original = enumeration._min_code_rows
+
+    def counting(n, out):
+        calls[n] += 1
+        return original(n, out)
+
+    monkeypatch.setattr(enumeration, "_min_code_rows", counting)
+    enumerate_codes(8, cache_dir=str(tmp_path), workers=1)
+    # 8,619 calls in all; canonicalizing every extension would take 62,422
+    assert calls == {2: 1, 3: 2, 4: 6, 5: 14, 6: 81, 7: 573, 8: 7942}
 
 
 def test_codes_are_canonical_sorted_and_distinct(cache_dir):

@@ -110,6 +110,18 @@ def test_time_budget_is_honoured_on_a_large_host():
     assert verify_packing(t, p)
 
 
+def test_time_budget_covers_copy_enumeration():
+    # C(48,5) = 1,712,304 subsets take several seconds to scan, so the
+    # budget must stop the copy enumeration itself
+    t = random_tournament(48, 3)
+    budget = 1.0
+    start = time.monotonic()
+    p = max_packing_exact(t, 5, time_budget=budget)
+    assert time.monotonic() - start < 2 * budget + 1
+    assert not p.optimal
+    assert verify_packing(t, p)
+
+
 @pytest.mark.parametrize("n", [11, 17])
 def test_leave_bound_proves_transitive_hosts(n):
     # every triple of a transitive host is transitive, and for n = 5 (mod 6)

@@ -1,10 +1,11 @@
 """Core tournament type: parsing, censuses, helpers."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from oracles import degree_formula_transitive, triangle_counts
+from oracles import degree_formula_transitive, is_transitive_subset, triangle_counts
 from ttpack.tournament import (
     MAX_VERTICES,
     Tournament,
@@ -14,6 +15,7 @@ from ttpack.tournament import (
     edge_list,
     induced,
     is_transitive,
+    is_transitive_on,
     max_transitive_subset,
     parse_tournament,
     random_tournament,
@@ -116,6 +118,14 @@ def test_induced_relabels_in_sorted_order():
 def test_is_transitive():
     assert is_transitive(transitive_tournament(6))
     assert not is_transitive(parse_tournament(CYCLE3))
+
+
+def test_is_transitive_on_matches_the_ordering_oracle():
+    for seed in range(3):
+        t = random_tournament(7, seed)
+        for k in range(1, 8):
+            for vs in combinations(range(7), k):
+                assert is_transitive_on(t, vs) == is_transitive_subset(t, vs)
 
 
 def test_max_transitive_subset_on_transitive_host():
