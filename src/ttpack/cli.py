@@ -207,7 +207,6 @@ def _cmd_verify_packing(args) -> int:
     packing = Packing(
         n=t.n,
         k=k,
-        members=tuple(range(len(copies))),
         copies=copies,
         covered_edges=covered,
         optimal=False,

@@ -11,12 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial
 
-from .packing import Packing, _pair_mask, greedy_packing
+from .packing import (
+    Packing,
+    TTCopy,
+    _pair_mask,
+    _transitive_chains,
+    enumerate_copies,
+    greedy_packing,
+)
 from .rng import sub_seed
-from .tournament import Tournament, census, edge_index, is_transitive_on, random_tournament
+from .tournament import Tournament, census, edge_index, edge_list, random_tournament
 
 __all__ = [
     "DensityReport",
@@ -87,14 +93,14 @@ def edge_copy_stats(t: Tournament, k: int) -> EdgeCopyStats:
                 cyclic = (t.out[y] & incoming).bit_count()
                 counts[edge_index(n, i, j)] = (n - 2) - cyclic
     else:
-        total = 0
-        for vs in combinations(range(n), 4):
-            if not is_transitive_on(t, vs):
-                continue
-            total += 1
-            for a, u in enumerate(vs):
-                for w in vs[a + 1 :]:
-                    counts[edge_index(n, u, w)] += 1
+        copies = enumerate_copies(t, 4).copies
+        total = len(copies)
+        for c in copies:
+            m = c.edge_mask
+            while m:
+                low = m & -m
+                m ^= low
+                counts[low.bit_length() - 1] += 1
     if sum(counts) != total * comb(k, 2):
         raise ExperimentError("handshake identity violated; counting bug")
     return EdgeCopyStats(
@@ -108,30 +114,20 @@ def edge_copy_stats(t: Tournament, k: int) -> EdgeCopyStats:
     )
 
 
-def _transitive_subsets_within(t: Tournament, k: int, allowed: int):
-    """Transitive k-subsets all of whose pairs lie in the allowed edge set, lex order."""
-    n = t.n
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if allowed >> edge_index(n, i, j) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+def _transitive_subsets_within(t: Tournament, k: int, allowed: int) -> list[TTCopy]:
+    """Transitive k-subsets all of whose pairs lie in the allowed edge set, lex order.
 
-    def extend(chosen: list[int], common: int):
-        if len(chosen) == k:
-            if is_transitive_on(t, chosen):
-                yield tuple(chosen)
-            return
-        m = common
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            chosen.append(v)
-            yield from extend(chosen, common & adj[v] & ~((1 << (v + 1)) - 1))
-            chosen.pop()
-
-    yield from extend([], (1 << n) - 1)
+    The chain walk runs on the host's rows with every pair outside `allowed`
+    dropped, so it reaches exactly the copies inside the allowed edges.
+    """
+    rows = [0] * t.n
+    for e, (i, j) in enumerate(edge_list(t.n)):
+        if allowed >> e & 1:
+            if t.has_edge(i, j):
+                rows[i] |= 1 << j
+            else:
+                rows[j] |= 1 << i
+    return _transitive_chains(t.n, rows, k)
 
 
 def improve_packing(t: Tournament, p: Packing) -> Packing:
@@ -152,8 +148,7 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
     changed = True
     while changed:
         changed = False
-        for vs in _transitive_subsets_within(t, p.k, all_edges & ~covered):
-            m = _pair_mask(n, vs)
+        for vs, m in _transitive_subsets_within(t, p.k, all_edges & ~covered):
             if m & covered == 0:
                 members[vs] = m
                 covered |= m
@@ -161,8 +156,7 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
         for vs in sorted(members):
             allowed = (all_edges & ~covered) | members[vs]
             found = []
-            for cand in _transitive_subsets_within(t, p.k, allowed):
-                cm = _pair_mask(n, cand)
+            for cand, cm in _transitive_subsets_within(t, p.k, allowed):
                 if found and cm & found[0][1] == 0:
                     found.append((cand, cm))
                     break
@@ -184,7 +178,6 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
     return Packing(
         n=n,
         k=p.k,
-        members=tuple(range(len(ordered))),
         copies=tuple(ordered),
         covered_edges=covered,
         optimal=False,

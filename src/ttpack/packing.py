@@ -10,9 +10,10 @@ at every node, deterministic by construction so node counts reproduce.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from typing import NamedTuple
 
 from .rng import stdlib_rng
 from .tournament import Tournament, edge_index, is_transitive_on
@@ -30,20 +31,17 @@ __all__ = [
 
 
 class PackingError(ValueError):
-    """Raised for out-of-range k or an inconsistent externally supplied copy list."""
+    """Raised for out-of-range k."""
 
 
-@dataclass(frozen=True)
-class TTCopy:
+class TTCopy(NamedTuple):
     """One transitive subtournament copy.
 
     vertices: the k vertices, ascending.
-    edges: the C(k,2) directed edges as (winner, loser) pairs, sorted.
     edge_mask: bitmask over host unordered-pair indices (see edge_index).
     """
 
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
     edge_mask: int
 
 
@@ -60,15 +58,14 @@ class CopyList:
 class Packing:
     """An edge-disjoint family of copies plus search metadata.
 
-    members: indices into the copy list the solver worked from.
-    copies: the members' vertex tuples (self-contained for verification).
+    copies: the vertex tuples of the packed copies (self-contained for
+    verification).
     covered_edges: bitmask of all covered unordered-pair indices.
     optimal: True only when the search ran to completion.
     """
 
     n: int
     k: int
-    members: tuple[int, ...]
     copies: tuple[tuple[int, ...], ...]
     covered_edges: int
     optimal: bool
@@ -76,63 +73,98 @@ class Packing:
 
     @property
     def value(self) -> int:
-        return len(self.members)
+        return len(self.copies)
+
+
+@lru_cache(maxsize=None)
+def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """bits[v][u] is the bit 1 << edge_index(n, u, v) of the pair {u, v}."""
+    return tuple(
+        tuple(0 if u == v else 1 << edge_index(n, u, v) for u in range(n)) for v in range(n)
+    )
 
 
 def _pair_mask(n: int, vertices: tuple[int, ...]) -> int:
+    bits = _pair_bits(n)
     mask = 0
     for a, u in enumerate(vertices):
+        row = bits[u]
         for w in vertices[a + 1 :]:
-            mask |= 1 << edge_index(n, u, w)
+            mask |= row[w]
     return mask
 
 
-def _until(deadline: float, items):
-    """The items, until the monotonic clock passes deadline; then TimeoutError."""
-    for item in items:
-        if time.monotonic() > deadline:
+def _transitive_chains(
+    n: int, out: Sequence[int], k: int, deadline: float | None = None
+) -> list[TTCopy]:
+    """Every transitive k-subset of the digraph `out`, sorted by vertex tuple.
+
+    A k-subset of a tournament is transitive exactly when it is a dominance
+    chain v1 -> v2 -> ... -> vk, each vertex beating every later one; that
+    ordering is unique.  So the walk extends a chain by each vertex v of its
+    pool, the vertices beaten by every chain vertex, and shrinks the pool to
+    `pool & out[v]`.  Each copy is reached once, and a chain is extended only
+    while its pool still holds enough vertices, so the cost follows the
+    number of transitive subsets of at most k vertices, not C(n, k).  Rows
+    of `out` may omit pairs (both directions), which restricts the walk to
+    the copies all of whose pairs are kept.  A set deadline is checked at
+    every chain of fewer than k - 1 vertices and after the final sort; once
+    it passes, TimeoutError is raised.
+    """
+    bits = _pair_bits(n)
+    found: list[TTCopy] = []
+    chain: list[int] = []
+
+    def grow(pool: int, mask: int) -> None:
+        if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("copy enumeration ran past its deadline")
-        yield item
+        last = len(chain) + 2 == k
+        need = k - len(chain) - 1
+        m = pool
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            sub = pool & out[v]
+            if sub.bit_count() < need:
+                continue
+            row = bits[v]
+            vmask = mask
+            for u in chain:
+                vmask |= row[u]
+            chain.append(v)
+            if last:
+                # the leaf level: every vertex of sub closes one copy
+                while sub:
+                    low = sub & -sub
+                    sub ^= low
+                    w = low.bit_length() - 1
+                    row = bits[w]
+                    wmask = vmask
+                    for u in chain:
+                        wmask |= row[u]
+                    found.append(TTCopy(tuple(sorted((*chain, w))), wmask))
+            else:
+                grow(sub, vmask)
+            chain.pop()
+
+    grow((1 << n) - 1, 0)
+    found.sort()
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("copy enumeration ran past its deadline")
+    return found
 
 
 def enumerate_copies(t: Tournament, k: int, deadline: float | None = None) -> CopyList:
     """List every k-subset inducing a transitive subtournament, in vertex order.
 
-    deadline, a time.monotonic() instant, bounds the scan: once it passes,
-    TimeoutError is raised.  Only a set deadline adds a check per subset.
+    The copies are walked as dominance chains (see `_transitive_chains`).
+    deadline, a time.monotonic() instant, bounds the walk: once it passes,
+    TimeoutError is raised.
     """
     if not 3 <= k <= t.n:
         raise PackingError(f"k must satisfy 3 <= k <= n={t.n}, got {k}")
-    copies: list[TTCopy] = []
-    subsets = combinations(range(t.n), k)
-    if deadline is not None:
-        subsets = _until(deadline, subsets)
-    for vs in subsets:
-        if not is_transitive_on(t, vs):
-            continue
-        edges = []
-        for a, u in enumerate(vs):
-            for w in vs[a + 1 :]:
-                edges.append((u, w) if t.has_edge(u, w) else (w, u))
-        copies.append(TTCopy(vs, tuple(sorted(edges)), _pair_mask(t.n, vs)))
-    return CopyList(t.n, k, tuple(copies))
-
-
-def _check_copy_list(t: Tournament, cl: CopyList, k: int) -> None:
-    if cl.n != t.n or cl.k != k:
-        raise PackingError(f"copy list is for (n={cl.n}, k={cl.k}), host needs (n={t.n}, k={k})")
-    seen: set[tuple[int, ...]] = set()
-    for c in cl.copies:
-        vs = c.vertices
-        if len(vs) != k or list(vs) != sorted(set(vs)) or not all(0 <= v < t.n for v in vs):
-            raise PackingError(f"malformed copy vertices {vs}")
-        if vs in seen:
-            raise PackingError(f"duplicate copy {vs}")
-        seen.add(vs)
-        if not is_transitive_on(t, vs):
-            raise PackingError(f"copy {vs} does not induce a transitive subtournament")
-        if c.edge_mask != _pair_mask(t.n, vs):
-            raise PackingError(f"copy {vs} carries a wrong edge mask")
+    return CopyList(t.n, k, tuple(_transitive_chains(t.n, t.out, k, deadline)))
 
 
 @lru_cache(maxsize=None)
@@ -175,13 +207,48 @@ def _leave_bound(coverable: int, n: int, k: int) -> int:
     return (size - leave) // per_copy
 
 
+# Copies per block of the per-edge bitset build; see _copies_through_edges.
+_BLOCK = 1024
+
+
+def _copies_through_edges(masks: list[int], n: int, deadline: float | None) -> list[int]:
+    """Per unordered pair, the bitset over copy indices of the copies through it.
+
+    Linear in the number of copies: or-ing 1 << c into one growing int per
+    pair would copy the whole bitset at every copy.  So the bits are set
+    within blocks of _BLOCK copies, where each int stays short, and each
+    pair's blocks are joined once as bytes.  Up to _BLOCK copies, the one
+    block is the result.  A set deadline is checked at every block; once it
+    passes, TimeoutError is raised.
+    """
+    edge_count = n * (n - 1) // 2
+    blocks = []
+    for base in range(0, len(masks), _BLOCK):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("copy bitsets ran past their deadline")
+        block = [0] * edge_count
+        for c, m in enumerate(masks[base : base + _BLOCK]):
+            bit = 1 << c
+            while m:
+                low = m & -m
+                m ^= low
+                block[low.bit_length() - 1] |= bit
+        blocks.append(block)
+    if len(blocks) <= 1:
+        return blocks[0] if blocks else [0] * edge_count
+    width = _BLOCK // 8
+    return [
+        int.from_bytes(b"".join(b.to_bytes(width, "little") for b in parts), "little")
+        for parts in zip(*blocks)
+    ]
+
+
 def max_packing_exact(
     t: Tournament,
     k: int,
     time_budget: float | None = None,
     *,
     stop_at: int | None = None,
-    copy_list: CopyList | None = None,
 ) -> Packing:
     """Maximum edge-disjoint packing by branch-and-bound over edges.
 
@@ -199,38 +266,27 @@ def max_packing_exact(
       indices, and abandoned once it grows too large to prune.
 
     time_budget (seconds) turns the result into a best-found lower bound
-    with optimal=False once exceeded; the deadline is checked at every
-    subset of the copy enumeration, at every node and at every round of the
-    hitting set.  A budget spent before the copies are all listed returns
-    the empty packing.  stop_at aborts as soon as the incumbent reaches the
-    threshold, again with optimal=False; callers that only need
-    "value >= stop_at or exact value below it" use this.
+    with optimal=False once exceeded; the deadline is checked while the
+    copies are listed and while their per-edge bitsets are built, at every
+    node and at every round of the hitting set.  A budget spent before the
+    bitsets are built returns the empty packing.  stop_at aborts as soon as
+    the incumbent reaches the threshold, again with optimal=False; callers
+    that only need "value >= stop_at or exact value below it" use this.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    if copy_list is None:
-        try:
-            copy_list = enumerate_copies(t, k, deadline)
-        except TimeoutError:
-            return Packing(
-                n=t.n, k=k, members=(), copies=(), covered_edges=0, optimal=False, nodes_explored=0
-            )
-    else:
-        _check_copy_list(t, copy_list, k)
     n = t.n
-    masks = [c.edge_mask for c in copy_list.copies]
+    try:
+        copies = enumerate_copies(t, k, deadline).copies
+        masks = [c.edge_mask for c in copies]
+        # edge_copies[e]: bitset over copy indices of the copies through edge e
+        edge_copies = _copies_through_edges(masks, n, deadline)
+    except TimeoutError:
+        return Packing(n=n, k=k, copies=(), covered_edges=0, optimal=False, nodes_explored=0)
 
     best = -1
     best_members: tuple[int, ...] = ()
     nodes = 0
     aborted = False
-
-    # edge_copies[e]: bitset over copy indices of the copies through edge e
-    edge_copies = [0] * (n * (n - 1) // 2)
-    for c, m in enumerate(masks):
-        while m:
-            low = m & -m
-            m ^= low
-            edge_copies[low.bit_length() - 1] |= 1 << c
 
     def out_of_time() -> bool:
         nonlocal aborted
@@ -308,15 +364,14 @@ def max_packing_exact(
 
     dfs(list(range(len(masks))), [])
 
-    members = tuple(sorted(best_members))
+    members = sorted(best_members)
     covered = 0
     for c in members:
         covered |= masks[c]
     return Packing(
-        n=t.n,
+        n=n,
         k=k,
-        members=members,
-        copies=tuple(copy_list.copies[c].vertices for c in members),
+        copies=tuple(copies[c].vertices for c in members),
         covered_edges=covered,
         optimal=not aborted,
         nodes_explored=nodes,
@@ -339,7 +394,6 @@ def greedy_packing(t: Tournament, k: int, seed: int) -> Packing:
     return Packing(
         n=t.n,
         k=k,
-        members=tuple(members),
         copies=tuple(cl.copies[c].vertices for c in members),
         covered_edges=covered,
         optimal=False,
@@ -351,8 +405,6 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
     """Check a packing from first principles, independent of solver internals."""
     if p.n != t.n or not 3 <= p.k <= t.n:
         return False
-    if len(p.members) != len(p.copies):
-        return False
     per_copy = p.k * (p.k - 1) // 2
     covered = 0
     for vs in p.copies:
@@ -362,7 +414,7 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
             return False
         if not is_transitive_on(t, vs):
             return False
-        emask = _pair_mask(t.n, tuple(sorted(vs)))
+        emask = _pair_mask(t.n, vs)
         if emask & covered:
             return False
         covered |= emask

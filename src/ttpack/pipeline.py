@@ -352,7 +352,6 @@ def decomposition_pipeline(
         assembled = Packing(
             n=t.n,
             k=3,
-            members=tuple(range(len(copies))),
             copies=tuple(copies),
             covered_edges=covered,
             optimal=False,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from ttpack.enumeration import canonical_code
-from ttpack.tournament import Tournament, tournament_from_bits
+from ttpack.tournament import Tournament, edge_index, is_transitive_on, tournament_from_bits
 
 
 def beats(t: Tournament, u: int, v: int) -> bool:
@@ -84,6 +84,23 @@ def transitive_copies(t: Tournament, k: int) -> list[frozenset[tuple[int, int]]]
     for vs in combinations(range(t.n), k):
         if is_transitive_subset(t, vs):
             out.append(frozenset(frozenset(p) for p in combinations(vs, 2)))
+    return out
+
+
+def scanned_copies(t: Tournament, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """(vertices, edge mask) of every transitive k-subset, by scanning all C(n, k) subsets.
+
+    The subsets come out of `combinations` in lexicographic order, and each
+    mask is or-ed together from `edge_index` pair by pair.
+    """
+    out = []
+    for vs in combinations(range(t.n), k):
+        if is_transitive_on(t, vs):
+            mask = 0
+            for a, u in enumerate(vs):
+                for w in vs[a + 1 :]:
+                    mask |= 1 << edge_index(t.n, u, w)
+            out.append((vs, mask))
     return out
 
 

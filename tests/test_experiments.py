@@ -5,9 +5,11 @@ from math import comb, factorial
 
 import pytest
 
+from oracles import scanned_copies
 from ttpack.experiments import (
     EDGE_STATS_LIMITS,
     ExperimentError,
+    _transitive_subsets_within,
     density_experiment,
     edge_copy_stats,
     improve_packing,
@@ -21,6 +23,7 @@ from ttpack.packing import (
 from ttpack.tournament import (
     edge_list,
     random_tournament,
+    tournament_bits,
     transitive_tournament,
 )
 
@@ -78,6 +81,15 @@ def test_edge_stats_limits():
     with pytest.raises(ExperimentError):
         edge_copy_stats(big, 4)
     assert edge_copy_stats(big, 3).n == 61
+
+
+def test_restricted_walk_lists_the_copies_inside_the_allowed_edges():
+    for seed in range(4):
+        t = random_tournament(13, 40 + seed)
+        allowed = int(tournament_bits(random_tournament(13, 90 + seed)), 2)
+        for k in (3, 4):
+            want = [(vs, m) for vs, m in scanned_copies(t, k) if m & ~allowed == 0]
+            assert [tuple(c) for c in _transitive_subsets_within(t, k, allowed)] == want
 
 
 def test_improve_never_loses_copies():

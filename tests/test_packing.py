@@ -5,11 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import brute_max_packing
+from oracles import brute_max_packing, scanned_copies
 from ttpack.enumeration import enumerate_nonisomorphic
 from ttpack.packing import (
     Packing,
     PackingError,
+    _copies_through_edges,
     _leave_bound,
     enumerate_copies,
     greedy_packing,
@@ -39,6 +40,53 @@ def test_copies_listed_in_vertex_tuple_order():
     assert vs == sorted(vs)
 
 
+def _listed(t, k):
+    return [(c.vertices, c.edge_mask) for c in enumerate_copies(t, k).copies]
+
+
+def test_chain_walk_lists_the_scanned_copies_on_every_small_class(cache_dir):
+    for n in range(3, 8):
+        for t in enumerate_nonisomorphic(n, cache_dir=cache_dir):
+            for k in range(3, min(4, n) + 1):
+                assert _listed(t, k) == scanned_copies(t, k)
+    for t in enumerate_nonisomorphic(8, cache_dir=cache_dir):
+        assert _listed(t, 3) == scanned_copies(t, 3)
+
+
+@pytest.mark.parametrize("n,seed,ks", [(12, 1, (3, 4, 5, 6)), (18, 2, (3, 4, 5, 6)),
+                                       (24, 3, (3, 4, 5, 6)), (30, 4, (3, 4, 5))])
+def test_chain_walk_lists_the_scanned_copies_on_random_hosts(n, seed, ks):
+    t = random_tournament(n, seed)
+    for k in ks:
+        assert _listed(t, k) == scanned_copies(t, k)
+
+
+def test_copy_listing_honours_its_own_deadline():
+    # about C(64,6) * 6!/2^15, some 1.6 million copies: far more than 0.5 s lists
+    t = random_tournament(64, 0)
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        enumerate_copies(t, 6, start + 0.5)
+    assert time.monotonic() - start < 1.5
+
+
+def test_copy_bitsets_match_per_copy_bits():
+    # 10,744 copies span several blocks of the bitset build
+    t = random_tournament(30, 0)
+    masks = [c.edge_mask for c in enumerate_copies(t, 4).copies]
+    want = [0] * (30 * 29 // 2)
+    for c, m in enumerate(masks):
+        for e in range(len(want)):
+            if m >> e & 1:
+                want[e] |= 1 << c
+    assert len(masks) > 10_000
+    assert _copies_through_edges(masks, 30, None) == want
+    assert _copies_through_edges(masks[:5], 30, None) == [w & 31 for w in want]
+    assert _copies_through_edges([], 30, None) == [0] * len(want)
+    with pytest.raises(TimeoutError):
+        _copies_through_edges(masks, 30, time.monotonic() - 1)
+
+
 def test_exact_matches_brute_force_on_order_four(cache_dir):
     for t in enumerate_nonisomorphic(4, cache_dir=cache_dir):
         for k in (3, 4):
@@ -60,9 +108,9 @@ def test_solver_reports_are_verifiable_and_deterministic():
         p1 = max_packing_exact(t, 3)
         p2 = max_packing_exact(t, 3)
         assert p1.optimal and verify_packing(t, p1)
-        assert (p1.value, p1.members, p1.nodes_explored) == (
+        assert (p1.value, p1.copies, p1.nodes_explored) == (
             p2.value,
-            p2.members,
+            p2.copies,
             p2.nodes_explored,
         )
 
@@ -111,7 +159,7 @@ def test_time_budget_is_honoured_on_a_large_host():
 
 
 def test_time_budget_covers_copy_enumeration():
-    # C(48,5) = 1,712,304 subsets take several seconds to scan, so the
+    # listing this host's 198,161 copies takes over a second, so the
     # budget must stop the copy enumeration itself
     t = random_tournament(48, 3)
     budget = 1.0
@@ -155,7 +203,6 @@ def test_verifier_rejects_overlap_and_bad_copies():
 
     overlapping = replace(
         p,
-        members=(0, 1),
         copies=((0, 1, 2), (1, 2, 3)),
         covered_edges=p.covered_edges,
     )
@@ -164,7 +211,7 @@ def test_verifier_rejects_overlap_and_bad_copies():
     wrong_cover = replace(p, covered_edges=p.covered_edges ^ 1)
     assert not verify_packing(t, wrong_cover)
 
-    out_of_range = replace(p, members=(0,), copies=((0, 1, 9),))
+    out_of_range = replace(p, copies=((0, 1, 9),))
     assert not verify_packing(t, out_of_range)
 
 
@@ -187,7 +234,6 @@ def test_verifier_rejects_nontransitive_copy():
     fake = Packing(
         n=4,
         k=3,
-        members=(0,),
         copies=(cyclic,),
         covered_edges=covered,
         optimal=False,
