@@ -18,7 +18,6 @@ from .packing import (
     TTCopy,
     _pair_mask,
     _transitive_chains,
-    enumerate_copies,
     greedy_packing,
 )
 from .rng import sub_seed
@@ -93,14 +92,43 @@ def edge_copy_stats(t: Tournament, k: int) -> EdgeCopyStats:
                 cyclic = (t.out[y] & incoming).bit_count()
                 counts[edge_index(n, i, j)] = (n - 2) - cyclic
     else:
-        copies = enumerate_copies(t, 4).copies
-        total = len(copies)
-        for c in copies:
-            m = c.edge_mask
+        # A transitive triple a->b->c (a beats b and c, b beats c) extends by
+        # w to a transitive 4-set exactly when the chain vertices beating w
+        # form a prefix of the chain: four disjoint cases, counted from the
+        # rows.  Every transitive 4-set holds four transitive triples, two of
+        # them through each of its edges, so the extensions summed over the
+        # triples count each 4-set four times and each (4-set, edge) twice.
+        into = [full & ~t.out[v] & ~(1 << v) for v in range(n)]
+        extensions = 0
+        for a in range(n):
+            oa = t.out[a]
+            m = oa
             while m:
                 low = m & -m
                 m ^= low
-                counts[low.bit_length() - 1] += 1
+                b = low.bit_length() - 1
+                oab = oa & t.out[b]
+                ia_ib = into[a] & into[b]
+                oa_ib = oa & into[b]
+                ab = edge_index(n, a, b)
+                rest = oab
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    c = low.bit_length() - 1
+                    ic = into[c]
+                    ext = (
+                        (ia_ib & ic).bit_count()
+                        + (oa_ib & ic).bit_count()
+                        + (oab & ic).bit_count()
+                        + (oab & t.out[c]).bit_count()
+                    )
+                    extensions += ext
+                    counts[ab] += ext
+                    counts[edge_index(n, a, c)] += ext
+                    counts[edge_index(n, b, c)] += ext
+        total = extensions // 4
+        counts = [x // 2 for x in counts]
     if sum(counts) != total * comb(k, 2):
         raise ExperimentError("handshake identity violated; counting bug")
     return EdgeCopyStats(

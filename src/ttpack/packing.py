@@ -207,40 +207,24 @@ def _leave_bound(coverable: int, n: int, k: int) -> int:
     return (size - leave) // per_copy
 
 
-# Copies per block of the per-edge bitset build; see _copies_through_edges.
-_BLOCK = 1024
-
-
 def _copies_through_edges(masks: list[int], n: int, deadline: float | None) -> list[int]:
     """Per unordered pair, the bitset over copy indices of the copies through it.
 
     Linear in the number of copies: or-ing 1 << c into one growing int per
-    pair would copy the whole bitset at every copy.  So the bits are set
-    within blocks of _BLOCK copies, where each int stays short, and each
-    pair's blocks are joined once as bytes.  Up to _BLOCK copies, the one
-    block is the result.  A set deadline is checked at every block; once it
-    passes, TimeoutError is raised.
+    pair would copy the whole bitset at every copy.  So each pair's bits are
+    set in a bytearray and read once as a little-endian int.  A set deadline
+    is checked at every 1,024th copy; once it passes, TimeoutError is raised.
     """
-    edge_count = n * (n - 1) // 2
-    blocks = []
-    for base in range(0, len(masks), _BLOCK):
-        if deadline is not None and time.monotonic() > deadline:
+    rows = [bytearray((len(masks) + 7) // 8) for _ in range(n * (n - 1) // 2)]
+    for c, m in enumerate(masks):
+        if deadline is not None and not c & 1023 and time.monotonic() > deadline:
             raise TimeoutError("copy bitsets ran past their deadline")
-        block = [0] * edge_count
-        for c, m in enumerate(masks[base : base + _BLOCK]):
-            bit = 1 << c
-            while m:
-                low = m & -m
-                m ^= low
-                block[low.bit_length() - 1] |= bit
-        blocks.append(block)
-    if len(blocks) <= 1:
-        return blocks[0] if blocks else [0] * edge_count
-    width = _BLOCK // 8
-    return [
-        int.from_bytes(b"".join(b.to_bytes(width, "little") for b in parts), "little")
-        for parts in zip(*blocks)
-    ]
+        byte, bit = c >> 3, 1 << (c & 7)
+        while m:
+            low = m & -m
+            m ^= low
+            rows[low.bit_length() - 1][byte] |= bit
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 def max_packing_exact(

@@ -42,8 +42,8 @@ def brute_edge_counts(t, k):
 
 
 def test_edge_counts_match_brute_recount():
-    for seed in (0, 1, 2):
-        t = random_tournament(9, seed)
+    hosts = [random_tournament(n, seed) for n in (4, 9, 13, 17) for seed in (0, 1, 2)]
+    for t in hosts + [transitive_tournament(8)]:
         for k in (3, 4):
             stats = edge_copy_stats(t, k)
             assert list(stats.counts) == brute_edge_counts(t, k)

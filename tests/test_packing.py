@@ -71,7 +71,7 @@ def test_copy_listing_honours_its_own_deadline():
 
 
 def test_copy_bitsets_match_per_copy_bits():
-    # 10,744 copies span several blocks of the bitset build
+    # 10,744 copies, so the deadline is checked several times during the build
     t = random_tournament(30, 0)
     masks = [c.edge_mask for c in enumerate_copies(t, 4).copies]
     want = [0] * (30 * 29 // 2)
