@@ -235,6 +235,19 @@ def resolve_cache_dir(cache_dir: str | None = None) -> str:
     return cache_dir or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
 
 
+def _pool_map(fn, jobs: list, workers: int):
+    """fn over jobs, yielding results in job order.
+
+    Runs in this process when workers <= 1; otherwise over a pool of that
+    many processes, created here, with the chunk size Pool.map would pick.
+    """
+    if workers <= 1:
+        yield from map(fn, jobs)
+        return
+    with Pool(workers) as pool:
+        yield from pool.imap(fn, jobs, chunksize=math.ceil(len(jobs) / (4 * workers)))
+
+
 # Codes already read or built, keyed by (n, cache_dir): the worker count
 # changes how the codes are computed, never what they are.
 _codes_memo: dict[tuple[int, str], tuple[str, ...]] = {}
@@ -257,15 +270,7 @@ def _read_or_build_codes(n: int, cache_dir: str, workers: int) -> tuple[str, ...
     else:
         prev = _codes(n - 1, cache_dir, workers)
         jobs = [(code, n - 1) for code in prev]
-        out: set[str] = set()
-        if workers > 1:
-            with Pool(workers) as pool:
-                for batch in pool.imap_unordered(_extension_codes, jobs, chunksize=4):
-                    out.update(batch)
-        else:
-            for job in jobs:
-                out.update(_extension_codes(job))
-        codes = sorted(out)
+        codes = sorted(set().union(*_pool_map(_extension_codes, jobs, workers)))
     _write_cache(path, n, codes)
     return tuple(codes)
 

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from multiprocessing import Pool
 
 from .constructions import turan3_tournament
 from .designs import BlockDesign, ag2_lines, all_sts7, all_sts9, sts_triangle_count, verify_design
-from .enumeration import canonical_form, enumerate_codes, tournament_from_code
+from .enumeration import _pool_map, canonical_form, enumerate_codes, tournament_from_code
 from .packing import Packing, _pair_mask, max_packing_exact, verify_packing
 from .rng import stdlib_rng, sub_seed
 from .tournament import Tournament, census, induced
@@ -127,15 +126,6 @@ def _solve_code(args: tuple[str, int, int | None]) -> tuple[str, int, int, bool]
     return code, census(t).t, p.value, p.optimal
 
 
-def _map_solves(jobs: list[tuple[str, int, int | None]], workers: int):
-    if workers <= 1:
-        for job in jobs:
-            yield _solve_code(job)
-        return
-    with Pool(workers) as pool:
-        yield from pool.imap(_solve_code, jobs, chunksize=32)
-
-
 def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> ThresholdReport:
     """Solve every 7-vertex class exactly and check the three threshold claims.
 
@@ -145,7 +135,7 @@ def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> Thre
     """
     jobs = [(code, 3, None) for code in enumerate_codes(7, cache_dir=cache_dir)]
     records = []
-    for code, t_count, p, optimal in _map_solves(jobs, workers):
+    for code, t_count, p, optimal in _pool_map(_solve_code, jobs, workers):
         if not optimal:
             raise PipelineError(f"solver gave up on class {code}")
         records.append(ClassThreshold(code, t_count, p))
@@ -178,7 +168,7 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     seed_value = max_packing_exact(turan3_tournament(n), k).value
     jobs = [(code, k, seed_value + 1) for code in enumerate_codes(n, cache_dir=cache_dir)]
     exact: dict[str, int] = {}
-    for code, _t, p, optimal in _map_solves(jobs, workers):
+    for code, _t, p, optimal in _pool_map(_solve_code, jobs, workers):
         if optimal:
             exact[code] = p
     f_value = min(exact.values())
@@ -259,12 +249,8 @@ def lp_step(
 # Exact answers per 7-vertex block class, keyed by canonical code: the
 # directed-triangle count, the packing value and one optimal packing in
 # canonical labels.  Scoped to one decomposition_pipeline call: cleared at
-# its start and in each of its pool workers.
+# its start, before the call creates its pool, so every worker starts empty.
 _class_memo: dict[str, tuple[int, int, tuple[tuple[int, ...], ...]]] = {}
-
-
-def _clear_class_memo() -> None:
-    _class_memo.clear()
 
 
 def _block_class(code: str) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
@@ -280,16 +266,9 @@ def _block_class(code: str) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
     return entry
 
 
-def _map_trials(jobs: list, workers: int):
-    if workers <= 1:
-        yield from map(_pipeline_trial, jobs)
-        return
-    with Pool(workers, initializer=_clear_class_memo) as pool:
-        yield from pool.imap(_pipeline_trial, jobs)
-
-
-def _pipeline_trial(args: tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]):
-    out, trial_seed, blocks = args
+def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]):
+    """Block values and triangle counts of trial i, whose packing is verified here."""
+    i, out, trial_seed, blocks = args
     host = Tournament(len(out), out)
     perm = list(range(host.n))
     stdlib_rng(trial_seed).shuffle(perm)
@@ -309,7 +288,13 @@ def _pipeline_trial(args: tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...
             copy = tuple(sorted(host_of[v] for v in copy))
             copies.append(copy)
             covered |= _pair_mask(host.n, copy)
-    return block_values, block_ts, copies, covered
+    # verify_packing recomputes the covered edges from the copies alone
+    assembled = Packing(
+        n=host.n, k=3, copies=tuple(copies), covered_edges=covered, optimal=False, nodes_explored=0
+    )
+    if not verify_packing(host, assembled):
+        raise PipelineError(f"assembled packing failed verification in trial {i}")
+    return block_values, block_ts
 
 
 def decomposition_pipeline(
@@ -341,24 +326,13 @@ def decomposition_pipeline(
     if trials < 1:
         raise PipelineError(f"trials must be positive, got {trials}")
 
-    _clear_class_memo()
-    jobs = [(t.out, sub_seed(seed, i), design.blocks) for i in range(trials)]
+    _class_memo.clear()
+    jobs = [(i, t.out, sub_seed(seed, i), design.blocks) for i in range(trials)]
     totals = []
     histogram: Counter[int] = Counter()
     regime_counts = [0, 0, 0]
     block_count = len(design.blocks)
-    for i, (block_values, block_ts, copies, covered) in enumerate(_map_trials(jobs, workers)):
-        # verify_packing recomputes the covered edges from the copies alone
-        assembled = Packing(
-            n=t.n,
-            k=3,
-            copies=tuple(copies),
-            covered_edges=covered,
-            optimal=False,
-            nodes_explored=0,
-        )
-        if not verify_packing(t, assembled):
-            raise PipelineError(f"assembled packing failed verification in trial {i}")
+    for i, (block_values, block_ts) in enumerate(_pool_map(_pipeline_trial, jobs, workers)):
         total = sum(block_values)
         if total < 5 * block_count:
             raise PipelineError(f"trial {i} total {total} fell below {5 * block_count}")

@@ -1,9 +1,4 @@
-import sys
-from pathlib import Path
-
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 import acceptance_report
 from ttpack.pipeline import verify_t7_thresholds

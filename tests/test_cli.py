@@ -185,12 +185,14 @@ def test_pipeline_command(capsys, tmp_path):
 
     host = tmp_path / "t49.txt"
     host.write_text(serialize_tournament(random_tournament(49, 7)))
-    code, doc, _ = run_json(
-        capsys, "pipeline", "--in", str(host), "--trials", "2", "--seed", "11"
-    )
+    argv = ("pipeline", "--in", str(host), "--trials", "2", "--seed", "11")
+    code, doc, _ = run_json(capsys, *argv)
     assert code == 0
     assert doc["result"]["min_total"] >= 280
     assert doc["seed"] == 11
+    code, pooled, _ = run_json(capsys, *argv, "--workers", "2")
+    assert code == 0
+    assert pooled["result"] == doc["result"]
 
 
 def test_text_format(capsys, qr7_file):

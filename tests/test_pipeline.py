@@ -56,6 +56,10 @@ def test_joint_distribution_head(threshold_report):
     }
 
 
+def test_threshold_sweep_is_the_same_at_two_workers(cache_dir, threshold_report):
+    assert verify_t7_thresholds(cache_dir, workers=2).records == threshold_report.records
+
+
 def test_packing_value_is_reversal_invariant(threshold_report):
     by_code = {r.code: r.p for r in threshold_report.records}
     for i, record in enumerate(threshold_report.records):
@@ -184,7 +188,9 @@ def test_pipeline_solves_each_block_class_once_per_call(monkeypatch):
     assert first == second
 
 
-def test_pipeline_rejects_a_non_optimal_class_solve(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pipeline_rejects_a_non_optimal_class_solve(monkeypatch, workers):
+    # at workers=2 the error is raised in a pool worker and reaches the caller
     original = pipeline.max_packing_exact
 
     def gave_up(t, k, **kwargs):
@@ -192,7 +198,17 @@ def test_pipeline_rejects_a_non_optimal_class_solve(monkeypatch):
 
     monkeypatch.setattr(pipeline, "max_packing_exact", gave_up)
     with pytest.raises(PipelineError, match="gave up"):
-        decomposition_pipeline(random_tournament(49, 7), trials=1, seed=11)
+        decomposition_pipeline(random_tournament(49, 7), trials=1, seed=11, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pipeline_rejects_a_packing_that_fails_verification(monkeypatch, workers):
+    # at workers=2 the patch reaches the pool workers only because they are
+    # forked from the patched process: the default start method on Linux
+    # with Python 3.11
+    monkeypatch.setattr(pipeline, "verify_packing", lambda t, p: False)
+    with pytest.raises(PipelineError, match="failed verification in trial 0"):
+        decomposition_pipeline(random_tournament(49, 7), trials=2, seed=11, workers=workers)
 
 
 def test_pipeline_accepts_explicit_design():
