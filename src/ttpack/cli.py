@@ -36,7 +36,7 @@ from .enumeration import (
     tournament_from_code,
 )
 from .experiments import ExperimentError, density_experiment, edge_copy_stats
-from .packing import Packing, PackingError, _pair_mask, max_packing_exact, verify_packing
+from .packing import Packing, PackingError, max_packing_exact, verify_packing
 from .pipeline import (
     PipelineError,
     decomposition_pipeline,
@@ -197,22 +197,7 @@ def _cmd_verify_packing(args) -> int:
         copies = tuple(tuple(int(v) for v in c) for c in body["copies"])
     except (KeyError, TypeError, ValueError) as exc:
         raise PackingError(f"packing file missing solve fields: {exc}") from exc
-    covered = 0
-    ok = True
-    for c in copies:
-        if len(set(c)) != len(c) or any(not 0 <= v < t.n for v in c):
-            ok = False
-            break
-        covered |= _pair_mask(t.n, c)
-    packing = Packing(
-        n=t.n,
-        k=k,
-        copies=copies,
-        covered_edges=covered,
-        optimal=False,
-        nodes_explored=0,
-    )
-    valid = ok and verify_packing(t, packing)
+    valid = verify_packing(t, Packing(n=t.n, k=k, copies=copies))
     result = {"n": t.n, "k": k, "members": len(copies), "valid": valid}
     _emit(args, result, [f"valid={valid}"])
     return 0 if valid else 1

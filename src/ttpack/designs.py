@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 
 from .rng import stdlib_rng
 from .tournament import Tournament
@@ -56,14 +57,8 @@ def fano_plane() -> BlockDesign:
 
 
 def sts9() -> BlockDesign:
-    """The 9-point triple system: lines of the order-3 affine plane, (x,y) -> 3x+y."""
-    blocks = []
-    for m in range(3):
-        for b in range(3):
-            blocks.append(tuple(3 * x + (m * x + b) % 3 for x in range(3)))
-    for c in range(3):
-        blocks.append(tuple(3 * c + y for y in range(3)))
-    return _design(9, blocks)
+    """The 9-point triple system: the lines of the order-3 affine plane."""
+    return ag2_lines(3)
 
 
 def verify_design(d: BlockDesign) -> bool:
@@ -149,13 +144,15 @@ def sts_triangle_count(t: Tournament, d: BlockDesign) -> int:
 
 
 def ag2_lines(q: int = 7) -> BlockDesign:
-    """The 56 lines of the order-7 affine plane over points (x,y) -> 7x+y.
+    """The q(q+1) lines of the affine plane over Z_q, points (x,y) -> qx+y.
 
-    Each of the 49 points lies on 8 lines, and every point pair lies on
-    exactly one, so the lines tile all 1176 pairs by 7-point blocks.
+    q must be prime, so that Z_q is a field.  Each of the q^2 points lies
+    on q+1 lines, and every point pair lies on exactly one, so the lines
+    tile all pairs by q-point blocks: for q = 7, 56 blocks on 49 points;
+    for q = 3, the 9-point triple system.
     """
-    if q != 7:
-        raise DesignError(f"only order 7 is supported, got {q}")
+    if q < 2 or any(q % p == 0 for p in range(2, isqrt(q) + 1)):
+        raise DesignError(f"the affine plane over Z_q needs a prime q, got {q}")
     blocks = []
     for m in range(q):
         for b in range(q):

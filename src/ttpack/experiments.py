@@ -203,14 +203,7 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
             f"improve_packing self-check failed: {len(ordered)} copies cover "
             f"{covered.bit_count()} edges, not {len(ordered) * per_copy}"
         )
-    return Packing(
-        n=n,
-        k=p.k,
-        copies=tuple(ordered),
-        covered_edges=covered,
-        optimal=False,
-        nodes_explored=p.nodes_explored,
-    )
+    return Packing(n=n, k=p.k, copies=tuple(ordered), nodes_explored=p.nodes_explored)
 
 
 def density_experiment(

@@ -58,18 +58,18 @@ class CopyList:
 class Packing:
     """An edge-disjoint family of copies plus search metadata.
 
-    copies: the vertex tuples of the packed copies (self-contained for
-    verification).
-    covered_edges: bitmask of all covered unordered-pair indices.
+    copies: the vertex tuples of the packed copies; they alone define the
+    packing, and its covered pairs follow from them.
     optimal: True only when the search ran to completion.
+    nodes_explored: search nodes the exact solver visited, 0 for other
+    constructions.
     """
 
     n: int
     k: int
     copies: tuple[tuple[int, ...], ...]
-    covered_edges: int
-    optimal: bool
-    nodes_explored: int
+    optimal: bool = False
+    nodes_explored: int = 0
 
     @property
     def value(self) -> int:
@@ -108,16 +108,20 @@ def _transitive_chains(
     number of transitive subsets of at most k vertices, not C(n, k).  Rows
     of `out` may omit pairs (both directions), which restricts the walk to
     the copies all of whose pairs are kept.  A set deadline is checked at
-    every chain of fewer than k - 1 vertices and after the final sort; once
-    it passes, TimeoutError is raised.
+    every chain of fewer than k - 1 vertices, when the walk ends and after
+    the final sort; once it passes, TimeoutError is raised.  The sort is the
+    one stretch left unchecked.
     """
     bits = _pair_bits(n)
     found: list[TTCopy] = []
     chain: list[int] = []
 
-    def grow(pool: int, mask: int) -> None:
+    def check_deadline() -> None:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("copy enumeration ran past its deadline")
+
+    def grow(pool: int, mask: int) -> None:
+        check_deadline()
         last = len(chain) + 2 == k
         need = k - len(chain) - 1
         m = pool
@@ -149,9 +153,9 @@ def _transitive_chains(
             chain.pop()
 
     grow((1 << n) - 1, 0)
+    check_deadline()
     found.sort()
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError("copy enumeration ran past its deadline")
+    check_deadline()
     return found
 
 
@@ -265,7 +269,7 @@ def max_packing_exact(
         # edge_copies[e]: bitset over copy indices of the copies through edge e
         edge_copies = _copies_through_edges(masks, n, deadline)
     except TimeoutError:
-        return Packing(n=n, k=k, copies=(), covered_edges=0, optimal=False, nodes_explored=0)
+        return Packing(n=n, k=k, copies=())
 
     best = -1
     best_members: tuple[int, ...] = ()
@@ -348,15 +352,10 @@ def max_packing_exact(
 
     dfs(list(range(len(masks))), [])
 
-    members = sorted(best_members)
-    covered = 0
-    for c in members:
-        covered |= masks[c]
     return Packing(
         n=n,
         k=k,
-        copies=tuple(copies[c].vertices for c in members),
-        covered_edges=covered,
+        copies=tuple(copies[c].vertices for c in sorted(best_members)),
         optimal=not aborted,
         nodes_explored=nodes,
     )
@@ -375,18 +374,17 @@ def greedy_packing(t: Tournament, k: int, seed: int) -> Packing:
             covered |= m
             members.append(c)
     members.sort()
-    return Packing(
-        n=t.n,
-        k=k,
-        copies=tuple(cl.copies[c].vertices for c in members),
-        covered_edges=covered,
-        optimal=False,
-        nodes_explored=0,
-    )
+    return Packing(n=t.n, k=k, copies=tuple(cl.copies[c].vertices for c in members))
 
 
 def verify_packing(t: Tournament, p: Packing) -> bool:
-    """Check a packing from first principles, independent of solver internals."""
+    """Check a packing from first principles, independent of solver internals.
+
+    Every copy must have k distinct vertices of the host, all in range,
+    and induce a transitive subtournament; the copies must be pairwise
+    edge-disjoint, covering exactly C(k,2) pairs each.  The covered pairs
+    are computed here from the copies alone.
+    """
     if p.n != t.n or not 3 <= p.k <= t.n:
         return False
     per_copy = p.k * (p.k - 1) // 2
@@ -402,6 +400,4 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
         if emask & covered:
             return False
         covered |= emask
-    if covered != p.covered_edges:
-        return False
     return covered.bit_count() == len(p.copies) * per_copy

@@ -19,7 +19,7 @@ from math import comb
 from .constructions import turan3_tournament
 from .designs import BlockDesign, ag2_lines, all_sts7, all_sts9, sts_triangle_count, verify_design
 from .enumeration import _pool_map, canonical_form, enumerate_codes, tournament_from_code
-from .packing import Packing, _pair_mask, max_packing_exact, verify_packing
+from .packing import Packing, max_packing_exact, verify_packing
 from .rng import stdlib_rng, sub_seed
 from .tournament import Tournament, census, induced
 
@@ -119,11 +119,10 @@ class PipelineReport:
         return min(self.totals)
 
 
-def _solve_code(args: tuple[str, int, int | None]) -> tuple[str, int, int, bool]:
+def _solve_code(args: tuple[str, int, int | None]) -> tuple[int, bool]:
     code, k, stop_at = args
-    t = tournament_from_code(code)
-    p = max_packing_exact(t, k, stop_at=stop_at)
-    return code, census(t).t, p.value, p.optimal
+    p = max_packing_exact(tournament_from_code(code), k, stop_at=stop_at)
+    return p.value, p.optimal
 
 
 def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> ThresholdReport:
@@ -131,13 +130,16 @@ def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> Thre
 
     Claims: triangle count at most 4 forces a perfect packing of 7; at
     most 11 forces at least 6; every class packs at least 5.  Any
-    violation raises, naming the offending canonical code.
+    violation raises, naming the offending canonical code.  The solves
+    run in the workers; the triangle counts are taken here, one census
+    per class.
     """
     jobs = [(code, 3, None) for code in enumerate_codes(7, cache_dir=cache_dir)]
     records = []
-    for code, t_count, p, optimal in _pool_map(_solve_code, jobs, workers):
+    for (code, *_), (p, optimal) in zip(jobs, _pool_map(_solve_code, jobs, workers)):
         if not optimal:
             raise PipelineError(f"solver gave up on class {code}")
+        t_count = census(tournament_from_code(code)).t
         records.append(ClassThreshold(code, t_count, p))
         if t_count <= LOW_TRIANGLES and p != 7:
             raise PipelineError(f"class {code} has t={t_count} but P={p}, expected 7")
@@ -161,14 +163,15 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     the seed: classes meeting the threshold abort early, which is sound
     because their value exceeds every candidate minimum; classes below
     it complete exactly.  The claimed witnesses are re-solved without
-    the threshold to certify the argmin set.
+    the threshold to certify the argmin set.  Only packing values are
+    computed: no class is censused.
     """
     if not 3 <= n <= 8:
         raise PipelineError(f"minimum packing sweep supports 3 <= n <= 8, got {n}")
     seed_value = max_packing_exact(turan3_tournament(n), k).value
     jobs = [(code, k, seed_value + 1) for code in enumerate_codes(n, cache_dir=cache_dir)]
     exact: dict[str, int] = {}
-    for code, _t, p, optimal in _pool_map(_solve_code, jobs, workers):
+    for (code, *_), (p, optimal) in zip(jobs, _pool_map(_solve_code, jobs, workers)):
         if optimal:
             exact[code] = p
     f_value = min(exact.values())
@@ -275,7 +278,6 @@ def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...]
     block_values = []
     block_ts = []
     copies: list[tuple[int, ...]] = []
-    covered = 0
     for block in blocks:
         vertices = sorted(perm[p] for p in block)
         form = canonical_form(induced(host, vertices))
@@ -284,15 +286,8 @@ def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...]
         block_values.append(value)
         # canonical vertex v is block vertex form.order[v]
         host_of = [vertices[u] for u in form.order]
-        for copy in class_copies:
-            copy = tuple(sorted(host_of[v] for v in copy))
-            copies.append(copy)
-            covered |= _pair_mask(host.n, copy)
-    # verify_packing recomputes the covered edges from the copies alone
-    assembled = Packing(
-        n=host.n, k=3, copies=tuple(copies), covered_edges=covered, optimal=False, nodes_explored=0
-    )
-    if not verify_packing(host, assembled):
+        copies.extend(tuple(sorted(host_of[v] for v in copy)) for copy in class_copies)
+    if not verify_packing(host, Packing(n=host.n, k=3, copies=tuple(copies))):
         raise PipelineError(f"assembled packing failed verification in trial {i}")
     return block_values, block_ts
 

@@ -164,8 +164,9 @@ def census(t: Tournament) -> TriangleCensus:
     """Count transitive triples and directed triangles.
 
     Computes `a` twice, by direct triple enumeration and by the per-vertex
-    degree-sum identity, and asserts the two agree; the redundancy is a
-    permanent self-check on the representation.
+    degree-sum identity 4a = sum_v d_v(d_v - 1) + e_v(e_v - 1), with d_v
+    and e_v the out- and in-degrees, and raises unless the two agree; the
+    redundancy is a permanent self-check on the representation.
     """
     n, out = t.n, t.out
     cyclic = 0
@@ -177,14 +178,14 @@ def census(t: Tournament) -> TriangleCensus:
             cyclic += 1
     total = n * (n - 1) * (n - 2) // 6
     a_direct = total - cyclic
-    a_formula = Fraction(0)
+    degree_sum = 0
     for v in range(n):
         d = out[v].bit_count()
         e = n - 1 - d
-        a_formula += Fraction(d * (d - 1) + e * (e - 1), 4)
-    if a_direct != a_formula:
+        degree_sum += d * (d - 1) + e * (e - 1)
+    if 4 * a_direct != degree_sum:
         raise AssertionError(
-            f"census self-check failed: direct {a_direct} != degree-sum {a_formula}"
+            f"census self-check failed: direct 4*{a_direct} != degree-sum {degree_sum}"
         )
     return TriangleCensus(a=a_direct, t=cyclic)
 

@@ -99,6 +99,19 @@ def test_verify_packing_rejects_overlap(capsys, qr7_file, tmp_path):
     assert doc["result"]["valid"] is False
 
 
+@pytest.mark.parametrize(
+    "copies",
+    [[[0, 1, 7]], [[0, 1, 1]], [[0, 1, 3, 5]]],
+    ids=["out-of-range-vertex", "repeated-vertex", "wrong-length"],
+)
+def test_verify_packing_rejects_malformed_copies(capsys, qr7_file, tmp_path, copies):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"result": {"k": 3, "copies": copies}}))
+    code, doc, _ = run_json(capsys, "verify", "packing", "--in", qr7_file, "--packing", str(bad))
+    assert code == 1
+    assert doc["result"]["valid"] is False
+
+
 def test_verify_design_round_trip(capsys, tmp_path):
     out = tmp_path / "fano.txt"
     assert main(["design", "--fano", "--out", str(out)]) == 0

@@ -120,6 +120,15 @@ def test_ag2_lines_is_a_49_point_design():
     assert set(replication.values()) == {8}
 
 
+def test_ag2_lines_needs_a_prime_order():
+    d = ag2_lines(5)
+    assert (d.point_count, d.block_size, len(d.blocks)) == (25, 5, 30)
+    assert verify_design(d)
+    for q in (0, 1, 4, 9):
+        with pytest.raises(DesignError):
+            ag2_lines(q)
+
+
 def test_serialize_parse_round_trip():
     for d in (fano_plane(), sts9(), ag2_lines(7)):
         assert parse_design(serialize_design(d)) == d

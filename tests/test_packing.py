@@ -10,6 +10,7 @@ from ttpack.enumeration import enumerate_nonisomorphic
 from ttpack.packing import (
     Packing,
     PackingError,
+    TTCopy,
     _copies_through_edges,
     _leave_bound,
     enumerate_copies,
@@ -68,6 +69,38 @@ def test_copy_listing_honours_its_own_deadline():
     with pytest.raises(TimeoutError):
         enumerate_copies(t, 6, start + 0.5)
     assert time.monotonic() - start < 1.5
+
+
+def test_copy_listing_checks_its_deadline_before_the_sort(monkeypatch):
+    import types
+
+    import ttpack.packing as packing
+
+    made, compared = [], []
+
+    class Recorded(TTCopy):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            made.append(fields)
+            return super().__new__(cls, *fields)
+
+        def __lt__(self, other):
+            compared.append(other)
+            return tuple.__lt__(self, other)
+
+    monkeypatch.setattr(packing, "TTCopy", Recorded)
+    t = random_tournament(12, 0)
+    total = len(packing._transitive_chains(12, t.out, 3))
+    assert total and compared  # sorting the listed copies compares them
+    made.clear()
+    compared.clear()
+    # the clock passes the deadline once the walk has listed its last copy
+    clock = types.SimpleNamespace(monotonic=lambda: 2.0 if len(made) == total else 0.0)
+    monkeypatch.setattr(packing, "time", clock)
+    with pytest.raises(TimeoutError):
+        packing._transitive_chains(12, t.out, 3, deadline=1.0)
+    assert len(made) == total and not compared
 
 
 def test_copy_bitsets_match_per_copy_bits():
@@ -201,15 +234,8 @@ def test_verifier_rejects_overlap_and_bad_copies():
     p = max_packing_exact(t, 3)
     assert verify_packing(t, p)
 
-    overlapping = replace(
-        p,
-        copies=((0, 1, 2), (1, 2, 3)),
-        covered_edges=p.covered_edges,
-    )
+    overlapping = replace(p, copies=((0, 1, 2), (1, 2, 3)))
     assert not verify_packing(t, overlapping)
-
-    wrong_cover = replace(p, covered_edges=p.covered_edges ^ 1)
-    assert not verify_packing(t, wrong_cover)
 
     out_of_range = replace(p, copies=((0, 1, 9),))
     assert not verify_packing(t, out_of_range)
@@ -225,21 +251,7 @@ def test_verifier_rejects_nontransitive_copy():
     cyclic = next(
         vs for vs in combinations(range(4), 3) if not is_transitive_subset(t, vs)
     )
-    from ttpack.tournament import edge_index
-
-    covered = 0
-    for i, u in enumerate(cyclic):
-        for v in cyclic[i + 1 :]:
-            covered |= 1 << edge_index(4, u, v)
-    fake = Packing(
-        n=4,
-        k=3,
-        copies=(cyclic,),
-        covered_edges=covered,
-        optimal=False,
-        nodes_explored=0,
-    )
-    assert not verify_packing(t, fake)
+    assert not verify_packing(t, Packing(n=4, k=3, copies=(cyclic,)))
 
 
 def test_rejects_bad_parameters():

@@ -97,6 +97,13 @@ def test_census_known_values():
     assert (c5.a, c5.t) == (10, 0)
 
 
+def test_census_self_check_names_both_sides():
+    # every pair oriented both ways: the direct count and the degree sum disagree
+    both_ways = Tournament(3, (0b110, 0b101, 0b011))
+    with pytest.raises(AssertionError, match=r"direct 4\*1 != degree-sum 6"):
+        census(both_ways)
+
+
 def test_random_tournament_is_seed_deterministic():
     assert random_tournament(12, 99) == random_tournament(12, 99)
     assert random_tournament(12, 99) != random_tournament(12, 100)
