@@ -4,7 +4,9 @@ A "copy" is a k-vertex subset inducing a transitive subtournament of the
 host.  A packing is a set of copies whose unordered-pair edge sets are
 pairwise disjoint; the packing number is the maximum size of such a set.
 The exact solver is a branch-and-bound over edges with greedy completion
-at every node, deterministic by construction so node counts reproduce.
+at every node: each node branches on the coverable edge with the fewest
+live copies through it.  It is deterministic by construction, so node
+counts reproduce.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .rng import stdlib_rng
@@ -154,7 +157,9 @@ def _transitive_chains(
 
     grow((1 << n) - 1, 0)
     check_deadline()
-    found.sort()
+    # the vertex tuples are unique, so keying on them keeps the order and
+    # skips the generic comparison of TTCopy tuples
+    found.sort(key=itemgetter(0))
     check_deadline()
     return found
 
@@ -240,11 +245,19 @@ def max_packing_exact(
 ) -> Packing:
     """Maximum edge-disjoint packing by branch-and-bound over edges.
 
-    Each node picks the lowest-index edge still coverable and branches on
-    every surviving copy through it, plus one branch abandoning the edge.
-    A greedy completion at every node moves the incumbent early.  Two
-    admissible prunes cut a node whose chosen copies plus an upper bound
-    on the copies still addable cannot beat the incumbent:
+    Each node picks the coverable edge e with the fewest surviving copies
+    through it, lowest edge index on ties, and branches on each of those
+    copies in index order, plus one branch abandoning e.  Branching on any
+    coverable edge is complete: the copies through e share e, so an optimal
+    packing within the surviving copies holds at most one of them.  If it
+    holds one, it lies in that copy's branch; if none, it survives the
+    abandon branch, which drops only the copies through e.  The fewest
+    copies give the fewest children (Knuth's rule in Dancing Links), and
+    the first round of the hitting set below counts them, so the choice
+    needs no second scan.  A greedy completion at every node moves the
+    incumbent early.  Two admissible prunes cut a node whose chosen copies
+    plus an upper bound on the copies still addable cannot beat the
+    incumbent:
 
     - the leave bound of `_leave_bound` on the coverable edges;
     - a hitting set: any edge set meeting every surviving copy caps the
@@ -282,27 +295,43 @@ def max_packing_exact(
             aborted = True
         return aborted
 
-    def hits_within(alive: list[int], coverable: int, target: int) -> bool:
-        # Any edge set meeting every live copy caps the packing that can still
-        # be added: disjoint copies consume distinct edges of the set.  Greedy
-        # max-frequency choice, lowest edge index on ties, keeps this
-        # deterministic; bail out as soon as the partial hitting set is too
-        # large to prune.  A passed deadline also returns True, ending the node.
-        through = []
-        while coverable:
-            low = coverable & -coverable
-            coverable ^= low
-            through.append(edge_copies[low.bit_length() - 1])
+    def branch_edge(alive: list[int], coverable: int, target: int) -> int | None:
+        # The hitting-set prune: any edge set meeting every live copy caps the
+        # packing that can still be added, since disjoint copies consume
+        # distinct edges of the set.  Greedy max-frequency choice, lowest edge
+        # index on ties, keeps this deterministic; bail out as soon as the
+        # partial hitting set is too large to prune, and return the coverable
+        # edge through the fewest live copies (lowest index on ties), found by
+        # the first round.  None means the node is done: the set pruned it or
+        # the deadline passed.
         live = 0
         for c in alive:
             live |= 1 << c
-        bound = 0
+        if out_of_time():
+            return None
+        # the first round: every coverable edge meets a live copy
+        through = []
+        top = 0
+        fewest = len(alive) + 1
+        while coverable:
+            low = coverable & -coverable
+            coverable ^= low
+            e = low.bit_length() - 1
+            m = edge_copies[e]
+            through.append(m)
+            freq = (live & m).bit_count()
+            if freq > top:
+                top, pick = freq, m
+            if freq < fewest:
+                fewest, branch = freq, e
+        live &= ~pick
+        bound = 1
         while live:
             bound += 1
             if bound > target:
-                return False
+                return branch
             if out_of_time():
-                return True
+                return None
             top = 0
             kept = []
             for m in through:
@@ -313,7 +342,7 @@ def max_packing_exact(
                         top, pick = freq, m
             live &= ~pick
             through = kept
-        return True
+        return None
 
     def dfs(alive: list[int], chosen: list[int]) -> None:
         nonlocal best, best_members, nodes, aborted
@@ -337,9 +366,10 @@ def max_packing_exact(
                 return
         if len(chosen) + _leave_bound(coverable, n, k) <= best:
             return
-        if hits_within(alive, coverable, best - len(chosen)):
+        e = branch_edge(alive, coverable, best - len(chosen))
+        if e is None:
             return
-        bit = coverable & -coverable
+        bit = 1 << e
         for c in alive:
             if masks[c] & bit:
                 m = masks[c]

@@ -72,11 +72,12 @@ def test_copy_listing_honours_its_own_deadline():
 
 
 def test_copy_listing_checks_its_deadline_before_the_sort(monkeypatch):
+    import operator
     import types
 
     import ttpack.packing as packing
 
-    made, compared = [], []
+    made, keyed = [], []
 
     class Recorded(TTCopy):
         __slots__ = ()
@@ -85,22 +86,28 @@ def test_copy_listing_checks_its_deadline_before_the_sort(monkeypatch):
             made.append(fields)
             return super().__new__(cls, *fields)
 
-        def __lt__(self, other):
-            compared.append(other)
-            return tuple.__lt__(self, other)
+    def recorded_itemgetter(i):
+        get = operator.itemgetter(i)
+
+        def key(copy):
+            keyed.append(copy)
+            return get(copy)
+
+        return key
 
     monkeypatch.setattr(packing, "TTCopy", Recorded)
+    monkeypatch.setattr(packing, "itemgetter", recorded_itemgetter)
     t = random_tournament(12, 0)
     total = len(packing._transitive_chains(12, t.out, 3))
-    assert total and compared  # sorting the listed copies compares them
+    assert total and len(keyed) == total  # the sort reads the key of every copy
     made.clear()
-    compared.clear()
+    keyed.clear()
     # the clock passes the deadline once the walk has listed its last copy
     clock = types.SimpleNamespace(monotonic=lambda: 2.0 if len(made) == total else 0.0)
     monkeypatch.setattr(packing, "time", clock)
     with pytest.raises(TimeoutError):
         packing._transitive_chains(12, t.out, 3, deadline=1.0)
-    assert len(made) == total and not compared
+    assert len(made) == total and not keyed
 
 
 def test_copy_bitsets_match_per_copy_bits():
@@ -122,6 +129,13 @@ def test_copy_bitsets_match_per_copy_bits():
 
 def test_exact_matches_brute_force_on_order_four(cache_dir):
     for t in enumerate_nonisomorphic(4, cache_dir=cache_dir):
+        for k in (3, 4):
+            assert max_packing_exact(t, k).value == brute_max_packing(t, k)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_exact_matches_brute_force_on_every_class(n, cache_dir):
+    for t in enumerate_nonisomorphic(n, cache_dir=cache_dir):
         for k in (3, 4):
             assert max_packing_exact(t, k).value == brute_max_packing(t, k)
 
@@ -171,8 +185,8 @@ def test_stop_at_aborts_early():
 
 
 def test_time_budget_marks_result_nonoptimal():
-    # this instance needs far more than the 1024 nodes between budget checks
-    t = random_tournament(20, 2)
+    # this host needs 152,854 nodes to prove, far more than fit in 0.05 s
+    t = random_tournament(26, 2)
     p = max_packing_exact(t, 3, time_budget=0.05)
     assert not p.optimal
     assert p.value > 0
@@ -216,7 +230,17 @@ def test_leave_bound_proves_transitive_hosts(n):
 
 def test_node_count_is_deterministic():
     p = max_packing_exact(random_tournament(11, 0), 3)
-    assert (p.value, p.optimal, p.nodes_explored) == (17, True, 67)
+    assert (p.value, p.optimal, p.nodes_explored) == (17, True, 40)
+
+
+def test_fewest_copies_branching_proves_a_perfect_packing_fast():
+    # the root's leave bound is already 35 here, so the whole search is the
+    # hunt for a perfect packing: 26,723 nodes when branching on the lowest
+    # coverable edge
+    t = random_tournament(15, 0)
+    p = max_packing_exact(t, 3)
+    assert (p.value, p.optimal, p.nodes_explored) == (35, True, 104)
+    assert verify_packing(t, p)
 
 
 def test_leave_bound_is_at_least_brute_force(cache_dir):
