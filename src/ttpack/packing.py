@@ -15,6 +15,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -264,15 +265,24 @@ def max_packing_exact(
       copies still addable, since disjoint copies use distinct edges of it.
       It is built greedily (the edge through the most surviving copies,
       lowest edge index on ties) from one bitset per edge over copy
-      indices, and abandoned once it grows too large to prune.
+      indices, and prunes only if it ends within target = incumbent -
+      chosen edges.  So before each round a counting bound asks whether it
+      still can.  With p edges picked and L the copies not yet hit, let r
+      be the fewest of the edges' current counts of copies in L that,
+      largest first, sum to |L|.  Counts only fall as L shrinks, so each
+      later pick hits at most its edge's current count, and the greedy set
+      (indeed any hitting set of L) needs at least r more edges.  Once
+      p + r > target the set is abandoned: the greedy would end above the
+      target, so the node's prune decisions are the same as if it ran on.
 
     time_budget (seconds) turns the result into a best-found lower bound
     with optimal=False once exceeded; the deadline is checked while the
     copies are listed and while their per-edge bitsets are built, at every
-    node and at every round of the hitting set.  A budget spent before the
-    bitsets are built returns the empty packing.  stop_at aborts as soon as
-    the incumbent reaches the threshold, again with optimal=False; callers
-    that only need "value >= stop_at or exact value below it" use this.
+    node and at every round of the hitting set that runs.  A budget spent
+    before the bitsets are built returns the empty packing.  stop_at aborts
+    as soon as the incumbent reaches the threshold, again with
+    optimal=False; callers that only need "value >= stop_at or exact value
+    below it" use this.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
     n = t.n
@@ -295,56 +305,48 @@ def max_packing_exact(
             aborted = True
         return aborted
 
-    def branch_edge(alive: list[int], coverable: int, target: int) -> int | None:
+    def branch_edge(
+        alive: list[int], edges: list[int], target: int
+    ) -> tuple[int, list[int]] | None:
         # The hitting-set prune: any edge set meeting every live copy caps the
         # packing that can still be added, since disjoint copies consume
         # distinct edges of the set.  Greedy max-frequency choice, lowest edge
-        # index on ties, keeps this deterministic; bail out as soon as the
-        # partial hitting set is too large to prune, and return the coverable
-        # edge through the fewest live copies (lowest index on ties), found by
-        # the first round.  None means the node is done: the set pruned it or
-        # the deadline passed.
+        # index on ties, keeps this deterministic.  The set prunes only if it
+        # ends within `target` edges (target >= 1: the node's greedy
+        # completion packed a live copy).  Each later pick hits at most its
+        # edge's current live count, so with `picked` edges chosen the set
+        # still needs at least r more, the fewest counts that, largest first,
+        # sum to the number of live copies.  Once picked + r > target, that
+        # is once the target - picked largest counts sum below it, the greedy
+        # cannot prune: stop.  `edges` lists the parent's coverable edges in
+        # index order (every edge at the root); they hold this node's, since
+        # its live copies are among the parent's.  The first round keeps
+        # those meeting a live copy, and the result pairs the one through the
+        # fewest (lowest index on ties) with that list, for the children.
+        # None means the node is done: the set pruned it or the deadline
+        # passed.
         live = 0
         for c in alive:
             live |= 1 << c
         if out_of_time():
             return None
-        # the first round: every coverable edge meets a live copy
-        through = []
-        top = 0
-        fewest = len(alive) + 1
-        while coverable:
-            low = coverable & -coverable
-            coverable ^= low
-            e = low.bit_length() - 1
-            m = edge_copies[e]
-            through.append(m)
-            freq = (live & m).bit_count()
-            if freq > top:
-                top, pick = freq, m
-            if freq < fewest:
-                fewest, branch = freq, e
-        live &= ~pick
-        bound = 1
-        while live:
-            bound += 1
-            if bound > target:
-                return branch
-            if out_of_time():
+        counts = [(live & edge_copies[e]).bit_count() for e in edges]
+        edges = kept = list(compress(edges, counts))
+        counts = first = list(filter(None, counts))
+        size = len(alive)
+        picked = 0
+        while sum(sorted(counts, reverse=True)[: target - picked]) >= size:
+            live &= ~edge_copies[kept[counts.index(max(counts))]]
+            picked += 1
+            if not live or out_of_time():
                 return None
-            top = 0
-            kept = []
-            for m in through:
-                freq = (live & m).bit_count()
-                if freq:
-                    kept.append(m)
-                    if freq > top:
-                        top, pick = freq, m
-            live &= ~pick
-            through = kept
-        return None
+            counts = [(live & edge_copies[e]).bit_count() for e in kept]
+            kept = list(compress(kept, counts))
+            counts = list(filter(None, counts))
+            size = live.bit_count()
+        return edges[first.index(min(first))], edges
 
-    def dfs(alive: list[int], chosen: list[int]) -> None:
+    def dfs(alive: list[int], chosen: list[int], edges: list[int]) -> None:
         nonlocal best, best_members, nodes, aborted
         nodes += 1
         if out_of_time():
@@ -366,21 +368,22 @@ def max_packing_exact(
                 return
         if len(chosen) + _leave_bound(coverable, n, k) <= best:
             return
-        e = branch_edge(alive, coverable, best - len(chosen))
-        if e is None:
+        found = branch_edge(alive, edges, best - len(chosen))
+        if found is None:
             return
+        e, edges = found
         bit = 1 << e
         for c in alive:
             if masks[c] & bit:
                 m = masks[c]
                 chosen.append(c)
-                dfs([d for d in alive if masks[d] & m == 0], chosen)
+                dfs([d for d in alive if masks[d] & m == 0], chosen, edges)
                 chosen.pop()
                 if aborted:
                     return
-        dfs([d for d in alive if masks[d] & bit == 0], chosen)
+        dfs([d for d in alive if masks[d] & bit == 0], chosen, edges)
 
-    dfs(list(range(len(masks))), [])
+    dfs(list(range(len(masks))), [], list(range(len(edge_copies))))
 
     return Packing(
         n=n,

@@ -133,11 +133,19 @@ def test_exact_matches_brute_force_on_order_four(cache_dir):
             assert max_packing_exact(t, k).value == brute_max_packing(t, k)
 
 
+# summed nodes_explored over every class of the order, per k
+CLASS_NODES = {6: {3: 113, 4: 56}, 7: {3: 2_247, 4: 1_954}}
+
+
 @pytest.mark.parametrize("n", [6, 7])
 def test_exact_matches_brute_force_on_every_class(n, cache_dir):
+    nodes = {3: 0, 4: 0}
     for t in enumerate_nonisomorphic(n, cache_dir=cache_dir):
         for k in (3, 4):
-            assert max_packing_exact(t, k).value == brute_max_packing(t, k)
+            p = max_packing_exact(t, k)
+            assert p.value == brute_max_packing(t, k)
+            nodes[k] += p.nodes_explored
+    assert nodes == CLASS_NODES[n]
 
 
 def test_exact_on_known_hosts():
@@ -213,6 +221,17 @@ def test_time_budget_covers_copy_enumeration():
     start = time.monotonic()
     p = max_packing_exact(t, 5, time_budget=budget)
     assert time.monotonic() - start < 2 * budget + 1
+    assert not p.optimal
+    assert verify_packing(t, p)
+
+
+def test_budgeted_large_host_searches_past_the_root():
+    # the root's greedy completion packs 601 copies, so reaching 610 takes
+    # nodes below the root; a greedy hitting set run to its end at every
+    # node would spend the whole budget in the first few
+    t = random_tournament(64, 0)
+    p = max_packing_exact(t, 3, time_budget=30.0, stop_at=610)
+    assert p.value >= 610
     assert not p.optimal
     assert verify_packing(t, p)
 
