@@ -19,7 +19,6 @@ from .tournament import (  # noqa: E402,F401
     TriangleCensus,
     census,
     induced,
-    is_transitive,
     max_transitive_subset,
     parse_tournament,
     random_tournament,

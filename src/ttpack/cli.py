@@ -431,8 +431,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "command", None) == "construct":
-        if args.kind is None and args.factor is None:
-            parser.error("construct requires --turan3, --qr7 or --blowup")
         if args.kind is None:
             args.kind = "blowup"
         if args.kind == "turan3" and args.n is None:

@@ -85,7 +85,7 @@ def turan3_tournament(n: int, filler: str = "transitive", seed: int = 0) -> Tour
     for a, b, c in combinations(range(n), 3):
         if cls[a] != cls[b] != cls[c] != cls[a]:
             # one vertex per class: must be a 3-cycle
-            if not (t.out[a] >> b & 1) == (t.out[b] >> c & 1) == (t.out[c] >> a & 1):
+            if is_transitive_on(t, (a, b, c)):
                 raise AssertionError(
                     f"turan3 self-check failed: cross-class triple {(a, b, c)} is transitive"
                 )

@@ -1,10 +1,10 @@
 """Pairwise-balanced block designs backing the packing arguments.
 
 Provides the 7-point Steiner triple system and its full 30-element
-labeled family, the 9-point system and its 840-element family, and the
-56 lines of the order-7 affine plane, which tile all pairs of a
-49-point set by 7-point blocks.  Designs are plain block lists; every
-generator is deterministic and the random sampler is seed-driven.
+labeled family, and the lines of the affine plane over Z_q for prime q:
+q = 3 gives the 9-point triple system, and q = 7 the 56 lines that tile
+all pairs of a 49-point set by 7-point blocks.  Designs are plain block
+lists, and every generator is deterministic.
 """
 
 from __future__ import annotations
@@ -14,20 +14,16 @@ from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 
-from .rng import stdlib_rng
-from .tournament import Tournament
+from .tournament import Tournament, is_transitive_on
 
 __all__ = [
     "BlockDesign",
     "DesignError",
     "ag2_lines",
     "all_sts7",
-    "all_sts9",
     "fano_plane",
     "parse_design",
-    "random_sts7",
     "serialize_design",
-    "sts9",
     "sts_triangle_count",
     "verify_design",
 ]
@@ -54,11 +50,6 @@ def _design(v: int, blocks) -> BlockDesign:
 def fano_plane() -> BlockDesign:
     """The 7-point triple system with blocks {i, i+1, i+3} mod 7."""
     return _design(7, [((i) % 7, (i + 1) % 7, (i + 3) % 7) for i in range(7)])
-
-
-def sts9() -> BlockDesign:
-    """The 9-point triple system: the lines of the order-3 affine plane."""
-    return ag2_lines(3)
 
 
 def verify_design(d: BlockDesign) -> bool:
@@ -112,35 +103,13 @@ def all_sts7() -> tuple[BlockDesign, ...]:
     return _orbit(fano_plane())
 
 
-@lru_cache(maxsize=None)
-def all_sts9() -> tuple[BlockDesign, ...]:
-    """All 840 labeled 9-point Steiner triple systems (one relabeling orbit)."""
-    return _orbit(sts9())
-
-
-def random_sts7(seed: int) -> BlockDesign:
-    """Uniform over the 30 labeled systems: a seeded permutation of the base plane.
-
-    Uniformity holds because the systems form a single relabeling orbit,
-    so equal-size stabilizer cosets map to each of them.
-    """
-    perm = list(range(7))
-    stdlib_rng(seed).shuffle(perm)
-    return _relabel(fano_plane(), tuple(perm))
-
-
 def sts_triangle_count(t: Tournament, d: BlockDesign) -> int:
     """Number of blocks inducing a directed triangle; the rest pack as triples."""
     if d.block_size != 3:
         raise DesignError(f"triple system required, got block size {d.block_size}")
     if t.n != d.point_count:
         raise DesignError(f"host has {t.n} vertices, design has {d.point_count} points")
-    cyclic = 0
-    for a, b, c in d.blocks:
-        ab = t.has_edge(a, b)
-        if ab == t.has_edge(b, c) and ab == t.has_edge(c, a):
-            cyclic += 1
-    return cyclic
+    return sum(not is_transitive_on(t, block) for block in d.blocks)
 
 
 def ag2_lines(q: int = 7) -> BlockDesign:

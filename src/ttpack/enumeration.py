@@ -291,12 +291,6 @@ def enumerate_nonisomorphic(
     ]
 
 
-def filter_by_score(tournaments, score) -> list[Tournament]:
-    """Members whose sorted (non-increasing) out-degree sequence equals `score`."""
-    want = tuple(score)
-    return [t for t in tournaments if t.score() == want]
-
-
 def scores_with_triangle_count(
     n: int, t: int, cache_dir: str | None = None
 ) -> set[tuple[int, ...]]:

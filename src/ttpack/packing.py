@@ -246,43 +246,52 @@ def max_packing_exact(
 ) -> Packing:
     """Maximum edge-disjoint packing by branch-and-bound over edges.
 
-    Each node picks the coverable edge e with the fewest surviving copies
-    through it, lowest edge index on ties, and branches on each of those
-    copies in index order, plus one branch abandoning e.  Branching on any
-    coverable edge is complete: the copies through e share e, so an optimal
-    packing within the surviving copies holds at most one of them.  If it
-    holds one, it lies in that copy's branch; if none, it survives the
-    abandon branch, which drops only the copies through e.  The fewest
-    copies give the fewest children (Knuth's rule in Dancing Links), and
-    the first round of the hitting set below counts them, so the choice
-    needs no second scan.  A greedy completion at every node moves the
-    incumbent early.  Two admissible prunes cut a node whose chosen copies
-    plus an upper bound on the copies still addable cannot beat the
-    incumbent:
+    A node's state is one bitset, `live`, over copy indices: the copies
+    still addable.  The node picks the coverable edge e with the fewest
+    live copies through it, lowest edge index on ties, and branches on
+    each of those copies c in index order, with live & ~conflict(c), plus
+    one branch abandoning e, with live & ~edge_copies[e].  conflict(c),
+    the copies sharing an edge with c, is the or of edge_copies over the
+    C(k,2) edges of c; it is built the first time the search takes c.
+    Branching on any coverable edge is complete: the copies through e
+    share e, so an optimal packing within the live copies holds at most
+    one of them.  If it holds one, it lies in that copy's branch; if none,
+    it survives the abandon branch, which drops only the copies through e.
+    The fewest copies give the fewest children (Knuth's rule in Dancing
+    Links).  A node counts its live copies on its parent's coverable edges
+    (every edge at the root); a child's live copies are among its
+    parent's, so those edges hold its own.  The nonzero counts mark the
+    node's coverable edges, handed on to its children, and give the branch
+    edge.  A greedy completion at every node (take the lowest live copy,
+    drop its conflict, repeat) moves the incumbent early.  Two admissible
+    prunes cut a node whose chosen copies plus an upper bound on the
+    copies still addable cannot beat the incumbent:
 
     - the leave bound of `_leave_bound` on the coverable edges;
-    - a hitting set: any edge set meeting every surviving copy caps the
-      copies still addable, since disjoint copies use distinct edges of it.
-      It is built greedily (the edge through the most surviving copies,
-      lowest edge index on ties) from one bitset per edge over copy
-      indices, and prunes only if it ends within target = incumbent -
-      chosen edges.  So before each round a counting bound asks whether it
-      still can.  With p edges picked and L the copies not yet hit, let r
-      be the fewest of the edges' current counts of copies in L that,
-      largest first, sum to |L|.  Counts only fall as L shrinks, so each
-      later pick hits at most its edge's current count, and the greedy set
-      (indeed any hitting set of L) needs at least r more edges.  Once
-      p + r > target the set is abandoned: the greedy would end above the
-      target, so the node's prune decisions are the same as if it ran on.
+    - a hitting set: any edge set meeting every live copy caps the copies
+      still addable, since disjoint copies use distinct edges of it.  It
+      is built greedily (the edge through the most live copies not yet
+      hit, lowest edge index on ties), and prunes only if it ends within
+      target = incumbent - chosen edges (target >= 1: the greedy
+      completion packed a live copy).  So before each round a counting
+      bound asks whether it still can.  With p edges picked and L the
+      copies not yet hit, let r be the fewest of the edges' current counts
+      of copies in L that, largest first, sum to |L|.  Counts only fall as
+      L shrinks, so each later pick hits at most its edge's current count,
+      and the greedy set (indeed any hitting set of L) needs at least r
+      more edges.  Once p + r > target the set is abandoned: the greedy
+      would end above the target, so the node's prune decisions are the
+      same as if it ran on.  Its first round reuses the node's counts.
 
     time_budget (seconds) turns the result into a best-found lower bound
     with optimal=False once exceeded; the deadline is checked while the
     copies are listed and while their per-edge bitsets are built, at every
-    node and at every round of the hitting set that runs.  A budget spent
-    before the bitsets are built returns the empty packing.  stop_at aborts
-    as soon as the incumbent reaches the threshold, again with
-    optimal=False; callers that only need "value >= stop_at or exact value
-    below it" use this.
+    node after its greedy completion, and at every round of the hitting
+    set that runs.  A budget spent before the bitsets are built returns
+    the empty packing; after that, the root's greedy completion counts.
+    stop_at aborts as soon as the incumbent reaches the threshold, again
+    with optimal=False; callers that only need "value >= stop_at or exact
+    value below it" use this.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
     n = t.n
@@ -293,6 +302,7 @@ def max_packing_exact(
         edge_copies = _copies_through_edges(masks, n, deadline)
     except TimeoutError:
         return Packing(n=n, k=k, copies=())
+    conflicts: list[int | None] = [None] * len(masks)
 
     best = -1
     best_members: tuple[int, ...] = ()
@@ -305,85 +315,65 @@ def max_packing_exact(
             aborted = True
         return aborted
 
-    def branch_edge(
-        alive: list[int], edges: list[int], target: int
-    ) -> tuple[int, list[int]] | None:
-        # The hitting-set prune: any edge set meeting every live copy caps the
-        # packing that can still be added, since disjoint copies consume
-        # distinct edges of the set.  Greedy max-frequency choice, lowest edge
-        # index on ties, keeps this deterministic.  The set prunes only if it
-        # ends within `target` edges (target >= 1: the node's greedy
-        # completion packed a live copy).  Each later pick hits at most its
-        # edge's current live count, so with `picked` edges chosen the set
-        # still needs at least r more, the fewest counts that, largest first,
-        # sum to the number of live copies.  Once picked + r > target, that
-        # is once the target - picked largest counts sum below it, the greedy
-        # cannot prune: stop.  `edges` lists the parent's coverable edges in
-        # index order (every edge at the root); they hold this node's, since
-        # its live copies are among the parent's.  The first round keeps
-        # those meeting a live copy, and the result pairs the one through the
-        # fewest (lowest index on ties) with that list, for the children.
-        # None means the node is done: the set pruned it or the deadline
-        # passed.
-        live = 0
-        for c in alive:
-            live |= 1 << c
-        if out_of_time():
-            return None
-        counts = [(live & edge_copies[e]).bit_count() for e in edges]
-        edges = kept = list(compress(edges, counts))
-        counts = first = list(filter(None, counts))
-        size = len(alive)
-        picked = 0
-        while sum(sorted(counts, reverse=True)[: target - picked]) >= size:
-            live &= ~edge_copies[kept[counts.index(max(counts))]]
-            picked += 1
-            if not live or out_of_time():
-                return None
-            counts = [(live & edge_copies[e]).bit_count() for e in kept]
-            kept = list(compress(kept, counts))
-            counts = list(filter(None, counts))
-            size = live.bit_count()
-        return edges[first.index(min(first))], edges
+    def conflict(c: int) -> int:
+        found = conflicts[c]
+        if found is None:
+            found = 0
+            m = masks[c]
+            while m:
+                low = m & -m
+                m ^= low
+                found |= edge_copies[low.bit_length() - 1]
+            conflicts[c] = found
+        return found
 
-    def dfs(alive: list[int], chosen: list[int], edges: list[int]) -> None:
+    def dfs(live: int, chosen: list[int], edges: list[int]) -> None:
         nonlocal best, best_members, nodes, aborted
         nodes += 1
-        if out_of_time():
-            return
-        coverable = 0
-        for c in alive:
-            coverable |= masks[c]
         greedy = list(chosen)
-        taken = 0
-        for c in alive:
-            if masks[c] & taken == 0:
-                taken |= masks[c]
-                greedy.append(c)
+        rest = live
+        while rest:
+            c = (rest & -rest).bit_length() - 1
+            greedy.append(c)
+            rest &= ~conflict(c)
         if len(greedy) > best:
             best = len(greedy)
             best_members = tuple(greedy)
             if stop_at is not None and best >= stop_at:
                 aborted = True
                 return
-        if len(chosen) + _leave_bound(coverable, n, k) <= best:
+        if out_of_time():
             return
-        found = branch_edge(alive, edges, best - len(chosen))
-        if found is None:
+        counts = [(live & edge_copies[e]).bit_count() for e in edges]
+        edges = kept = list(compress(edges, counts))
+        counts = first = list(filter(None, counts))
+        if len(chosen) + _leave_bound(sum(1 << e for e in edges), n, k) <= best:
             return
-        e, edges = found
-        bit = 1 << e
-        for c in alive:
-            if masks[c] & bit:
-                m = masks[c]
-                chosen.append(c)
-                dfs([d for d in alive if masks[d] & m == 0], chosen, edges)
-                chosen.pop()
-                if aborted:
-                    return
-        dfs([d for d in alive if masks[d] & bit == 0], chosen, edges)
+        # the hitting set, with `spare` = target - p edges left to pick
+        spare = best - len(chosen)
+        rest = live
+        while sum(sorted(counts, reverse=True)[:spare]) >= rest.bit_count():
+            rest &= ~edge_copies[kept[counts.index(max(counts))]]
+            spare -= 1
+            if not rest or out_of_time():
+                return
+            counts = [(rest & edge_copies[e]).bit_count() for e in kept]
+            kept = list(compress(kept, counts))
+            counts = list(filter(None, counts))
+        through = edge_copies[edges[first.index(min(first))]]
+        branch = live & through
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            c = low.bit_length() - 1
+            chosen.append(c)
+            dfs(live & ~conflict(c), chosen, edges)
+            chosen.pop()
+            if aborted:
+                return
+        dfs(live & ~through, chosen, edges)
 
-    dfs(list(range(len(masks))), [], list(range(len(edge_copies))))
+    dfs((1 << len(masks)) - 1, [], list(range(len(edge_copies))))
 
     return Packing(
         n=n,

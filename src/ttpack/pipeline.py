@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 
 from .constructions import turan3_tournament
-from .designs import BlockDesign, ag2_lines, all_sts7, all_sts9, sts_triangle_count, verify_design
+from .designs import BlockDesign, ag2_lines, verify_design
 from .enumeration import _pool_map, canonical_form, enumerate_codes, tournament_from_code
 from .packing import Packing, max_packing_exact, verify_packing
 from .rng import stdlib_rng, sub_seed
@@ -35,7 +35,6 @@ __all__ = [
     "f_min",
     "induced_expectation_check",
     "lp_step",
-    "transitive_sts_search",
     "verify_t7_thresholds",
 ]
 
@@ -354,20 +353,3 @@ def decomposition_pipeline(
         reference_density=REFERENCE_DENSITY,
     )
 
-
-def transitive_sts_search(t: Tournament) -> BlockDesign | None:
-    """Search all triple systems on the host's points for one with no directed-triangle block.
-
-    Exhaustive over the 30 labeled systems at order 7 and the 840 at
-    order 9, so a None answer is definitive.
-    """
-    if t.n == 7:
-        designs = all_sts7()
-    elif t.n == 9:
-        designs = all_sts9()
-    else:
-        raise PipelineError(f"transitive triple-system search supports n in (7, 9), got {t.n}")
-    for d in designs:
-        if sts_triangle_count(t, d) == 0:
-            return d
-    return None

@@ -229,11 +229,6 @@ def random_tournament(n: int, seed: int) -> Tournament:
     return Tournament(n, tuple(out))
 
 
-def is_transitive(t: Tournament) -> bool:
-    """True iff the tournament has no directed triangle (a total order)."""
-    return sorted(m.bit_count() for m in t.out) == list(range(t.n))
-
-
 def is_transitive_on(t: Tournament, vertices) -> bool:
     """True iff the distinct `vertices` induce a transitive subtournament.
 

@@ -175,6 +175,18 @@ def all_triple_systems(v: int) -> list[frozenset]:
     return found
 
 
+def transitive_sts_search(t: Tournament) -> frozenset | None:
+    """A triple system on the host's points with every block transitive, or None.
+
+    Exhaustive over every system that `all_triple_systems` finds, so a
+    None answer is definitive.
+    """
+    for blocks in all_triple_systems(t.n):
+        if all(is_transitive_subset(t, block) for block in blocks):
+            return blocks
+    return None
+
+
 def _score_sorted_order_and_perms(t: Tournament):
     """The vertices sorted by out-degree, and every out-degree-preserving permutation.
 

@@ -7,6 +7,7 @@ import pytest
 from ttpack import DEFAULT_SEED, FORMAT_VERSION, TOOL_VERSION
 from ttpack.cli import main
 from ttpack.constructions import qr7
+from ttpack.enumeration import tournament_from_code
 from ttpack.tournament import parse_tournament, serialize_tournament
 
 ENVELOPE_KEYS = {"config", "format_version", "result", "seed", "tool", "tool_version"}
@@ -153,6 +154,20 @@ def test_enumerate_score_filter(capsys, tmp_path):
     )
     assert code == 0
     assert doc["result"]["count"] == 1
+
+
+def test_enumerate_score_filter_partitions_the_classes(capsys, tmp_path):
+    cache = str(tmp_path)
+    _, doc, _ = run_json(capsys, "enumerate", "--n", "5", "--cache", cache)
+    codes = doc["result"]["codes"]
+    picked = []
+    for score in sorted({tournament_from_code(c).score() for c in codes}):
+        code, doc, _ = run_json(
+            capsys, "enumerate", "--n", "5", "--score", ",".join(map(str, score)), "--cache", cache
+        )
+        assert code == 0
+        picked += doc["result"]["codes"]
+    assert sorted(picked) == codes
 
 
 def test_lp_command(capsys):

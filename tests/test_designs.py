@@ -4,17 +4,15 @@ from itertools import combinations
 
 import pytest
 
+from oracles import all_triple_systems, transitive_sts_search
 from ttpack.designs import (
     BlockDesign,
     DesignError,
     ag2_lines,
     all_sts7,
-    all_sts9,
     fano_plane,
     parse_design,
-    random_sts7,
     serialize_design,
-    sts9,
     sts_triangle_count,
     verify_design,
 )
@@ -38,7 +36,7 @@ def test_fano_plane_is_a_triple_system():
 
 
 def test_sts9_is_a_triple_system():
-    d = sts9()
+    d = ag2_lines(3)
     assert (d.point_count, d.block_size, len(d.blocks)) == (9, 3, 12)
     assert verify_design(d)
 
@@ -66,27 +64,10 @@ def test_all_sts7_is_the_full_orbit():
     assert len(freq) == 35
 
 
-def test_all_sts9_count():
-    designs = all_sts9()
-    assert len(designs) == 840
-    assert verify_design(designs[0]) and verify_design(designs[-1])
-
-
 def test_orbit_generation_matches_exact_cover_enumeration():
-    # dual route: the permutation orbits must coincide with the set of ALL
+    # dual route: the permutation orbit must coincide with the set of ALL
     # pairwise-balanced triple systems found by backtracking
-    from oracles import all_triple_systems
-
     assert {frozenset(d.blocks) for d in all_sts7()} == set(all_triple_systems(7))
-    assert {frozenset(d.blocks) for d in all_sts9()} == set(all_triple_systems(9))
-
-
-def test_random_sts7_is_seeded_and_in_orbit():
-    orbit = set(all_sts7())
-    picks = {random_sts7(seed) for seed in range(40)}
-    assert picks <= orbit
-    assert len(picks) > 10
-    assert random_sts7(3) == random_sts7(3)
 
 
 def test_triangle_count_identity_against_census():
@@ -107,6 +88,13 @@ def test_triangle_count_extremes():
     counts = [sts_triangle_count(qr7(), d) for d in all_sts7()]
     assert max(counts) >= 3
     assert sum(counts) == 14 * 6
+
+
+def test_transitive_sts_search():
+    assert transitive_sts_search(transitive_tournament(7)) is not None
+    assert transitive_sts_search(qr7()) is None
+    found = transitive_sts_search(transitive_tournament(9))
+    assert found is not None and len(found) == 12
 
 
 def test_ag2_lines_is_a_49_point_design():
@@ -130,7 +118,7 @@ def test_ag2_lines_needs_a_prime_order():
 
 
 def test_serialize_parse_round_trip():
-    for d in (fano_plane(), sts9(), ag2_lines(7)):
+    for d in (fano_plane(), ag2_lines(3), ag2_lines(7)):
         assert parse_design(serialize_design(d)) == d
 
 

@@ -23,7 +23,6 @@ from ttpack.enumeration import (
     canonical_form,
     enumerate_codes,
     enumerate_nonisomorphic,
-    filter_by_score,
     scores_with_triangle_count,
     tournament_from_code,
 )
@@ -176,15 +175,6 @@ def test_tournament_from_code_validates_length():
     assert tournament_from_code("101").n == 3
     with pytest.raises(EnumerationError):
         tournament_from_code("10")
-
-
-def test_filter_by_score_partitions_the_classes(cache_dir):
-    ts = enumerate_nonisomorphic(5, cache_dir=cache_dir)
-    scores = {t.score() for t in ts}
-    total = sum(len(filter_by_score(ts, s)) for s in scores)
-    assert total == len(ts)
-    regular = filter_by_score(ts, (2, 2, 2, 2, 2))
-    assert len(regular) == 1
 
 
 def test_scores_with_triangle_count(cache_dir):

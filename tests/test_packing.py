@@ -225,6 +225,27 @@ def test_time_budget_covers_copy_enumeration():
     assert verify_packing(t, p)
 
 
+def test_deadline_after_the_bitsets_keeps_the_root_greedy(monkeypatch):
+    # the budget runs out once the per-edge bitsets are built, so the search
+    # gets no time at all; the root's greedy completion must still count
+    import ttpack.packing as packing
+
+    build = packing._copies_through_edges
+
+    def slow_build(masks, n, deadline):
+        rows = build(masks, n, deadline)
+        while time.monotonic() <= deadline:
+            time.sleep(0.01)
+        return rows
+
+    monkeypatch.setattr(packing, "_copies_through_edges", slow_build)
+    t = random_tournament(12, 0)
+    p = max_packing_exact(t, 3, time_budget=0.05)
+    assert not p.optimal
+    assert p.value > 0
+    assert verify_packing(t, p)
+
+
 def test_budgeted_large_host_searches_past_the_root():
     # the root's greedy completion packs 601 copies, so reaching 610 takes
     # nodes below the root; a greedy hitting set run to its end at every

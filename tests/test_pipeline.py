@@ -19,10 +19,9 @@ from ttpack.pipeline import (
     f_min,
     induced_expectation_check,
     lp_step,
-    transitive_sts_search,
     verify_t7_thresholds,
 )
-from ttpack.constructions import qr7, turan3_tournament
+from ttpack.constructions import turan3_tournament
 from ttpack.tournament import (
     census,
     random_tournament,
@@ -136,7 +135,7 @@ def test_pipeline_on_random_host():
     assert len(report.totals) == 3
     assert min(report.totals) >= 280
     assert sum(report.block_value_histogram.values()) == 3 * 56
-    assert report.p1 + report.p2 + report.p3 <= 1
+    assert report.p1 + report.p2 + report.p3 == 1
     assert Fraction(5) <= report.mean_block_packing <= Fraction(7)
     assert report.reference_density == Fraction(51, 392)
 
@@ -147,7 +146,7 @@ def test_pipeline_totals_are_seed_deterministic():
     b = decomposition_pipeline(t, trials=2, seed=11)
     assert a.totals == b.totals
     c = decomposition_pipeline(t, trials=2, seed=12)
-    assert a.totals != c.totals or a.seed != c.seed
+    assert a.totals != c.totals
 
 
 def test_pipeline_on_transitive_host_is_perfect():
@@ -216,13 +215,6 @@ def test_pipeline_accepts_explicit_design():
     d = ag2_lines(7)
     report = decomposition_pipeline(t, trials=1, seed=3, design=d)
     assert report.totals[0] >= 280
-
-
-def test_transitive_sts_search():
-    assert transitive_sts_search(transitive_tournament(7)) is not None
-    assert transitive_sts_search(qr7()) is None
-    found = transitive_sts_search(transitive_tournament(9))
-    assert found is not None and len(found.blocks) == 12
 
 
 def test_turan_host_meets_pipeline_floor():

@@ -14,7 +14,6 @@ from ttpack.tournament import (
     edge_index,
     edge_list,
     induced,
-    is_transitive,
     is_transitive_on,
     max_transitive_subset,
     parse_tournament,
@@ -123,8 +122,10 @@ def test_induced_relabels_in_sorted_order():
 
 
 def test_is_transitive():
-    assert is_transitive(transitive_tournament(6))
-    assert not is_transitive(parse_tournament(CYCLE3))
+    t = transitive_tournament(6)
+    assert is_transitive_on(t, range(t.n))
+    c = parse_tournament(CYCLE3)
+    assert not is_transitive_on(c, range(c.n))
 
 
 def test_is_transitive_on_matches_the_ordering_oracle():
