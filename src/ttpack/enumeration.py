@@ -6,8 +6,12 @@ rather than an n! scan: the code is minimized row by row, and the set of
 orderings achieving the minimal rows so far is exactly captured by a list of
 position cells that get split by each newly placed vertex's out-set.  Ties
 branch; the answer is the minimum over branch leaves, which equals the
-unpruned definition (asserted against a full permutation scan for n <= 4 in
-the test suite).
+unpruned definition (asserted against a full permutation scan for n <= 6 in
+the test suite).  Once every cell is a single vertex the order is forced,
+so the rest of the path is read off as one leaf rather than searched level
+by level (see `_min_code_rows`).  The search runs on a vertex bitset of a
+host, so a subset is labeled in place: same code and order as on the
+induced copy, in the host's labels.
 
 Enumeration is orderly: extend each canonical representative of order n-1 by
 one new vertex, canonicalize, deduplicate.  Of the 2^(n-1) extensions, only
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -45,8 +50,9 @@ class EnumerationError(ValueError):
 class CanonicalForm:
     """The canonical code, and one relabeling that reaches it.
 
-    order[i] is the vertex placed at canonical position i, so vertex
-    order[i] beats order[j] exactly when the code says i beats j.
+    order[i] is the vertex placed at canonical position i, in the host's
+    own labels, so vertex order[i] beats order[j] exactly when the code
+    says i beats j.
     """
 
     n: int
@@ -54,20 +60,44 @@ class CanonicalForm:
     order: tuple[int, ...]
 
 
-def _min_code_rows(n: int, out: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
-    """Rows of the minimal code, and the vertex order of the first leaf reaching them.
+def _min_code_rows(out: Sequence[int], cell: int) -> tuple[list[int], tuple[int, ...]]:
+    """Rows of the minimal code of the subtournament on `cell`, and the order reaching them.
 
-    rows[i] is the n-1-i bits of row i as an int.
+    `cell` is a bitset of vertices of the tournament whose out-sets are
+    `out`; with n = cell.bit_count(), rows[i] is the n-1-i bits of row i as
+    an int, and the order lists cell's vertices in their own labels.  Each
+    cell is scanned from its lowest vertex, so the first leaf, and with it
+    the order, is the one the search takes on the subtournament relabeled
+    0..n-1 in sorted order.
+
+    Forced tail: a node whose cells are all singletons has one ordering
+    left, so its remaining rows are read straight off the out-sets and the
+    whole row list is compared once with the incumbent.  The recursion
+    would walk that one path to its one leaf and keep it only if its rows
+    are strictly smaller; the prefix prune along the way cuts only paths
+    whose rows already exceed the incumbent's, so it changes nothing.
     """
+    n = cell.bit_count()
     best: list[int] | None = None
     best_order: tuple[int, ...] = ()
     order = [0] * n  # order[i]: the vertex placed at position i on the current path
 
     def dfs(cells: list[int], rows: list[int]) -> None:
         nonlocal best, best_order
-        if not cells:
-            if best is None or rows < best:
-                best, best_order = rows.copy(), tuple(order)
+        depth = len(rows)
+        if len(cells) == n - depth:
+            # the forced tail: rows[i] has bit j set when order[i] beats order[j]
+            tail = [c.bit_length() - 1 for c in cells]
+            full = rows.copy()
+            for i, u in enumerate(tail):
+                ou = out[u]
+                row = 0
+                for c in cells[i + 1 :]:
+                    row = (row << 1) | (ou & c != 0)
+                full.append(row)
+            if best is None or full < best:
+                order[depth:] = tail
+                best, best_order = full, tuple(order)
             return
         head = cells[0]
         rest = cells[1:]
@@ -92,7 +122,6 @@ def _min_code_rows(n: int, out: tuple[int, ...]) -> tuple[list[int], tuple[int, 
         sizes = [head.bit_count() - 1] + [c.bit_count() for c in rest]
         for size, ones in zip(sizes, best_sig):
             row = (row << size) | ((1 << ones) - 1)
-        depth = len(rows)
         rows.append(row)
         # prune against the live incumbent; equal widths per index make the
         # row-int list comparison the same as bit-string comparison
@@ -111,7 +140,7 @@ def _min_code_rows(n: int, out: tuple[int, ...]) -> tuple[list[int], tuple[int, 
                 dfs(new_cells, rows)
         rows.pop()
 
-    dfs([(1 << n) - 1], [])
+    dfs([cell] if cell else [], [])
     if best is None:
         raise AssertionError("canonical labeling self-check failed: the search reached no leaf")
     return best, best_order
@@ -123,12 +152,24 @@ def _code_of_rows(n: int, rows: list[int]) -> str:
     )
 
 
-def canonical_form(t: Tournament) -> CanonicalForm:
-    """Lexicographically minimal serialization over all relabelings."""
-    if t.n > MAX_CANONICAL_VERTICES:
+def canonical_form(t: Tournament, vertices: Iterable[int] | None = None) -> CanonicalForm:
+    """Lexicographically minimal serialization over all relabelings.
+
+    With `vertices`, of the subtournament they induce, labeled in place:
+    the code is that of induced(t, vertices), and order holds t's labels.
+    """
+    cell = (1 << t.n) - 1
+    if vertices is not None:
+        cell = 0
+        for v in vertices:
+            if not 0 <= v < t.n:
+                raise EnumerationError(f"vertex {v} out of range for a tournament of order {t.n}")
+            cell |= 1 << v
+    n = cell.bit_count()
+    if n > MAX_CANONICAL_VERTICES:
         raise EnumerationError(f"canonical form capped at n <= {MAX_CANONICAL_VERTICES}")
-    rows, order = _min_code_rows(t.n, t.out)
-    return CanonicalForm(t.n, _code_of_rows(t.n, rows), order)
+    rows, order = _min_code_rows(t.out, cell)
+    return CanonicalForm(n, _code_of_rows(n, rows), order)
 
 
 def canonical_code(t: Tournament) -> str:
@@ -195,7 +236,7 @@ def _extension_codes(args: tuple[str, int]) -> set[str]:
             ):
                 continue
         out.append(mask)
-        codes.add(_code_of_rows(m + 1, _min_code_rows(m + 1, tuple(out))[0]))
+        codes.add(_code_of_rows(m + 1, _min_code_rows(out, (bit << 1) - 1)[0]))
     return codes
 
 

@@ -278,14 +278,12 @@ def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...]
     block_ts = []
     copies: list[tuple[int, ...]] = []
     for block in blocks:
-        vertices = sorted(perm[p] for p in block)
-        form = canonical_form(induced(host, vertices))
+        form = canonical_form(host, [perm[p] for p in block])
         t_count, value, class_copies = _block_class(form.code)
         block_ts.append(t_count)
         block_values.append(value)
-        # canonical vertex v is block vertex form.order[v]
-        host_of = [vertices[u] for u in form.order]
-        copies.extend(tuple(sorted(host_of[v] for v in copy)) for copy in class_copies)
+        # canonical vertex v is host vertex form.order[v]
+        copies.extend(tuple(sorted(form.order[v] for v in copy)) for copy in class_copies)
     if not verify_packing(host, Packing(n=host.n, k=3, copies=tuple(copies))):
         raise PipelineError(f"assembled packing failed verification in trial {i}")
     return block_values, block_ts
@@ -307,9 +305,10 @@ def decomposition_pipeline(
     assembly is always a valid packing; each trial total is the sum of
     56 per-block exact values.
 
-    Each block is canonicalized, and each isomorphism class is solved
-    once per call: later blocks of the class reuse its packing, mapped
-    back through the block's canonical relabeling.
+    Each block is canonicalized on the host itself, with no induced copy,
+    and each isomorphism class is solved once per call: later blocks of
+    the class reuse its packing, mapped back through the block's
+    canonical relabeling.
     """
     if design is None:
         design = ag2_lines(7)

@@ -8,7 +8,6 @@ a criterion that does not hold fails loudly.
 
 import time
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial
 
 from acceptance_report import record
@@ -27,10 +26,9 @@ from ttpack.enumeration import (
     canonical_code,
     enumerate_nonisomorphic,
     scores_with_triangle_count,
-    tournament_from_code,
 )
 from ttpack.experiments import edge_copy_stats
-from ttpack.packing import enumerate_copies, max_packing_exact
+from ttpack.packing import max_packing_exact
 from ttpack.pipeline import (
     decomposition_pipeline,
     f_min,
@@ -43,7 +41,6 @@ from ttpack.tournament import (
     max_transitive_subset,
     random_tournament,
     transitive_tournament,
-    transitive_triples_lower_bound,
 )
 
 

@@ -15,6 +15,7 @@ from oracles import (
     labeled_count_with_score,
     oracle_canonical_code,
 )
+from ttpack.constructions import qr7, turan3_tournament
 from ttpack.enumeration import (
     CLASS_COUNTS,
     EnumerationError,
@@ -28,6 +29,7 @@ from ttpack.enumeration import (
 )
 from ttpack.tournament import (
     Tournament,
+    induced,
     random_tournament,
     tournament_bits,
     transitive_tournament,
@@ -41,6 +43,14 @@ def relabel(t: Tournament, perm) -> Tournament:
             if t.out[u] >> v & 1:
                 out[perm[u]] |= 1 << perm[v]
     return Tournament(t.n, tuple(out))
+
+
+def in_canonical_order(t: Tournament, order) -> Tournament:
+    # send vertex order[i] to position i
+    to_position = [0] * t.n
+    for i, v in enumerate(order):
+        to_position[v] = i
+    return relabel(t, to_position)
 
 
 def test_class_counts_up_to_seven(cache_dir):
@@ -68,9 +78,9 @@ def test_cold_build_canonicalizes_only_least_key_extensions(tmp_path, monkeypatc
     calls = Counter()
     original = enumeration._min_code_rows
 
-    def counting(n, out):
-        calls[n] += 1
-        return original(n, out)
+    def counting(out, cell):
+        calls[cell.bit_count()] += 1
+        return original(out, cell)
 
     monkeypatch.setattr(enumeration, "_min_code_rows", counting)
     enumerate_codes(8, cache_dir=str(tmp_path), workers=1)
@@ -119,18 +129,47 @@ def test_canonical_order_relabels_to_the_code(cache_dir):
                 form = canonical_form(t)
                 assert form.code == code
                 assert sorted(form.order) == list(range(n))
-                # send vertex order[i] to position i
-                to_position = [0] * n
-                for i, v in enumerate(form.order):
-                    to_position[v] = i
-                assert tournament_bits(relabel(t, to_position)) == code
+                assert tournament_bits(in_canonical_order(t, form.order)) == code
 
 
 def test_canonical_code_matches_brute_force_on_small_orders():
-    for n in range(1, 5):
-        for seed in range(10):
-            t = random_tournament(n, seed)
-            assert canonical_code(t) == brute_force_canonical_code(t)
+    # the order-7 hosts have many ties, so the search reaches all-singleton
+    # cells late
+    hosts = [random_tournament(n, seed) for n in range(1, 7) for seed in range(10)]
+    hosts += [qr7(), turan3_tournament(7), transitive_tournament(7)]
+    for t in hosts:
+        form = canonical_form(t)
+        assert form.code == brute_force_canonical_code(t)
+        assert tournament_bits(in_canonical_order(t, form.order)) == form.code
+
+
+def test_subset_is_labeled_in_place():
+    # the same code as the induced copy, and its order in the host's labels
+    rng = random.Random(12)
+    for host in (random_tournament(49, 7), turan3_tournament(49), transitive_tournament(49)):
+        for _ in range(300):
+            vs = rng.sample(range(49), 7)
+            form = canonical_form(host, vs)
+            sub = canonical_form(induced(host, vs))
+            assert form.code == sub.code
+            assert form.order == tuple(sorted(vs)[u] for u in sub.order)
+
+
+def test_canonical_form_is_capped_at_ten_vertices():
+    with pytest.raises(EnumerationError):
+        canonical_form(random_tournament(11, 0))
+    with pytest.raises(EnumerationError):
+        canonical_form(random_tournament(20, 0), range(3, 14))
+
+
+def test_subset_labeling_checks_its_vertices():
+    t = random_tournament(8, 0)
+    with pytest.raises(EnumerationError):
+        canonical_form(t, [2, 8])
+    with pytest.raises(EnumerationError):
+        canonical_form(t, [-1, 2])
+    empty = canonical_form(t, [])
+    assert (empty.n, empty.code, empty.order) == (0, "", ())
 
 
 def test_distinct_classes_have_distinct_codes(cache_dir):

@@ -15,3 +15,24 @@ def test_package_has_no_bare_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         bare += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert bare == []
+
+
+def test_tests_read_every_name_they_import():
+    files = sorted(Path(__file__).parent.glob("*.py"))
+    assert files
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # `import a.b` binds the name a
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
