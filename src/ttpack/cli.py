@@ -61,6 +61,24 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {obj!r}")
 
 
+def _int_at_least(low: int):
+    """argparse type for an int no smaller than low; a smaller one is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    # argparse names the type in its "invalid int value" message
+    parse.__name__ = "int"
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+
+
 def _emit(args, result, text_lines=None) -> None:
     config = {
         key: (str(value) if isinstance(value, Fraction) else value)
@@ -327,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         if cache:
             p.add_argument("--cache", help="enumeration cache directory (default $TTPACK_CACHE or ./cache)")
         if workers:
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("enumerate", help="list canonical codes of all classes of order n")
     p.add_argument("--n", type=int, required=True, choices=range(1, MAX_ENUMERATION_VERTICES + 1))
@@ -338,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact maximum packing of one tournament")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--budget-ms", dest="budget_ms", type=int)
+    p.add_argument("--budget-ms", dest="budget_ms", type=_nonnegative_int)
     common(p)
     p.set_defaults(handler=_cmd_solve)
 
@@ -375,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="seeded 49-vertex decomposition trials")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     common(p, workers=True)
     p.set_defaults(handler=_cmd_pipeline)
 
@@ -410,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = experiment.add_parser("density", help="greedy packing density trials")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--trials", type=int, default=30)
+    p.add_argument("--trials", type=_positive_int, default=30)
     p.add_argument("--improve", action="store_true")
     common(p, fmt=("json", "csv"))
     p.set_defaults(handler=_cmd_experiment_density)

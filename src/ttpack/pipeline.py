@@ -2,10 +2,11 @@
 
 Covers five instruments: exhaustive triangle-count thresholds over all
 456 seven-vertex classes, the exact minimum packing value over all
-classes of a given order, an exact expectation identity for induced
-subtournaments, a tiny exact-rational linear program, and a randomized
-49-vertex decomposition pipeline that assembles verified packings from
-per-block exact solves.
+classes of a given order (most classes settled by a verified witness
+packing of an earlier class, the rest by a thresholded solve), an exact
+expectation identity for induced subtournaments, a tiny exact-rational
+linear program, and a randomized 49-vertex decomposition pipeline that
+assembles verified packings from per-block exact solves.
 """
 
 from __future__ import annotations
@@ -118,9 +119,24 @@ class PipelineReport:
         return min(self.totals)
 
 
+# Packings that met f_min's threshold, in canonical labels, most recently
+# useful first.  Scoped to one f_min call: cleared at its start, before the
+# call creates its pool, so every worker starts empty.
+_witnesses: list[Packing] = []
+
+
 def _solve_code(args: tuple[str, int, int | None]) -> tuple[int, bool]:
+    """(value, optimal) of the class with this code; see f_min for stop_at."""
     code, k, stop_at = args
-    p = max_packing_exact(tournament_from_code(code), k, stop_at=stop_at)
+    t = tournament_from_code(code)
+    if stop_at is not None:
+        for i, w in enumerate(_witnesses):
+            if verify_packing(t, w):
+                _witnesses.insert(0, _witnesses.pop(i))
+                return w.value, False
+    p = max_packing_exact(t, k, stop_at=stop_at)
+    if not p.optimal:
+        _witnesses.insert(0, p)
     return p.value, p.optimal
 
 
@@ -158,15 +174,33 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     """Exact minimum of the packing number over all isomorphism classes of order n.
 
     A seed upper bound comes from one explicit host (the 3-class
-    construction).  Every class is then solved with stop_at just above
-    the seed: classes meeting the threshold abort early, which is sound
-    because their value exceeds every candidate minimum; classes below
-    it complete exactly.  The claimed witnesses are re-solved without
-    the threshold to certify the argmin set.  Only packing values are
-    computed: no class is censused.
+    construction), and the threshold is one above it.  Each class is
+    first checked against a pool of witness packings: packings of
+    earlier classes, in the shared canonical labels 0..n-1, that met the
+    threshold.  They are tried most recently useful first, and a hit
+    moves to the front.  A class no witness fits is solved with stop_at
+    at the threshold; if that solve stops at the threshold, its packing
+    joins the front of the pool.  The pool is cleared at the start of
+    each call, before the pool of workers is made, so each worker keeps
+    its own.
+
+    Soundness: only a solve that stopped at the threshold adds a
+    witness, and the pool holds the witnesses of this call alone, so
+    every witness has at least threshold copies of TT_k for this k.
+    verify_packing certifies from first principles that a witness is an
+    edge-disjoint family of copies transitive in this class, so a hit
+    proves P >= the threshold, the same fact a stopped solve proves.
+    Both kinds of class exceed every candidate minimum and are dropped.
+    Classes below the threshold are always solved exactly, and the
+    claimed argmin classes are re-solved without the threshold to
+    certify the minimum.  The seed host's class is never hit, since a
+    hit would prove P >= seed + 1.  So the record depends neither on
+    which witness hits nor on the number of workers.  Only packing
+    values are computed: no class is censused.
     """
     if not 3 <= n <= 8:
         raise PipelineError(f"minimum packing sweep supports 3 <= n <= 8, got {n}")
+    _witnesses.clear()
     seed_value = max_packing_exact(turan3_tournament(n), k).value
     jobs = [(code, k, seed_value + 1) for code in enumerate_codes(n, cache_dir=cache_dir)]
     exact: dict[str, int] = {}

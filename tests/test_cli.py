@@ -227,3 +227,29 @@ def test_text_format(capsys, qr7_file):
     code, out, _ = run(capsys, "census", "--in", qr7_file, "--format", "text")
     assert code == 0
     assert out == "n=7 a=21 t=14\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("pipeline", "--trials", "0"), "--trials: must be at least 1, got 0"),
+        (("experiment", "density", "--n", "9", "--trials", "-1"), "--trials: must be at least 1, got -1"),
+        (("solve", "--budget-ms", "-5"), "--budget-ms: must be at least 0, got -5"),
+        (("fmin", "--n", "5", "--workers", "0"), "--workers: must be at least 1, got 0"),
+        (("verify", "lemma22", "--workers", "-2"), "--workers: must be at least 1, got -2"),
+        (("enumerate", "--n", "3", "--workers", "two"), "--workers: invalid int value: 'two'"),
+    ],
+)
+def test_out_of_range_counts_are_usage_errors(capsys, qr7_file, argv, message):
+    if argv[0] in ("pipeline", "solve"):
+        argv = (*argv, "--in", qr7_file)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_zero_budget_is_accepted(capsys, qr7_file):
+    code, doc, _ = run_json(capsys, "solve", "--in", qr7_file, "--budget-ms", "0")
+    assert code == 0
+    assert doc["config"]["budget_ms"] == 0

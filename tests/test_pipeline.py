@@ -9,8 +9,8 @@ import pytest
 
 from ttpack import pipeline
 from ttpack.designs import ag2_lines
-from ttpack.enumeration import canonical_code, tournament_from_code
-from ttpack.packing import max_packing_exact
+from ttpack.enumeration import canonical_code, enumerate_codes, tournament_from_code
+from ttpack.packing import max_packing_exact, verify_packing
 from ttpack.pipeline import (
     LOW_TRIANGLES,
     MID_TRIANGLES,
@@ -80,6 +80,83 @@ def test_f_min_small_values(cache_dir):
 def test_f_min_argmin_class_counts(cache_dir):
     assert len(f_min(4, cache_dir=cache_dir).argmin_codes) == 4
     assert len(f_min(5, cache_dir=cache_dir).argmin_codes) == 12
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_f_min_matches_unthresholded_solves_of_every_class(cache_dir, n):
+    # an independent route: no threshold, no witness pool
+    values = {
+        code: max_packing_exact(tournament_from_code(code), 3).value
+        for code in enumerate_codes(n, cache_dir=cache_dir)
+    }
+    least = min(values.values())
+    record = f_min(n, cache_dir=cache_dir)
+    assert record.f_value == least
+    assert record.argmin_codes == tuple(sorted(c for c, v in values.items() if v == least))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_f_min_is_the_same_at_two_workers(cache_dir, n):
+    assert f_min(n, cache_dir=cache_dir, workers=2) == f_min(n, cache_dir=cache_dir, workers=1)
+
+
+def test_f_min_pool_does_not_carry_over_to_another_k(cache_dir):
+    # a triple packing left from a k=3 sweep verifies as a packing, but
+    # says nothing about packings of TT_4
+    codes = enumerate_codes(7, cache_dir=cache_dir)
+    values = [max_packing_exact(tournament_from_code(code), 4).value for code in codes]
+    f_min(7, cache_dir=cache_dir)
+    assert f_min(7, k=4, cache_dir=cache_dir).f_value == min(values)
+
+
+def test_f_min_solve_count_at_order_8(cache_dir, monkeypatch):
+    # witnesses settle most classes; the pool is scoped to one call, so a
+    # second call repeats the first one's solves exactly
+    solves = []
+    original = pipeline.max_packing_exact
+
+    def counting(t, k, **kwargs):
+        p = original(t, k, **kwargs)
+        solves.append((kwargs.get("stop_at"), p.nodes_explored))
+        return p
+
+    monkeypatch.setattr(pipeline, "max_packing_exact", counting)
+    for _ in range(2):
+        solves.clear()
+        record = f_min(8, cache_dir=cache_dir)
+        thresholded = [nodes for stop_at, nodes in solves if stop_at is not None]
+        # the seed solve, 80 class solves and the 8 argmin re-solves
+        assert (len(solves), len(thresholded), len(record.argmin_codes)) == (89, 80, 8)
+        assert (sum(nodes for _, nodes in solves), sum(thresholded)) == (697, 656)
+
+
+def test_solve_code_falls_back_when_no_witness_fits(cache_dir, monkeypatch):
+    source = canonical_code(transitive_tournament(7))
+    target = f_min(7, cache_dir=cache_dir).argmin_codes[0]
+    witness = max_packing_exact(tournament_from_code(source), 3)
+    assert verify_packing(tournament_from_code(source), witness)
+    assert not verify_packing(tournament_from_code(target), witness)
+    assert witness.value == 7
+
+    monkeypatch.setattr(pipeline, "_witnesses", [witness])
+    assert pipeline._solve_code((target, 3, 6)) == (5, True)
+    # the miss's exact solve stays below the threshold, so the pool is unchanged
+    assert pipeline._witnesses == [witness]
+
+
+def test_solve_code_settles_a_class_a_witness_fits(monkeypatch):
+    source = canonical_code(transitive_tournament(7))
+    witness = max_packing_exact(tournament_from_code(source), 3)
+
+    def no_search(t, k, **kwargs):
+        raise AssertionError("a fitting witness must settle the class without a search")
+
+    monkeypatch.setattr(pipeline, "max_packing_exact", no_search)
+    monkeypatch.setattr(pipeline, "_witnesses", [witness])
+    assert pipeline._solve_code((source, 3, 6)) == (7, False)
+    # without a threshold every class is solved
+    with pytest.raises(AssertionError, match="without a search"):
+        pipeline._solve_code((source, 3, None))
 
 
 def test_f_min_rejects_out_of_range(cache_dir):
