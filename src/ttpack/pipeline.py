@@ -14,8 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
+from operator import itemgetter
 
 from .constructions import turan3_tournament
 from .designs import BlockDesign, ag2_lines, verify_design
@@ -119,24 +121,65 @@ class PipelineReport:
         return min(self.totals)
 
 
+@lru_cache(maxsize=None)
+def _triples(n: int) -> tuple[dict[tuple[int, int, int], int], tuple[itemgetter, ...]]:
+    """Triple indices of order n, and getters for the code's pair characters.
+
+    A triple i<j<k has its index in combinations(range(n), 3) order.  The
+    three getters read, for every triple, the code characters of its pairs
+    (i,j), (j,k) and (i,k), last triple first, so that int(..., 2) of
+    their join puts triple index x at bit x.
+    """
+    pair = {ij: pos for pos, ij in enumerate(combinations(range(n), 2))}
+    triples = list(combinations(range(n), 3))
+    index = {ijk: pos for pos, ijk in enumerate(triples)}
+    getters = tuple(
+        itemgetter(*(pair[ijk[a], ijk[b]] for ijk in reversed(triples)))
+        for a, b in ((0, 1), (1, 2), (0, 2))
+    )
+    return index, getters
+
+
+def _cyclic_mask(code: str) -> int:
+    """Bitset of the directed triangles of the class with this code, by triple index."""
+    n = (1 + isqrt(1 + 8 * len(code))) // 2
+    ij, jk, ik = (int("".join(get(code)), 2) for get in _triples(n)[1])
+    # for i<j<k the triple is cyclic iff (i,j) and (j,k) agree and (i,k) differs
+    return ~(ij ^ jk) & (ij ^ ik)
+
+
+def _triple_mask(p: Packing) -> int:
+    """Bitset of the triples that lie inside some copy of p, by triple index."""
+    index = _triples(p.n)[0]
+    mask = 0
+    for vs in p.copies:
+        for ijk in combinations(sorted(vs), 3):
+            mask |= 1 << index[ijk]
+    return mask
+
+
 # Packings that met f_min's threshold, in canonical labels, most recently
-# useful first.  Scoped to one f_min call: cleared at its start, before the
-# call creates its pool, so every worker starts empty.
-_witnesses: list[Packing] = []
+# useful first, each kept as (its triple mask, its value).  Scoped to one
+# f_min call: cleared at its start, before the call creates its pool, so
+# every worker starts empty.
+_witnesses: list[tuple[int, int]] = []
 
 
 def _solve_code(args: tuple[str, int, int | None]) -> tuple[int, bool]:
     """(value, optimal) of the class with this code; see f_min for stop_at."""
     code, k, stop_at = args
-    t = tournament_from_code(code)
     if stop_at is not None:
-        for i, w in enumerate(_witnesses):
-            if verify_packing(t, w):
+        cyclic = _cyclic_mask(code)
+        for i, (mask, value) in enumerate(_witnesses):
+            if not mask & cyclic:
                 _witnesses.insert(0, _witnesses.pop(i))
-                return w.value, False
+                return value, False
+    t = tournament_from_code(code)
     p = max_packing_exact(t, k, stop_at=stop_at)
     if not p.optimal:
-        _witnesses.insert(0, p)
+        if not verify_packing(t, p):
+            raise PipelineError(f"stopped solve of class {code} failed verification")
+        _witnesses.insert(0, (_triple_mask(p), p.value))
     return p.value, p.optimal
 
 
@@ -178,19 +221,31 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     first checked against a pool of witness packings: packings of
     earlier classes, in the shared canonical labels 0..n-1, that met the
     threshold.  They are tried most recently useful first, and a hit
-    moves to the front.  A class no witness fits is solved with stop_at
-    at the threshold; if that solve stops at the threshold, its packing
-    joins the front of the pool.  The pool is cleared at the start of
-    each call, before the pool of workers is made, so each worker keeps
-    its own.
+    moves to the front.  A witness is kept as its triple mask, the
+    triples i<j<k inside any of its copies, and it fits a class iff that
+    mask misses the class's cyclic-triple mask, read off the class's
+    code; a hit builds no tournament.  A class no witness fits is solved
+    with stop_at at the threshold; if that solve stops at the threshold,
+    its packing must pass verify_packing on that class, and then joins
+    the front of the pool.  The pool is cleared at the start of each
+    call, before the pool of workers is made, so each worker keeps its
+    own.
 
     Soundness: only a solve that stopped at the threshold adds a
     witness, and the pool holds the witnesses of this call alone, so
-    every witness has at least threshold copies of TT_k for this k.
-    verify_packing certifies from first principles that a witness is an
-    edge-disjoint family of copies transitive in this class, so a hit
-    proves P >= the threshold, the same fact a stopped solve proves.
-    Both kinds of class exceed every candidate minimum and are dropped.
+    every witness has at least threshold copies of TT_k for this k, on
+    the same n labels as every class of the call.  The admission check,
+    verify_packing on the class whose solve produced the witness,
+    certifies from first principles everything that does not depend on
+    the labels' edges: each copy has k distinct vertices in range, and
+    the copies are pairwise edge-disjoint.  What remains for a class is
+    that each copy is transitive there.  A tournament is transitive iff
+    it has no directed triangle (Moon, Topics on Tournaments, 1968), so
+    a copy is transitive in the class iff none of its C(k,3) triples is
+    cyclic there, which is what the AND of the two masks tests.  So a
+    fit is exactly verify_packing on the class, and a hit proves P >=
+    the threshold, the same fact a stopped solve proves.  Both kinds of
+    class exceed every candidate minimum and are dropped.
     Classes below the threshold are always solved exactly, and the
     claimed argmin classes are re-solved without the threshold to
     certify the minimum.  The seed host's class is never hit, since a

@@ -1,6 +1,7 @@
 """Threshold sweeps, minimum packing values, expectation identities, the
 rational LP corner, and the 49-vertex decomposition pipeline."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -138,10 +139,11 @@ def test_solve_code_falls_back_when_no_witness_fits(cache_dir, monkeypatch):
     assert not verify_packing(tournament_from_code(target), witness)
     assert witness.value == 7
 
-    monkeypatch.setattr(pipeline, "_witnesses", [witness])
+    entry = (pipeline._triple_mask(witness), witness.value)
+    monkeypatch.setattr(pipeline, "_witnesses", [entry])
     assert pipeline._solve_code((target, 3, 6)) == (5, True)
     # the miss's exact solve stays below the threshold, so the pool is unchanged
-    assert pipeline._witnesses == [witness]
+    assert pipeline._witnesses == [entry]
 
 
 def test_solve_code_settles_a_class_a_witness_fits(monkeypatch):
@@ -152,11 +154,45 @@ def test_solve_code_settles_a_class_a_witness_fits(monkeypatch):
         raise AssertionError("a fitting witness must settle the class without a search")
 
     monkeypatch.setattr(pipeline, "max_packing_exact", no_search)
-    monkeypatch.setattr(pipeline, "_witnesses", [witness])
+    monkeypatch.setattr(pipeline, "_witnesses", [(pipeline._triple_mask(witness), witness.value)])
     assert pipeline._solve_code((source, 3, 6)) == (7, False)
     # without a threshold every class is solved
     with pytest.raises(AssertionError, match="without a search"):
         pipeline._solve_code((source, 3, None))
+
+
+def test_f_min_rejects_a_stopped_packing_that_fails_verification(cache_dir, monkeypatch):
+    # a witness joins the pool only after verify_packing passes on its own class
+    monkeypatch.setattr(pipeline, "verify_packing", lambda t, p: False)
+    with pytest.raises(PipelineError, match="failed verification"):
+        f_min(7, cache_dir=cache_dir)
+
+
+def test_witness_fit_agrees_with_verify_packing(cache_dir, monkeypatch):
+    admitted = []
+    original = pipeline.verify_packing
+
+    def recording(t, p):
+        admitted.append(p)
+        return original(t, p)
+
+    monkeypatch.setattr(pipeline, "verify_packing", recording)
+    f_min(7, cache_dir=cache_dir)
+    codes = enumerate_codes(7, cache_dir=cache_dir)
+    # f_min admits no TT_4 witness at these orders, so the C(4,3)-triple
+    # masks are exercised on exact packings here
+    tt4 = [max_packing_exact(tournament_from_code(code), 4) for code in codes[::50]]
+    assert admitted and {w.k for w in admitted} == {3} and {w.k for w in tt4} == {4}
+    fits = Counter()
+    for code in codes:
+        t = tournament_from_code(code)
+        cyclic = pipeline._cyclic_mask(code)
+        assert cyclic.bit_count() == census(t).t
+        for w in admitted + tt4:
+            fit = not pipeline._triple_mask(w) & cyclic
+            assert fit == original(t, w), (code, w.copies)
+            fits[w.k, fit] += 1
+    assert all(fits[k, fit] for k in (3, 4) for fit in (False, True))
 
 
 def test_f_min_rejects_out_of_range(cache_dir):
