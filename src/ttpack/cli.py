@@ -38,6 +38,7 @@ from .enumeration import (
 from .experiments import ExperimentError, density_experiment, edge_copy_stats
 from .packing import Packing, PackingError, max_packing_exact, verify_packing
 from .pipeline import (
+    REGIMES,
     PipelineError,
     decomposition_pipeline,
     f_min,
@@ -77,6 +78,14 @@ def _int_at_least(low: int):
 
 _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), where a zero denominator is malformed input like any other."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _emit(args, result, text_lines=None) -> None:
@@ -253,11 +262,9 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_lp(args) -> int:
-    values = tuple(Fraction(v) for v in args.values.split(","))
-    costs = tuple(Fraction(c) for c in args.costs.split(","))
-    if len(values) != 3 or len(costs) != 2:
-        raise PipelineError(f"need 3 values and 2 costs, got {args.values!r}, {args.costs!r}")
-    res = lp_step(Fraction(args.budget), values, costs)
+    values = tuple(map(_fraction, args.values.split(",")))
+    costs = tuple(map(_fraction, args.costs.split(",")))
+    res = lp_step(_fraction(args.budget), values, costs)
     result = {
         "minimum": str(res.minimum),
         "argmin": [str(p) for p in res.argmin],
@@ -399,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lp", help="exact rational minimization over the budgeted simplex")
     p.add_argument("--budget", required=True, help="rational, e.g. 35/4")
-    p.add_argument("--values", default="7,6,5")
-    p.add_argument("--costs", default="5,12")
+    # the defaults are the order-7 regimes: each value with its regime's least t as cost
+    p.add_argument("--values", default=",".join(str(value) for _, value in REGIMES))
+    p.add_argument("--costs", default=",".join(str(start) for start, _ in REGIMES[1:]))
     common(p)
     p.set_defaults(handler=_cmd_lp)
 

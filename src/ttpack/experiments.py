@@ -77,6 +77,8 @@ def edge_copy_stats(t: Tournament, k: int) -> EdgeCopyStats:
         raise ExperimentError(f"edge statistics support k in (3, 4), got {k}")
     if t.n > limit:
         raise ExperimentError(f"edge statistics for k={k} capped at n <= {limit}, got {t.n}")
+    if t.n < 2:
+        raise ExperimentError(f"edge statistics need a host with an edge, got n={t.n}")
     n = t.n
     edge_count = n * (n - 1) // 2
     counts = [0] * edge_count

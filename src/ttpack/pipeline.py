@@ -1,16 +1,17 @@
 """Mechanized bound arguments built on the solver and the designs.
 
-Covers five instruments: exhaustive triangle-count thresholds over all
-456 seven-vertex classes, the exact minimum packing value over all
-classes of a given order (most classes settled by a verified witness
-packing of an earlier class, the rest by a thresholded solve), an exact
-expectation identity for induced subtournaments, a tiny exact-rational
-linear program, and a randomized 49-vertex decomposition pipeline that
+Covers five instruments: the triangle-count regimes checked over all 456
+seven-vertex classes, the exact minimum packing value over all classes
+of a given order (most classes settled by a verified witness packing of
+an earlier class, the rest by a thresholded solve), an exact expectation
+identity for induced subtournaments, an exact-rational LP over the
+regimes, and a randomized 49-vertex decomposition pipeline that
 assembles verified packings from per-block exact solves.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,7 @@ from math import comb, isqrt
 from operator import itemgetter
 
 from .constructions import turan3_tournament
-from .designs import BlockDesign, ag2_lines, verify_design
+from .designs import ag2_lines, verify_design
 from .enumeration import _pool_map, canonical_form, enumerate_codes, tournament_from_code
 from .packing import Packing, max_packing_exact, verify_packing
 from .rng import stdlib_rng, sub_seed
@@ -41,12 +42,15 @@ __all__ = [
     "verify_t7_thresholds",
 ]
 
-REFERENCE_DENSITY = Fraction(51, 392)
+# The regimes of the 7-vertex classes, checked by verify_t7_thresholds:
+# each entry is (the least directed-triangle count t of the regime, the P_3
+# that every class from that t on reaches).
+REGIMES = ((0, 7), (5, 6), (12, 5))
 
-# Triangle-count thresholds splitting the 7-vertex classes into the three
-# regimes the decomposition pipeline distinguishes.
-LOW_TRIANGLES = 4
-MID_TRIANGLES = 11
+
+def _regime(t: int) -> int:
+    """Index in REGIMES of the regime of a class with t directed triangles."""
+    return bisect_right(REGIMES, t, key=itemgetter(0)) - 1
 
 
 class PipelineError(RuntimeError):
@@ -64,12 +68,12 @@ class ClassThreshold:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Per-class records plus the three aggregate threshold flags."""
+    """Per-class records; the flags hold in every report, since a failed check raises."""
 
     records: tuple[ClassThreshold, ...]
-    low_triangle_perfect: bool
-    mid_triangle_six: bool
-    always_five: bool
+    low_triangle_perfect: bool = True
+    mid_triangle_six: bool = True
+    always_five: bool = True
 
     def joint_distribution(self) -> dict[tuple[int, int], int]:
         return dict(Counter((r.t, r.p) for r in self.records))
@@ -99,7 +103,7 @@ class InducedExpectation:
 @dataclass(frozen=True)
 class LPResult:
     minimum: Fraction
-    argmin: tuple[Fraction, Fraction, Fraction]
+    argmin: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -165,15 +169,14 @@ def _triple_mask(p: Packing) -> int:
 _witnesses: list[tuple[int, int]] = []
 
 
-def _solve_code(args: tuple[str, int, int | None]) -> tuple[int, bool]:
+def _solve_code(args: tuple[str, int, int]) -> tuple[int, bool]:
     """(value, optimal) of the class with this code; see f_min for stop_at."""
     code, k, stop_at = args
-    if stop_at is not None:
-        cyclic = _cyclic_mask(code)
-        for i, (mask, value) in enumerate(_witnesses):
-            if not mask & cyclic:
-                _witnesses.insert(0, _witnesses.pop(i))
-                return value, False
+    cyclic = _cyclic_mask(code)
+    for i, (mask, value) in enumerate(_witnesses):
+        if not mask & cyclic:
+            _witnesses.insert(0, _witnesses.pop(i))
+            return value, False
     t = tournament_from_code(code)
     p = max_packing_exact(t, k, stop_at=stop_at)
     if not p.optimal:
@@ -183,34 +186,44 @@ def _solve_code(args: tuple[str, int, int | None]) -> tuple[int, bool]:
     return p.value, p.optimal
 
 
-def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> ThresholdReport:
-    """Solve every 7-vertex class exactly and check the three threshold claims.
+# Exact answers per 7-vertex class, keyed by canonical code: the
+# directed-triangle count, the packing value and one optimal packing in
+# canonical labels.  Cleared at the start of each decomposition_pipeline and
+# verify_t7_thresholds call, before its pool is made: every worker starts empty.
+_class_memo: dict[str, tuple[int, int, tuple[tuple[int, ...], ...]]] = {}
 
-    Claims: triangle count at most 4 forces a perfect packing of 7; at
-    most 11 forces at least 6; every class packs at least 5.  Any
-    violation raises, naming the offending canonical code.  The solves
-    run in the workers; the triangle counts are taken here, one census
-    per class.
+
+def _block_class(code: str) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """(t, P_3, optimal copies) of the class with this code, solved once per call."""
+    entry = _class_memo.get(code)
+    if entry is None:
+        rep = tournament_from_code(code)
+        packed = max_packing_exact(rep, 3)
+        # one answer is reused for every block of the class, so it must be exact
+        if not packed.optimal:
+            raise PipelineError(f"solver gave up on block class {code}")
+        entry = _class_memo[code] = (census(rep).t, packed.value, packed.copies)
+    return entry
+
+
+def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> ThresholdReport:
+    """Solve every 7-vertex class exactly and check it against REGIMES.
+
+    A class with t directed triangles must pack at least the value of t's
+    regime and at most the perfect packing C(7,2)/3 = 7; a violation
+    raises, naming the class's canonical code.  The classes are solved
+    and censused by _block_class, in the workers.
     """
-    jobs = [(code, 3, None) for code in enumerate_codes(7, cache_dir=cache_dir)]
+    codes = enumerate_codes(7, cache_dir=cache_dir)
+    perfect = comb(7, 2) // 3
+    _class_memo.clear()
     records = []
-    for (code, *_), (p, optimal) in zip(jobs, _pool_map(_solve_code, jobs, workers)):
-        if not optimal:
-            raise PipelineError(f"solver gave up on class {code}")
-        t_count = census(tournament_from_code(code)).t
-        records.append(ClassThreshold(code, t_count, p))
-        if t_count <= LOW_TRIANGLES and p != 7:
-            raise PipelineError(f"class {code} has t={t_count} but P={p}, expected 7")
-        if t_count <= MID_TRIANGLES and p < 6:
-            raise PipelineError(f"class {code} has t={t_count} but P={p} < 6")
-        if p < 5:
-            raise PipelineError(f"class {code} has P={p} < 5")
-    return ThresholdReport(
-        records=tuple(records),
-        low_triangle_perfect=True,
-        mid_triangle_six=True,
-        always_five=True,
-    )
+    for code, (t, p, _) in zip(codes, _pool_map(_block_class, codes, workers)):
+        records.append(ClassThreshold(code, t, p))
+        floor = REGIMES[_regime(t)][1]
+        if not floor <= p <= perfect:
+            raise PipelineError(f"class {code} has t={t} but P={p}, outside [{floor}, {perfect}]")
+    return ThresholdReport(records=tuple(records))
 
 
 def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) -> FMinRecord:
@@ -297,64 +310,48 @@ def induced_expectation_check(t: Tournament, m: int) -> InducedExpectation:
 
 def lp_step(
     budget: Fraction,
-    values: tuple[Fraction, Fraction, Fraction],
-    costs: tuple[Fraction, Fraction],
+    values: tuple[Fraction, ...],
+    costs: tuple[Fraction, ...],
 ) -> LPResult:
-    """Minimize v1*p1 + v2*p2 + v3*p3 over the probability simplex with one budget.
+    """Minimize sum v_i*p_i over the probability simplex with one budget.
 
-    Constraints: p >= 0, p1+p2+p3 = 1, c2*p2 + c3*p3 <= budget.  The
-    polytope is two-dimensional, so the exact minimum is attained at one
-    of its vertices, enumerated in rational arithmetic.
+    Point i costs c_i = 0 for i = 0 and costs[i-1] after that, and the
+    budget constraint is sum c_i*p_i <= budget.  The exact minimum is at a
+    vertex of this polytope, enumerated in rational arithmetic: a point
+    within the budget, or two points whose costs straddle the budget,
+    mixed to spend it exactly.  Ties go to the least distribution.
     """
     budget = Fraction(budget)
-    v1, v2, v3 = (Fraction(v) for v in values)
-    c2, c3 = (Fraction(c) for c in costs)
-    if not v1 >= v2 >= v3 >= 0:
+    vs = [Fraction(v) for v in values]
+    cs = [Fraction(0), *map(Fraction, costs)]
+    if len(cs) != len(vs):
+        raise PipelineError(f"{len(values)} values need {len(values) - 1} costs, got {len(costs)}")
+    if any(a < b for a, b in zip(vs, vs[1:])) or vs[-1] < 0:
         raise PipelineError(f"values must be nonincreasing and nonnegative, got {values}")
-    if c2 <= 0 or c3 <= 0:
+    if any(c <= 0 for c in cs[1:]):
         raise PipelineError(f"costs must be positive, got {costs}")
     if budget < 0:
         raise PipelineError(f"budget must be nonnegative, got {budget}")
 
-    candidates = [
-        (Fraction(0), Fraction(0)),
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-        (budget / c2, Fraction(0)),
-        (Fraction(0), budget / c3),
-    ]
-    if c2 != c3:
-        p2 = (c3 - budget) / (c3 - c2)
-        candidates.append((p2, 1 - p2))
-    feasible = []
-    for p2, p3 in candidates:
-        if p2 >= 0 and p3 >= 0 and p2 + p3 <= 1 and c2 * p2 + c3 * p3 <= budget:
-            p1 = 1 - p2 - p3
-            feasible.append((v1 * p1 + v2 * p2 + v3 * p3, (p1, p2, p3)))
-    if not feasible:
-        raise PipelineError("empty feasible region")
-    minimum, argmin = min(feasible, key=lambda item: (item[0], item[1]))
+    mixes = [{i: Fraction(1)} for i, c in enumerate(cs) if c <= budget]
+    for i, j in combinations(range(len(cs)), 2):
+        if min(cs[i], cs[j]) < budget < max(cs[i], cs[j]):
+            wi = (cs[j] - budget) / (cs[j] - cs[i])
+            mixes.append({i: wi, j: 1 - wi})
+    points = [tuple(mix.get(i, Fraction(0)) for i in range(len(vs))) for mix in mixes]
+    minimum, argmin = min((sum(v * w for v, w in zip(vs, p)), p) for p in points)
     return LPResult(minimum=minimum, argmin=argmin)
 
 
-# Exact answers per 7-vertex block class, keyed by canonical code: the
-# directed-triangle count, the packing value and one optimal packing in
-# canonical labels.  Scoped to one decomposition_pipeline call: cleared at
-# its start, before the call creates its pool, so every worker starts empty.
-_class_memo: dict[str, tuple[int, int, tuple[tuple[int, ...], ...]]] = {}
-
-
-def _block_class(code: str) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """(t, P_3, optimal copies) of the class with this code, solved once per call."""
-    entry = _class_memo.get(code)
-    if entry is None:
-        rep = tournament_from_code(code)
-        packed = max_packing_exact(rep, 3)
-        # one answer is reused for every block of the class, so it must be exact
-        if not packed.optimal:
-            raise PipelineError(f"solver gave up on block class {code}")
-        entry = _class_memo[code] = (census(rep).t, packed.value, packed.copies)
-    return entry
+# The n^2 coefficient of the bound.  A random 7-subset holds at most about
+# C(7,3)/4 directed triangles on average, so the LP over REGIMES at that
+# budget floors a block's mean P_3; blocks split the host's about n^2/2
+# pairs into sets of C(7,2).
+REFERENCE_DENSITY = lp_step(
+    Fraction(comb(7, 3), 4),
+    tuple(value for _, value in REGIMES),
+    tuple(start for start, _ in REGIMES[1:]),
+).minimum / (2 * comb(7, 2))
 
 
 def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]):
@@ -378,13 +375,7 @@ def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...]
     return block_values, block_ts
 
 
-def decomposition_pipeline(
-    t: Tournament,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-    design: BlockDesign | None = None,
-) -> PipelineReport:
+def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int = 1) -> PipelineReport:
     """Randomized block-decomposition packing trials on a 49-vertex host.
 
     Each trial relabels the host by a seeded uniform permutation, solves
@@ -397,10 +388,9 @@ def decomposition_pipeline(
     Each block is canonicalized on the host itself, with no induced copy,
     and each isomorphism class is solved once per call: later blocks of
     the class reuse its packing, mapped back through the block's
-    canonical relabeling.
+    canonical relabeling.  p1-p3 are the shares of blocks in each regime.
     """
-    if design is None:
-        design = ag2_lines(7)
+    design = ag2_lines(7)
     if t.n != design.point_count:
         raise PipelineError(f"host has {t.n} vertices, design covers {design.point_count}")
     if not verify_design(design):
@@ -412,31 +402,25 @@ def decomposition_pipeline(
     jobs = [(i, t.out, sub_seed(seed, i), design.blocks) for i in range(trials)]
     totals = []
     histogram: Counter[int] = Counter()
-    regime_counts = [0, 0, 0]
-    block_count = len(design.blocks)
+    regimes: Counter[int] = Counter()
+    floor = min(value for _, value in REGIMES) * len(design.blocks)
     for i, (block_values, block_ts) in enumerate(_pool_map(_pipeline_trial, jobs, workers)):
         total = sum(block_values)
-        if total < 5 * block_count:
-            raise PipelineError(f"trial {i} total {total} fell below {5 * block_count}")
+        if total < floor:
+            raise PipelineError(f"trial {i} total {total} fell below {floor}")
         totals.append(total)
         histogram.update(block_values)
-        for bt in block_ts:
-            if bt <= LOW_TRIANGLES:
-                regime_counts[0] += 1
-            elif bt <= MID_TRIANGLES:
-                regime_counts[1] += 1
-            else:
-                regime_counts[2] += 1
-    blocks_total = trials * block_count
+        regimes.update(map(_regime, block_ts))
+    blocks_total = trials * len(design.blocks)
     return PipelineReport(
         n=t.n,
         trials=trials,
         seed=seed,
         totals=tuple(totals),
         block_value_histogram=dict(sorted(histogram.items())),
-        p1=Fraction(regime_counts[0], blocks_total),
-        p2=Fraction(regime_counts[1], blocks_total),
-        p3=Fraction(regime_counts[2], blocks_total),
+        p1=Fraction(regimes[0], blocks_total),
+        p2=Fraction(regimes[1], blocks_total),
+        p3=Fraction(regimes[2], blocks_total),
         mean_block_packing=Fraction(sum(totals), blocks_total),
         reference_density=REFERENCE_DENSITY,
     )

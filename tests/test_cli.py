@@ -175,6 +175,40 @@ def test_lp_command(capsys):
     assert code == 0
     assert doc["result"]["minimum"] == "153/28"
     assert doc["result"]["argmin"] == ["0", "13/28", "15/28"]
+    # accepted inputs are echoed as typed
+    code, doc, _ = run_json(capsys, "lp", "--budget", "70/8")
+    assert code == 0
+    assert doc["config"]["budget"] == "70/8"
+    assert doc["config"]["values"] == "7,6,5" and doc["config"]["costs"] == "5,12"
+    assert doc["result"]["minimum"] == "153/28"
+
+
+@pytest.mark.parametrize(
+    "argv, minimum, argmin",
+    [
+        (("--budget", "0"), "7", ["1", "0", "0"]),
+        (("--budget", "5"), "6", ["0", "1", "0"]),
+        (("--budget", "12"), "5", ["0", "0", "1"]),
+        (("--budget", "3", "--costs", "12,5"), "29/5", ["2/5", "0", "3/5"]),
+        (("--budget", "35/4", "--costs", "12,5"), "5", ["0", "0", "1"]),
+        # the order-9 LP: four points, three costs
+        (("--budget", "21", "--values", "12,11,10,9", "--costs", "7,20,27"), "48/5", ["0", "3/10", "0", "7/10"]),
+    ],
+)
+def test_lp_command_points(capsys, argv, minimum, argmin):
+    code, doc, _ = run_json(capsys, "lp", *argv)
+    assert code == 0
+    assert doc["result"] == {"minimum": minimum, "argmin": argmin}
+
+
+def test_lp_command_rejections_are_one_line(capsys):
+    code, out, err = run(capsys, "lp", "--budget", "1", "--values", "7,6,5,4")
+    assert (code, out) == (1, "")
+    assert err == "verification failed: 4 values need 3 costs, got 2\n"
+    # a zero denominator is malformed input, not a crash
+    code, out, err = run(capsys, "lp", "--budget", "1/0")
+    assert (code, out) == (2, "")
+    assert err == "error: zero denominator in '1/0'\n"
 
 
 def test_experiment_density_csv(capsys):
@@ -238,6 +272,9 @@ def test_text_format(capsys, qr7_file):
         (("fmin", "--n", "5", "--workers", "0"), "--workers: must be at least 1, got 0"),
         (("verify", "lemma22", "--workers", "-2"), "--workers: must be at least 1, got -2"),
         (("enumerate", "--n", "3", "--workers", "two"), "--workers: invalid int value: 'two'"),
+        (("experiment", "edge-stats", "--n", "1"), "error: edge statistics need a host with an edge, got n=1"),
+        (("lp", "--budget", "1/0"), "error: zero denominator in '1/0'"),
+        (("lp", "--budget", "1", "--values", "7,6,5/0"), "error: zero denominator in '5/0'"),
     ],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, qr7_file, argv, message):

@@ -81,6 +81,11 @@ def test_edge_stats_limits():
     with pytest.raises(ExperimentError):
         edge_copy_stats(big, 4)
     assert edge_copy_stats(big, 3).n == 61
+    # a 1-vertex host has no edge to average over, at either k
+    for k in (3, 4):
+        with pytest.raises(ExperimentError, match="with an edge"):
+            edge_copy_stats(random_tournament(1, 0), k)
+    assert edge_copy_stats(random_tournament(2, 0), 3).counts == (0,)
 
 
 def test_restricted_walk_lists_the_copies_inside_the_allowed_edges():

@@ -9,12 +9,10 @@ from math import comb
 import pytest
 
 from ttpack import pipeline
-from ttpack.designs import ag2_lines
 from ttpack.enumeration import canonical_code, enumerate_codes, tournament_from_code
 from ttpack.packing import max_packing_exact, verify_packing
 from ttpack.pipeline import (
-    LOW_TRIANGLES,
-    MID_TRIANGLES,
+    REGIMES,
     PipelineError,
     decomposition_pipeline,
     f_min,
@@ -37,7 +35,7 @@ def test_threshold_sweep_covers_every_class(threshold_report):
     assert threshold_report.mid_triangle_six
     assert threshold_report.always_five
     assert threshold_report.min_packing() == 5
-    assert LOW_TRIANGLES == 4 and MID_TRIANGLES == 11
+    assert REGIMES == ((0, 7), (5, 6), (12, 5))
 
 
 def test_joint_distribution_head(threshold_report):
@@ -58,6 +56,29 @@ def test_joint_distribution_head(threshold_report):
 
 def test_threshold_sweep_is_the_same_at_two_workers(cache_dir, threshold_report):
     assert verify_t7_thresholds(cache_dir, workers=2).records == threshold_report.records
+
+
+@pytest.mark.parametrize(
+    "ts, value",
+    [
+        (range(0, 1), 6),  # t <= 4 must pack 7
+        (range(5, 12), 5),  # t <= 11 must pack at least 6
+        (range(12, 15), 4),  # every class must pack at least 5
+        (range(5, 12), 8),  # no class packs more than C(7,2)/3 = 7
+    ],
+)
+def test_threshold_sweep_rejects_a_class_outside_its_regime(cache_dir, threshold_report, monkeypatch, ts, value):
+    code = next(r.code for r in threshold_report.records if r.t in ts)
+    target = tournament_from_code(code).out
+    original = pipeline.max_packing_exact
+
+    def forced(t, k, **kwargs):
+        p = original(t, k, **kwargs)
+        return replace(p, copies=(p.copies * 2)[:value]) if t.out == target else p
+
+    monkeypatch.setattr(pipeline, "max_packing_exact", forced)
+    with pytest.raises(PipelineError, match=f"class {code} has t=.* but P={value},"):
+        verify_t7_thresholds(cache_dir)
 
 
 def test_packing_value_is_reversal_invariant(threshold_report):
@@ -156,9 +177,6 @@ def test_solve_code_settles_a_class_a_witness_fits(monkeypatch):
     monkeypatch.setattr(pipeline, "max_packing_exact", no_search)
     monkeypatch.setattr(pipeline, "_witnesses", [(pipeline._triple_mask(witness), witness.value)])
     assert pipeline._solve_code((source, 3, 6)) == (7, False)
-    # without a threshold every class is solved
-    with pytest.raises(AssertionError, match="without a search"):
-        pipeline._solve_code((source, 3, None))
 
 
 def test_f_min_rejects_a_stopped_packing_that_fails_verification(cache_dir, monkeypatch):
@@ -239,6 +257,8 @@ def test_lp_rejects_bad_shapes():
         lp_step(Fraction(1), (Fraction(5), Fraction(6), Fraction(7)), (Fraction(5), Fraction(12)))
     with pytest.raises(PipelineError):
         lp_step(Fraction(1), (Fraction(7), Fraction(6), Fraction(5)), (Fraction(0), Fraction(12)))
+    with pytest.raises(PipelineError, match="3 values need 2 costs, got 1"):
+        lp_step(Fraction(1), (Fraction(7), Fraction(6), Fraction(5)), (Fraction(5),))
 
 
 def test_pipeline_on_random_host():
@@ -321,13 +341,6 @@ def test_pipeline_rejects_a_packing_that_fails_verification(monkeypatch, workers
     monkeypatch.setattr(pipeline, "verify_packing", lambda t, p: False)
     with pytest.raises(PipelineError, match="failed verification in trial 0"):
         decomposition_pipeline(random_tournament(49, 7), trials=2, seed=11, workers=workers)
-
-
-def test_pipeline_accepts_explicit_design():
-    t = random_tournament(49, 2)
-    d = ag2_lines(7)
-    report = decomposition_pipeline(t, trials=1, seed=3, design=d)
-    assert report.totals[0] >= 280
 
 
 def test_turan_host_meets_pipeline_floor():
