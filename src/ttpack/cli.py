@@ -19,9 +19,8 @@ import sys
 from fractions import Fraction
 
 from . import DEFAULT_SEED, FORMAT_VERSION, TOOL_VERSION
-from .constructions import ConstructionError, blowup, intra_class_edge_bound, qr7, turan3_tournament
+from .constructions import blowup, intra_class_edge_bound, qr7, turan3_tournament
 from .designs import (
-    DesignError,
     ag2_lines,
     all_sts7,
     fano_plane,
@@ -35,7 +34,7 @@ from .enumeration import (
     enumerate_codes,
     tournament_from_code,
 )
-from .experiments import ExperimentError, density_experiment, edge_copy_stats
+from .experiments import density_experiment, edge_copy_stats
 from .packing import Packing, PackingError, max_packing_exact, verify_packing
 from .pipeline import (
     REGIMES,
@@ -47,7 +46,6 @@ from .pipeline import (
 )
 from .tournament import (
     Tournament,
-    TournamentFormatError,
     census,
     parse_tournament,
     random_tournament,
@@ -275,6 +273,8 @@ def _cmd_lp(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.kind == "turan3":
+        if args.n is None:
+            raise ValueError("--turan3 requires --n")
         t = turan3_tournament(args.n, filler=args.filler, seed=args.seed)
     elif args.kind == "qr7":
         t = qr7()
@@ -320,6 +320,8 @@ def _cmd_experiment_density(args) -> int:
 def _cmd_experiment_edge_stats(args) -> int:
     if args.infile:
         t = _load_tournament(args.infile)
+    elif args.n is None:
+        raise ValueError("edge-stats requires --n or --in")
     else:
         t = random_tournament(args.n, args.seed)
     stats = edge_copy_stats(t, args.k)
@@ -372,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(handler=_cmd_census)
 
+    sweep_orders = range(3, MAX_ENUMERATION_VERTICES + 1)  # the orders f_min sweeps
     verify = sub.add_parser("verify", help="fail-closed verification sweeps").add_subparsers(
         dest="verify_target", required=True
     )
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cache=True, workers=True)
     p.set_defaults(handler=_cmd_verify_lemma22)
     p = verify.add_parser("conjecture", help="minimum packing values against the ceiling formula")
-    p.add_argument("--max-n", dest="max_n", type=int, default=8, choices=range(3, 9))
+    p.add_argument("--max-n", dest="max_n", type=int, default=sweep_orders[-1], choices=sweep_orders)
     common(p, cache=True, workers=True)
     p.set_defaults(handler=_cmd_verify_conjecture)
     p = verify.add_parser("design", help="pairwise balance of a design file")
@@ -393,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify_packing)
 
     p = sub.add_parser("fmin", help="minimum packing value over all classes of order n")
-    p.add_argument("--n", type=int, required=True, choices=range(3, 9))
+    p.add_argument("--n", type=int, required=True, choices=sweep_orders)
     p.add_argument("--k", type=int, default=3)
     common(p, cache=True, workers=True)
     p.set_defaults(handler=_cmd_fmin)
@@ -456,33 +459,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "construct":
-        if args.kind is None:
-            args.kind = "blowup"
-        if args.kind == "turan3" and args.n is None:
-            print("error: --turan3 requires --n", file=sys.stderr)
-            return 2
-    if getattr(args, "command", None) == "experiment" and args.experiment_kind == "edge-stats":
-        if args.infile is None and args.n is None:
-            print("error: edge-stats requires --n or --in", file=sys.stderr)
-            return 2
     try:
         return args.handler(args)
-    except TournamentFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PipelineError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except (
-        ConstructionError,
-        DesignError,
-        EnumerationError,
-        ExperimentError,
-        PackingError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
+        # every input and usage error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,11 +18,13 @@ one new vertex, canonicalize, deduplicate.  Of the 2^(n-1) extensions, only
 those whose new vertex has the least key (out-degree, then the sum of its
 out-neighbours' out-degrees) are canonicalized; every class still has such an
 extension (see `_extension_codes`).  Results are cached on disk keyed by
-order and format version.
+order and format version, and every list, read or built, must match the
+order's pinned digest in `CLASS_TABLE`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from collections.abc import Iterable, Sequence
@@ -33,10 +35,22 @@ from . import FORMAT_VERSION
 from .tournament import Tournament, census, tournament_from_bits
 
 MAX_CANONICAL_VERTICES = 10
-MAX_ENUMERATION_VERTICES = 8
 
-# Non-isomorphic tournament counts for n = 1..8.
-CLASS_COUNTS = (1, 1, 2, 4, 12, 56, 456, 6880)
+# One row per supported order n = 1, 2, ...: the number of isomorphism
+# classes, and the sha256 of their sorted codes joined by newlines.  The
+# count stands beside the digest, since [] and [""] join alike.
+CLASS_TABLE = (
+    (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"),
+    (2, "cf13902bae18fdcb1aa6d32989d110d63ac60aea394ea7e3f6cd0cb458090495"),
+    (4, "abe29de9fdfce7a7a82dd71e01fe7ccf79a36e96090a74fc14f563f11864c9f5"),
+    (12, "c860fd3127668cc249786136390e1ce50062d24df12c11ed2b1ea4c4778a232a"),
+    (56, "19b1706067fb0107b87f521fffbea03500e144ce276edcadcf7bf9d5d1432ece"),
+    (456, "13400bec677a3bb07553b465cdb7ae1ea9ef6f5f654f3820cb4024eb74c7f3c3"),
+    (6880, "cda7ebc640161eb812fef4d217d5ca092e4aeea73481c811b186f2be4dfef4d1"),
+)
+CLASS_COUNTS = tuple(count for count, _ in CLASS_TABLE)
+MAX_ENUMERATION_VERTICES = len(CLASS_TABLE)
 
 CACHE_ENV_VAR = "TTPACK_CACHE"
 DEFAULT_CACHE_DIR = "cache"
@@ -244,23 +258,25 @@ def _cache_path(cache_dir: str, n: int) -> str:
     return os.path.join(cache_dir, f"classes_n{n}_fmt{FORMAT_VERSION}.txt")
 
 
-def _read_cache(path: str, n: int) -> list[str] | None:
-    """The cached codes of order n, or None when the file is absent or fails a check.
+def _pin(codes: Sequence[str]) -> tuple[int, str]:
+    """The row of CLASS_TABLE that these codes, in this order, must match."""
+    return len(codes), hashlib.sha256("\n".join(codes).encode()).hexdigest()
 
-    A file passes when its header names order n and its body holds exactly
-    the known class count of that order, so a truncated or padded file is
-    rebuilt rather than used.
+
+def _read_cache(path: str, n: int) -> list[str] | None:
+    """The cached codes of order n, or None when the file is absent or misses the pin.
+
+    The header line is skipped, and every later line is one code: the
+    order-1 file holds one empty line.  A file passes only when its
+    codes match the order's row of CLASS_TABLE, so a truncated, padded
+    or repeated code list is rebuilt rather than used.
     """
     if not os.path.exists(path):
         return None
     with open(path) as fh:
-        header = fh.readline().split()
-        codes = [line.strip() for line in fh if line.strip()]
-    if len(header) != 2 or header[1] != f"n={n}" or header[0] != f"count={len(codes)}":
-        return None
-    if len(codes) != CLASS_COUNTS[n - 1]:
-        return None
-    return codes
+        fh.readline()
+        codes = fh.read().splitlines()
+    return codes if _pin(codes) == CLASS_TABLE[n - 1] else None
 
 
 def _write_cache(path: str, n: int, codes: list[str]) -> None:
@@ -289,30 +305,24 @@ def _pool_map(fn, jobs: list, workers: int):
         yield from pool.imap(fn, jobs, chunksize=math.ceil(len(jobs) / (4 * workers)))
 
 
-# Codes already read or built, keyed by (n, cache_dir): the worker count
-# changes how the codes are computed, never what they are.
-_codes_memo: dict[tuple[int, str], tuple[str, ...]] = {}
-
-
-def _codes(n: int, cache_dir: str, workers: int) -> tuple[str, ...]:
-    key = (n, cache_dir)
-    if key not in _codes_memo:
-        _codes_memo[key] = _read_or_build_codes(n, cache_dir, workers)
-    return _codes_memo[key]
-
-
 def _read_or_build_codes(n: int, cache_dir: str, workers: int) -> tuple[str, ...]:
+    """The codes of order n from the cache, or built from order n-1's and written.
+
+    A built list that misses its pin is never written: the build raises.
+    """
     path = _cache_path(cache_dir, n)
-    cached = _read_cache(path, n)
-    if cached is not None:
-        return tuple(cached)
-    if n == 1:
-        codes = [""]
-    else:
-        prev = _codes(n - 1, cache_dir, workers)
-        jobs = [(code, n - 1) for code in prev]
-        codes = sorted(set().union(*_pool_map(_extension_codes, jobs, workers)))
-    _write_cache(path, n, codes)
+    codes = _read_cache(path, n)
+    if codes is None:
+        if n == 1:
+            codes = [""]
+        else:
+            jobs = [(code, n - 1) for code in _read_or_build_codes(n - 1, cache_dir, workers)]
+            codes = sorted(set().union(*_pool_map(_extension_codes, jobs, workers)))
+        if _pin(codes) != CLASS_TABLE[n - 1]:
+            raise AssertionError(
+                f"enumeration self-check failed: the {len(codes)} codes of order {n} miss the pinned digest"
+            )
+        _write_cache(path, n, codes)
     return tuple(codes)
 
 
@@ -320,7 +330,7 @@ def enumerate_codes(n: int, cache_dir: str | None = None, workers: int = 1) -> t
     """Sorted canonical codes of all isomorphism classes of order n."""
     if not 1 <= n <= MAX_ENUMERATION_VERTICES:
         raise EnumerationError(f"enumeration capped at n <= {MAX_ENUMERATION_VERTICES}")
-    return _codes(n, resolve_cache_dir(cache_dir), workers)
+    return _read_or_build_codes(n, resolve_cache_dir(cache_dir), workers)
 
 
 def enumerate_nonisomorphic(

@@ -22,7 +22,13 @@ from operator import itemgetter
 
 from .constructions import turan3_tournament
 from .designs import ag2_lines, verify_design
-from .enumeration import _pool_map, canonical_form, enumerate_codes, tournament_from_code
+from .enumeration import (
+    MAX_ENUMERATION_VERTICES,
+    _pool_map,
+    canonical_form,
+    enumerate_codes,
+    tournament_from_code,
+)
 from .packing import Packing, max_packing_exact, verify_packing
 from .rng import stdlib_rng, sub_seed
 from .tournament import Tournament, census, induced
@@ -197,12 +203,11 @@ def _block_class(code: str) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
     """(t, P_3, optimal copies) of the class with this code, solved once per call."""
     entry = _class_memo.get(code)
     if entry is None:
-        rep = tournament_from_code(code)
-        packed = max_packing_exact(rep, 3)
+        packed = max_packing_exact(tournament_from_code(code), 3)
         # one answer is reused for every block of the class, so it must be exact
         if not packed.optimal:
             raise PipelineError(f"solver gave up on block class {code}")
-        entry = _class_memo[code] = (census(rep).t, packed.value, packed.copies)
+        entry = _class_memo[code] = (_cyclic_mask(code).bit_count(), packed.value, packed.copies)
     return entry
 
 
@@ -210,19 +215,22 @@ def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> Thre
     """Solve every 7-vertex class exactly and check it against REGIMES.
 
     A class with t directed triangles must pack at least the value of t's
-    regime and at most the perfect packing C(7,2)/3 = 7; a violation
-    raises, naming the class's canonical code.  The classes are solved
-    and censused by _block_class, in the workers.
+    regime and at most the perfect packing C(7,2)/3 = 7, and the packing
+    it counts must pass verify_packing on the class; a violation raises,
+    naming the class's canonical code.  The classes are solved by
+    _block_class, in the workers, and their packings are checked here.
     """
     codes = enumerate_codes(7, cache_dir=cache_dir)
     perfect = comb(7, 2) // 3
     _class_memo.clear()
     records = []
-    for code, (t, p, _) in zip(codes, _pool_map(_block_class, codes, workers)):
+    for code, (t, p, copies) in zip(codes, _pool_map(_block_class, codes, workers)):
         records.append(ClassThreshold(code, t, p))
         floor = REGIMES[_regime(t)][1]
         if not floor <= p <= perfect:
             raise PipelineError(f"class {code} has t={t} but P={p}, outside [{floor}, {perfect}]")
+        if not verify_packing(tournament_from_code(code), Packing(n=7, k=3, copies=copies)):
+            raise PipelineError(f"class {code} has a packing of {p} copies that fails verification")
     return ThresholdReport(records=tuple(records))
 
 
@@ -266,8 +274,8 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     which witness hits nor on the number of workers.  Only packing
     values are computed: no class is censused.
     """
-    if not 3 <= n <= 8:
-        raise PipelineError(f"minimum packing sweep supports 3 <= n <= 8, got {n}")
+    if not 3 <= n <= MAX_ENUMERATION_VERTICES:
+        raise PipelineError(f"minimum packing sweep supports 3 <= n <= {MAX_ENUMERATION_VERTICES}, got {n}")
     _witnesses.clear()
     seed_value = max_packing_exact(turan3_tournament(n), k).value
     jobs = [(code, k, seed_value + 1) for code in enumerate_codes(n, cache_dir=cache_dir)]

@@ -39,6 +39,6 @@ def sub_seed(seed: int, *indices: int) -> int:
     return mix(seed, 0x5EED, *indices)
 
 
-def stdlib_rng(seed: int, *indices: int) -> random.Random:
-    """A stdlib Random seeded from (seed, indices); used for shuffles/permutations."""
-    return random.Random(sub_seed(seed, *indices))
+def stdlib_rng(seed: int) -> random.Random:
+    """A stdlib Random seeded from seed; used for shuffles/permutations."""
+    return random.Random(sub_seed(seed))

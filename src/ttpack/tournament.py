@@ -42,9 +42,6 @@ class Tournament:
         """True iff the edge between u and v is oriented u -> v."""
         return bool(self.out[u] >> v & 1)
 
-    def out_degree(self, v: int) -> int:
-        return self.out[v].bit_count()
-
     def score(self) -> tuple[int, ...]:
         """Out-degree sequence sorted non-increasing."""
         return tuple(sorted((m.bit_count() for m in self.out), reverse=True))

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from ttpack import DEFAULT_SEED, FORMAT_VERSION, TOOL_VERSION
-from ttpack.cli import main
+from ttpack.cli import build_parser, main
 from ttpack.constructions import qr7
-from ttpack.enumeration import tournament_from_code
+from ttpack.enumeration import MAX_ENUMERATION_VERTICES, _cache_path, enumerate_codes, tournament_from_code
 from ttpack.tournament import parse_tournament, serialize_tournament
 
 ENVELOPE_KEYS = {"config", "format_version", "result", "seed", "tool", "tool_version"}
@@ -137,8 +137,40 @@ def test_construct_round_trips_through_parser(capsys, tmp_path):
 
 
 def test_construct_requires_order_for_turan(capsys):
-    code, _, err = run(capsys, "construct", "--turan3")
-    assert code == 2
+    assert run(capsys, "construct", "--turan3") == (2, "", "error: --turan3 requires --n\n")
+
+
+def test_edge_stats_requires_a_host(capsys):
+    assert run(capsys, "experiment", "edge-stats") == (2, "", "error: edge-stats requires --n or --in\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [("enumerate", "--n"), ("fmin", "--n"), ("verify", "conjecture", "--max-n")]
+)
+def test_order_choices_end_at_the_enumeration_cap(capsys, argv):
+    parser = build_parser()
+    assert parser.parse_args([*argv, str(MAX_ENUMERATION_VERTICES)]).handler
+    with pytest.raises(SystemExit):
+        parser.parse_args([*argv, str(MAX_ENUMERATION_VERTICES + 1)])
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_lemma22_on_a_cache_with_a_repeated_code(capsys, cache_dir, tmp_path, monkeypatch):
+    # the header and the count are intact, so only the digest can tell
+    enumerate_codes(7, cache_dir=cache_dir)
+    with open(_cache_path(cache_dir, 7)) as fh:
+        clean = fh.read()
+    header, *codes = clean.splitlines()
+    path = _cache_path(str(tmp_path), 7)
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *codes[:-1], codes[0]]) + "\n")
+    monkeypatch.setenv("TTPACK_CACHE", cache_dir)
+    expected = run(capsys, "verify", "lemma22")
+    monkeypatch.setenv("TTPACK_CACHE", str(tmp_path))
+    assert run(capsys, "verify", "lemma22") == expected
+    assert expected[0] == 0 and '"classes": 456' in expected[1]
+    with open(path) as fh:
+        assert fh.read() == clean
 
 
 def test_enumerate_with_cache(capsys, tmp_path):

@@ -1,12 +1,19 @@
 """Isomorph-free enumeration, canonical labeling, and the class cache."""
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
+
+import ttpack
 
 from oracles import (
     all_extension_codes,
@@ -18,6 +25,8 @@ from oracles import (
 from ttpack.constructions import qr7, turan3_tournament
 from ttpack.enumeration import (
     CLASS_COUNTS,
+    CLASS_TABLE,
+    MAX_ENUMERATION_VERTICES,
     EnumerationError,
     _cache_path,
     canonical_code,
@@ -234,19 +243,64 @@ def test_transitive_class_is_enumerated(cache_dir):
     assert canonical_code(transitive_tournament(6)) in codes
 
 
-def test_memo_ignores_worker_count(tmp_path, monkeypatch):
+def test_second_call_reads_the_cache_at_any_worker_count(tmp_path, monkeypatch):
     from ttpack import enumeration
 
-    built = []
-    original = enumeration._read_or_build_codes
+    extended = []
+    original = enumeration._extension_codes
 
-    def counting(n, cache_dir, workers):
-        built.append((n, workers))
-        return original(n, cache_dir, workers)
+    def counting(args):
+        extended.append(args)
+        return original(args)
 
-    monkeypatch.setattr(enumeration, "_read_or_build_codes", counting)
+    monkeypatch.setattr(enumeration, "_extension_codes", counting)
     first = enumerate_codes(5, cache_dir=str(tmp_path))
-    # a second worker count must reuse the memo, not rebuild or even reread
-    again = enumerate_codes(5, cache_dir=str(tmp_path), workers=2)
-    assert first == again
-    assert built == [(n, 1) for n in range(5, 0, -1)]
+    assert len(extended) == sum(CLASS_COUNTS[:4])
+    # another worker count reads the file the first call wrote
+    assert enumerate_codes(5, cache_dir=str(tmp_path), workers=2) == first
+    assert len(extended) == sum(CLASS_COUNTS[:4])
+
+
+def test_order_one_reads_back_without_a_rebuild(tmp_path, monkeypatch):
+    from ttpack import enumeration
+
+    assert enumerate_codes(1, cache_dir=str(tmp_path)) == ("",)
+    assert enumeration._read_cache(_cache_path(str(tmp_path), 1), 1) == [""]
+
+    def no_write(*args):
+        raise AssertionError("order 1 was rebuilt")
+
+    monkeypatch.setattr(enumeration, "_write_cache", no_write)
+    assert enumerate_codes(1, cache_dir=str(tmp_path)) == ("",)
+
+
+def test_cold_build_that_misses_its_pin_raises(tmp_path, monkeypatch):
+    from ttpack import enumeration
+
+    table = list(CLASS_TABLE)
+    table[3] = (4, "0" * 64)
+    monkeypatch.setattr(enumeration, "CLASS_TABLE", tuple(table))
+    with pytest.raises(AssertionError, match="codes of order 4 miss the pinned digest"):
+        enumerate_codes(4, cache_dir=str(tmp_path / "here"))
+    assert not os.path.exists(_cache_path(str(tmp_path / "here"), 4))
+    # `python -O` strips assert statements, not an explicit raise
+    script = (
+        "import sys; from ttpack import enumeration as e; "
+        "e.CLASS_TABLE = e.CLASS_TABLE[:3] + ((4, '0' * 64),) + e.CLASS_TABLE[4:]; "
+        "e.enumerate_codes(4, cache_dir=sys.argv[1])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ttpack.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(tmp_path / "optimized")], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 1
+    assert "AssertionError: enumeration self-check failed" in done.stderr
+
+
+def test_pin_table_has_one_row_per_class_count():
+    assert len(CLASS_TABLE) == len(CLASS_COUNTS) == MAX_ENUMERATION_VERTICES
+    assert CLASS_COUNTS == (1, 1, 2, 4, 12, 56, 456, 6880)
+    # the same figures as the benchmark's reference answers
+    reference = json.loads((Path(__file__).parent.parent / "perfbench" / "reference.json").read_text())
+    rows = [reference["enumerate"][str(n)] for n in range(1, MAX_ENUMERATION_VERTICES + 1)]
+    assert tuple((row["count"], row["sha256"]) for row in rows) == CLASS_TABLE

@@ -81,6 +81,21 @@ def test_threshold_sweep_rejects_a_class_outside_its_regime(cache_dir, threshold
         verify_t7_thresholds(cache_dir)
 
 
+def test_threshold_sweep_verifies_every_packing_it_counts(cache_dir, threshold_report, monkeypatch):
+    # seven copies of one triple stay inside the t=0 regime's [7, 7], but share edges
+    code = next(r.code for r in threshold_report.records if r.t == 0)
+    target = tournament_from_code(code).out
+    original = pipeline.max_packing_exact
+
+    def repeated(t, k, **kwargs):
+        p = original(t, k, **kwargs)
+        return replace(p, copies=p.copies[:1] * 7) if t.out == target else p
+
+    monkeypatch.setattr(pipeline, "max_packing_exact", repeated)
+    with pytest.raises(PipelineError, match=f"class {code} has a packing of 7 copies that fails verification"):
+        verify_t7_thresholds(cache_dir)
+
+
 def test_packing_value_is_reversal_invariant(threshold_report):
     by_code = {r.code: r.p for r in threshold_report.records}
     for i, record in enumerate(threshold_report.records):
