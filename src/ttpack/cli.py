@@ -216,12 +216,15 @@ def _cmd_verify_packing(args) -> int:
     t = _load_tournament(args.infile)
     with open(args.packing, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    body = doc.get("result", doc)
+    body = doc.get("result", doc) if isinstance(doc, dict) else doc
     try:
-        k = int(body["k"])
-        copies = tuple(tuple(int(v) for v in c) for c in body["copies"])
-    except (KeyError, TypeError, ValueError) as exc:
+        k = body["k"]
+        copies = tuple(tuple(c) for c in body["copies"])
+    except (KeyError, TypeError) as exc:
         raise PackingError(f"packing file missing solve fields: {exc}") from exc
+    # JSON integers only: int() would read 2.2, "012" and true as vertices
+    if type(k) is not int or not all(type(v) is int for c in copies for v in c):
+        raise PackingError("packing file k and vertices must be JSON integers")
     valid = verify_packing(t, Packing(n=t.n, k=k, copies=copies))
     result = {"n": t.n, "k": k, "members": len(copies), "valid": valid}
     _emit(args, result, [f"valid={valid}"])

@@ -15,7 +15,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations, compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -35,7 +35,7 @@ __all__ = [
 
 
 class PackingError(ValueError):
-    """Raised for out-of-range k."""
+    """Raised for out-of-range k and for malformed packing files."""
 
 
 class TTCopy(NamedTuple):
@@ -91,10 +91,8 @@ def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
 def _pair_mask(n: int, vertices: tuple[int, ...]) -> int:
     bits = _pair_bits(n)
     mask = 0
-    for a, u in enumerate(vertices):
-        row = bits[u]
-        for w in vertices[a + 1 :]:
-            mask |= row[w]
+    for u, w in combinations(vertices, 2):
+        mask |= bits[u][w]
     return mask
 
 
@@ -403,23 +401,28 @@ def greedy_packing(t: Tournament, k: int, seed: int) -> Packing:
 def verify_packing(t: Tournament, p: Packing) -> bool:
     """Check a packing from first principles, independent of solver internals.
 
-    Every copy must have k distinct vertices of the host, all in range,
-    and induce a transitive subtournament; the copies must be pairwise
-    edge-disjoint, covering exactly C(k,2) pairs each.  The covered pairs
-    are computed here from the copies alone.
+    Every copy must have k distinct vertices of the host, each an int (not
+    a bool) in range, and induce a transitive subtournament; the copies
+    must be pairwise edge-disjoint, covering exactly C(k,2) pairs each.
+    The covered pairs are computed here from the copies alone.
     """
-    if p.n != t.n or not 3 <= p.k <= t.n:
+    n, k = t.n, p.k
+    if p.n != n or not 3 <= k <= n:
         return False
-    per_copy = p.k * (p.k - 1) // 2
+    per_copy = k * (k - 1) // 2
     covered = 0
     for vs in p.copies:
-        if len(vs) != p.k or len(set(vs)) != p.k:
+        if len(vs) != k:
             return False
-        if not all(isinstance(v, int) and 0 <= v < t.n for v in vs):
+        # one pass: each vertex's type and range, before its shift
+        mask = 0
+        for v in vs:
+            if type(v) is not int or not 0 <= v < n:
+                return False
+            mask |= 1 << v
+        if mask.bit_count() != k or not is_transitive_on(t, vs):
             return False
-        if not is_transitive_on(t, vs):
-            return False
-        emask = _pair_mask(t.n, vs)
+        emask = _pair_mask(n, vs)
         if emask & covered:
             return False
         covered |= emask

@@ -195,8 +195,13 @@ def _solve_code(args: tuple[str, int, int]) -> tuple[int, bool]:
 # Exact answers per 7-vertex class, keyed by canonical code: the
 # directed-triangle count, the packing value and one optimal packing in
 # canonical labels.  Cleared at the start of each decomposition_pipeline and
-# verify_t7_thresholds call, before its pool is made: every worker starts empty.
+# verify_t7_thresholds call, before its pool is made: every worker starts
+# empty.  decomposition_pipeline clears _pattern_memo at the same point.
 _class_memo: dict[str, tuple[int, int, tuple[tuple[int, ...], ...]]] = {}
+
+# (canonical code, canonical order as positions in sorted vertex order) per
+# block pattern met in one decomposition_pipeline call; see its docstring.
+_pattern_memo: dict[int, tuple[str, bytes]] = {}
 
 
 def _block_class(code: str) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
@@ -372,12 +377,21 @@ def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...]
     block_ts = []
     copies: list[tuple[int, ...]] = []
     for block in blocks:
-        form = canonical_form(host, [perm[p] for p in block])
-        t_count, value, class_copies = _block_class(form.code)
+        vs = sorted(perm[p] for p in block)
+        pattern = 0
+        for u, w in combinations(vs, 2):
+            pattern = pattern << 1 | (out[u] >> w & 1)
+        entry = _pattern_memo.get(pattern)
+        if entry is None:
+            form = canonical_form(host, vs)
+            entry = _pattern_memo[pattern] = (form.code, bytes(map(vs.index, form.order)))
+        code, positions = entry
+        # canonical vertex v is host vertex order[v]
+        order = [vs[q] for q in positions]
+        t_count, value, class_copies = _block_class(code)
         block_ts.append(t_count)
         block_values.append(value)
-        # canonical vertex v is host vertex form.order[v]
-        copies.extend(tuple(sorted(form.order[v] for v in copy)) for copy in class_copies)
+        copies.extend(tuple(sorted(order[v] for v in copy)) for copy in class_copies)
     if not verify_packing(host, Packing(n=host.n, k=3, copies=tuple(copies))):
         raise PipelineError(f"assembled packing failed verification in trial {i}")
     return block_values, block_ts
@@ -397,6 +411,21 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
     and each isomorphism class is solved once per call: later blocks of
     the class reuse its packing, mapped back through the block's
     canonical relabeling.  p1-p3 are the shares of blocks in each regime.
+
+    Each distinct block pattern is labeled once per call.  A block's
+    pattern is its subtournament relabeled 0..6 in sorted vertex order,
+    kept as an int of its C(7,2) orientation bits.  The first block with
+    a pattern runs canonical_form, and _pattern_memo keeps its code and
+    its canonical order as positions in the sorted vertex list; a later
+    block with the pattern reads its order off those positions.  This is
+    exact: canonical_form's search (_min_code_rows) scans every cell
+    from its lowest vertex and otherwise sees only the orientations, so
+    its code, and the position in sorted order of each vertex of its
+    order, depend on the pattern alone.  A hit thus yields the code and
+    order that canonical_form would yield on that block, and every
+    trial's packing is the one a fresh labeling of each block builds.
+    Both memos are cleared here, before the pool of workers is made, so
+    each worker starts empty.
     """
     design = ag2_lines(7)
     if t.n != design.point_count:
@@ -407,6 +436,7 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
         raise PipelineError(f"trials must be positive, got {trials}")
 
     _class_memo.clear()
+    _pattern_memo.clear()
     jobs = [(i, t.out, sub_seed(seed, i), design.blocks) for i in range(trials)]
     totals = []
     histogram: Counter[int] = Counter()

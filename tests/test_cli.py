@@ -113,6 +113,35 @@ def test_verify_packing_rejects_malformed_copies(capsys, qr7_file, tmp_path, cop
     assert doc["result"]["valid"] is False
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"k": 3, "copies": [[0.9, 1, 2.2]]},
+        {"k": 3, "copies": ["012"]},
+        {"k": 3.7, "copies": [[0, 1, 2]]},
+        {"k": 3, "copies": [[0, True, 2]]},
+    ],
+    ids=["float-vertices", "string-copy", "float-k", "bool-vertex"],
+)
+def test_verify_packing_rejects_non_integer_fields(capsys, tmp_path, body):
+    # int() would read each of these as a valid packing of the transitive host
+    host = tmp_path / "tt3.txt"
+    host.write_text("n=3\n111\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(body))
+    code, out, err = run(capsys, "verify", "packing", "--in", str(host), "--packing", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: packing file k and vertices must be JSON integers\n"
+
+
+def test_verify_packing_rejects_a_file_that_is_not_an_object(capsys, qr7_file, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([[0, 1, 2]]))
+    code, out, err = run(capsys, "verify", "packing", "--in", qr7_file, "--packing", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: packing file missing solve fields") and err.count("\n") == 1
+
+
 def test_verify_design_round_trip(capsys, tmp_path):
     out = tmp_path / "fano.txt"
     assert main(["design", "--fano", "--out", str(out)]) == 0

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from oracles import brute_max_packing, scanned_copies
+from ttpack.constructions import qr7
 from ttpack.enumeration import enumerate_nonisomorphic
 from ttpack.packing import (
     Packing,
@@ -303,6 +304,43 @@ def test_verifier_rejects_overlap_and_bad_copies():
 
     out_of_range = replace(p, copies=((0, 1, 9),))
     assert not verify_packing(t, out_of_range)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"copies": ((-1, 0, 1),)},
+        {"copies": ((0, 1, 1),)},
+        {"copies": ((0, 1.0, 2),)},
+        {"copies": ((0, 1, "2"),)},
+        {"copies": ((0, 1, 2, 4),)},
+        {"n": 8},
+        {"k": 2, "copies": ((0, 1),)},
+        {"k": 8, "copies": (tuple(range(7)) + (0,),)},
+        {"copies": ((0, 1, 2), (1, 2, 5))},
+        {"copies": ((0, 1, 3),)},
+    ],
+    ids=[
+        "negative-vertex",
+        "repeated-vertex",
+        "float-vertex",
+        "string-vertex",
+        "wrong-length",
+        "order-mismatch",
+        "k-below-3",
+        "k-above-n",
+        "overlap",
+        "cyclic-copy",
+    ],
+)
+def test_verifier_rejection_table(changes):
+    # on qr7, i beats i+1, i+2 and i+4 mod 7: (0,1,2) and (1,2,5) are
+    # transitive, and 0->1->3->0 is a directed triangle
+    t = qr7()
+    base = Packing(n=7, k=3, copies=((0, 1, 2),))
+    assert verify_packing(t, base)
+    assert verify_packing(t, replace(base, copies=((1, 2, 5),)))
+    assert not verify_packing(t, replace(base, **changes))
 
 
 def test_verifier_rejects_nontransitive_copy():

@@ -9,7 +9,8 @@ from math import comb
 import pytest
 
 from ttpack import pipeline
-from ttpack.enumeration import canonical_code, enumerate_codes, tournament_from_code
+from ttpack.designs import ag2_lines
+from ttpack.enumeration import canonical_code, canonical_form, enumerate_codes, tournament_from_code
 from ttpack.packing import max_packing_exact, verify_packing
 from ttpack.pipeline import (
     REGIMES,
@@ -21,6 +22,7 @@ from ttpack.pipeline import (
     verify_t7_thresholds,
 )
 from ttpack.constructions import turan3_tournament
+from ttpack.rng import stdlib_rng, sub_seed
 from ttpack.tournament import (
     census,
     random_tournament,
@@ -356,6 +358,78 @@ def test_pipeline_rejects_a_packing_that_fails_verification(monkeypatch, workers
     monkeypatch.setattr(pipeline, "verify_packing", lambda t, p: False)
     with pytest.raises(PipelineError, match="failed verification in trial 0"):
         decomposition_pipeline(random_tournament(49, 7), trials=2, seed=11, workers=workers)
+
+
+GATE_HOSTS = {
+    "random": lambda: random_tournament(49, 7),
+    "turan3": lambda: turan3_tournament(49),
+    "transitive": lambda: transitive_tournament(49),
+}
+
+
+def counting_canonical_form(monkeypatch):
+    calls = []
+    original = pipeline.canonical_form
+
+    def counting(t, vertices=None):
+        calls.append(vertices)
+        return original(t, vertices)
+
+    monkeypatch.setattr(pipeline, "canonical_form", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "host, trials, most", [("transitive", 2, 1), ("turan3", 10, 22)]
+)
+def test_pipeline_labels_each_block_pattern_once(monkeypatch, host, trials, most):
+    calls = counting_canonical_form(monkeypatch)
+    decomposition_pipeline(GATE_HOSTS[host](), trials=trials, seed=11, workers=1)
+    assert 1 <= len(calls) <= most
+    assert len(calls) == len(pipeline._pattern_memo)
+
+
+@pytest.mark.parametrize("host", sorted(GATE_HOSTS))
+def test_pattern_memo_assembles_the_packings_of_fresh_labels(monkeypatch, host):
+    assembled = []
+    original = pipeline.verify_packing
+
+    def recording(t, p):
+        assembled.append(p.copies)
+        return original(t, p)
+
+    monkeypatch.setattr(pipeline, "verify_packing", recording)
+    t = GATE_HOSTS[host]()
+    blocks = ag2_lines(7).blocks
+    trials = 4
+    for seed in (11, 12):
+        decomposition_pipeline(t, trials=trials, seed=seed)
+    # each trial rebuilt with canonical_form on every block, as if no
+    # pattern had been met before
+    expected = []
+    for seed in (11, 12):
+        for trial in range(trials):
+            perm = list(range(t.n))
+            stdlib_rng(sub_seed(seed, trial)).shuffle(perm)
+            copies = []
+            for block in blocks:
+                form = canonical_form(t, [perm[p] for p in block])
+                class_copies = max_packing_exact(tournament_from_code(form.code), 3).copies
+                copies.extend(tuple(sorted(form.order[v] for v in c)) for c in class_copies)
+            expected.append(tuple(copies))
+    assert assembled == expected
+
+
+def test_second_pipeline_call_rebuilds_the_pattern_memo(monkeypatch):
+    t = turan3_tournament(49)
+    first = decomposition_pipeline(t, trials=3, seed=11)
+    patterns = dict(pipeline._pattern_memo)
+    calls = counting_canonical_form(monkeypatch)
+    second = decomposition_pipeline(t, trials=3, seed=11)
+    # the memo starts empty: every pattern is labeled again, once
+    assert len(calls) == len(patterns) >= 1
+    assert pipeline._pattern_memo == patterns
+    assert first == second
 
 
 def test_turan_host_meets_pipeline_floor():
