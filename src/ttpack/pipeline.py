@@ -5,8 +5,9 @@ seven-vertex classes, the exact minimum packing value over all classes
 of a given order (most classes settled by a verified witness packing of
 an earlier class, the rest by a thresholded solve), an exact expectation
 identity for induced subtournaments, an exact-rational LP over the
-regimes, and a randomized 49-vertex decomposition pipeline that
-assembles verified packings from per-block exact solves.
+regimes, and a randomized 49-vertex decomposition pipeline that packs
+each block by a scan over the 30 labeled Fano planes and verifies every
+assembled packing.
 """
 
 from __future__ import annotations
@@ -21,14 +22,8 @@ from math import comb, isqrt
 from operator import itemgetter
 
 from .constructions import turan3_tournament
-from .designs import ag2_lines, verify_design
-from .enumeration import (
-    MAX_ENUMERATION_VERTICES,
-    _pool_map,
-    canonical_form,
-    enumerate_codes,
-    tournament_from_code,
-)
+from .designs import ag2_lines, all_sts7, verify_design
+from .enumeration import MAX_ENUMERATION_VERTICES, _pool_map, enumerate_codes, tournament_from_code
 from .packing import Packing, max_packing_exact, verify_packing
 from .rng import stdlib_rng, sub_seed
 from .tournament import Tournament, census, induced
@@ -192,28 +187,38 @@ def _solve_code(args: tuple[str, int, int]) -> tuple[int, bool]:
     return p.value, p.optimal
 
 
-# Exact answers per 7-vertex class, keyed by canonical code: the
-# directed-triangle count, the packing value and one optimal packing in
-# canonical labels.  Cleared at the start of each decomposition_pipeline and
-# verify_t7_thresholds call, before its pool is made: every worker starts
-# empty.  decomposition_pipeline clears _pattern_memo at the same point.
-_class_memo: dict[str, tuple[int, int, tuple[tuple[int, ...], ...]]] = {}
-
-# (canonical code, canonical order as positions in sorted vertex order) per
-# block pattern met in one decomposition_pipeline call; see its docstring.
-_pattern_memo: dict[int, tuple[str, bytes]] = {}
+# (t, transitive lines of a best Fano plane, as positions in sorted vertex
+# order) per block pattern met in one decomposition_pipeline call, which
+# clears it before its pool is made: every worker starts empty.
+_pattern_memo: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
 
 
-def _block_class(code: str) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """(t, P_3, optimal copies) of the class with this code, solved once per call."""
-    entry = _class_memo.get(code)
-    if entry is None:
-        packed = max_packing_exact(tournament_from_code(code), 3)
-        # one answer is reused for every block of the class, so it must be exact
-        if not packed.optimal:
-            raise PipelineError(f"solver gave up on block class {code}")
-        entry = _class_memo[code] = (_cyclic_mask(code).bit_count(), packed.value, packed.copies)
-    return entry
+@lru_cache(maxsize=None)
+def _fano_planes() -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """(triple mask, lines) of each of the 30 labeled Fano planes on 0..6."""
+    index = _triples(7)[0]
+    return tuple((sum(1 << index[line] for line in d.blocks), d.blocks) for d in all_sts7())
+
+
+def _fano_scan(cyclic: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Least cyclic lines of a Fano plane on 0..6, and a least plane's other lines."""
+    least, best = 8, ()
+    for mask, lines in _fano_planes():
+        miss = (mask & cyclic).bit_count()
+        if miss < least:
+            least, best = miss, lines
+            if not miss:
+                break
+    index = _triples(7)[0]
+    return least, tuple(line for line in best if not cyclic >> index[line] & 1)
+
+
+def _solve_class(code: str) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """(t, P_3, optimal copies) of the class with this code."""
+    packed = max_packing_exact(tournament_from_code(code), 3)
+    if not packed.optimal:
+        raise PipelineError(f"solver gave up on class {code}")
+    return _cyclic_mask(code).bit_count(), packed.value, packed.copies
 
 
 def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> ThresholdReport:
@@ -222,14 +227,13 @@ def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> Thre
     A class with t directed triangles must pack at least the value of t's
     regime and at most the perfect packing C(7,2)/3 = 7, and the packing
     it counts must pass verify_packing on the class; a violation raises,
-    naming the class's canonical code.  The classes are solved by
-    _block_class, in the workers, and their packings are checked here.
+    naming the class's canonical code.  Each class is solved once by
+    _solve_class, in the workers, and its packing is checked here.
     """
     codes = enumerate_codes(7, cache_dir=cache_dir)
     perfect = comb(7, 2) // 3
-    _class_memo.clear()
     records = []
-    for code, (t, p, copies) in zip(codes, _pool_map(_block_class, codes, workers)):
+    for code, (t, p, copies) in zip(codes, _pool_map(_solve_class, codes, workers)):
         records.append(ClassThreshold(code, t, p))
         floor = REGIMES[_regime(t)][1]
         if not floor <= p <= perfect:
@@ -383,15 +387,15 @@ def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...]
             pattern = pattern << 1 | (out[u] >> w & 1)
         entry = _pattern_memo.get(pattern)
         if entry is None:
-            form = canonical_form(host, vs)
-            entry = _pattern_memo[pattern] = (form.code, bytes(map(vs.index, form.order)))
-        code, positions = entry
-        # canonical vertex v is host vertex order[v]
-        order = [vs[q] for q in positions]
-        t_count, value, class_copies = _block_class(code)
+            cyclic = _cyclic_mask(format(pattern, "021b"))
+            least, lines = _fano_scan(cyclic)
+            if least > 2:
+                raise PipelineError(f"no Fano plane has under {least} cyclic lines on block {vs} in trial {i}")
+            entry = _pattern_memo[pattern] = (cyclic.bit_count(), lines)
+        t_count, lines = entry
         block_ts.append(t_count)
-        block_values.append(value)
-        copies.extend(tuple(sorted(order[v] for v in copy)) for copy in class_copies)
+        block_values.append(len(lines))
+        copies.extend((vs[a], vs[b], vs[c]) for a, b, c in lines)
     if not verify_packing(host, Packing(n=host.n, k=3, copies=tuple(copies))):
         raise PipelineError(f"assembled packing failed verification in trial {i}")
     return block_values, block_ts
@@ -400,32 +404,29 @@ def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...]
 def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int = 1) -> PipelineReport:
     """Randomized block-decomposition packing trials on a 49-vertex host.
 
-    Each trial relabels the host by a seeded uniform permutation, solves
-    the exact triple packing inside each of the 56 affine-plane blocks,
-    and assembles the per-block copies into one host packing, which is
+    Each trial relabels the host by a seeded uniform permutation, packs
+    the triples inside each of the 56 affine-plane blocks exactly, and
+    assembles the per-block copies into one host packing, which is
     verified from first principles.  Blocks are edge-disjoint, so the
     assembly is always a valid packing; each trial total is the sum of
-    56 per-block exact values.
+    56 per-block exact values.  p1-p3 are the shares of blocks in each
+    regime.
 
-    Each block is canonicalized on the host itself, with no induced copy,
-    and each isomorphism class is solved once per call: later blocks of
-    the class reuse its packing, mapped back through the block's
-    canonical relabeling.  p1-p3 are the shares of blocks in each regime.
-
-    Each distinct block pattern is labeled once per call.  A block's
-    pattern is its subtournament relabeled 0..6 in sorted vertex order,
-    kept as an int of its C(7,2) orientation bits.  The first block with
-    a pattern runs canonical_form, and _pattern_memo keeps its code and
-    its canonical order as positions in the sorted vertex list; a later
-    block with the pattern reads its order off those positions.  This is
-    exact: canonical_form's search (_min_code_rows) scans every cell
-    from its lowest vertex and otherwise sees only the orientations, so
-    its code, and the position in sorted order of each vertex of its
-    order, depend on the pattern alone.  A hit thus yields the code and
-    order that canonical_form would yield on that block, and every
-    trial's packing is the one a fresh labeling of each block builds.
-    Both memos are cleared here, before the pool of workers is made, so
-    each worker starts empty.
+    A block is read as its pattern: its subtournament relabeled 0..6 in
+    sorted vertex order, kept as an int of its C(7,2) orientation bits.
+    Its cyclic triples are read off the pattern, and least is the fewest
+    of them on the lines of any of the 30 labeled Fano planes; the
+    block's value is 7 - least, packed by that plane's transitive lines.
+    This is exact for least <= 2.  Any 7 edge-disjoint triples on 7
+    points form a Fano plane.  Any 6 leave 3 edges in which every
+    vertex has even degree, a triangle, so they complete to a plane.
+    So P = 7 iff least = 0 and P = 6 iff least = 1; when least = 2, the
+    plane's 5 transitive lines give P >= 5, and P <= 5 by the above.
+    The 30 planes are closed under relabeling, so least depends on the
+    block's class alone; it is at most 2 on all 456 classes, and a
+    block with least > 2 raises.  _pattern_memo keeps
+    each pattern's t and lines once per call, cleared here before the
+    pool of workers is made, so each worker starts empty.
     """
     design = ag2_lines(7)
     if t.n != design.point_count:
@@ -435,7 +436,6 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
     if trials < 1:
         raise PipelineError(f"trials must be positive, got {trials}")
 
-    _class_memo.clear()
     _pattern_memo.clear()
     jobs = [(i, t.out, sub_seed(seed, i), design.blocks) for i in range(trials)]
     totals = []

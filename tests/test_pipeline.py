@@ -4,14 +4,15 @@ rational LP corner, and the 49-vertex decomposition pipeline."""
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from ttpack import pipeline
+from ttpack import enumeration, pipeline
 from ttpack.designs import ag2_lines
 from ttpack.enumeration import canonical_code, canonical_form, enumerate_codes, tournament_from_code
-from ttpack.packing import max_packing_exact, verify_packing
+from ttpack.packing import Packing, max_packing_exact, verify_packing
 from ttpack.pipeline import (
     REGIMES,
     PipelineError,
@@ -24,9 +25,11 @@ from ttpack.pipeline import (
 from ttpack.constructions import turan3_tournament
 from ttpack.rng import stdlib_rng, sub_seed
 from ttpack.tournament import (
+    Tournament,
     census,
     random_tournament,
     reverse,
+    tournament_bits,
     transitive_tournament,
 )
 
@@ -317,29 +320,11 @@ def test_pipeline_workers_agree():
     assert a.totals == b.totals
 
 
-def test_pipeline_solves_each_block_class_once_per_call(monkeypatch):
-    solved = []
-    original = pipeline.max_packing_exact
-
-    def counting(t, k, **kwargs):
-        solved.append(canonical_code(t))
-        return original(t, k, **kwargs)
-
-    monkeypatch.setattr(pipeline, "max_packing_exact", counting)
-    t = random_tournament(49, 7)
-    # 10 trials cut 560 blocks, more than there are classes of order 7
-    first = decomposition_pipeline(t, trials=10, seed=11)
-    per_call = len(solved)
-    second = decomposition_pipeline(t, trials=10, seed=11)
-    assert len(solved) == 2 * per_call
-    assert solved[:per_call] == solved[per_call:]
-    assert len(set(solved[:per_call])) == per_call <= 456
-    assert first == second
-
-
 @pytest.mark.parametrize("workers", [1, 2])
-def test_pipeline_rejects_a_non_optimal_class_solve(monkeypatch, workers):
-    # at workers=2 the error is raised in a pool worker and reaches the caller
+def test_pipeline_rejects_a_non_optimal_class_solve(cache_dir, monkeypatch, workers):
+    # the threshold sweep is the pipeline module's one caller of the solver
+    # that must be exact; at workers=2 the error is raised in a pool worker
+    # and reaches the caller
     original = pipeline.max_packing_exact
 
     def gave_up(t, k, **kwargs):
@@ -347,7 +332,17 @@ def test_pipeline_rejects_a_non_optimal_class_solve(monkeypatch, workers):
 
     monkeypatch.setattr(pipeline, "max_packing_exact", gave_up)
     with pytest.raises(PipelineError, match="gave up"):
-        decomposition_pipeline(random_tournament(49, 7), trials=1, seed=11, workers=workers)
+        verify_t7_thresholds(cache_dir, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pipeline_rejects_a_block_no_fano_plane_packs(monkeypatch, workers):
+    # with one plane left in the table, some block of the random host has
+    # 3 or more cyclic lines on it, where the scan proves no value
+    planes = pipeline._fano_planes()[:1]
+    monkeypatch.setattr(pipeline, "_fano_planes", lambda: planes)
+    with pytest.raises(PipelineError, match="no Fano plane has under [3-7] cyclic lines on block"):
+        decomposition_pipeline(random_tournament(49, 7), trials=2, seed=11, workers=workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -367,66 +362,127 @@ GATE_HOSTS = {
 }
 
 
-def counting_canonical_form(monkeypatch):
+def counting_scans(monkeypatch):
+    # a scan runs exactly on a miss of the pattern memo
     calls = []
-    original = pipeline.canonical_form
+    original = pipeline._fano_scan
 
-    def counting(t, vertices=None):
-        calls.append(vertices)
-        return original(t, vertices)
+    def counting(cyclic):
+        calls.append(cyclic)
+        return original(cyclic)
 
-    monkeypatch.setattr(pipeline, "canonical_form", counting)
+    monkeypatch.setattr(pipeline, "_fano_scan", counting)
     return calls
+
+
+def test_fano_plane_table_holds_the_30_labeled_planes():
+    planes = pipeline._fano_planes()
+    index = pipeline._triples(7)[0]
+    assert len(planes) == 30
+    assert len({mask for mask, _ in planes}) == 30
+    for mask, lines in planes:
+        assert mask == sum(1 << index[line] for line in lines)
+        pairs = [pair for line in lines for pair in combinations(line, 2)]
+        assert sorted(pairs) == list(combinations(range(7), 2))
+
+
+def test_fano_scan_is_exact_on_every_class(cache_dir):
+    perfect = comb(7, 2) // 3
+    for i, code in enumerate(enumerate_codes(7, cache_dir=cache_dir)):
+        canonical = tournament_from_code(code)
+        perm = list(range(7))
+        stdlib_rng(sub_seed(7, i)).shuffle(perm)
+        out = [0] * 7
+        for u in range(7):
+            for w in range(7):
+                if canonical.out[u] >> w & 1:
+                    out[perm[u]] |= 1 << perm[w]
+        relabeled = Tournament(7, tuple(out))
+        for t in (canonical, relabeled):
+            least, lines = pipeline._fano_scan(pipeline._cyclic_mask(tournament_bits(t)))
+            assert least <= 2, code
+            assert len(lines) == perfect - least == max_packing_exact(t, 3).value, code
+            assert verify_packing(t, Packing(n=7, k=3, copies=lines)), code
 
 
 @pytest.mark.parametrize(
     "host, trials, most", [("transitive", 2, 1), ("turan3", 10, 22)]
 )
 def test_pipeline_labels_each_block_pattern_once(monkeypatch, host, trials, most):
-    calls = counting_canonical_form(monkeypatch)
+    calls = counting_scans(monkeypatch)
     decomposition_pipeline(GATE_HOSTS[host](), trials=trials, seed=11, workers=1)
     assert 1 <= len(calls) <= most
     assert len(calls) == len(pipeline._pattern_memo)
 
 
 @pytest.mark.parametrize("host", sorted(GATE_HOSTS))
-def test_pattern_memo_assembles_the_packings_of_fresh_labels(monkeypatch, host):
+def test_pipeline_block_values_match_exact_class_solves(monkeypatch, host):
+    trial_results = []
+    original_trial = pipeline._pipeline_trial
+
+    def recording_trial(args):
+        result = original_trial(args)
+        trial_results.append(result)
+        return result
+
     assembled = []
-    original = pipeline.verify_packing
+    original_verify = pipeline.verify_packing
 
-    def recording(t, p):
+    def recording_verify(t, p):
         assembled.append(p.copies)
-        return original(t, p)
+        return original_verify(t, p)
 
-    monkeypatch.setattr(pipeline, "verify_packing", recording)
+    solver_calls = []
+    labeling_calls = []
+
+    def counting(calls, original):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "_pipeline_trial", recording_trial)
+    monkeypatch.setattr(pipeline, "verify_packing", recording_verify)
+    monkeypatch.setattr(pipeline, "max_packing_exact", counting(solver_calls, max_packing_exact))
+    monkeypatch.setattr(enumeration, "canonical_form", counting(labeling_calls, canonical_form))
     t = GATE_HOSTS[host]()
     blocks = ag2_lines(7).blocks
     trials = 4
     for seed in (11, 12):
-        decomposition_pipeline(t, trials=trials, seed=seed)
-    # each trial rebuilt with canonical_form on every block, as if no
-    # pattern had been met before
-    expected = []
+        decomposition_pipeline(t, trials=trials, seed=seed, workers=1)
+    assert solver_calls == labeling_calls == []
+    assert len(trial_results) == len(assembled) == 2 * trials
+
+    # the oracle: each block's class, labeled canonically and solved exactly
+    class_values: dict[str, int] = {}
+    results = iter(zip(trial_results, assembled))
     for seed in (11, 12):
         for trial in range(trials):
+            (block_values, _), copies = next(results)
+            assert len(block_values) == len(blocks)
+            assert len(copies) == sum(block_values)
             perm = list(range(t.n))
             stdlib_rng(sub_seed(seed, trial)).shuffle(perm)
-            copies = []
-            for block in blocks:
-                form = canonical_form(t, [perm[p] for p in block])
-                class_copies = max_packing_exact(tournament_from_code(form.code), 3).copies
-                copies.extend(tuple(sorted(form.order[v] for v in c)) for c in class_copies)
-            expected.append(tuple(copies))
-    assert assembled == expected
+            start = 0
+            for block, value in zip(blocks, block_values):
+                vs = [perm[p] for p in block]
+                code = canonical_form(t, vs).code
+                if code not in class_values:
+                    class_values[code] = max_packing_exact(tournament_from_code(code), 3).value
+                assert value == class_values[code], (seed, trial, block)
+                for copy in copies[start : start + value]:
+                    assert set(copy) <= set(vs), (seed, trial, block, copy)
+                start += value
 
 
 def test_second_pipeline_call_rebuilds_the_pattern_memo(monkeypatch):
     t = turan3_tournament(49)
     first = decomposition_pipeline(t, trials=3, seed=11)
     patterns = dict(pipeline._pattern_memo)
-    calls = counting_canonical_form(monkeypatch)
+    calls = counting_scans(monkeypatch)
     second = decomposition_pipeline(t, trials=3, seed=11)
-    # the memo starts empty: every pattern is labeled again, once
+    # the memo starts empty: every pattern is scanned again, once
     assert len(calls) == len(patterns) >= 1
     assert pipeline._pattern_memo == patterns
     assert first == second

@@ -17,9 +17,7 @@ def test_package_has_no_bare_assert():
     assert bare == []
 
 
-def test_tests_read_every_name_they_import():
-    files = sorted(Path(__file__).parent.glob("*.py"))
-    assert files
+def unused_imports(files) -> list[str]:
     unused = []
     for path in files:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -35,4 +33,17 @@ def test_tests_read_every_name_they_import():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read:
                         unused.append(f"{path.name}:{node.lineno} {name}")
-    assert unused == []
+    return unused
+
+
+def test_tests_read_every_name_they_import():
+    files = sorted(Path(__file__).parent.glob("*.py"))
+    assert files
+    assert unused_imports(files) == []
+
+
+def test_package_reads_every_name_it_imports():
+    # __init__.py imports only to re-export
+    files = sorted(p for p in Path(ttpack.__file__).parent.rglob("*.py") if p.name != "__init__.py")
+    assert files
+    assert unused_imports(files) == []
