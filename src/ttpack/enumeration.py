@@ -297,12 +297,19 @@ def _pool_map(fn, jobs: list, workers: int):
 
     Runs in this process when workers <= 1; otherwise over a pool of that
     many processes, created here, with the chunk size Pool.map would pick.
+    The pool is closed and joined, even when the caller stops early: its
+    terminate() can kill a worker that holds the result queue's lock, and
+    then wait on that lock for good.
     """
     if workers <= 1:
         yield from map(fn, jobs)
         return
-    with Pool(workers) as pool:
+    pool = Pool(workers)
+    try:
         yield from pool.imap(fn, jobs, chunksize=math.ceil(len(jobs) / (4 * workers)))
+    finally:
+        pool.close()
+        pool.join()
 
 
 def _read_or_build_codes(n: int, cache_dir: str, workers: int) -> tuple[str, ...]:

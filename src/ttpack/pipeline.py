@@ -1,13 +1,13 @@
 """Mechanized bound arguments built on the solver and the designs.
 
-Covers five instruments: the triangle-count regimes checked over all 456
-seven-vertex classes, the exact minimum packing value over all classes
-of a given order (most classes settled by a verified witness packing of
-an earlier class, the rest by a thresholded solve), an exact expectation
-identity for induced subtournaments, an exact-rational LP over the
-regimes, and a randomized 49-vertex decomposition pipeline that packs
-each block by a scan over the 30 labeled Fano planes and verifies every
-assembled packing.
+Covers five instruments.  The triangle-count regimes of all 456
+seven-vertex classes and the exact minimum packing value over all
+classes of order n are read off one class sweep, which solves and
+verifies each class in one worker function.  The others are an exact
+expectation identity for induced subtournaments, an exact-rational LP
+over the regimes, and a randomized 49-vertex decomposition pipeline
+that packs each block by a scan over the 30 labeled Fano planes and
+verifies every assembled packing.
 """
 
 from __future__ import annotations
@@ -163,15 +163,19 @@ def _triple_mask(p: Packing) -> int:
     return mask
 
 
-# Packings that met f_min's threshold, in canonical labels, most recently
-# useful first, each kept as (its triple mask, its value).  Scoped to one
-# f_min call: cleared at its start, before the call creates its pool, so
-# every worker starts empty.
+# Packings of stopped solves, in canonical labels, most recently useful
+# first, as (triple mask, value).  Cleared by _class_sweep before it makes
+# its pool of workers, so every worker starts empty.
 _witnesses: list[tuple[int, int]] = []
 
 
-def _solve_code(args: tuple[str, int, int]) -> tuple[int, bool]:
-    """(value, optimal) of the class with this code; see f_min for stop_at."""
+def _solve_code(args: tuple[str, int, int | None]) -> tuple[int, bool]:
+    """(value, optimal) of the class with this code, its packing verified here.
+
+    A fitting witness settles the class with no search; otherwise every
+    packing solved, exact or stopped, must pass verify_packing on the
+    class, and a stopped one joins the pool.  Soundness: see f_min.
+    """
     code, k, stop_at = args
     cyclic = _cyclic_mask(code)
     for i, (mask, value) in enumerate(_witnesses):
@@ -180,11 +184,19 @@ def _solve_code(args: tuple[str, int, int]) -> tuple[int, bool]:
             return value, False
     t = tournament_from_code(code)
     p = max_packing_exact(t, k, stop_at=stop_at)
+    if not verify_packing(t, p):
+        raise PipelineError(f"class {code} has a packing of {p.value} copies that fails verification")
     if not p.optimal:
-        if not verify_packing(t, p):
-            raise PipelineError(f"stopped solve of class {code} failed verification")
         _witnesses.insert(0, (_triple_mask(p), p.value))
     return p.value, p.optimal
+
+
+def _class_sweep(n: int, k: int, stop_at: int | None, cache_dir: str | None, workers: int):
+    """(code, value, optimal) of every class of order n, each by _solve_code at this stop_at."""
+    _witnesses.clear()
+    jobs = [(code, k, stop_at) for code in enumerate_codes(n, cache_dir=cache_dir)]
+    for (code, *_), (value, optimal) in zip(jobs, _pool_map(_solve_code, jobs, workers)):
+        yield code, value, optimal
 
 
 # (t, transitive lines of a best Fano plane, as positions in sorted vertex
@@ -213,33 +225,25 @@ def _fano_scan(cyclic: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return least, tuple(line for line in best if not cyclic >> index[line] & 1)
 
 
-def _solve_class(code: str) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """(t, P_3, optimal copies) of the class with this code."""
-    packed = max_packing_exact(tournament_from_code(code), 3)
-    if not packed.optimal:
-        raise PipelineError(f"solver gave up on class {code}")
-    return _cyclic_mask(code).bit_count(), packed.value, packed.copies
-
-
 def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> ThresholdReport:
     """Solve every 7-vertex class exactly and check it against REGIMES.
 
-    A class with t directed triangles must pack at least the value of t's
-    regime and at most the perfect packing C(7,2)/3 = 7, and the packing
-    it counts must pass verify_packing on the class; a violation raises,
-    naming the class's canonical code.  Each class is solved once by
-    _solve_class, in the workers, and its packing is checked here.
+    One _class_sweep with no stop_at: no solve stops, no witness is
+    admitted, and _solve_code verifies each exact packing.  A class with
+    t directed triangles must pack at least its regime's value and at
+    most the perfect packing C(7,2)/3 = 7; a non-optimal solve or a
+    violation raises, naming the class's code.
     """
-    codes = enumerate_codes(7, cache_dir=cache_dir)
     perfect = comb(7, 2) // 3
     records = []
-    for code, (t, p, copies) in zip(codes, _pool_map(_solve_class, codes, workers)):
+    for code, p, optimal in _class_sweep(7, 3, None, cache_dir, workers):
+        if not optimal:
+            raise PipelineError(f"solver gave up on class {code}")
+        t = _cyclic_mask(code).bit_count()
         records.append(ClassThreshold(code, t, p))
         floor = REGIMES[_regime(t)][1]
         if not floor <= p <= perfect:
             raise PipelineError(f"class {code} has t={t} but P={p}, outside [{floor}, {perfect}]")
-        if not verify_packing(tournament_from_code(code), Packing(n=7, k=3, copies=copies)):
-            raise PipelineError(f"class {code} has a packing of {p} copies that fails verification")
     return ThresholdReport(records=tuple(records))
 
 
@@ -247,24 +251,20 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     """Exact minimum of the packing number over all isomorphism classes of order n.
 
     A seed upper bound comes from one explicit host (the 3-class
-    construction), and the threshold is one above it.  Each class is
-    first checked against a pool of witness packings: packings of
-    earlier classes, in the shared canonical labels 0..n-1, that met the
-    threshold.  They are tried most recently useful first, and a hit
-    moves to the front.  A witness is kept as its triple mask, the
-    triples i<j<k inside any of its copies, and it fits a class iff that
-    mask misses the class's cyclic-triple mask, read off the class's
-    code; a hit builds no tournament.  A class no witness fits is solved
-    with stop_at at the threshold; if that solve stops at the threshold,
-    its packing must pass verify_packing on that class, and then joins
-    the front of the pool.  The pool is cleared at the start of each
-    call, before the pool of workers is made, so each worker keeps its
-    own.
+    construction), and one _class_sweep runs with stop_at one above it.
+    Each class is first checked against the sweep's pool of witness
+    packings: packings of stopped solves of earlier classes, in the
+    shared canonical labels 0..n-1, a hit moving to the front.  A
+    witness is kept as its triple mask, the triples i<j<k inside any of
+    its copies, and it fits a class iff that mask misses the class's
+    cyclic-triple mask, read off the class's code; a hit builds no
+    tournament.  Each argmin class is solved again by _solve_code with
+    no threshold, and must come back exact at the minimum.
 
     Soundness: only a solve that stopped at the threshold adds a
-    witness, and the pool holds the witnesses of this call alone, so
+    witness, and the pool holds the witnesses of this sweep alone, so
     every witness has at least threshold copies of TT_k for this k, on
-    the same n labels as every class of the call.  The admission check,
+    the same n labels as every class of the sweep.  The admission check,
     verify_packing on the class whose solve produced the witness,
     certifies from first principles everything that does not depend on
     the labels' edges: each copy has k distinct vertices in range, and
@@ -275,28 +275,21 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     cyclic there, which is what the AND of the two masks tests.  So a
     fit is exactly verify_packing on the class, and a hit proves P >=
     the threshold, the same fact a stopped solve proves.  Both kinds of
-    class exceed every candidate minimum and are dropped.
-    Classes below the threshold are always solved exactly, and the
-    claimed argmin classes are re-solved without the threshold to
-    certify the minimum.  The seed host's class is never hit, since a
-    hit would prove P >= seed + 1.  So the record depends neither on
-    which witness hits nor on the number of workers.  Only packing
-    values are computed: no class is censused.
+    class exceed every candidate minimum and are dropped.  Classes
+    below the threshold are always solved exactly, and a re-solve that
+    a witness settles fails the certification.  The seed host's class is
+    never hit, since a hit would prove P >= seed + 1.  So the record
+    depends neither on which witness hits nor on the number of workers.
+    Only packing values are computed: no class is censused.
     """
     if not 3 <= n <= MAX_ENUMERATION_VERTICES:
         raise PipelineError(f"minimum packing sweep supports 3 <= n <= {MAX_ENUMERATION_VERTICES}, got {n}")
-    _witnesses.clear()
     seed_value = max_packing_exact(turan3_tournament(n), k).value
-    jobs = [(code, k, seed_value + 1) for code in enumerate_codes(n, cache_dir=cache_dir)]
-    exact: dict[str, int] = {}
-    for (code, *_), (p, optimal) in zip(jobs, _pool_map(_solve_code, jobs, workers)):
-        if optimal:
-            exact[code] = p
+    exact = {code: p for code, p, optimal in _class_sweep(n, k, seed_value + 1, cache_dir, workers) if optimal}
     f_value = min(exact.values())
     argmin = tuple(sorted(code for code, p in exact.items() if p == f_value))
     for code in argmin:
-        confirm = max_packing_exact(tournament_from_code(code), k)
-        if not confirm.optimal or confirm.value != f_value:
+        if _solve_code((code, k, None)) != (f_value, True):
             raise PipelineError(f"argmin certification failed for {code}")
     return FMinRecord(n=n, k=k, f_value=f_value, argmin_codes=argmin)
 

@@ -238,6 +238,31 @@ def test_enumeration_respects_workers(cache_dir, tmp_path):
     assert seq == par
 
 
+def test_pool_map_joins_its_pool_when_the_caller_stops_early(monkeypatch):
+    # Pool.terminate() can kill a worker holding the result queue's lock
+    # and then wait on that lock for good, so it must never run
+    import multiprocessing.pool
+
+    from ttpack import enumeration
+
+    calls = []
+
+    class Recording(multiprocessing.pool.Pool):
+        def terminate(self):
+            calls.append("terminate")
+            super().terminate()
+
+        def join(self):
+            calls.append("join")
+            super().join()
+
+    monkeypatch.setattr(enumeration, "Pool", Recording)
+    results = enumeration._pool_map(abs, list(range(-40, 0)), 2)
+    assert next(results) == 40
+    results.close()
+    assert calls == ["join"]
+
+
 def test_transitive_class_is_enumerated(cache_dir):
     codes = enumerate_codes(6, cache_dir=cache_dir)
     assert canonical_code(transitive_tournament(6)) in codes

@@ -44,10 +44,8 @@ def test_threshold_sweep_covers_every_class(threshold_report):
 
 
 def test_joint_distribution_head(threshold_report):
-    joint = threshold_report.joint_distribution()
-    assert sum(joint.values()) == 456
-    head = {key: joint[key] for key in sorted(joint)[:8]}
-    assert head == {
+    # every (t, P) cell of the 456 classes, as perfbench/reference.json holds them
+    assert threshold_report.joint_distribution() == {
         (0, 7): 1,
         (1, 7): 5,
         (2, 7): 7,
@@ -56,11 +54,42 @@ def test_joint_distribution_head(threshold_report):
         (5, 6): 1,
         (5, 7): 22,
         (6, 6): 3,
+        (6, 7): 36,
+        (7, 6): 2,
+        (7, 7): 38,
+        (8, 6): 5,
+        (8, 7): 54,
+        (9, 6): 6,
+        (9, 7): 55,
+        (10, 6): 8,
+        (10, 7): 71,
+        (11, 6): 9,
+        (11, 7): 43,
+        (12, 5): 1,
+        (12, 6): 7,
+        (12, 7): 39,
+        (13, 5): 1,
+        (13, 6): 4,
+        (13, 7): 10,
+        (14, 6): 2,
+        (14, 7): 1,
     }
 
 
 def test_threshold_sweep_is_the_same_at_two_workers(cache_dir, threshold_report):
     assert verify_t7_thresholds(cache_dir, workers=2).records == threshold_report.records
+
+
+def force_copies(monkeypatch, code, edit):
+    # the solve of this class returns edit(its copies) in place of its copies
+    target = tournament_from_code(code).out
+    original = pipeline.max_packing_exact
+
+    def forced(t, k, **kwargs):
+        p = original(t, k, **kwargs)
+        return replace(p, copies=edit(p.copies)) if t.out == target else p
+
+    monkeypatch.setattr(pipeline, "max_packing_exact", forced)
 
 
 @pytest.mark.parametrize(
@@ -69,36 +98,44 @@ def test_threshold_sweep_is_the_same_at_two_workers(cache_dir, threshold_report)
         (range(0, 1), 6),  # t <= 4 must pack 7
         (range(5, 12), 5),  # t <= 11 must pack at least 6
         (range(12, 15), 4),  # every class must pack at least 5
-        (range(5, 12), 8),  # no class packs more than C(7,2)/3 = 7
+        (range(5, 12), 8),  # 8 triples need 24 > C(7,2) pairs, so they fail verification
     ],
 )
 def test_threshold_sweep_rejects_a_class_outside_its_regime(cache_dir, threshold_report, monkeypatch, ts, value):
     code = next(r.code for r in threshold_report.records if r.t in ts)
-    target = tournament_from_code(code).out
-    original = pipeline.max_packing_exact
-
-    def forced(t, k, **kwargs):
-        p = original(t, k, **kwargs)
-        return replace(p, copies=(p.copies * 2)[:value]) if t.out == target else p
-
-    monkeypatch.setattr(pipeline, "max_packing_exact", forced)
-    with pytest.raises(PipelineError, match=f"class {code} has t=.* but P={value},"):
+    force_copies(monkeypatch, code, lambda copies: (copies * 2)[:value])
+    if value > comb(7, 2) // 3:
+        message = f"class {code} has a packing of {value} copies that fails verification"
+    else:
+        message = f"class {code} has t=.* but P={value},"
+    with pytest.raises(PipelineError, match=message):
         verify_t7_thresholds(cache_dir)
 
 
 def test_threshold_sweep_verifies_every_packing_it_counts(cache_dir, threshold_report, monkeypatch):
     # seven copies of one triple stay inside the t=0 regime's [7, 7], but share edges
     code = next(r.code for r in threshold_report.records if r.t == 0)
-    target = tournament_from_code(code).out
-    original = pipeline.max_packing_exact
-
-    def repeated(t, k, **kwargs):
-        p = original(t, k, **kwargs)
-        return replace(p, copies=p.copies[:1] * 7) if t.out == target else p
-
-    monkeypatch.setattr(pipeline, "max_packing_exact", repeated)
+    force_copies(monkeypatch, code, lambda copies: copies[:1] * 7)
     with pytest.raises(PipelineError, match=f"class {code} has a packing of 7 copies that fails verification"):
         verify_t7_thresholds(cache_dir)
+
+
+@pytest.mark.parametrize(
+    "t, value, message",
+    [
+        (0, 6, "has t=0 but P=6, outside"),
+        (0, 8, "has a packing of 8 copies that fails verification"),
+    ],
+    ids=["regime", "verification"],
+)
+def test_threshold_sweep_fails_closed_at_two_workers(cache_dir, threshold_report, monkeypatch, t, value, message):
+    # the patch reaches the pool workers because they are forked from the
+    # patched process; the regime check runs in the caller, verification
+    # in the worker that solved the class
+    code = next(r.code for r in threshold_report.records if r.t == t)
+    force_copies(monkeypatch, code, lambda copies: (copies * 2)[:value])
+    with pytest.raises(PipelineError, match=f"class {code} {message}"):
+        verify_t7_thresholds(cache_dir, workers=2)
 
 
 def test_packing_value_is_reversal_invariant(threshold_report):
@@ -202,8 +239,55 @@ def test_solve_code_settles_a_class_a_witness_fits(monkeypatch):
 def test_f_min_rejects_a_stopped_packing_that_fails_verification(cache_dir, monkeypatch):
     # a witness joins the pool only after verify_packing passes on its own class
     monkeypatch.setattr(pipeline, "verify_packing", lambda t, p: False)
-    with pytest.raises(PipelineError, match="failed verification"):
+    with pytest.raises(PipelineError, match="class [01]+ has a packing of [0-9]+ copies that fails verification"):
         f_min(7, cache_dir=cache_dir)
+
+
+def test_f_min_verifies_every_packing_it_solves(cache_dir, monkeypatch):
+    verified = []
+    original = pipeline.verify_packing
+
+    def recording(t, p):
+        verified.append(p.optimal)
+        return original(t, p)
+
+    monkeypatch.setattr(pipeline, "verify_packing", recording)
+    f_min(8, cache_dir=cache_dir)
+    # 80 class solves, 8 of them exact, and the 8 argmin re-solves; the
+    # seed host's solve is the only one not verified
+    assert (len(verified), sum(verified)) == (88, 16)
+
+
+def test_f_min_rejects_an_exact_packing_that_fails_verification(cache_dir, monkeypatch):
+    original = pipeline.verify_packing
+    monkeypatch.setattr(pipeline, "verify_packing", lambda t, p: not p.optimal and original(t, p))
+    with pytest.raises(PipelineError, match="class [01]+ has a packing of [0-9]+ copies that fails verification") as e:
+        f_min(7, cache_dir=cache_dir)
+    assert str(e.value).split()[1] in enumerate_codes(7, cache_dir=cache_dir)
+
+
+def test_class_sweeps_share_no_witnesses(cache_dir, threshold_report, monkeypatch):
+    # f_min admits witnesses, the regime check must never see them; and a
+    # regime check before f_min leaves f_min's solves as from an empty pool
+    f_min(7, cache_dir=cache_dir, workers=1)
+    assert verify_t7_thresholds(cache_dir, workers=1).records == threshold_report.records
+
+    solves = []
+    original = pipeline.max_packing_exact
+
+    def counting(t, k, **kwargs):
+        p = original(t, k, **kwargs)
+        solves.append((t.out, kwargs.get("stop_at"), p.nodes_explored))
+        return p
+
+    monkeypatch.setattr(pipeline, "max_packing_exact", counting)
+    monkeypatch.setattr(pipeline, "_witnesses", [])
+    fresh = f_min(7, cache_dir=cache_dir, workers=1)
+    fresh_solves = list(solves)
+    verify_t7_thresholds(cache_dir, workers=1)
+    solves.clear()
+    assert f_min(7, cache_dir=cache_dir, workers=1) == fresh
+    assert solves == fresh_solves
 
 
 def test_witness_fit_agrees_with_verify_packing(cache_dir, monkeypatch):

@@ -47,3 +47,31 @@ def test_package_reads_every_name_it_imports():
     files = sorted(p for p in Path(ttpack.__file__).parent.rglob("*.py") if p.name != "__init__.py")
     assert files
     assert unused_imports(files) == []
+
+
+def test_one_process_pool_helper():
+    # only enumeration.py imports multiprocessing, and Pool is read only
+    # inside enumeration._pool_map
+    importers = []
+    outside = []
+    for path in sorted(Path(ttpack.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "multiprocessing" for m in modules):
+                importers.append(path.name)
+        inside = set()
+        if path.name == "enumeration.py":
+            helpers = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_pool_map"]
+            inside = {id(node) for fn in helpers for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name == "Pool" and id(node) not in inside:
+                outside.append(f"{path.name}:{node.lineno}")
+    assert set(importers) == {"enumeration.py"}
+    assert outside == []
