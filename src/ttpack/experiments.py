@@ -16,6 +16,7 @@ from math import comb, factorial
 from .packing import (
     Packing,
     TTCopy,
+    _pair_bits,
     _pair_mask,
     _transitive_chains,
     greedy_packing,
@@ -170,7 +171,8 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
     """
     n = t.n
     per_copy = p.k * (p.k - 1) // 2
-    members = {vs: _pair_mask(t.n, vs) for vs in p.copies}
+    bits = _pair_bits(n)
+    members = {vs: _pair_mask(bits, vs) for vs in p.copies}
     covered = 0
     for m in members.values():
         covered |= m

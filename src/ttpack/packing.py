@@ -88,8 +88,8 @@ def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _pair_mask(n: int, vertices: tuple[int, ...]) -> int:
-    bits = _pair_bits(n)
+def _pair_mask(bits: tuple[tuple[int, ...], ...], vertices: tuple[int, ...]) -> int:
+    """Bitset of the pairs inside vertices, from the _pair_bits table of the host's order."""
     mask = 0
     for u, w in combinations(vertices, 2):
         mask |= bits[u][w]
@@ -410,6 +410,7 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
     if p.n != n or not 3 <= k <= n:
         return False
     per_copy = k * (k - 1) // 2
+    bits = _pair_bits(n)
     covered = 0
     for vs in p.copies:
         if len(vs) != k:
@@ -422,7 +423,7 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
             mask |= 1 << v
         if mask.bit_count() != k or not is_transitive_on(t, vs):
             return False
-        emask = _pair_mask(n, vs)
+        emask = _pair_mask(bits, vs)
         if emask & covered:
             return False
         covered |= emask

@@ -1,13 +1,14 @@
 """Mechanized bound arguments built on the solver and the designs.
 
 Covers five instruments.  The triangle-count regimes of all 456
-seven-vertex classes and the exact minimum packing value over all
-classes of order n are read off one class sweep, which solves and
-verifies each class in one worker function.  The others are an exact
-expectation identity for induced subtournaments, an exact-rational LP
-over the regimes, and a randomized 49-vertex decomposition pipeline
-that packs each block by a scan over the 30 labeled Fano planes and
-verifies every assembled packing.
+seven-vertex classes are settled by a scan over the 30 labeled Fano
+planes, each class's packing verified in the worker that scanned it.
+The exact minimum packing value over all classes of order n is read off
+one class sweep, which solves and verifies each class in one worker
+function.  The others are an exact expectation identity for induced
+subtournaments, an exact-rational LP over the regimes, and a randomized
+49-vertex decomposition pipeline that packs each block by the same scan
+and verifies every assembled packing.
 """
 
 from __future__ import annotations
@@ -191,8 +192,12 @@ def _solve_code(args: tuple[str, int, int | None]) -> tuple[int, bool]:
     return p.value, p.optimal
 
 
-def _class_sweep(n: int, k: int, stop_at: int | None, cache_dir: str | None, workers: int):
-    """(code, value, optimal) of every class of order n, each by _solve_code at this stop_at."""
+def _class_sweep(n: int, k: int, stop_at: int, cache_dir: str | None, workers: int):
+    """(code, value, optimal) of every class of order n, each by _solve_code at this stop_at.
+
+    f_min's sweep.  verify_t7_thresholds needs none: _fano_scan settles
+    every order-7 class exactly.
+    """
     _witnesses.clear()
     jobs = [(code, k, stop_at) for code in enumerate_codes(n, cache_dir=cache_dir)]
     for (code, *_), (value, optimal) in zip(jobs, _pool_map(_solve_code, jobs, workers)):
@@ -213,7 +218,21 @@ def _fano_planes() -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
 
 
 def _fano_scan(cyclic: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Least cyclic lines of a Fano plane on 0..6, and a least plane's other lines."""
+    """Least cyclic lines of a Fano plane on 0..6, and a least plane's other lines.
+
+    cyclic is the directed-triangle mask, by triple index, of a 7-vertex
+    tournament T, and least is the fewest of its triples on the lines of
+    any of the 30 labeled Fano planes.  A least plane's other lines are
+    7 - least edge-disjoint transitive triples, so P_3(T) >= 7 - least.
+    The upper bound: any 7 edge-disjoint triples on 7 points form a Fano
+    plane, and any 6 leave 3 edges in which every vertex has even degree,
+    a triangle, so they complete to one.  So P = 7 needs a plane with no
+    cyclic line and P = 6 one with at most one, and P <= 7 - least
+    whenever least <= 2: then P = 7 - least exactly.  When least > 2 the
+    scan proves only the lower bound, and every caller raises.  The 30
+    planes are closed under relabeling, so least depends on T's class
+    alone; it is 0 on 407 of the 456 classes, 1 on 47 and 2 on 2.
+    """
     least, best = 8, ()
     for mask, lines in _fano_planes():
         miss = (mask & cyclic).bit_count()
@@ -225,21 +244,32 @@ def _fano_scan(cyclic: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return least, tuple(line for line in best if not cyclic >> index[line] & 1)
 
 
-def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> ThresholdReport:
-    """Solve every 7-vertex class exactly and check it against REGIMES.
+def _scan_code(code: str) -> tuple[int, int]:
+    """(t, P) of the 7-vertex class with this code, by _fano_scan, its packing verified here."""
+    cyclic = _cyclic_mask(code)
+    least, lines = _fano_scan(cyclic)
+    if least > 2:
+        raise PipelineError(f"no Fano plane has under {least} cyclic lines on class {code}")
+    if not verify_packing(tournament_from_code(code), Packing(n=7, k=3, copies=lines)):
+        raise PipelineError(f"class {code} has a packing of {len(lines)} copies that fails verification")
+    return cyclic.bit_count(), len(lines)
 
-    One _class_sweep with no stop_at: no solve stops, no witness is
-    admitted, and _solve_code verifies each exact packing.  A class with
-    t directed triangles must pack at least its regime's value and at
-    most the perfect packing C(7,2)/3 = 7; a non-optimal solve or a
-    violation raises, naming the class's code.
+
+def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> ThresholdReport:
+    """Settle every 7-vertex class by _fano_scan and check it against REGIMES.
+
+    No class is solved.  Each worker scans a class, and the class's P is
+    the size of its verified packing, a least plane's 7 - least
+    transitive lines: exact by the argument in _fano_scan's docstring.
+    A class with t directed triangles must pack at least its regime's
+    value and at most the perfect packing C(7,2)/3 = 7.  A class with
+    least > 2, a packing that fails verification or a violation raises,
+    naming the class's code.
     """
     perfect = comb(7, 2) // 3
+    codes = enumerate_codes(7, cache_dir=cache_dir)
     records = []
-    for code, p, optimal in _class_sweep(7, 3, None, cache_dir, workers):
-        if not optimal:
-            raise PipelineError(f"solver gave up on class {code}")
-        t = _cyclic_mask(code).bit_count()
+    for code, (t, p) in zip(codes, _pool_map(_scan_code, codes, workers)):
         records.append(ClassThreshold(code, t, p))
         floor = REGIMES[_regime(t)][1]
         if not floor <= p <= perfect:
@@ -407,19 +437,13 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
 
     A block is read as its pattern: its subtournament relabeled 0..6 in
     sorted vertex order, kept as an int of its C(7,2) orientation bits.
-    Its cyclic triples are read off the pattern, and least is the fewest
-    of them on the lines of any of the 30 labeled Fano planes; the
-    block's value is 7 - least, packed by that plane's transitive lines.
-    This is exact for least <= 2.  Any 7 edge-disjoint triples on 7
-    points form a Fano plane.  Any 6 leave 3 edges in which every
-    vertex has even degree, a triangle, so they complete to a plane.
-    So P = 7 iff least = 0 and P = 6 iff least = 1; when least = 2, the
-    plane's 5 transitive lines give P >= 5, and P <= 5 by the above.
-    The 30 planes are closed under relabeling, so least depends on the
-    block's class alone; it is at most 2 on all 456 classes, and a
-    block with least > 2 raises.  _pattern_memo keeps
-    each pattern's t and lines once per call, cleared here before the
-    pool of workers is made, so each worker starts empty.
+    Its cyclic triples are read off the pattern, and _fano_scan gives
+    least, the fewest of them on the lines of any Fano plane; the
+    block's value is 7 - least, packed by that plane's transitive lines,
+    exact by the argument in _fano_scan's docstring.  A block with
+    least > 2 raises.  _pattern_memo keeps each pattern's t and lines
+    once per call, cleared here before the pool of workers is made, so
+    each worker starts empty.
     """
     design = ag2_lines(7)
     if t.n != design.point_count:

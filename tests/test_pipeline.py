@@ -2,7 +2,6 @@
 rational LP corner, and the 49-vertex decomposition pipeline."""
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -81,15 +80,16 @@ def test_threshold_sweep_is_the_same_at_two_workers(cache_dir, threshold_report)
 
 
 def force_copies(monkeypatch, code, edit):
-    # the solve of this class returns edit(its copies) in place of its copies
-    target = tournament_from_code(code).out
-    original = pipeline.max_packing_exact
+    # the scan of this class's cyclic triples returns edit(its lines) in
+    # place of its lines, and the same least
+    target = pipeline._cyclic_mask(code)
+    original = pipeline._fano_scan
 
-    def forced(t, k, **kwargs):
-        p = original(t, k, **kwargs)
-        return replace(p, copies=edit(p.copies)) if t.out == target else p
+    def forced(cyclic):
+        least, lines = original(cyclic)
+        return (least, edit(lines)) if cyclic == target else (least, lines)
 
-    monkeypatch.setattr(pipeline, "max_packing_exact", forced)
+    monkeypatch.setattr(pipeline, "_fano_scan", forced)
 
 
 @pytest.mark.parametrize(
@@ -131,11 +131,66 @@ def test_threshold_sweep_verifies_every_packing_it_counts(cache_dir, threshold_r
 def test_threshold_sweep_fails_closed_at_two_workers(cache_dir, threshold_report, monkeypatch, t, value, message):
     # the patch reaches the pool workers because they are forked from the
     # patched process; the regime check runs in the caller, verification
-    # in the worker that solved the class
+    # in the worker that scanned the class
     code = next(r.code for r in threshold_report.records if r.t == t)
     force_copies(monkeypatch, code, lambda copies: (copies * 2)[:value])
     with pytest.raises(PipelineError, match=f"class {code} {message}"):
         verify_t7_thresholds(cache_dir, workers=2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_threshold_sweep_rejects_a_class_no_fano_plane_packs(cache_dir, monkeypatch, workers):
+    # with one plane left in the table, some class has 3 or more cyclic
+    # lines on it, where the scan proves no upper bound; with every regime
+    # floor at 0, the scan's own check is the one that must stop the sweep
+    planes = pipeline._fano_planes()[:1]
+    monkeypatch.setattr(pipeline, "_fano_planes", lambda: planes)
+    monkeypatch.setattr(pipeline, "REGIMES", ((0, 0),))
+    with pytest.raises(PipelineError, match="no Fano plane has under [3-7] cyclic lines on class [01]{21}$"):
+        verify_t7_thresholds(cache_dir, workers=workers)
+
+
+def test_threshold_sweep_scans_without_solving(cache_dir, threshold_report, monkeypatch):
+    # every class's value is a verified packing of exactly that many
+    # copies, and no class is solved
+    verified = []
+    original = pipeline.verify_packing
+
+    def recording(t, p):
+        verified.append((t.out, p.value))
+        return original(t, p)
+
+    def no_search(t, k, **kwargs):
+        raise AssertionError("the threshold sweep must not solve a class")
+
+    monkeypatch.setattr(pipeline, "verify_packing", recording)
+    monkeypatch.setattr(pipeline, "max_packing_exact", no_search)
+    assert verify_t7_thresholds(cache_dir, workers=1) == threshold_report
+    assert verified == [(tournament_from_code(r.code).out, r.p) for r in threshold_report.records]
+
+
+def test_six_edge_disjoint_triples_on_seven_points_lie_in_a_fano_plane():
+    # the lemma behind the scan's upper bound, by exhaustive search over the
+    # 35 triples with no solver: every family of 6 pairwise edge-disjoint
+    # triples lies inside one of the 30 planes, and every family of 7 is one
+    index = pipeline._triples(7)[0]
+    planes = {mask for mask, _ in pipeline._fano_planes()}
+    triples = [(1 << index[ijk], sum(1 << (7 * a + b) for a, b in combinations(ijk, 2))) for ijk in index]
+    families = Counter()
+
+    def grow(start, mask, pairs, size):
+        families[size] += 1
+        if size == 6:
+            assert any(mask & plane == mask for plane in planes), bin(mask)
+        if size == 7:
+            assert mask in planes, bin(mask)
+        for i in range(start, len(triples)):
+            bit, edges = triples[i]
+            if not edges & pairs:
+                grow(i + 1, mask | bit, pairs | edges, size + 1)
+
+    grow(0, 0, 0, 0)
+    assert (families[6], families[7], families[8]) == (30 * 7, 30, 0)
 
 
 def test_packing_value_is_reversal_invariant(threshold_report):
@@ -402,21 +457,6 @@ def test_pipeline_workers_agree():
     a = decomposition_pipeline(t, trials=2, seed=5)
     b = decomposition_pipeline(t, trials=2, seed=5, workers=2)
     assert a.totals == b.totals
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pipeline_rejects_a_non_optimal_class_solve(cache_dir, monkeypatch, workers):
-    # the threshold sweep is the pipeline module's one caller of the solver
-    # that must be exact; at workers=2 the error is raised in a pool worker
-    # and reaches the caller
-    original = pipeline.max_packing_exact
-
-    def gave_up(t, k, **kwargs):
-        return replace(original(t, k, **kwargs), optimal=False)
-
-    monkeypatch.setattr(pipeline, "max_packing_exact", gave_up)
-    with pytest.raises(PipelineError, match="gave up"):
-        verify_t7_thresholds(cache_dir, workers=workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
