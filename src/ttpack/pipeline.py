@@ -1,14 +1,14 @@
 """Mechanized bound arguments built on the solver and the designs.
 
-Covers five instruments.  The triangle-count regimes of all 456
-seven-vertex classes are settled by a scan over the 30 labeled Fano
-planes, each class's packing verified in the worker that scanned it.
-The exact minimum packing value over all classes of order n is read off
-one class sweep, which solves and verifies each class in one worker
-function.  The others are an exact expectation identity for induced
-subtournaments, an exact-rational LP over the regimes, and a randomized
-49-vertex decomposition pipeline that packs each block by the same scan
-and verifies every assembled packing.
+Covers five instruments.  Three rest on one scan over the labeled
+maximum triangle packings of K_n, 3 <= n <= 8: the triangle-count
+regimes of all 456 seven-vertex classes, each class's packing verified
+in the worker that scanned it; the exact minimum packing value over all
+classes of order n, read off the scan for triples and solved class by
+class for larger k; and a randomized 49-vertex decomposition pipeline
+that packs each block by the scan and verifies every assembled packing.
+The others are an exact expectation identity for induced subtournaments
+and an exact-rational LP over the regimes.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb, isqrt
 from operator import itemgetter
 
 from .constructions import turan3_tournament
-from .designs import ag2_lines, all_sts7, verify_design
+from .designs import ag2_lines, verify_design
 from .enumeration import MAX_ENUMERATION_VERTICES, _pool_map, enumerate_codes, tournament_from_code
 from .packing import Packing, max_packing_exact, verify_packing
 from .rng import stdlib_rng, sub_seed
@@ -154,54 +154,14 @@ def _cyclic_mask(code: str) -> int:
     return ~(ij ^ jk) & (ij ^ ik)
 
 
-def _triple_mask(p: Packing) -> int:
-    """Bitset of the triples that lie inside some copy of p, by triple index."""
-    index = _triples(p.n)[0]
-    mask = 0
-    for vs in p.copies:
-        for ijk in combinations(sorted(vs), 3):
-            mask |= 1 << index[ijk]
-    return mask
-
-
-# Packings of stopped solves, in canonical labels, most recently useful
-# first, as (triple mask, value).  Cleared by _class_sweep before it makes
-# its pool of workers, so every worker starts empty.
-_witnesses: list[tuple[int, int]] = []
-
-
 def _solve_code(args: tuple[str, int, int | None]) -> tuple[int, bool]:
-    """(value, optimal) of the class with this code, its packing verified here.
-
-    A fitting witness settles the class with no search; otherwise every
-    packing solved, exact or stopped, must pass verify_packing on the
-    class, and a stopped one joins the pool.  Soundness: see f_min.
-    """
+    """(value, optimal) of the class with this code, solved at this stop_at and verified here."""
     code, k, stop_at = args
-    cyclic = _cyclic_mask(code)
-    for i, (mask, value) in enumerate(_witnesses):
-        if not mask & cyclic:
-            _witnesses.insert(0, _witnesses.pop(i))
-            return value, False
     t = tournament_from_code(code)
     p = max_packing_exact(t, k, stop_at=stop_at)
     if not verify_packing(t, p):
         raise PipelineError(f"class {code} has a packing of {p.value} copies that fails verification")
-    if not p.optimal:
-        _witnesses.insert(0, (_triple_mask(p), p.value))
     return p.value, p.optimal
-
-
-def _class_sweep(n: int, k: int, stop_at: int, cache_dir: str | None, workers: int):
-    """(code, value, optimal) of every class of order n, each by _solve_code at this stop_at.
-
-    f_min's sweep.  verify_t7_thresholds needs none: _fano_scan settles
-    every order-7 class exactly.
-    """
-    _witnesses.clear()
-    jobs = [(code, k, stop_at) for code in enumerate_codes(n, cache_dir=cache_dir)]
-    for (code, *_), (value, optimal) in zip(jobs, _pool_map(_solve_code, jobs, workers)):
-        yield code, value, optimal
 
 
 # (t, transitive lines of a best Fano plane, as positions in sorted vertex
@@ -209,45 +169,84 @@ def _class_sweep(n: int, k: int, stop_at: int, cache_dir: str | None, workers: i
 # clears it before its pool is made: every worker starts empty.
 _pattern_memo: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
 
+# A Fano plane whose lines inside 0..n-1 are a maximum packing of K_n by
+# triangles for each n from 3 to 7.
+_FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+
 
 @lru_cache(maxsize=None)
-def _fano_planes() -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-    """(triple mask, lines) of each of the 30 labeled Fano planes on 0..6."""
-    index = _triples(7)[0]
-    return tuple((sum(1 << index[line] for line in d.blocks), d.blocks) for d in all_sts7())
+def _max_packings(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """(triple mask, lines) of every labeled maximum triangle packing of K_n, 3 <= n <= 8.
 
-
-def _fano_scan(cyclic: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Least cyclic lines of a Fano plane on 0..6, and a least plane's other lines.
-
-    cyclic is the directed-triangle mask, by triple index, of a 7-vertex
-    tournament T, and least is the fewest of its triples on the lines of
-    any of the 30 labeled Fano planes.  A least plane's other lines are
-    7 - least edge-disjoint transitive triples, so P_3(T) >= 7 - least.
-    The upper bound: any 7 edge-disjoint triples on 7 points form a Fano
-    plane, and any 6 leave 3 edges in which every vertex has even degree,
-    a triangle, so they complete to one.  So P = 7 needs a plane with no
-    cyclic line and P = 6 one with at most one, and P <= 7 - least
-    whenever least <= 2: then P = 7 - least exactly.  When least > 2 the
-    scan proves only the lower bound, and every caller raises.  The 30
-    planes are closed under relabeling, so least depends on T's class
-    alone; it is 0 on 407 of the 456 classes, 1 on 47 and 2 on 2.
+    A maximum packing has M = 1, 1, 2, 4, 7, 8 triples at n = 3..8, and
+    each is a relabeling of one base: the lines of _FANO inside 0..n-1,
+    or at n = 8 those of the 9-point system off its point 8 (a maximum
+    packing of K_8 leaves a perfect matching, which a new point
+    completes).  The table is that orbit, grown on triple masks by two
+    generating relabelings.  Certificate, once per process: an entry's
+    lines are read off its mask, so each is a triple i<j<k of 0..n-1,
+    and it is kept only if its M lines cover 3M distinct pairs; and the
+    count is pinned, so a build that loses an entry raises, and
+    completeness is checkable against an exhaustive search.
     """
-    least, best = 8, ()
-    for mask, lines in _fano_planes():
-        miss = (mask & cyclic).bit_count()
-        if miss < least:
-            least, best = miss, lines
-            if not miss:
-                break
-    index = _triples(7)[0]
-    return least, tuple(line for line in best if not cyclic >> index[line] & 1)
+    m, count = {3: (1, 1), 4: (1, 4), 5: (2, 15), 6: (4, 30), 7: (7, 30), 8: (8, 840)}[n]
+    index = _triples(n)[0]
+    base = _FANO if n <= 7 else ag2_lines(3).blocks
+    # the transposition (0 1) and the cycle (0 1 .. n-1), which generate
+    # every relabeling, each as a map of triple indices
+    moves = [
+        [index[tuple(sorted(perm[v] for v in ijk))] for ijk in index]
+        for perm in ([1, 0, *range(2, n)], [*range(1, n), 0])
+    ]
+    seen = {frozenset(index[line] for line in base if max(line) < n)}
+    orbit = list(seen)
+    for on in orbit:  # grows as it is read, until no move finds a new image
+        for move in moves:
+            image = frozenset(map(move.__getitem__, on))
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    triples = list(index)
+    pairs = [set(combinations(ijk, 2)) for ijk in triples]
+    table = []
+    for on in orbit:
+        if len(on) == m and len(set().union(*(pairs[x] for x in on))) == 3 * m:
+            table.append((sum(1 << x for x in on), tuple(triples[x] for x in sorted(on))))
+    table.sort(key=itemgetter(1))  # by lines, as designs orders its systems
+    if len(table) != count:
+        raise PipelineError(f"{len(table)} labeled maximum packings of K_{n} passed, not {count}")
+    return tuple(table)
+
+
+def _scan(n: int, cyclic: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Least cyclic lines of a maximum packing of K_n, and a least packing's other lines.
+
+    cyclic is the directed-triangle mask, by triple index, of an n-vertex
+    tournament T, and least is the fewest of its triples on the M lines
+    of any entry of _max_packings(n).  A tournament is transitive iff it
+    has no directed triangle (Moon), so a least entry's other lines are
+    M - least edge-disjoint transitive triples: P_3(T) >= M - least.
+    The upper bound: any M edge-disjoint triples form an entry, so P = M
+    iff least = 0, and P = M - least whenever least <= 1.  At n = 7, any
+    6 edge-disjoint triples leave 3 edges in which every vertex has even
+    degree, a triangle, so they complete to a Fano plane: P = 6 iff
+    least = 1, and P = 5 when least = 2.  Past that range the scan
+    proves only the lower bound, and every caller raises.  The table is
+    closed under relabeling, so least depends on T's class alone.
+    """
+    table = _max_packings(n)
+    for mask, lines in table:
+        if not mask & cyclic:
+            return 0, lines
+    mask, lines = min(table, key=lambda entry: (entry[0] & cyclic).bit_count())
+    index = _triples(n)[0]
+    return (mask & cyclic).bit_count(), tuple(line for line in lines if not cyclic >> index[line] & 1)
 
 
 def _scan_code(code: str) -> tuple[int, int]:
-    """(t, P) of the 7-vertex class with this code, by _fano_scan, its packing verified here."""
+    """(t, P) of the 7-vertex class with this code, by _scan, its packing verified here."""
     cyclic = _cyclic_mask(code)
-    least, lines = _fano_scan(cyclic)
+    least, lines = _scan(7, cyclic)
     if least > 2:
         raise PipelineError(f"no Fano plane has under {least} cyclic lines on class {code}")
     if not verify_packing(tournament_from_code(code), Packing(n=7, k=3, copies=lines)):
@@ -255,19 +254,28 @@ def _scan_code(code: str) -> tuple[int, int]:
     return cyclic.bit_count(), len(lines)
 
 
+def _scan_value(n: int, code: str) -> int:
+    """P_3 of the class of order n with this code, M - least by _scan; raises past its exact range."""
+    least, lines = _scan(n, _cyclic_mask(code))
+    if least > (2 if n == 7 else 1):
+        raise PipelineError(f"no maximum packing has under {least} cyclic lines on class {code}")
+    return len(lines)
+
+
 def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> ThresholdReport:
-    """Settle every 7-vertex class by _fano_scan and check it against REGIMES.
+    """Settle every 7-vertex class by _scan and check it against REGIMES.
 
     No class is solved.  Each worker scans a class, and the class's P is
-    the size of its verified packing, a least plane's 7 - least
-    transitive lines: exact by the argument in _fano_scan's docstring.
-    A class with t directed triangles must pack at least its regime's
+    the size of its verified packing, a least Fano plane's 7 - least
+    transitive lines: exact by the argument in _scan's docstring.  A
+    class with t directed triangles must pack at least its regime's
     value and at most the perfect packing C(7,2)/3 = 7.  A class with
     least > 2, a packing that fails verification or a violation raises,
     naming the class's code.
     """
     perfect = comb(7, 2) // 3
     codes = enumerate_codes(7, cache_dir=cache_dir)
+    _max_packings(7)  # built here, so forked workers inherit it
     records = []
     for code, (t, p) in zip(codes, _pool_map(_scan_code, codes, workers)):
         records.append(ClassThreshold(code, t, p))
@@ -280,42 +288,29 @@ def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> Thre
 def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) -> FMinRecord:
     """Exact minimum of the packing number over all isomorphism classes of order n.
 
-    A seed upper bound comes from one explicit host (the 3-class
-    construction), and one _class_sweep runs with stop_at one above it.
-    Each class is first checked against the sweep's pool of witness
-    packings: packings of stopped solves of earlier classes, in the
-    shared canonical labels 0..n-1, a hit moving to the front.  A
-    witness is kept as its triple mask, the triples i<j<k inside any of
-    its copies, and it fits a class iff that mask misses the class's
-    cyclic-triple mask, read off the class's code; a hit builds no
-    tournament.  Each argmin class is solved again by _solve_code with
-    no threshold, and must come back exact at the minimum.
-
-    Soundness: only a solve that stopped at the threshold adds a
-    witness, and the pool holds the witnesses of this sweep alone, so
-    every witness has at least threshold copies of TT_k for this k, on
-    the same n labels as every class of the sweep.  The admission check,
-    verify_packing on the class whose solve produced the witness,
-    certifies from first principles everything that does not depend on
-    the labels' edges: each copy has k distinct vertices in range, and
-    the copies are pairwise edge-disjoint.  What remains for a class is
-    that each copy is transitive there.  A tournament is transitive iff
-    it has no directed triangle (Moon, Topics on Tournaments, 1968), so
-    a copy is transitive in the class iff none of its C(k,3) triples is
-    cyclic there, which is what the AND of the two masks tests.  So a
-    fit is exactly verify_packing on the class, and a hit proves P >=
-    the threshold, the same fact a stopped solve proves.  Both kinds of
-    class exceed every candidate minimum and are dropped.  Classes
-    below the threshold are always solved exactly, and a re-solve that
-    a witness settles fails the certification.  The seed host's class is
-    never hit, since a hit would prove P >= seed + 1.  So the record
-    depends neither on which witness hits nor on the number of workers.
-    Only packing values are computed: no class is censused.
+    At k = 3 no class is solved: each class's value is read off _scan as
+    M - least, exact by the argument in _scan's docstring, and a class
+    past the scan's exact range raises, naming it.  Certificate: the
+    table's entries are certified once, here before any worker forks
+    (see _max_packings), and a class's packing is the lines of an entry
+    that its cyclic mask misses, one AND, so each line is transitive on
+    the class: together the facts verify_packing checks.  At any other
+    k, a seed upper bound comes from one explicit host (the 3-class
+    construction), every class is solved by _solve_code with stop_at one
+    above it, and a class whose solve stops there is no minimum.  At
+    every k each argmin class is solved again with no threshold, and
+    must come back exact at the minimum.  No class is censused.
     """
     if not 3 <= n <= MAX_ENUMERATION_VERTICES:
         raise PipelineError(f"minimum packing sweep supports 3 <= n <= {MAX_ENUMERATION_VERTICES}, got {n}")
-    seed_value = max_packing_exact(turan3_tournament(n), k).value
-    exact = {code: p for code, p, optimal in _class_sweep(n, k, seed_value + 1, cache_dir, workers) if optimal}
+    codes = enumerate_codes(n, cache_dir=cache_dir)
+    if k == 3:
+        _max_packings(n)  # built here, so forked workers inherit it
+        exact = dict(zip(codes, _pool_map(partial(_scan_value, n), codes, workers)))
+    else:
+        seed_value = max_packing_exact(turan3_tournament(n), k).value
+        jobs = [(code, k, seed_value + 1) for code in codes]
+        exact = {code: p for code, (p, optimal) in zip(codes, _pool_map(_solve_code, jobs, workers)) if optimal}
     f_value = min(exact.values())
     argmin = tuple(sorted(code for code, p in exact.items() if p == f_value))
     for code in argmin:
@@ -411,7 +406,7 @@ def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...]
         entry = _pattern_memo.get(pattern)
         if entry is None:
             cyclic = _cyclic_mask(format(pattern, "021b"))
-            least, lines = _fano_scan(cyclic)
+            least, lines = _scan(7, cyclic)
             if least > 2:
                 raise PipelineError(f"no Fano plane has under {least} cyclic lines on block {vs} in trial {i}")
             entry = _pattern_memo[pattern] = (cyclic.bit_count(), lines)
@@ -437,10 +432,10 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
 
     A block is read as its pattern: its subtournament relabeled 0..6 in
     sorted vertex order, kept as an int of its C(7,2) orientation bits.
-    Its cyclic triples are read off the pattern, and _fano_scan gives
+    Its cyclic triples are read off the pattern, and _scan gives
     least, the fewest of them on the lines of any Fano plane; the
     block's value is 7 - least, packed by that plane's transitive lines,
-    exact by the argument in _fano_scan's docstring.  A block with
+    exact by the argument in _scan's docstring.  A block with
     least > 2 raises.  _pattern_memo keeps each pattern's t and lines
     once per call, cleared here before the pool of workers is made, so
     each worker starts empty.
@@ -454,6 +449,7 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
         raise PipelineError(f"trials must be positive, got {trials}")
 
     _pattern_memo.clear()
+    _max_packings(7)  # built here, so forked workers inherit it
     jobs = [(i, t.out, sub_seed(seed, i), design.blocks) for i in range(trials)]
     totals = []
     histogram: Counter[int] = Counter()

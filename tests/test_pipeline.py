@@ -83,13 +83,13 @@ def force_copies(monkeypatch, code, edit):
     # the scan of this class's cyclic triples returns edit(its lines) in
     # place of its lines, and the same least
     target = pipeline._cyclic_mask(code)
-    original = pipeline._fano_scan
+    original = pipeline._scan
 
-    def forced(cyclic):
-        least, lines = original(cyclic)
+    def forced(n, cyclic):
+        least, lines = original(n, cyclic)
         return (least, edit(lines)) if cyclic == target else (least, lines)
 
-    monkeypatch.setattr(pipeline, "_fano_scan", forced)
+    monkeypatch.setattr(pipeline, "_scan", forced)
 
 
 @pytest.mark.parametrize(
@@ -143,8 +143,8 @@ def test_threshold_sweep_rejects_a_class_no_fano_plane_packs(cache_dir, monkeypa
     # with one plane left in the table, some class has 3 or more cyclic
     # lines on it, where the scan proves no upper bound; with every regime
     # floor at 0, the scan's own check is the one that must stop the sweep
-    planes = pipeline._fano_planes()[:1]
-    monkeypatch.setattr(pipeline, "_fano_planes", lambda: planes)
+    planes = pipeline._max_packings(7)[:1]
+    monkeypatch.setattr(pipeline, "_max_packings", lambda n: planes)
     monkeypatch.setattr(pipeline, "REGIMES", ((0, 0),))
     with pytest.raises(PipelineError, match="no Fano plane has under [3-7] cyclic lines on class [01]{21}$"):
         verify_t7_thresholds(cache_dir, workers=workers)
@@ -169,28 +169,66 @@ def test_threshold_sweep_scans_without_solving(cache_dir, threshold_report, monk
     assert verified == [(tournament_from_code(r.code).out, r.p) for r in threshold_report.records]
 
 
-def test_six_edge_disjoint_triples_on_seven_points_lie_in_a_fano_plane():
-    # the lemma behind the scan's upper bound, by exhaustive search over the
-    # 35 triples with no solver: every family of 6 pairwise edge-disjoint
-    # triples lies inside one of the 30 planes, and every family of 7 is one
-    index = pipeline._triples(7)[0]
-    planes = {mask for mask, _ in pipeline._fano_planes()}
-    triples = [(1 << index[ijk], sum(1 << (7 * a + b) for a, b in combinations(ijk, 2))) for ijk in index]
-    families = Counter()
+def edge_disjoint_families(n):
+    # triple mask of every family of pairwise edge-disjoint triples on
+    # 0..n-1, by family size: an exhaustive search with no solver
+    index = pipeline._triples(n)[0]
+    triples = [(1 << index[ijk], sum(1 << (n * a + b) for a, b in combinations(ijk, 2))) for ijk in index]
+    families = {}
 
     def grow(start, mask, pairs, size):
-        families[size] += 1
-        if size == 6:
-            assert any(mask & plane == mask for plane in planes), bin(mask)
-        if size == 7:
-            assert mask in planes, bin(mask)
+        families.setdefault(size, []).append(mask)
         for i in range(start, len(triples)):
             bit, edges = triples[i]
             if not edges & pairs:
                 grow(i + 1, mask | bit, pairs | edges, size + 1)
 
     grow(0, 0, 0, 0)
-    assert (families[6], families[7], families[8]) == (30 * 7, 30, 0)
+    return families
+
+
+def test_six_edge_disjoint_triples_on_seven_points_lie_in_a_fano_plane():
+    # the completion lemma behind the scan's upper bound at n = 7: every
+    # family of 6 pairwise edge-disjoint triples lies inside one of the 30
+    # planes, and every family of 7 is one
+    planes = {mask for mask, _ in pipeline._max_packings(7)}
+    families = edge_disjoint_families(7)
+    assert all(any(mask & plane == mask for plane in planes) for mask in families[6])
+    assert set(families[7]) == planes
+    assert (len(families[6]), len(families[7]), 8 in families) == (30 * 7, 30, False)
+
+
+@pytest.mark.parametrize(
+    "n, size, count", [(3, 1, 1), (4, 1, 4), (5, 2, 15), (6, 4, 30), (7, 7, 30), (8, 8, 840)], ids=range(3, 9)
+)
+def test_max_packing_table_holds_every_maximum_family(n, size, count):
+    # the table is exactly the families of the most pairwise edge-disjoint
+    # triples, each entry's mask the bits of its lines
+    table = pipeline._max_packings(n)
+    index = pipeline._triples(n)[0]
+    families = edge_disjoint_families(n)
+    assert max(families) == size
+    assert len(families[size]) == len(table) == count
+    assert {mask for mask, _ in table} == set(families[size])
+    for mask, lines in table:
+        assert len(lines) == size
+        assert mask == sum(1 << index[line] for line in lines)
+        pairs = [pair for line in lines for pair in combinations(line, 2)]
+        assert len(set(pairs)) == len(pairs) == 3 * size
+        if n == 7:
+            assert sorted(pairs) == list(combinations(range(7), 2))
+
+
+def test_max_packing_build_that_loses_an_entry_raises(monkeypatch):
+    # the line (0, 1, 2) reads as one pair three times, so the certificate
+    # drops the one entry of K_4 that holds it; the count pin raises
+    # explicitly, so this holds under python -O too
+    def pairs(line, r):
+        return [line[:2]] * 3 if line == (0, 1, 2) else combinations(line, r)
+
+    monkeypatch.setattr(pipeline, "combinations", pairs)
+    with pytest.raises(PipelineError, match="^3 labeled maximum packings of K_4 passed, not 4$"):
+        pipeline._max_packings.__wrapped__(4)
 
 
 def test_packing_value_is_reversal_invariant(threshold_report):
@@ -235,8 +273,8 @@ def test_f_min_is_the_same_at_two_workers(cache_dir, n):
 
 
 def test_f_min_pool_does_not_carry_over_to_another_k(cache_dir):
-    # a triple packing left from a k=3 sweep verifies as a packing, but
-    # says nothing about packings of TT_4
+    # a k=3 run reads its values off the triangle-packing table, which
+    # says nothing about packings of TT_4: a k=4 run after it still solves
     codes = enumerate_codes(7, cache_dir=cache_dir)
     values = [max_packing_exact(tournament_from_code(code), 4).value for code in codes]
     f_min(7, cache_dir=cache_dir)
@@ -244,8 +282,8 @@ def test_f_min_pool_does_not_carry_over_to_another_k(cache_dir):
 
 
 def test_f_min_solve_count_at_order_8(cache_dir, monkeypatch):
-    # witnesses settle most classes; the pool is scoped to one call, so a
-    # second call repeats the first one's solves exactly
+    # at k=3 no class is solved: the only solves are the 8 argmin
+    # re-solves, with no threshold, and a second call repeats them exactly
     solves = []
     original = pipeline.max_packing_exact
 
@@ -258,44 +296,18 @@ def test_f_min_solve_count_at_order_8(cache_dir, monkeypatch):
     for _ in range(2):
         solves.clear()
         record = f_min(8, cache_dir=cache_dir)
-        thresholded = [nodes for stop_at, nodes in solves if stop_at is not None]
-        # the seed solve, 80 class solves and the 8 argmin re-solves
-        assert (len(solves), len(thresholded), len(record.argmin_codes)) == (89, 80, 8)
-        assert (sum(nodes for _, nodes in solves), sum(thresholded)) == (697, 656)
-
-
-def test_solve_code_falls_back_when_no_witness_fits(cache_dir, monkeypatch):
-    source = canonical_code(transitive_tournament(7))
-    target = f_min(7, cache_dir=cache_dir).argmin_codes[0]
-    witness = max_packing_exact(tournament_from_code(source), 3)
-    assert verify_packing(tournament_from_code(source), witness)
-    assert not verify_packing(tournament_from_code(target), witness)
-    assert witness.value == 7
-
-    entry = (pipeline._triple_mask(witness), witness.value)
-    monkeypatch.setattr(pipeline, "_witnesses", [entry])
-    assert pipeline._solve_code((target, 3, 6)) == (5, True)
-    # the miss's exact solve stays below the threshold, so the pool is unchanged
-    assert pipeline._witnesses == [entry]
-
-
-def test_solve_code_settles_a_class_a_witness_fits(monkeypatch):
-    source = canonical_code(transitive_tournament(7))
-    witness = max_packing_exact(tournament_from_code(source), 3)
-
-    def no_search(t, k, **kwargs):
-        raise AssertionError("a fitting witness must settle the class without a search")
-
-    monkeypatch.setattr(pipeline, "max_packing_exact", no_search)
-    monkeypatch.setattr(pipeline, "_witnesses", [(pipeline._triple_mask(witness), witness.value)])
-    assert pipeline._solve_code((source, 3, 6)) == (7, False)
+        assert (len(solves), len(record.argmin_codes)) == (8, 8)
+        assert {stop_at for stop_at, _ in solves} == {None}
+        assert sum(nodes for _, nodes in solves) == 36
 
 
 def test_f_min_rejects_a_stopped_packing_that_fails_verification(cache_dir, monkeypatch):
-    # a witness joins the pool only after verify_packing passes on its own class
-    monkeypatch.setattr(pipeline, "verify_packing", lambda t, p: False)
-    with pytest.raises(PipelineError, match="class [01]+ has a packing of [0-9]+ copies that fails verification"):
-        f_min(7, cache_dir=cache_dir)
+    # at k=4 a class solve that stops at the threshold must pass
+    # verify_packing too; order 4 is the one order where a class stops
+    original = pipeline.verify_packing
+    monkeypatch.setattr(pipeline, "verify_packing", lambda t, p: p.optimal and original(t, p))
+    with pytest.raises(PipelineError, match="^class 000000 has a packing of 1 copies that fails verification$"):
+        f_min(4, k=4, cache_dir=cache_dir)
 
 
 def test_f_min_verifies_every_packing_it_solves(cache_dir, monkeypatch):
@@ -308,9 +320,8 @@ def test_f_min_verifies_every_packing_it_solves(cache_dir, monkeypatch):
 
     monkeypatch.setattr(pipeline, "verify_packing", recording)
     f_min(8, cache_dir=cache_dir)
-    # 80 class solves, 8 of them exact, and the 8 argmin re-solves; the
-    # seed host's solve is the only one not verified
-    assert (len(verified), sum(verified)) == (88, 16)
+    # the 8 argmin re-solves, each exact
+    assert (len(verified), sum(verified)) == (8, 8)
 
 
 def test_f_min_rejects_an_exact_packing_that_fails_verification(cache_dir, monkeypatch):
@@ -321,55 +332,48 @@ def test_f_min_rejects_an_exact_packing_that_fails_verification(cache_dir, monke
     assert str(e.value).split()[1] in enumerate_codes(7, cache_dir=cache_dir)
 
 
-def test_class_sweeps_share_no_witnesses(cache_dir, threshold_report, monkeypatch):
-    # f_min admits witnesses, the regime check must never see them; and a
-    # regime check before f_min leaves f_min's solves as from an empty pool
-    f_min(7, cache_dir=cache_dir, workers=1)
-    assert verify_t7_thresholds(cache_dir, workers=1).records == threshold_report.records
-
-    solves = []
-    original = pipeline.max_packing_exact
-
-    def counting(t, k, **kwargs):
-        p = original(t, k, **kwargs)
-        solves.append((t.out, kwargs.get("stop_at"), p.nodes_explored))
-        return p
-
-    monkeypatch.setattr(pipeline, "max_packing_exact", counting)
-    monkeypatch.setattr(pipeline, "_witnesses", [])
-    fresh = f_min(7, cache_dir=cache_dir, workers=1)
-    fresh_solves = list(solves)
-    verify_t7_thresholds(cache_dir, workers=1)
-    solves.clear()
-    assert f_min(7, cache_dir=cache_dir, workers=1) == fresh
-    assert solves == fresh_solves
+@pytest.mark.parametrize("workers", [1, 2])
+def test_f_min_rejects_a_class_the_scan_does_not_settle(cache_dir, monkeypatch, workers):
+    # with one plane left in the table, some class has 3 or more cyclic
+    # lines on it, where the scan proves no upper bound
+    planes = pipeline._max_packings(7)[:1]
+    monkeypatch.setattr(pipeline, "_max_packings", lambda n: planes)
+    with pytest.raises(PipelineError, match="no maximum packing has under [3-7] cyclic lines on class [01]{21}$"):
+        f_min(7, cache_dir=cache_dir, workers=workers)
 
 
-def test_witness_fit_agrees_with_verify_packing(cache_dir, monkeypatch):
-    admitted = []
-    original = pipeline.verify_packing
-
-    def recording(t, p):
-        admitted.append(p)
-        return original(t, p)
-
-    monkeypatch.setattr(pipeline, "verify_packing", recording)
-    f_min(7, cache_dir=cache_dir)
+def test_scan_value_raises_past_the_exact_range(cache_dir, monkeypatch):
+    # least = 2 is exact at n = 7 alone, by the completion lemma; at other
+    # orders the scan proves only the lower bound there
     codes = enumerate_codes(7, cache_dir=cache_dir)
-    # f_min admits no TT_4 witness at these orders, so the C(4,3)-triple
-    # masks are exercised on exact packings here
-    tt4 = [max_packing_exact(tournament_from_code(code), 4) for code in codes[::50]]
-    assert admitted and {w.k for w in admitted} == {3} and {w.k for w in tt4} == {4}
+    sevens = [code for code in codes if pipeline._scan(7, pipeline._cyclic_mask(code))[0] == 2]
+    assert [pipeline._scan_value(7, code) for code in sevens] == [5, 5]
+    entry = pipeline._max_packings(6)[:1]
+    six = next(
+        code
+        for code in enumerate_codes(6, cache_dir=cache_dir)
+        if (entry[0][0] & pipeline._cyclic_mask(code)).bit_count() == 2
+    )
+    monkeypatch.setattr(pipeline, "_max_packings", lambda n: entry)
+    with pytest.raises(PipelineError, match=f"^no maximum packing has under 2 cyclic lines on class {six}$"):
+        pipeline._scan_value(6, six)
+
+
+def test_witness_fit_agrees_with_verify_packing(cache_dir):
+    # an entry's lines pack a class iff its mask misses the class's cyclic
+    # triples: on every order-7 class and entry, and a slice at order 8
     fits = Counter()
-    for code in codes:
-        t = tournament_from_code(code)
-        cyclic = pipeline._cyclic_mask(code)
-        assert cyclic.bit_count() == census(t).t
-        for w in admitted + tt4:
-            fit = not pipeline._triple_mask(w) & cyclic
-            assert fit == original(t, w), (code, w.copies)
-            fits[w.k, fit] += 1
-    assert all(fits[k, fit] for k in (3, 4) for fit in (False, True))
+    for n, classes, entries in ((7, slice(None), slice(None)), (8, slice(None, None, 344), slice(None, None, 42))):
+        table = pipeline._max_packings(n)[entries]
+        for code in enumerate_codes(n, cache_dir=cache_dir)[classes]:
+            t = tournament_from_code(code)
+            cyclic = pipeline._cyclic_mask(code)
+            assert cyclic.bit_count() == census(t).t
+            for mask, lines in table:
+                fit = not mask & cyclic
+                assert fit == verify_packing(t, Packing(n=n, k=3, copies=lines)), (code, lines)
+                fits[n, fit] += 1
+    assert all(fits[n, fit] for n in (7, 8) for fit in (False, True))
 
 
 def test_f_min_rejects_out_of_range(cache_dir):
@@ -463,8 +467,8 @@ def test_pipeline_workers_agree():
 def test_pipeline_rejects_a_block_no_fano_plane_packs(monkeypatch, workers):
     # with one plane left in the table, some block of the random host has
     # 3 or more cyclic lines on it, where the scan proves no value
-    planes = pipeline._fano_planes()[:1]
-    monkeypatch.setattr(pipeline, "_fano_planes", lambda: planes)
+    planes = pipeline._max_packings(7)[:1]
+    monkeypatch.setattr(pipeline, "_max_packings", lambda n: planes)
     with pytest.raises(PipelineError, match="no Fano plane has under [3-7] cyclic lines on block"):
         decomposition_pipeline(random_tournament(49, 7), trials=2, seed=11, workers=workers)
 
@@ -489,44 +493,53 @@ GATE_HOSTS = {
 def counting_scans(monkeypatch):
     # a scan runs exactly on a miss of the pattern memo
     calls = []
-    original = pipeline._fano_scan
+    original = pipeline._scan
 
-    def counting(cyclic):
+    def counting(n, cyclic):
         calls.append(cyclic)
-        return original(cyclic)
+        return original(n, cyclic)
 
-    monkeypatch.setattr(pipeline, "_fano_scan", counting)
+    monkeypatch.setattr(pipeline, "_scan", counting)
     return calls
 
 
-def test_fano_plane_table_holds_the_30_labeled_planes():
-    planes = pipeline._fano_planes()
-    index = pipeline._triples(7)[0]
-    assert len(planes) == 30
-    assert len({mask for mask, _ in planes}) == 30
-    for mask, lines in planes:
-        assert mask == sum(1 << index[line] for line in lines)
-        pairs = [pair for line in lines for pair in combinations(line, 2)]
-        assert sorted(pairs) == list(combinations(range(7), 2))
-
-
-def test_fano_scan_is_exact_on_every_class(cache_dir):
-    perfect = comb(7, 2) // 3
-    for i, code in enumerate(enumerate_codes(7, cache_dir=cache_dir)):
+@pytest.mark.parametrize(
+    "n, histogram",
+    [
+        (3, {0: 1, 1: 1}),
+        (4, {0: 4}),
+        (5, {0: 12}),
+        (6, {0: 55, 1: 1}),
+        (7, {0: 407, 1: 47, 2: 2}),
+        (8, {0: 6872, 1: 8}),
+    ],
+    ids=range(3, 9),
+)
+def test_scan_is_exact_on_every_class(cache_dir, n, histogram):
+    # every class, as it is and relabeled, packs M - least by the scan's
+    # verified lines, and exactly that by the solver; at least = 0 the
+    # value is M, the most any n-vertex tournament packs, so at order 8
+    # only the classes with least >= 1 are solved
+    size = len(pipeline._max_packings(n)[0][1])
+    leasts = Counter()
+    for i, code in enumerate(enumerate_codes(n, cache_dir=cache_dir)):
         canonical = tournament_from_code(code)
-        perm = list(range(7))
-        stdlib_rng(sub_seed(7, i)).shuffle(perm)
-        out = [0] * 7
-        for u in range(7):
-            for w in range(7):
+        perm = list(range(n))
+        stdlib_rng(sub_seed(n, i)).shuffle(perm)
+        out = [0] * n
+        for u in range(n):
+            for w in range(n):
                 if canonical.out[u] >> w & 1:
                     out[perm[u]] |= 1 << perm[w]
-        relabeled = Tournament(7, tuple(out))
-        for t in (canonical, relabeled):
-            least, lines = pipeline._fano_scan(pipeline._cyclic_mask(tournament_bits(t)))
-            assert least <= 2, code
-            assert len(lines) == perfect - least == max_packing_exact(t, 3).value, code
-            assert verify_packing(t, Packing(n=7, k=3, copies=lines)), code
+        least = pipeline._scan(n, pipeline._cyclic_mask(code))[0]
+        leasts[least] += 1
+        for t in (canonical, Tournament(n, tuple(out))):
+            scanned, lines = pipeline._scan(n, pipeline._cyclic_mask(tournament_bits(t)))
+            assert scanned == least and len(lines) == size - least, code
+            assert verify_packing(t, Packing(n=n, k=3, copies=lines)), code
+            if n < 8 or least:
+                assert max_packing_exact(t, 3).value == size - least, code
+    assert leasts == histogram
 
 
 @pytest.mark.parametrize(
