@@ -19,10 +19,8 @@ from .tournament import (  # noqa: E402,F401
     TriangleCensus,
     census,
     induced,
-    max_transitive_subset,
     parse_tournament,
     random_tournament,
-    reverse,
     serialize_tournament,
     transitive_triples_lower_bound,
 )

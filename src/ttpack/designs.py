@@ -1,10 +1,13 @@
 """Pairwise-balanced block designs backing the packing arguments.
 
-Provides the 7-point Steiner triple system and its full 30-element
-labeled family, and the lines of the affine plane over Z_q for prime q:
-q = 3 gives the 9-point triple system, and q = 7 the 56 lines that tile
-all pairs of a 49-point set by 7-point blocks.  Designs are plain block
-lists, and every generator is deterministic.
+Provides the 7-point Steiner triple system, the lines of the affine
+plane over Z_q for prime q (q = 3 gives the 9-point triple system, and
+q = 7 the 56 lines that tile all pairs of a 49-point set by 7-point
+blocks), and the one relabeling orbit of a triple system: the 30
+labeled 7-point systems, and the 840 labeled 9-point ones, from which
+the pipeline reads every labeled maximum triangle packing of K_n for
+n <= 8.  Designs are plain block lists, and every generator is
+deterministic.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 
-from .tournament import Tournament, is_transitive_on
-
 __all__ = [
     "BlockDesign",
     "DesignError",
@@ -24,7 +25,6 @@ __all__ = [
     "fano_plane",
     "parse_design",
     "serialize_design",
-    "sts_triangle_count",
     "verify_design",
 ]
 
@@ -70,46 +70,38 @@ def verify_design(d: BlockDesign) -> bool:
     return len(pairs) == total
 
 
-def _relabel(d: BlockDesign, perm: tuple[int, ...]) -> BlockDesign:
-    return _design(d.point_count, [tuple(perm[p] for p in b) for b in d.blocks])
-
-
 def _orbit(base: BlockDesign) -> tuple[BlockDesign, ...]:
-    # Closure under adjacent transpositions, which generate the full
-    # symmetric group; far cheaper than sweeping all n! permutations.
-    n = base.point_count
-    swaps = []
-    for i in range(n - 1):
-        p = list(range(n))
-        p[i], p[i + 1] = p[i + 1], p[i]
-        swaps.append(tuple(p))
-    seen = {base.blocks: base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for d in frontier:
-            for s in swaps:
-                img = _relabel(d, s)
-                if img.blocks not in seen:
-                    seen[img.blocks] = img
-                    nxt.append(img)
-        frontier = nxt
-    return tuple(seen[key] for key in sorted(seen))
+    """Every relabeling of base, sorted by blocks.
+
+    Grown on sets of block indices, in combinations order, under the
+    transposition (0 1) and the cycle (0 1 .. v-1), which generate every
+    relabeling: the orbit is read as it grows, until no move finds a new
+    image.  Each index set is its design's sorted blocks, so no image is
+    normalized.  Indexes all C(v, k) blocks, so it suits triple systems.
+    """
+    v, k = base.point_count, base.block_size
+    blocks = list(combinations(range(v), k))
+    index = {block: x for x, block in enumerate(blocks)}
+    moves = [
+        [index[tuple(sorted(perm[p] for p in block))] for block in blocks]
+        for perm in ((1, 0, *range(2, v)), (*range(1, v), 0))
+    ]
+    seen = {frozenset(index[block] for block in base.blocks)}
+    orbit = list(seen)
+    for on in orbit:
+        for move in moves:
+            image = frozenset(map(move.__getitem__, on))
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    systems = sorted(tuple(blocks[x] for x in sorted(on)) for on in orbit)
+    return tuple(BlockDesign(v, k, lines) for lines in systems)
 
 
 @lru_cache(maxsize=None)
 def all_sts7() -> tuple[BlockDesign, ...]:
     """All 30 labeled 7-point Steiner triple systems (one relabeling orbit)."""
     return _orbit(fano_plane())
-
-
-def sts_triangle_count(t: Tournament, d: BlockDesign) -> int:
-    """Number of blocks inducing a directed triangle; the rest pack as triples."""
-    if d.block_size != 3:
-        raise DesignError(f"triple system required, got block size {d.block_size}")
-    if t.n != d.point_count:
-        raise DesignError(f"host has {t.n} vertices, design has {d.point_count} points")
-    return sum(not is_transitive_on(t, block) for block in d.blocks)
 
 
 def ag2_lines(q: int = 7) -> BlockDesign:

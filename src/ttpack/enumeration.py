@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import FORMAT_VERSION
-from .tournament import Tournament, census, tournament_from_bits
+from .tournament import Tournament, tournament_from_bits
 
 MAX_CANONICAL_VERTICES = 10
 
@@ -347,15 +347,3 @@ def enumerate_nonisomorphic(
     return [
         tournament_from_bits(n, code) for code in enumerate_codes(n, cache_dir, workers)
     ]
-
-
-def scores_with_triangle_count(
-    n: int, t: int, cache_dir: str | None = None
-) -> set[tuple[int, ...]]:
-    """Score sequences realized by at least one class with exactly t directed triangles."""
-    return {
-        rep.score()
-        for rep in enumerate_nonisomorphic(n, cache_dir)
-        if census(rep).t == t
-    }
-

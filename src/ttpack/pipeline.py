@@ -23,7 +23,7 @@ from math import comb, isqrt
 from operator import itemgetter
 
 from .constructions import turan3_tournament
-from .designs import ag2_lines, verify_design
+from .designs import _orbit, ag2_lines, fano_plane, verify_design
 from .enumeration import MAX_ENUMERATION_VERTICES, _pool_map, enumerate_codes, tournament_from_code
 from .packing import Packing, max_packing_exact, verify_packing
 from .rng import stdlib_rng, sub_seed
@@ -169,56 +169,37 @@ def _solve_code(args: tuple[str, int, int | None]) -> tuple[int, bool]:
 # clears it before its pool is made: every worker starts empty.
 _pattern_memo: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
 
-# A Fano plane whose lines inside 0..n-1 are a maximum packing of K_n by
-# triangles for each n from 3 to 7.
-_FANO = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
-
-
 @lru_cache(maxsize=None)
 def _max_packings(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """(triple mask, lines) of every labeled maximum triangle packing of K_n, 3 <= n <= 8.
 
     A maximum packing has M = 1, 1, 2, 4, 7, 8 triples at n = 3..8, and
-    each is a relabeling of one base: the lines of _FANO inside 0..n-1,
-    or at n = 8 those of the 9-point system off its point 8 (a maximum
-    packing of K_8 leaves a perfect matching, which a new point
-    completes).  The table is that orbit, grown on triple masks by two
-    generating relabelings.  Certificate, once per process: an entry's
-    lines are read off its mask, so each is a triple i<j<k of 0..n-1,
-    and it is kept only if its M lines cover 3M distinct pairs; and the
-    count is pinned, so a build that loses an entry raises, and
-    completeness is checkable against an exhaustive search.
+    each is the lines inside 0..n-1 of a labeled triple system: one of
+    the 30 7-point systems, or at n = 8 one of the 840 9-point systems
+    off its point 8 (a maximum packing of K_8 leaves a perfect matching,
+    which a new point completes).  The table is read off designs' orbits
+    of fano_plane() and ag2_lines(3), keeping each system's lines inside
+    0..n-1 when there are M of them, and sorted by lines, as designs
+    orders its systems: at n = 7 the lines are all_sts7()'s blocks.
+    Certificate, once per process: an entry's lines are triples i<j<k of
+    0..n-1, each found in the triple index for its mask, and it is kept
+    only if they cover 3M distinct pairs; and the count is pinned,
+    so a build that loses an entry raises, and completeness is checkable
+    against an exhaustive search.
     """
     m, count = {3: (1, 1), 4: (1, 4), 5: (2, 15), 6: (4, 30), 7: (7, 30), 8: (8, 840)}[n]
     index = _triples(n)[0]
-    base = _FANO if n <= 7 else ag2_lines(3).blocks
-    # the transposition (0 1) and the cycle (0 1 .. n-1), which generate
-    # every relabeling, each as a map of triple indices
-    moves = [
-        [index[tuple(sorted(perm[v] for v in ijk))] for ijk in index]
-        for perm in ([1, 0, *range(2, n)], [*range(1, n), 0])
-    ]
-    seen = {frozenset(index[line] for line in base if max(line) < n)}
-    orbit = list(seen)
-    for on in orbit:  # grows as it is read, until no move finds a new image
-        for move in moves:
-            image = frozenset(map(move.__getitem__, on))
-            if image not in seen:
-                seen.add(image)
-                orbit.append(image)
-    triples = list(index)
-    pairs = [set(combinations(ijk, 2)) for ijk in triples]
+    systems = _orbit(fano_plane() if n <= 7 else ag2_lines(3))
     table = []
-    for on in orbit:
-        if len(on) == m and len(set().union(*(pairs[x] for x in on))) == 3 * m:
-            table.append((sum(1 << x for x in on), tuple(triples[x] for x in sorted(on))))
-    table.sort(key=itemgetter(1))  # by lines, as designs orders its systems
+    for lines in sorted({tuple(line for line in d.blocks if line[-1] < n) for d in systems}):
+        if len(lines) == m and len({pair for line in lines for pair in combinations(line, 2)}) == 3 * m:
+            table.append((sum(1 << index[line] for line in lines), lines))
     if len(table) != count:
         raise PipelineError(f"{len(table)} labeled maximum packings of K_{n} passed, not {count}")
     return tuple(table)
 
 
-def _scan(n: int, cyclic: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _scan(n: int, cyclic: int, *subject) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Least cyclic lines of a maximum packing of K_n, and a least packing's other lines.
 
     cyclic is the directed-triangle mask, by triple index, of an n-vertex
@@ -230,36 +211,37 @@ def _scan(n: int, cyclic: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     iff least = 0, and P = M - least whenever least <= 1.  At n = 7, any
     6 edge-disjoint triples leave 3 edges in which every vertex has even
     degree, a triangle, so they complete to a Fano plane: P = 6 iff
-    least = 1, and P = 5 when least = 2.  Past that range the scan
-    proves only the lower bound, and every caller raises.  The table is
-    closed under relabeling, so least depends on T's class alone.
+    least = 1, and P = 5 when least = 2.  So the exact range is
+    least <= 1, and least <= 2 at n = 7; past it the scan proves only
+    the lower bound, and raises, naming subject (say "class", code).
+    The table is closed under relabeling, so least depends on T's class
+    alone.
     """
     table = _max_packings(n)
     for mask, lines in table:
         if not mask & cyclic:
             return 0, lines
     mask, lines = min(table, key=lambda entry: (entry[0] & cyclic).bit_count())
+    least = (mask & cyclic).bit_count()
+    if least > (2 if n == 7 else 1):
+        where = " ".join(map(str, subject))
+        raise PipelineError(f"no maximum packing has under {least} cyclic lines on {where}")
     index = _triples(n)[0]
-    return (mask & cyclic).bit_count(), tuple(line for line in lines if not cyclic >> index[line] & 1)
+    return least, tuple(line for line in lines if not cyclic >> index[line] & 1)
 
 
 def _scan_code(code: str) -> tuple[int, int]:
     """(t, P) of the 7-vertex class with this code, by _scan, its packing verified here."""
     cyclic = _cyclic_mask(code)
-    least, lines = _scan(7, cyclic)
-    if least > 2:
-        raise PipelineError(f"no Fano plane has under {least} cyclic lines on class {code}")
+    lines = _scan(7, cyclic, "class", code)[1]
     if not verify_packing(tournament_from_code(code), Packing(n=7, k=3, copies=lines)):
         raise PipelineError(f"class {code} has a packing of {len(lines)} copies that fails verification")
     return cyclic.bit_count(), len(lines)
 
 
 def _scan_value(n: int, code: str) -> int:
-    """P_3 of the class of order n with this code, M - least by _scan; raises past its exact range."""
-    least, lines = _scan(n, _cyclic_mask(code))
-    if least > (2 if n == 7 else 1):
-        raise PipelineError(f"no maximum packing has under {least} cyclic lines on class {code}")
-    return len(lines)
+    """P_3 of the class of order n with this code, M - least by _scan."""
+    return len(_scan(n, _cyclic_mask(code), "class", code)[1])
 
 
 def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> ThresholdReport:
@@ -269,9 +251,9 @@ def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> Thre
     the size of its verified packing, a least Fano plane's 7 - least
     transitive lines: exact by the argument in _scan's docstring.  A
     class with t directed triangles must pack at least its regime's
-    value and at most the perfect packing C(7,2)/3 = 7.  A class with
-    least > 2, a packing that fails verification or a violation raises,
-    naming the class's code.
+    value and at most the perfect packing C(7,2)/3 = 7.  A class past
+    the scan's exact range, a packing that fails verification or a
+    violation raises, naming the class's code.
     """
     perfect = comb(7, 2) // 3
     codes = enumerate_codes(7, cache_dir=cache_dir)
@@ -406,9 +388,7 @@ def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...]
         entry = _pattern_memo.get(pattern)
         if entry is None:
             cyclic = _cyclic_mask(format(pattern, "021b"))
-            least, lines = _scan(7, cyclic)
-            if least > 2:
-                raise PipelineError(f"no Fano plane has under {least} cyclic lines on block {vs} in trial {i}")
+            lines = _scan(7, cyclic, "block", vs, "in trial", i)[1]
             entry = _pattern_memo[pattern] = (cyclic.bit_count(), lines)
         t_count, lines = entry
         block_ts.append(t_count)
@@ -435,10 +415,10 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
     Its cyclic triples are read off the pattern, and _scan gives
     least, the fewest of them on the lines of any Fano plane; the
     block's value is 7 - least, packed by that plane's transitive lines,
-    exact by the argument in _scan's docstring.  A block with
-    least > 2 raises.  _pattern_memo keeps each pattern's t and lines
-    once per call, cleared here before the pool of workers is made, so
-    each worker starts empty.
+    exact by the argument in _scan's docstring.  A block past the
+    scan's exact range raises.  _pattern_memo keeps each pattern's t
+    and lines once per call, cleared here before the pool of workers is
+    made, so each worker starts empty.
     """
     design = ag2_lines(7)
     if t.n != design.point_count:

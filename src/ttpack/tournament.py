@@ -15,9 +15,6 @@ from .rng import coin
 
 MAX_VERTICES = 64
 
-# Hard cap for the exponential max-transitive-subset search.
-MAX_TRANSITIVE_SEARCH_VERTICES = 24
-
 
 class TournamentError(ValueError):
     """Invalid tournament data or operation arguments."""
@@ -187,12 +184,6 @@ def census(t: Tournament) -> TriangleCensus:
     return TriangleCensus(a=a_direct, t=cyclic)
 
 
-def reverse(t: Tournament) -> Tournament:
-    """Flip every edge; the triple census is invariant, scores complement."""
-    full = (1 << t.n) - 1
-    return Tournament(t.n, tuple(full & ~m & ~(1 << v) for v, m in enumerate(t.out)))
-
-
 def induced(t: Tournament, vertices) -> Tournament:
     """Subtournament on `vertices`, relabeled 0..m-1 in sorted order."""
     vs = sorted(set(vertices))
@@ -240,38 +231,3 @@ def is_transitive_on(t: Tournament, vertices) -> bool:
     for v in vertices:
         seen |= 1 << (out[v] & mask).bit_count()
     return seen == (1 << len(vertices)) - 1
-
-
-def max_transitive_subset(t: Tournament) -> tuple[int, ...]:
-    """A largest vertex subset inducing a transitive subtournament.
-
-    Branch and bound over dominance chains: a transitive subset is a chain
-    v1 -> v2 -> ... with every later vertex beaten by all earlier ones, so
-    the candidate pool shrinks to `cand & out[v]` at each step.  Memoized on
-    the candidate pool; pruned by the pool size.
-    """
-    if t.n > MAX_TRANSITIVE_SEARCH_VERTICES:
-        raise TournamentError(
-            f"max_transitive_subset capped at n <= {MAX_TRANSITIVE_SEARCH_VERTICES}"
-        )
-    out = t.out
-    memo: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
-
-    def longest(cand: int) -> tuple[int, tuple[int, ...]]:
-        hit = memo.get(cand)
-        if hit is not None:
-            return hit
-        best_len, best_chain = 0, ()
-        m = cand
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            sub_len, sub_chain = longest(cand & out[v])
-            if 1 + sub_len > best_len:
-                best_len, best_chain = 1 + sub_len, (v,) + sub_chain
-        memo[cand] = (best_len, best_chain)
-        return best_len, best_chain
-
-    _, chain = longest((1 << t.n) - 1)
-    return tuple(sorted(chain))
-

@@ -3,15 +3,24 @@
 Everything here is deliberately written against the raw edge relation
 only, using routes different from the library's own (explicit pair
 dictionaries instead of bitsets, subset recursion instead of
-branch-and-bound), so agreement is meaningful.
+branch-and-bound), so agreement is meaningful.  The helpers at the end
+are tests' own: the package has no caller for them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from ttpack.enumeration import canonical_code
-from ttpack.tournament import Tournament, edge_index, is_transitive_on, tournament_from_bits
+from ttpack.designs import BlockDesign, DesignError
+from ttpack.enumeration import canonical_code, enumerate_nonisomorphic
+from ttpack.tournament import (
+    Tournament,
+    TournamentError,
+    census,
+    edge_index,
+    is_transitive_on,
+    tournament_from_bits,
+)
 
 
 def beats(t: Tournament, u: int, v: int) -> bool:
@@ -272,3 +281,67 @@ def labeled_count_with_score(score) -> int:
     are relabeled, so it is the same for every arrangement of the score.
     """
     return labeled_count_with_out_degrees(score) * len(set(permutations(score)))
+
+
+def reverse(t: Tournament) -> Tournament:
+    """Flip every edge; the triple census is invariant, scores complement."""
+    full = (1 << t.n) - 1
+    return Tournament(t.n, tuple(full & ~m & ~(1 << v) for v, m in enumerate(t.out)))
+
+
+# Hard cap for the exponential max-transitive-subset search.
+MAX_TRANSITIVE_SEARCH_VERTICES = 24
+
+
+def max_transitive_subset(t: Tournament) -> tuple[int, ...]:
+    """A largest vertex subset inducing a transitive subtournament.
+
+    Branch and bound over dominance chains: a transitive subset is a chain
+    v1 -> v2 -> ... with every later vertex beaten by all earlier ones, so
+    the candidate pool shrinks to `cand & out[v]` at each step.  Memoized on
+    the candidate pool; pruned by the pool size.
+    """
+    if t.n > MAX_TRANSITIVE_SEARCH_VERTICES:
+        raise TournamentError(
+            f"max_transitive_subset capped at n <= {MAX_TRANSITIVE_SEARCH_VERTICES}"
+        )
+    out = t.out
+    memo: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+
+    def longest(cand: int) -> tuple[int, tuple[int, ...]]:
+        hit = memo.get(cand)
+        if hit is not None:
+            return hit
+        best_len, best_chain = 0, ()
+        m = cand
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            sub_len, sub_chain = longest(cand & out[v])
+            if 1 + sub_len > best_len:
+                best_len, best_chain = 1 + sub_len, (v,) + sub_chain
+        memo[cand] = (best_len, best_chain)
+        return best_len, best_chain
+
+    _, chain = longest((1 << t.n) - 1)
+    return tuple(sorted(chain))
+
+
+def sts_triangle_count(t: Tournament, d: BlockDesign) -> int:
+    """Number of blocks inducing a directed triangle; the rest pack as triples."""
+    if d.block_size != 3:
+        raise DesignError(f"triple system required, got block size {d.block_size}")
+    if t.n != d.point_count:
+        raise DesignError(f"host has {t.n} vertices, design has {d.point_count} points")
+    return sum(not is_transitive_on(t, block) for block in d.blocks)
+
+
+def scores_with_triangle_count(
+    n: int, t: int, cache_dir: str | None = None
+) -> set[tuple[int, ...]]:
+    """Score sequences realized by at least one class with exactly t directed triangles."""
+    return {
+        rep.score()
+        for rep in enumerate_nonisomorphic(n, cache_dir)
+        if census(rep).t == t
+    }

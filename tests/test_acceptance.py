@@ -17,16 +17,15 @@ from oracles import (
     brute_max_packing,
     degree_formula_transitive,
     labeled_count_with_score,
+    max_transitive_subset,
     oracle_canonical_code,
+    scores_with_triangle_count,
+    sts_triangle_count,
     triangle_counts,
 )
 from ttpack.constructions import blowup, intra_class_edge_bound, qr7, turan3_tournament
-from ttpack.designs import all_sts7, sts_triangle_count
-from ttpack.enumeration import (
-    canonical_code,
-    enumerate_nonisomorphic,
-    scores_with_triangle_count,
-)
+from ttpack.designs import all_sts7
+from ttpack.enumeration import canonical_code, enumerate_nonisomorphic
 from ttpack.experiments import edge_copy_stats
 from ttpack.packing import max_packing_exact
 from ttpack.pipeline import (
@@ -36,12 +35,7 @@ from ttpack.pipeline import (
     lp_step,
     verify_t7_thresholds,
 )
-from ttpack.tournament import (
-    census,
-    max_transitive_subset,
-    random_tournament,
-    transitive_tournament,
-)
+from ttpack.tournament import census, random_tournament, transitive_tournament
 
 
 def check(num: int, label: str, ok: bool, detail: str = "") -> None:

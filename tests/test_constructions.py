@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import is_transitive_subset
+from oracles import is_transitive_subset, max_transitive_subset
 from ttpack.constructions import (
     ConstructionError,
     blowup,
@@ -16,7 +16,7 @@ from ttpack.constructions import (
 )
 from ttpack.enumeration import canonical_code
 from ttpack.packing import max_packing_exact
-from ttpack.tournament import census, max_transitive_subset, random_tournament
+from ttpack.tournament import census, random_tournament
 
 
 def class_of(n: int, v: int) -> int:

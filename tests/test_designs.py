@@ -4,16 +4,16 @@ from itertools import combinations
 
 import pytest
 
-from oracles import all_triple_systems, transitive_sts_search
+from oracles import all_triple_systems, sts_triangle_count, transitive_sts_search
 from ttpack.designs import (
     BlockDesign,
     DesignError,
+    _orbit,
     ag2_lines,
     all_sts7,
     fano_plane,
     parse_design,
     serialize_design,
-    sts_triangle_count,
     verify_design,
 )
 from ttpack.constructions import qr7
@@ -64,10 +64,15 @@ def test_all_sts7_is_the_full_orbit():
     assert len(freq) == 35
 
 
-def test_orbit_generation_matches_exact_cover_enumeration():
-    # dual route: the permutation orbit must coincide with the set of ALL
-    # pairwise-balanced triple systems found by backtracking
-    assert {frozenset(d.blocks) for d in all_sts7()} == set(all_triple_systems(7))
+@pytest.mark.parametrize("base, v", [(fano_plane(), 7), (ag2_lines(3), 9)], ids=[7, 9])
+def test_orbit_generation_matches_exact_cover_enumeration(base, v):
+    # dual route: the relabeling orbit must coincide with the set of ALL
+    # pairwise-balanced triple systems found by backtracking, 30 at v = 7
+    # and 840 at v = 9, each listed once and sorted by blocks
+    orbit = _orbit(base)
+    assert [d.blocks for d in orbit] == sorted({d.blocks for d in orbit})
+    assert {frozenset(d.blocks) for d in orbit} == set(all_triple_systems(v))
+    assert len(orbit) == {7: 30, 9: 840}[v]
 
 
 def test_triangle_count_identity_against_census():

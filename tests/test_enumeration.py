@@ -21,6 +21,7 @@ from oracles import (
     brute_force_canonical_code,
     labeled_count_with_score,
     oracle_canonical_code,
+    scores_with_triangle_count,
 )
 from ttpack.constructions import qr7, turan3_tournament
 from ttpack.enumeration import (
@@ -33,7 +34,6 @@ from ttpack.enumeration import (
     canonical_form,
     enumerate_codes,
     enumerate_nonisomorphic,
-    scores_with_triangle_count,
     tournament_from_code,
 )
 from ttpack.tournament import (

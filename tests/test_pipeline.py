@@ -8,8 +8,9 @@ from math import comb
 
 import pytest
 
+from oracles import reverse
 from ttpack import enumeration, pipeline
-from ttpack.designs import ag2_lines
+from ttpack.designs import ag2_lines, all_sts7
 from ttpack.enumeration import canonical_code, canonical_form, enumerate_codes, tournament_from_code
 from ttpack.packing import Packing, max_packing_exact, verify_packing
 from ttpack.pipeline import (
@@ -27,7 +28,6 @@ from ttpack.tournament import (
     Tournament,
     census,
     random_tournament,
-    reverse,
     tournament_bits,
     transitive_tournament,
 )
@@ -85,8 +85,8 @@ def force_copies(monkeypatch, code, edit):
     target = pipeline._cyclic_mask(code)
     original = pipeline._scan
 
-    def forced(n, cyclic):
-        least, lines = original(n, cyclic)
+    def forced(n, cyclic, *subject):
+        least, lines = original(n, cyclic, *subject)
         return (least, edit(lines)) if cyclic == target else (least, lines)
 
     monkeypatch.setattr(pipeline, "_scan", forced)
@@ -146,7 +146,7 @@ def test_threshold_sweep_rejects_a_class_no_fano_plane_packs(cache_dir, monkeypa
     planes = pipeline._max_packings(7)[:1]
     monkeypatch.setattr(pipeline, "_max_packings", lambda n: planes)
     monkeypatch.setattr(pipeline, "REGIMES", ((0, 0),))
-    with pytest.raises(PipelineError, match="no Fano plane has under [3-7] cyclic lines on class [01]{21}$"):
+    with pytest.raises(PipelineError, match="no maximum packing has under [3-7] cyclic lines on class [01]{21}$"):
         verify_t7_thresholds(cache_dir, workers=workers)
 
 
@@ -217,6 +217,12 @@ def test_max_packing_table_holds_every_maximum_family(n, size, count):
         assert len(set(pairs)) == len(pairs) == 3 * size
         if n == 7:
             assert sorted(pairs) == list(combinations(range(7), 2))
+
+
+def test_order_7_table_lists_the_planes_of_all_sts7_in_order():
+    # pipeline and verify lemma22 take the first least plane, so the table
+    # keeps designs' order of the 30 labeled planes
+    assert [lines for _, lines in pipeline._max_packings(7)] == [d.blocks for d in all_sts7()]
 
 
 def test_max_packing_build_that_loses_an_entry_raises(monkeypatch):
@@ -469,7 +475,7 @@ def test_pipeline_rejects_a_block_no_fano_plane_packs(monkeypatch, workers):
     # 3 or more cyclic lines on it, where the scan proves no value
     planes = pipeline._max_packings(7)[:1]
     monkeypatch.setattr(pipeline, "_max_packings", lambda n: planes)
-    with pytest.raises(PipelineError, match="no Fano plane has under [3-7] cyclic lines on block"):
+    with pytest.raises(PipelineError, match="no maximum packing has under [3-7] cyclic lines on block"):
         decomposition_pipeline(random_tournament(49, 7), trials=2, seed=11, workers=workers)
 
 
@@ -495,9 +501,9 @@ def counting_scans(monkeypatch):
     calls = []
     original = pipeline._scan
 
-    def counting(n, cyclic):
+    def counting(n, cyclic, *subject):
         calls.append(cyclic)
-        return original(n, cyclic)
+        return original(n, cyclic, *subject)
 
     monkeypatch.setattr(pipeline, "_scan", counting)
     return calls

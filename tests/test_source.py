@@ -49,6 +49,29 @@ def test_package_reads_every_name_it_imports():
     assert unused_imports(files) == []
 
 
+def test_every_exported_name_is_bound():
+    # a name in a module's __all__ is defined or imported at its top level,
+    # so moving or deleting a public name must take it out of __all__ too
+    exported = {}
+    unbound = []
+    for path in sorted(Path(ttpack.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound.update(name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name))
+                if any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets):
+                    exported[path.name] = ast.literal_eval(node.value)
+        unbound += [f"{path.name} {name}" for name in exported.get(path.name, ()) if name not in bound]
+    assert exported
+    assert unbound == []
+
+
 def test_one_process_pool_helper():
     # only enumeration.py imports multiprocessing, and Pool is read only
     # inside enumeration._pool_map

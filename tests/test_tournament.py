@@ -5,7 +5,13 @@ from itertools import combinations
 
 import pytest
 
-from oracles import degree_formula_transitive, is_transitive_subset, triangle_counts
+from oracles import (
+    degree_formula_transitive,
+    is_transitive_subset,
+    max_transitive_subset,
+    reverse,
+    triangle_counts,
+)
 from ttpack.tournament import (
     MAX_VERTICES,
     Tournament,
@@ -15,10 +21,8 @@ from ttpack.tournament import (
     edge_list,
     induced,
     is_transitive_on,
-    max_transitive_subset,
     parse_tournament,
     random_tournament,
-    reverse,
     serialize_tournament,
     tournament_bits,
     tournament_from_bits,
