@@ -9,9 +9,7 @@ branch; the answer is the minimum over branch leaves, which equals the
 unpruned definition (asserted against a full permutation scan for n <= 6 in
 the test suite).  Once every cell is a single vertex the order is forced,
 so the rest of the path is read off as one leaf rather than searched level
-by level (see `_min_code_rows`).  The search runs on a vertex bitset of a
-host, so a subset is labeled in place: same code and order as on the
-induced copy, in the host's labels.
+by level (see `_min_code_rows`).
 
 Enumeration is orderly: extend each canonical representative of order n-1 by
 one new vertex, canonicalize, deduplicate.  Of the 2^(n-1) extensions, only
@@ -27,8 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
 from multiprocessing import Pool
 
 from . import FORMAT_VERSION
@@ -49,7 +46,6 @@ CLASS_TABLE = (
     (456, "13400bec677a3bb07553b465cdb7ae1ea9ef6f5f654f3820cb4024eb74c7f3c3"),
     (6880, "cda7ebc640161eb812fef4d217d5ca092e4aeea73481c811b186f2be4dfef4d1"),
 )
-CLASS_COUNTS = tuple(count for count, _ in CLASS_TABLE)
 MAX_ENUMERATION_VERTICES = len(CLASS_TABLE)
 
 CACHE_ENV_VAR = "TTPACK_CACHE"
@@ -60,29 +56,10 @@ class EnumerationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """The canonical code, and one relabeling that reaches it.
+def _min_code_rows(out: Sequence[int]) -> list[int]:
+    """Rows of the minimal code of the tournament whose out-sets are `out`.
 
-    order[i] is the vertex placed at canonical position i, in the host's
-    own labels, so vertex order[i] beats order[j] exactly when the code
-    says i beats j.
-    """
-
-    n: int
-    code: str
-    order: tuple[int, ...]
-
-
-def _min_code_rows(out: Sequence[int], cell: int) -> tuple[list[int], tuple[int, ...]]:
-    """Rows of the minimal code of the subtournament on `cell`, and the order reaching them.
-
-    `cell` is a bitset of vertices of the tournament whose out-sets are
-    `out`; with n = cell.bit_count(), rows[i] is the n-1-i bits of row i as
-    an int, and the order lists cell's vertices in their own labels.  Each
-    cell is scanned from its lowest vertex, so the first leaf, and with it
-    the order, is the one the search takes on the subtournament relabeled
-    0..n-1 in sorted order.
+    With n = len(out), rows[i] is the n-1-i bits of row i as an int.
 
     Forced tail: a node whose cells are all singletons has one ordering
     left, so its remaining rows are read straight off the out-sets and the
@@ -91,27 +68,23 @@ def _min_code_rows(out: Sequence[int], cell: int) -> tuple[list[int], tuple[int,
     are strictly smaller; the prefix prune along the way cuts only paths
     whose rows already exceed the incumbent's, so it changes nothing.
     """
-    n = cell.bit_count()
+    n = len(out)
     best: list[int] | None = None
-    best_order: tuple[int, ...] = ()
-    order = [0] * n  # order[i]: the vertex placed at position i on the current path
 
     def dfs(cells: list[int], rows: list[int]) -> None:
-        nonlocal best, best_order
+        nonlocal best
         depth = len(rows)
         if len(cells) == n - depth:
-            # the forced tail: rows[i] has bit j set when order[i] beats order[j]
-            tail = [c.bit_length() - 1 for c in cells]
+            # the forced tail: each cell is one vertex, placed in cell order
             full = rows.copy()
-            for i, u in enumerate(tail):
-                ou = out[u]
+            for i, cell in enumerate(cells):
+                ou = out[cell.bit_length() - 1]
                 row = 0
                 for c in cells[i + 1 :]:
                     row = (row << 1) | (ou & c != 0)
                 full.append(row)
             if best is None or full < best:
-                order[depth:] = tail
-                best, best_order = full, tuple(order)
+                best = full
             return
         head = cells[0]
         rest = cells[1:]
@@ -150,44 +123,22 @@ def _min_code_rows(out: Sequence[int], cell: int) -> tuple[list[int], tuple[int,
                         new_cells.append(z)
                     if o:
                         new_cells.append(o)
-                order[depth] = u
                 dfs(new_cells, rows)
         rows.pop()
 
-    dfs([cell] if cell else [], [])
+    dfs([(1 << n) - 1] if n else [], [])
     if best is None:
         raise AssertionError("canonical labeling self-check failed: the search reached no leaf")
-    return best, best_order
-
-
-def _code_of_rows(n: int, rows: list[int]) -> str:
-    return "".join(
-        format(row, f"0{n - 1 - i}b") if n - 1 - i else "" for i, row in enumerate(rows)
-    )
-
-
-def canonical_form(t: Tournament, vertices: Iterable[int] | None = None) -> CanonicalForm:
-    """Lexicographically minimal serialization over all relabelings.
-
-    With `vertices`, of the subtournament they induce, labeled in place:
-    the code is that of induced(t, vertices), and order holds t's labels.
-    """
-    cell = (1 << t.n) - 1
-    if vertices is not None:
-        cell = 0
-        for v in vertices:
-            if not 0 <= v < t.n:
-                raise EnumerationError(f"vertex {v} out of range for a tournament of order {t.n}")
-            cell |= 1 << v
-    n = cell.bit_count()
-    if n > MAX_CANONICAL_VERTICES:
-        raise EnumerationError(f"canonical form capped at n <= {MAX_CANONICAL_VERTICES}")
-    rows, order = _min_code_rows(t.out, cell)
-    return CanonicalForm(n, _code_of_rows(n, rows), order)
+    return best
 
 
 def canonical_code(t: Tournament) -> str:
-    return canonical_form(t).code
+    """Lexicographically minimal serialization over all relabelings."""
+    n = t.n
+    if n > MAX_CANONICAL_VERTICES:
+        raise EnumerationError(f"canonical form capped at n <= {MAX_CANONICAL_VERTICES}")
+    rows = _min_code_rows(t.out)
+    return "".join(format(row, f"0{n - 1 - i}b") if n - 1 - i else "" for i, row in enumerate(rows))
 
 
 def tournament_from_code(code: str) -> Tournament:
@@ -250,7 +201,7 @@ def _extension_codes(args: tuple[str, int]) -> set[str]:
             ):
                 continue
         out.append(mask)
-        codes.add(_code_of_rows(m + 1, _min_code_rows(out, (bit << 1) - 1)[0]))
+        codes.add(canonical_code(Tournament(m + 1, tuple(out))))
     return codes
 
 
@@ -269,11 +220,12 @@ def _read_cache(path: str, n: int) -> list[str] | None:
     The header line is skipped, and every later line is one code: the
     order-1 file holds one empty line.  A file passes only when its
     codes match the order's row of CLASS_TABLE, so a truncated, padded
-    or repeated code list is rebuilt rather than used.
+    or repeated code list is rebuilt rather than used; so is one that is
+    not ASCII, since its undecodable bytes read as U+FFFD.
     """
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
+    with open(path, encoding="ascii", errors="replace") as fh:
         fh.readline()
         codes = fh.read().splitlines()
     return codes if _pin(codes) == CLASS_TABLE[n - 1] else None
@@ -282,7 +234,7 @@ def _read_cache(path: str, n: int) -> list[str] | None:
 def _write_cache(path: str, n: int, codes: list[str]) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with open(tmp, "w", encoding="ascii") as fh:
         fh.write(f"count={len(codes)} n={n}\n")
         fh.writelines(c + "\n" for c in codes)
     os.replace(tmp, path)
@@ -338,12 +290,3 @@ def enumerate_codes(n: int, cache_dir: str | None = None, workers: int = 1) -> t
     if not 1 <= n <= MAX_ENUMERATION_VERTICES:
         raise EnumerationError(f"enumeration capped at n <= {MAX_ENUMERATION_VERTICES}")
     return _read_or_build_codes(n, resolve_cache_dir(cache_dir), workers)
-
-
-def enumerate_nonisomorphic(
-    n: int, cache_dir: str | None = None, workers: int = 1
-) -> list[Tournament]:
-    """One representative per isomorphism class, in sorted code order."""
-    return [
-        tournament_from_bits(n, code) for code in enumerate_codes(n, cache_dir, workers)
-    ]

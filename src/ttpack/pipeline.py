@@ -256,7 +256,7 @@ def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> Thre
     violation raises, naming the class's code.
     """
     perfect = comb(7, 2) // 3
-    codes = enumerate_codes(7, cache_dir=cache_dir)
+    codes = enumerate_codes(7, cache_dir=cache_dir, workers=workers)
     _max_packings(7)  # built here, so forked workers inherit it
     records = []
     for code, (t, p) in zip(codes, _pool_map(_scan_code, codes, workers)):
@@ -285,7 +285,7 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     """
     if not 3 <= n <= MAX_ENUMERATION_VERTICES:
         raise PipelineError(f"minimum packing sweep supports 3 <= n <= {MAX_ENUMERATION_VERTICES}, got {n}")
-    codes = enumerate_codes(n, cache_dir=cache_dir)
+    codes = enumerate_codes(n, cache_dir=cache_dir, workers=workers)
     if k == 3:
         _max_packings(n)  # built here, so forked workers inherit it
         exact = dict(zip(codes, _pool_map(partial(_scan_value, n), codes, workers)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from ttpack.designs import BlockDesign, DesignError
-from ttpack.enumeration import canonical_code, enumerate_nonisomorphic
+from ttpack.enumeration import canonical_code, enumerate_codes
 from ttpack.tournament import (
     Tournament,
     TournamentError,
@@ -345,3 +345,8 @@ def scores_with_triangle_count(
         for rep in enumerate_nonisomorphic(n, cache_dir)
         if census(rep).t == t
     }
+
+
+def enumerate_nonisomorphic(n: int, cache_dir: str | None = None) -> list[Tournament]:
+    """One representative per isomorphism class, in sorted code order."""
+    return [tournament_from_bits(n, code) for code in enumerate_codes(n, cache_dir)]

@@ -19,30 +19,22 @@ from oracles import (
     all_extension_codes,
     automorphism_count,
     brute_force_canonical_code,
+    enumerate_nonisomorphic,
     labeled_count_with_score,
     oracle_canonical_code,
     scores_with_triangle_count,
 )
 from ttpack.constructions import qr7, turan3_tournament
 from ttpack.enumeration import (
-    CLASS_COUNTS,
     CLASS_TABLE,
     MAX_ENUMERATION_VERTICES,
     EnumerationError,
     _cache_path,
     canonical_code,
-    canonical_form,
     enumerate_codes,
-    enumerate_nonisomorphic,
     tournament_from_code,
 )
-from ttpack.tournament import (
-    Tournament,
-    induced,
-    random_tournament,
-    tournament_bits,
-    transitive_tournament,
-)
+from ttpack.tournament import Tournament, random_tournament, transitive_tournament
 
 
 def relabel(t: Tournament, perm) -> Tournament:
@@ -54,17 +46,9 @@ def relabel(t: Tournament, perm) -> Tournament:
     return Tournament(t.n, tuple(out))
 
 
-def in_canonical_order(t: Tournament, order) -> Tournament:
-    # send vertex order[i] to position i
-    to_position = [0] * t.n
-    for i, v in enumerate(order):
-        to_position[v] = i
-    return relabel(t, to_position)
-
-
 def test_class_counts_up_to_seven(cache_dir):
     for n in range(1, 8):
-        assert len(enumerate_codes(n, cache_dir=cache_dir)) == CLASS_COUNTS[n - 1]
+        assert len(enumerate_codes(n, cache_dir=cache_dir)) == CLASS_TABLE[n - 1][0]
 
 
 def test_key_filter_keeps_every_class(cache_dir):
@@ -87,9 +71,9 @@ def test_cold_build_canonicalizes_only_least_key_extensions(tmp_path, monkeypatc
     calls = Counter()
     original = enumeration._min_code_rows
 
-    def counting(out, cell):
-        calls[cell.bit_count()] += 1
-        return original(out, cell)
+    def counting(out):
+        calls[len(out)] += 1
+        return original(out)
 
     monkeypatch.setattr(enumeration, "_min_code_rows", counting)
     enumerate_codes(8, cache_dir=str(tmp_path), workers=1)
@@ -134,11 +118,7 @@ def test_canonical_order_relabels_to_the_code(cache_dir):
             for _ in range(3):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                t = relabel(base, perm)
-                form = canonical_form(t)
-                assert form.code == code
-                assert sorted(form.order) == list(range(n))
-                assert tournament_bits(in_canonical_order(t, form.order)) == code
+                assert canonical_code(relabel(base, perm)) == code
 
 
 def test_canonical_code_matches_brute_force_on_small_orders():
@@ -147,38 +127,13 @@ def test_canonical_code_matches_brute_force_on_small_orders():
     hosts = [random_tournament(n, seed) for n in range(1, 7) for seed in range(10)]
     hosts += [qr7(), turan3_tournament(7), transitive_tournament(7)]
     for t in hosts:
-        form = canonical_form(t)
-        assert form.code == brute_force_canonical_code(t)
-        assert tournament_bits(in_canonical_order(t, form.order)) == form.code
-
-
-def test_subset_is_labeled_in_place():
-    # the same code as the induced copy, and its order in the host's labels
-    rng = random.Random(12)
-    for host in (random_tournament(49, 7), turan3_tournament(49), transitive_tournament(49)):
-        for _ in range(300):
-            vs = rng.sample(range(49), 7)
-            form = canonical_form(host, vs)
-            sub = canonical_form(induced(host, vs))
-            assert form.code == sub.code
-            assert form.order == tuple(sorted(vs)[u] for u in sub.order)
+        assert canonical_code(t) == brute_force_canonical_code(t)
 
 
 def test_canonical_form_is_capped_at_ten_vertices():
+    assert len(canonical_code(random_tournament(10, 0))) == 45
     with pytest.raises(EnumerationError):
-        canonical_form(random_tournament(11, 0))
-    with pytest.raises(EnumerationError):
-        canonical_form(random_tournament(20, 0), range(3, 14))
-
-
-def test_subset_labeling_checks_its_vertices():
-    t = random_tournament(8, 0)
-    with pytest.raises(EnumerationError):
-        canonical_form(t, [2, 8])
-    with pytest.raises(EnumerationError):
-        canonical_form(t, [-1, 2])
-    empty = canonical_form(t, [])
-    assert (empty.n, empty.code, empty.order) == (0, "", ())
+        canonical_code(random_tournament(11, 0))
 
 
 def test_distinct_classes_have_distinct_codes(cache_dir):
@@ -199,16 +154,21 @@ def test_cache_round_trip(tmp_path):
 
 def test_truncated_cache_is_rebuilt(tmp_path):
     full = enumerate_codes(5, cache_dir=str(tmp_path / "full"))
-    short = tmp_path / "short"
-    short.mkdir()
-    path = _cache_path(str(short), 5)
-    # the header matches the body, but one class is missing
-    with open(path, "w") as fh:
-        fh.write(f"count={len(full) - 1} n=5\n")
-        fh.writelines(code + "\n" for code in full[:-1])
-    assert enumerate_codes(5, cache_dir=str(short)) == full
-    with open(path) as fh:
-        assert fh.readline().split() == [f"count={CLASS_COUNTS[4]}", "n=5"]
+    body = "".join(code + "\n" for code in full).encode()
+    bad = {
+        # the header matches the body, but one class is missing
+        "short": f"count={len(full) - 1} n=5\n".encode() + body[: -len(full[-1]) - 1],
+        # a byte that is not ASCII
+        "undecodable": f"count={len(full)} n=5\n".encode() + b"\xff" + body,
+    }
+    for name, data in bad.items():
+        path = _cache_path(str(tmp_path / name), 5)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert enumerate_codes(5, cache_dir=str(tmp_path / name)) == full, name
+        with open(path) as fh:
+            assert fh.readline().split() == [f"count={CLASS_TABLE[4][0]}", "n=5"]
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
@@ -280,10 +240,11 @@ def test_second_call_reads_the_cache_at_any_worker_count(tmp_path, monkeypatch):
 
     monkeypatch.setattr(enumeration, "_extension_codes", counting)
     first = enumerate_codes(5, cache_dir=str(tmp_path))
-    assert len(extended) == sum(CLASS_COUNTS[:4])
+    built = sum(count for count, _ in CLASS_TABLE[:4])
+    assert len(extended) == built
     # another worker count reads the file the first call wrote
     assert enumerate_codes(5, cache_dir=str(tmp_path), workers=2) == first
-    assert len(extended) == sum(CLASS_COUNTS[:4])
+    assert len(extended) == built
 
 
 def test_order_one_reads_back_without_a_rebuild(tmp_path, monkeypatch):
@@ -323,8 +284,8 @@ def test_cold_build_that_misses_its_pin_raises(tmp_path, monkeypatch):
 
 
 def test_pin_table_has_one_row_per_class_count():
-    assert len(CLASS_TABLE) == len(CLASS_COUNTS) == MAX_ENUMERATION_VERTICES
-    assert CLASS_COUNTS == (1, 1, 2, 4, 12, 56, 456, 6880)
+    assert len(CLASS_TABLE) == MAX_ENUMERATION_VERTICES
+    assert tuple(count for count, _ in CLASS_TABLE) == (1, 1, 2, 4, 12, 56, 456, 6880)
     # the same figures as the benchmark's reference answers
     reference = json.loads((Path(__file__).parent.parent / "perfbench" / "reference.json").read_text())
     rows = [reference["enumerate"][str(n)] for n in range(1, MAX_ENUMERATION_VERTICES + 1)]

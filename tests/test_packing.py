@@ -5,9 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import brute_max_packing, scanned_copies
+from oracles import brute_max_packing, enumerate_nonisomorphic, scanned_copies
 from ttpack.constructions import qr7
-from ttpack.enumeration import enumerate_nonisomorphic
 from ttpack.packing import (
     Packing,
     PackingError,

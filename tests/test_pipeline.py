@@ -11,7 +11,7 @@ import pytest
 from oracles import reverse
 from ttpack import enumeration, pipeline
 from ttpack.designs import ag2_lines, all_sts7
-from ttpack.enumeration import canonical_code, canonical_form, enumerate_codes, tournament_from_code
+from ttpack.enumeration import canonical_code, enumerate_codes, tournament_from_code
 from ttpack.packing import Packing, max_packing_exact, verify_packing
 from ttpack.pipeline import (
     REGIMES,
@@ -27,6 +27,7 @@ from ttpack.rng import stdlib_rng, sub_seed
 from ttpack.tournament import (
     Tournament,
     census,
+    induced,
     random_tournament,
     tournament_bits,
     transitive_tournament,
@@ -276,6 +277,25 @@ def test_f_min_matches_unthresholded_solves_of_every_class(cache_dir, n):
 @pytest.mark.parametrize("n", [7, 8])
 def test_f_min_is_the_same_at_two_workers(cache_dir, n):
     assert f_min(n, cache_dir=cache_dir, workers=2) == f_min(n, cache_dir=cache_dir, workers=1)
+
+
+def test_cold_class_builds_use_the_sweeps_workers(cache_dir, threshold_report, tmp_path, monkeypatch):
+    codes = enumerate_codes(7, cache_dir=cache_dir)
+    record = f_min(6, cache_dir=cache_dir)
+    pooled = []
+    original = enumeration._pool_map
+
+    def recording(fn, jobs, workers):
+        pooled.append((fn, workers))
+        return original(fn, jobs, workers)
+
+    monkeypatch.setattr(enumeration, "_pool_map", recording)
+    cold = str(tmp_path / "sweep")
+    assert verify_t7_thresholds(cold, workers=2) == threshold_report
+    assert enumerate_codes(7, cache_dir=cold) == codes
+    assert f_min(6, cache_dir=str(tmp_path / "fmin"), workers=2) == record
+    # orders 2-7 built for the sweep, then orders 2-6 for the minimum
+    assert pooled == [(enumeration._extension_codes, 2)] * 11
 
 
 def test_f_min_pool_does_not_carry_over_to_another_k(cache_dir):
@@ -588,7 +608,7 @@ def test_pipeline_block_values_match_exact_class_solves(monkeypatch, host):
     monkeypatch.setattr(pipeline, "_pipeline_trial", recording_trial)
     monkeypatch.setattr(pipeline, "verify_packing", recording_verify)
     monkeypatch.setattr(pipeline, "max_packing_exact", counting(solver_calls, max_packing_exact))
-    monkeypatch.setattr(enumeration, "canonical_form", counting(labeling_calls, canonical_form))
+    monkeypatch.setattr(enumeration, "canonical_code", counting(labeling_calls, canonical_code))
     t = GATE_HOSTS[host]()
     blocks = ag2_lines(7).blocks
     trials = 4
@@ -610,7 +630,7 @@ def test_pipeline_block_values_match_exact_class_solves(monkeypatch, host):
             start = 0
             for block, value in zip(blocks, block_values):
                 vs = [perm[p] for p in block]
-                code = canonical_form(t, vs).code
+                code = canonical_code(induced(t, vs))
                 if code not in class_values:
                     class_values[code] = max_packing_exact(tournament_from_code(code), 3).value
                 assert value == class_values[code], (seed, trial, block)

@@ -98,3 +98,54 @@ def test_one_process_pool_helper():
                 outside.append(f"{path.name}:{node.lineno}")
     assert set(importers) == {"enumeration.py"}
     assert outside == []
+
+
+# Names that no module of the package reads, each kept for a reason.
+UNREAD_BY_DESIGN = {
+    # it keeps census and induced on ttpack.pipeline, where the benchmark's
+    # tracer looks them up
+    ("pipeline", "induced_expectation_check"),
+    # the benchmark's pipeline49 workload builds its transitive host with it
+    ("tournament", "transitive_tournament"),
+}
+
+
+def test_package_reads_every_top_level_name():
+    # a top-level function, class or constant counts as read when a Name
+    # loads it in its own module outside its definition, or in a module
+    # that from-imports it; test-only names belong in tests/oracles.py
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(ttpack.__file__).parent.rglob("*.py"))
+    }
+    assert trees
+
+    def loads(node) -> set[str]:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            outside = loads(ast.Module(body=[other for other in tree.body if other is not node], type_ignores=[]))
+            for name in names:
+                if name.startswith("__") or name in outside:
+                    continue
+                importers = [
+                    other
+                    for other in trees.values()
+                    for imp in other.body
+                    if isinstance(imp, ast.ImportFrom)
+                    and imp.level == 1
+                    and (imp.module or "__init__") == module
+                    and name in {alias.name for alias in imp.names}
+                ]
+                if not any(name in loads(other) for other in importers):
+                    unread.append((module, name))
+    assert set(unread) == UNREAD_BY_DESIGN
