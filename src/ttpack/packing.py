@@ -403,15 +403,15 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
 
     Every copy must have k distinct vertices of the host, each an int (not
     a bool) in range, and induce a transitive subtournament; the copies
-    must be pairwise edge-disjoint, covering exactly C(k,2) pairs each.
-    The covered pairs are computed here from the copies alone.
+    must be pairwise edge-disjoint.  Disjointness is checked in one pass
+    over the copies alone: met[v] is v and every vertex that shares an
+    earlier copy with v, so a copy on the vertex set mask repeats a pair
+    exactly when met[v] & mask != 1 << v for one of its vertices v.
     """
     n, k = t.n, p.k
     if p.n != n or not 3 <= k <= n:
         return False
-    per_copy = k * (k - 1) // 2
-    bits = _pair_bits(n)
-    covered = 0
+    met = [1 << v for v in range(n)]
     for vs in p.copies:
         if len(vs) != k:
             return False
@@ -423,8 +423,8 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
             mask |= 1 << v
         if mask.bit_count() != k or not is_transitive_on(t, vs):
             return False
-        emask = _pair_mask(bits, vs)
-        if emask & covered:
-            return False
-        covered |= emask
-    return covered.bit_count() == len(p.copies) * per_copy
+        for v in vs:
+            if met[v] & mask != 1 << v:
+                return False
+            met[v] |= mask
+    return True

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
-from math import comb, isqrt
+from math import comb
 from operator import itemgetter
 
 from .constructions import turan3_tournament
@@ -128,28 +128,51 @@ class PipelineReport:
 
 
 @lru_cache(maxsize=None)
-def _triples(n: int) -> tuple[dict[tuple[int, int, int], int], tuple[itemgetter, ...]]:
-    """Triple indices of order n, and getters for the code's pair characters.
+def _triples(n: int) -> tuple[dict[tuple[int, int, int], int], tuple[tuple[int, tuple[int, ...], ...], ...]]:
+    """Triple indices of order n, and byte tables of the code's pairs by triple.
 
-    A triple i<j<k has its index in combinations(range(n), 3) order.  The
-    three getters read, for every triple, the code characters of its pairs
-    (i,j), (j,k) and (i,k), last triple first, so that int(..., 2) of
-    their join puts triple index x at bit x.
+    A triple i<j<k has its index in combinations(range(n), 3) order.  Read
+    as an int, a code of order n puts its pair at position p of
+    combinations(range(n), 2) at bit C(n,2) - 1 - p.  One table row per
+    byte of that int holds its shift and, for the roles (i,j), (j,k) and
+    (i,k) in turn, 256 triple masks: entry b is the triples whose pair of
+    that role is a set bit of b in that byte.  The top byte is partial
+    when 8 does not divide C(n,2), and its bits past the code stay 0.
     """
-    pair = {ij: pos for pos, ij in enumerate(combinations(range(n), 2))}
-    triples = list(combinations(range(n), 3))
-    index = {ijk: pos for pos, ijk in enumerate(triples)}
-    getters = tuple(
-        itemgetter(*(pair[ijk[a], ijk[b]] for ijk in reversed(triples)))
-        for a, b in ((0, 1), (1, 2), (0, 2))
-    )
-    return index, getters
+    pairs = list(combinations(range(n), 2))
+    bit = {ij: len(pairs) - 1 - pos for pos, ij in enumerate(pairs)}
+    index = {ijk: pos for pos, ijk in enumerate(combinations(range(n), 3))}
+    tables = []
+    for shift in range(0, len(pairs), 8):
+        row = [shift]
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            # at[s] is the triples whose pair of this role is at bit shift + s
+            at = [0] * 8
+            for ijk, x in index.items():
+                s = bit[ijk[a], ijk[b]] - shift
+                if 0 <= s < 8:
+                    at[s] |= 1 << x
+            table = [0]
+            for mask in at:
+                table += [entry | mask for entry in table]
+            row.append(tuple(table))
+        tables.append(tuple(row))
+    return index, tuple(tables)
 
 
-def _cyclic_mask(code: str) -> int:
-    """Bitset of the directed triangles of the class with this code, by triple index."""
-    n = (1 + isqrt(1 + 8 * len(code))) // 2
-    ij, jk, ik = (int("".join(get(code)), 2) for get in _triples(n)[1])
+def _cyclic_mask(n: int, bits: int) -> int:
+    """Bitset of the directed triangles, by triple index, of the order-n code read as the int bits.
+
+    Each byte of bits picks, from its row of _triples(n)'s tables, the
+    triples whose (i,j), (j,k) and (i,k) pairs are set there: 3 lookups
+    per byte, OR-ed into one triple mask per role.
+    """
+    ij = jk = ik = 0
+    for shift, ij_at, jk_at, ik_at in _triples(n)[1]:
+        b = bits >> shift & 255
+        ij |= ij_at[b]
+        jk |= jk_at[b]
+        ik |= ik_at[b]
     # for i<j<k the triple is cyclic iff (i,j) and (j,k) agree and (i,k) differs
     return ~(ij ^ jk) & (ij ^ ik)
 
@@ -185,7 +208,9 @@ def _max_packings(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
     0..n-1, each found in the triple index for its mask, and it is kept
     only if they cover 3M distinct pairs; and the count is pinned,
     so a build that loses an entry raises, and completeness is checkable
-    against an exhaustive search.
+    against an exhaustive search.  The build reads _triples(n), so a
+    caller that builds the table before its pool forks gives every
+    worker the byte tables of _cyclic_mask too.
     """
     m, count = {3: (1, 1), 4: (1, 4), 5: (2, 15), 6: (4, 30), 7: (7, 30), 8: (8, 840)}[n]
     index = _triples(n)[0]
@@ -232,7 +257,7 @@ def _scan(n: int, cyclic: int, *subject) -> tuple[int, tuple[tuple[int, ...], ..
 
 def _scan_code(code: str) -> tuple[int, int]:
     """(t, P) of the 7-vertex class with this code, by _scan, its packing verified here."""
-    cyclic = _cyclic_mask(code)
+    cyclic = _cyclic_mask(7, int(code, 2))
     lines = _scan(7, cyclic, "class", code)[1]
     if not verify_packing(tournament_from_code(code), Packing(n=7, k=3, copies=lines)):
         raise PipelineError(f"class {code} has a packing of {len(lines)} copies that fails verification")
@@ -241,7 +266,7 @@ def _scan_code(code: str) -> tuple[int, int]:
 
 def _scan_value(n: int, code: str) -> int:
     """P_3 of the class of order n with this code, M - least by _scan."""
-    return len(_scan(n, _cyclic_mask(code), "class", code)[1])
+    return len(_scan(n, _cyclic_mask(n, int(code, 2)), "class", code)[1])
 
 
 def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> ThresholdReport:
@@ -387,7 +412,7 @@ def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...]
             pattern = pattern << 1 | (out[u] >> w & 1)
         entry = _pattern_memo.get(pattern)
         if entry is None:
-            cyclic = _cyclic_mask(format(pattern, "021b"))
+            cyclic = _cyclic_mask(7, pattern)
             lines = _scan(7, cyclic, "block", vs, "in trial", i)[1]
             entry = _pattern_memo[pattern] = (cyclic.bit_count(), lines)
         t_count, lines = entry

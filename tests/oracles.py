@@ -96,6 +96,27 @@ def transitive_copies(t: Tournament, k: int) -> list[frozenset[tuple[int, int]]]
     return out
 
 
+def packing_is_valid(t: Tournament, k: int, copies) -> bool:
+    """A packing's copies checked against an explicit set of covered pairs.
+
+    Each copy must be k distinct int (not bool) vertices of t, transitive
+    by is_transitive_subset, and no unordered pair may lie in two copies.
+    """
+    if not 3 <= k <= t.n:
+        return False
+    covered: set[frozenset[int]] = set()
+    for vs in copies:
+        if len(vs) != k or any(type(v) is not int or not 0 <= v < t.n for v in vs):
+            return False
+        if len(set(vs)) != k or not is_transitive_subset(t, vs):
+            return False
+        pairs = {frozenset(pair) for pair in combinations(vs, 2)}
+        if pairs & covered:
+            return False
+        covered |= pairs
+    return True
+
+
 def scanned_copies(t: Tournament, k: int) -> list[tuple[tuple[int, ...], int]]:
     """(vertices, edge mask) of every transitive k-subset, by scanning all C(n, k) subsets.
 

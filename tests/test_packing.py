@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import brute_max_packing, enumerate_nonisomorphic, scanned_copies
+from oracles import brute_max_packing, enumerate_nonisomorphic, packing_is_valid, scanned_copies
 from ttpack.constructions import qr7
 from ttpack.packing import (
     Packing,
@@ -18,6 +18,7 @@ from ttpack.packing import (
     max_packing_exact,
     verify_packing,
 )
+from ttpack.rng import stdlib_rng, sub_seed
 from ttpack.tournament import (
     parse_tournament,
     random_tournament,
@@ -311,35 +312,78 @@ def test_verifier_rejects_overlap_and_bad_copies():
         {"copies": ((-1, 0, 1),)},
         {"copies": ((0, 1, 1),)},
         {"copies": ((0, 1.0, 2),)},
+        {"copies": ((0, True, 2),)},
         {"copies": ((0, 1, "2"),)},
         {"copies": ((0, 1, 2, 4),)},
         {"n": 8},
         {"k": 2, "copies": ((0, 1),)},
         {"k": 8, "copies": (tuple(range(7)) + (0,),)},
         {"copies": ((0, 1, 2), (1, 2, 5))},
+        {"copies": ((0, 1, 2), (5, 2, 1))},
         {"copies": ((0, 1, 3),)},
     ],
     ids=[
         "negative-vertex",
         "repeated-vertex",
         "float-vertex",
+        "bool-vertex",
         "string-vertex",
         "wrong-length",
         "order-mismatch",
         "k-below-3",
         "k-above-n",
         "overlap",
+        "reversed-overlap",
         "cyclic-copy",
     ],
 )
 def test_verifier_rejection_table(changes):
-    # on qr7, i beats i+1, i+2 and i+4 mod 7: (0,1,2) and (1,2,5) are
-    # transitive, and 0->1->3->0 is a directed triangle
+    # on qr7, i beats i+1, i+2 and i+4 mod 7: (0,1,2), (1,2,5) and (2,3,4)
+    # are transitive, in any vertex order, and 0->1->3->0 is a directed
+    # triangle; True is the vertex 1 as a bool
     t = qr7()
     base = Packing(n=7, k=3, copies=((0, 1, 2),))
     assert verify_packing(t, base)
     assert verify_packing(t, replace(base, copies=((1, 2, 5),)))
+    assert verify_packing(t, replace(base, copies=((5, 2, 1),)))
+    # copies that meet in one vertex share no pair
+    assert verify_packing(t, replace(base, copies=((0, 1, 2), (4, 3, 2))))
     assert not verify_packing(t, replace(base, **changes))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_verifier_agrees_with_a_pair_set_oracle(k):
+    # seeded packings, valid and corrupted: a copy dropped, reordered,
+    # repeated reversed, or with one vertex swapped for a random vertex,
+    # a vertex of another copy or a bad value, and a random copy added
+    rng = stdlib_rng(sub_seed(24, k))
+    outcomes = {False: 0, True: 0}
+    for trial in range(150):
+        n = rng.randrange(k + 3, 13)
+        t = random_tournament(n, sub_seed(k, trial))
+        copies = [list(vs) for vs in greedy_packing(t, k, trial).copies]
+        for _ in range(rng.randrange(3)):
+            edit = rng.randrange(7)
+            if edit == 0 and copies:
+                copies.pop(rng.randrange(len(copies)))
+            elif edit == 1 and copies:
+                rng.shuffle(copies[rng.randrange(len(copies))])
+            elif edit == 2 and copies:
+                copies.append(copies[rng.randrange(len(copies))][::-1])
+            elif edit == 3 and copies:
+                copies[rng.randrange(len(copies))][rng.randrange(k)] = rng.randrange(n)
+            elif edit == 4 and len(copies) > 1:
+                a, b = rng.sample(range(len(copies)), 2)
+                copies[a][rng.randrange(k)] = rng.choice(copies[b])
+            elif edit == 5 and copies:
+                copies[rng.randrange(len(copies))][rng.randrange(k)] = rng.choice([-1, n, True, 1.0])
+            else:
+                copies.append(rng.sample(range(n), k))
+        packing = tuple(map(tuple, copies))
+        valid = packing_is_valid(t, k, packing)
+        assert verify_packing(t, Packing(n=n, k=k, copies=packing)) == valid, (n, trial, packing)
+        outcomes[valid] += 1
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_verifier_rejects_nontransitive_copy():

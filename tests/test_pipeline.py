@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from oracles import reverse
+from oracles import is_transitive_subset, reverse
 from ttpack import enumeration, pipeline
 from ttpack.designs import ag2_lines, all_sts7
 from ttpack.enumeration import canonical_code, enumerate_codes, tournament_from_code
@@ -30,6 +30,7 @@ from ttpack.tournament import (
     induced,
     random_tournament,
     tournament_bits,
+    tournament_from_bits,
     transitive_tournament,
 )
 
@@ -83,7 +84,7 @@ def test_threshold_sweep_is_the_same_at_two_workers(cache_dir, threshold_report)
 def force_copies(monkeypatch, code, edit):
     # the scan of this class's cyclic triples returns edit(its lines) in
     # place of its lines, and the same least
-    target = pipeline._cyclic_mask(code)
+    target = pipeline._cyclic_mask(7, int(code, 2))
     original = pipeline._scan
 
     def forced(n, cyclic, *subject):
@@ -372,13 +373,13 @@ def test_scan_value_raises_past_the_exact_range(cache_dir, monkeypatch):
     # least = 2 is exact at n = 7 alone, by the completion lemma; at other
     # orders the scan proves only the lower bound there
     codes = enumerate_codes(7, cache_dir=cache_dir)
-    sevens = [code for code in codes if pipeline._scan(7, pipeline._cyclic_mask(code))[0] == 2]
+    sevens = [code for code in codes if pipeline._scan(7, pipeline._cyclic_mask(7, int(code, 2)))[0] == 2]
     assert [pipeline._scan_value(7, code) for code in sevens] == [5, 5]
     entry = pipeline._max_packings(6)[:1]
     six = next(
         code
         for code in enumerate_codes(6, cache_dir=cache_dir)
-        if (entry[0][0] & pipeline._cyclic_mask(code)).bit_count() == 2
+        if (entry[0][0] & pipeline._cyclic_mask(6, int(code, 2))).bit_count() == 2
     )
     monkeypatch.setattr(pipeline, "_max_packings", lambda n: entry)
     with pytest.raises(PipelineError, match=f"^no maximum packing has under 2 cyclic lines on class {six}$"):
@@ -393,13 +394,74 @@ def test_witness_fit_agrees_with_verify_packing(cache_dir):
         table = pipeline._max_packings(n)[entries]
         for code in enumerate_codes(n, cache_dir=cache_dir)[classes]:
             t = tournament_from_code(code)
-            cyclic = pipeline._cyclic_mask(code)
+            cyclic = pipeline._cyclic_mask(n, int(code, 2))
             assert cyclic.bit_count() == census(t).t
             for mask, lines in table:
                 fit = not mask & cyclic
                 assert fit == verify_packing(t, Packing(n=n, k=3, copies=lines)), (code, lines)
                 fits[n, fit] += 1
     assert all(fits[n, fit] for n in (7, 8) for fit in (False, True))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_cyclic_mask_marks_the_nontransitive_triples_of_every_class(cache_dir, n):
+    # bit x of the byte-table mask is set iff triple x is not transitive,
+    # on every class of order n, so its popcount is the class's t; the
+    # oracle's answer on i<j<k reads only the orientations of its three
+    # pairs, so it is asked once per orientation
+    index = pipeline._triples(n)[0]
+    transitive = {}
+    for code in enumerate_codes(n, cache_dir=cache_dir):
+        t = tournament_from_code(code)
+        cyclic = pipeline._cyclic_mask(n, int(code, 2))
+        assert 0 <= cyclic < 1 << len(index), code
+        assert cyclic.bit_count() == census(t).t, code
+        for (i, j, k), x in index.items():
+            key = (t.out[i] >> j & 1, t.out[j] >> k & 1, t.out[i] >> k & 1)
+            if key not in transitive:
+                transitive[key] = is_transitive_subset(t, (i, j, k))
+            assert bool(cyclic >> x & 1) != transitive[key], (code, i, j, k)
+    assert set(transitive.values()) == {False, True}
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_cyclic_mask_reads_the_partial_top_byte(n):
+    # C(7,2) = 21 and C(8,2) = 28 bits end inside their top byte: random,
+    # all-zero and all-one codes read right, and that byte's bits past
+    # the code read as 0
+    index = pipeline._triples(n)[0]
+    width = comb(n, 2)
+    top = 8 * ((width - 1) // 8)
+    past = (1 << top + 8) - (1 << width)
+    rng = stdlib_rng(sub_seed(n, width))
+    for bits in [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(300))]:
+        t = tournament_from_bits(n, format(bits, f"0{width}b"))
+        cyclic = pipeline._cyclic_mask(n, bits)
+        assert cyclic == sum(1 << x for ijk, x in index.items() if not is_transitive_subset(t, ijk)), bits
+        assert pipeline._cyclic_mask(n, bits | past) == cyclic, bits
+
+
+def test_pipeline_reads_each_block_as_the_int_of_its_induced_code(monkeypatch):
+    # every block of one trial is looked up by the int of its induced
+    # subtournament's code, and a pattern's t is that subtournament's
+    looked_up = []
+
+    class RecordingMemo(dict):
+        def get(self, pattern):
+            looked_up.append(pattern)
+            return super().get(pattern)
+
+    monkeypatch.setattr(pipeline, "_pattern_memo", RecordingMemo())
+    host = random_tournament(49, 7)
+    blocks = ag2_lines(7).blocks
+    pipeline._pipeline_trial((0, host.out, sub_seed(11, 0), blocks))
+    perm = list(range(host.n))
+    stdlib_rng(sub_seed(11, 0)).shuffle(perm)
+    assert len(looked_up) == len(blocks)
+    for pattern, block in zip(looked_up, blocks):
+        block_tournament = induced(host, [perm[p] for p in block])
+        assert pattern == int(tournament_bits(block_tournament), 2), block
+        assert pipeline._pattern_memo[pattern][0] == census(block_tournament).t, block
 
 
 def test_f_min_rejects_out_of_range(cache_dir):
@@ -557,10 +619,10 @@ def test_scan_is_exact_on_every_class(cache_dir, n, histogram):
             for w in range(n):
                 if canonical.out[u] >> w & 1:
                     out[perm[u]] |= 1 << perm[w]
-        least = pipeline._scan(n, pipeline._cyclic_mask(code))[0]
+        least = pipeline._scan(n, pipeline._cyclic_mask(n, int(code, 2)))[0]
         leasts[least] += 1
         for t in (canonical, Tournament(n, tuple(out))):
-            scanned, lines = pipeline._scan(n, pipeline._cyclic_mask(tournament_bits(t)))
+            scanned, lines = pipeline._scan(n, pipeline._cyclic_mask(n, int(tournament_bits(t), 2)))
             assert scanned == least and len(lines) == size - least, code
             assert verify_packing(t, Packing(n=n, k=3, copies=lines)), code
             if n < 8 or least:
