@@ -122,11 +122,14 @@ def _load_tournament(path: str) -> Tournament:
 
 
 def _cmd_enumerate(args) -> int:
-    codes = enumerate_codes(args.n, cache_dir=args.cache, workers=args.workers)
     if args.score:
         want = tuple(int(s) for s in args.score.split(","))
         if len(want) != args.n:
             raise EnumerationError(f"score has {len(want)} entries for n={args.n}")
+        if list(want) != sorted(want, reverse=True):
+            raise EnumerationError(f"score must be non-increasing, got {args.score}")
+    codes = enumerate_codes(args.n, cache_dir=args.cache, workers=args.workers)
+    if args.score:
         codes = tuple(
             code for code in codes if tournament_from_code(code).score() == want
         )

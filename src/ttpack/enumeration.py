@@ -26,6 +26,7 @@ import hashlib
 import math
 import os
 from collections.abc import Sequence
+from functools import cache
 from multiprocessing import Pool
 
 from . import FORMAT_VERSION
@@ -56,10 +57,35 @@ class EnumerationError(ValueError):
     pass
 
 
+@cache
+def _set_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Per n-bit vertex set m: its vertices in increasing order, and (1 << |m|) - 1.
+
+    Each set with top bit v is a set of 0..v-1, listed earlier, plus v.
+    """
+    members: list[tuple[int, ...]] = [()]
+    for v in range(n):
+        members += [vs + (v,) for vs in members]
+    return tuple(members), tuple((1 << len(vs)) - 1 for vs in members)
+
+
 def _min_code_rows(out: Sequence[int]) -> list[int]:
     """Rows of the minimal code of the tournament whose out-sets are `out`.
 
     With n = len(out), rows[i] is the n-1-i bits of row i as an int.
+
+    A node's candidates are the vertices of its first cell, the head.  The
+    row a candidate u would emit holds, cell by cell (the head without u,
+    then the other cells in order), as many 0s as the cell has
+    non-out-neighbours of u followed by as many 1s as it has out-neighbours:
+    so each cell's field of width |cell| reads (1 << ones) - 1, and the row
+    is these fields joined as one int.  Every candidate at a node sees the
+    same cells, so the fields have the same widths for each, and comparing
+    the ints compares the per-cell ones counts lexicographically, with more
+    ones in the first differing cell giving the larger row.  The least int
+    is therefore the node's row, and its candidates are exactly those with
+    the least tuple of counts.  The head's field is the row's top field, so
+    its width never enters the int.
 
     Forced tail: a node whose cells are all singletons has one ordering
     left, so its remaining rows are read straight off the out-sets and the
@@ -69,6 +95,7 @@ def _min_code_rows(out: Sequence[int]) -> list[int]:
     whose rows already exceed the incumbent's, so it changes nothing.
     """
     n = len(out)
+    members, ones = _set_tables(n)
     best: list[int] | None = None
 
     def dfs(cells: list[int], rows: list[int]) -> None:
@@ -88,35 +115,28 @@ def _min_code_rows(out: Sequence[int]) -> list[int]:
             return
         head = cells[0]
         rest = cells[1:]
-        # candidate vertices from the first cell, keeping only those whose
-        # row (grouped 0s-then-1s per cell) is lexicographically minimal
+        fields = [(c, c.bit_count()) for c in rest]
+        # the candidates of least row, in increasing vertex order; every
+        # row is below 1 << n
         cands: list[int] = []
-        best_sig: tuple[int, ...] | None = None
-        m = head
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
+        least = 1 << n
+        for u in members[head]:
             ou = out[u]
-            sig = ((ou & head).bit_count(),)
-            for c in rest:
-                sig += ((ou & c).bit_count(),)
-            if best_sig is None or sig < best_sig:
-                best_sig, cands = sig, [u]
-            elif sig == best_sig:
+            row = ones[ou & head]
+            for c, width in fields:
+                row = (row << width) | ones[ou & c]
+            if row < least:
+                least, cands = row, [u]
+            elif row == least:
                 cands.append(u)
-        # the shared row emitted by all minimal candidates
-        row = 0
-        sizes = [head.bit_count() - 1] + [c.bit_count() for c in rest]
-        for size, ones in zip(sizes, best_sig):
-            row = (row << size) | ((1 << ones) - 1)
-        rows.append(row)
+        rows.append(least)
         # prune against the live incumbent; equal widths per index make the
         # row-int list comparison the same as bit-string comparison
         if best is None or rows <= best[: depth + 1]:
             for u in cands:
                 ou = out[u]
                 new_cells: list[int] = []
-                for c in [head & ~(1 << u)] + rest:
+                for c in (head ^ (1 << u), *rest):
                     z = c & ~ou
                     o = c & ou
                     if z:
@@ -133,12 +153,19 @@ def _min_code_rows(out: Sequence[int]) -> list[int]:
 
 
 def canonical_code(t: Tournament) -> str:
-    """Lexicographically minimal serialization over all relabelings."""
+    """Lexicographically minimal serialization over all relabelings.
+
+    The rows have widths n-1, n-2, ..., 0, so folding them into one int,
+    each shifted left by the width of the row after it, gives the code's
+    C(n,2) bits, and one format pads them back to that length.
+    """
     n = t.n
     if n > MAX_CANONICAL_VERTICES:
         raise EnumerationError(f"canonical form capped at n <= {MAX_CANONICAL_VERTICES}")
-    rows = _min_code_rows(t.out)
-    return "".join(format(row, f"0{n - 1 - i}b") if n - 1 - i else "" for i, row in enumerate(rows))
+    code = 0
+    for i, row in enumerate(_min_code_rows(t.out)):
+        code = (code << (n - 1 - i)) | row
+    return format(code, f"0{n * (n - 1) // 2}b") if n > 1 else ""
 
 
 def tournament_from_code(code: str) -> Tournament:

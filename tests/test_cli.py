@@ -217,6 +217,15 @@ def test_enumerate_score_filter(capsys, tmp_path):
     assert doc["result"]["count"] == 1
 
 
+def test_enumerate_rejects_a_score_out_of_order(capsys, tmp_path):
+    # sorted, 3,2,2,2,1 has 3 classes; out of order it would match none, so
+    # it is rejected rather than reported as 0 classes
+    code, out, err = run(capsys, "enumerate", "--n", "5", "--score", "1,2,2,2,3", "--cache", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: score must be non-increasing, got 1,2,2,2,3\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_enumerate_score_filter_partitions_the_classes(capsys, tmp_path):
     cache = str(tmp_path)
     _, doc, _ = run_json(capsys, "enumerate", "--n", "5", "--cache", cache)

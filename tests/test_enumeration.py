@@ -10,6 +10,7 @@ from collections import Counter
 from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
+from types import CodeType
 
 import pytest
 
@@ -81,6 +82,29 @@ def test_cold_build_canonicalizes_only_least_key_extensions(tmp_path, monkeypatc
     assert calls == {2: 1, 3: 2, 4: 6, 5: 14, 6: 81, 7: 573, 8: 7942}
 
 
+def test_cold_build_search_calls(tmp_path):
+    # The labeling search is the one function nested in _min_code_rows, and
+    # each of its calls is one node of the search tree; the count is the same
+    # on every machine.  README states 67,152 calls for orders 1-8.
+    from ttpack import enumeration
+
+    (search,) = [c for c in enumeration._min_code_rows.__code__.co_consts if isinstance(c, CodeType)]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is search:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        enumerate_codes(7, cache_dir=str(tmp_path), workers=1)
+    finally:
+        sys.setprofile(previous)
+    assert calls == 5040
+
+
 def test_codes_are_canonical_sorted_and_distinct(cache_dir):
     codes = enumerate_codes(6, cache_dir=cache_dir)
     assert list(codes) == sorted(set(codes))
@@ -103,29 +127,61 @@ def test_orbit_stabilizer_completeness(cache_dir):
             assert orbit_sum == labeled_count_with_score(score)
 
 
+def circulant(n: int, offsets) -> Tournament:
+    """Vertex i beats i + d (mod n) for each d in offsets."""
+    return Tournament(n, tuple(sum(1 << (i + d) % n for d in offsets) for i in range(n)))
+
+
 def test_canonical_code_is_relabeling_invariant():
     t = random_tournament(7, 123)
     reference = canonical_code(t)
     for perm in list(permutations(range(7)))[:: 257]:
         assert canonical_code(relabel(t, perm)) == reference
+    # Orders 9 and 10, where many vertices tie at the root: a vertex-transitive
+    # circulant (all 9 tie), the same with its directed triangle 0 -> 3 -> 6
+    # reversed (still regular, 3 automorphisms instead of 9), and each of those
+    # with a tenth vertex that beats 0, 2, 4, 6 (scores 5 and 4 only).
+    c9 = circulant(9, (1, 2, 3, 4))
+    triangle = {0: 1 << 3 | 1 << 6, 3: 1 << 6 | 1 << 0, 6: 1 << 0 | 1 << 3}
+    flipped = Tournament(9, tuple(o ^ triangle.get(v, 0) for v, o in enumerate(c9.out)))
+    hosts = [c9, flipped]
+    for host in (c9, flipped):
+        beaten = 0b1010101
+        out = tuple(o if beaten >> v & 1 else o | 1 << 9 for v, o in enumerate(host.out))
+        hosts.append(Tournament(10, out + (beaten,)))
+    rng = random.Random(9)
+    for host in hosts:
+        host.validate()
+        reference = canonical_code(host)
+        for _ in range(20):
+            perm = list(range(host.n))
+            rng.shuffle(perm)
+            assert canonical_code(relabel(host, perm)) == reference
 
 
 def test_canonical_order_relabels_to_the_code(cache_dir):
     rng = random.Random(4)
-    for n in range(1, 8):
+    for n in range(1, 9):
         for code in enumerate_codes(n, cache_dir=cache_dir):
             base = tournament_from_code(code)
-            for _ in range(3):
+            for _ in range(3 if n < 8 else 1):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 assert canonical_code(relabel(base, perm)) == code
 
 
 def test_canonical_code_matches_brute_force_on_small_orders():
-    # the order-7 hosts have many ties, so the search reaches all-singleton
-    # cells late
+    # the order-7 and order-8 hosts have many ties, so the search reaches
+    # all-singleton cells late
     hosts = [random_tournament(n, seed) for n in range(1, 7) for seed in range(10)]
     hosts += [qr7(), turan3_tournament(7), transitive_tournament(7)]
+    # the two order-8 classes whose labeling from their codes makes the most
+    # search calls (51 and 53 of at most 53): qr7 plus a sink, and a class of
+    # score 4,4,4,4,3,3,3,3, here relabeled
+    hosts.append(Tournament(8, tuple(o | 1 << 7 for o in qr7().out) + (0,)))
+    perm = list(range(8))
+    random.Random(8).shuffle(perm)
+    hosts.append(relabel(tournament_from_code("0000111000011011000100100110"), perm))
     for t in hosts:
         assert canonical_code(t) == brute_force_canonical_code(t)
 
