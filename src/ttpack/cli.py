@@ -31,8 +31,8 @@ from .designs import (
 from .enumeration import (
     EnumerationError,
     MAX_ENUMERATION_VERTICES,
+    code_out_sets,
     enumerate_codes,
-    tournament_from_code,
 )
 from .experiments import density_experiment, edge_copy_stats
 from .packing import Packing, PackingError, max_packing_exact, verify_packing
@@ -123,16 +123,20 @@ def _load_tournament(path: str) -> Tournament:
 
 def _cmd_enumerate(args) -> int:
     if args.score:
-        want = tuple(int(s) for s in args.score.split(","))
+        want = [int(s) for s in args.score.split(",")]
         if len(want) != args.n:
             raise EnumerationError(f"score has {len(want)} entries for n={args.n}")
-        if list(want) != sorted(want, reverse=True):
+        if want != sorted(want, reverse=True):
             raise EnumerationError(f"score must be non-increasing, got {args.score}")
     codes = enumerate_codes(args.n, cache_dir=args.cache, workers=args.workers)
     if args.score:
-        codes = tuple(
-            code for code in codes if tournament_from_code(code).score() == want
-        )
+
+        def score(code: str) -> list[int]:
+            # out-degrees read off the code's int; the order-1 code "" reads as 0
+            out = code_out_sets(args.n, int(code or "0", 2))
+            return sorted(map(int.bit_count, out), reverse=True)
+
+        codes = tuple(code for code in codes if score(code) == want)
     result = {"n": args.n, "count": len(codes), "codes": list(codes)}
     _emit(args, result, [f"n={args.n} classes={len(codes)}", *codes])
     return 0

@@ -27,6 +27,7 @@ import math
 import os
 from collections.abc import Sequence
 from functools import cache
+from itertools import combinations
 from multiprocessing import Pool
 
 from . import FORMAT_VERSION
@@ -169,12 +170,57 @@ def canonical_code(t: Tournament) -> str:
 
 
 def tournament_from_code(code: str) -> Tournament:
-    """Rebuild a tournament from a C(n,2)-character code; n is implied by the length."""
+    """Rebuild a tournament from a C(n,2)-character code; n is implied by the length.
+
+    The code is read as an int, by code_out_sets; the order-1 code "" reads as 0.
+    """
     length = len(code)
     n = (1 + math.isqrt(1 + 8 * length)) // 2
     if n * (n - 1) // 2 != length:
         raise EnumerationError(f"code length {length} is not a binomial C(n,2)")
-    return tournament_from_bits(n, code)
+    return Tournament(n, code_out_sets(n, int(code or "0", 2)))
+
+
+@cache
+def _code_tables(n: int) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """The packed out-sets of the all-zero code of order n, and per-byte toggle tables.
+
+    code_out_sets packs the out-sets into one int, out[v] at bits n*v to
+    n*v + n - 1.  With every bit of the code 0, each pair i < j is
+    oriented j -> i, which sets bit n*j + i.  The pair at position p of
+    combinations(range(n), 2) is the code int's bit C(n,2) - 1 - p, and a
+    set bit orients it i -> j, which toggles bits n*j + i and n*i + j.  One
+    row per byte of the int holds its shift and 256 toggle masks: entry b
+    toggles the pairs of the set bits of b in that byte.  The top byte is
+    partial when 8 does not divide C(n,2), and its bits past the code
+    toggle nothing.
+    """
+    pairs = list(combinations(range(n), 2))
+    zero = sum(1 << n * j + i for i, j in pairs)
+    tables = []
+    for shift in range(0, len(pairs), 8):
+        table = [0]
+        for s in range(shift, shift + 8):
+            mask = 0
+            if s < len(pairs):
+                i, j = pairs[-1 - s]
+                mask = 1 << n * j + i | 1 << n * i + j
+            table += [entry | mask for entry in table]
+        tables.append((shift, tuple(table)))
+    return zero, tuple(tables)
+
+
+def code_out_sets(n: int, bits: int) -> tuple[int, ...]:
+    """Out-sets of the order-n tournament whose code, read as an int, is bits.
+
+    One lookup per byte of the int toggles the pairs of its set bits in
+    the packed out-sets of the all-zero code (see _code_tables).
+    """
+    packed, tables = _code_tables(n)
+    for shift, table in tables:
+        packed ^= table[bits >> shift & 255]
+    full = (1 << n) - 1
+    return tuple(packed >> n * v & full for v in range(n))
 
 
 def _degree_sum(nbrs: int, degree: list[int]) -> int:

@@ -15,12 +15,12 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from operator import itemgetter
 from typing import NamedTuple
 
 from .rng import stdlib_rng
-from .tournament import Tournament, edge_index, is_transitive_on
+from .tournament import Tournament, edge_index
 
 __all__ = [
     "CopyList",
@@ -403,28 +403,51 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
 
     Every copy must have k distinct vertices of the host, each an int (not
     a bool) in range, and induce a transitive subtournament; the copies
-    must be pairwise edge-disjoint.  Disjointness is checked in one pass
-    over the copies alone: met[v] is v and every vertex that shares an
-    earlier copy with v, so a copy on the vertex set mask repeats a pair
-    exactly when met[v] & mask != 1 << v for one of its vertices v.
+    must be pairwise edge-disjoint.  First a bulk screen, in builtins,
+    checks every copy's length, every vertex's type and then the least
+    and greatest vertex.  Then one pass over the copies checks the rest:
+    a copy's vertex mask has k bits exactly when its vertices are
+    distinct, and one loop over its vertices checks both of the other
+    properties.  met[v] is v and every vertex that shares an earlier copy
+    with v, so the copy repeats a pair exactly when met[v] & mask != 1 << v
+    for one of its vertices v; the loop's updates of met[u] for the copy's
+    other vertices u leave met[v] as it was.  seen marks each vertex's out-degree inside
+    the copy, a number in 0..k-1, so it is all k low bits when the k
+    numbers are distinct, which is exactly when the copy is transitive
+    (the lemma that `is_transitive_on` states).
+
+    Soundness: the packing is valid exactly when every check holds on
+    every copy, so the order the checks run in cannot change the answer.
+    The screen and the pass together reject exactly what the checks made
+    copy by copy reject; the screen only moves the type, range and length
+    checks ahead, so the pass shifts and indexes by ints of 0..n-1 alone.
     """
     n, k = t.n, p.k
     if p.n != n or not 3 <= k <= n:
         return False
-    met = [1 << v for v in range(n)]
-    for vs in p.copies:
-        if len(vs) != k:
-            return False
-        # one pass: each vertex's type and range, before its shift
+    copies = p.copies
+    if set(map(len, copies)) - {k} or set(map(type, chain.from_iterable(copies))) - {int}:
+        return False
+    if copies and (min(chain.from_iterable(copies)) < 0 or max(chain.from_iterable(copies)) >= n):
+        return False
+    out = t.out
+    # bits[v] is 1 << v, read from a list, which is cheaper than shifting;
+    # a sub-out-degree is below k <= n, so it indexes bits too
+    bits = [1 << v for v in range(n)]
+    met = bits.copy()
+    full = (1 << k) - 1
+    for vs in copies:
         mask = 0
         for v in vs:
-            if type(v) is not int or not 0 <= v < n:
-                return False
-            mask |= 1 << v
-        if mask.bit_count() != k or not is_transitive_on(t, vs):
+            mask |= bits[v]
+        if mask.bit_count() != k:
             return False
+        seen = 0
         for v in vs:
-            if met[v] & mask != 1 << v:
+            if met[v] & mask != bits[v]:
                 return False
             met[v] |= mask
+            seen |= bits[(out[v] & mask).bit_count()]
+        if seen != full:
+            return False
     return True

@@ -24,7 +24,13 @@ from operator import itemgetter
 
 from .constructions import turan3_tournament
 from .designs import _orbit, ag2_lines, fano_plane, verify_design
-from .enumeration import MAX_ENUMERATION_VERTICES, _pool_map, enumerate_codes, tournament_from_code
+from .enumeration import (
+    MAX_ENUMERATION_VERTICES,
+    _pool_map,
+    code_out_sets,
+    enumerate_codes,
+    tournament_from_code,
+)
 from .packing import Packing, max_packing_exact, verify_packing
 from .rng import stdlib_rng, sub_seed
 from .tournament import Tournament, census, induced
@@ -187,11 +193,6 @@ def _solve_code(args: tuple[str, int, int | None]) -> tuple[int, bool]:
     return p.value, p.optimal
 
 
-# (t, transitive lines of a best Fano plane, as positions in sorted vertex
-# order) per block pattern met in one decomposition_pipeline call, which
-# clears it before its pool is made: every worker starts empty.
-_pattern_memo: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
-
 @lru_cache(maxsize=None)
 def _max_packings(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """(triple mask, lines) of every labeled maximum triangle packing of K_n, 3 <= n <= 8.
@@ -256,10 +257,15 @@ def _scan(n: int, cyclic: int, *subject) -> tuple[int, tuple[tuple[int, ...], ..
 
 
 def _scan_code(code: str) -> tuple[int, int]:
-    """(t, P) of the 7-vertex class with this code, by _scan, its packing verified here."""
-    cyclic = _cyclic_mask(7, int(code, 2))
+    """(t, P) of the 7-vertex class with this code, by _scan, its packing verified here.
+
+    The code is read once, as an int, for both its cyclic mask and the
+    out-sets of the tournament that the packing is verified on.
+    """
+    bits = int(code, 2)
+    cyclic = _cyclic_mask(7, bits)
     lines = _scan(7, cyclic, "class", code)[1]
-    if not verify_packing(tournament_from_code(code), Packing(n=7, k=3, copies=lines)):
+    if not verify_packing(Tournament(7, code_out_sets(7, bits)), Packing(n=7, k=3, copies=lines)):
         raise PipelineError(f"class {code} has a packing of {len(lines)} copies that fails verification")
     return cyclic.bit_count(), len(lines)
 
@@ -394,6 +400,12 @@ REFERENCE_DENSITY = lp_step(
     tuple(value for _, value in REGIMES),
     tuple(start for start, _ in REGIMES[1:]),
 ).minimum / (2 * comb(7, 2))
+
+
+# (t, transitive lines of a best Fano plane, as positions in sorted vertex
+# order) per block pattern met in one decomposition_pipeline call, which
+# clears it before its pool is made: every worker starts empty.
+_pattern_memo: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
 
 
 def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]):

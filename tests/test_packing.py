@@ -5,7 +5,13 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import brute_max_packing, enumerate_nonisomorphic, packing_is_valid, scanned_copies
+from oracles import (
+    brute_max_packing,
+    enumerate_nonisomorphic,
+    is_transitive_subset,
+    packing_is_valid,
+    scanned_copies,
+)
 from ttpack.constructions import qr7
 from ttpack.packing import (
     Packing,
@@ -351,11 +357,14 @@ def test_verifier_rejection_table(changes):
     assert not verify_packing(t, replace(base, **changes))
 
 
-@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("k", [3, 4, 5])
 def test_verifier_agrees_with_a_pair_set_oracle(k):
     # seeded packings, valid and corrupted: a copy dropped, reordered,
-    # repeated reversed, or with one vertex swapped for a random vertex,
-    # a vertex of another copy or a bad value, and a random copy added
+    # repeated reversed, with one vertex swapped for a random vertex, a
+    # vertex of another copy or a bad value, or with k - 1 or k + 1
+    # vertices; a random copy added; and a cyclic or overlapping copy
+    # added ahead of a copy with a bad vertex, which the verifier's bulk
+    # screen meets first and a copy-by-copy check meets last
     rng = stdlib_rng(sub_seed(24, k))
     outcomes = {False: 0, True: 0}
     for trial in range(150):
@@ -363,7 +372,7 @@ def test_verifier_agrees_with_a_pair_set_oracle(k):
         t = random_tournament(n, sub_seed(k, trial))
         copies = [list(vs) for vs in greedy_packing(t, k, trial).copies]
         for _ in range(rng.randrange(3)):
-            edit = rng.randrange(7)
+            edit = rng.randrange(9)
             if edit == 0 and copies:
                 copies.pop(rng.randrange(len(copies)))
             elif edit == 1 and copies:
@@ -377,6 +386,23 @@ def test_verifier_agrees_with_a_pair_set_oracle(k):
                 copies[a][rng.randrange(k)] = rng.choice(copies[b])
             elif edit == 5 and copies:
                 copies[rng.randrange(len(copies))][rng.randrange(k)] = rng.choice([-1, n, True, 1.0])
+            elif edit == 6 and copies:
+                vs = copies[rng.randrange(len(copies))]
+                if rng.randrange(2):
+                    vs.pop(rng.randrange(k))
+                else:
+                    vs.append(rng.randrange(n))
+            elif edit == 7 and copies:
+                if rng.randrange(2):
+                    copies.append(copies[rng.randrange(len(copies))][::-1])
+                else:
+                    cyclic = rng.sample(range(n), k)
+                    while is_transitive_subset(t, cyclic):
+                        cyclic = rng.sample(range(n), k)
+                    copies.append(cyclic)
+                bad = rng.sample(range(n), k)
+                bad[rng.randrange(k)] = rng.choice([-1, n, True, 1.0, "1", None])
+                copies.append(bad)
             else:
                 copies.append(rng.sample(range(n), k))
         packing = tuple(map(tuple, copies))
@@ -390,8 +416,6 @@ def test_verifier_rejects_nontransitive_copy():
     t = parse_tournament("n=4\n101111\n")
     # find a cyclic triple in this host and present it as a copy
     from itertools import combinations
-
-    from oracles import is_transitive_subset
 
     cyclic = next(
         vs for vs in combinations(range(4), 3) if not is_transitive_subset(t, vs)

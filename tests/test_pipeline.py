@@ -571,6 +571,35 @@ def test_pipeline_rejects_a_packing_that_fails_verification(monkeypatch, workers
         decomposition_pipeline(random_tournament(49, 7), trials=2, seed=11, workers=workers)
 
 
+@pytest.mark.parametrize("fault", ["cyclic-line", "repeated-line"])
+def test_trial_verifier_rejects_a_corrupted_pattern_entry(monkeypatch, fault):
+    # the real verify_packing, unpatched, checks the lines a trial reads
+    # from _pattern_memo: one entry is corrupted between two runs of the
+    # same trial, by a cyclic line in place of a transitive one (the
+    # plane's left-out cyclic line, which shares no pair with the others)
+    # or by one line repeated, so two copies share a pair
+    monkeypatch.setattr(pipeline, "_pattern_memo", {})
+    args = (0, random_tournament(49, 7).out, sub_seed(11, 0), ag2_lines(7).blocks)
+    pipeline._pipeline_trial(args)
+    pattern, (t_count, lines) = next(
+        (pattern, entry) for pattern, entry in pipeline._pattern_memo.items() if len(entry[1]) < 7
+    )
+    block = tournament_from_bits(7, format(pattern, "021b"))
+    if fault == "cyclic-line":
+        used = {pair for line in lines[1:] for pair in combinations(line, 2)}
+        cyclic = next(
+            vs
+            for vs in combinations(range(7), 3)
+            if not is_transitive_subset(block, vs) and used.isdisjoint(combinations(vs, 2))
+        )
+        corrupted = (cyclic, *lines[1:])
+    else:
+        corrupted = (lines[0], lines[0], *lines[2:])
+    pipeline._pattern_memo[pattern] = (t_count, corrupted)
+    with pytest.raises(PipelineError, match="failed verification in trial 0"):
+        pipeline._pipeline_trial(args)
+
+
 GATE_HOSTS = {
     "random": lambda: random_tournament(49, 7),
     "turan3": lambda: turan3_tournament(49),
