@@ -25,10 +25,11 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import pickle
+import signal
 from collections.abc import Sequence
 from functools import cache
 from itertools import combinations
-from multiprocessing import Pool
 
 from . import FORMAT_VERSION
 from .tournament import Tournament, tournament_from_bits
@@ -317,24 +318,79 @@ def resolve_cache_dir(cache_dir: str | None = None) -> str:
     return cache_dir or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
 
 
-def _pool_map(fn, jobs: list, workers: int):
-    """fn over jobs, yielding results in job order.
+def _share(fn, jobs: list) -> tuple[list, Exception | None]:
+    """fn over jobs up to the first that raises: the results before it, and its exception."""
+    results = []
+    try:
+        for job in jobs:
+            results.append(fn(job))
+    except Exception as exc:
+        return results, exc
+    return results, None
 
-    Runs in this process when workers <= 1; otherwise over a pool of that
-    many processes, created here, with the chunk size Pool.map would pick.
-    The pool is closed and joined, even when the caller stops early: its
-    terminate() can kill a worker that holds the result queue's lock, and
-    then wait on that lock for good.
+
+def _pool_map(fn, jobs: list, workers: int):
+    """fn over jobs, yielding results in job order, as map would.
+
+    Runs in this process when workers <= 1.  Otherwise the jobs are cut
+    into w = min(workers, len(jobs)) strided shares, share s being
+    jobs[s::w].  Each of w - 1 processes forked here computes one share
+    from its inherited copy of the jobs, so no job is pickled, writes one
+    pickled (results, exception or None) to its pipe and ends by
+    os._exit, whatever was raised, so it never returns into the caller's
+    frames.  This process computes share 0 meanwhile, then reads each
+    pipe to its end and reaps each child, all before the first result is
+    yielded, so a caller that stops early leaves no child behind.
+
+    A share stops at its first failing job.  Job j is result j // w of
+    share j % w, so a share that failed after r results failed at job
+    s + r * w; the least such job's exception is raised once the results
+    before it are yielded, the exception map would raise.  A child that
+    exits without writing its share raises RuntimeError.  Needs POSIX
+    fork, which is safe here as ttpack starts no thread: the children see
+    this process's state as it was at the call, the caches and test
+    patches included.
     """
-    if workers <= 1:
+    w = min(workers, len(jobs))
+    if w <= 1:
         yield from map(fn, jobs)
         return
-    pool = Pool(workers)
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
     try:
-        yield from pool.imap(fn, jobs, chunksize=math.ceil(len(jobs) / (4 * workers)))
+        for s in range(1, w):
+            readable, writable = os.pipe()
+            pipe = open(readable, "rb")
+            with open(writable, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        pickle.dump(_share(fn, jobs[s::w]), sink)
+                        sink.flush()
+                        status = 0
+                    finally:  # a BaseException too ends the child here
+                        os._exit(status)
+            children.append((pid, pipe))
+        shares = [_share(fn, jobs[::w])]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if not data:
+                raise RuntimeError(f"worker {pid} exited with code {os.waitstatus_to_exitcode(status)} before returning its share")
+            shares.append(pickle.loads(data))
     finally:
-        pool.close()
-        pool.join()
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = min((s + len(results) * w for s, (results, exc) in enumerate(shares) if exc is not None), default=len(jobs))
+    for j in range(failed):
+        yield shares[j % w][0][j // w]
+    if failed < len(jobs):
+        raise shares[failed % w][1]
 
 
 def _read_or_build_codes(n: int, cache_dir: str, workers: int) -> tuple[str, ...]:

@@ -404,35 +404,47 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
     Every copy must have k distinct vertices of the host, each an int (not
     a bool) in range, and induce a transitive subtournament; the copies
     must be pairwise edge-disjoint.  First a bulk screen, in builtins,
-    checks every copy's length, every vertex's type and then the least
-    and greatest vertex.  Then one pass over the copies checks the rest:
-    a copy's vertex mask has k bits exactly when its vertices are
-    distinct, and one loop over its vertices checks both of the other
-    properties.  met[v] is v and every vertex that shares an earlier copy
-    with v, so the copy repeats a pair exactly when met[v] & mask != 1 << v
-    for one of its vertices v; the loop's updates of met[u] for the copy's
-    other vertices u leave met[v] as it was.  seen marks each vertex's out-degree inside
-    the copy, a number in 0..k-1, so it is all k low bits when the k
-    numbers are distinct, which is exactly when the copy is transitive
-    (the lemma that `is_transitive_on` states).
+    checks every vertex's type and then the least and greatest vertex.
+    Then one pass over the copies checks the rest, with one loop over
+    each copy's vertices.  Its mask is the set of its vertices, d of
+    them.  met[v] is v and every vertex that shares an earlier copy with
+    v, so the copy repeats a pair exactly when met[v] & mask != 1 << v for
+    one of its vertices v; the loop's updates of met[u] for the copy's
+    other vertices u leave met[v] as it was.  seen marks each vertex's
+    out-degree inside the mask, a number in 0..d-1, and must be all k low
+    bits.
+
+    The length and distinctness checks are implied.  A vertex listed
+    twice in a copy with d >= 2 meets its own earlier update of met, so
+    met[v] & mask is all of mask, not 1 << v.  With no repeat, the copy
+    has d vertices, and seen is the set of out-degrees of the d-vertex
+    subtournament.  A tournament whose set of out-degrees is exactly
+    0..k-1 has k vertices: its vertex of out-degree 0 is unique (two
+    would each lose to the other), and dropping it lowers every other
+    out-degree by one, leaving exactly 0..k-2, down to one vertex of
+    out-degree 0 at k = 1.  So seen is all k low bits exactly when d = k
+    and the copy is transitive (the lemma that `is_transitive_on`
+    states); an empty copy has seen 0 and a one-vertex copy 1, neither
+    all of k >= 3 bits.
 
     Soundness: the packing is valid exactly when every check holds on
     every copy, so the order the checks run in cannot change the answer.
     The screen and the pass together reject exactly what the checks made
-    copy by copy reject; the screen only moves the type, range and length
-    checks ahead, so the pass shifts and indexes by ints of 0..n-1 alone.
+    copy by copy reject; the screen only moves the type and range checks
+    ahead, so the pass shifts and indexes by ints of 0..n-1 alone.
     """
     n, k = t.n, p.k
     if p.n != n or not 3 <= k <= n:
         return False
     copies = p.copies
-    if set(map(len, copies)) - {k} or set(map(type, chain.from_iterable(copies))) - {int}:
+    if set(map(type, chain.from_iterable(copies))) - {int}:
         return False
-    if copies and (min(chain.from_iterable(copies)) < 0 or max(chain.from_iterable(copies)) >= n):
+    if min(chain.from_iterable(copies), default=0) < 0 or max(chain.from_iterable(copies), default=0) >= n:
         return False
     out = t.out
     # bits[v] is 1 << v, read from a list, which is cheaper than shifting;
-    # a sub-out-degree is below k <= n, so it indexes bits too
+    # an out-degree inside a copy is below its vertex count, at most n, so
+    # it indexes bits too
     bits = [1 << v for v in range(n)]
     met = bits.copy()
     full = (1 << k) - 1
@@ -440,8 +452,6 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
         mask = 0
         for v in vs:
             mask |= bits[v]
-        if mask.bit_count() != k:
-            return False
         seen = 0
         for v in vs:
             if met[v] & mask != bits[v]:

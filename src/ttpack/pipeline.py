@@ -210,7 +210,7 @@ def _max_packings(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
     only if they cover 3M distinct pairs; and the count is pinned,
     so a build that loses an entry raises, and completeness is checkable
     against an exhaustive search.  The build reads _triples(n), so a
-    caller that builds the table before its pool forks gives every
+    caller that builds the table before its map forks gives every
     worker the byte tables of _cyclic_mask too.
     """
     m, count = {3: (1, 1), 4: (1, 4), 5: (2, 15), 6: (4, 30), 7: (7, 30), 8: (8, 840)}[n]
@@ -404,7 +404,7 @@ REFERENCE_DENSITY = lp_step(
 
 # (t, transitive lines of a best Fano plane, as positions in sorted vertex
 # order) per block pattern met in one decomposition_pipeline call, which
-# clears it before its pool is made: every worker starts empty.
+# clears it before its map forks: every worker starts empty.
 _pattern_memo: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
 
 
@@ -454,8 +454,9 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
     block's value is 7 - least, packed by that plane's transitive lines,
     exact by the argument in _scan's docstring.  A block past the
     scan's exact range raises.  _pattern_memo keeps each pattern's t
-    and lines once per call, cleared here before the pool of workers is
-    made, so each worker starts empty.
+    and lines once per call, cleared here before the map forks its
+    workers, so each worker starts empty.  Each block's regime is tallied
+    by t, and each distinct t is mapped to its regime once.
     """
     design = ag2_lines(7)
     if t.n != design.point_count:
@@ -470,7 +471,7 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
     jobs = [(i, t.out, sub_seed(seed, i), design.blocks) for i in range(trials)]
     totals = []
     histogram: Counter[int] = Counter()
-    regimes: Counter[int] = Counter()
+    ts: Counter[int] = Counter()
     floor = min(value for _, value in REGIMES) * len(design.blocks)
     for i, (block_values, block_ts) in enumerate(_pool_map(_pipeline_trial, jobs, workers)):
         total = sum(block_values)
@@ -478,7 +479,10 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
             raise PipelineError(f"trial {i} total {total} fell below {floor}")
         totals.append(total)
         histogram.update(block_values)
-        regimes.update(map(_regime, block_ts))
+        ts.update(block_ts)
+    regimes: Counter[int] = Counter()
+    for t_count, blocks in ts.items():
+        regimes[_regime(t_count)] += blocks
     blocks_total = trials * len(design.blocks)
     return PipelineReport(
         n=t.n,

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 import acceptance_report
@@ -8,6 +10,18 @@ from ttpack.pipeline import verify_t7_thresholds
 def cache_dir(tmp_path_factory) -> str:
     """One enumeration cache shared by the whole run."""
     return str(tmp_path_factory.mktemp("enumeration-cache"))
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail any test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    left = "a running child" if pid == 0 else f"child {pid}, exit status {status},"
+    pytest.fail(f"the test left {left} behind")
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -31,6 +32,7 @@ from ttpack.enumeration import (
     MAX_ENUMERATION_VERTICES,
     EnumerationError,
     _cache_path,
+    _pool_map,
     canonical_code,
     code_out_sets,
     enumerate_codes,
@@ -269,29 +271,61 @@ def test_enumeration_respects_workers(cache_dir, tmp_path):
     assert seq == par
 
 
-def test_pool_map_joins_its_pool_when_the_caller_stops_early(monkeypatch):
-    # Pool.terminate() can kill a worker holding the result queue's lock
-    # and then wait on that lock for good, so it must never run
-    import multiprocessing.pool
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("count", [0, 1, 3, 40])
+def test_pool_map_equals_map(workers, count):
+    jobs = [(j, -j) for j in range(count)]
+    assert list(_pool_map(repr, jobs, workers)) == list(map(repr, jobs))
 
-    from ttpack import enumeration
 
-    calls = []
+@pytest.mark.parametrize(
+    "failing, first",
+    [({4: ValueError, 6: KeyError, 8: ZeroDivisionError}, 4), ({3: KeyError, 4: ValueError, 2: TypeError}, 2),
+     ({9: KeyError, 7: ValueError}, 7), ({3: TypeError, 5: ValueError, 10: KeyError}, 3)],
+    ids=["child-before-parent", "last-child-first", "child-later-in-its-share", "parent-first"],
+)
+def test_pool_map_raises_the_first_failing_job_by_job_order(failing, first):
+    # 12 jobs over 3 shares: this process computes jobs 0, 3, 6 and 9, and
+    # the two children 1, 4, 7, 10 and 2, 5, 8, 11
+    def fn(j):
+        if j in failing:
+            raise failing[j](f"job {j} failed")
+        return j
 
-    class Recording(multiprocessing.pool.Pool):
-        def terminate(self):
-            calls.append("terminate")
-            super().terminate()
+    got = []
+    with pytest.raises(failing[first], match=f"^'?job {first} failed'?$"):
+        for result in _pool_map(fn, list(range(12)), 3):
+            got.append(result)
+    assert got == list(range(first))
 
-        def join(self):
-            calls.append("join")
-            super().join()
 
-    monkeypatch.setattr(enumeration, "Pool", Recording)
-    results = enumeration._pool_map(abs, list(range(-40, 0)), 2)
+def test_pool_map_raises_when_a_child_exits_without_its_share():
+    parent = os.getpid()
+
+    def fn(j):
+        if os.getpid() != parent:
+            os._exit(3)
+        return j
+
+    def hung(*_):
+        raise TimeoutError("the map waited on a child that had exited")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match="exited with code 3 before returning its share"):
+            list(_pool_map(fn, list(range(9)), 3))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_pool_map_reaps_every_child_when_the_caller_stops_early():
+    results = _pool_map(abs, list(range(-40, 0)), 3)
     assert next(results) == 40
     results.close()
-    assert calls == ["join"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_transitive_class_is_enumerated(cache_dir):

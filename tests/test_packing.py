@@ -2,6 +2,7 @@
 
 import time
 from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 
@@ -412,11 +413,35 @@ def test_verifier_agrees_with_a_pair_set_oracle(k):
     assert min(outcomes.values()) >= 30, outcomes
 
 
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_verifier_agrees_with_the_oracle_on_short_and_repeated_copies(k):
+    # the verifier has no length or distinct-vertex check of its own, so
+    # its met and seen checks must reject each such copy the oracle does:
+    # every copy of at most 3 vertices, repeats included, the empty copy,
+    # one-vertex copies and (v, v, v) among them; every set of k - 1, k
+    # and k + 1 distinct vertices; and every k-set with its last vertex
+    # repeated in place of another, or with its first vertex repeated at
+    # its end; each alone and after an empty copy
+    n = 8
+    t = random_tournament(n, sub_seed(2, k))
+    # a transitive (k + 1)-set holds all k low out-degrees and one more
+    assert any(is_transitive_subset(t, vs) for vs in combinations(range(n), k + 1))
+    shapes = [vs for length in range(4) for vs in product(range(n), repeat=length)]
+    shapes += [vs for length in (k - 1, k, k + 1) for vs in combinations(range(n), length)]
+    shapes += [vs[:i] + vs[-1:] + vs[i + 1 :] for vs in combinations(range(n), k) for i in range(k - 1)]
+    shapes += [vs + vs[:1] for vs in combinations(range(n), k)]
+    outcomes = {False: 0, True: 0}
+    for vs in shapes:
+        for copies in ((vs,), ((), vs)):
+            valid = packing_is_valid(t, k, copies)
+            assert verify_packing(t, Packing(n=n, k=k, copies=copies)) == valid, copies
+            outcomes[valid] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
+
+
 def test_verifier_rejects_nontransitive_copy():
     t = parse_tournament("n=4\n101111\n")
     # find a cyclic triple in this host and present it as a copy
-    from itertools import combinations
-
     cyclic = next(
         vs for vs in combinations(range(4), 3) if not is_transitive_subset(t, vs)
     )

@@ -73,8 +73,8 @@ def test_every_exported_name_is_bound():
 
 
 def test_one_process_pool_helper():
-    # only enumeration.py imports multiprocessing, and Pool is read only
-    # inside enumeration._pool_map
+    # no module imports multiprocessing, and fork is read only inside
+    # enumeration._pool_map
     importers = []
     outside = []
     for path in sorted(Path(ttpack.__file__).parent.rglob("*.py")):
@@ -91,12 +91,15 @@ def test_one_process_pool_helper():
         inside = set()
         if path.name == "enumeration.py":
             helpers = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_pool_map"]
-            inside = {id(node) for fn in helpers for node in ast.walk(fn)}
+            assert len(helpers) == 1
+            inside = {id(node) for node in ast.walk(helpers[0])}
         for node in ast.walk(tree):
             name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-            if name == "Pool" and id(node) not in inside:
+            if name is None and isinstance(node, ast.alias):
+                name = node.name
+            if name == "fork" and id(node) not in inside:
                 outside.append(f"{path.name}:{node.lineno}")
-    assert set(importers) == {"enumeration.py"}
+    assert importers == []
     assert outside == []
 
 
