@@ -271,7 +271,8 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_lp(args) -> int:
     values = tuple(map(_fraction, args.values.split(",")))
-    costs = tuple(map(_fraction, args.costs.split(",")))
+    # an empty --costs is no costs, as a one-value LP needs
+    costs = tuple(map(_fraction, args.costs.split(","))) if args.costs else ()
     res = lp_step(_fraction(args.budget), values, costs)
     result = {
         "minimum": str(res.minimum),
@@ -348,12 +349,42 @@ def _cmd_experiment_edge_stats(args) -> int:
     return 0
 
 
+class _Unbuilt:
+    """A subcommand's parser before it is built: its constructor arguments and its fill."""
+
+    def __init__(self, fill, **kwargs):
+        self.fill = fill
+        self.kwargs = kwargs
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Subcommands whose parsers are built only when argparse dispatches to one.
+
+    add_parser(name, fill=..., help=...) goes through argparse's own
+    add_parser, which registers the name, its help line and its prog, so
+    help, usage and "invalid choice" output are those of eager parsers.
+    Only the parser is deferred: on dispatch it is built with those
+    arguments and fill(parser) adds its arguments, one level at a time.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **{**kwargs, "parser_class": _Unbuilt})
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        unbuilt = self.choices[values[0]]
+        if isinstance(unbuilt, _Unbuilt):
+            self.choices[values[0]] = built = type(parser)(**unbuilt.kwargs)
+            unbuilt.fill(built)
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The ttpack parser; each subcommand's parser is built when a call names it."""
     parser = argparse.ArgumentParser(
         prog="ttpack",
         description="Exact and randomized tooling for edge-disjoint packings of transitive subtournaments.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
 
     def common(p, seed=True, cache=False, workers=False, fmt=("json", "text")):
         p.add_argument("--out", help="write the report to this path instead of stdout")
@@ -366,100 +397,121 @@ def build_parser() -> argparse.ArgumentParser:
         if workers:
             p.add_argument("--workers", type=_positive_int, default=1)
 
-    p = sub.add_parser("enumerate", help="list canonical codes of all classes of order n")
-    p.add_argument("--n", type=int, required=True, choices=range(1, MAX_ENUMERATION_VERTICES + 1))
-    p.add_argument("--score", help="comma-separated sorted out-degree filter")
-    common(p, cache=True, workers=True)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("solve", help="exact maximum packing of one tournament")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--budget-ms", dest="budget_ms", type=_nonnegative_int)
-    common(p)
-    p.set_defaults(handler=_cmd_solve)
-
-    p = sub.add_parser("census", help="triangle census of one tournament")
-    p.add_argument("--in", dest="infile", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_census)
-
     sweep_orders = range(3, MAX_ENUMERATION_VERTICES + 1)  # the orders f_min sweeps
-    verify = sub.add_parser("verify", help="fail-closed verification sweeps").add_subparsers(
-        dest="verify_target", required=True
-    )
-    p = verify.add_parser("lemma22", help="triangle-count thresholds over all 7-vertex classes")
-    common(p, cache=True, workers=True)
-    p.set_defaults(handler=_cmd_verify_lemma22)
-    p = verify.add_parser("conjecture", help="minimum packing values against the ceiling formula")
-    p.add_argument("--max-n", dest="max_n", type=int, default=sweep_orders[-1], choices=sweep_orders)
-    common(p, cache=True, workers=True)
-    p.set_defaults(handler=_cmd_verify_conjecture)
-    p = verify.add_parser("design", help="pairwise balance of a design file")
-    p.add_argument("--in", dest="infile", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_verify_design)
-    p = verify.add_parser("packing", help="a solve report against its tournament")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--packing", required=True, help="JSON file with solve output")
-    common(p)
-    p.set_defaults(handler=_cmd_verify_packing)
 
-    p = sub.add_parser("fmin", help="minimum packing value over all classes of order n")
-    p.add_argument("--n", type=int, required=True, choices=sweep_orders)
-    p.add_argument("--k", type=int, default=3)
-    common(p, cache=True, workers=True)
-    p.set_defaults(handler=_cmd_fmin)
+    def enumerate_(p):
+        p.add_argument("--n", type=int, required=True, choices=range(1, MAX_ENUMERATION_VERTICES + 1))
+        p.add_argument("--score", help="comma-separated sorted out-degree filter")
+        common(p, cache=True, workers=True)
+        p.set_defaults(handler=_cmd_enumerate)
 
-    p = sub.add_parser("pipeline", help="seeded 49-vertex decomposition trials")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--trials", type=_positive_int, default=100)
-    common(p, workers=True)
-    p.set_defaults(handler=_cmd_pipeline)
+    def solve(p):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--k", type=int, default=3)
+        p.add_argument("--budget-ms", dest="budget_ms", type=_nonnegative_int)
+        common(p)
+        p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("lp", help="exact rational minimization over the budgeted simplex")
-    p.add_argument("--budget", required=True, help="rational, e.g. 35/4")
-    # the defaults are the order-7 regimes: each value with its regime's least t as cost
-    p.add_argument("--values", default=",".join(str(value) for _, value in REGIMES))
-    p.add_argument("--costs", default=",".join(str(start) for start, _ in REGIMES[1:]))
-    common(p)
-    p.set_defaults(handler=_cmd_lp)
+    def census_(p):
+        p.add_argument("--in", dest="infile", required=True)
+        common(p)
+        p.set_defaults(handler=_cmd_census)
 
-    p = sub.add_parser("construct", help="emit a generated tournament file")
-    kinds = p.add_mutually_exclusive_group(required=True)
-    kinds.add_argument("--turan3", dest="kind", action="store_const", const="turan3")
-    kinds.add_argument("--qr7", dest="kind", action="store_const", const="qr7")
-    kinds.add_argument("--blowup", dest="factor", type=int, metavar="FACTOR")
-    p.add_argument("--n", type=int, help="order for --turan3")
-    p.add_argument("--filler", choices=("transitive", "random"), default="transitive")
-    common(p, fmt=None)
-    p.set_defaults(handler=_cmd_construct, kind=None)
+    def verify(p):
+        targets = p.add_subparsers(dest="verify_target", required=True, action=_Subcommands)
+        targets.add_parser("lemma22", fill=lemma22, help="triangle-count thresholds over all 7-vertex classes")
+        targets.add_parser("conjecture", fill=conjecture, help="minimum packing values against the ceiling formula")
+        targets.add_parser("design", fill=verify_design_, help="pairwise balance of a design file")
+        targets.add_parser("packing", fill=verify_packing_, help="a solve report against its tournament")
 
-    p = sub.add_parser("design", help="emit a block design file")
-    kinds = p.add_mutually_exclusive_group(required=True)
-    kinds.add_argument("--fano", dest="kind", action="store_const", const="fano")
-    kinds.add_argument("--ag2", dest="kind", action="store_const", const="ag2")
-    kinds.add_argument("--all-sts7", dest="kind", action="store_const", const="all-sts7")
-    common(p, seed=False, fmt=None)
-    p.set_defaults(handler=_cmd_design)
+    def lemma22(p):
+        common(p, cache=True, workers=True)
+        p.set_defaults(handler=_cmd_verify_lemma22)
 
-    experiment = sub.add_parser("experiment", help="seeded random-tournament studies").add_subparsers(
-        dest="experiment_kind", required=True
-    )
-    p = experiment.add_parser("density", help="greedy packing density trials")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--trials", type=_positive_int, default=30)
-    p.add_argument("--improve", action="store_true")
-    common(p, fmt=("json", "csv"))
-    p.set_defaults(handler=_cmd_experiment_density)
-    p = experiment.add_parser("edge-stats", help="per-edge copy counts vs expectation")
-    p.add_argument("--n", type=int)
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--k", type=int, default=3)
-    common(p)
-    p.set_defaults(handler=_cmd_experiment_edge_stats)
+    def conjecture(p):
+        p.add_argument("--max-n", dest="max_n", type=int, default=sweep_orders[-1], choices=sweep_orders)
+        common(p, cache=True, workers=True)
+        p.set_defaults(handler=_cmd_verify_conjecture)
 
+    def verify_design_(p):
+        p.add_argument("--in", dest="infile", required=True)
+        common(p)
+        p.set_defaults(handler=_cmd_verify_design)
+
+    def verify_packing_(p):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--packing", required=True, help="JSON file with solve output")
+        common(p)
+        p.set_defaults(handler=_cmd_verify_packing)
+
+    def fmin(p):
+        p.add_argument("--n", type=int, required=True, choices=sweep_orders)
+        p.add_argument("--k", type=int, default=3)
+        common(p, cache=True, workers=True)
+        p.set_defaults(handler=_cmd_fmin)
+
+    def pipeline(p):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--trials", type=_positive_int, default=100)
+        common(p, workers=True)
+        p.set_defaults(handler=_cmd_pipeline)
+
+    def lp(p):
+        p.add_argument("--budget", required=True, help="rational, e.g. 35/4")
+        # the defaults are the order-7 regimes: each value with its regime's least t as cost
+        p.add_argument("--values", default=",".join(str(value) for _, value in REGIMES))
+        p.add_argument("--costs", default=",".join(str(start) for start, _ in REGIMES[1:]))
+        common(p)
+        p.set_defaults(handler=_cmd_lp)
+
+    def construct(p):
+        kinds = p.add_mutually_exclusive_group(required=True)
+        kinds.add_argument("--turan3", dest="kind", action="store_const", const="turan3")
+        kinds.add_argument("--qr7", dest="kind", action="store_const", const="qr7")
+        kinds.add_argument("--blowup", dest="factor", type=int, metavar="FACTOR")
+        p.add_argument("--n", type=int, help="order for --turan3")
+        p.add_argument("--filler", choices=("transitive", "random"), default="transitive")
+        common(p, fmt=None)
+        p.set_defaults(handler=_cmd_construct, kind=None)
+
+    def design(p):
+        kinds = p.add_mutually_exclusive_group(required=True)
+        kinds.add_argument("--fano", dest="kind", action="store_const", const="fano")
+        kinds.add_argument("--ag2", dest="kind", action="store_const", const="ag2")
+        kinds.add_argument("--all-sts7", dest="kind", action="store_const", const="all-sts7")
+        common(p, seed=False, fmt=None)
+        p.set_defaults(handler=_cmd_design)
+
+    def experiment(p):
+        kinds = p.add_subparsers(dest="experiment_kind", required=True, action=_Subcommands)
+        kinds.add_parser("density", fill=density, help="greedy packing density trials")
+        kinds.add_parser("edge-stats", fill=edge_stats, help="per-edge copy counts vs expectation")
+
+    def density(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, default=3)
+        p.add_argument("--trials", type=_positive_int, default=30)
+        p.add_argument("--improve", action="store_true")
+        common(p, fmt=("json", "csv"))
+        p.set_defaults(handler=_cmd_experiment_density)
+
+    def edge_stats(p):
+        p.add_argument("--n", type=int)
+        p.add_argument("--in", dest="infile")
+        p.add_argument("--k", type=int, default=3)
+        common(p)
+        p.set_defaults(handler=_cmd_experiment_edge_stats)
+
+    sub.add_parser("enumerate", fill=enumerate_, help="list canonical codes of all classes of order n")
+    sub.add_parser("solve", fill=solve, help="exact maximum packing of one tournament")
+    sub.add_parser("census", fill=census_, help="triangle census of one tournament")
+    sub.add_parser("verify", fill=verify, help="fail-closed verification sweeps")
+    sub.add_parser("fmin", fill=fmin, help="minimum packing value over all classes of order n")
+    sub.add_parser("pipeline", fill=pipeline, help="seeded 49-vertex decomposition trials")
+    sub.add_parser("lp", fill=lp, help="exact rational minimization over the budgeted simplex")
+    sub.add_parser("construct", fill=construct, help="emit a generated tournament file")
+    sub.add_parser("design", fill=design, help="emit a block design file")
+    sub.add_parser("experiment", fill=experiment, help="seeded random-tournament studies")
     return parser
 
 

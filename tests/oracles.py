@@ -9,8 +9,10 @@ are tests' own: the package has no caller for them.
 
 from __future__ import annotations
 
+import argparse
 from itertools import combinations, permutations, product
 
+from ttpack import cli
 from ttpack.designs import BlockDesign, DesignError
 from ttpack.enumeration import canonical_code, enumerate_codes
 from ttpack.tournament import (
@@ -371,3 +373,26 @@ def scores_with_triangle_count(
 def enumerate_nonisomorphic(n: int, cache_dir: str | None = None) -> list[Tournament]:
     """One representative per isomorphism class, in sorted code order."""
     return [tournament_from_bits(n, code) for code in enumerate_codes(n, cache_dir)]
+
+
+class EagerSubcommands(argparse._SubParsersAction):
+    """ttpack.cli's subcommand action with argparse's own eager add_parser.
+
+    Every parser is built and filled when it is added, as argparse does,
+    so its help, usage and errors are the reference for the deferred ones.
+    """
+
+    def add_parser(self, name, fill, **kwargs):
+        parser = super().add_parser(name, **kwargs)
+        fill(parser)
+        return parser
+
+
+def eager_main(argv: list[str]) -> int:
+    """ttpack.cli.main(argv) with every subcommand's parser built up front."""
+    deferred = cli._Subcommands
+    cli._Subcommands = EagerSubcommands
+    try:
+        return cli.main(argv)
+    finally:
+        cli._Subcommands = deferred

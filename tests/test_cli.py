@@ -1,9 +1,16 @@
 """End-to-end command behavior: envelopes, exit codes, reproducibility."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ttpack
+from oracles import eager_main
 from ttpack import DEFAULT_SEED, FORMAT_VERSION, TOOL_VERSION
 from ttpack.cli import build_parser, main
 from ttpack.constructions import qr7
@@ -263,6 +270,8 @@ def test_lp_command(capsys):
         (("--budget", "35/4", "--costs", "12,5"), "5", ["0", "0", "1"]),
         # the order-9 LP: four points, three costs
         (("--budget", "21", "--values", "12,11,10,9", "--costs", "7,20,27"), "48/5", ["0", "3/10", "0", "7/10"]),
+        # one point: an empty cost list is no costs
+        (("--budget", "1", "--values", "7", "--costs", ""), "7", ["1"]),
     ],
 )
 def test_lp_command_points(capsys, argv, minimum, argmin):
@@ -275,6 +284,9 @@ def test_lp_command_rejections_are_one_line(capsys):
     code, out, err = run(capsys, "lp", "--budget", "1", "--values", "7,6,5,4")
     assert (code, out) == (1, "")
     assert err == "verification failed: 4 values need 3 costs, got 2\n"
+    code, out, err = run(capsys, "lp", "--budget", "1", "--values", "7,6", "--costs", "")
+    assert (code, out) == (1, "")
+    assert err == "verification failed: 2 values need 1 costs, got 0\n"
     # a zero denominator is malformed input, not a crash
     code, out, err = run(capsys, "lp", "--budget", "1/0")
     assert (code, out) == (2, "")
@@ -360,3 +372,100 @@ def test_zero_budget_is_accepted(capsys, qr7_file):
     code, doc, _ = run_json(capsys, "solve", "--in", qr7_file, "--budget-ms", "0")
     assert code == 0
     assert doc["config"]["budget_ms"] == 0
+
+
+LEAVES = (
+    ("enumerate",),
+    ("solve",),
+    ("census",),
+    ("verify", "lemma22"),
+    ("verify", "conjecture"),
+    ("verify", "design"),
+    ("verify", "packing"),
+    ("fmin",),
+    ("pipeline",),
+    ("lp",),
+    ("construct",),
+    ("design",),
+    ("experiment", "density"),
+    ("experiment", "edge-stats"),
+)
+
+# help, usage errors and a few complete runs; no argv here reads a file
+PARSER_CORPUS = (
+    (),
+    ("-h",),
+    ("-h", "solve"),
+    ("bogus",),
+    ("sol",),
+    ("verify", "pack"),
+    ("--",),
+    ("--", "solve"),
+    ("verify",),
+    ("verify", "-h"),
+    ("experiment",),
+    ("experiment", "-h"),
+    *((*leaf, "-h") for leaf in LEAVES),
+    ("solve",),
+    ("verify", "packing", "--in", "host.txt"),
+    ("census", "--in", "host.txt", "extra"),
+    ("experiment", "density", "--n", "9", "--bogus", "1"),
+    ("solve", "--in", "host.txt", "--k", "4", "-h"),
+    ("verify", "conjecture", "--max-n", "99"),
+    ("construct", "--qr7", "--turan3"),
+    ("lp", "--budget", "35/4"),
+    ("lp", "--budget", "1/0"),
+    ("design", "--fano"),
+    ("construct", "--qr7"),
+)
+
+
+def test_deferred_parsers_match_eager_ones(capsys, monkeypatch):
+    # argparse wraps help to the terminal width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcomes(call):
+        return [(argv, call(list(argv)), *capsys.readouterr()) for argv in PARSER_CORPUS]
+
+    deferred = outcomes(main)
+    assert deferred == outcomes(eager_main)
+    assert {rc for _, rc, _, _ in deferred} == {0, 2}
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (("-h",), 1),
+        (("solve", "--in", "{host}"), 2),
+        (("verify", "packing", "--in", "{host}", "--packing", "{packing}"), 3),
+    ],
+)
+def test_a_call_builds_only_the_parsers_it_names(monkeypatch, qr7_file, tmp_path, argv, built):
+    packing = tmp_path / "solve.json"
+    assert main(["solve", "--in", qr7_file, "--out", str(packing)]) == 0
+    argv = [arg.format(host=qr7_file, packing=packing) for arg in argv]
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0
+    assert progs == ["ttpack", *(f"ttpack {' '.join(argv[:i])}" for i in range(1, built))]
+    # eagerly: ttpack, its 10 commands, 4 verify targets and 2 experiment kinds
+    progs.clear()
+    assert eager_main(argv) == 0
+    assert len(progs) == 17
+
+
+@pytest.mark.parametrize("argv", [("census", "--in", "{host}"), ("census", "--in", "{host}", "--k", "3")])
+def test_module_entry_point_matches_main(capsys, qr7_file, argv):
+    # python -m ttpack.cli calls main() with argv None, as the console script does
+    argv = [arg.format(host=qr7_file) for arg in argv]
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(Path(ttpack.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ttpack.cli", *argv], capture_output=True, text=True, env=env, check=False
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)

@@ -103,6 +103,33 @@ def test_one_process_pool_helper():
     assert outside == []
 
 
+def test_argparse_internals_are_read_in_one_class():
+    # private argparse names, and any argparse._name, are read only inside
+    # cli._Subcommands, the one class that defers subcommand parsers
+    private = {"_SubParsersAction", "_name_parser_map", "_choices_actions", "_prog_prefix", "_parser_class"}
+    outside = []
+    for path in sorted(Path(ttpack.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = set()
+        if path.name == "cli.py":
+            classes = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "_Subcommands"]
+            assert len(classes) == 1
+            inside = {id(node) for node in ast.walk(classes[0])}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name is None and isinstance(node, ast.alias):
+                name = node.name
+            of_argparse = (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "argparse"
+                and node.attr.startswith("_")
+            )
+            if (name in private or of_argparse) and id(node) not in inside:
+                outside.append(f"{path.name}:{node.lineno} {name}")
+    assert outside == []
+
+
 # Names that no module of the package reads, each kept for a reason.
 UNREAD_BY_DESIGN = {
     # it keeps census and induced on ttpack.pipeline, where the benchmark's
