@@ -31,8 +31,8 @@ from .designs import (
 from .enumeration import (
     EnumerationError,
     MAX_ENUMERATION_VERTICES,
-    code_out_sets,
     enumerate_codes,
+    tournament_from_code,
 )
 from .experiments import density_experiment, edge_copy_stats
 from .packing import Packing, PackingError, max_packing_exact, verify_packing
@@ -130,13 +130,7 @@ def _cmd_enumerate(args) -> int:
             raise EnumerationError(f"score must be non-increasing, got {args.score}")
     codes = enumerate_codes(args.n, cache_dir=args.cache, workers=args.workers)
     if args.score:
-
-        def score(code: str) -> list[int]:
-            # out-degrees read off the code's int; the order-1 code "" reads as 0
-            out = code_out_sets(args.n, int(code or "0", 2))
-            return sorted(map(int.bit_count, out), reverse=True)
-
-        codes = tuple(code for code in codes if score(code) == want)
+        codes = tuple(code for code in codes if list(tournament_from_code(code).score()) == want)
     result = {"n": args.n, "count": len(codes), "codes": list(codes)}
     _emit(args, result, [f"n={args.n} classes={len(codes)}", *codes])
     return 0
@@ -177,9 +171,10 @@ def _cmd_verify_lemma22(args) -> int:
     joint = {f"t={t},P={p}": count for (t, p), count in sorted(report.joint_distribution().items())}
     result = {
         "classes": len(report.records),
-        "low_triangle_perfect": report.low_triangle_perfect,
-        "mid_triangle_six": report.mid_triangle_six,
-        "always_five": report.always_five,
+        # verify_t7_thresholds raises unless every class meets its regime
+        "low_triangle_perfect": True,
+        "mid_triangle_six": True,
+        "always_five": True,
         "min_packing": report.min_packing(),
         "joint_distribution": joint,
     }

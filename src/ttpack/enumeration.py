@@ -28,11 +28,11 @@ import os
 import pickle
 import signal
 from collections.abc import Sequence
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 from . import FORMAT_VERSION
-from .tournament import Tournament, tournament_from_bits
+from .tournament import Tournament
 
 MAX_CANONICAL_VERTICES = 10
 
@@ -173,7 +173,8 @@ def canonical_code(t: Tournament) -> str:
 def tournament_from_code(code: str) -> Tournament:
     """Rebuild a tournament from a C(n,2)-character code; n is implied by the length.
 
-    The code is read as an int, by code_out_sets; the order-1 code "" reads as 0.
+    Every class code is decoded here.  The code is read as an int, by
+    code_out_sets; the order-1 code "" reads as 0.
     """
     length = len(code)
     n = (1 + math.isqrt(1 + 8 * length)) // 2
@@ -182,33 +183,42 @@ def tournament_from_code(code: str) -> Tournament:
     return Tournament(n, code_out_sets(n, int(code or "0", 2)))
 
 
-@cache
+def _byte_tables(masks: Sequence[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per-byte lookup rows of a code int, given one mask per pair of its order.
+
+    masks[p] belongs to the pair at position p of combinations(range(n), 2),
+    which a code of order n, read as an int, holds at bit C(n,2) - 1 - p.
+    One row per byte of the int holds its shift and 256 entries: entry b
+    is the OR of the masks of the pairs at the set bits of b in that byte.
+    The top byte is partial when 8 does not divide C(n,2): its bits past
+    the code select nothing.  Every per-byte row is built here.
+    """
+    at = [*reversed(masks), *[0] * (-len(masks) % 8)]  # at[s] is the mask of bit s
+    tables = []
+    for shift in range(0, len(at), 8):
+        table = [0]
+        for mask in at[shift : shift + 8]:
+            table += [entry | mask for entry in table]
+        tables.append((shift, tuple(table)))
+    return tuple(tables)
+
+
+@lru_cache(maxsize=1)
 def _code_tables(n: int) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """The packed out-sets of the all-zero code of order n, and per-byte toggle tables.
+    """The packed out-sets of the all-zero code of order n, and its _byte_tables.
 
     code_out_sets packs the out-sets into one int, out[v] at bits n*v to
     n*v + n - 1.  With every bit of the code 0, each pair i < j is
-    oriented j -> i, which sets bit n*j + i.  The pair at position p of
-    combinations(range(n), 2) is the code int's bit C(n,2) - 1 - p, and a
-    set bit orients it i -> j, which toggles bits n*j + i and n*i + j.  One
-    row per byte of the int holds its shift and 256 toggle masks: entry b
-    toggles the pairs of the set bits of b in that byte.  The top byte is
-    partial when 8 does not divide C(n,2), and its bits past the code
-    toggle nothing.
+    oriented j -> i, which sets bit n*j + i.  A set bit orients its pair
+    i -> j instead, which toggles bits n*j + i and n*i + j: that toggle is
+    the pair's mask, so entry b of a byte's row toggles the pairs of the
+    set bits of b.  Only the last order's tables are kept, since callers
+    decode one order at a time: a cold build decodes orders 1, 2, ... in
+    turn.
     """
     pairs = list(combinations(range(n), 2))
     zero = sum(1 << n * j + i for i, j in pairs)
-    tables = []
-    for shift in range(0, len(pairs), 8):
-        table = [0]
-        for s in range(shift, shift + 8):
-            mask = 0
-            if s < len(pairs):
-                i, j = pairs[-1 - s]
-                mask = 1 << n * j + i | 1 << n * i + j
-            table += [entry | mask for entry in table]
-        tables.append((shift, tuple(table)))
-    return zero, tuple(tables)
+    return zero, _byte_tables([1 << n * j + i | 1 << n * i + j for i, j in pairs])
 
 
 def code_out_sets(n: int, bits: int) -> tuple[int, ...]:
@@ -234,8 +244,8 @@ def _degree_sum(nbrs: int, degree: list[int]) -> int:
     return total
 
 
-def _extension_codes(args: tuple[str, int]) -> set[str]:
-    """Canonical codes of the one-vertex extensions of a representative.
+def _extension_codes(code: str) -> set[str]:
+    """Canonical codes of the one-vertex extensions of the representative with this code.
 
     Only extensions whose new vertex has the least key are canonicalized.
     The key of a vertex is (its out-degree, the sum of its out-neighbours'
@@ -251,8 +261,8 @@ def _extension_codes(args: tuple[str, int]) -> set[str]:
     vertex has the least key.  Every class is still reached, and the set of
     canonical codes is unchanged.
     """
-    code, m = args
-    base = tournament_from_bits(m, code)
+    base = tournament_from_code(code)
+    m = base.n
     bit = 1 << m  # the added vertex
     deg = [o.bit_count() for o in base.out]
     ceiling = min(deg) + 1  # no old vertex gains more than one win
@@ -404,7 +414,7 @@ def _read_or_build_codes(n: int, cache_dir: str, workers: int) -> tuple[str, ...
         if n == 1:
             codes = [""]
         else:
-            jobs = [(code, n - 1) for code in _read_or_build_codes(n - 1, cache_dir, workers)]
+            jobs = _read_or_build_codes(n - 1, cache_dir, workers)
             codes = sorted(set().union(*_pool_map(_extension_codes, jobs, workers)))
         if _pin(codes) != CLASS_TABLE[n - 1]:
             raise AssertionError(

@@ -26,6 +26,7 @@ from .constructions import turan3_tournament
 from .designs import _orbit, ag2_lines, fano_plane, verify_design
 from .enumeration import (
     MAX_ENUMERATION_VERTICES,
+    _byte_tables,
     _pool_map,
     code_out_sets,
     enumerate_codes,
@@ -62,7 +63,7 @@ def _regime(t: int) -> int:
 
 
 class PipelineError(RuntimeError):
-    """Raised when a verified claim fails or inputs are unusable."""
+    """Raised when a verified claim fails; unusable inputs raise ValueError."""
 
 
 @dataclass(frozen=True)
@@ -76,12 +77,9 @@ class ClassThreshold:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Per-class records; the flags hold in every report, since a failed check raises."""
+    """Per-class records, each within its regime, since a failed check raises."""
 
     records: tuple[ClassThreshold, ...]
-    low_triangle_perfect: bool = True
-    mid_triangle_six: bool = True
-    always_five: bool = True
 
     def joint_distribution(self) -> dict[tuple[int, int], int]:
         return dict(Counter((r.t, r.p) for r in self.records))
@@ -134,51 +132,40 @@ class PipelineReport:
 
 
 @lru_cache(maxsize=None)
-def _triples(n: int) -> tuple[dict[tuple[int, int, int], int], tuple[tuple[int, tuple[int, ...], ...], ...]]:
-    """Triple indices of order n, and byte tables of the code's pairs by triple.
+def _triples(n: int) -> tuple[dict[tuple[int, int, int], int], tuple[tuple[int, tuple[int, ...]], ...]]:
+    """Triple indices of order n, and _byte_tables of the code's pairs by triple role.
 
-    A triple i<j<k has its index in combinations(range(n), 3) order.  Read
-    as an int, a code of order n puts its pair at position p of
-    combinations(range(n), 2) at bit C(n,2) - 1 - p.  One table row per
-    byte of that int holds its shift and, for the roles (i,j), (j,k) and
-    (i,k) in turn, 256 triple masks: entry b is the triples whose pair of
-    that role is a set bit of b in that byte.  The top byte is partial
-    when 8 does not divide C(n,2), and its bits past the code stay 0.
+    A triple i<j<k has its index x in combinations(range(n), 3) order.
+    Its pairs play three roles, (i,j), (j,k) and (i,k), and role r owns
+    the field of C(n,3) bits from r * C(n,3): a pair's mask sets bit x of
+    a role's field for each triple x in which it plays that role.  So
+    entry b of a byte's row is, per role, the triples whose pair of that
+    role is a set bit of b in that byte.
     """
-    pairs = list(combinations(range(n), 2))
-    bit = {ij: len(pairs) - 1 - pos for pos, ij in enumerate(pairs)}
-    index = {ijk: pos for pos, ijk in enumerate(combinations(range(n), 3))}
-    tables = []
-    for shift in range(0, len(pairs), 8):
-        row = [shift]
-        for a, b in ((0, 1), (1, 2), (0, 2)):
-            # at[s] is the triples whose pair of this role is at bit shift + s
-            at = [0] * 8
-            for ijk, x in index.items():
-                s = bit[ijk[a], ijk[b]] - shift
-                if 0 <= s < 8:
-                    at[s] |= 1 << x
-            table = [0]
-            for mask in at:
-                table += [entry | mask for entry in table]
-            row.append(tuple(table))
-        tables.append(tuple(row))
-    return index, tuple(tables)
+    index = {ijk: x for x, ijk in enumerate(combinations(range(n), 3))}
+    width = len(index)
+    roles = dict.fromkeys(combinations(range(n), 2), 0)
+    for (i, j, k), x in index.items():
+        roles[i, j] |= 1 << x
+        roles[j, k] |= 1 << width + x
+        roles[i, k] |= 1 << 2 * width + x
+    return index, _byte_tables(list(roles.values()))
 
 
 def _cyclic_mask(n: int, bits: int) -> int:
     """Bitset of the directed triangles, by triple index, of the order-n code read as the int bits.
 
-    Each byte of bits picks, from its row of _triples(n)'s tables, the
-    triples whose (i,j), (j,k) and (i,k) pairs are set there: 3 lookups
-    per byte, OR-ed into one triple mask per role.
+    Each byte of bits makes one lookup in its row of _triples(n)'s
+    tables, and the OR of the entries is split by shifts into one triple
+    mask per role.
     """
-    ij = jk = ik = 0
-    for shift, ij_at, jk_at, ik_at in _triples(n)[1]:
-        b = bits >> shift & 255
-        ij |= ij_at[b]
-        jk |= jk_at[b]
-        ik |= ik_at[b]
+    index, tables = _triples(n)
+    roles = 0
+    for shift, table in tables:
+        roles |= table[bits >> shift & 255]
+    width = len(index)
+    full = (1 << width) - 1
+    ij, jk, ik = roles & full, roles >> width & full, roles >> 2 * width
     # for i<j<k the triple is cyclic iff (i,j) and (j,k) agree and (i,k) differs
     return ~(ij ^ jk) & (ij ^ ik)
 
@@ -315,7 +302,7 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     must come back exact at the minimum.  No class is censused.
     """
     if not 3 <= n <= MAX_ENUMERATION_VERTICES:
-        raise PipelineError(f"minimum packing sweep supports 3 <= n <= {MAX_ENUMERATION_VERTICES}, got {n}")
+        raise ValueError(f"minimum packing sweep supports 3 <= n <= {MAX_ENUMERATION_VERTICES}, got {n}")
     codes = enumerate_codes(n, cache_dir=cache_dir, workers=workers)
     if k == 3:
         _max_packings(n)  # built here, so forked workers inherit it
@@ -342,7 +329,7 @@ def induced_expectation_check(t: Tournament, m: int) -> InducedExpectation:
     """
     n = t.n
     if not 3 <= m <= n:
-        raise PipelineError(f"m must satisfy 3 <= m <= n={n}, got {m}")
+        raise ValueError(f"m must satisfy 3 <= m <= n={n}, got {m}")
     a = census(t).a
     exact = Fraction(a * m * (m - 1) * (m - 2), n * (n - 1) * (n - 2))
     lower = Fraction(3, 4) * Fraction(n - 3, n - 2) * comb(m, 3)
@@ -373,13 +360,13 @@ def lp_step(
     vs = [Fraction(v) for v in values]
     cs = [Fraction(0), *map(Fraction, costs)]
     if len(cs) != len(vs):
-        raise PipelineError(f"{len(values)} values need {len(values) - 1} costs, got {len(costs)}")
+        raise ValueError(f"{len(values)} values need {len(values) - 1} costs, got {len(costs)}")
     if any(a < b for a, b in zip(vs, vs[1:])) or vs[-1] < 0:
-        raise PipelineError(f"values must be nonincreasing and nonnegative, got {values}")
+        raise ValueError(f"values must be nonincreasing and nonnegative, got {','.join(map(str, vs))}")
     if any(c <= 0 for c in cs[1:]):
-        raise PipelineError(f"costs must be positive, got {costs}")
+        raise ValueError(f"costs must be positive, got {','.join(map(str, cs[1:]))}")
     if budget < 0:
-        raise PipelineError(f"budget must be nonnegative, got {budget}")
+        raise ValueError(f"budget must be nonnegative, got {budget}")
 
     mixes = [{i: Fraction(1)} for i, c in enumerate(cs) if c <= budget]
     for i, j in combinations(range(len(cs)), 2):
@@ -460,11 +447,11 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
     """
     design = ag2_lines(7)
     if t.n != design.point_count:
-        raise PipelineError(f"host has {t.n} vertices, design covers {design.point_count}")
+        raise ValueError(f"host has {t.n} vertices, design covers {design.point_count}")
     if not verify_design(design):
         raise PipelineError("block design failed verification")
     if trials < 1:
-        raise PipelineError(f"trials must be positive, got {trials}")
+        raise ValueError(f"trials must be positive, got {trials}")
 
     _pattern_memo.clear()
     _max_packings(7)  # built here, so forked workers inherit it

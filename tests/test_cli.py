@@ -233,18 +233,22 @@ def test_enumerate_rejects_a_score_out_of_order(capsys, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_enumerate_score_filter_partitions_the_classes(capsys, tmp_path):
-    cache = str(tmp_path)
-    _, doc, _ = run_json(capsys, "enumerate", "--n", "5", "--cache", cache)
-    codes = doc["result"]["codes"]
-    picked = []
-    for score in sorted({tournament_from_code(c).score() for c in codes}):
-        code, doc, _ = run_json(
-            capsys, "enumerate", "--n", "5", "--score", ",".join(map(str, score)), "--cache", cache
-        )
-        assert code == 0
-        picked += doc["result"]["codes"]
-    assert sorted(picked) == codes
+def test_enumerate_score_filter_partitions_the_classes(capsys, cache_dir):
+    # at every order up to 7, each score's filter picks exactly its classes;
+    # the order-1 class has the code "" and the score 0
+    for n in range(1, 8):
+        _, doc, _ = run_json(capsys, "enumerate", "--n", str(n), "--cache", cache_dir)
+        codes = doc["result"]["codes"]
+        scores = {code: tournament_from_code(code).score() for code in codes}
+        picked = []
+        for score in sorted(set(scores.values())):
+            code, doc, _ = run_json(
+                capsys, "enumerate", "--n", str(n), "--score", ",".join(map(str, score)), "--cache", cache_dir
+            )
+            assert code == 0
+            assert all(scores[c] == score for c in doc["result"]["codes"]), (n, score)
+            picked += doc["result"]["codes"]
+        assert sorted(picked) == codes, n
 
 
 def test_lp_command(capsys):
@@ -281,12 +285,16 @@ def test_lp_command_points(capsys, argv, minimum, argmin):
 
 
 def test_lp_command_rejections_are_one_line(capsys):
+    # input errors exit 2, with values as p/q
     code, out, err = run(capsys, "lp", "--budget", "1", "--values", "7,6,5,4")
-    assert (code, out) == (1, "")
-    assert err == "verification failed: 4 values need 3 costs, got 2\n"
+    assert (code, out) == (2, "")
+    assert err == "error: 4 values need 3 costs, got 2\n"
     code, out, err = run(capsys, "lp", "--budget", "1", "--values", "7,6", "--costs", "")
-    assert (code, out) == (1, "")
-    assert err == "verification failed: 2 values need 1 costs, got 0\n"
+    assert (code, out) == (2, "")
+    assert err == "error: 2 values need 1 costs, got 0\n"
+    code, out, err = run(capsys, "lp", "--budget", "1", "--values", "7,8", "--costs", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: values must be nonincreasing and nonnegative, got 7,8\n"
     # a zero denominator is malformed input, not a crash
     code, out, err = run(capsys, "lp", "--budget", "1/0")
     assert (code, out) == (2, "")
@@ -337,6 +345,13 @@ def test_pipeline_command(capsys, tmp_path):
     code, pooled, _ = run_json(capsys, *argv, "--workers", "2")
     assert code == 0
     assert pooled["result"] == doc["result"]
+
+
+def test_pipeline_rejects_a_host_of_the_wrong_order(capsys, qr7_file):
+    # the design covers 49 vertices: a 7-vertex host is an input error
+    code, out, err = run(capsys, "pipeline", "--in", qr7_file)
+    assert (code, out) == (2, "")
+    assert err == "error: host has 7 vertices, design covers 49\n"
 
 
 def test_text_format(capsys, qr7_file):

@@ -36,10 +36,12 @@ from ttpack.tournament import (
 
 
 def test_threshold_sweep_covers_every_class(threshold_report):
-    assert len(threshold_report.records) == 456
-    assert threshold_report.low_triangle_perfect
-    assert threshold_report.mid_triangle_six
-    assert threshold_report.always_five
+    records = threshold_report.records
+    assert len(records) == 456
+    # the thresholds, read off every class: t <= 4 packs 7, t <= 11 at least 6, and every class at least 5
+    assert all(r.p == 7 for r in records if r.t <= 4)
+    assert all(r.p >= 6 for r in records if r.t <= 11)
+    assert all(r.p >= 5 for r in records)
     assert threshold_report.min_packing() == 5
     assert REGIMES == ((0, 7), (5, 6), (12, 5))
 
@@ -465,8 +467,17 @@ def test_pipeline_reads_each_block_as_the_int_of_its_induced_code(monkeypatch):
 
 
 def test_f_min_rejects_out_of_range(cache_dir):
-    with pytest.raises(PipelineError):
-        f_min(9, cache_dir=cache_dir)
+    # an order outside 3..8 is an input error, not a failed claim
+    for n in (2, 9):
+        with pytest.raises(ValueError, match=f"^minimum packing sweep supports 3 <= n <= 8, got {n}$"):
+            f_min(n, cache_dir=cache_dir)
+
+
+def test_induced_expectation_rejects_m_out_of_range():
+    t = random_tournament(8, 2)
+    for m in (2, 9):
+        with pytest.raises(ValueError, match=f"^m must satisfy 3 <= m <= n=8, got {m}$"):
+            induced_expectation_check(t, m)
 
 
 def test_induced_expectation_identity_small():
@@ -502,13 +513,14 @@ def test_lp_extreme_budgets():
 
 
 def test_lp_rejects_bad_shapes():
-    with pytest.raises(PipelineError):
+    # input errors, each naming its values as p/q
+    with pytest.raises(ValueError, match="^budget must be nonnegative, got -1$"):
         lp_step(Fraction(-1), (Fraction(7), Fraction(6), Fraction(5)), (Fraction(5), Fraction(12)))
-    with pytest.raises(PipelineError):
-        lp_step(Fraction(1), (Fraction(5), Fraction(6), Fraction(7)), (Fraction(5), Fraction(12)))
-    with pytest.raises(PipelineError):
-        lp_step(Fraction(1), (Fraction(7), Fraction(6), Fraction(5)), (Fraction(0), Fraction(12)))
-    with pytest.raises(PipelineError, match="3 values need 2 costs, got 1"):
+    with pytest.raises(ValueError, match="^values must be nonincreasing and nonnegative, got 5,6,13/2$"):
+        lp_step(Fraction(1), (Fraction(5), Fraction(6), Fraction(13, 2)), (Fraction(5), Fraction(12)))
+    with pytest.raises(ValueError, match="^costs must be positive, got 0,25/2$"):
+        lp_step(Fraction(1), (Fraction(7), Fraction(6), Fraction(5)), (Fraction(0), Fraction(25, 2)))
+    with pytest.raises(ValueError, match="^3 values need 2 costs, got 1$"):
         lp_step(Fraction(1), (Fraction(7), Fraction(6), Fraction(5)), (Fraction(5),))
 
 
@@ -540,8 +552,11 @@ def test_pipeline_on_transitive_host_is_perfect():
 
 
 def test_pipeline_rejects_wrong_order():
-    with pytest.raises(PipelineError):
+    # input errors, not failed claims
+    with pytest.raises(ValueError, match="^host has 10 vertices, design covers 49$"):
         decomposition_pipeline(random_tournament(10, 0), trials=1, seed=0)
+    with pytest.raises(ValueError, match="^trials must be positive, got 0$"):
+        decomposition_pipeline(random_tournament(49, 0), trials=0, seed=0)
 
 
 def test_pipeline_workers_agree():

@@ -103,6 +103,42 @@ def test_one_process_pool_helper():
     assert outside == []
 
 
+# Each name, and the functions of the package that alone may read it.
+READ_ONLY_IN = {
+    # the one builder of per-byte rows of a code int
+    "_byte_tables": {("enumeration", "_code_tables"), ("pipeline", "_triples")},
+    # the text format's character decoder; class codes go through tournament_from_code
+    "tournament_from_bits": {("tournament", "parse_tournament")},
+}
+
+
+def test_code_readers_are_read_in_their_functions():
+    # a Name or attribute reading one of these names counts, and so does an
+    # import that renames it, since later reads of the new name would hide;
+    # a plain import only binds the name for the reads it allows.  Every
+    # allowed function must read its name, so a rename cannot empty the rule.
+    outside = []
+    read_in = set()
+    for path in sorted(Path(ttpack.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        place = {}  # node id -> (module, innermost function holding it)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                place.update({id(node): (path.stem, fn.name) for node in ast.walk(fn)})
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if isinstance(node, ast.alias) and node.asname not in (None, node.name):
+                name = node.name
+            if name not in READ_ONLY_IN:
+                continue
+            if place.get(id(node)) in READ_ONLY_IN[name]:
+                read_in.add((name, place[id(node)]))
+            else:
+                outside.append(f"{path.name}:{node.lineno} {name}")
+    assert outside == []
+    assert read_in == {(name, where) for name, places in READ_ONLY_IN.items() for where in places}
+
+
 def test_argparse_internals_are_read_in_one_class():
     # private argparse names, and any argparse._name, are read only inside
     # cli._Subcommands, the one class that defers subcommand parsers
