@@ -28,12 +28,7 @@ from .designs import (
     serialize_design,
     verify_design,
 )
-from .enumeration import (
-    EnumerationError,
-    MAX_ENUMERATION_VERTICES,
-    enumerate_codes,
-    tournament_from_code,
-)
+from .enumeration import EnumerationError, MAX_ENUMERATION_VERTICES, enumerate_codes
 from .experiments import density_experiment, edge_copy_stats
 from .packing import Packing, PackingError, max_packing_exact, verify_packing
 from .pipeline import (
@@ -50,6 +45,7 @@ from .tournament import (
     parse_tournament,
     random_tournament,
     serialize_tournament,
+    tournament_from_code,
     transitive_triples_lower_bound,
 )
 

@@ -17,22 +17,22 @@ those whose new vertex has the least key (out-degree, then the sum of its
 out-neighbours' out-degrees) are canonicalized; every class still has such an
 extension (see `_extension_codes`).  Results are cached on disk keyed by
 order and format version, and every list, read or built, must match the
-order's pinned digest in `CLASS_TABLE`.
+order's pinned digest in `CLASS_TABLE`.  A code is the text format's
+orientation string, so `tournament.tournament_from_code` decodes it; this
+module encodes only, by `canonical_code`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import pickle
 import signal
 from collections.abc import Sequence
-from functools import cache, lru_cache
-from itertools import combinations
+from functools import cache
 
 from . import FORMAT_VERSION
-from .tournament import Tournament
+from .tournament import Tournament, tournament_from_code
 
 MAX_CANONICAL_VERTICES = 10
 
@@ -168,70 +168,6 @@ def canonical_code(t: Tournament) -> str:
     for i, row in enumerate(_min_code_rows(t.out)):
         code = (code << (n - 1 - i)) | row
     return format(code, f"0{n * (n - 1) // 2}b") if n > 1 else ""
-
-
-def tournament_from_code(code: str) -> Tournament:
-    """Rebuild a tournament from a C(n,2)-character code; n is implied by the length.
-
-    Every class code is decoded here.  The code is read as an int, by
-    code_out_sets; the order-1 code "" reads as 0.
-    """
-    length = len(code)
-    n = (1 + math.isqrt(1 + 8 * length)) // 2
-    if n * (n - 1) // 2 != length:
-        raise EnumerationError(f"code length {length} is not a binomial C(n,2)")
-    return Tournament(n, code_out_sets(n, int(code or "0", 2)))
-
-
-def _byte_tables(masks: Sequence[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Per-byte lookup rows of a code int, given one mask per pair of its order.
-
-    masks[p] belongs to the pair at position p of combinations(range(n), 2),
-    which a code of order n, read as an int, holds at bit C(n,2) - 1 - p.
-    One row per byte of the int holds its shift and 256 entries: entry b
-    is the OR of the masks of the pairs at the set bits of b in that byte.
-    The top byte is partial when 8 does not divide C(n,2): its bits past
-    the code select nothing.  Every per-byte row is built here.
-    """
-    at = [*reversed(masks), *[0] * (-len(masks) % 8)]  # at[s] is the mask of bit s
-    tables = []
-    for shift in range(0, len(at), 8):
-        table = [0]
-        for mask in at[shift : shift + 8]:
-            table += [entry | mask for entry in table]
-        tables.append((shift, tuple(table)))
-    return tuple(tables)
-
-
-@lru_cache(maxsize=1)
-def _code_tables(n: int) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """The packed out-sets of the all-zero code of order n, and its _byte_tables.
-
-    code_out_sets packs the out-sets into one int, out[v] at bits n*v to
-    n*v + n - 1.  With every bit of the code 0, each pair i < j is
-    oriented j -> i, which sets bit n*j + i.  A set bit orients its pair
-    i -> j instead, which toggles bits n*j + i and n*i + j: that toggle is
-    the pair's mask, so entry b of a byte's row toggles the pairs of the
-    set bits of b.  Only the last order's tables are kept, since callers
-    decode one order at a time: a cold build decodes orders 1, 2, ... in
-    turn.
-    """
-    pairs = list(combinations(range(n), 2))
-    zero = sum(1 << n * j + i for i, j in pairs)
-    return zero, _byte_tables([1 << n * j + i | 1 << n * i + j for i, j in pairs])
-
-
-def code_out_sets(n: int, bits: int) -> tuple[int, ...]:
-    """Out-sets of the order-n tournament whose code, read as an int, is bits.
-
-    One lookup per byte of the int toggles the pairs of its set bits in
-    the packed out-sets of the all-zero code (see _code_tables).
-    """
-    packed, tables = _code_tables(n)
-    for shift, table in tables:
-        packed ^= table[bits >> shift & 255]
-    full = (1 << n) - 1
-    return tuple(packed >> n * v & full for v in range(n))
 
 
 def _degree_sum(nbrs: int, degree: list[int]) -> int:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 from .packing import (
     Packing,
     TTCopy,
     _pair_bits,
-    _pair_mask,
     _transitive_chains,
     greedy_packing,
 )
@@ -172,7 +172,12 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
     n = t.n
     per_copy = p.k * (p.k - 1) // 2
     bits = _pair_bits(n)
-    members = {vs: _pair_mask(bits, vs) for vs in p.copies}
+    members = {}
+    for vs in p.copies:
+        m = 0
+        for u, w in combinations(vs, 2):
+            m |= bits[u][w]
+        members[vs] = m
     covered = 0
     for m in members.values():
         covered |= m

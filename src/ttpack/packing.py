@@ -15,7 +15,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, compress
+from itertools import chain, compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -86,14 +86,6 @@ def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(0 if u == v else 1 << edge_index(n, u, v) for u in range(n)) for v in range(n)
     )
-
-
-def _pair_mask(bits: tuple[tuple[int, ...], ...], vertices: tuple[int, ...]) -> int:
-    """Bitset of the pairs inside vertices, from the _pair_bits table of the host's order."""
-    mask = 0
-    for u, w in combinations(vertices, 2):
-        mask |= bits[u][w]
-    return mask
 
 
 def _transitive_chains(

@@ -24,17 +24,10 @@ from operator import itemgetter
 
 from .constructions import turan3_tournament
 from .designs import _orbit, ag2_lines, fano_plane, verify_design
-from .enumeration import (
-    MAX_ENUMERATION_VERTICES,
-    _byte_tables,
-    _pool_map,
-    code_out_sets,
-    enumerate_codes,
-    tournament_from_code,
-)
+from .enumeration import MAX_ENUMERATION_VERTICES, _pool_map, enumerate_codes
 from .packing import Packing, max_packing_exact, verify_packing
 from .rng import stdlib_rng, sub_seed
-from .tournament import Tournament, census, induced
+from .tournament import Tournament, census, induced, tournament_from_code
 
 __all__ = [
     "ClassThreshold",
@@ -129,6 +122,26 @@ class PipelineReport:
 
     def min_total(self) -> int:
         return min(self.totals)
+
+
+def _byte_tables(masks: list[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per-byte lookup rows of a code int, given one mask per pair of its order.
+
+    masks[p] belongs to the pair at position p of combinations(range(n), 2),
+    which a code of order n, read as an int, holds at bit C(n,2) - 1 - p.
+    One row per byte of the int holds its shift and 256 entries: entry b
+    is the OR of the masks of the pairs at the set bits of b in that byte.
+    The top byte is partial when 8 does not divide C(n,2): its bits past
+    the code select nothing.
+    """
+    at = [*reversed(masks), *[0] * (-len(masks) % 8)]  # at[s] is the mask of bit s
+    tables = []
+    for shift in range(0, len(at), 8):
+        table = [0]
+        for mask in at[shift : shift + 8]:
+            table += [entry | mask for entry in table]
+        tables.append((shift, tuple(table)))
+    return tuple(tables)
 
 
 @lru_cache(maxsize=None)
@@ -246,13 +259,13 @@ def _scan(n: int, cyclic: int, *subject) -> tuple[int, tuple[tuple[int, ...], ..
 def _scan_code(code: str) -> tuple[int, int]:
     """(t, P) of the 7-vertex class with this code, by _scan, its packing verified here.
 
-    The code is read once, as an int, for both its cyclic mask and the
-    out-sets of the tournament that the packing is verified on.
+    The code is read twice: as an int for its cyclic mask, and by
+    tournament_from_code for the tournament that the packing is verified
+    on.
     """
-    bits = int(code, 2)
-    cyclic = _cyclic_mask(7, bits)
+    cyclic = _cyclic_mask(7, int(code, 2))
     lines = _scan(7, cyclic, "class", code)[1]
-    if not verify_packing(Tournament(7, code_out_sets(7, bits)), Packing(n=7, k=3, copies=lines)):
+    if not verify_packing(tournament_from_code(code), Packing(n=7, k=3, copies=lines)):
         raise PipelineError(f"class {code} has a packing of {len(lines)} copies that fails verification")
     return cyclic.bit_count(), len(lines)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 from .rng import coin
 
@@ -84,13 +85,22 @@ def edge_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def tournament_from_bits(n: int, bits: str) -> Tournament:
-    """Build from the upper-triangle row-major 0/1 string ('1' means i -> j)."""
+def tournament_from_code(code: str) -> Tournament:
+    """Build from the upper-triangle row-major 0/1 string ('1' means i -> j).
+
+    n is implied by the length C(n,2), so "" is order 1.  Every orientation
+    string is decoded here: a class code, or a file body that
+    parse_tournament has already checked.
+    """
+    length = len(code)
+    n = (1 + isqrt(1 + 8 * length)) // 2
+    if n * (n - 1) // 2 != length:
+        raise TournamentError(f"code length {length} is not a binomial C(n,2)")
     out = [0] * n
     pos = 0
     for i in range(n):
         for j in range(i + 1, n):
-            if bits[pos] == "1":
+            if code[pos] == "1":
                 out[i] |= 1 << j
             else:
                 out[j] |= 1 << i
@@ -136,7 +146,7 @@ def parse_tournament(text: str) -> Tournament:
     for k, ch in enumerate(body):
         if ch not in "01":
             raise TournamentFormatError(f"invalid orientation character {ch!r}", body_at + k)
-    t = tournament_from_bits(n, body)
+    t = tournament_from_code(body)
     t.validate()
     return t
 

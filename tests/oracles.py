@@ -21,7 +21,7 @@ from ttpack.tournament import (
     census,
     edge_index,
     is_transitive_on,
-    tournament_from_bits,
+    tournament_from_code,
 )
 
 
@@ -48,7 +48,7 @@ def all_extension_codes(codes, m: int) -> set[str]:
     """
     out = set()
     for code in codes:
-        base = tournament_from_bits(m, code)
+        base = tournament_from_code(code)
         for mask in range(1 << m):
             rows = tuple(o if mask >> v & 1 else o | 1 << m for v, o in enumerate(base.out))
             out.add(canonical_code(Tournament(m + 1, rows + (mask,))))
@@ -372,7 +372,7 @@ def scores_with_triangle_count(
 
 def enumerate_nonisomorphic(n: int, cache_dir: str | None = None) -> list[Tournament]:
     """One representative per isomorphism class, in sorted code order."""
-    return [tournament_from_bits(n, code) for code in enumerate_codes(n, cache_dir)]
+    return [tournament_from_code(code) for code in enumerate_codes(n, cache_dir)]
 
 
 class EagerSubcommands(argparse._SubParsersAction):

@@ -14,8 +14,8 @@ from oracles import eager_main
 from ttpack import DEFAULT_SEED, FORMAT_VERSION, TOOL_VERSION
 from ttpack.cli import build_parser, main
 from ttpack.constructions import qr7
-from ttpack.enumeration import MAX_ENUMERATION_VERTICES, _cache_path, enumerate_codes, tournament_from_code
-from ttpack.tournament import parse_tournament, serialize_tournament
+from ttpack.enumeration import MAX_ENUMERATION_VERTICES, _cache_path, enumerate_codes
+from ttpack.tournament import parse_tournament, serialize_tournament, tournament_from_code
 
 ENVELOPE_KEYS = {"config", "format_version", "result", "seed", "tool", "tool_version"}
 

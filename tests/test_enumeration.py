@@ -34,11 +34,9 @@ from ttpack.enumeration import (
     _cache_path,
     _pool_map,
     canonical_code,
-    code_out_sets,
     enumerate_codes,
-    tournament_from_code,
 )
-from ttpack.tournament import Tournament, random_tournament, tournament_from_bits, transitive_tournament
+from ttpack.tournament import Tournament, random_tournament, tournament_from_code, transitive_tournament
 
 
 def relabel(t: Tournament, perm) -> Tournament:
@@ -236,26 +234,6 @@ def test_cache_env_var(tmp_path, monkeypatch):
 
     assert resolve_cache_dir(None) == str(tmp_path)
     assert resolve_cache_dir("explicit") == "explicit"
-
-
-def test_tournament_from_code_validates_length():
-    assert tournament_from_code("101").n == 3
-    with pytest.raises(EnumerationError):
-        tournament_from_code("10")
-
-
-def test_code_out_sets_reads_the_code_int():
-    # against the text format's character decoder, on the all-zero and
-    # all-one codes and seeded random codes of orders 1-10; bits past the
-    # code in its top byte read as 0
-    rng = random.Random(26)
-    for n in range(1, 11):
-        width = comb(n, 2)
-        past = (1 << 8 * -(-width // 8)) - (1 << width)
-        for bits in [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(100))]:
-            want = tournament_from_bits(n, format(bits, f"0{width}b") if n > 1 else "").out
-            assert code_out_sets(n, bits) == want, (n, bits)
-            assert code_out_sets(n, bits | past) == want, (n, bits)
 
 
 def test_scores_with_triangle_count(cache_dir):

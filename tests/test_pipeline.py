@@ -11,7 +11,7 @@ import pytest
 from oracles import is_transitive_subset, reverse
 from ttpack import enumeration, pipeline
 from ttpack.designs import ag2_lines, all_sts7
-from ttpack.enumeration import canonical_code, enumerate_codes, tournament_from_code
+from ttpack.enumeration import canonical_code, enumerate_codes
 from ttpack.packing import Packing, max_packing_exact, verify_packing
 from ttpack.pipeline import (
     REGIMES,
@@ -30,7 +30,7 @@ from ttpack.tournament import (
     induced,
     random_tournament,
     tournament_bits,
-    tournament_from_bits,
+    tournament_from_code,
     transitive_tournament,
 )
 
@@ -437,7 +437,7 @@ def test_cyclic_mask_reads_the_partial_top_byte(n):
     past = (1 << top + 8) - (1 << width)
     rng = stdlib_rng(sub_seed(n, width))
     for bits in [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(300))]:
-        t = tournament_from_bits(n, format(bits, f"0{width}b"))
+        t = tournament_from_code(format(bits, f"0{width}b"))
         cyclic = pipeline._cyclic_mask(n, bits)
         assert cyclic == sum(1 << x for ijk, x in index.items() if not is_transitive_subset(t, ijk)), bits
         assert pipeline._cyclic_mask(n, bits | past) == cyclic, bits
@@ -599,7 +599,7 @@ def test_trial_verifier_rejects_a_corrupted_pattern_entry(monkeypatch, fault):
     pattern, (t_count, lines) = next(
         (pattern, entry) for pattern, entry in pipeline._pattern_memo.items() if len(entry[1]) < 7
     )
-    block = tournament_from_bits(7, format(pattern, "021b"))
+    block = tournament_from_code(format(pattern, "021b"))
     if fault == "cyclic-line":
         used = {pair for line in lines[1:] for pair in combinations(line, 2)}
         cyclic = next(

@@ -105,10 +105,9 @@ def test_one_process_pool_helper():
 
 # Each name, and the functions of the package that alone may read it.
 READ_ONLY_IN = {
-    # the one builder of per-byte rows of a code int
-    "_byte_tables": {("enumeration", "_code_tables"), ("pipeline", "_triples")},
-    # the text format's character decoder; class codes go through tournament_from_code
-    "tournament_from_bits": {("tournament", "parse_tournament")},
+    # per-byte rows of a code int serve the triangle scan alone; every code
+    # is decoded into out-sets by tournament.tournament_from_code
+    "_byte_tables": {("pipeline", "_triples")},
 }
 
 

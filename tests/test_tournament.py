@@ -1,7 +1,9 @@
 """Core tournament type: parsing, censuses, helpers."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -12,9 +14,11 @@ from oracles import (
     reverse,
     triangle_counts,
 )
+from ttpack.enumeration import enumerate_codes
 from ttpack.tournament import (
     MAX_VERTICES,
     Tournament,
+    TournamentError,
     TournamentFormatError,
     census,
     edge_index,
@@ -25,7 +29,7 @@ from ttpack.tournament import (
     random_tournament,
     serialize_tournament,
     tournament_bits,
-    tournament_from_bits,
+    tournament_from_code,
     transitive_tournament,
     transitive_triples_lower_bound,
 )
@@ -77,7 +81,30 @@ def test_edge_index_is_row_major_over_upper_triangle():
 
 def test_bits_round_trip():
     t = random_tournament(9, 3)
-    assert tournament_from_bits(9, tournament_bits(t)) == t
+    assert tournament_from_code(tournament_bits(t)) == t
+
+
+def test_tournament_from_code_round_trips(cache_dir):
+    # every class code of orders 1-8, and the all-zero, all-one and seeded
+    # random strings of orders 1-10; n comes from the length alone
+    codes = [code for n in range(1, 9) for code in enumerate_codes(n, cache_dir=cache_dir)]
+    rng = random.Random(30)
+    for n in range(1, 11):
+        width = comb(n, 2)
+        codes += ["0" * width, "1" * width]
+        codes += ["".join(rng.choice("01") for _ in range(width)) for _ in range(100)]
+    for code in codes:
+        t = tournament_from_code(code)
+        t.validate()
+        assert tournament_bits(t) == code, code
+
+
+def test_tournament_from_code_validates_length():
+    assert tournament_from_code("") == Tournament(1, (0,))
+    assert tournament_from_code("101").n == 3
+    for length in (2, 4, 5, 7):
+        with pytest.raises(TournamentError, match=f"code length {length} "):
+            tournament_from_code("1" * length)
 
 
 def test_census_both_routes_and_complement():
