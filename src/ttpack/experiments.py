@@ -22,7 +22,7 @@ from .packing import (
     greedy_packing,
 )
 from .rng import sub_seed
-from .tournament import Tournament, census, edge_index, edge_list, random_tournament
+from .tournament import Tournament, _edge_splits, edge_list, random_tournament
 
 __all__ = [
     "DensityReport",
@@ -80,58 +80,34 @@ def edge_copy_stats(t: Tournament, k: int) -> EdgeCopyStats:
         raise ExperimentError(f"edge statistics for k={k} capped at n <= {limit}, got {t.n}")
     if t.n < 2:
         raise ExperimentError(f"edge statistics need a host with an edge, got n={t.n}")
-    n = t.n
+    n, out = t.n, t.out
     edge_count = n * (n - 1) // 2
     counts = [0] * edge_count
-    full = (1 << n) - 1
+    # Per edge, the copies are read off _edge_splits' four-way split.  The
+    # total that the handshake check compares against is counted apart, by
+    # each copy's top vertex v, the one beating the other k - 1.
     if k == 3:
-        # The triple {x,y,w} on edge x->y fails to be transitive exactly
-        # when y->w and w->x close a directed triangle.
-        total = census(t).a
-        for i in range(n):
-            for j in range(i + 1, n):
-                x, y = (i, j) if t.has_edge(i, j) else (j, i)
-                incoming = full & ~t.out[x] & ~(1 << x)
-                cyclic = (t.out[y] & incoming).bit_count()
-                counts[edge_index(n, i, j)] = (n - 2) - cyclic
+        for p, a, b, c, _ in _edge_splits(t):
+            counts[p] = a.bit_count() + b.bit_count() + c.bit_count()
+        total = sum(comb(m.bit_count(), 2) for m in out)
     else:
-        # A transitive triple a->b->c (a beats b and c, b beats c) extends by
-        # w to a transitive 4-set exactly when the chain vertices beating w
-        # form a prefix of the chain: four disjoint cases, counted from the
-        # rows.  Every transitive 4-set holds four transitive triples, two of
-        # them through each of its edges, so the extensions summed over the
-        # triples count each 4-set four times and each (4-set, edge) twice.
-        into = [full & ~t.out[v] & ~(1 << v) for v in range(n)]
-        extensions = 0
-        for a in range(n):
-            oa = t.out[a]
-            m = oa
-            while m:
-                low = m & -m
-                m ^= low
-                b = low.bit_length() - 1
-                oab = oa & t.out[b]
-                ia_ib = into[a] & into[b]
-                oa_ib = oa & into[b]
-                ab = edge_index(n, a, b)
-                rest = oab
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    c = low.bit_length() - 1
-                    ic = into[c]
-                    ext = (
-                        (ia_ib & ic).bit_count()
-                        + (oa_ib & ic).bit_count()
-                        + (oab & ic).bit_count()
-                        + (oab & t.out[c]).bit_count()
-                    )
-                    extensions += ext
-                    counts[ab] += ext
-                    counts[edge_index(n, a, c)] += ext
-                    counts[edge_index(n, b, c)] += ext
-        total = extensions // 4
-        counts = [x // 2 for x in counts]
+        # Two vertices of one part are always a transitive pair; from two
+        # parts, the one in the earlier part must beat the other.
+        for p, a, b, c, _ in _edge_splits(t):
+            forward = 0
+            for earlier, later in ((a, b | c), (b, c)):
+                while earlier:
+                    low = earlier & -earlier
+                    earlier ^= low
+                    forward += (out[low.bit_length() - 1] & later).bit_count()
+            counts[p] = (
+                comb(a.bit_count(), 2) + comb(b.bit_count(), 2) + comb(c.bit_count(), 2) + forward
+            )
+        # under its top vertex v, a copy's second vertex u is the one that
+        # beats the other two, and any two that v and u both beat complete it
+        total = sum(
+            comb((out[u] & out[v]).bit_count(), 2) for v in range(n) for u in range(n) if out[v] >> u & 1
+        )
     if sum(counts) != total * comb(k, 2):
         raise ExperimentError("handshake identity violated; counting bug")
     return EdgeCopyStats(

@@ -23,7 +23,7 @@ from math import comb
 from operator import itemgetter
 
 from .constructions import turan3_tournament
-from .designs import _orbit, ag2_lines, fano_plane, verify_design
+from .designs import _orbit, ag2_lines, all_sts7, verify_design
 from .enumeration import MAX_ENUMERATION_VERTICES, _pool_map, enumerate_codes
 from .packing import Packing, max_packing_exact, verify_packing
 from .rng import stdlib_rng, sub_seed
@@ -183,9 +183,8 @@ def _cyclic_mask(n: int, bits: int) -> int:
     return ~(ij ^ jk) & (ij ^ ik)
 
 
-def _solve_code(args: tuple[str, int, int | None]) -> tuple[int, bool]:
+def _solve_code(code: str, k: int, stop_at: int | None = None) -> tuple[int, bool]:
     """(value, optimal) of the class with this code, solved at this stop_at and verified here."""
-    code, k, stop_at = args
     t = tournament_from_code(code)
     p = max_packing_exact(t, k, stop_at=stop_at)
     if not verify_packing(t, p):
@@ -201,10 +200,11 @@ def _max_packings(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
     each is the lines inside 0..n-1 of a labeled triple system: one of
     the 30 7-point systems, or at n = 8 one of the 840 9-point systems
     off its point 8 (a maximum packing of K_8 leaves a perfect matching,
-    which a new point completes).  The table is read off designs' orbits
-    of fano_plane() and ag2_lines(3), keeping each system's lines inside
-    0..n-1 when there are M of them, and sorted by lines, as designs
-    orders its systems: at n = 7 the lines are all_sts7()'s blocks.
+    which a new point completes).  The table is read off designs' cached
+    all_sts7() and the orbit of ag2_lines(3), keeping each system's lines
+    inside 0..n-1 when there are M of them, and sorted by lines, as
+    designs orders its systems: at n = 7 the lines are all_sts7()'s
+    blocks.
     Certificate, once per process: an entry's lines are triples i<j<k of
     0..n-1, each found in the triple index for its mask, and it is kept
     only if they cover 3M distinct pairs; and the count is pinned,
@@ -215,7 +215,7 @@ def _max_packings(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
     """
     m, count = {3: (1, 1), 4: (1, 4), 5: (2, 15), 6: (4, 30), 7: (7, 30), 8: (8, 840)}[n]
     index = _triples(n)[0]
-    systems = _orbit(fano_plane() if n <= 7 else ag2_lines(3))
+    systems = all_sts7() if n <= 7 else _orbit(ag2_lines(3))
     table = []
     for lines in sorted({tuple(line for line in d.blocks if line[-1] < n) for d in systems}):
         if len(lines) == m and len({pair for line in lines for pair in combinations(line, 2)}) == 3 * m:
@@ -322,12 +322,12 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
         exact = dict(zip(codes, _pool_map(partial(_scan_value, n), codes, workers)))
     else:
         seed_value = max_packing_exact(turan3_tournament(n), k).value
-        jobs = [(code, k, seed_value + 1) for code in codes]
-        exact = {code: p for code, (p, optimal) in zip(codes, _pool_map(_solve_code, jobs, workers)) if optimal}
+        solve = partial(_solve_code, k=k, stop_at=seed_value + 1)
+        exact = {code: p for code, (p, optimal) in zip(codes, _pool_map(solve, codes, workers)) if optimal}
     f_value = min(exact.values())
     argmin = tuple(sorted(code for code, p in exact.items() if p == f_value))
     for code in argmin:
-        if _solve_code((code, k, None)) != (f_value, True):
+        if _solve_code(code, k) != (f_value, True):
             raise PipelineError(f"argmin certification failed for {code}")
     return FMinRecord(n=n, k=k, f_value=f_value, argmin_codes=argmin)
 
@@ -402,18 +402,21 @@ REFERENCE_DENSITY = lp_step(
 ).minimum / (2 * comb(7, 2))
 
 
-# (t, transitive lines of a best Fano plane, as positions in sorted vertex
-# order) per block pattern met in one decomposition_pipeline call, which
-# clears it before its map forks: every worker starts empty.
-_pattern_memo: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
+def _pipeline_trial(
+    host: Tournament,
+    blocks: tuple[tuple[int, ...], ...],
+    seed: int,
+    memo: dict[int, tuple[int, tuple[tuple[int, ...], ...]]],
+    i: int,
+) -> tuple[list[int], list[int]]:
+    """Block values and triangle counts of trial i, whose packing is verified here.
 
-
-def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]):
-    """Block values and triangle counts of trial i, whose packing is verified here."""
-    i, out, trial_seed, blocks = args
-    host = Tournament(len(out), out)
+    memo maps each block pattern met so far to its t and the transitive
+    lines of a best Fano plane, as positions in sorted vertex order.
+    """
+    out = host.out
     perm = list(range(host.n))
-    stdlib_rng(trial_seed).shuffle(perm)
+    stdlib_rng(sub_seed(seed, i)).shuffle(perm)
     block_values = []
     block_ts = []
     copies: list[tuple[int, ...]] = []
@@ -422,11 +425,11 @@ def _pipeline_trial(args: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...]
         pattern = 0
         for u, w in combinations(vs, 2):
             pattern = pattern << 1 | (out[u] >> w & 1)
-        entry = _pattern_memo.get(pattern)
+        entry = memo.get(pattern)
         if entry is None:
             cyclic = _cyclic_mask(7, pattern)
             lines = _scan(7, cyclic, "block", vs, "in trial", i)[1]
-            entry = _pattern_memo[pattern] = (cyclic.bit_count(), lines)
+            entry = memo[pattern] = (cyclic.bit_count(), lines)
         t_count, lines = entry
         block_ts.append(t_count)
         block_values.append(len(lines))
@@ -453,10 +456,10 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
     least, the fewest of them on the lines of any Fano plane; the
     block's value is 7 - least, packed by that plane's transitive lines,
     exact by the argument in _scan's docstring.  A block past the
-    scan's exact range raises.  _pattern_memo keeps each pattern's t
-    and lines once per call, cleared here before the map forks its
-    workers, so each worker starts empty.  Each block's regime is tallied
-    by t, and each distinct t is mapped to its regime once.
+    scan's exact range raises.  A memo made empty by this call keeps
+    each pattern's t and lines; a forked worker inherits it before any
+    trial fills it.  Each block's regime is tallied by t, and each
+    distinct t is mapped to its regime once.
     """
     design = ag2_lines(7)
     if t.n != design.point_count:
@@ -466,14 +469,13 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
 
-    _pattern_memo.clear()
     _max_packings(7)  # built here, so forked workers inherit it
-    jobs = [(i, t.out, sub_seed(seed, i), design.blocks) for i in range(trials)]
+    trial = partial(_pipeline_trial, t, design.blocks, seed, {})
     totals = []
     histogram: Counter[int] = Counter()
     ts: Counter[int] = Counter()
     floor = min(value for _, value in REGIMES) * len(design.blocks)
-    for i, (block_values, block_ts) in enumerate(_pool_map(_pipeline_trial, jobs, workers)):
+    for i, (block_values, block_ts) in enumerate(_pool_map(trial, range(trials), workers)):
         total = sum(block_values)
         if total < floor:
             raise PipelineError(f"trial {i} total {total} fell below {floor}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import isqrt
 
 from .rng import coin
@@ -164,22 +163,43 @@ def transitive_triples_lower_bound(k: int) -> Fraction:
     return Fraction(k * (k - 1) * (k - 3), 8)
 
 
+def _edge_splits(t: Tournament):
+    """(p, a, b, c, d) for each edge x -> y, p the rank of its pair in edge_list(n).
+
+    The other vertices split four ways by their edges to x and y: a beat
+    both, x -> b -> y, c are beaten by both, and y -> d -> x, so each of d
+    closes a directed triangle with the edge.  A transitive k-set through
+    the edge is a total order, in which a vertex beating both x and y
+    comes before x, one between them lies between, and one beaten by both
+    comes after y; so its other k - 2 vertices come from a, b and c, and
+    each chosen vertex of an earlier part beats each chosen vertex of a
+    later part.  Conversely, transitive choices within each part that
+    meet that condition list the k-set as a, x, b, y, c in order, every
+    edge pointing forward: a total order.  So the k-sets through the
+    edge are exactly these choices.
+    """
+    n, out = t.n, t.out
+    full = (1 << n) - 1
+    into = [full & ~m & ~(1 << v) for v, m in enumerate(out)]
+    p = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = (i, j) if out[i] >> j & 1 else (j, i)
+            yield p, into[x] & into[y], out[x] & into[y], out[x] & out[y], out[y] & into[x]
+            p += 1
+
+
 def census(t: Tournament) -> TriangleCensus:
     """Count transitive triples and directed triangles.
 
-    Computes `a` twice, by direct triple enumeration and by the per-vertex
-    degree-sum identity 4a = sum_v d_v(d_v - 1) + e_v(e_v - 1), with d_v
-    and e_v the out- and in-degrees, and raises unless the two agree; the
-    redundancy is a permanent self-check on the representation.
+    Computes `a` twice, from the directed triangles, each of which lies in
+    the d part of _edge_splits at each of its three edges, and by the
+    per-vertex degree-sum identity 4a = sum_v d_v(d_v - 1) + e_v(e_v - 1),
+    with d_v and e_v the out- and in-degrees, and raises unless the two
+    agree; the redundancy is a permanent self-check on the representation.
     """
     n, out = t.n, t.out
-    cyclic = 0
-    for i, j, k in combinations(range(n), 3):
-        b1 = out[i] >> j & 1
-        b2 = out[j] >> k & 1
-        # for i<j<k the triple is cyclic iff (i,j) and (j,k) agree and (i,k) differs
-        if b1 == b2 and (out[i] >> k & 1) != b1:
-            cyclic += 1
+    cyclic = sum(d.bit_count() for *_, d in _edge_splits(t)) // 3
     total = n * (n - 1) * (n - 2) // 6
     a_direct = total - cyclic
     degree_sum = 0
@@ -212,19 +232,14 @@ def induced(t: Tournament, vertices) -> Tournament:
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
-    """Orient each pair by an unbiased coin keyed by (seed, pair rank)."""
+    """Orient each pair by an unbiased coin keyed by (seed, pair rank).
+
+    The coins, in pair-rank order, are the orientation string that
+    tournament_from_code decodes.
+    """
     if not 1 <= n <= MAX_VERTICES:
         raise TournamentError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-    out = [0] * n
-    p = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coin(seed, p):
-                out[i] |= 1 << j
-            else:
-                out[j] |= 1 << i
-            p += 1
-    return Tournament(n, tuple(out))
+    return tournament_from_code("".join("01"[coin(seed, p)] for p in range(n * (n - 1) // 2)))
 
 
 def is_transitive_on(t: Tournament, vertices) -> bool:

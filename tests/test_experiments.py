@@ -52,10 +52,11 @@ def test_edge_counts_match_brute_recount():
 def test_handshake_identity_is_exact():
     for seed in range(5):
         t = random_tournament(11, seed)
-        stats = edge_copy_stats(t, 3)
-        total_copies = len(enumerate_copies(t, 3).copies)
-        assert sum(stats.counts) == total_copies * 3
-        assert stats.mean * comb(11, 2) == total_copies * comb(3, 2)
+        for k in (3, 4):
+            stats = edge_copy_stats(t, k)
+            total_copies = len(enumerate_copies(t, k).copies)
+            assert sum(stats.counts) == total_copies * comb(k, 2), (seed, k)
+            assert stats.mean * comb(11, 2) == total_copies * comb(k, 2), (seed, k)
 
 
 def test_transitive_host_counts_are_uniform():

@@ -3,6 +3,7 @@ rational LP corner, and the 49-vertex decomposition pipeline."""
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -282,6 +283,11 @@ def test_f_min_is_the_same_at_two_workers(cache_dir, n):
     assert f_min(n, cache_dir=cache_dir, workers=2) == f_min(n, cache_dir=cache_dir, workers=1)
 
 
+def test_f_min_at_k4_is_the_same_at_two_workers(cache_dir):
+    # at k = 4 every class is solved by _solve_code, through the forked pool
+    assert f_min(7, k=4, cache_dir=cache_dir, workers=2) == f_min(7, k=4, cache_dir=cache_dir, workers=1)
+
+
 def test_cold_class_builds_use_the_sweeps_workers(cache_dir, threshold_report, tmp_path, monkeypatch):
     codes = enumerate_codes(7, cache_dir=cache_dir)
     record = f_min(6, cache_dir=cache_dir)
@@ -443,7 +449,7 @@ def test_cyclic_mask_reads_the_partial_top_byte(n):
         assert pipeline._cyclic_mask(n, bits | past) == cyclic, bits
 
 
-def test_pipeline_reads_each_block_as_the_int_of_its_induced_code(monkeypatch):
+def test_pipeline_reads_each_block_as_the_int_of_its_induced_code():
     # every block of one trial is looked up by the int of its induced
     # subtournament's code, and a pattern's t is that subtournament's
     looked_up = []
@@ -453,17 +459,17 @@ def test_pipeline_reads_each_block_as_the_int_of_its_induced_code(monkeypatch):
             looked_up.append(pattern)
             return super().get(pattern)
 
-    monkeypatch.setattr(pipeline, "_pattern_memo", RecordingMemo())
+    memo = RecordingMemo()
     host = random_tournament(49, 7)
     blocks = ag2_lines(7).blocks
-    pipeline._pipeline_trial((0, host.out, sub_seed(11, 0), blocks))
+    pipeline._pipeline_trial(host, blocks, 11, memo, 0)
     perm = list(range(host.n))
     stdlib_rng(sub_seed(11, 0)).shuffle(perm)
     assert len(looked_up) == len(blocks)
     for pattern, block in zip(looked_up, blocks):
         block_tournament = induced(host, [perm[p] for p in block])
         assert pattern == int(tournament_bits(block_tournament), 2), block
-        assert pipeline._pattern_memo[pattern][0] == census(block_tournament).t, block
+        assert memo[pattern][0] == census(block_tournament).t, block
 
 
 def test_f_min_rejects_out_of_range(cache_dir):
@@ -587,18 +593,16 @@ def test_pipeline_rejects_a_packing_that_fails_verification(monkeypatch, workers
 
 
 @pytest.mark.parametrize("fault", ["cyclic-line", "repeated-line"])
-def test_trial_verifier_rejects_a_corrupted_pattern_entry(monkeypatch, fault):
+def test_trial_verifier_rejects_a_corrupted_pattern_entry(fault):
     # the real verify_packing, unpatched, checks the lines a trial reads
-    # from _pattern_memo: one entry is corrupted between two runs of the
+    # from its pattern memo: one entry is corrupted between two runs of the
     # same trial, by a cyclic line in place of a transitive one (the
     # plane's left-out cyclic line, which shares no pair with the others)
     # or by one line repeated, so two copies share a pair
-    monkeypatch.setattr(pipeline, "_pattern_memo", {})
-    args = (0, random_tournament(49, 7).out, sub_seed(11, 0), ag2_lines(7).blocks)
-    pipeline._pipeline_trial(args)
-    pattern, (t_count, lines) = next(
-        (pattern, entry) for pattern, entry in pipeline._pattern_memo.items() if len(entry[1]) < 7
-    )
+    memo = {}
+    trial = partial(pipeline._pipeline_trial, random_tournament(49, 7), ag2_lines(7).blocks, 11, memo)
+    trial(0)
+    pattern, (t_count, lines) = next((pattern, entry) for pattern, entry in memo.items() if len(entry[1]) < 7)
     block = tournament_from_code(format(pattern, "021b"))
     if fault == "cyclic-line":
         used = {pair for line in lines[1:] for pair in combinations(line, 2)}
@@ -610,9 +614,9 @@ def test_trial_verifier_rejects_a_corrupted_pattern_entry(monkeypatch, fault):
         corrupted = (cyclic, *lines[1:])
     else:
         corrupted = (lines[0], lines[0], *lines[2:])
-    pipeline._pattern_memo[pattern] = (t_count, corrupted)
+    memo[pattern] = (t_count, corrupted)
     with pytest.raises(PipelineError, match="failed verification in trial 0"):
-        pipeline._pipeline_trial(args)
+        trial(0)
 
 
 GATE_HOSTS = {
@@ -633,6 +637,20 @@ def counting_scans(monkeypatch):
 
     monkeypatch.setattr(pipeline, "_scan", counting)
     return calls
+
+
+def recording_memos(monkeypatch):
+    # the pattern memo of each decomposition_pipeline call, in call order
+    memos = []
+    original = pipeline._pipeline_trial
+
+    def recording(host, blocks, seed, memo, i):
+        if not any(memo is seen for seen in memos):
+            memos.append(memo)
+        return original(host, blocks, seed, memo, i)
+
+    monkeypatch.setattr(pipeline, "_pipeline_trial", recording)
+    return memos
 
 
 @pytest.mark.parametrize(
@@ -679,9 +697,10 @@ def test_scan_is_exact_on_every_class(cache_dir, n, histogram):
 )
 def test_pipeline_labels_each_block_pattern_once(monkeypatch, host, trials, most):
     calls = counting_scans(monkeypatch)
+    memos = recording_memos(monkeypatch)
     decomposition_pipeline(GATE_HOSTS[host](), trials=trials, seed=11, workers=1)
     assert 1 <= len(calls) <= most
-    assert len(calls) == len(pipeline._pattern_memo)
+    assert [len(memo) for memo in memos] == [len(calls)]
 
 
 @pytest.mark.parametrize("host", sorted(GATE_HOSTS))
@@ -689,8 +708,8 @@ def test_pipeline_block_values_match_exact_class_solves(monkeypatch, host):
     trial_results = []
     original_trial = pipeline._pipeline_trial
 
-    def recording_trial(args):
-        result = original_trial(args)
+    def recording_trial(*args):
+        result = original_trial(*args)
         trial_results.append(result)
         return result
 
@@ -747,13 +766,16 @@ def test_pipeline_block_values_match_exact_class_solves(monkeypatch, host):
 
 def test_second_pipeline_call_rebuilds_the_pattern_memo(monkeypatch):
     t = turan3_tournament(49)
+    memos = recording_memos(monkeypatch)
     first = decomposition_pipeline(t, trials=3, seed=11)
-    patterns = dict(pipeline._pattern_memo)
+    patterns = dict(memos[0])
     calls = counting_scans(monkeypatch)
     second = decomposition_pipeline(t, trials=3, seed=11)
-    # the memo starts empty: every pattern is scanned again, once
+    # the second call's memo is its own and starts empty: every pattern
+    # is scanned again, once, and the first call's memo is left as it was
+    assert len(memos) == 2
     assert len(calls) == len(patterns) >= 1
-    assert pipeline._pattern_memo == patterns
+    assert memos == [patterns, patterns]
     assert first == second
 
 
