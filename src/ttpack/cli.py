@@ -8,7 +8,10 @@ seed, and an echo of the run configuration, and contains no timestamps,
 so identical invocations produce byte-identical output.
 
 Exit codes: 0 on success, 1 when a verified claim fails to hold, 2 on
-usage errors including malformed input files.
+usage errors including malformed input files.  The exception kind alone
+decides: bad input raises ValueError (TournamentFormatError is its one
+subclass), a failed claim raises PipelineError, and a failed self-check
+raises an uncaught AssertionError.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from .designs import (
     serialize_design,
     verify_design,
 )
-from .enumeration import EnumerationError, MAX_ENUMERATION_VERTICES, enumerate_codes
+from .enumeration import MAX_ENUMERATION_VERTICES, enumerate_codes
 from .experiments import density_experiment, edge_copy_stats
-from .packing import Packing, PackingError, max_packing_exact, verify_packing
+from .packing import Packing, max_packing_exact, verify_packing
 from .pipeline import (
     REGIMES,
     PipelineError,
@@ -121,9 +124,9 @@ def _cmd_enumerate(args) -> int:
     if args.score:
         want = [int(s) for s in args.score.split(",")]
         if len(want) != args.n:
-            raise EnumerationError(f"score has {len(want)} entries for n={args.n}")
+            raise ValueError(f"score has {len(want)} entries for n={args.n}")
         if want != sorted(want, reverse=True):
-            raise EnumerationError(f"score must be non-increasing, got {args.score}")
+            raise ValueError(f"score must be non-increasing, got {args.score}")
     codes = enumerate_codes(args.n, cache_dir=args.cache, workers=args.workers)
     if args.score:
         codes = tuple(code for code in codes if list(tournament_from_code(code).score()) == want)
@@ -219,10 +222,10 @@ def _cmd_verify_packing(args) -> int:
         k = body["k"]
         copies = tuple(tuple(c) for c in body["copies"])
     except (KeyError, TypeError) as exc:
-        raise PackingError(f"packing file missing solve fields: {exc}") from exc
+        raise ValueError(f"packing file missing solve fields: {exc}") from exc
     # JSON integers only: int() would read 2.2, "012" and true as vertices
     if type(k) is not int or not all(type(v) is int for c in copies for v in c):
-        raise PackingError("packing file k and vertices must be JSON integers")
+        raise ValueError("packing file k and vertices must be JSON integers")
     valid = verify_packing(t, Packing(n=t.n, k=k, copies=copies))
     result = {"n": t.n, "k": k, "members": len(copies), "valid": valid}
     _emit(args, result, [f"valid={valid}"])

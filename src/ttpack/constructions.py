@@ -15,7 +15,6 @@ from .rng import coin
 from .tournament import MAX_VERTICES, Tournament, edge_index, is_transitive_on
 
 __all__ = [
-    "ConstructionError",
     "blowup",
     "intra_class_edge_bound",
     "qr7",
@@ -26,10 +25,6 @@ __all__ = [
 QR7_OFFSETS = (1, 2, 4)
 
 FILLERS = ("transitive", "random")
-
-
-class ConstructionError(ValueError):
-    """Raised for impossible sizes or an unknown filler rule."""
 
 
 def intra_class_edge_bound(n: int) -> int:
@@ -64,9 +59,9 @@ def turan3_tournament(n: int, filler: str = "transitive", seed: int = 0) -> Tour
     number because every transitive triple must use an intra-class edge.
     """
     if not 3 <= n <= MAX_VERTICES:
-        raise ConstructionError(f"n must be between 3 and {MAX_VERTICES}, got {n}")
+        raise ValueError(f"n must be between 3 and {MAX_VERTICES}, got {n}")
     if filler not in FILLERS:
-        raise ConstructionError(f"unknown filler {filler!r}, expected one of {FILLERS}")
+        raise ValueError(f"unknown filler {filler!r}, expected one of {FILLERS}")
     sizes = turan3_class_sizes(n)
     cls = [0] * n
     start = 0
@@ -112,12 +107,12 @@ def blowup(base: Tournament, factor: int, filler: str = "transitive", seed: int 
     hence uses an intra-class edge.
     """
     if factor < 1:
-        raise ConstructionError(f"factor must be >= 1, got {factor}")
+        raise ValueError(f"factor must be >= 1, got {factor}")
     if filler not in FILLERS:
-        raise ConstructionError(f"unknown filler {filler!r}, expected one of {FILLERS}")
+        raise ValueError(f"unknown filler {filler!r}, expected one of {FILLERS}")
     n = base.n * factor
     if n > MAX_VERTICES:
-        raise ConstructionError(f"blow-up has {n} vertices, limit is {MAX_VERTICES}")
+        raise ValueError(f"blow-up has {n} vertices, limit is {MAX_VERTICES}")
     out = [0] * n
     for u in range(base.n):
         for v in range(base.n):

@@ -19,7 +19,6 @@ from math import isqrt
 
 __all__ = [
     "BlockDesign",
-    "DesignError",
     "ag2_lines",
     "all_sts7",
     "fano_plane",
@@ -27,10 +26,6 @@ __all__ = [
     "serialize_design",
     "verify_design",
 ]
-
-
-class DesignError(ValueError):
-    """Raised for malformed design inputs or unsupported parameters."""
 
 
 @dataclass(frozen=True)
@@ -42,14 +37,13 @@ class BlockDesign:
     blocks: tuple[tuple[int, ...], ...]
 
 
-def _design(v: int, blocks) -> BlockDesign:
-    norm = tuple(sorted(tuple(sorted(b)) for b in blocks))
-    return BlockDesign(v, len(norm[0]), norm)
+def _design(v: int, k: int, blocks) -> BlockDesign:
+    return BlockDesign(v, k, tuple(sorted(tuple(sorted(b)) for b in blocks)))
 
 
 def fano_plane() -> BlockDesign:
     """The 7-point triple system with blocks {i, i+1, i+3} mod 7."""
-    return _design(7, [((i) % 7, (i + 1) % 7, (i + 3) % 7) for i in range(7)])
+    return _design(7, 3, [((i) % 7, (i + 1) % 7, (i + 3) % 7) for i in range(7)])
 
 
 def verify_design(d: BlockDesign) -> bool:
@@ -113,14 +107,14 @@ def ag2_lines(q: int = 7) -> BlockDesign:
     for q = 3, the 9-point triple system.
     """
     if q < 2 or any(q % p == 0 for p in range(2, isqrt(q) + 1)):
-        raise DesignError(f"the affine plane over Z_q needs a prime q, got {q}")
+        raise ValueError(f"the affine plane over Z_q needs a prime q, got {q}")
     blocks = []
     for m in range(q):
         for b in range(q):
             blocks.append(tuple(q * x + (m * x + b) % q for x in range(q)))
     for c in range(q):
         blocks.append(tuple(q * c + y for y in range(q)))
-    return _design(q * q, blocks)
+    return _design(q * q, q, blocks)
 
 
 def serialize_design(d: BlockDesign) -> str:
@@ -133,7 +127,7 @@ def serialize_design(d: BlockDesign) -> str:
 def parse_design(text: str) -> BlockDesign:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise DesignError("empty design text")
+        raise ValueError("empty design text")
     head = lines[0].split()
     try:
         fields = dict(part.split("=", 1) for part in head)
@@ -141,16 +135,13 @@ def parse_design(text: str) -> BlockDesign:
         k = int(fields["k"])
         b = int(fields["b"])
     except (KeyError, ValueError) as exc:
-        raise DesignError(f"bad design header {lines[0]!r}") from exc
+        raise ValueError(f"bad design header {lines[0]!r}") from exc
     if len(lines) - 1 != b:
-        raise DesignError(f"header promises {b} blocks, found {len(lines) - 1}")
+        raise ValueError(f"header promises {b} blocks, found {len(lines) - 1}")
     blocks = []
     for ln in lines[1:]:
         block = tuple(int(p) for p in ln.split())
         if len(block) != k:
-            raise DesignError(f"block {ln!r} does not have {k} points")
+            raise ValueError(f"block {ln!r} does not have {k} points")
         blocks.append(block)
-    d = _design(v, blocks)
-    if d.block_size != k:
-        raise DesignError("inconsistent block size")
-    return d
+    return _design(v, k, blocks)

@@ -55,10 +55,6 @@ CACHE_ENV_VAR = "TTPACK_CACHE"
 DEFAULT_CACHE_DIR = "cache"
 
 
-class EnumerationError(ValueError):
-    pass
-
-
 @cache
 def _set_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Per n-bit vertex set m: its vertices in increasing order, and (1 << |m|) - 1.
@@ -163,7 +159,7 @@ def canonical_code(t: Tournament) -> str:
     """
     n = t.n
     if n > MAX_CANONICAL_VERTICES:
-        raise EnumerationError(f"canonical form capped at n <= {MAX_CANONICAL_VERTICES}")
+        raise ValueError(f"canonical form capped at n <= {MAX_CANONICAL_VERTICES}")
     code = 0
     for i, row in enumerate(_min_code_rows(t.out)):
         code = (code << (n - 1 - i)) | row
@@ -363,5 +359,5 @@ def _read_or_build_codes(n: int, cache_dir: str, workers: int) -> tuple[str, ...
 def enumerate_codes(n: int, cache_dir: str | None = None, workers: int = 1) -> tuple[str, ...]:
     """Sorted canonical codes of all isomorphism classes of order n."""
     if not 1 <= n <= MAX_ENUMERATION_VERTICES:
-        raise EnumerationError(f"enumeration capped at n <= {MAX_ENUMERATION_VERTICES}")
+        raise ValueError(f"enumeration capped at n <= {MAX_ENUMERATION_VERTICES}")
     return _read_or_build_codes(n, resolve_cache_dir(cache_dir), workers)

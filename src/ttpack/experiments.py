@@ -27,17 +27,13 @@ from .tournament import Tournament, _edge_splits, edge_list, random_tournament
 __all__ = [
     "DensityReport",
     "EdgeCopyStats",
-    "ExperimentError",
     "density_experiment",
     "edge_copy_stats",
     "improve_packing",
 ]
 
-EDGE_STATS_LIMITS = {3: 200, 4: 60}
-
-
-class ExperimentError(ValueError):
-    """Raised for unsupported sizes or subtournament orders."""
+# k = 3 needs no cap of its own: no Tournament has more than 64 vertices
+EDGE_STATS_K4_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -73,13 +69,12 @@ class DensityReport:
 
 def edge_copy_stats(t: Tournament, k: int) -> EdgeCopyStats:
     """Count the transitive k-subsets through every edge of the host."""
-    limit = EDGE_STATS_LIMITS.get(k)
-    if limit is None:
-        raise ExperimentError(f"edge statistics support k in (3, 4), got {k}")
-    if t.n > limit:
-        raise ExperimentError(f"edge statistics for k={k} capped at n <= {limit}, got {t.n}")
+    if k not in (3, 4):
+        raise ValueError(f"edge statistics support k in (3, 4), got {k}")
+    if k == 4 and t.n > EDGE_STATS_K4_LIMIT:
+        raise ValueError(f"edge statistics for k=4 capped at n <= {EDGE_STATS_K4_LIMIT}, got {t.n}")
     if t.n < 2:
-        raise ExperimentError(f"edge statistics need a host with an edge, got n={t.n}")
+        raise ValueError(f"edge statistics need a host with an edge, got n={t.n}")
     n, out = t.n, t.out
     edge_count = n * (n - 1) // 2
     counts = [0] * edge_count
@@ -109,7 +104,10 @@ def edge_copy_stats(t: Tournament, k: int) -> EdgeCopyStats:
             comb((out[u] & out[v]).bit_count(), 2) for v in range(n) for u in range(n) if out[v] >> u & 1
         )
     if sum(counts) != total * comb(k, 2):
-        raise ExperimentError("handshake identity violated; counting bug")
+        raise AssertionError(
+            f"edge_copy_stats self-check failed: per-edge counts sum to {sum(counts)}, "
+            f"not {total} copies times C({k},2)"
+        )
     return EdgeCopyStats(
         n=n,
         k=k,
@@ -196,9 +194,9 @@ def density_experiment(
 ) -> DensityReport:
     """Greedy (optionally locally improved) packing sizes on seeded random hosts."""
     if k not in (3, 4):
-        raise ExperimentError(f"density trials support k in (3, 4), got {k}")
+        raise ValueError(f"density trials support k in (3, 4), got {k}")
     if trials < 1:
-        raise ExperimentError(f"trials must be positive, got {trials}")
+        raise ValueError(f"trials must be positive, got {trials}")
     copy_counts = []
     fractions = []
     pair_total = comb(n, 2)

@@ -25,17 +25,12 @@ from .tournament import Tournament, edge_index
 __all__ = [
     "CopyList",
     "Packing",
-    "PackingError",
     "TTCopy",
     "enumerate_copies",
     "greedy_packing",
     "max_packing_exact",
     "verify_packing",
 ]
-
-
-class PackingError(ValueError):
-    """Raised for out-of-range k and for malformed packing files."""
 
 
 class TTCopy(NamedTuple):
@@ -163,7 +158,7 @@ def enumerate_copies(t: Tournament, k: int, deadline: float | None = None) -> Co
     TimeoutError is raised.
     """
     if not 3 <= k <= t.n:
-        raise PackingError(f"k must satisfy 3 <= k <= n={t.n}, got {k}")
+        raise ValueError(f"k must satisfy 3 <= k <= n={t.n}, got {k}")
     return CopyList(t.n, k, tuple(_transitive_chains(t.n, t.out, k, deadline)))
 
 

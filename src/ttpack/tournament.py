@@ -16,11 +16,7 @@ from .rng import coin
 MAX_VERTICES = 64
 
 
-class TournamentError(ValueError):
-    """Invalid tournament data or operation arguments."""
-
-
-class TournamentFormatError(TournamentError):
+class TournamentFormatError(ValueError):
     """Malformed tournament text; carries the byte offset of the defect."""
 
     def __init__(self, message: str, byte_offset: int):
@@ -46,19 +42,19 @@ class Tournament:
     def validate(self) -> None:
         n, out = self.n, self.out
         if not 1 <= n <= MAX_VERTICES:
-            raise TournamentError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+            raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
         if len(out) != n:
-            raise TournamentError("out-set row count does not match n")
+            raise ValueError("out-set row count does not match n")
         full = (1 << n) - 1
         for v, m in enumerate(out):
             if m >> v & 1:
-                raise TournamentError(f"self-loop at vertex {v}")
+                raise ValueError(f"self-loop at vertex {v}")
             if m & ~full:
-                raise TournamentError(f"out-set of vertex {v} exceeds vertex range")
+                raise ValueError(f"out-set of vertex {v} exceeds vertex range")
         for u in range(n):
             for v in range(u + 1, n):
                 if (out[u] >> v & 1) == (out[v] >> u & 1):
-                    raise TournamentError(f"pair ({u},{v}) not oriented exactly once")
+                    raise ValueError(f"pair ({u},{v}) not oriented exactly once")
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,7 @@ def tournament_from_code(code: str) -> Tournament:
     length = len(code)
     n = (1 + isqrt(1 + 8 * length)) // 2
     if n * (n - 1) // 2 != length:
-        raise TournamentError(f"code length {length} is not a binomial C(n,2)")
+        raise ValueError(f"code length {length} is not a binomial C(n,2)")
     out = [0] * n
     pos = 0
     for i in range(n):
@@ -159,7 +155,7 @@ def transitive_tournament(n: int) -> Tournament:
 def transitive_triples_lower_bound(k: int) -> Fraction:
     """Floor k(k-1)(k-3)/8 on the transitive-triple count of any k-vertex tournament."""
     if k < 3:
-        raise TournamentError("bound defined for k >= 3")
+        raise ValueError("bound defined for k >= 3")
     return Fraction(k * (k - 1) * (k - 3), 8)
 
 
@@ -218,9 +214,9 @@ def induced(t: Tournament, vertices) -> Tournament:
     """Subtournament on `vertices`, relabeled 0..m-1 in sorted order."""
     vs = sorted(set(vertices))
     if not vs:
-        raise TournamentError("induced subtournament needs at least one vertex")
+        raise ValueError("induced subtournament needs at least one vertex")
     if vs[0] < 0 or vs[-1] >= t.n:
-        raise TournamentError("vertex out of range")
+        raise ValueError("vertex out of range")
     pos = {v: i for i, v in enumerate(vs)}
     out = [0] * len(vs)
     for v in vs:
@@ -238,7 +234,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     tournament_from_code decodes.
     """
     if not 1 <= n <= MAX_VERTICES:
-        raise TournamentError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
     return tournament_from_code("".join("01"[coin(seed, p)] for p in range(n * (n - 1) // 2)))
 
 

@@ -13,11 +13,10 @@ import argparse
 from itertools import combinations, permutations, product
 
 from ttpack import cli
-from ttpack.designs import BlockDesign, DesignError
+from ttpack.designs import BlockDesign
 from ttpack.enumeration import canonical_code, enumerate_codes
 from ttpack.tournament import (
     Tournament,
-    TournamentError,
     census,
     edge_index,
     is_transitive_on,
@@ -325,7 +324,7 @@ def max_transitive_subset(t: Tournament) -> tuple[int, ...]:
     the candidate pool; pruned by the pool size.
     """
     if t.n > MAX_TRANSITIVE_SEARCH_VERTICES:
-        raise TournamentError(
+        raise ValueError(
             f"max_transitive_subset capped at n <= {MAX_TRANSITIVE_SEARCH_VERTICES}"
         )
     out = t.out
@@ -353,9 +352,9 @@ def max_transitive_subset(t: Tournament) -> tuple[int, ...]:
 def sts_triangle_count(t: Tournament, d: BlockDesign) -> int:
     """Number of blocks inducing a directed triangle; the rest pack as triples."""
     if d.block_size != 3:
-        raise DesignError(f"triple system required, got block size {d.block_size}")
+        raise ValueError(f"triple system required, got block size {d.block_size}")
     if t.n != d.point_count:
-        raise DesignError(f"host has {t.n} vertices, design has {d.point_count} points")
+        raise ValueError(f"host has {t.n} vertices, design has {d.point_count} points")
     return sum(not is_transitive_on(t, block) for block in d.blocks)
 
 

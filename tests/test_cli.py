@@ -160,6 +160,12 @@ def test_verify_design_round_trip(capsys, tmp_path):
     bad.write_text("\n".join(broken) + "\n")
     code, doc, _ = run_json(capsys, "verify", "design", "--in", str(bad))
     assert code == 1
+    # a well-formed design with no blocks covers no pair: invalid, not a crash
+    empty = tmp_path / "empty.txt"
+    empty.write_text("v=7 k=3 b=0\n")
+    code, doc, err = run_json(capsys, "verify", "design", "--in", str(empty))
+    assert code == 1 and err == ""
+    assert doc["result"] == {"block_size": 3, "blocks": 0, "points": 7, "valid": False}
 
 
 def test_construct_round_trips_through_parser(capsys, tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from oracles import is_transitive_subset, max_transitive_subset
 from ttpack.constructions import (
-    ConstructionError,
     blowup,
     intra_class_edge_bound,
     qr7,
@@ -71,7 +70,7 @@ def test_fillers_are_deterministic_and_distinct():
     c = turan3_tournament(10, filler="random", seed=6)
     assert a == b
     assert a != c
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ValueError, match="unknown filler 'sorted'"):
         turan3_tournament(9, filler="sorted")
 
 
@@ -116,7 +115,7 @@ def test_blowup_of_qr7_keeps_quads_off_four_classes():
 
 
 def test_blowup_rejects_bad_factor():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ValueError, match="factor must be >= 1, got 0"):
         blowup(qr7(), 0)
 
 

@@ -30,7 +30,6 @@ from ttpack.constructions import qr7, turan3_tournament
 from ttpack.enumeration import (
     CLASS_TABLE,
     MAX_ENUMERATION_VERTICES,
-    EnumerationError,
     _cache_path,
     _pool_map,
     canonical_code,
@@ -189,7 +188,7 @@ def test_canonical_code_matches_brute_force_on_small_orders():
 
 def test_canonical_form_is_capped_at_ten_vertices():
     assert len(canonical_code(random_tournament(10, 0))) == 45
-    with pytest.raises(EnumerationError):
+    with pytest.raises(ValueError, match="canonical form capped at n <= 10"):
         canonical_code(random_tournament(11, 0))
 
 

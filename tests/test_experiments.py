@@ -6,9 +6,9 @@ from math import comb, factorial
 import pytest
 
 from oracles import scanned_copies
+from ttpack import experiments
 from ttpack.experiments import (
-    EDGE_STATS_LIMITS,
-    ExperimentError,
+    EDGE_STATS_K4_LIMIT,
     _transitive_subsets_within,
     density_experiment,
     edge_copy_stats,
@@ -74,19 +74,35 @@ def test_expectation_formula():
 
 def test_edge_stats_limits():
     t = random_tournament(12, 0)
-    with pytest.raises(ExperimentError):
+    with pytest.raises(ValueError, match=r"support k in \(3, 4\), got 5"):
         edge_copy_stats(t, 5)
-    assert EDGE_STATS_LIMITS[4] == 60
+    assert EDGE_STATS_K4_LIMIT == 60
     # order 61..64 tournaments are constructible but over the k=4 limit
     big = random_tournament(61, 0)
-    with pytest.raises(ExperimentError):
+    with pytest.raises(ValueError, match="for k=4 capped at n <= 60, got 61"):
         edge_copy_stats(big, 4)
     assert edge_copy_stats(big, 3).n == 61
     # a 1-vertex host has no edge to average over, at either k
     for k in (3, 4):
-        with pytest.raises(ExperimentError, match="with an edge"):
+        with pytest.raises(ValueError, match="with an edge"):
             edge_copy_stats(random_tournament(1, 0), k)
     assert edge_copy_stats(random_tournament(2, 0), 3).counts == (0,)
+
+
+def test_handshake_mismatch_is_a_self_check_failure(monkeypatch):
+    real = experiments._edge_splits
+
+    def one_vertex_short(t):
+        splits = real(t)
+        p, a, b, c, d = next(splits)
+        # on TT_n the first edge, 0 -> 1, has every other vertex in c
+        yield p, a, b, c & c - 1, d
+        yield from splits
+
+    monkeypatch.setattr(experiments, "_edge_splits", one_vertex_short)
+    for k in (3, 4):
+        with pytest.raises(AssertionError, match="^edge_copy_stats self-check failed: "):
+            edge_copy_stats(transitive_tournament(6), k)
 
 
 def test_restricted_walk_lists_the_copies_inside_the_allowed_edges():

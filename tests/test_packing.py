@@ -16,7 +16,6 @@ from oracles import (
 from ttpack.constructions import qr7
 from ttpack.packing import (
     Packing,
-    PackingError,
     TTCopy,
     _copies_through_edges,
     _leave_bound,
@@ -450,9 +449,9 @@ def test_verifier_rejects_nontransitive_copy():
 
 def test_rejects_bad_parameters():
     t = transitive_tournament(5)
-    with pytest.raises(PackingError):
+    with pytest.raises(ValueError, match="k must satisfy 3 <= k <= n=5, got 2"):
         max_packing_exact(t, 2)
-    with pytest.raises(PackingError):
+    with pytest.raises(ValueError, match="k must satisfy 3 <= k <= n=5, got 6"):
         max_packing_exact(t, 6)
 
 

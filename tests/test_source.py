@@ -1,6 +1,8 @@
 """Rules over the whole package source."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import ttpack
@@ -15,6 +17,21 @@ def test_package_has_no_bare_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         bare += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert bare == []
+
+
+def test_package_defines_two_exception_classes():
+    # bad input raises plain ValueError, a failed claim PipelineError, and a
+    # failed self-check AssertionError; TournamentFormatError alone adds a
+    # field, the byte offset of the defect
+    defined = {}
+    for info in pkgutil.iter_modules(ttpack.__path__):
+        module = importlib.import_module(f"ttpack.{info.name}")
+        defined.update(
+            (obj.__name__, obj.__bases__)
+            for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+        )
+    assert defined == {"PipelineError": (RuntimeError,), "TournamentFormatError": (ValueError,)}
 
 
 def unused_imports(files) -> list[str]:

@@ -19,7 +19,6 @@ from ttpack.enumeration import enumerate_codes
 from ttpack.tournament import (
     MAX_VERTICES,
     Tournament,
-    TournamentError,
     TournamentFormatError,
     census,
     edge_index,
@@ -104,7 +103,7 @@ def test_tournament_from_code_validates_length():
     assert tournament_from_code("") == Tournament(1, (0,))
     assert tournament_from_code("101").n == 3
     for length in (2, 4, 5, 7):
-        with pytest.raises(TournamentError, match=f"code length {length} "):
+        with pytest.raises(ValueError, match=f"code length {length} "):
             tournament_from_code("1" * length)
 
 
