@@ -5,13 +5,21 @@ solving, verification sweeps, the decomposition pipeline, the rational
 LP step, construction generators, seeded experiments, and triangle
 censuses.  Every JSON report carries the tool and format versions, the
 seed, and an echo of the run configuration, and contains no timestamps,
-so identical invocations produce byte-identical output.
+so identical invocations produce byte-identical output.  The result of
+solve, census, fmin, pipeline, lp and the two experiments is the fields
+of the frozen record the library returns, read by vars() with no copy
+(dataclasses.asdict would deep-copy every int), plus only the keys no
+record holds: value for solve, n and packing_lower_bound for census,
+and mean_covered_fraction for density.  _jsonable alone writes a
+Fraction, as "p/q".
 
 Exit codes: 0 on success, 1 when a verified claim fails to hold, 2 on
-usage errors including malformed input files.  The exception kind alone
-decides: bad input raises ValueError (TournamentFormatError is its one
-subclass), a failed claim raises PipelineError, and a failed self-check
-raises an uncaught AssertionError.
+usage errors including malformed input files and options a command
+would ignore (edge-stats given both --n and --in, construct given --n
+without --turan3).  The exception kind alone decides: bad input raises
+ValueError (TournamentFormatError is its one subclass), a failed claim
+raises PipelineError, and a failed self-check raises an uncaught
+AssertionError.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from .tournament import (
 
 
 def _jsonable(obj):
+    """json.dumps' default hook, and the one place a Fraction becomes "p/q"."""
     if isinstance(obj, Fraction):
         return str(obj)
     raise TypeError(f"not JSON serializable: {obj!r}")
@@ -87,7 +96,7 @@ def _fraction(text: str) -> Fraction:
 
 def _emit(args, result, text_lines=None) -> None:
     config = {
-        key: (str(value) if isinstance(value, Fraction) else value)
+        key: value
         for key, value in sorted(vars(args).items())
         if key not in ("handler", "out", "format") and value is not None
     }
@@ -139,28 +148,15 @@ def _cmd_solve(args) -> int:
     t = _load_tournament(args.infile)
     budget = args.budget_ms / 1000 if args.budget_ms is not None else None
     p = max_packing_exact(t, args.k, time_budget=budget)
-    result = {
-        "n": p.n,
-        "k": p.k,
-        "value": p.value,
-        "optimal": p.optimal,
-        "copies": [list(c) for c in p.copies],
-        "nodes_explored": p.nodes_explored,
-    }
     label = "exact" if p.optimal else "lower bound (budget hit)"
-    _emit(args, result, [f"P_{p.k} = {p.value} ({label})"])
+    _emit(args, {**vars(p), "value": p.value}, [f"P_{p.k} = {p.value} ({label})"])
     return 0
 
 
 def _cmd_census(args) -> int:
     t = _load_tournament(args.infile)
     c = census(t)
-    result = {
-        "n": t.n,
-        "a": c.a,
-        "t": c.t,
-        "packing_lower_bound": str(transitive_triples_lower_bound(max(t.n, 3))),
-    }
+    result = {**vars(c), "n": t.n, "packing_lower_bound": transitive_triples_lower_bound(max(t.n, 3))}
     _emit(args, result, [f"n={t.n} a={c.a} t={c.t}"])
     return 0
 
@@ -188,11 +184,11 @@ def _cmd_verify_conjecture(args) -> int:
         record = f_min(n, cache_dir=args.cache, workers=args.workers)
         target = intra_class_edge_bound(n)
         rows[str(n)] = {
-            "f": record.f_value,
+            "f": record.f,
             "ceiling_formula": target,
             "argmin_classes": len(record.argmin_codes),
         }
-        if record.f_value != target:
+        if record.f != target:
             ok = False
     result = {"max_n": args.max_n, "values": rows, "all_match": ok}
     _emit(args, result, [f"n={n}: f={row['f']} formula={row['ceiling_formula']}" for n, row in rows.items()])
@@ -234,32 +230,15 @@ def _cmd_verify_packing(args) -> int:
 
 def _cmd_fmin(args) -> int:
     record = f_min(args.n, k=args.k, cache_dir=args.cache, workers=args.workers)
-    result = {
-        "n": record.n,
-        "k": record.k,
-        "f": record.f_value,
-        "argmin_codes": list(record.argmin_codes),
-    }
-    _emit(args, result, [f"f({record.n}) = {record.f_value}"])
+    _emit(args, vars(record), [f"f({record.n}) = {record.f}"])
     return 0
 
 
 def _cmd_pipeline(args) -> int:
     t = _load_tournament(args.infile)
     report = decomposition_pipeline(t, trials=args.trials, seed=args.seed, workers=args.workers)
-    result = {
-        "n": report.n,
-        "trials": report.trials,
-        "totals": list(report.totals),
-        "min_total": report.min_total(),
-        "block_value_histogram": report.block_value_histogram,
-        "p1": str(report.p1),
-        "p2": str(report.p2),
-        "p3": str(report.p3),
-        "mean_block_packing": str(report.mean_block_packing),
-        "reference_density": str(report.reference_density),
-    }
-    _emit(args, result, [f"trials={report.trials} min_total={report.min_total()} mean_block={float(report.mean_block_packing):.3f}"])
+    text = f"trials={report.trials} min_total={report.min_total} mean_block={float(report.mean_block_packing):.3f}"
+    _emit(args, vars(report), [text])
     return 0
 
 
@@ -268,18 +247,14 @@ def _cmd_lp(args) -> int:
     # an empty --costs is no costs, as a one-value LP needs
     costs = tuple(map(_fraction, args.costs.split(","))) if args.costs else ()
     res = lp_step(_fraction(args.budget), values, costs)
-    result = {
-        "minimum": str(res.minimum),
-        "argmin": [str(p) for p in res.argmin],
-    }
-    _emit(args, result, [f"minimum={res.minimum} at ({', '.join(str(p) for p in res.argmin)})"])
+    _emit(args, vars(res), [f"minimum={_jsonable(res.minimum)} at ({', '.join(map(_jsonable, res.argmin))})"])
     return 0
 
 
 def _cmd_construct(args) -> int:
+    if (args.kind == "turan3") != (args.n is not None):
+        raise ValueError("--turan3 requires --n" if args.n is None else "--n applies to --turan3 only")
     if args.kind == "turan3":
-        if args.n is None:
-            raise ValueError("--turan3 requires --n")
         t = turan3_tournament(args.n, filler=args.filler, seed=args.seed)
     elif args.kind == "qr7":
         t = qr7()
@@ -308,38 +283,14 @@ def _cmd_experiment_density(args) -> int:
             lines.append(f"{i},{count},{float(frac):.6f}")
         _write_output(args, "\n".join(lines) + "\n")
         return 0
-    result = {
-        "n": report.n,
-        "k": report.k,
-        "trials": report.trials,
-        "improve": report.improve,
-        "copy_counts": list(report.copy_counts),
-        "covered_fractions": [str(f) for f in report.covered_fractions],
-        "mean_covered_fraction": str(sum(report.covered_fractions) / report.trials),
-        "reference_density": str(report.reference_density),
-    }
-    _emit(args, result)
+    _emit(args, {**vars(report), "mean_covered_fraction": sum(report.covered_fractions) / report.trials})
     return 0
 
 
 def _cmd_experiment_edge_stats(args) -> int:
-    if args.infile:
-        t = _load_tournament(args.infile)
-    elif args.n is None:
-        raise ValueError("edge-stats requires --n or --in")
-    else:
-        t = random_tournament(args.n, args.seed)
+    t = _load_tournament(args.infile) if args.n is None else random_tournament(args.n, args.seed)
     stats = edge_copy_stats(t, args.k)
-    result = {
-        "n": stats.n,
-        "k": stats.k,
-        "mean": str(stats.mean),
-        "min": stats.min_count,
-        "max": stats.max_count,
-        "expectation": str(stats.expectation),
-        "counts": list(stats.counts),
-    }
-    _emit(args, result, [f"mean={float(stats.mean):.4f} expectation={float(stats.expectation):.4f}"])
+    _emit(args, vars(stats), [f"mean={float(stats.mean):.4f} expectation={float(stats.expectation):.4f}"])
     return 0
 
 
@@ -490,8 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=_cmd_experiment_density)
 
     def edge_stats(p):
-        p.add_argument("--n", type=int)
-        p.add_argument("--in", dest="infile")
+        hosts = p.add_mutually_exclusive_group(required=True)
+        hosts.add_argument("--n", type=int)
+        hosts.add_argument("--in", dest="infile")
         p.add_argument("--k", type=int, default=3)
         common(p)
         p.set_defaults(handler=_cmd_experiment_edge_stats)

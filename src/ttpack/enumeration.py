@@ -15,9 +15,10 @@ Enumeration is orderly: extend each canonical representative of order n-1 by
 one new vertex, canonicalize, deduplicate.  Of the 2^(n-1) extensions, only
 those whose new vertex has the least key (out-degree, then the sum of its
 out-neighbours' out-degrees) are canonicalized; every class still has such an
-extension (see `_extension_codes`).  Results are cached on disk keyed by
-order and format version, and every list, read or built, must match the
-order's pinned digest in `CLASS_TABLE`.  A code is the text format's
+extension (see `_extension_codes`).  Results are cached on disk in one
+file per order, classes_n{n}.txt, whatever the report format, and every
+list, read or built, must match the order's pinned digest in
+`CLASS_TABLE`.  A code is the text format's
 orientation string, so `tournament.tournament_from_code` decodes it; this
 module encodes only, by `canonical_code`.
 """
@@ -31,7 +32,6 @@ import signal
 from collections.abc import Sequence
 from functools import cache
 
-from . import FORMAT_VERSION
 from .tournament import Tournament, tournament_from_code
 
 MAX_CANONICAL_VERTICES = 10
@@ -222,7 +222,7 @@ def _extension_codes(code: str) -> set[str]:
 
 
 def _cache_path(cache_dir: str, n: int) -> str:
-    return os.path.join(cache_dir, f"classes_n{n}_fmt{FORMAT_VERSION}.txt")
+    return os.path.join(cache_dir, f"classes_n{n}.txt")
 
 
 def _pin(codes: Sequence[str]) -> tuple[int, str]:

@@ -49,8 +49,8 @@ class EdgeCopyStats:
     k: int
     counts: tuple[int, ...]
     mean: Fraction
-    min_count: int
-    max_count: int
+    min: int
+    max: int
     expectation: Fraction
 
 
@@ -113,8 +113,8 @@ def edge_copy_stats(t: Tournament, k: int) -> EdgeCopyStats:
         k=k,
         counts=tuple(counts),
         mean=Fraction(sum(counts), edge_count),
-        min_count=min(counts),
-        max_count=max(counts),
+        min=min(counts),
+        max=max(counts),
         expectation=Fraction(comb(n - 2, k - 2) * factorial(k), 2 ** comb(k, 2)),
     )
 

@@ -87,7 +87,7 @@ class FMinRecord:
 
     n: int
     k: int
-    f_value: int
+    f: int
     argmin_codes: tuple[str, ...]
 
 
@@ -111,17 +111,14 @@ class PipelineReport:
 
     n: int
     trials: int
-    seed: int
     totals: tuple[int, ...]
+    min_total: int
     block_value_histogram: dict[int, int]
     p1: Fraction
     p2: Fraction
     p3: Fraction
     mean_block_packing: Fraction
     reference_density: Fraction
-
-    def min_total(self) -> int:
-        return min(self.totals)
 
 
 def _byte_tables(masks: list[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -324,12 +321,12 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
         seed_value = max_packing_exact(turan3_tournament(n), k).value
         solve = partial(_solve_code, k=k, stop_at=seed_value + 1)
         exact = {code: p for code, (p, optimal) in zip(codes, _pool_map(solve, codes, workers)) if optimal}
-    f_value = min(exact.values())
-    argmin = tuple(sorted(code for code, p in exact.items() if p == f_value))
+    f = min(exact.values())
+    argmin = tuple(sorted(code for code, p in exact.items() if p == f))
     for code in argmin:
-        if _solve_code(code, k) != (f_value, True):
+        if _solve_code(code, k) != (f, True):
             raise PipelineError(f"argmin certification failed for {code}")
-    return FMinRecord(n=n, k=k, f_value=f_value, argmin_codes=argmin)
+    return FMinRecord(n=n, k=k, f=f, argmin_codes=argmin)
 
 
 def induced_expectation_check(t: Tournament, m: int) -> InducedExpectation:
@@ -489,8 +486,8 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
     return PipelineReport(
         n=t.n,
         trials=trials,
-        seed=seed,
         totals=tuple(totals),
+        min_total=min(totals),
         block_value_histogram=dict(sorted(histogram.items())),
         p1=Fraction(regimes[0], blocks_total),
         p2=Fraction(regimes[1], blocks_total),

@@ -68,10 +68,10 @@ def test_criterion_02_minimum_packing_values_meet_formula(cache_dir):
     start = time.monotonic()
     values = {}
     for n in range(3, 8):
-        values[n] = f_min(n, cache_dir=cache_dir, workers=1).f_value
+        values[n] = f_min(n, cache_dir=cache_dir, workers=1).f
     small_elapsed = time.monotonic() - start
     start8 = time.monotonic()
-    values[8] = f_min(8, cache_dir=cache_dir, workers=1).f_value
+    values[8] = f_min(8, cache_dir=cache_dir, workers=1).f
     elapsed8 = time.monotonic() - start8
     expected = {3: 0, 4: 1, 5: 2, 6: 3, 7: 5, 8: 7}
     formula = {n: -(-n * (n - 3) // 6) for n in range(3, 9)}

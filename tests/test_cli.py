@@ -1,10 +1,12 @@
 """End-to-end command behavior: envelopes, exit codes, reproducibility."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,16 @@ from ttpack import DEFAULT_SEED, FORMAT_VERSION, TOOL_VERSION
 from ttpack.cli import build_parser, main
 from ttpack.constructions import qr7
 from ttpack.enumeration import MAX_ENUMERATION_VERTICES, _cache_path, enumerate_codes
-from ttpack.tournament import parse_tournament, serialize_tournament, tournament_from_code
+from ttpack.experiments import DensityReport, EdgeCopyStats
+from ttpack.packing import Packing
+from ttpack.pipeline import FMinRecord, LPResult, PipelineReport
+from ttpack.tournament import (
+    TriangleCensus,
+    parse_tournament,
+    random_tournament,
+    serialize_tournament,
+    tournament_from_code,
+)
 
 ENVELOPE_KEYS = {"config", "format_version", "result", "seed", "tool", "tool_version"}
 
@@ -182,8 +193,31 @@ def test_construct_requires_order_for_turan(capsys):
     assert run(capsys, "construct", "--turan3") == (2, "", "error: --turan3 requires --n\n")
 
 
+@pytest.mark.parametrize("argv", [("--qr7",), ("--blowup", "2")])
+def test_construct_takes_an_order_only_for_turan(capsys, argv):
+    # an --n that the construction would drop is a usage error, not ignored
+    assert run(capsys, "construct", *argv, "--n", "5") == (2, "", "error: --n applies to --turan3 only\n")
+
+
 def test_edge_stats_requires_a_host(capsys):
-    assert run(capsys, "experiment", "edge-stats") == (2, "", "error: edge-stats requires --n or --in\n")
+    code, out, err = run(capsys, "experiment", "edge-stats")
+    assert (code, out) == (2, "")
+    assert err.endswith("ttpack experiment edge-stats: error: one of the arguments --n --in is required\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--n", "60", "--in", "{host}"), "argument --in: not allowed with argument --n"),
+        (("--in", "{host}", "--n", "60"), "argument --n: not allowed with argument --in"),
+    ],
+)
+def test_edge_stats_takes_one_host(capsys, qr7_file, argv, message):
+    # a report on the file must not echo an order it never used
+    argv = [arg.format(host=qr7_file) for arg in argv]
+    code, out, err = run(capsys, "experiment", "edge-stats", *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"ttpack experiment edge-stats: error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -339,14 +373,12 @@ def test_fmin_command(capsys, cache_dir):
 
 
 def test_pipeline_command(capsys, tmp_path):
-    from ttpack.tournament import random_tournament
-
     host = tmp_path / "t49.txt"
     host.write_text(serialize_tournament(random_tournament(49, 7)))
     argv = ("pipeline", "--in", str(host), "--trials", "2", "--seed", "11")
     code, doc, _ = run_json(capsys, *argv)
     assert code == 0
-    assert doc["result"]["min_total"] >= 280
+    assert doc["result"]["min_total"] == min(doc["result"]["totals"]) >= 280
     assert doc["seed"] == 11
     code, pooled, _ = run_json(capsys, *argv, "--workers", "2")
     assert code == 0
@@ -490,3 +522,104 @@ def test_module_entry_point_matches_main(capsys, qr7_file, argv):
         [sys.executable, "-m", "ttpack.cli", *argv], capture_output=True, text=True, env=env, check=False
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
+# The sha256 of stdout for a fixed corpus.  Hosts are relative paths in the
+# working directory and the cache comes from TTPACK_CACHE, so the config
+# echo holds nothing that depends on the machine.
+GOLDEN = {
+    "solve-json": (
+        ("solve", "--in", "qr7.txt"),
+        "551c374b63e732ec9ecea1e966f2814a006b12128f45143b7f60f12a99850c38",
+    ),
+    "solve-text": (
+        ("solve", "--in", "qr7.txt", "--format", "text"),
+        "13c7fddb1bf1039ba84e47b33903e48685d0d40f5d1ed7fff6a18a1fbca489b4",
+    ),
+    "census-json": (
+        ("census", "--in", "qr7.txt"),
+        "261fe4deb9ad5e67fd474bb93fd27a81561557138e7a3824c1d84a3ad297e164",
+    ),
+    "census-text": (
+        ("census", "--in", "qr7.txt", "--format", "text"),
+        "bc6635391558572f8d8286c6a90b8a5db0476fbca1a38f611e595e293c3d7259",
+    ),
+    "lp-order7": (
+        ("lp", "--budget", "35/4"),
+        "0d6d274d5a36851cd022968d2fd12752be6f802a1d3f9ece46f1cb230d143946",
+    ),
+    "lp-order9": (
+        ("lp", "--budget", "21", "--values", "12,11,10,9", "--costs", "7,20,27"),
+        "73e3e611eebd34a124852a48a6a33e1e7d013bfeec93dd563ae08c0ac01576b0",
+    ),
+    "fmin-6": (
+        ("fmin", "--n", "6"),
+        "9a96c7dc4a485bd77651cec2fd949d8b7e72bbbf120aa5aaabccd6a7fd7de4f1",
+    ),
+    "lemma22": (
+        ("verify", "lemma22"),
+        "da758fdfcf189375c4308f4e160b3ba691dbd5d567c93bd497f5246b0dc7de0f",
+    ),
+    "conjecture-6": (
+        ("verify", "conjecture", "--max-n", "6"),
+        "9139771ef48a7619266641a6745a07d56659eba7729a92b683d9b8c356f90968",
+    ),
+    "pipeline-w1": (
+        ("pipeline", "--in", "t49.txt", "--trials", "3", "--seed", "11", "--workers", "1"),
+        "f032edb5de953819ed622916096211b771239e908542477a39d5db9306c295b1",
+    ),
+    "pipeline-w2": (
+        ("pipeline", "--in", "t49.txt", "--trials", "3", "--seed", "11", "--workers", "2"),
+        "f88ebd599d76cfcc5851e9e8f9c84d93236391c5d718055d4d99945808876c4a",
+    ),
+    "density": (
+        ("experiment", "density", "--n", "10", "--trials", "2", "--improve"),
+        "f7eb65934d4d140248582b322573c5936c1ba2d9833a56fde6c3967f3643a86a",
+    ),
+    "edge-stats": (
+        ("experiment", "edge-stats", "--n", "13", "--k", "4"),
+        "25954f4ffe552f1991d1ff060e3a52e15419b2d89aaed070df430e074acb8cdd",
+    ),
+    "enumerate-5": (
+        ("enumerate", "--n", "5"),
+        "1bcdfcf4731d7ef60e2260f83fcd41c99472642fc62598564662f9a93e0032ed",
+    ),
+}
+
+
+@pytest.fixture()
+def in_host_dir(cache_dir, tmp_path, monkeypatch):
+    """Run in a directory holding qr7.txt and t49.txt, with the shared cache from TTPACK_CACHE."""
+    (tmp_path / "qr7.txt").write_text(serialize_tournament(qr7()))
+    (tmp_path / "t49.txt").write_text(serialize_tournament(random_tournament(49, 7)))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TTPACK_CACHE", cache_dir)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_reports_match_their_golden_digests(capsys, in_host_dir, name):
+    argv, digest = GOLDEN[name]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+# Each record-backed report's result is its record's fields, plus these
+# extra keys that no record holds.
+RECORDS = {
+    "solve": (("solve", "--in", "qr7.txt"), Packing, {"value"}),
+    "census": (("census", "--in", "qr7.txt"), TriangleCensus, {"n", "packing_lower_bound"}),
+    "fmin": (("fmin", "--n", "5"), FMinRecord, set()),
+    "pipeline": (("pipeline", "--in", "t49.txt", "--trials", "1"), PipelineReport, set()),
+    "lp": (("lp", "--budget", "35/4"), LPResult, set()),
+    "density": (("experiment", "density", "--n", "9", "--trials", "1"), DensityReport, {"mean_covered_fraction"}),
+    "edge-stats": (("experiment", "edge-stats", "--n", "9"), EdgeCopyStats, set()),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_report_holds_its_record_fields_and_its_extra_keys(capsys, in_host_dir, name):
+    argv, record, extra = RECORDS[name]
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert set(doc["result"]) == {field.name for field in fields(record)} | extra

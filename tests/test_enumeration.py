@@ -208,6 +208,29 @@ def test_cache_round_trip(tmp_path):
     assert header.startswith("count=")
 
 
+def test_a_stale_cache_file_is_neither_read_nor_deleted(cache_dir, tmp_path, monkeypatch):
+    # a file is named by its order alone, so one left under an older name,
+    # here holding the right codes, is never opened and never removed
+    from ttpack import enumeration
+
+    codes = enumerate_codes(7, cache_dir=cache_dir)
+    stale = tmp_path / "classes_n7_fmt1.txt"
+    stale.write_text("".join(f"{code}\n" for code in ("count=456 n=7", *codes)))
+    before = stale.read_bytes()
+    opened = []
+
+    def spy(path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "open", spy, raising=False)
+    assert enumerate_codes(7, cache_dir=str(tmp_path)) == codes
+    assert "classes_n7.txt.tmp" in opened and stale.name not in opened
+    assert stale.read_bytes() == before
+    names = {path.name for path in tmp_path.iterdir()}
+    assert names == {stale.name, *(f"classes_n{n}.txt" for n in range(1, 8))}
+
+
 def test_truncated_cache_is_rebuilt(tmp_path):
     full = enumerate_codes(5, cache_dir=str(tmp_path / "full"))
     body = "".join(code + "\n" for code in full).encode()

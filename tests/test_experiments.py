@@ -62,7 +62,7 @@ def test_handshake_identity_is_exact():
 def test_transitive_host_counts_are_uniform():
     for n in (5, 8):
         stats = edge_copy_stats(transitive_tournament(n), 3)
-        assert stats.min_count == stats.max_count == n - 2
+        assert stats.min == stats.max == n - 2
 
 
 def test_expectation_formula():
