@@ -4,22 +4,24 @@ One executable, `ttpack`, with subcommands for enumeration, exact
 solving, verification sweeps, the decomposition pipeline, the rational
 LP step, construction generators, seeded experiments, and triangle
 censuses.  Every JSON report carries the tool and format versions, the
-seed, and an echo of the run configuration, and contains no timestamps,
-so identical invocations produce byte-identical output.  The result of
-solve, census, fmin, pipeline, lp and the two experiments is the fields
-of the frozen record the library returns, read by vars() with no copy
-(dataclasses.asdict would deep-copy every int), plus only the keys no
-record holds: value for solve, n and packing_lower_bound for census,
-and mean_covered_fraction for density.  _jsonable alone writes a
-Fraction, as "p/q".
+seed (null where no random number is drawn), and an echo of the run
+configuration, and contains no timestamps, so identical invocations
+produce byte-identical output.  The result of solve, census, fmin,
+pipeline, lp and the two experiments is the fields of the frozen record
+the library returns, read by vars() with no copy (dataclasses.asdict
+would deep-copy every int), plus only the keys no record holds: value
+for solve, n and packing_lower_bound for census, and
+mean_covered_fraction for density.  _jsonable alone writes a Fraction,
+as "p/q".
 
 Exit codes: 0 on success, 1 when a verified claim fails to hold, 2 on
 usage errors including malformed input files and options a command
-would ignore (edge-stats given both --n and --in, construct given --n
-without --turan3).  The exception kind alone decides: bad input raises
-ValueError (TournamentFormatError is its one subclass), a failed claim
-raises PipelineError, and a failed self-check raises an uncaught
-AssertionError.
+would ignore: --seed to a command that draws no random number,
+edge-stats given --in with --n or --seed, and construct given --n
+without --turan3, --filler with --qr7, or --seed without --filler
+random.  The exception kind alone decides: bad input raises ValueError
+(TournamentFormatError is its one subclass), a failed claim raises
+PipelineError, and a failed self-check raises an uncaught AssertionError.
 """
 
 from __future__ import annotations
@@ -94,13 +96,13 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _emit(args, result, text_lines=None) -> None:
+def _emit(args, result, text_lines) -> None:
     config = {
         key: value
         for key, value in sorted(vars(args).items())
         if key not in ("handler", "out", "format") and value is not None
     }
-    if getattr(args, "format", "json") == "text" and text_lines is not None:
+    if args.format != "json":
         payload = "\n".join(text_lines) + "\n"
     else:
         doc = {
@@ -254,12 +256,17 @@ def _cmd_lp(args) -> int:
 def _cmd_construct(args) -> int:
     if (args.kind == "turan3") != (args.n is not None):
         raise ValueError("--turan3 requires --n" if args.n is None else "--n applies to --turan3 only")
+    if args.kind == "qr7" and args.filler is not None:
+        raise ValueError("--filler applies to --turan3 and --blowup only")
+    if args.seed is not None and args.filler != "random":
+        raise ValueError("--seed applies to --filler random only")
+    filler, seed = args.filler or "transitive", DEFAULT_SEED if args.seed is None else args.seed
     if args.kind == "turan3":
-        t = turan3_tournament(args.n, filler=args.filler, seed=args.seed)
+        t = turan3_tournament(args.n, filler=filler, seed=seed)
     elif args.kind == "qr7":
         t = qr7()
     else:
-        t = blowup(qr7(), args.factor, filler=args.filler, seed=args.seed)
+        t = blowup(qr7(), args.factor, filler=filler, seed=seed)
     _write_output(args, serialize_tournament(t))
     return 0
 
@@ -277,17 +284,17 @@ def _cmd_design(args) -> int:
 
 def _cmd_experiment_density(args) -> int:
     report = density_experiment(args.n, args.k, args.trials, args.seed, improve=args.improve)
-    if args.format == "csv":
-        lines = ["trial,copies,covered_fraction"]
-        for i, (count, frac) in enumerate(zip(report.copy_counts, report.covered_fractions)):
-            lines.append(f"{i},{count},{float(frac):.6f}")
-        _write_output(args, "\n".join(lines) + "\n")
-        return 0
-    _emit(args, {**vars(report), "mean_covered_fraction": sum(report.covered_fractions) / report.trials})
+    rows = enumerate(zip(report.copy_counts, report.covered_fractions))
+    lines = ["trial,copies,covered_fraction", *(f"{i},{count},{float(frac):.6f}" for i, (count, frac) in rows)]
+    _emit(args, {**vars(report), "mean_covered_fraction": sum(report.covered_fractions) / report.trials}, lines)
     return 0
 
 
 def _cmd_experiment_edge_stats(args) -> int:
+    if args.n is None and args.seed is not None:
+        raise ValueError("--seed applies to --n only")
+    if args.n is not None and args.seed is None:
+        args.seed = DEFAULT_SEED  # config and the envelope echo the seed of an --n host
     t = _load_tournament(args.infile) if args.n is None else random_tournament(args.n, args.seed)
     stats = edge_copy_stats(t, args.k)
     _emit(args, vars(stats), [f"mean={float(stats.mean):.4f} expectation={float(stats.expectation):.4f}"])
@@ -331,12 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
 
-    def common(p, seed=True, cache=False, workers=False, fmt=("json", "text")):
+    def common(p, cache=False, workers=False, fmt=("json", "text")):
         p.add_argument("--out", help="write the report to this path instead of stdout")
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
-        if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if cache:
             p.add_argument("--cache", help="enumeration cache directory (default $TTPACK_CACHE or ./cache)")
         if workers:
@@ -398,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     def pipeline(p):
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--trials", type=_positive_int, default=100)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"random seed (default {DEFAULT_SEED})")
         common(p, workers=True)
         p.set_defaults(handler=_cmd_pipeline)
 
@@ -415,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         kinds.add_argument("--qr7", dest="kind", action="store_const", const="qr7")
         kinds.add_argument("--blowup", dest="factor", type=int, metavar="FACTOR")
         p.add_argument("--n", type=int, help="order for --turan3")
-        p.add_argument("--filler", choices=("transitive", "random"), default="transitive")
+        p.add_argument("--filler", choices=("transitive", "random"), help="intra-class edges (default transitive)")
+        p.add_argument("--seed", type=int, help=f"for --filler random (default {DEFAULT_SEED})")
         common(p, fmt=None)
         p.set_defaults(handler=_cmd_construct, kind=None)
 
@@ -424,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         kinds.add_argument("--fano", dest="kind", action="store_const", const="fano")
         kinds.add_argument("--ag2", dest="kind", action="store_const", const="ag2")
         kinds.add_argument("--all-sts7", dest="kind", action="store_const", const="all-sts7")
-        common(p, seed=False, fmt=None)
+        common(p, fmt=None)
         p.set_defaults(handler=_cmd_design)
 
     def experiment(p):
@@ -437,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=3)
         p.add_argument("--trials", type=_positive_int, default=30)
         p.add_argument("--improve", action="store_true")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"random seed (default {DEFAULT_SEED})")
         common(p, fmt=("json", "csv"))
         p.set_defaults(handler=_cmd_experiment_density)
 
@@ -445,6 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         hosts.add_argument("--n", type=int)
         hosts.add_argument("--in", dest="infile")
         p.add_argument("--k", type=int, default=3)
+        p.add_argument("--seed", type=int, help=f"of the --n host (default {DEFAULT_SEED})")
         common(p)
         p.set_defaults(handler=_cmd_experiment_edge_stats)
 

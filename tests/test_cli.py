@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ttpack
-from oracles import eager_main
+from oracles import EagerSubcommands, eager_main
 from ttpack import DEFAULT_SEED, FORMAT_VERSION, TOOL_VERSION
 from ttpack.cli import build_parser, main
 from ttpack.constructions import qr7
@@ -56,8 +56,12 @@ def test_envelope_shape(capsys, qr7_file):
     assert doc["tool"] == "ttpack"
     assert doc["tool_version"] == TOOL_VERSION
     assert doc["format_version"] == FORMAT_VERSION
-    assert doc["seed"] == DEFAULT_SEED
+    # a census draws no random number, so it has no seed to report
+    assert doc["seed"] is None and "seed" not in doc["config"]
     assert doc["result"]["a"] == 21 and doc["result"]["t"] == 14
+    code, doc, _ = run_json(capsys, "experiment", "edge-stats", "--n", "9")
+    assert code == 0
+    assert doc["seed"] == doc["config"]["seed"] == DEFAULT_SEED
 
 
 def test_census_of_three_cycle(capsys, tmp_path):
@@ -199,6 +203,34 @@ def test_construct_takes_an_order_only_for_turan(capsys, argv):
     assert run(capsys, "construct", *argv, "--n", "5") == (2, "", "error: --n applies to --turan3 only\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--qr7", "--filler", "transitive"), "--filler applies to --turan3 and --blowup only"),
+        (("--qr7", "--filler", "random"), "--filler applies to --turan3 and --blowup only"),
+        (("--qr7", "--filler", "random", "--seed", "5"), "--filler applies to --turan3 and --blowup only"),
+        (("--qr7", "--seed", "5"), "--seed applies to --filler random only"),
+        (("--turan3", "--n", "9", "--seed", "5"), "--seed applies to --filler random only"),
+        (("--turan3", "--n", "9", "--filler", "transitive", "--seed", "5"), "--seed applies to --filler random only"),
+        (("--blowup", "2", "--seed", "1729"), "--seed applies to --filler random only"),
+    ],
+)
+def test_construct_rejects_a_filler_or_seed_it_would_ignore(capsys, tmp_path, argv, message):
+    out = tmp_path / "t.txt"
+    assert run(capsys, "construct", *argv, "--out", str(out)) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("--turan3", "--n", "9"), ("--blowup", "2")])
+def test_construct_defaults_to_the_transitive_filler_and_the_default_seed(capsys, argv):
+    _, transitive, _ = run(capsys, "construct", *argv)
+    assert run(capsys, "construct", *argv, "--filler", "transitive") == (0, transitive, "")
+    _, random, _ = run(capsys, "construct", *argv, "--filler", "random")
+    assert run(capsys, "construct", *argv, "--filler", "random", "--seed", str(DEFAULT_SEED)) == (0, random, "")
+    assert random != transitive
+    assert run(capsys, "construct", *argv, "--filler", "random", "--seed", "5")[1] not in (random, transitive)
+
+
 def test_edge_stats_requires_a_host(capsys):
     code, out, err = run(capsys, "experiment", "edge-stats")
     assert (code, out) == (2, "")
@@ -218,6 +250,16 @@ def test_edge_stats_takes_one_host(capsys, qr7_file, argv, message):
     code, out, err = run(capsys, "experiment", "edge-stats", *argv)
     assert (code, out) == (2, "")
     assert err.endswith(f"ttpack experiment edge-stats: error: {message}\n")
+
+
+@pytest.mark.parametrize("seed", ["5", str(DEFAULT_SEED)])
+def test_edge_stats_takes_a_seed_only_for_a_random_host(capsys, qr7_file, seed):
+    code, out, err = run(capsys, "experiment", "edge-stats", "--in", qr7_file, "--seed", seed)
+    assert (code, out, err) == (2, "", "error: --seed applies to --n only\n")
+    # a report on a file echoes no seed
+    code, doc, _ = run_json(capsys, "experiment", "edge-stats", "--in", qr7_file)
+    assert code == 0
+    assert doc["seed"] is None and "seed" not in doc["config"]
 
 
 @pytest.mark.parametrize(
@@ -462,6 +504,7 @@ PARSER_CORPUS = (
     ("solve",),
     ("verify", "packing", "--in", "host.txt"),
     ("census", "--in", "host.txt", "extra"),
+    ("census", "--in", "host.txt", "--seed", "5"),
     ("experiment", "density", "--n", "9", "--bogus", "1"),
     ("solve", "--in", "host.txt", "--k", "4", "-h"),
     ("verify", "conjecture", "--max-n", "99"),
@@ -483,6 +526,47 @@ def test_deferred_parsers_match_eager_ones(capsys, monkeypatch):
     deferred = outcomes(main)
     assert deferred == outcomes(eager_main)
     assert {rc for _, rc, _, _ in deferred} == {0, 2}
+
+
+# the commands that draw a random number, and so the only ones that take --seed
+SEEDED = {("pipeline",), ("construct",), ("experiment", "density"), ("experiment", "edge-stats")}
+
+
+def leaf_parsers(parser, path=()):
+    """Yield (command path, parser) for each leaf command under parser."""
+    subcommands = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not subcommands:
+        yield path, parser
+    for action in subcommands:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, (*path, name))
+
+
+def test_exactly_the_seeded_commands_take_a_seed(monkeypatch):
+    monkeypatch.setattr("ttpack.cli._Subcommands", EagerSubcommands)
+    options = {
+        path: [action.option_strings[0] for action in parser._actions if action.option_strings and action.dest != "help"]
+        for path, parser in leaf_parsers(build_parser())
+    }
+    assert set(options) == set(LEAVES)
+    assert {path for path, names in options.items() if "--seed" in names} == SEEDED
+    assert sum(map(len, options.values())) == 71
+
+
+@pytest.mark.parametrize("leaf", [leaf for leaf in LEAVES if leaf not in SEEDED and leaf != ("design",)], ids="-".join)
+def test_an_exact_command_rejects_a_seed(capsys, leaf):
+    required = {
+        ("enumerate",): ("--n", "5"),
+        ("solve",): ("--in", "host.txt"),
+        ("census",): ("--in", "host.txt"),
+        ("verify", "design"): ("--in", "design.txt"),
+        ("verify", "packing"): ("--in", "host.txt", "--packing", "solve.json"),
+        ("fmin",): ("--n", "5"),
+        ("lp",): ("--budget", "35/4"),
+    }
+    code, out, err = run(capsys, *leaf, *required.get(leaf, ()), "--seed", "5")
+    assert (code, out) == (2, "")
+    assert err.endswith("ttpack: error: unrecognized arguments: --seed 5\n")
 
 
 @pytest.mark.parametrize(
@@ -524,65 +608,81 @@ def test_module_entry_point_matches_main(capsys, qr7_file, argv):
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
 
 
-# The sha256 of stdout for a fixed corpus.  Hosts are relative paths in the
-# working directory and the cache comes from TTPACK_CACHE, so the config
-# echo holds nothing that depends on the machine.
+# The sha256 of stdout for a fixed corpus, and for a JSON report also the
+# sha256 of its result alone, serialized as _emit serializes it, so a change
+# to the envelope or the config echo cannot move a result unseen.  Hosts are
+# relative paths in the working directory and the cache comes from
+# TTPACK_CACHE, so the config echo holds nothing that depends on the machine.
 GOLDEN = {
     "solve-json": (
         ("solve", "--in", "qr7.txt"),
-        "551c374b63e732ec9ecea1e966f2814a006b12128f45143b7f60f12a99850c38",
+        "2fe077d00a9a0e3500ac7ce8f3c5ce7c2a09fce7163783d5a289daaa5243bd7b",
+        "279542667d5b492c14e144a186f88520ebd3fdd1e7993e8117627fdf11c8a613",
     ),
     "solve-text": (
         ("solve", "--in", "qr7.txt", "--format", "text"),
         "13c7fddb1bf1039ba84e47b33903e48685d0d40f5d1ed7fff6a18a1fbca489b4",
+        None,
     ),
     "census-json": (
         ("census", "--in", "qr7.txt"),
-        "261fe4deb9ad5e67fd474bb93fd27a81561557138e7a3824c1d84a3ad297e164",
+        "7c38d7128dac28b3dc8bf5597996289b29220afed091bcb5a8e81fc638421cdb",
+        "ea468debf607864555da2a4dee1d81238c1c737d6056a1fcb99aa29627991248",
     ),
     "census-text": (
         ("census", "--in", "qr7.txt", "--format", "text"),
         "bc6635391558572f8d8286c6a90b8a5db0476fbca1a38f611e595e293c3d7259",
+        None,
     ),
     "lp-order7": (
         ("lp", "--budget", "35/4"),
-        "0d6d274d5a36851cd022968d2fd12752be6f802a1d3f9ece46f1cb230d143946",
+        "fe74c4a297b2c2a51d83782f8167d70f954f55d80a743bae901866a80be2963d",
+        "367eab74a458726b47390dcfc23f2967611cf1e92bddfa474d43ba9a03695e4b",
     ),
     "lp-order9": (
         ("lp", "--budget", "21", "--values", "12,11,10,9", "--costs", "7,20,27"),
-        "73e3e611eebd34a124852a48a6a33e1e7d013bfeec93dd563ae08c0ac01576b0",
+        "3debb5839a9d959c872409ad04e0a718065eb16de3fdacd5051ced6acae9d78d",
+        "6262c8b37ce8b357775f377f214cad11fc99762ed47168716e8e7895880431fa",
     ),
     "fmin-6": (
         ("fmin", "--n", "6"),
-        "9a96c7dc4a485bd77651cec2fd949d8b7e72bbbf120aa5aaabccd6a7fd7de4f1",
+        "f6568aa60011fb35b3330b547d039e66cd7577272563ddc3c1ac929bf70ddbb1",
+        "de71e70ad2c2c56aa1655e70a5d73d74bd23a0fb1b2073b3195604e05035a2f4",
     ),
     "lemma22": (
         ("verify", "lemma22"),
-        "da758fdfcf189375c4308f4e160b3ba691dbd5d567c93bd497f5246b0dc7de0f",
+        "648f4afca98267e717d0aa448c7f73320a1b20db837c8a29cb31087cde05b4fc",
+        "f716e10b3132b045ec6fcad6c041a0197d267a099886974d6a860dbff8057799",
     ),
     "conjecture-6": (
         ("verify", "conjecture", "--max-n", "6"),
-        "9139771ef48a7619266641a6745a07d56659eba7729a92b683d9b8c356f90968",
+        "ea62dabcb199b8936f70d05a094b4f310334d0858f4ca1848b4581244af38267",
+        "aa60e2725a8f17cccb37533e585d7c7a968481c5d457ece6182f208546b2f88c",
     ),
     "pipeline-w1": (
         ("pipeline", "--in", "t49.txt", "--trials", "3", "--seed", "11", "--workers", "1"),
         "f032edb5de953819ed622916096211b771239e908542477a39d5db9306c295b1",
+        "21619409e63b83b4883b0a0f0abb88764b3f14b0c5050a0fe05543d6825f38d5",
     ),
     "pipeline-w2": (
         ("pipeline", "--in", "t49.txt", "--trials", "3", "--seed", "11", "--workers", "2"),
         "f88ebd599d76cfcc5851e9e8f9c84d93236391c5d718055d4d99945808876c4a",
+        "21619409e63b83b4883b0a0f0abb88764b3f14b0c5050a0fe05543d6825f38d5",
     ),
     "density": (
         ("experiment", "density", "--n", "10", "--trials", "2", "--improve"),
         "f7eb65934d4d140248582b322573c5936c1ba2d9833a56fde6c3967f3643a86a",
+        "70215acd143de81a53336b32883889500dfc0dfc83a1f23735caaa09f942497a",
     ),
     "edge-stats": (
         ("experiment", "edge-stats", "--n", "13", "--k", "4"),
         "25954f4ffe552f1991d1ff060e3a52e15419b2d89aaed070df430e074acb8cdd",
+        "4820c25adb191f15ed230aa151b8179fdd1b126f6af9069e7879aa4d2aa5a2e1",
     ),
     "enumerate-5": (
         ("enumerate", "--n", "5"),
-        "1bcdfcf4731d7ef60e2260f83fcd41c99472642fc62598564662f9a93e0032ed",
+        "15be91d1178a01d995a7de9daff2388f4be916016be51b7f235d23b1431f2569",
+        "c7ffb744e2dd151fc6f5f24e41d49932827a2438445cdbe31013f530f8252263",
     ),
 }
 
@@ -598,10 +698,19 @@ def in_host_dir(cache_dir, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", GOLDEN)
 def test_reports_match_their_golden_digests(capsys, in_host_dir, name):
-    argv, digest = GOLDEN[name]
+    argv, digest, _ = GOLDEN[name]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+@pytest.mark.parametrize("name", [name for name, (_, _, digest) in GOLDEN.items() if digest])
+def test_results_match_their_golden_digests(capsys, in_host_dir, name):
+    argv, _, digest = GOLDEN[name]
+    code, doc, err = run_json(capsys, *argv)
+    assert (code, err) == (0, "")
+    result = json.dumps(doc["result"], sort_keys=True, indent=2)
+    assert hashlib.sha256(result.encode()).hexdigest() == digest, result
 
 
 # Each record-backed report's result is its record's fields, plus these
