@@ -15,12 +15,12 @@ Enumeration is orderly: extend each canonical representative of order n-1 by
 one new vertex, canonicalize, deduplicate.  Of the 2^(n-1) extensions, only
 those whose new vertex has the least key (out-degree, then the sum of its
 out-neighbours' out-degrees) are canonicalized; every class still has such an
-extension (see `_extension_codes`).  Results are cached on disk in one
-file per order, classes_n{n}.txt, whatever the report format, and every
-list, read or built, must match the order's pinned digest in
-`CLASS_TABLE`.  A code is the text format's
-orientation string, so `tournament.tournament_from_code` decodes it; this
-module encodes only, by `canonical_code`.
+extension.  They are listed directly, and their keys found by arithmetic on
+the representative's degrees (see `_extension_codes`).  Results are cached on
+disk in one file per order, classes_n{n}.txt, whatever the report format, and
+every list, read or built, must match the order's pinned digest in
+`CLASS_TABLE`.  A code is the text format's orientation string, so
+`tournament.tournament_from_code` decodes it; this module encodes only.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import secrets
 import signal
 from collections.abc import Sequence
 from functools import cache
+from itertools import combinations
 
 from .tournament import Tournament, tournament_from_code
 
@@ -150,30 +152,20 @@ def _min_code_rows(out: Sequence[int]) -> list[int]:
     return best
 
 
-def canonical_code(t: Tournament) -> str:
-    """Lexicographically minimal serialization over all relabelings.
-
-    The rows have widths n-1, n-2, ..., 0, so folding them into one int,
-    each shifted left by the width of the row after it, gives the code's
-    C(n,2) bits, and one format pads them back to that length.
-    """
-    n = t.n
-    if n > MAX_CANONICAL_VERTICES:
-        raise ValueError(f"canonical form capped at n <= {MAX_CANONICAL_VERTICES}")
+def _code(out: Sequence[int]) -> str:
+    """The canonical code of the tournament with these out-sets: its minimal rows as C(n,2) bits."""
+    n = len(out)
     code = 0
-    for i, row in enumerate(_min_code_rows(t.out)):
+    for i, row in enumerate(_min_code_rows(out)):
         code = (code << (n - 1 - i)) | row
     return format(code, f"0{n * (n - 1) // 2}b") if n > 1 else ""
 
 
-def _degree_sum(nbrs: int, degree: list[int]) -> int:
-    """Sum of degree[w] over the vertices w in the bitset nbrs."""
-    total = 0
-    while nbrs:
-        low = nbrs & -nbrs
-        nbrs ^= low
-        total += degree[low.bit_length() - 1]
-    return total
+def canonical_code(t: Tournament) -> str:
+    """Lexicographically minimal serialization over all relabelings."""
+    if t.n > MAX_CANONICAL_VERTICES:
+        raise ValueError(f"canonical form capped at n <= {MAX_CANONICAL_VERTICES}")
+    return _code(t.out)
 
 
 def _extension_codes(code: str) -> set[str]:
@@ -181,9 +173,7 @@ def _extension_codes(code: str) -> set[str]:
 
     Only extensions whose new vertex has the least key are canonicalized.
     The key of a vertex is (its out-degree, the sum of its out-neighbours'
-    out-degrees), both taken in the extended tournament.  The out-degree is
-    tested first, as it costs nothing: the new vertex has mask.bit_count(),
-    and an old vertex v has deg[v] plus one unless v is in mask.
+    out-degrees), both taken in the extended tournament.
 
     Soundness (McKay's orderly generation, J. Algorithms 26 (1998)): the
     key is an isomorphism invariant.  Every tournament T of order m+1 has a
@@ -192,32 +182,36 @@ def _extension_codes(code: str) -> set[str]:
     isomorphic to T, with the new vertex in the place of v, so its new
     vertex has the least key.  Every class is still reached, and the set of
     canonical codes is unchanged.
+
+    Listing: the new vertex beats mask and has out-degree d = |mask|; an
+    old vertex v ends with deg[v] + 1 - [v in mask].  So no old vertex has
+    a smaller out-degree exactly when d <= min(deg) + 1 and mask is a
+    d-subset of {v : deg[v] >= d}: these are listed, not all 2^m masks.  A
+    tied old vertex is in mask with deg[v] = d or outside it with
+    deg[v] = d - 1.  Its second key is s0[v] - |out(v) & mask|, plus d if
+    outside mask, where s0[v] sums deg[w] + 1 over out(v); the new vertex's
+    sums deg[w] over mask.
     """
-    base = tournament_from_code(code)
-    m = base.n
-    bit = 1 << m  # the added vertex
-    deg = [o.bit_count() for o in base.out]
-    ceiling = min(deg) + 1  # no old vertex gains more than one win
+    out = tournament_from_code(code).out
+    m = len(out)
+    members = _set_tables(m)[0]
+    deg = [o.bit_count() for o in out]
+    s0 = [sum(deg[w] + 1 for w in members[o]) for o in out]
+    low = min(deg)
     codes: set[str] = set()
-    for mask in range(1 << m):
-        d = mask.bit_count()
-        if d > ceiling:
-            continue
-        # the new vertex beats mask; every other old vertex gains a win over it
-        degree = [deg[v] + 1 - (mask >> v & 1) for v in range(m)]
-        least = min(degree)
-        if d > least:
-            continue
-        out = [o if mask >> v & 1 else o | bit for v, o in enumerate(base.out)]
-        if d == least:
-            degree.append(d)
-            own = _degree_sum(mask, degree)
-            if any(
-                degree[v] == d and _degree_sum(out[v], degree) < own for v in range(m)
-            ):
-                continue
-        out.append(mask)
-        codes.add(canonical_code(Tournament(m + 1, tuple(out))))
+    for d in range(low + 2):
+        beside = [(v, s0[v] + d) for v in range(m) if deg[v] == d - 1]  # tied, outside mask
+        for bits in combinations([1 << v for v in range(m) if deg[v] >= d], d):
+            mask = sum(bits)
+            if d >= low:  # below min(deg), no old vertex ties
+                vs = members[mask]
+                own = sum(deg[v] for v in vs)
+                tied = [(v, s0[v]) for v in vs if deg[v] == d] + beside
+                if any(key - (out[v] & mask).bit_count() < own for v, key in tied):
+                    continue
+            ext = [o if mask >> v & 1 else o | 1 << m for v, o in enumerate(out)]
+            ext.append(mask)
+            codes.add(_code(ext))
     return codes
 
 
@@ -248,12 +242,18 @@ def _read_cache(path: str, n: int) -> list[str] | None:
 
 
 def _write_cache(path: str, n: int, codes: list[str]) -> None:
+    """Write through a temp file of this call's own, so builders sharing a directory never collide."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(f"count={len(codes)} n={n}\n")
-        fh.writelines(c + "\n" for c in codes)
-    os.replace(tmp, path)
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, "x", encoding="ascii")
+    try:
+        with fh:
+            fh.write(f"count={len(codes)} n={n}\n")
+            fh.writelines(c + "\n" for c in codes)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def resolve_cache_dir(cache_dir: str | None = None) -> str:

@@ -37,6 +37,19 @@ def brute_force_canonical_code(t: Tournament) -> str:
     )
 
 
+def extensions(code: str) -> list[Tournament]:
+    """All 2^m one-vertex extensions of the order-m class `code`, by mask.
+
+    The new vertex m beats the old vertices in mask and loses to the rest.
+    """
+    base = tournament_from_code(code)
+    m = base.n
+    return [
+        Tournament(m + 1, tuple(o if mask >> v & 1 else o | 1 << m for v, o in enumerate(base.out)) + (mask,))
+        for mask in range(1 << m)
+    ]
+
+
 def all_extension_codes(codes, m: int) -> set[str]:
     """Canonical codes of every one-vertex extension of the order-m classes `codes`.
 
@@ -45,13 +58,23 @@ def all_extension_codes(codes, m: int) -> set[str]:
     of each order.  It uses the library's canonical code, which the other
     oracles check, so agreement tests which extensions the library skips.
     """
-    out = set()
-    for code in codes:
-        base = tournament_from_code(code)
-        for mask in range(1 << m):
-            rows = tuple(o if mask >> v & 1 else o | 1 << m for v, o in enumerate(base.out))
-            out.add(canonical_code(Tournament(m + 1, rows + (mask,))))
-    return out
+    return {canonical_code(t) for code in codes for t in extensions(code)}
+
+
+def least_key_extensions(code: str) -> list[Tournament]:
+    """The extensions of the class `code` whose new vertex has the least key.
+
+    The key of a vertex is (its out-degree, the sum of its out-neighbours'
+    out-degrees), both read off the edge relation of the extended
+    tournament; every one of the 2^m extensions is built and tested.
+    """
+    kept = []
+    for t in extensions(code):
+        beaten = [[w for w in range(t.n) if beats(t, v, w)] for v in range(t.n)]
+        keys = [(len(ws), sum(len(beaten[w]) for w in ws)) for ws in beaten]
+        if keys[-1] == min(keys):
+            kept.append(t)
+    return kept
 
 
 def triangle_counts(t: Tournament) -> tuple[int, int]:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from oracles import (
     brute_force_canonical_code,
     enumerate_nonisomorphic,
     labeled_count_with_score,
+    least_key_extensions,
     oracle_canonical_code,
     scores_with_triangle_count,
 )
@@ -67,42 +69,61 @@ def test_order_eight_classes(cache_dir):
 
 
 def test_cold_build_canonicalizes_only_least_key_extensions(tmp_path, monkeypatch):
+    # One cold build of orders 1-8.  It makes 8,619 labelings, where
+    # canonicalizing every extension would take 62,422.  The labeling search
+    # is the one function nested in _min_code_rows, and each of its calls is
+    # one node of the search tree; the count is the same on every machine.
+    # README states both figures.
     from ttpack import enumeration
 
-    calls = Counter()
     original = enumeration._min_code_rows
+    (search,) = [c for c in original.__code__.co_consts if isinstance(c, CodeType)]
+    labelings = Counter()
+    searches = 0
 
     def counting(out):
-        calls[len(out)] += 1
+        labelings[len(out)] += 1
         return original(out)
 
-    monkeypatch.setattr(enumeration, "_min_code_rows", counting)
-    enumerate_codes(8, cache_dir=str(tmp_path), workers=1)
-    # 8,619 calls in all; canonicalizing every extension would take 62,422
-    assert calls == {2: 1, 3: 2, 4: 6, 5: 14, 6: 81, 7: 573, 8: 7942}
-
-
-def test_cold_build_search_calls(tmp_path):
-    # The labeling search is the one function nested in _min_code_rows, and
-    # each of its calls is one node of the search tree; the count is the same
-    # on every machine.  README states 67,152 calls for orders 1-8.
-    from ttpack import enumeration
-
-    (search,) = [c for c in enumeration._min_code_rows.__code__.co_consts if isinstance(c, CodeType)]
-    calls = 0
-
     def count(frame, event, arg):
-        nonlocal calls
+        nonlocal searches
         if event == "call" and frame.f_code is search:
-            calls += 1
+            searches += 1
 
+    monkeypatch.setattr(enumeration, "_min_code_rows", counting)
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        enumerate_codes(7, cache_dir=str(tmp_path), workers=1)
+        enumerate_codes(8, cache_dir=str(tmp_path), workers=1)
     finally:
         sys.setprofile(previous)
-    assert calls == 5040
+    assert labelings == {2: 1, 3: 2, 4: 6, 5: 14, 6: 81, 7: 573, 8: 7942}
+    assert searches == 67152
+
+
+def test_extension_codes_match_the_least_key_oracle(cache_dir, monkeypatch):
+    # the listed masks are exactly those the filter over all 2^m masks admits
+    from ttpack import enumeration
+
+    codes = [code for n in range(1, 8) for code in enumerate_codes(n, cache_dir=cache_dir)]
+    assert len(codes) == 532
+    original = enumeration._min_code_rows
+    labeled = []
+
+    def recording(out):
+        labeled.append(tuple(out))
+        return original(out)
+
+    monkeypatch.setattr(enumeration, "_min_code_rows", recording)
+    total = 0
+    for code in codes:
+        labeled.clear()
+        got = enumeration._extension_codes(code)
+        admitted = least_key_extensions(code)
+        assert sorted(labeled) == sorted(t.out for t in admitted), code
+        assert got == {canonical_code(t) for t in admitted}, code
+        total += len(admitted)
+    assert total == 8619
 
 
 def test_codes_are_canonical_sorted_and_distinct(cache_dir):
@@ -225,10 +246,44 @@ def test_a_stale_cache_file_is_neither_read_nor_deleted(cache_dir, tmp_path, mon
 
     monkeypatch.setattr(enumeration, "open", spy, raising=False)
     assert enumerate_codes(7, cache_dir=str(tmp_path)) == codes
-    assert "classes_n7.txt.tmp" in opened and stale.name not in opened
+    # the build wrote through a temp file of its own
+    assert any(re.fullmatch(r"classes_n7\.txt\.[0-9a-f]{16}\.tmp", name) for name in opened)
+    assert stale.name not in opened
     assert stale.read_bytes() == before
     names = {path.name for path in tmp_path.iterdir()}
     assert names == {stale.name, *(f"classes_n{n}.txt" for n in range(1, 8))}
+
+
+def test_cache_writers_sharing_a_directory_do_not_collide(tmp_path, monkeypatch):
+    # a second writer of the same file runs to the end inside the first's
+    # rename; each renames its own temp file, so both succeed
+    from ttpack import enumeration
+
+    codes = list(enumerate_codes(5, cache_dir=str(tmp_path / "source")))
+    path = _cache_path(str(tmp_path / "shared"), 5)
+    original = os.replace
+    renamed = []
+
+    def replace(src, dst):
+        renamed.append(src)
+        if len(renamed) == 1:
+            enumeration._write_cache(path, 5, codes)
+        original(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    enumeration._write_cache(path, 5, codes)
+    assert len(set(renamed)) == 2
+    assert enumeration._read_cache(path, 5) == codes
+    assert os.listdir(tmp_path / "shared") == ["classes_n5.txt"]
+
+
+def test_a_failed_cache_write_leaves_no_temp_file(tmp_path):
+    from ttpack import enumeration
+
+    path = _cache_path(str(tmp_path), 2)
+    with pytest.raises(UnicodeEncodeError):
+        enumeration._write_cache(path, 2, ["\u00e9"])
+    assert os.listdir(tmp_path) == []
 
 
 def test_truncated_cache_is_rebuilt(tmp_path):

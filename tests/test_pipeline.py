@@ -733,7 +733,8 @@ def test_pipeline_block_values_match_exact_class_solves(monkeypatch, host):
     monkeypatch.setattr(pipeline, "_pipeline_trial", recording_trial)
     monkeypatch.setattr(pipeline, "verify_packing", recording_verify)
     monkeypatch.setattr(pipeline, "max_packing_exact", counting(solver_calls, max_packing_exact))
-    monkeypatch.setattr(enumeration, "canonical_code", counting(labeling_calls, canonical_code))
+    # every labeling, by whatever name it is reached, runs _min_code_rows
+    monkeypatch.setattr(enumeration, "_min_code_rows", counting(labeling_calls, enumeration._min_code_rows))
     t = GATE_HOSTS[host]()
     blocks = ag2_lines(7).blocks
     trials = 4

@@ -189,6 +189,9 @@ UNREAD_BY_DESIGN = {
     ("pipeline", "induced_expectation_check"),
     # the benchmark's pipeline49 workload builds its transitive host with it
     ("tournament", "transitive_tournament"),
+    # the capped labeling of a whole tournament; the enumeration labels
+    # each extension's out-sets through the same encoder, `_code`
+    ("enumeration", "canonical_code"),
 }
 
 
