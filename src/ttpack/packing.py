@@ -164,10 +164,11 @@ def enumerate_copies(t: Tournament, k: int, deadline: float | None = None) -> Co
 
 @lru_cache(maxsize=None)
 def _vertex_edge_masks(n: int) -> tuple[int, ...]:
-    """Per vertex, the bitmask of the n-1 unordered-pair indices at it."""
-    return tuple(
-        sum(1 << edge_index(n, u, v) for u in range(n) if u != v) for v in range(n)
-    )
+    """Per vertex, the bitmask of the n-1 unordered-pair indices at it.
+
+    Row v of _pair_bits(n) holds those pairs' bits, each once, and 0 at v.
+    """
+    return tuple(map(sum, _pair_bits(n)))
 
 
 def _leave_bound(coverable: int, n: int, k: int) -> int:
@@ -222,13 +223,7 @@ def _copies_through_edges(masks: list[int], n: int, deadline: float | None) -> l
     return [int.from_bytes(row, "little") for row in rows]
 
 
-def max_packing_exact(
-    t: Tournament,
-    k: int,
-    time_budget: float | None = None,
-    *,
-    stop_at: int | None = None,
-) -> Packing:
+def max_packing_exact(t: Tournament, k: int, time_budget: float | None = None) -> Packing:
     """Maximum edge-disjoint packing by branch-and-bound over edges.
 
     A node's state is one bitset, `live`, over copy indices: the copies
@@ -274,9 +269,8 @@ def max_packing_exact(
     node after its greedy completion, and at every round of the hitting
     set that runs.  A budget spent before the bitsets are built returns
     the empty packing; after that, the root's greedy completion counts.
-    stop_at aborts as soon as the incumbent reaches the threshold, again
-    with optimal=False; callers that only need "value >= stop_at or exact
-    value below it" use this.
+    The budget is the only stop: with none, the search runs to completion
+    and the result is optimal.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
     n = t.n
@@ -313,7 +307,7 @@ def max_packing_exact(
         return found
 
     def dfs(live: int, chosen: list[int], edges: list[int]) -> None:
-        nonlocal best, best_members, nodes, aborted
+        nonlocal best, best_members, nodes
         nodes += 1
         greedy = list(chosen)
         rest = live
@@ -324,9 +318,6 @@ def max_packing_exact(
         if len(greedy) > best:
             best = len(greedy)
             best_members = tuple(greedy)
-            if stop_at is not None and best >= stop_at:
-                aborted = True
-                return
         if out_of_time():
             return
         counts = [(live & edge_copies[e]).bit_count() for e in edges]

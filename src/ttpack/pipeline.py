@@ -22,7 +22,6 @@ from itertools import combinations
 from math import comb
 from operator import itemgetter
 
-from .constructions import turan3_tournament
 from .designs import _orbit, ag2_lines, all_sts7, verify_design
 from .enumeration import MAX_ENUMERATION_VERTICES, _pool_map, enumerate_codes
 from .packing import Packing, max_packing_exact, verify_packing
@@ -180,13 +179,13 @@ def _cyclic_mask(n: int, bits: int) -> int:
     return ~(ij ^ jk) & (ij ^ ik)
 
 
-def _solve_code(code: str, k: int, stop_at: int | None = None) -> tuple[int, bool]:
-    """(value, optimal) of the class with this code, solved at this stop_at and verified here."""
+def _solve_code(code: str, k: int) -> int:
+    """Exact packing value of the class with this code, solved with no budget and verified here."""
     t = tournament_from_code(code)
-    p = max_packing_exact(t, k, stop_at=stop_at)
+    p = max_packing_exact(t, k)
     if not verify_packing(t, p):
         raise PipelineError(f"class {code} has a packing of {p.value} copies that fails verification")
-    return p.value, p.optimal
+    return p.value
 
 
 @lru_cache(maxsize=None)
@@ -305,26 +304,26 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     (see _max_packings), and a class's packing is the lines of an entry
     that its cyclic mask misses, one AND, so each line is transitive on
     the class: together the facts verify_packing checks.  At any other
-    k, a seed upper bound comes from one explicit host (the 3-class
-    construction), every class is solved by _solve_code with stop_at one
-    above it, and a class whose solve stops there is no minimum.  At
-    every k each argmin class is solved again with no threshold, and
-    must come back exact at the minimum.  No class is censused.
+    k, every class is solved exactly by _solve_code, its packing verified
+    in the worker that solved it.  At every k each argmin class is solved
+    again, and must come back at the minimum.  No class is censused.  Both
+    n and k are checked before the class list is built.
     """
     if not 3 <= n <= MAX_ENUMERATION_VERTICES:
         raise ValueError(f"minimum packing sweep supports 3 <= n <= {MAX_ENUMERATION_VERTICES}, got {n}")
+    if not 3 <= k <= n:
+        raise ValueError(f"k must satisfy 3 <= k <= n={n}, got {k}")
     codes = enumerate_codes(n, cache_dir=cache_dir, workers=workers)
     if k == 3:
         _max_packings(n)  # built here, so forked workers inherit it
-        exact = dict(zip(codes, _pool_map(partial(_scan_value, n), codes, workers)))
+        value = partial(_scan_value, n)
     else:
-        seed_value = max_packing_exact(turan3_tournament(n), k).value
-        solve = partial(_solve_code, k=k, stop_at=seed_value + 1)
-        exact = {code: p for code, (p, optimal) in zip(codes, _pool_map(solve, codes, workers)) if optimal}
+        value = partial(_solve_code, k=k)
+    exact = dict(zip(codes, _pool_map(value, codes, workers)))
     f = min(exact.values())
     argmin = tuple(sorted(code for code, p in exact.items() if p == f))
     for code in argmin:
-        if _solve_code(code, k) != (f, True):
+        if _solve_code(code, k) != f:
             raise PipelineError(f"argmin certification failed for {code}")
     return FMinRecord(n=n, k=k, f=f, argmin_codes=argmin)
 

@@ -414,6 +414,13 @@ def test_fmin_command(capsys, cache_dir):
     assert doc["result"]["f"] == 2
 
 
+@pytest.mark.parametrize("n, k", [(8, 9), (5, 2)])
+def test_fmin_rejects_k_before_listing_any_class(capsys, tmp_path, n, k):
+    error = f"error: k must satisfy 3 <= k <= n={n}, got {k}\n"
+    assert run(capsys, "fmin", "--n", str(n), "--k", str(k), "--cache", str(tmp_path)) == (2, "", error)
+    assert not list(tmp_path.iterdir())
+
+
 def test_pipeline_command(capsys, tmp_path):
     host = tmp_path / "t49.txt"
     host.write_text(serialize_tournament(random_tournament(49, 7)))
@@ -648,6 +655,11 @@ GOLDEN = {
         ("fmin", "--n", "6"),
         "f6568aa60011fb35b3330b547d039e66cd7577272563ddc3c1ac929bf70ddbb1",
         "de71e70ad2c2c56aa1655e70a5d73d74bd23a0fb1b2073b3195604e05035a2f4",
+    ),
+    "fmin-7-k4": (
+        ("fmin", "--n", "7", "--k", "4"),
+        "79558b13b4b862458bad8523192c9ab58ac3824df08e2a99f119fa7d602fb3e7",
+        "a1357fe9318859634abbc4d64d62f3c49b71bbf08e51a272f38bb48c5cbbf90c",
     ),
     "lemma22": (
         ("verify", "lemma22"),

@@ -316,33 +316,41 @@ def test_f_min_pool_does_not_carry_over_to_another_k(cache_dir):
     assert f_min(7, k=4, cache_dir=cache_dir).f == min(values)
 
 
-def test_f_min_solve_count_at_order_8(cache_dir, monkeypatch):
-    # at k=3 no class is solved: the only solves are the 8 argmin
-    # re-solves, with no threshold, and a second call repeats them exactly
+def counted_solves(monkeypatch):
+    """The (optimal, nodes) of each solve pipeline makes from here on."""
     solves = []
     original = pipeline.max_packing_exact
 
     def counting(t, k, **kwargs):
         p = original(t, k, **kwargs)
-        solves.append((kwargs.get("stop_at"), p.nodes_explored))
+        solves.append((p.optimal, p.nodes_explored))
         return p
 
     monkeypatch.setattr(pipeline, "max_packing_exact", counting)
+    return solves
+
+
+def test_f_min_solve_count_at_order_8(cache_dir, monkeypatch):
+    # at k=3 no class is solved: the only solves are the 8 argmin
+    # re-solves, each exact, and a second call repeats them exactly
+    solves = counted_solves(monkeypatch)
     for _ in range(2):
         solves.clear()
         record = f_min(8, cache_dir=cache_dir)
         assert (len(solves), len(record.argmin_codes)) == (8, 8)
-        assert {stop_at for stop_at, _ in solves} == {None}
+        assert all(optimal for optimal, _ in solves)
         assert sum(nodes for _, nodes in solves) == 36
 
 
-def test_f_min_rejects_a_stopped_packing_that_fails_verification(cache_dir, monkeypatch):
-    # at k=4 a class solve that stops at the threshold must pass
-    # verify_packing too; order 4 is the one order where a class stops
-    original = pipeline.verify_packing
-    monkeypatch.setattr(pipeline, "verify_packing", lambda t, p: p.optimal and original(t, p))
-    with pytest.raises(PipelineError, match="^class 000000 has a packing of 1 copies that fails verification$"):
-        f_min(4, k=4, cache_dir=cache_dir)
+@pytest.mark.parametrize("n, k, count, nodes", [(6, 5, 91, 91), (7, 4, 457, 1955)])
+def test_f_min_solves_each_class_once_above_k3(cache_dir, monkeypatch, n, k, count, nodes):
+    # one exact solve per class and one re-solve per argmin class, and no
+    # other host is solved
+    solves = counted_solves(monkeypatch)
+    record = f_min(n, k=k, cache_dir=cache_dir)
+    assert len(solves) == len(enumerate_codes(n, cache_dir=cache_dir)) + len(record.argmin_codes) == count
+    assert all(optimal for optimal, _ in solves)
+    assert sum(nodes for _, nodes in solves) == nodes
 
 
 def test_f_min_verifies_every_packing_it_solves(cache_dir, monkeypatch):
@@ -359,11 +367,15 @@ def test_f_min_verifies_every_packing_it_solves(cache_dir, monkeypatch):
     assert (len(verified), sum(verified)) == (8, 8)
 
 
-def test_f_min_rejects_an_exact_packing_that_fails_verification(cache_dir, monkeypatch):
+@pytest.mark.parametrize("k, workers", [(3, 1), (4, 1), (4, 2)])
+def test_f_min_rejects_an_exact_packing_that_fails_verification(cache_dir, monkeypatch, k, workers):
+    # at k=3 the exact packings are the argmin re-solves; at k=4 every
+    # class is solved exactly, and its packing is verified in the worker
+    # that solved it
     original = pipeline.verify_packing
     monkeypatch.setattr(pipeline, "verify_packing", lambda t, p: not p.optimal and original(t, p))
     with pytest.raises(PipelineError, match="class [01]+ has a packing of [0-9]+ copies that fails verification") as e:
-        f_min(7, cache_dir=cache_dir)
+        f_min(7, k=k, cache_dir=cache_dir, workers=workers)
     assert str(e.value).split()[1] in enumerate_codes(7, cache_dir=cache_dir)
 
 
