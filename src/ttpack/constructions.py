@@ -5,11 +5,13 @@ are all directed triangles (upper bound for the minimum triple-packing
 number), the rotational 7-vertex tournament with out-neighbor offsets
 {1,2,4} (the unique 7-vertex tournament without a transitive 4-subset),
 and vertex blow-ups that replicate a base orientation across classes.
+The 3-class construction is itself the blow-up of the directed triangle,
+so it and blowup share one builder, _blow_up.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations, product
 
 from .rng import coin
 from .tournament import MAX_VERTICES, Tournament, edge_index, is_transitive_on
@@ -37,53 +39,54 @@ def turan3_class_sizes(n: int) -> tuple[int, int, int]:
     return ((n + 2) // 3, (n + 1) // 3, n // 3)
 
 
-def _fill_intra(n: int, members: list[int], filler: str, seed: int, out: list[int]) -> None:
-    for u, v in combinations(members, 2):
-        if filler == "transitive" or coin(seed, edge_index(n, u, v)):
-            out[u] |= 1 << v
-        else:
-            out[v] |= 1 << u
+def _blow_up(base: Tournament, sizes: tuple[int, ...], filler: str, seed: int) -> Tournament:
+    """Replace base vertex v by a run of sizes[v] consecutive vertices, in base order.
+
+    Edges between distinct classes copy the base orientation.  Edges
+    inside a class follow the filler rule: "transitive" by ascending
+    index, or "random" by coin(seed, edge_index(n, x, y)) per pair.
+    """
+    if filler not in FILLERS:
+        raise ValueError(f"unknown filler {filler!r}, expected one of {FILLERS}")
+    n = sum(sizes)
+    starts = tuple(accumulate(sizes, initial=0))
+    spans = [((1 << size) - 1) << a for a, size in zip(starts, sizes)]
+    out = [0] * n
+    for v, (a, b) in enumerate(zip(starts, starts[1:])):
+        cross = sum(span for u, span in enumerate(spans) if base.has_edge(v, u))
+        for x in range(a, b):
+            out[x] |= cross
+            for y in range(x + 1, b):
+                if filler == "transitive" or coin(seed, edge_index(n, x, y)):
+                    out[x] |= 1 << y
+                else:
+                    out[y] |= 1 << x
+    return Tournament(n, tuple(out))
 
 
 def turan3_tournament(n: int, filler: str = "transitive", seed: int = 0) -> Tournament:
     """Balanced 3-class tournament whose classes beat each other cyclically.
 
-    Every edge between distinct classes points from class i to class i+1
-    (mod 3), so each triple meeting all three classes is a directed
-    triangle; any other cross orientation would leave transitive triples
-    spanning three classes and lose the packing upper bound, which is why
-    this orientation is fixed rather than configurable.  Edges inside a
-    class follow the filler rule ("transitive" by ascending index, or
-    "random" seeded per pair).  The number of intra-class edges equals
+    This is the blow-up of the directed triangle 0 -> 1 -> 2 -> 0 with
+    class sizes turan3_class_sizes(n).  Every edge between distinct
+    classes points from class i to class i+1 (mod 3), so each triple
+    meeting all three classes is a directed triangle; any other cross
+    orientation would leave transitive triples spanning three classes
+    and lose the packing upper bound, which is why this orientation is
+    fixed rather than configurable.  Edges inside a class follow the
+    filler rule ("transitive" by ascending index, or "random" seeded per
+    pair).  The number of intra-class edges equals
     intra_class_edge_bound(n), and that count caps the triple-packing
     number because every transitive triple must use an intra-class edge.
     """
     if not 3 <= n <= MAX_VERTICES:
         raise ValueError(f"n must be between 3 and {MAX_VERTICES}, got {n}")
-    if filler not in FILLERS:
-        raise ValueError(f"unknown filler {filler!r}, expected one of {FILLERS}")
-    sizes = turan3_class_sizes(n)
-    cls = [0] * n
-    start = 0
-    for i, s in enumerate(sizes):
-        for v in range(start, start + s):
-            cls[v] = i
-        start += s
-    out = [0] * n
-    for u in range(n):
-        for v in range(n):
-            if cls[v] - cls[u] in (1, -2):
-                out[u] |= 1 << v
-    for i in range(3):
-        _fill_intra(n, [v for v in range(n) if cls[v] == i], filler, seed, out)
-    t = Tournament(n, tuple(out))
-    for a, b, c in combinations(range(n), 3):
-        if cls[a] != cls[b] != cls[c] != cls[a]:
-            # one vertex per class: must be a 3-cycle
-            if is_transitive_on(t, (a, b, c)):
-                raise AssertionError(
-                    f"turan3 self-check failed: cross-class triple {(a, b, c)} is transitive"
-                )
+    a, b, _ = sizes = turan3_class_sizes(n)
+    t = _blow_up(Tournament(3, (0b010, 0b100, 0b001)), sizes, filler, seed)
+    # one vertex per class: must be a 3-cycle
+    for vs in product(range(a), range(a, a + b), range(a + b, n)):
+        if is_transitive_on(t, vs):
+            raise AssertionError(f"turan3 self-check failed: cross-class triple {vs} is transitive")
     return t
 
 
@@ -108,22 +111,10 @@ def blowup(base: Tournament, factor: int, filler: str = "transitive", seed: int 
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
-    if filler not in FILLERS:
-        raise ValueError(f"unknown filler {filler!r}, expected one of {FILLERS}")
     n = base.n * factor
     if n > MAX_VERTICES:
         raise ValueError(f"blow-up has {n} vertices, limit is {MAX_VERTICES}")
-    out = [0] * n
-    for u in range(base.n):
-        for v in range(base.n):
-            if base.has_edge(u, v):
-                row = ((1 << factor) - 1) << (v * factor)
-                for i in range(factor):
-                    out[u * factor + i] |= row
-    for v in range(base.n):
-        members = list(range(v * factor, (v + 1) * factor))
-        _fill_intra(n, members, filler, seed, out)
-    t = Tournament(n, tuple(out))
+    t = _blow_up(base, (factor,) * base.n, filler, seed)
     base_quads = combinations(range(base.n), 4)
     if n <= 20 and not any(is_transitive_on(base, vs) for vs in base_quads):
         for vs in combinations(range(n), 4):

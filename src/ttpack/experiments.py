@@ -32,9 +32,6 @@ __all__ = [
     "improve_packing",
 ]
 
-# k = 3 needs no cap of its own: no Tournament has more than 64 vertices
-EDGE_STATS_K4_LIMIT = 60
-
 
 @dataclass(frozen=True)
 class EdgeCopyStats:
@@ -71,8 +68,6 @@ def edge_copy_stats(t: Tournament, k: int) -> EdgeCopyStats:
     """Count the transitive k-subsets through every edge of the host."""
     if k not in (3, 4):
         raise ValueError(f"edge statistics support k in (3, 4), got {k}")
-    if k == 4 and t.n > EDGE_STATS_K4_LIMIT:
-        raise ValueError(f"edge statistics for k=4 capped at n <= {EDGE_STATS_K4_LIMIT}, got {t.n}")
     if t.n < 2:
         raise ValueError(f"edge statistics need a host with an edge, got n={t.n}")
     n, out = t.n, t.out

@@ -306,7 +306,8 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     the class: together the facts verify_packing checks.  At any other
     k, every class is solved exactly by _solve_code, its packing verified
     in the worker that solved it.  At every k each argmin class is solved
-    again, and must come back at the minimum.  No class is censused.  Both
+    again by _solve_code, in the same pool, and must come back at the
+    minimum.  No class is censused.  Both
     n and k are checked before the class list is built.
     """
     if not 3 <= n <= MAX_ENUMERATION_VERTICES:
@@ -322,8 +323,8 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     exact = dict(zip(codes, _pool_map(value, codes, workers)))
     f = min(exact.values())
     argmin = tuple(sorted(code for code, p in exact.items() if p == f))
-    for code in argmin:
-        if _solve_code(code, k) != f:
+    for code, again in zip(argmin, _pool_map(partial(_solve_code, k=k), argmin, workers)):
+        if again != f:
             raise PipelineError(f"argmin certification failed for {code}")
     return FMinRecord(n=n, k=k, f=f, argmin_codes=argmin)
 

@@ -696,6 +696,26 @@ GOLDEN = {
         "15be91d1178a01d995a7de9daff2388f4be916016be51b7f235d23b1431f2569",
         "c7ffb744e2dd151fc6f5f24e41d49932827a2438445cdbe31013f530f8252263",
     ),
+    "construct-turan3-49": (
+        ("construct", "--turan3", "--n", "49"),
+        "41262f1451dfbbab48eeb2d97f84252e8d1836b066737c5dbc9193a4f8bd8c7d",
+        None,
+    ),
+    "construct-turan3-random": (
+        ("construct", "--turan3", "--n", "10", "--filler", "random", "--seed", "5"),
+        "ebeb2bb02dd3f36489502263cb102fffdf184b49d2c914e0b4b74f7516e1e615",
+        None,
+    ),
+    "construct-blowup-2": (
+        ("construct", "--blowup", "2"),
+        "48da016c5a81a2572b64170a38cdba36a0fab733e30ee605c064eaf0c2245679",
+        None,
+    ),
+    "construct-blowup-random": (
+        ("construct", "--blowup", "3", "--filler", "random", "--seed", "5"),
+        "454db80d19c6ce40703ca4eb860b5f139358ca946f8dd0430ae422b8180b53db",
+        None,
+    ),
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import is_transitive_subset, max_transitive_subset
 from ttpack.constructions import (
+    _blow_up,
     blowup,
     intra_class_edge_bound,
     qr7,
@@ -15,7 +16,7 @@ from ttpack.constructions import (
 )
 from ttpack.enumeration import canonical_code
 from ttpack.packing import max_packing_exact
-from ttpack.tournament import census, random_tournament
+from ttpack.tournament import Tournament, census, random_tournament, transitive_tournament
 
 
 def class_of(n: int, v: int) -> int:
@@ -72,6 +73,16 @@ def test_fillers_are_deterministic_and_distinct():
     assert a != c
     with pytest.raises(ValueError, match="unknown filler 'sorted'"):
         turan3_tournament(9, filler="sorted")
+
+
+def test_a_one_class_blow_up_is_a_seeded_or_transitive_host():
+    # the filler's coin per pair rank, read against random_tournament's
+    # decoding of the same coins as an orientation string
+    point = Tournament(1, (0,))
+    for n in range(1, 65):
+        assert _blow_up(point, (n,), "transitive", 0) == transitive_tournament(n)
+        for seed in (0, 7, 1729):
+            assert _blow_up(point, (n,), "random", seed) == random_tournament(n, seed)
 
 
 def test_qr7_structure():

@@ -8,7 +8,6 @@ import pytest
 from oracles import scanned_copies
 from ttpack import experiments
 from ttpack.experiments import (
-    EDGE_STATS_K4_LIMIT,
     _transitive_subsets_within,
     density_experiment,
     edge_copy_stats,
@@ -76,12 +75,10 @@ def test_edge_stats_limits():
     t = random_tournament(12, 0)
     with pytest.raises(ValueError, match=r"support k in \(3, 4\), got 5"):
         edge_copy_stats(t, 5)
-    assert EDGE_STATS_K4_LIMIT == 60
-    # order 61..64 tournaments are constructible but over the k=4 limit
-    big = random_tournament(61, 0)
-    with pytest.raises(ValueError, match="for k=4 capped at n <= 60, got 61"):
-        edge_copy_stats(big, 4)
-    assert edge_copy_stats(big, 3).n == 61
+    # k = 4 has no order cap: the largest hosts return, past the handshake self-check
+    for n in (61, 64):
+        assert edge_copy_stats(random_tournament(n, 0), 4).n == n
+    assert edge_copy_stats(random_tournament(61, 0), 3).n == 61
     # a 1-vertex host has no edge to average over, at either k
     for k in (3, 4):
         with pytest.raises(ValueError, match="with an edge"):

@@ -307,6 +307,32 @@ def test_cold_class_builds_use_the_sweeps_workers(cache_dir, threshold_report, t
     assert pooled == [(enumeration._extension_codes, 2)] * 11
 
 
+def test_f_min_re_solves_its_argmin_in_the_sweeps_pool(cache_dir, monkeypatch):
+    pooled = []
+    original = pipeline._pool_map
+
+    def recording(fn, jobs, workers):
+        pooled.append((fn.func, fn.keywords, tuple(jobs), workers))
+        return original(fn, jobs, workers)
+
+    monkeypatch.setattr(pipeline, "_pool_map", recording)
+    record = f_min(6, 5, cache_dir=cache_dir, workers=2)
+    codes = tuple(enumerate_codes(6, cache_dir=cache_dir))
+    solve = (pipeline._solve_code, {"k": 5})
+    assert pooled == [(*solve, codes, 2), (*solve, record.argmin_codes, 2)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_f_min_rejects_an_argmin_that_re_solves_off_the_minimum(cache_dir, monkeypatch, workers):
+    # at k=3 the argmin re-solves are the only calls to _solve_code, so
+    # one class that comes back one above f fails the certification
+    off = f_min(7, cache_dir=cache_dir).argmin_codes[-1]
+    real = pipeline._solve_code
+    monkeypatch.setattr(pipeline, "_solve_code", lambda code, k: real(code, k) + (code == off))
+    with pytest.raises(PipelineError, match=f"^argmin certification failed for {off}$"):
+        f_min(7, cache_dir=cache_dir, workers=workers)
+
+
 def test_f_min_pool_does_not_carry_over_to_another_k(cache_dir):
     # a k=3 run reads its values off the triangle-packing table, which
     # says nothing about packings of TT_4: a k=4 run after it still solves
