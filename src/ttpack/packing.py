@@ -263,6 +263,16 @@ def max_packing_exact(t: Tournament, k: int, time_budget: float | None = None) -
       would end above the target, so the node's prune decisions are the
       same as if it ran on.  Its first round reuses the node's counts.
 
+    A node that branches stops once the incumbent meets its bound, chosen
+    plus the leave bound: after a child returns with the incumbent at or
+    above it, neither the remaining copies nor the abandon branch is
+    searched.  Every packing below the node is its chosen copies plus
+    edge-disjoint live copies inside its coverable edges, so none holds
+    more than the bound; the incumbent moves only on a strict increase,
+    so the skipped children could not have changed it, and only the node
+    count drops.  On random hosts the root's bound is often the optimum,
+    and this exit ends the search as soon as a packing meets it.
+
     time_budget (seconds) turns the result into a best-found lower bound
     with optimal=False once exceeded; the deadline is checked while the
     copies are listed and while their per-edge bitsets are built, at every
@@ -323,7 +333,8 @@ def max_packing_exact(t: Tournament, k: int, time_budget: float | None = None) -
         counts = [(live & edge_copies[e]).bit_count() for e in edges]
         edges = kept = list(compress(edges, counts))
         counts = first = list(filter(None, counts))
-        if len(chosen) + _leave_bound(sum(1 << e for e in edges), n, k) <= best:
+        bound = len(chosen) + _leave_bound(sum(1 << e for e in edges), n, k)
+        if bound <= best:
             return
         # the hitting set, with `spare` = target - p edges left to pick
         spare = best - len(chosen)
@@ -345,7 +356,7 @@ def max_packing_exact(t: Tournament, k: int, time_budget: float | None = None) -
             chosen.append(c)
             dfs(live & ~conflict(c), chosen, edges)
             chosen.pop()
-            if aborted:
+            if aborted or best >= bound:
                 return
         dfs(live & ~through, chosen, edges)
 

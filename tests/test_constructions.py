@@ -85,6 +85,26 @@ def test_a_one_class_blow_up_is_a_seeded_or_transitive_host():
             assert _blow_up(point, (n,), "random", seed) == random_tournament(n, seed)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: turan3_tournament(7), "turan3 self-check failed"),
+        (lambda: blowup(qr7(), 2), "blowup self-check failed"),
+    ],
+    ids=["turan3", "blowup"],
+)
+def test_construction_self_checks_fire(monkeypatch, build, message):
+    # every subset of the built host reads as transitive, while qr7, the
+    # base, keeps its answers, so blowup's guard still finds no transitive
+    # base quad and its scan runs
+    import ttpack.constructions as constructions
+
+    real, base = constructions.is_transitive_on, qr7()
+    monkeypatch.setattr(constructions, "is_transitive_on", lambda t, vs: t != base or real(t, vs))
+    with pytest.raises(AssertionError, match=message):
+        build()
+
+
 def test_qr7_structure():
     t = qr7()
     assert t.n == 7

@@ -1,5 +1,7 @@
 """Exact branch-and-bound solver, greedy baseline, and the verifier."""
 
+import hashlib
+import json
 import time
 from dataclasses import replace
 from itertools import combinations, product
@@ -13,7 +15,7 @@ from oracles import (
     packing_is_valid,
     scanned_copies,
 )
-from ttpack.constructions import qr7
+from ttpack.constructions import blowup, qr7
 from ttpack.packing import (
     Packing,
     TTCopy,
@@ -140,8 +142,10 @@ def test_exact_matches_brute_force_on_order_four(cache_dir):
             assert max_packing_exact(t, k).value == brute_max_packing(t, k)
 
 
-# summed nodes_explored over every class of the order, per k
-CLASS_NODES = {6: {3: 113, 4: 56}, 7: {3: 2_247, 4: 1_954}}
+# summed nodes_explored over every class of the order, per k; before a
+# node stopped branching once the incumbent met its leave bound they were
+# {6: {3: 113, 4: 56}, 7: {3: 2_247, 4: 1_954}}
+CLASS_NODES = {6: {3: 84, 4: 56}, 7: {3: 1_292, 4: 1_858}}
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -270,18 +274,48 @@ def test_leave_bound_proves_transitive_hosts(n):
 
 
 def test_node_count_is_deterministic():
+    # 40 nodes before a node stopped branching once the incumbent met its
+    # leave bound; the optimum is found at node 15
     p = max_packing_exact(random_tournament(11, 0), 3)
-    assert (p.value, p.optimal, p.nodes_explored) == (17, True, 40)
+    assert (p.value, p.optimal, p.nodes_explored) == (17, True, 15)
 
 
 def test_fewest_copies_branching_proves_a_perfect_packing_fast():
     # the root's leave bound is already 35 here, so the whole search is the
     # hunt for a perfect packing: 26,723 nodes when branching on the lowest
-    # coverable edge
+    # coverable edge, and 104 on the fewest copies while a node still
+    # branched after the incumbent met its leave bound
     t = random_tournament(15, 0)
     p = max_packing_exact(t, 3)
-    assert (p.value, p.optimal, p.nodes_explored) == (35, True, 104)
+    assert (p.value, p.optimal, p.nodes_explored) == (35, True, 29)
     assert verify_packing(t, p)
+
+
+def test_random_hosts_keep_their_packings_with_fewer_nodes():
+    # on all 70 hosts the optimum equals the root's leave bound; the digest
+    # of the (n, seed, value, copies) lines was taken before a node stopped
+    # branching once the incumbent met its leave bound, when the hosts took
+    # 8,317 nodes
+    lines = []
+    nodes = 0
+    for n, s in product(range(11, 18), range(10)):
+        p = max_packing_exact(random_tournament(n, s), 3)
+        assert p.optimal
+        lines.append(json.dumps([n, s, p.value, p.copies]))
+        nodes += p.nodes_explored
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "7d2e5ce3f7bbde348f6ffffaf82ce98b36ab2fe487a5fc8cfdc537fa2f4553ff"
+    assert nodes == 3_968
+
+
+def test_solve_benchmark_hosts_node_counts():
+    # the hosts of the solve benchmark: random orders 11-15 at seed 0, k = 3,
+    # and the blow-up of qr7 at k = 4, 301 nodes in all; 40, 57, 113, 209,
+    # 104 and 18 nodes, 541 in all, before a node stopped branching once the
+    # incumbent met its leave bound
+    hosts = [(random_tournament(n, 0), 3) for n in range(11, 16)] + [(blowup(qr7(), 2), 4)]
+    nodes = [max_packing_exact(t, k).nodes_explored for t, k in hosts]
+    assert nodes == [15, 20, 75, 144, 29, 18]
 
 
 def test_leave_bound_is_at_least_brute_force(cache_dir):
