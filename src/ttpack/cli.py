@@ -19,9 +19,9 @@ usage errors including malformed input files and options a command
 would ignore: --seed to a command that draws no random number,
 edge-stats given --in with --n or --seed, and construct given --n
 without --turan3, --filler with --qr7, or --seed without --filler
-random.  The exception kind alone decides: bad input raises ValueError
-(TournamentFormatError is its one subclass), a failed claim raises
-PipelineError, and a failed self-check raises an uncaught AssertionError.
+random.  The exception kind alone decides: bad input raises ValueError,
+a failed claim raises PipelineError, and a failed self-check raises an
+uncaught AssertionError.
 """
 
 from __future__ import annotations

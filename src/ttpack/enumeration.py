@@ -34,9 +34,7 @@ from collections.abc import Sequence
 from functools import cache
 from itertools import combinations
 
-from .tournament import Tournament, tournament_from_code
-
-MAX_CANONICAL_VERTICES = 10
+from .tournament import tournament_from_code
 
 # One row per supported order n = 1, 2, ...: the number of isomorphism
 # classes, and the sha256 of their sorted codes joined by newlines.  The
@@ -159,13 +157,6 @@ def _code(out: Sequence[int]) -> str:
     for i, row in enumerate(_min_code_rows(out)):
         code = (code << (n - 1 - i)) | row
     return format(code, f"0{n * (n - 1) // 2}b") if n > 1 else ""
-
-
-def canonical_code(t: Tournament) -> str:
-    """Lexicographically minimal serialization over all relabelings."""
-    if t.n > MAX_CANONICAL_VERTICES:
-        raise ValueError(f"canonical form capped at n <= {MAX_CANONICAL_VERTICES}")
-    return _code(t.out)
 
 
 def _extension_codes(code: str) -> set[str]:

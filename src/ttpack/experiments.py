@@ -22,7 +22,7 @@ from .packing import (
     greedy_packing,
 )
 from .rng import sub_seed
-from .tournament import Tournament, _edge_splits, edge_list, random_tournament
+from .tournament import Tournament, _edge_splits, random_tournament
 
 __all__ = [
     "DensityReport",
@@ -121,7 +121,7 @@ def _transitive_subsets_within(t: Tournament, k: int, allowed: int) -> list[TTCo
     dropped, so it reaches exactly the copies inside the allowed edges.
     """
     rows = [0] * t.n
-    for e, (i, j) in enumerate(edge_list(t.n)):
+    for e, (i, j) in enumerate(combinations(range(t.n), 2)):
         if allowed >> e & 1:
             if t.has_edge(i, j):
                 rows[i] |= 1 << j

@@ -16,14 +16,6 @@ from .rng import coin
 MAX_VERTICES = 64
 
 
-class TournamentFormatError(ValueError):
-    """Malformed tournament text; carries the byte offset of the defect."""
-
-    def __init__(self, message: str, byte_offset: int):
-        super().__init__(f"{message} (byte offset {byte_offset})")
-        self.byte_offset = byte_offset
-
-
 @dataclass(frozen=True)
 class Tournament:
     """Orientation of K_n: `out[v]` is the bitset of out-neighbors of v."""
@@ -65,16 +57,12 @@ class TriangleCensus:
     t: int
 
 
-def edge_list(n: int) -> list[tuple[int, int]]:
-    """Unordered pairs (i, j), i < j, in row-major rank order.
+def edge_index(n: int, i: int, j: int) -> int:
+    """Row-major rank of the pair {i, j}, the order combinations(range(n), 2) lists pairs in.
 
     This ranking is the shared contract for edge indices in packings,
     covered-edge bitsets and the text format.
     """
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def edge_index(n: int, i: int, j: int) -> int:
     if i > j:
         i, j = j, i
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
@@ -117,30 +105,30 @@ def serialize_tournament(t: Tournament) -> str:
 
 
 def parse_tournament(text: str) -> Tournament:
-    """Parse the two-line format; errors carry the byte offset of the defect."""
+    """Parse the two-line format; a ValueError's message ends in the byte offset of the defect."""
     if not text.startswith("n="):
-        raise TournamentFormatError("expected header 'n=<int>'", 0)
+        raise ValueError("expected header 'n=<int>' (byte offset 0)")
     nl = text.find("\n")
     if nl < 0:
-        raise TournamentFormatError("missing newline after header", len(text))
+        raise ValueError(f"missing newline after header (byte offset {len(text)})")
     header = text[:nl]
     try:
         n = int(header[2:])
     except ValueError:
-        raise TournamentFormatError("vertex count is not an integer", 2) from None
+        raise ValueError("vertex count is not an integer (byte offset 2)") from None
     if not 1 <= n <= MAX_VERTICES:
-        raise TournamentFormatError(f"vertex count {n} outside 1..{MAX_VERTICES}", 2)
+        raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES} (byte offset 2)")
     want = n * (n - 1) // 2
     body_at = nl + 1
     body = text[body_at:].rstrip("\n")
     if len(body) != want:
-        raise TournamentFormatError(
-            f"expected {want} orientation characters, found {len(body)}",
-            body_at + min(len(body), want),
+        raise ValueError(
+            f"expected {want} orientation characters, found {len(body)} "
+            f"(byte offset {body_at + min(len(body), want)})"
         )
     for k, ch in enumerate(body):
         if ch not in "01":
-            raise TournamentFormatError(f"invalid orientation character {ch!r}", body_at + k)
+            raise ValueError(f"invalid orientation character {ch!r} (byte offset {body_at + k})")
     t = tournament_from_code(body)
     t.validate()
     return t
@@ -160,7 +148,7 @@ def transitive_triples_lower_bound(k: int) -> Fraction:
 
 
 def _edge_splits(t: Tournament):
-    """(p, a, b, c, d) for each edge x -> y, p the rank of its pair in edge_list(n).
+    """(p, a, b, c, d) for each edge x -> y, p the rank edge_index(n, x, y) of its pair.
 
     The other vertices split four ways by their edges to x and y: a beat
     both, x -> b -> y, c are beaten by both, and y -> d -> x, so each of d

@@ -3,8 +3,10 @@
 Everything here is deliberately written against the raw edge relation
 only, using routes different from the library's own (explicit pair
 dictionaries instead of bitsets, subset recursion instead of
-branch-and-bound), so agreement is meaningful.  The helpers at the end
-are tests' own: the package has no caller for them.
+branch-and-bound), so agreement is meaningful.  Two names are the
+exception: `canonical_code` and `all_extension_codes` label through the
+library's encoder `_code`, which the brute-force oracles check.  The
+helpers at the end are tests' own: the package has no caller for them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import combinations, permutations, product
 
 from ttpack import cli
 from ttpack.designs import BlockDesign
-from ttpack.enumeration import canonical_code, enumerate_codes
+from ttpack.enumeration import _code, enumerate_codes
 from ttpack.tournament import (
     Tournament,
     census,
@@ -26,6 +28,16 @@ from ttpack.tournament import (
 
 def beats(t: Tournament, u: int, v: int) -> bool:
     return bool(t.out[u] >> v & 1)
+
+
+MAX_CANONICAL_VERTICES = 10
+
+
+def canonical_code(t: Tournament) -> str:
+    """Lexicographically minimal serialization over all relabelings, by the library's `_code`."""
+    if t.n > MAX_CANONICAL_VERTICES:
+        raise ValueError(f"canonical form capped at n <= {MAX_CANONICAL_VERTICES}")
+    return _code(t.out)
 
 
 def brute_force_canonical_code(t: Tournament) -> str:
@@ -55,8 +67,9 @@ def all_extension_codes(codes, m: int) -> set[str]:
 
     Orderly generation with no filter: all 2^m extensions of each class are
     canonicalized, so starting from {""} at order 1 this yields every class
-    of each order.  It uses the library's canonical code, which the other
-    oracles check, so agreement tests which extensions the library skips.
+    of each order.  It labels through the library's encoder `_code`, which
+    the other oracles check, so agreement tests which extensions the
+    library skips.
     """
     return {canonical_code(t) for code in codes for t in extensions(code)}
 

@@ -15,6 +15,7 @@ from oracles import (
     automorphism_count,
     brute_induced_average,
     brute_max_packing,
+    canonical_code,
     degree_formula_transitive,
     enumerate_nonisomorphic,
     labeled_count_with_score,
@@ -26,7 +27,6 @@ from oracles import (
 )
 from ttpack.constructions import blowup, intra_class_edge_bound, qr7, turan3_tournament
 from ttpack.designs import all_sts7
-from ttpack.enumeration import canonical_code
 from ttpack.experiments import edge_copy_stats
 from ttpack.packing import max_packing_exact
 from ttpack.pipeline import (

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import is_transitive_subset, max_transitive_subset
+from oracles import canonical_code, is_transitive_subset, max_transitive_subset
 from ttpack.constructions import (
     _blow_up,
     blowup,
@@ -14,7 +14,6 @@ from ttpack.constructions import (
     turan3_class_sizes,
     turan3_tournament,
 )
-from ttpack.enumeration import canonical_code
 from ttpack.packing import max_packing_exact
 from ttpack.tournament import Tournament, census, random_tournament, transitive_tournament
 

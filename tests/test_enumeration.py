@@ -22,6 +22,7 @@ from oracles import (
     all_extension_codes,
     automorphism_count,
     brute_force_canonical_code,
+    canonical_code,
     enumerate_nonisomorphic,
     labeled_count_with_score,
     least_key_extensions,
@@ -34,7 +35,6 @@ from ttpack.enumeration import (
     MAX_ENUMERATION_VERTICES,
     _cache_path,
     _pool_map,
-    canonical_code,
     enumerate_codes,
 )
 from ttpack.tournament import Tournament, random_tournament, tournament_from_code, transitive_tournament

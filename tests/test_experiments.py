@@ -1,6 +1,7 @@
 """Per-edge copy statistics and the greedy/improvement density harness."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -20,7 +21,6 @@ from ttpack.packing import (
     verify_packing,
 )
 from ttpack.tournament import (
-    edge_list,
     random_tournament,
     tournament_bits,
     transitive_tournament,
@@ -29,9 +29,8 @@ from ttpack.tournament import (
 
 def brute_edge_counts(t, k):
     """Recount per-edge copy membership straight from the copy list."""
-    pairs = edge_list(t.n)
-    index = {p: i for i, p in enumerate(pairs)}
-    counts = [0] * len(pairs)
+    index = {p: i for i, p in enumerate(combinations(range(t.n), 2))}
+    counts = [0] * len(index)
     for copy in enumerate_copies(t, k).copies:
         vs = sorted(copy.vertices)
         for i, u in enumerate(vs):

@@ -4,7 +4,7 @@ import hashlib
 import json
 import time
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import pytest
 
@@ -197,7 +197,8 @@ def test_greedy_is_seed_deterministic():
 
 
 def test_time_budget_marks_result_nonoptimal():
-    # this host needs 152,854 nodes to prove, far more than fit in 0.05 s
+    # proving this host's optimum of 104 copies takes 152,181 nodes, about
+    # 13 s on a 2-core Xeon, Python 3.11.7: far more than fit in 0.05 s
     t = random_tournament(26, 2)
     p = max_packing_exact(t, 3, time_budget=0.05)
     assert not p.optimal
@@ -250,11 +251,18 @@ def test_deadline_after_the_bitsets_keeps_the_root_greedy(monkeypatch):
     assert verify_packing(t, p)
 
 
-def test_budgeted_large_host_searches_past_the_root():
+def test_budgeted_large_host_searches_past_the_root(monkeypatch):
     # the root's greedy completion packs 601 copies, so reaching 610 takes
     # nodes below the root; a greedy hitting set run to its end at every
-    # node would spend the whole budget in the first few.  The search
-    # reached 610 after about 1.05 s on a 2-core Xeon, Python 3.11.7
+    # node would spend the whole budget in the first few.  The solver's
+    # clock advances 10 ms on each read, so the 3.0 s budget is 300 reads
+    # on any machine: the search holds 615 copies after 203 nodes, not
+    # proved optimal, in about 1.4 s of real time on a 2-core Xeon, Python
+    # 3.11.7
+    import ttpack.packing as packing
+
+    reads = count()
+    monkeypatch.setattr(packing.time, "monotonic", lambda: next(reads) * 0.01)
     t = random_tournament(64, 0)
     p = max_packing_exact(t, 3, time_budget=3.0)
     assert p.value >= 610

@@ -9,10 +9,10 @@ from math import comb
 
 import pytest
 
-from oracles import is_transitive_subset, reverse
+from oracles import canonical_code, is_transitive_subset, reverse
 from ttpack import enumeration, pipeline
 from ttpack.designs import ag2_lines, all_sts7
-from ttpack.enumeration import canonical_code, enumerate_codes
+from ttpack.enumeration import enumerate_codes
 from ttpack.packing import Packing, max_packing_exact, verify_packing
 from ttpack.pipeline import (
     REGIMES,
@@ -368,7 +368,7 @@ def test_f_min_solve_count_at_order_8(cache_dir, monkeypatch):
         assert sum(nodes for _, nodes in solves) == 36
 
 
-@pytest.mark.parametrize("n, k, count, nodes", [(6, 5, 91, 91), (7, 4, 457, 1859)])
+@pytest.mark.parametrize("n, k, count, nodes", [(6, 5, 91, 91), (7, 4, 457, 1859)], ids=["6-5", "7-4"])
 def test_f_min_solves_each_class_once_above_k3(cache_dir, monkeypatch, n, k, count, nodes):
     # one exact solve per class and one re-solve per argmin class, and no
     # other host is solved; order 7 took 1,955 nodes before a node stopped

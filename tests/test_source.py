@@ -19,10 +19,10 @@ def test_package_has_no_bare_assert():
     assert bare == []
 
 
-def test_package_defines_two_exception_classes():
-    # bad input raises plain ValueError, a failed claim PipelineError, and a
-    # failed self-check AssertionError; TournamentFormatError alone adds a
-    # field, the byte offset of the defect
+def test_package_defines_one_exception_class():
+    # bad input raises plain ValueError, whose message names the byte offset
+    # of a defect in a tournament file, a failed claim PipelineError, and a
+    # failed self-check AssertionError
     defined = {}
     for info in pkgutil.iter_modules(ttpack.__path__):
         module = importlib.import_module(f"ttpack.{info.name}")
@@ -31,7 +31,7 @@ def test_package_defines_two_exception_classes():
             for obj in vars(module).values()
             if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
         )
-    assert defined == {"PipelineError": (RuntimeError,), "TournamentFormatError": (ValueError,)}
+    assert defined == {"PipelineError": (RuntimeError,)}
 
 
 def unused_imports(files) -> list[str]:
@@ -189,9 +189,6 @@ UNREAD_BY_DESIGN = {
     ("pipeline", "induced_expectation_check"),
     # the benchmark's pipeline49 workload builds its transitive host with it
     ("tournament", "transitive_tournament"),
-    # the capped labeling of a whole tournament; the enumeration labels
-    # each extension's out-sets through the same encoder, `_code`
-    ("enumeration", "canonical_code"),
 }
 
 

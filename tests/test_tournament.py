@@ -19,10 +19,8 @@ from ttpack.enumeration import enumerate_codes
 from ttpack.tournament import (
     MAX_VERTICES,
     Tournament,
-    TournamentFormatError,
     census,
     edge_index,
-    edge_list,
     induced,
     is_transitive_on,
     parse_tournament,
@@ -47,36 +45,32 @@ def test_parse_serialize_round_trip():
 
 
 def test_parse_rejects_bad_header():
-    with pytest.raises(TournamentFormatError) as exc:
+    with pytest.raises(ValueError) as exc:
         parse_tournament("m=3\n110\n")
-    assert exc.value.byte_offset == 0
+    assert str(exc.value).endswith("(byte offset 0)")
 
 
 def test_parse_rejects_bad_orientation_char():
-    with pytest.raises(TournamentFormatError) as exc:
+    with pytest.raises(ValueError) as exc:
         parse_tournament("n=3\n1x0\n")
     # the offending character is the fifth byte of the file
-    assert exc.value.byte_offset == 5
+    assert str(exc.value).endswith("(byte offset 5)")
 
 
 def test_parse_rejects_wrong_length():
-    with pytest.raises(TournamentFormatError):
+    with pytest.raises(ValueError):
         parse_tournament("n=4\n110\n")
 
 
 def test_parse_rejects_oversize():
-    with pytest.raises(TournamentFormatError):
+    with pytest.raises(ValueError):
         parse_tournament(f"n={MAX_VERTICES + 1}\n" + "1" * ((MAX_VERTICES + 1) * MAX_VERTICES // 2) + "\n")
 
 
 def test_edge_index_is_row_major_over_upper_triangle():
     n = 7
-    seen = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            seen.append(edge_index(n, i, j))
+    seen = [edge_index(n, i, j) for i, j in combinations(range(n), 2)]
     assert seen == list(range(n * (n - 1) // 2))
-    assert edge_list(n) == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def test_bits_round_trip():
