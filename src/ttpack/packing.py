@@ -75,6 +75,15 @@ class Packing:
         return len(self.copies)
 
 
+def _check_deadline(deadline: float | None) -> None:
+    """The solver's one stop: TimeoutError once the time.monotonic() instant has passed.
+
+    None never raises and reads no clock.  max_packing_exact catches it once.
+    """
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("ran past the deadline")
+
+
 @lru_cache(maxsize=None)
 def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
     """bits[v][u] is the bit 1 << edge_index(n, u, v) of the pair {u, v}."""
@@ -96,21 +105,16 @@ def _transitive_chains(
     while its pool still holds enough vertices, so the cost follows the
     number of transitive subsets of at most k vertices, not C(n, k).  Rows
     of `out` may omit pairs (both directions), which restricts the walk to
-    the copies all of whose pairs are kept.  A set deadline is checked at
+    the copies all of whose pairs are kept.  `_check_deadline` runs at
     every chain of fewer than k - 1 vertices, when the walk ends and after
-    the final sort; once it passes, TimeoutError is raised.  The sort is the
-    one stretch left unchecked.
+    the final sort, which is the one stretch left unchecked.
     """
     bits = _pair_bits(n)
     found: list[TTCopy] = []
     chain: list[int] = []
 
-    def check_deadline() -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("copy enumeration ran past its deadline")
-
     def grow(pool: int, mask: int) -> None:
-        check_deadline()
+        _check_deadline(deadline)
         last = len(chain) + 2 == k
         need = k - len(chain) - 1
         m = pool
@@ -142,11 +146,11 @@ def _transitive_chains(
             chain.pop()
 
     grow((1 << n) - 1, 0)
-    check_deadline()
+    _check_deadline(deadline)
     # the vertex tuples are unique, so keying on them keeps the order and
     # skips the generic comparison of TTCopy tuples
     found.sort(key=itemgetter(0))
-    check_deadline()
+    _check_deadline(deadline)
     return found
 
 
@@ -155,7 +159,7 @@ def enumerate_copies(t: Tournament, k: int, deadline: float | None = None) -> Co
 
     The copies are walked as dominance chains (see `_transitive_chains`).
     deadline, a time.monotonic() instant, bounds the walk: once it passes,
-    TimeoutError is raised.
+    `_check_deadline` raises TimeoutError.
     """
     if not 3 <= k <= t.n:
         raise ValueError(f"k must satisfy 3 <= k <= n={t.n}, got {k}")
@@ -208,13 +212,13 @@ def _copies_through_edges(masks: list[int], n: int, deadline: float | None) -> l
 
     Linear in the number of copies: or-ing 1 << c into one growing int per
     pair would copy the whole bitset at every copy.  So each pair's bits are
-    set in a bytearray and read once as a little-endian int.  A set deadline
-    is checked at every 1,024th copy; once it passes, TimeoutError is raised.
+    set in a bytearray and read once as a little-endian int.
+    `_check_deadline` runs at every 1,024th copy.
     """
     rows = [bytearray((len(masks) + 7) // 8) for _ in range(n * (n - 1) // 2)]
     for c, m in enumerate(masks):
-        if deadline is not None and not c & 1023 and time.monotonic() > deadline:
-            raise TimeoutError("copy bitsets ran past their deadline")
+        if not c & 1023:
+            _check_deadline(deadline)
         byte, bit = c >> 3, 1 << (c & 7)
         while m:
             low = m & -m
@@ -273,36 +277,21 @@ def max_packing_exact(t: Tournament, k: int, time_budget: float | None = None) -
     count drops.  On random hosts the root's bound is often the optimum,
     and this exit ends the search as soon as a packing meets it.
 
-    time_budget (seconds) turns the result into a best-found lower bound
-    with optimal=False once exceeded; the deadline is checked while the
-    copies are listed and while their per-edge bitsets are built, at every
-    node after its greedy completion, and at every round of the hitting
-    set that runs.  A budget spent before the bitsets are built returns
-    the empty packing; after that, the root's greedy completion counts.
-    The budget is the only stop: with none, the search runs to completion
-    and the result is optimal.
+    time_budget (seconds) sets one deadline, the solver's only stop.
+    `_check_deadline` tests it while the copies are listed and while their
+    per-edge bitsets are built, at every node after its greedy completion,
+    and at every round of the hitting set that runs.  The TimeoutError it
+    raises is caught here once, and the result is the incumbent, with
+    optimal=False: the empty packing if the bitsets were never built, and
+    at least the root's greedy completion after that.  With no budget the
+    search runs to completion and the result is optimal.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
     n = t.n
-    try:
-        copies = enumerate_copies(t, k, deadline).copies
-        masks = [c.edge_mask for c in copies]
-        # edge_copies[e]: bitset over copy indices of the copies through edge e
-        edge_copies = _copies_through_edges(masks, n, deadline)
-    except TimeoutError:
-        return Packing(n=n, k=k, copies=())
-    conflicts: list[int | None] = [None] * len(masks)
-
+    copies: tuple[TTCopy, ...] = ()
     best = -1
     best_members: tuple[int, ...] = ()
     nodes = 0
-    aborted = False
-
-    def out_of_time() -> bool:
-        nonlocal aborted
-        if deadline is not None and time.monotonic() > deadline:
-            aborted = True
-        return aborted
 
     def conflict(c: int) -> int:
         found = conflicts[c]
@@ -328,8 +317,7 @@ def max_packing_exact(t: Tournament, k: int, time_budget: float | None = None) -
         if len(greedy) > best:
             best = len(greedy)
             best_members = tuple(greedy)
-        if out_of_time():
-            return
+        _check_deadline(deadline)
         counts = [(live & edge_copies[e]).bit_count() for e in edges]
         edges = kept = list(compress(edges, counts))
         counts = first = list(filter(None, counts))
@@ -342,8 +330,9 @@ def max_packing_exact(t: Tournament, k: int, time_budget: float | None = None) -
         while sum(sorted(counts, reverse=True)[:spare]) >= rest.bit_count():
             rest &= ~edge_copies[kept[counts.index(max(counts))]]
             spare -= 1
-            if not rest or out_of_time():
+            if not rest:
                 return
+            _check_deadline(deadline)
             counts = [(rest & edge_copies[e]).bit_count() for e in kept]
             kept = list(compress(kept, counts))
             counts = list(filter(None, counts))
@@ -356,17 +345,25 @@ def max_packing_exact(t: Tournament, k: int, time_budget: float | None = None) -
             chosen.append(c)
             dfs(live & ~conflict(c), chosen, edges)
             chosen.pop()
-            if aborted or best >= bound:
+            if best >= bound:
                 return
         dfs(live & ~through, chosen, edges)
 
-    dfs((1 << len(masks)) - 1, [], list(range(len(edge_copies))))
-
+    try:
+        copies = enumerate_copies(t, k, deadline).copies
+        masks = [c.edge_mask for c in copies]
+        # edge_copies[e]: bitset over copy indices of the copies through edge e
+        edge_copies = _copies_through_edges(masks, n, deadline)
+        conflicts: list[int | None] = [None] * len(masks)
+        dfs((1 << len(masks)) - 1, [], list(range(len(edge_copies))))
+        optimal = True
+    except TimeoutError:
+        optimal = False
     return Packing(
         n=n,
         k=k,
         copies=tuple(copies[c].vertices for c in sorted(best_members)),
-        optimal=not aborted,
+        optimal=optimal,
         nodes_explored=nodes,
     )
 

@@ -169,6 +169,10 @@ def test_verify_design_round_trip(capsys, tmp_path):
     assert main(["design", "--fano", "--out", str(out)]) == 0
     code, doc, _ = run_json(capsys, "verify", "design", "--in", str(out))
     assert code == 0 and doc["result"]["valid"] is True
+    lines = tmp_path / "ag2.txt"
+    assert main(["design", "--ag2", "--out", str(lines)]) == 0
+    code, doc, _ = run_json(capsys, "verify", "design", "--in", str(lines))
+    assert code == 0 and doc["result"] == {"block_size": 7, "blocks": 56, "points": 49, "valid": True}
     broken = out.read_text().splitlines()
     broken[2] = broken[1]  # duplicated block double-covers its pairs
     bad = tmp_path / "broken.txt"
@@ -406,6 +410,25 @@ def test_verify_lemma22_passes(capsys, cache_dir):
     assert code == 0
     assert doc["result"]["classes"] == 456
     assert doc["result"]["min_packing"] == 5
+
+
+def test_a_failed_packing_check_exits_1(capsys, cache_dir, monkeypatch):
+    import ttpack.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "verify_packing", lambda t, p: False)
+    code, out, err = run(capsys, "verify", "lemma22", "--cache", cache_dir)
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failed: class ") and err.count("\n") == 1
+
+
+def test_a_conjecture_mismatch_exits_1(capsys, cache_dir, monkeypatch):
+    import ttpack.cli as cli
+
+    bound = cli.intra_class_edge_bound
+    monkeypatch.setattr(cli, "intra_class_edge_bound", lambda n: bound(n) + (n == 5))
+    code, out, err = run(capsys, "verify", "conjecture", "--max-n", "6", "--cache", cache_dir)
+    assert (code, err) == (1, "")
+    assert '"all_match": false' in out
 
 
 def test_fmin_command(capsys, cache_dir):
@@ -695,6 +718,16 @@ GOLDEN = {
         ("enumerate", "--n", "5"),
         "15be91d1178a01d995a7de9daff2388f4be916016be51b7f235d23b1431f2569",
         "c7ffb744e2dd151fc6f5f24e41d49932827a2438445cdbe31013f530f8252263",
+    ),
+    "design-ag2": (
+        ("design", "--ag2"),
+        "dd52da08c0ed0337e0e1588c5f9d5c6f08fc8a7aae1971e1136457aa797c4b61",
+        None,
+    ),
+    "design-all-sts7": (
+        ("design", "--all-sts7"),
+        "2209b09b0b90c402d26ee404ac9de8e2f190e6db2dc99cbde8aba6050c6f5d55",
+        None,
     ),
     "construct-turan3-49": (
         ("construct", "--turan3", "--n", "49"),

@@ -72,6 +72,9 @@ def test_fillers_are_deterministic_and_distinct():
     assert a != c
     with pytest.raises(ValueError, match="unknown filler 'sorted'"):
         turan3_tournament(9, filler="sorted")
+    for n in (2, 65):
+        with pytest.raises(ValueError, match=f"^n must be between 3 and 64, got {n}$"):
+            turan3_tournament(n)
 
 
 def test_a_one_class_blow_up_is_a_seeded_or_transitive_host():
@@ -147,6 +150,8 @@ def test_blowup_of_qr7_keeps_quads_off_four_classes():
 def test_blowup_rejects_bad_factor():
     with pytest.raises(ValueError, match="factor must be >= 1, got 0"):
         blowup(qr7(), 0)
+    with pytest.raises(ValueError, match="^blow-up has 70 vertices, limit is 64$"):
+        blowup(qr7(), 10)
 
 
 def test_qr7_blowup_packing_value():

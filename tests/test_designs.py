@@ -46,6 +46,12 @@ def test_verify_design_rejects_defects():
     assert not verify_design(missing)
     doubled = BlockDesign(7, 3, good.blocks[:-1] + (good.blocks[0],))
     assert not verify_design(doubled)
+    # too few points or too small a block size, whatever the blocks
+    assert not verify_design(BlockDesign(1, 3, ()))
+    assert not verify_design(BlockDesign(7, 1, tuple((p,) for p in range(7))))
+    # one block of the wrong size, with a repeated point, or off the points
+    for block in [(0, 1), (0, 0, 1), (0, 1, 7), (-1, 0, 1)]:
+        assert not verify_design(BlockDesign(7, 3, (block, *good.blocks[1:])))
 
 
 def test_all_sts7_is_the_full_orbit():

@@ -74,6 +74,11 @@ def test_edge_stats_limits():
     t = random_tournament(12, 0)
     with pytest.raises(ValueError, match=r"support k in \(3, 4\), got 5"):
         edge_copy_stats(t, 5)
+    # the density trials share the range of k, and need a trial
+    with pytest.raises(ValueError, match=r"^density trials support k in \(3, 4\), got 5$"):
+        density_experiment(12, 5, trials=2, seed=0)
+    with pytest.raises(ValueError, match="^trials must be positive, got 0$"):
+        density_experiment(12, 3, trials=0, seed=0)
     # k = 4 has no order cap: the largest hosts return, past the handshake self-check
     for n in (61, 64):
         assert edge_copy_stats(random_tournament(n, 0), 4).n == n

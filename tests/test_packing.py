@@ -252,21 +252,37 @@ def test_deadline_after_the_bitsets_keeps_the_root_greedy(monkeypatch):
 
 
 def test_budgeted_large_host_searches_past_the_root(monkeypatch):
-    # the root's greedy completion packs 601 copies, so reaching 610 takes
-    # nodes below the root; a greedy hitting set run to its end at every
-    # node would spend the whole budget in the first few.  The solver's
-    # clock advances 10 ms on each read, so the 3.0 s budget is 300 reads
-    # on any machine: the search holds 615 copies after 203 nodes, not
-    # proved optimal, in about 1.4 s of real time on a 2-core Xeon, Python
-    # 3.11.7
+    # the root's greedy completion packs 601 copies, so 615 takes nodes
+    # below the root; a greedy hitting set run to its end at every node
+    # would spend the whole budget in the first few.  The solver's clock
+    # advances 10 ms on each read, so the 3.0 s budget is 300 reads on any
+    # machine: the search holds 615 copies after 203 nodes, not proved
+    # optimal, in about 1.4 s of real time on a 2-core Xeon, Python 3.11.7.
+    # The pin moves if a clock read moves, so it is retaken only with a
+    # change to the solver, as CLASS_NODES is
     import ttpack.packing as packing
 
     reads = count()
     monkeypatch.setattr(packing.time, "monotonic", lambda: next(reads) * 0.01)
     t = random_tournament(64, 0)
     p = max_packing_exact(t, 3, time_budget=3.0)
-    assert p.value >= 610
-    assert not p.optimal
+    assert (p.value, p.nodes_explored, p.optimal) == (615, 203, False)
+    assert next(reads) == 302  # the deadline's own read, then 301 checks
+    assert verify_packing(t, p)
+
+
+def test_budgeted_search_checks_the_deadline_in_hitting_set_rounds(monkeypatch):
+    # no hitting-set round runs in the search above; here 10 of the 52
+    # clock reads are rounds, so without their check the same 0.5 s of
+    # 10 ms reads ends after 20 nodes holding 97 copies
+    import ttpack.packing as packing
+
+    reads = count()
+    monkeypatch.setattr(packing.time, "monotonic", lambda: next(reads) * 0.01)
+    t = random_tournament(26, 2)
+    p = max_packing_exact(t, 3, time_budget=0.5)
+    assert (p.value, p.nodes_explored, p.optimal) == (95, 10, False)
+    assert next(reads) == 52
     assert verify_packing(t, p)
 
 

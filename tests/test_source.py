@@ -120,6 +120,26 @@ def test_one_process_pool_helper():
     assert outside == []
 
 
+def test_one_deadline_check():
+    # time.monotonic is read once where max_packing_exact sets the deadline
+    # and once in packing._check_deadline, the solver's one stop; any other
+    # stop, such as a node budget, must raise through that helper too
+    readers = []
+    for path in sorted(Path(ttpack.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        place = {}  # node id -> innermost function holding it
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                place.update({id(node): fn.name for node in ast.walk(fn)})
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name is None and isinstance(node, ast.alias):
+                name = node.name
+            if name == "monotonic":
+                readers.append(f"{path.stem}.{place.get(id(node))}")
+    assert sorted(readers) == ["packing._check_deadline", "packing.max_packing_exact"]
+
+
 # Each name, and the functions of the package that alone may read it.
 READ_ONLY_IN = {
     # per-byte rows of a code int serve the triangle scan alone; every code

@@ -45,9 +45,14 @@ def test_parse_serialize_round_trip():
 
 
 def test_parse_rejects_bad_header():
-    with pytest.raises(ValueError) as exc:
-        parse_tournament("m=3\n110\n")
-    assert str(exc.value).endswith("(byte offset 0)")
+    for text, message in [
+        ("m=3\n110\n", "expected header 'n=<int>' (byte offset 0)"),
+        ("n=3", "missing newline after header (byte offset 3)"),
+        ("n=x\n101\n", "vertex count is not an integer (byte offset 2)"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            parse_tournament(text)
+        assert str(exc.value) == message
 
 
 def test_parse_rejects_bad_orientation_char():
@@ -99,6 +104,18 @@ def test_tournament_from_code_validates_length():
     for length in (2, 4, 5, 7):
         with pytest.raises(ValueError, match=f"code length {length} "):
             tournament_from_code("1" * length)
+    # validate rejects each malformed out-set tuple, naming the defect
+    for n, out, message in [
+        (0, (), "vertex count 0 outside 1..64"),
+        (65, (0,) * 65, "vertex count 65 outside 1..64"),
+        (3, (0b110, 0b100), "out-set row count does not match n"),
+        (3, (0b011, 0b100, 0b001), "self-loop at vertex 0"),
+        (3, (0b1010, 0b100, 0b001), "out-set of vertex 0 exceeds vertex range"),
+        (3, (0b110, 0b100, 0b001), "pair (0,2) not oriented exactly once"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            Tournament(n, out).validate()
+        assert str(exc.value) == message
 
 
 def test_census_both_routes_and_complement():
