@@ -149,7 +149,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_solve(args) -> int:
     t = _load_tournament(args.infile)
     budget = args.budget_ms / 1000 if args.budget_ms is not None else None
-    p = max_packing_exact(t, args.k, time_budget=budget)
+    p = max_packing_exact(t, args.k, time_budget=budget, node_budget=args.node_budget)
     label = "exact" if p.optimal else "lower bound (budget hit)"
     _emit(args, {**vars(p), "value": p.value}, [f"P_{p.k} = {p.value} ({label})"])
     return 0
@@ -359,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--k", type=int, default=3)
         p.add_argument("--budget-ms", dest="budget_ms", type=_nonnegative_int)
+        p.add_argument("--node-budget", dest="node_budget", type=_positive_int)
         common(p)
         p.set_defaults(handler=_cmd_solve)
 

@@ -117,8 +117,11 @@ def edge_copy_stats(t: Tournament, k: int) -> EdgeCopyStats:
 def _transitive_subsets_within(t: Tournament, k: int, allowed: int) -> list[TTCopy]:
     """Transitive k-subsets all of whose pairs lie in the allowed edge set, lex order.
 
-    The chain walk runs on the host's rows with every pair outside `allowed`
-    dropped, so it reaches exactly the copies inside the allowed edges.
+    The ascending walk of `_transitive_chains` runs on the host's rows with
+    every pair outside `allowed` dropped from both rows.  The walk takes its
+    in-sets by transposing the rows it is given, so a dropped pair joins its
+    two vertices in neither direction, and the walk reaches exactly the
+    copies inside the allowed edges.
     """
     rows = [0] * t.n
     for e, (i, j) in enumerate(combinations(range(t.n), 2)):

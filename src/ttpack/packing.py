@@ -15,7 +15,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, combinations, compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -92,80 +92,6 @@ def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _transitive_chains(
-    n: int, out: Sequence[int], k: int, deadline: float | None = None
-) -> list[TTCopy]:
-    """Every transitive k-subset of the digraph `out`, sorted by vertex tuple.
-
-    A k-subset of a tournament is transitive exactly when it is a dominance
-    chain v1 -> v2 -> ... -> vk, each vertex beating every later one; that
-    ordering is unique.  So the walk extends a chain by each vertex v of its
-    pool, the vertices beaten by every chain vertex, and shrinks the pool to
-    `pool & out[v]`.  Each copy is reached once, and a chain is extended only
-    while its pool still holds enough vertices, so the cost follows the
-    number of transitive subsets of at most k vertices, not C(n, k).  Rows
-    of `out` may omit pairs (both directions), which restricts the walk to
-    the copies all of whose pairs are kept.  `_check_deadline` runs at
-    every chain of fewer than k - 1 vertices, when the walk ends and after
-    the final sort, which is the one stretch left unchecked.
-    """
-    bits = _pair_bits(n)
-    found: list[TTCopy] = []
-    chain: list[int] = []
-
-    def grow(pool: int, mask: int) -> None:
-        _check_deadline(deadline)
-        last = len(chain) + 2 == k
-        need = k - len(chain) - 1
-        m = pool
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            sub = pool & out[v]
-            if sub.bit_count() < need:
-                continue
-            row = bits[v]
-            vmask = mask
-            for u in chain:
-                vmask |= row[u]
-            chain.append(v)
-            if last:
-                # the leaf level: every vertex of sub closes one copy
-                while sub:
-                    low = sub & -sub
-                    sub ^= low
-                    w = low.bit_length() - 1
-                    row = bits[w]
-                    wmask = vmask
-                    for u in chain:
-                        wmask |= row[u]
-                    found.append(TTCopy(tuple(sorted((*chain, w))), wmask))
-            else:
-                grow(sub, vmask)
-            chain.pop()
-
-    grow((1 << n) - 1, 0)
-    _check_deadline(deadline)
-    # the vertex tuples are unique, so keying on them keeps the order and
-    # skips the generic comparison of TTCopy tuples
-    found.sort(key=itemgetter(0))
-    _check_deadline(deadline)
-    return found
-
-
-def enumerate_copies(t: Tournament, k: int, deadline: float | None = None) -> CopyList:
-    """List every k-subset inducing a transitive subtournament, in vertex order.
-
-    The copies are walked as dominance chains (see `_transitive_chains`).
-    deadline, a time.monotonic() instant, bounds the walk: once it passes,
-    `_check_deadline` raises TimeoutError.
-    """
-    if not 3 <= k <= t.n:
-        raise ValueError(f"k must satisfy 3 <= k <= n={t.n}, got {k}")
-    return CopyList(t.n, k, tuple(_transitive_chains(t.n, t.out, k, deadline)))
-
-
 @lru_cache(maxsize=None)
 def _vertex_edge_masks(n: int) -> tuple[int, ...]:
     """Per vertex, the bitmask of the n-1 unordered-pair indices at it.
@@ -173,6 +99,91 @@ def _vertex_edge_masks(n: int) -> tuple[int, ...]:
     Row v of _pair_bits(n) holds those pairs' bits, each once, and 0 at v.
     """
     return tuple(map(sum, _pair_bits(n)))
+
+
+def _transitive_chains(
+    n: int, out: Sequence[int], k: int, deadline: float | None = None
+) -> list[TTCopy]:
+    """Every transitive k-subset of the digraph `out`, in vertex-tuple order.
+
+    A tournament is transitive exactly when it has no cyclic triangle.  The
+    walk grows a prefix a1 < ... < aj in ascending vertex order; its pool
+    is the higher vertices joined to every ai that close no cyclic
+    triangle with a pair of the prefix.  A cyclic triangle of a transitive
+    prefix plus w holds w, so the pool is exactly the higher vertices that
+    keep the prefix transitive.  Taking v from the pool keeps of it the
+    vertices above v, joined to v, that close no cyclic triangle on a pair
+    {u, v}.  So each copy is reached once, in lexicographic order, with no
+    sort, and a prefix is extended only while its pool holds enough
+    vertices: the cost follows the number of transitive subsets of at
+    most k vertices, not C(n, k).  Rows of `out` may omit pairs (both
+    directions), which restricts the walk to the copies all of whose pairs
+    are kept, so the in-sets are the transpose of `out`, not its
+    complement.  The pairs from v to the prefix are the bits that v's row
+    of `_vertex_edge_masks` shares with the or of the prefix's rows.
+    `_check_deadline` runs at every prefix of fewer than k - 1 vertices
+    and when the walk ends.
+    """
+    at = _vertex_edge_masks(n)
+    ins = [0] * n
+    for v, row in enumerate(out):
+        bit = 1 << v
+        while row:
+            low = row & -row
+            row ^= low
+            ins[low.bit_length() - 1] |= bit
+    found: list[TTCopy] = []
+    prefix: list[int] = []
+
+    def grow(pool: int, mask: int, rows: int) -> None:
+        # rows: the or of the prefix's rows of _vertex_edge_masks
+        _check_deadline(deadline)
+        last = len(prefix) + 2 == k
+        need = k - len(prefix) - 1
+        m = pool
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            ov, iv = out[v], ins[v]
+            # m is the pool above v
+            sub = m & (ov | iv)
+            for u in prefix:
+                # the w closing a cyclic triangle on {u, v}
+                sub &= ~(ov & ins[u] if iv >> u & 1 else iv & out[u])
+            if sub.bit_count() < need:
+                continue
+            vmask = mask | at[v] & rows
+            vrows = rows | at[v]
+            prefix.append(v)
+            if last:
+                # the leaf level: every vertex of sub closes one copy
+                pre = tuple(prefix)
+                while sub:
+                    low = sub & -sub
+                    sub ^= low
+                    w = low.bit_length() - 1
+                    found.append(TTCopy(pre + (w,), vmask | at[w] & vrows))
+            else:
+                grow(sub, vmask, vrows)
+            prefix.pop()
+
+    grow((1 << n) - 1, 0, 0)
+    _check_deadline(deadline)
+    return found
+
+
+def enumerate_copies(t: Tournament, k: int, deadline: float | None = None) -> CopyList:
+    """List every k-subset inducing a transitive subtournament, in vertex order.
+
+    The copies are walked in ascending vertex order, each extension kept
+    free of cyclic triangles (see `_transitive_chains`).  deadline, a
+    time.monotonic() instant, bounds the walk: once it passes,
+    `_check_deadline` raises TimeoutError.
+    """
+    if not 3 <= k <= t.n:
+        raise ValueError(f"k must satisfy 3 <= k <= n={t.n}, got {k}")
+    return CopyList(t.n, k, tuple(_transitive_chains(t.n, t.out, k, deadline)))
 
 
 def _leave_bound(coverable: int, n: int, k: int) -> int:
@@ -207,49 +218,58 @@ def _leave_bound(coverable: int, n: int, k: int) -> int:
     return (size - leave) // per_copy
 
 
-def _copies_through_edges(masks: list[int], n: int, deadline: float | None) -> list[int]:
+def _copies_through_edges(
+    copies: Sequence[tuple[int, ...]], n: int, deadline: float | None
+) -> list[int]:
     """Per unordered pair, the bitset over copy indices of the copies through it.
 
-    Linear in the number of copies: or-ing 1 << c into one growing int per
-    pair would copy the whole bitset at every copy.  So each pair's bits are
-    set in a bytearray and read once as a little-endian int.
-    `_check_deadline` runs at every 1,024th copy.
+    A copy holds the pair {u, v} exactly when it holds both vertices, so
+    the pair's bitset is the and of the bitsets of the copies at u and at
+    v.  Those n bitsets are built from the vertex tuples, linear in the
+    number of copies: or-ing 1 << c into one growing int per vertex would
+    copy the whole bitset at every copy, so each vertex's bits are set in
+    a bytearray and read once as a little-endian int.  `_check_deadline`
+    runs at every 1,024th copy.
     """
-    rows = [bytearray((len(masks) + 7) // 8) for _ in range(n * (n - 1) // 2)]
-    for c, m in enumerate(masks):
+    rows = [bytearray((len(copies) + 7) // 8) for _ in range(n)]
+    for c, vs in enumerate(copies):
         if not c & 1023:
             _check_deadline(deadline)
         byte, bit = c >> 3, 1 << (c & 7)
-        while m:
-            low = m & -m
-            m ^= low
-            rows[low.bit_length() - 1][byte] |= bit
-    return [int.from_bytes(row, "little") for row in rows]
+        for v in vs:
+            rows[v][byte] |= bit
+    at = [int.from_bytes(row, "little") for row in rows]
+    return [at[u] & at[v] for u, v in combinations(range(n), 2)]
 
 
-def max_packing_exact(t: Tournament, k: int, time_budget: float | None = None) -> Packing:
+def max_packing_exact(
+    t: Tournament, k: int, time_budget: float | None = None, *, node_budget: int | None = None
+) -> Packing:
     """Maximum edge-disjoint packing by branch-and-bound over edges.
 
-    A node's state is one bitset, `live`, over copy indices: the copies
-    still addable.  The node picks the coverable edge e with the fewest
-    live copies through it, lowest edge index on ties, and branches on
-    each of those copies c in index order, with live & ~conflict(c), plus
-    one branch abandoning e, with live & ~edge_copies[e].  conflict(c),
-    the copies sharing an edge with c, is the or of edge_copies over the
-    C(k,2) edges of c; it is built the first time the search takes c.
-    Branching on any coverable edge is complete: the copies through e
-    share e, so an optimal packing within the live copies holds at most
-    one of them.  If it holds one, it lies in that copy's branch; if none,
-    it survives the abandon branch, which drops only the copies through e.
-    The fewest copies give the fewest children (Knuth's rule in Dancing
-    Links).  A node counts its live copies on its parent's coverable edges
-    (every edge at the root); a child's live copies are among its
-    parent's, so those edges hold its own.  The nonzero counts mark the
-    node's coverable edges, handed on to its children, and give the branch
-    edge.  A greedy completion at every node (take the lowest live copy,
-    drop its conflict, repeat) moves the incumbent early.  Two admissible
-    prunes cut a node whose chosen copies plus an upper bound on the
-    copies still addable cannot beat the incumbent:
+    The copies come from `enumerate_copies`, in vertex-tuple order, and
+    copy indices follow that order.  A node's state is one bitset, `live`,
+    over copy indices: the copies still addable.  The node picks the
+    coverable edge e with the fewest live copies through it, lowest edge
+    index on ties, and branches on each of those copies c in index order,
+    with live & ~conflict(c), plus one branch abandoning e, with
+    live & ~edge_copies[e].  conflict(c), the copies sharing an edge with
+    c, is the or of edge_copies over the C(k,2) edges of c; it is built
+    the first time the search takes c.  Branching on any coverable edge
+    is complete: the copies through e share e, so an optimal packing
+    within the live copies holds at most one of them.  If it holds one,
+    it lies in that copy's branch; if none, it survives the abandon
+    branch, which drops only the copies through e.  The fewest copies
+    give the fewest children (Knuth's rule in Dancing Links).  A node
+    counts its live copies on its parent's coverable edges (every edge at
+    the root); a child's live copies are among its parent's, so those
+    edges hold its own.  The nonzero counts mark the node's coverable
+    edges, handed on to its children as (edge bit, edge_copies) pairs in
+    edge-index order, and give the branch edge.  A greedy completion at
+    every node (take the lowest live copy, drop its conflict, repeat)
+    moves the incumbent early.  Two admissible prunes cut a node whose
+    chosen copies plus an upper bound on the copies still addable cannot
+    beat the incumbent:
 
     - the leave bound of `_leave_bound` on the coverable edges;
     - a hitting set: any edge set meeting every live copy caps the copies
@@ -265,7 +285,10 @@ def max_packing_exact(t: Tournament, k: int, time_budget: float | None = None) -
       and the greedy set (indeed any hitting set of L) needs at least r
       more edges.  Once p + r > target the set is abandoned: the greedy
       would end above the target, so the node's prune decisions are the
-      same as if it ran on.  Its first round reuses the node's counts.
+      same as if it ran on.  Its first round reuses the node's counts,
+      and each later round recounts on all the node's coverable edges:
+      an edge whose count fell to zero can neither be the largest count
+      nor add to the sum of the largest ones, so it need not be dropped.
 
     A node that branches stops once the incumbent meets its bound, chosen
     plus the leave bound: after a child returns with the incumbent at or
@@ -277,15 +300,21 @@ def max_packing_exact(t: Tournament, k: int, time_budget: float | None = None) -
     count drops.  On random hosts the root's bound is often the optimum,
     and this exit ends the search as soon as a packing meets it.
 
-    time_budget (seconds) sets one deadline, the solver's only stop.
-    `_check_deadline` tests it while the copies are listed and while their
-    per-edge bitsets are built, at every node after its greedy completion,
-    and at every round of the hitting set that runs.  The TimeoutError it
-    raises is caught here once, and the result is the incumbent, with
-    optimal=False: the empty packing if the bitsets were never built, and
-    at least the root's greedy completion after that.  With no budget the
-    search runs to completion and the result is optimal.
+    time_budget (seconds) sets one deadline.  `_check_deadline` tests it
+    while the copies are listed and while their per-edge bitsets are
+    built, at every node after its greedy completion, and at every round
+    of the hitting set that runs.  node_budget, at least 1, stops the
+    search at its node_budget-th node, right after that node's deadline
+    check; it reads no clock, so its stop does not depend on the machine.
+    Either stop raises TimeoutError, which is caught here once, and the
+    result is the incumbent, with optimal=False: the empty packing if the
+    bitsets were never built, and at least the root's greedy completion
+    after that.  A search that would end at the budget's last node is
+    reported as not optimal too.  With neither budget the search runs to
+    completion and the result is optimal.
     """
+    if node_budget is not None and node_budget < 1:
+        raise ValueError(f"node_budget must be at least 1, got {node_budget}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     n = t.n
     copies: tuple[TTCopy, ...] = ()
@@ -305,7 +334,7 @@ def max_packing_exact(t: Tournament, k: int, time_budget: float | None = None) -
             conflicts[c] = found
         return found
 
-    def dfs(live: int, chosen: list[int], edges: list[int]) -> None:
+    def dfs(live: int, chosen: list[int], edges: list[tuple[int, int]]) -> None:
         nonlocal best, best_members, nodes
         nodes += 1
         greedy = list(chosen)
@@ -318,25 +347,25 @@ def max_packing_exact(t: Tournament, k: int, time_budget: float | None = None) -
             best = len(greedy)
             best_members = tuple(greedy)
         _check_deadline(deadline)
-        counts = [(live & edge_copies[e]).bit_count() for e in edges]
-        edges = kept = list(compress(edges, counts))
+        if nodes == node_budget:
+            raise TimeoutError("ran past the node budget")
+        counts = [(live & b).bit_count() for _, b in edges]
+        edges = list(compress(edges, counts))
         counts = first = list(filter(None, counts))
-        bound = len(chosen) + _leave_bound(sum(1 << e for e in edges), n, k)
+        bound = len(chosen) + _leave_bound(sum(map(itemgetter(0), edges)), n, k)
         if bound <= best:
             return
         # the hitting set, with `spare` = target - p edges left to pick
         spare = best - len(chosen)
         rest = live
         while sum(sorted(counts, reverse=True)[:spare]) >= rest.bit_count():
-            rest &= ~edge_copies[kept[counts.index(max(counts))]]
+            rest &= ~edges[counts.index(max(counts))][1]
             spare -= 1
             if not rest:
                 return
             _check_deadline(deadline)
-            counts = [(rest & edge_copies[e]).bit_count() for e in kept]
-            kept = list(compress(kept, counts))
-            counts = list(filter(None, counts))
-        through = edge_copies[edges[first.index(min(first))]]
+            counts = [(rest & b).bit_count() for _, b in edges]
+        through = edges[first.index(min(first))][1]
         branch = live & through
         while branch:
             low = branch & -branch
@@ -353,9 +382,12 @@ def max_packing_exact(t: Tournament, k: int, time_budget: float | None = None) -
         copies = enumerate_copies(t, k, deadline).copies
         masks = [c.edge_mask for c in copies]
         # edge_copies[e]: bitset over copy indices of the copies through edge e
-        edge_copies = _copies_through_edges(masks, n, deadline)
+        edge_copies = _copies_through_edges([c.vertices for c in copies], n, deadline)
         conflicts: list[int | None] = [None] * len(masks)
-        dfs((1 << len(masks)) - 1, [], list(range(len(edge_copies))))
+        # each edge's bit is read from the cached _pair_bits, not made again
+        bits = _pair_bits(n)
+        pairs = zip(combinations(range(n), 2), edge_copies)
+        dfs((1 << len(masks)) - 1, [], [(bits[u][v], through) for (u, v), through in pairs])
         optimal = True
     except TimeoutError:
         optimal = False

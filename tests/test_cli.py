@@ -476,6 +476,7 @@ def test_text_format(capsys, qr7_file):
         (("pipeline", "--trials", "0"), "--trials: must be at least 1, got 0"),
         (("experiment", "density", "--n", "9", "--trials", "-1"), "--trials: must be at least 1, got -1"),
         (("solve", "--budget-ms", "-5"), "--budget-ms: must be at least 0, got -5"),
+        (("solve", "--node-budget", "0"), "--node-budget: must be at least 1, got 0"),
         (("fmin", "--n", "5", "--workers", "0"), "--workers: must be at least 1, got 0"),
         (("verify", "lemma22", "--workers", "-2"), "--workers: must be at least 1, got -2"),
         (("enumerate", "--n", "3", "--workers", "two"), "--workers: invalid int value: 'two'"),
@@ -580,7 +581,8 @@ def test_exactly_the_seeded_commands_take_a_seed(monkeypatch):
     }
     assert set(options) == set(LEAVES)
     assert {path for path, names in options.items() if "--seed" in names} == SEEDED
-    assert sum(map(len, options.values())) == 71
+    # 71 before solve took --node-budget
+    assert sum(map(len, options.values())) == 72
 
 
 @pytest.mark.parametrize("leaf", [leaf for leaf in LEAVES if leaf not in SEEDED and leaf != ("design",)], ids="-".join)
@@ -653,6 +655,11 @@ GOLDEN = {
         ("solve", "--in", "qr7.txt", "--format", "text"),
         "13c7fddb1bf1039ba84e47b33903e48685d0d40f5d1ed7fff6a18a1fbca489b4",
         None,
+    ),
+    "solve-node-budget": (
+        ("solve", "--in", "t49.txt", "--node-budget", "5"),
+        "01a48d34180ea5cf1fb09681866c11c3b80cb8b151b01e6aad887a4a78827d80",
+        "75dfff9082a47e25a99ed821f3021e4810918432d4db2954b7748771daf3ab9d",
     ),
     "census-json": (
         ("census", "--in", "qr7.txt"),

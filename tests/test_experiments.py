@@ -107,12 +107,19 @@ def test_handshake_mismatch_is_a_self_check_failure(monkeypatch):
 
 
 def test_restricted_walk_lists_the_copies_inside_the_allowed_edges():
+    # about half the pairs allowed, then about three quarters: no 5-set
+    # keeps all 10 of its pairs at half, so k = 5 is read at the denser sets
+    listed_at_five = 0
     for seed in range(4):
         t = random_tournament(13, 40 + seed)
         allowed = int(tournament_bits(random_tournament(13, 90 + seed)), 2)
-        for k in (3, 4):
-            want = [(vs, m) for vs, m in scanned_copies(t, k) if m & ~allowed == 0]
-            assert [tuple(c) for c in _transitive_subsets_within(t, k, allowed)] == want
+        denser = allowed | int(tournament_bits(random_tournament(13, 190 + seed)), 2)
+        for edges in (allowed, denser):
+            for k in (3, 4, 5):
+                want = [(vs, m) for vs, m in scanned_copies(t, k) if m & ~edges == 0]
+                assert [tuple(c) for c in _transitive_subsets_within(t, k, edges)] == want
+                listed_at_five += len(want) if k == 5 else 0
+    assert listed_at_five == 35
 
 
 def test_improve_never_loses_copies():

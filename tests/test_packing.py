@@ -80,13 +80,12 @@ def test_copy_listing_honours_its_own_deadline():
     assert time.monotonic() - start < 1.5
 
 
-def test_copy_listing_checks_its_deadline_before_the_sort(monkeypatch):
-    import operator
+def test_copy_listing_checks_its_deadline_after_the_walk(monkeypatch):
     import types
 
     import ttpack.packing as packing
 
-    made, keyed = [], []
+    made = []
 
     class Recorded(TTCopy):
         __slots__ = ()
@@ -95,45 +94,41 @@ def test_copy_listing_checks_its_deadline_before_the_sort(monkeypatch):
             made.append(fields)
             return super().__new__(cls, *fields)
 
-    def recorded_itemgetter(i):
-        get = operator.itemgetter(i)
-
-        def key(copy):
-            keyed.append(copy)
-            return get(copy)
-
-        return key
-
     monkeypatch.setattr(packing, "TTCopy", Recorded)
-    monkeypatch.setattr(packing, "itemgetter", recorded_itemgetter)
-    t = random_tournament(12, 0)
-    total = len(packing._transitive_chains(12, t.out, 3))
-    assert total and len(keyed) == total  # the sort reads the key of every copy
+    # on a transitive host the last copy, (9, 10, 11), is made under the
+    # walk's last prefix of one vertex: no vertex above 9 has two higher
+    # vertices, so no check inside the walk follows that copy
+    t = transitive_tournament(12)
+    listed = packing._transitive_chains(12, t.out, 3)
+    total = len(made)
+    assert total == 220 and [c.vertices for c in listed] == [vs for vs, _ in made]
     made.clear()
-    keyed.clear()
-    # the clock passes the deadline once the walk has listed its last copy
+    # the clock passes the deadline once the walk has made its last copy
     clock = types.SimpleNamespace(monotonic=lambda: 2.0 if len(made) == total else 0.0)
     monkeypatch.setattr(packing, "time", clock)
-    with pytest.raises(TimeoutError):
+    with pytest.raises(TimeoutError) as raised:
         packing._transitive_chains(12, t.out, 3, deadline=1.0)
-    assert len(made) == total and not keyed
+    assert len(made) == total
+    # _check_deadline raised, called by the walk's function, not by grow
+    assert [entry.name for entry in raised.traceback[-2:]] == ["_transitive_chains", "_check_deadline"]
 
 
 def test_copy_bitsets_match_per_copy_bits():
     # 10,744 copies, so the deadline is checked several times during the build
     t = random_tournament(30, 0)
-    masks = [c.edge_mask for c in enumerate_copies(t, 4).copies]
+    copies = enumerate_copies(t, 4).copies
+    tuples = [c.vertices for c in copies]
     want = [0] * (30 * 29 // 2)
-    for c, m in enumerate(masks):
+    for c, copy in enumerate(copies):
         for e in range(len(want)):
-            if m >> e & 1:
+            if copy.edge_mask >> e & 1:
                 want[e] |= 1 << c
-    assert len(masks) > 10_000
-    assert _copies_through_edges(masks, 30, None) == want
-    assert _copies_through_edges(masks[:5], 30, None) == [w & 31 for w in want]
+    assert len(tuples) > 10_000
+    assert _copies_through_edges(tuples, 30, None) == want
+    assert _copies_through_edges(tuples[:5], 30, None) == [w & 31 for w in want]
     assert _copies_through_edges([], 30, None) == [0] * len(want)
     with pytest.raises(TimeoutError):
-        _copies_through_edges(masks, 30, time.monotonic() - 1)
+        _copies_through_edges(tuples, 30, time.monotonic() - 1)
 
 
 def test_exact_matches_brute_force_on_order_four(cache_dir):
@@ -256,34 +251,75 @@ def test_budgeted_large_host_searches_past_the_root(monkeypatch):
     # below the root; a greedy hitting set run to its end at every node
     # would spend the whole budget in the first few.  The solver's clock
     # advances 10 ms on each read, so the 3.0 s budget is 300 reads on any
-    # machine: the search holds 615 copies after 203 nodes, not proved
+    # machine: the search holds 615 copies after 206 nodes, not proved
     # optimal, in about 1.4 s of real time on a 2-core Xeon, Python 3.11.7.
-    # The pin moves if a clock read moves, so it is retaken only with a
-    # change to the solver, as CLASS_NODES is
+    # The listing reads 64 times (its first tuple, the 62 one-vertex tuples
+    # with two higher vertices, and once after the walk) and the bitset
+    # build 31 times.  The pin moves if a clock read moves, so it is
+    # retaken only with a change to the solver, as CLASS_NODES is; it was
+    # 203 nodes while the listing walked dominance chains, read 67 times
     import ttpack.packing as packing
 
     reads = count()
     monkeypatch.setattr(packing.time, "monotonic", lambda: next(reads) * 0.01)
     t = random_tournament(64, 0)
     p = max_packing_exact(t, 3, time_budget=3.0)
-    assert (p.value, p.nodes_explored, p.optimal) == (615, 203, False)
+    assert (p.value, p.nodes_explored, p.optimal) == (615, 206, False)
     assert next(reads) == 302  # the deadline's own read, then 301 checks
     assert verify_packing(t, p)
 
 
 def test_budgeted_search_checks_the_deadline_in_hitting_set_rounds(monkeypatch):
-    # no hitting-set round runs in the search above; here 10 of the 52
+    # no hitting-set round runs in the search above; here 12 of the 52
     # clock reads are rounds, so without their check the same 0.5 s of
-    # 10 ms reads ends after 20 nodes holding 97 copies
+    # 10 ms reads ends after 23 nodes holding 97 copies.  The listing
+    # reads 26 times; it read 29 times, and the search stopped after 10
+    # nodes, while the listing walked dominance chains
     import ttpack.packing as packing
 
     reads = count()
     monkeypatch.setattr(packing.time, "monotonic", lambda: next(reads) * 0.01)
     t = random_tournament(26, 2)
     p = max_packing_exact(t, 3, time_budget=0.5)
-    assert (p.value, p.nodes_explored, p.optimal) == (95, 10, False)
+    assert (p.value, p.nodes_explored, p.optimal) == (95, 11, False)
     assert next(reads) == 52
     assert verify_packing(t, p)
+
+
+@pytest.mark.parametrize("budget, value", [(203, 615), (500, 638)])
+def test_node_budget_stops_the_large_host_at_its_last_node(budget, value):
+    # a node budget reads no clock, so these pins hold on any machine; 203
+    # nodes run no hitting-set round and pack what the time-budgeted search
+    # above held after 203 nodes.  2,000 nodes pack 656 in about 11 s of
+    # CPU on a 2-core Xeon, Python 3.11.7, too slow to pin here
+    t = random_tournament(64, 0)
+    p = max_packing_exact(t, 3, node_budget=budget)
+    assert (p.value, p.nodes_explored, p.optimal) == (value, budget, False)
+    assert verify_packing(t, p)
+
+
+def test_the_budget_that_runs_out_first_stops_the_search(monkeypatch):
+    # the clock of the hitting-set pin above: 0.5 s alone stops the search
+    # after 11 nodes and 52 reads
+    import ttpack.packing as packing
+
+    t = random_tournament(26, 2)
+
+    def solve(node_budget):
+        reads = count()
+        monkeypatch.setattr(packing.time, "monotonic", lambda: next(reads) * 0.01)
+        p = max_packing_exact(t, 3, time_budget=0.5, node_budget=node_budget)
+        assert verify_packing(t, p)
+        return p.value, p.nodes_explored, p.optimal, next(reads)
+
+    assert solve(5) == (95, 5, False, 34)  # the node budget first
+    assert solve(12) == (95, 11, False, 52)  # the time budget first
+    # a search that ends before its node budget is optimal; one that would
+    # end at the budget's last node is stopped there
+    t = random_tournament(11, 0)
+    assert max_packing_exact(t, 3, node_budget=16) == max_packing_exact(t, 3)
+    p = max_packing_exact(t, 3, node_budget=15)
+    assert (p.value, p.nodes_explored, p.optimal) == (17, 15, False)
 
 
 @pytest.mark.parametrize("n", [11, 17])
@@ -505,6 +541,9 @@ def test_rejects_bad_parameters():
         max_packing_exact(t, 2)
     with pytest.raises(ValueError, match="k must satisfy 3 <= k <= n=5, got 6"):
         max_packing_exact(t, 6)
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match=f"^node_budget must be at least 1, got {budget}$"):
+            max_packing_exact(t, 3, node_budget=budget)
 
 
 def test_larger_k_against_brute_force():
