@@ -247,29 +247,28 @@ def max_packing_exact(
 ) -> Packing:
     """Maximum edge-disjoint packing by branch-and-bound over edges.
 
-    The copies come from `enumerate_copies`, in vertex-tuple order, and
-    copy indices follow that order.  A node's state is one bitset, `live`,
-    over copy indices: the copies still addable.  The node picks the
-    coverable edge e with the fewest live copies through it, lowest edge
-    index on ties, and branches on each of those copies c in index order,
-    with live & ~conflict(c), plus one branch abandoning e, with
-    live & ~edge_copies[e].  conflict(c), the copies sharing an edge with
-    c, is the or of edge_copies over the C(k,2) edges of c; it is built
-    the first time the search takes c.  Branching on any coverable edge
-    is complete: the copies through e share e, so an optimal packing
-    within the live copies holds at most one of them.  If it holds one,
-    it lies in that copy's branch; if none, it survives the abandon
-    branch, which drops only the copies through e.  The fewest copies
-    give the fewest children (Knuth's rule in Dancing Links).  A node
-    counts its live copies on its parent's coverable edges (every edge at
-    the root); a child's live copies are among its parent's, so those
-    edges hold its own.  The nonzero counts mark the node's coverable
-    edges, handed on to its children as (edge bit, edge_copies) pairs in
-    edge-index order, and give the branch edge.  A greedy completion at
-    every node (take the lowest live copy, drop its conflict, repeat)
-    moves the incumbent early.  Two admissible prunes cut a node whose
-    chosen copies plus an upper bound on the copies still addable cannot
-    beat the incumbent:
+    The copies come from `enumerate_copies`, in vertex-tuple order, and copy
+    indices follow that order.  A node's state is one bitset, `live`, over
+    copy indices: the copies still addable.  The node picks the coverable
+    edge e with the fewest live copies through it, lowest edge index on
+    ties, and branches on each of those copies c in index order, with
+    live & ~conflict(c), plus one branch abandoning e, with
+    live & ~edge_copies[e].  conflict(c), the copies sharing an edge with c, is the or of edge_copies
+    over the C(k,2) edges of c; `avoid` builds ~conflict(c) the first time
+    the search takes c, and keeps it.  Branching on any coverable edge is
+    complete: the copies through e share e, so an optimal packing within the
+    live copies holds at most one of them.  If it holds one, it lies in that
+    copy's branch; if none, it survives the abandon branch, which drops only
+    the copies through e.  The fewest copies give the fewest children
+    (Knuth's rule in Dancing Links).  A node counts its live copies on its
+    parent's coverable edges (every edge at the root); a child's live copies
+    are among its parent's, so those edges hold its own.  The nonzero counts
+    mark the node's coverable edges, handed on to its children as (edge bit,
+    edge_copies) pairs in edge-index order, and give the branch edge.  A
+    greedy completion at every node (take the lowest live copy, drop its
+    conflict, repeat) moves the incumbent early.  Two admissible prunes cut
+    a node whose chosen copies plus an upper bound on the copies still
+    addable cannot beat the incumbent:
 
     - the leave bound of `_leave_bound` on the coverable edges;
     - a hitting set: any edge set meeting every live copy caps the copies
@@ -322,8 +321,8 @@ def max_packing_exact(
     best_members: tuple[int, ...] = ()
     nodes = 0
 
-    def conflict(c: int) -> int:
-        found = conflicts[c]
+    def avoid(c: int) -> int:
+        found = avoiding[c]
         if found is None:
             found = 0
             m = masks[c]
@@ -331,7 +330,8 @@ def max_packing_exact(
                 low = m & -m
                 m ^= low
                 found |= edge_copies[low.bit_length() - 1]
-            conflicts[c] = found
+            # kept inverted: and-ing with it costs one pass, not an inversion too
+            found = avoiding[c] = ~found
         return found
 
     def dfs(live: int, chosen: list[int], edges: list[tuple[int, int]]) -> None:
@@ -342,7 +342,7 @@ def max_packing_exact(
         while rest:
             c = (rest & -rest).bit_length() - 1
             greedy.append(c)
-            rest &= ~conflict(c)
+            rest &= avoid(c)
         if len(greedy) > best:
             best = len(greedy)
             best_members = tuple(greedy)
@@ -372,7 +372,7 @@ def max_packing_exact(
             branch ^= low
             c = low.bit_length() - 1
             chosen.append(c)
-            dfs(live & ~conflict(c), chosen, edges)
+            dfs(live & avoid(c), chosen, edges)
             chosen.pop()
             if best >= bound:
                 return
@@ -383,7 +383,7 @@ def max_packing_exact(
         masks = [c.edge_mask for c in copies]
         # edge_copies[e]: bitset over copy indices of the copies through edge e
         edge_copies = _copies_through_edges([c.vertices for c in copies], n, deadline)
-        conflicts: list[int | None] = [None] * len(masks)
+        avoiding: list[int | None] = [None] * len(masks)
         # each edge's bit is read from the cached _pair_bits, not made again
         bits = _pair_bits(n)
         pairs = zip(combinations(range(n), 2), edge_copies)

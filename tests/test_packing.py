@@ -253,9 +253,9 @@ def test_budgeted_large_host_searches_past_the_root(monkeypatch):
     # advances 10 ms on each read, so the 3.0 s budget is 300 reads on any
     # machine: the search holds 615 copies after 206 nodes, not proved
     # optimal, in about 1.4 s of real time on a 2-core Xeon, Python 3.11.7.
-    # The listing reads 64 times (its first tuple, the 62 one-vertex tuples
-    # with two higher vertices, and once after the walk) and the bitset
-    # build 31 times.  The pin moves if a clock read moves, so it is
+    # The listing reads 64 times (at the empty prefix, at the 62 one-vertex
+    # prefixes with two higher vertices, and once after the walk) and the
+    # bitset build 31 times.  The pin moves if a clock read moves, so it is
     # retaken only with a change to the solver, as CLASS_NODES is; it was
     # 203 nodes while the listing walked dominance chains, read 67 times
     import ttpack.packing as packing
@@ -290,8 +290,8 @@ def test_budgeted_search_checks_the_deadline_in_hitting_set_rounds(monkeypatch):
 def test_node_budget_stops_the_large_host_at_its_last_node(budget, value):
     # a node budget reads no clock, so these pins hold on any machine; 203
     # nodes run no hitting-set round and pack what the time-budgeted search
-    # above held after 203 nodes.  2,000 nodes pack 656 in about 11 s of
-    # CPU on a 2-core Xeon, Python 3.11.7, too slow to pin here
+    # above held after 203 nodes.  2,000 nodes pack 656 in 6-11 s of CPU
+    # on a shared 2-core Xeon, Python 3.11.7, too slow to pin here
     t = random_tournament(64, 0)
     p = max_packing_exact(t, 3, node_budget=budget)
     assert (p.value, p.nodes_explored, p.optimal) == (value, budget, False)
