@@ -76,9 +76,10 @@ class Packing:
 
 
 def _check_deadline(deadline: float | None) -> None:
-    """The solver's one stop: TimeoutError once the time.monotonic() instant has passed.
+    """The solver's one deadline check: TimeoutError once the time.monotonic() instant has passed.
 
-    None never raises and reads no clock.  max_packing_exact catches it once.
+    None never raises and reads no clock.  max_packing_exact catches the
+    TimeoutError once, the node budget's as well.
     """
     if deadline is not None and time.monotonic() > deadline:
         raise TimeoutError("ran past the deadline")
@@ -253,22 +254,23 @@ def max_packing_exact(
     edge e with the fewest live copies through it, lowest edge index on
     ties, and branches on each of those copies c in index order, with
     live & ~conflict(c), plus one branch abandoning e, with
-    live & ~edge_copies[e].  conflict(c), the copies sharing an edge with c, is the or of edge_copies
-    over the C(k,2) edges of c; `avoid` builds ~conflict(c) the first time
-    the search takes c, and keeps it.  Branching on any coverable edge is
-    complete: the copies through e share e, so an optimal packing within the
-    live copies holds at most one of them.  If it holds one, it lies in that
-    copy's branch; if none, it survives the abandon branch, which drops only
-    the copies through e.  The fewest copies give the fewest children
-    (Knuth's rule in Dancing Links).  A node counts its live copies on its
-    parent's coverable edges (every edge at the root); a child's live copies
-    are among its parent's, so those edges hold its own.  The nonzero counts
-    mark the node's coverable edges, handed on to its children as (edge bit,
-    edge_copies) pairs in edge-index order, and give the branch edge.  A
-    greedy completion at every node (take the lowest live copy, drop its
-    conflict, repeat) moves the incumbent early.  Two admissible prunes cut
-    a node whose chosen copies plus an upper bound on the copies still
-    addable cannot beat the incumbent:
+    live & ~edge_copies[e].  conflict(c), the copies sharing an edge with
+    c, is the or of edge_copies over the C(k,2) edges of c; `avoid` builds
+    ~conflict(c) the first time the search takes c, and keeps it.
+    Branching on any coverable edge is complete: the copies through e share
+    e, so an optimal packing within the live copies holds at most one of
+    them.  If it holds one, it lies in that copy's branch; if none, it
+    survives the abandon branch, which drops only the copies through e.  The
+    fewest copies give the fewest children (Knuth's rule in Dancing Links).
+    A node counts its live copies on its parent's coverable edges (every
+    edge at the root); a child's live copies are among its parent's, so
+    those edges hold its own.  The nonzero counts mark the node's coverable
+    edges, handed on to its children as (edge bit, edge_copies) pairs in
+    edge-index order, and give the branch edge.  A greedy completion at
+    every node (take the lowest live copy, drop its conflict, repeat) moves
+    the incumbent early.  Two admissible prunes cut a node whose chosen
+    copies plus an upper bound on the copies still addable cannot beat the
+    incumbent:
 
     - the leave bound of `_leave_bound` on the coverable edges;
     - a hitting set: any edge set meeting every live copy caps the copies
