@@ -476,13 +476,13 @@ def test_text_format(capsys, qr7_file):
         (("pipeline", "--trials", "0"), "--trials: must be at least 1, got 0"),
         (("experiment", "density", "--n", "9", "--trials", "-1"), "--trials: must be at least 1, got -1"),
         (("solve", "--budget-ms", "-5"), "--budget-ms: must be at least 0, got -5"),
-        (("solve", "--node-budget", "0"), "--node-budget: must be at least 1, got 0"),
         (("fmin", "--n", "5", "--workers", "0"), "--workers: must be at least 1, got 0"),
         (("verify", "lemma22", "--workers", "-2"), "--workers: must be at least 1, got -2"),
         (("enumerate", "--n", "3", "--workers", "two"), "--workers: invalid int value: 'two'"),
         (("experiment", "edge-stats", "--n", "1"), "error: edge statistics need a host with an edge, got n=1"),
         (("lp", "--budget", "1/0"), "error: zero denominator in '1/0'"),
         (("lp", "--budget", "1", "--values", "7,6,5/0"), "error: zero denominator in '5/0'"),
+        (("solve", "--node-budget", "0"), "--node-budget: must be at least 1, got 0"),
     ],
 )
 def test_out_of_range_counts_are_usage_errors(capsys, qr7_file, argv, message):
