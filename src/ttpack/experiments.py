@@ -14,13 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .packing import (
-    Packing,
-    TTCopy,
-    _pair_bits,
-    _transitive_chains,
-    greedy_packing,
-)
+from .packing import Packing, _edge_mask, _transitive_chains, greedy_packing
 from .rng import sub_seed
 from .tournament import Tournament, _edge_splits, random_tournament
 
@@ -114,7 +108,7 @@ def edge_copy_stats(t: Tournament, k: int) -> EdgeCopyStats:
     )
 
 
-def _transitive_subsets_within(t: Tournament, k: int, allowed: int) -> list[TTCopy]:
+def _transitive_subsets_within(t: Tournament, k: int, allowed: int) -> list[tuple[int, ...]]:
     """Transitive k-subsets all of whose pairs lie in the allowed edge set, lex order.
 
     The ascending walk of `_transitive_chains` runs on the host's rows with
@@ -143,13 +137,7 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
     """
     n = t.n
     per_copy = p.k * (p.k - 1) // 2
-    bits = _pair_bits(n)
-    members = {}
-    for vs in p.copies:
-        m = 0
-        for u, w in combinations(vs, 2):
-            m |= bits[u][w]
-        members[vs] = m
+    members = {vs: _edge_mask(n, vs) for vs in p.copies}
     covered = 0
     for m in members.values():
         covered |= m
@@ -157,7 +145,8 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
     changed = True
     while changed:
         changed = False
-        for vs, m in _transitive_subsets_within(t, p.k, all_edges & ~covered):
+        for vs in _transitive_subsets_within(t, p.k, all_edges & ~covered):
+            m = _edge_mask(n, vs)
             if m & covered == 0:
                 members[vs] = m
                 covered |= m
@@ -165,7 +154,8 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
         for vs in sorted(members):
             allowed = (all_edges & ~covered) | members[vs]
             found = []
-            for cand, cm in _transitive_subsets_within(t, p.k, allowed):
+            for cand in _transitive_subsets_within(t, p.k, allowed):
+                cm = _edge_mask(n, cand)
                 if found and cm & found[0][1] == 0:
                     found.append((cand, cm))
                     break

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, compress
 from operator import itemgetter
-from typing import NamedTuple
 
 from .rng import stdlib_rng
 from .tournament import Tournament, edge_index
@@ -25,7 +24,6 @@ from .tournament import Tournament, edge_index
 __all__ = [
     "CopyList",
     "Packing",
-    "TTCopy",
     "enumerate_copies",
     "greedy_packing",
     "max_packing_exact",
@@ -33,24 +31,13 @@ __all__ = [
 ]
 
 
-class TTCopy(NamedTuple):
-    """One transitive subtournament copy.
-
-    vertices: the k vertices, ascending.
-    edge_mask: bitmask over host unordered-pair indices (see edge_index).
-    """
-
-    vertices: tuple[int, ...]
-    edge_mask: int
-
-
 @dataclass(frozen=True)
 class CopyList:
-    """All TT_k copies of one host, ordered by vertex tuple."""
+    """All TT_k copies of one host, each its k vertices ascending, ordered by vertex tuple."""
 
     n: int
     k: int
-    copies: tuple[TTCopy, ...]
+    copies: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -102,10 +89,19 @@ def _vertex_edge_masks(n: int) -> tuple[int, ...]:
     return tuple(map(sum, _pair_bits(n)))
 
 
+def _edge_mask(n: int, vs: Sequence[int]) -> int:
+    """The bitmask of the unordered-pair indices among the distinct vertices vs."""
+    bits = _pair_bits(n)
+    mask = 0
+    for u, v in combinations(vs, 2):
+        mask |= bits[u][v]
+    return mask
+
+
 def _transitive_chains(
     n: int, out: Sequence[int], k: int, deadline: float | None = None
-) -> list[TTCopy]:
-    """Every transitive k-subset of the digraph `out`, in vertex-tuple order.
+) -> list[tuple[int, ...]]:
+    """Every transitive k-subset of the digraph `out`, as ascending vertex tuples in lex order.
 
     A tournament is transitive exactly when it has no cyclic triangle.  The
     walk grows a prefix a1 < ... < aj in ascending vertex order; its pool
@@ -120,12 +116,10 @@ def _transitive_chains(
     most k vertices, not C(n, k).  Rows of `out` may omit pairs (both
     directions), which restricts the walk to the copies all of whose pairs
     are kept, so the in-sets are the transpose of `out`, not its
-    complement.  The pairs from v to the prefix are the bits that v's row
-    of `_vertex_edge_masks` shares with the or of the prefix's rows.
-    `_check_deadline` runs at every prefix of fewer than k - 1 vertices
-    and when the walk ends.
+    complement.  A copy is its vertex tuple alone; the callers that need
+    its pairs read them off the tuple.  `_check_deadline` runs at every
+    prefix of fewer than k - 1 vertices and when the walk ends.
     """
-    at = _vertex_edge_masks(n)
     ins = [0] * n
     for v, row in enumerate(out):
         bit = 1 << v
@@ -133,11 +127,10 @@ def _transitive_chains(
             low = row & -row
             row ^= low
             ins[low.bit_length() - 1] |= bit
-    found: list[TTCopy] = []
+    found: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
-    def grow(pool: int, mask: int, rows: int) -> None:
-        # rows: the or of the prefix's rows of _vertex_edge_masks
+    def grow(pool: int) -> None:
         _check_deadline(deadline)
         last = len(prefix) + 2 == k
         need = k - len(prefix) - 1
@@ -154,8 +147,6 @@ def _transitive_chains(
                 sub &= ~(ov & ins[u] if iv >> u & 1 else iv & out[u])
             if sub.bit_count() < need:
                 continue
-            vmask = mask | at[v] & rows
-            vrows = rows | at[v]
             prefix.append(v)
             if last:
                 # the leaf level: every vertex of sub closes one copy
@@ -163,13 +154,18 @@ def _transitive_chains(
                 while sub:
                     low = sub & -sub
                     sub ^= low
-                    w = low.bit_length() - 1
-                    found.append(TTCopy(pre + (w,), vmask | at[w] & vrows))
+                    found.append(pre + (low.bit_length() - 1,))
             else:
-                grow(sub, vmask, vrows)
+                grow(sub)
             prefix.pop()
 
-    grow((1 << n) - 1, 0, 0)
+    try:
+        grow((1 << n) - 1)
+    finally:
+        # grow reaches itself through its closure; dropping the name breaks
+        # that cycle, so the copies go with the caller's last reference to
+        # them, not at the next full garbage collection
+        del grow
     _check_deadline(deadline)
     return found
 
@@ -219,17 +215,17 @@ def _leave_bound(coverable: int, n: int, k: int) -> int:
     return (size - leave) // per_copy
 
 
-def _copies_through_edges(
+def _copies_at_vertices(
     copies: Sequence[tuple[int, ...]], n: int, deadline: float | None
 ) -> list[int]:
-    """Per unordered pair, the bitset over copy indices of the copies through it.
+    """Per vertex, the bitset over copy indices of the copies at it.
 
     A copy holds the pair {u, v} exactly when it holds both vertices, so
-    the pair's bitset is the and of the bitsets of the copies at u and at
-    v.  Those n bitsets are built from the vertex tuples, linear in the
-    number of copies: or-ing 1 << c into one growing int per vertex would
-    copy the whole bitset at every copy, so each vertex's bits are set in
-    a bytearray and read once as a little-endian int.  `_check_deadline`
+    the bitset of the copies through that pair is row[u] & row[v].  The n
+    rows are built from the vertex tuples, linear in the number of
+    copies: or-ing 1 << c into one growing int per vertex would copy the
+    whole bitset at every copy, so each vertex's bits are set in a
+    bytearray and read once as a little-endian int.  `_check_deadline`
     runs at every 1,024th copy.
     """
     rows = [bytearray((len(copies) + 7) // 8) for _ in range(n)]
@@ -239,8 +235,7 @@ def _copies_through_edges(
         byte, bit = c >> 3, 1 << (c & 7)
         for v in vs:
             rows[v][byte] |= bit
-    at = [int.from_bytes(row, "little") for row in rows]
-    return [at[u] & at[v] for u, v in combinations(range(n), 2)]
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 def max_packing_exact(
@@ -248,14 +243,17 @@ def max_packing_exact(
 ) -> Packing:
     """Maximum edge-disjoint packing by branch-and-bound over edges.
 
-    The copies come from `enumerate_copies`, in vertex-tuple order, and copy
-    indices follow that order.  A node's state is one bitset, `live`, over
-    copy indices: the copies still addable.  The node picks the coverable
-    edge e with the fewest live copies through it, lowest edge index on
-    ties, and branches on each of those copies c in index order, with
-    live & ~conflict(c), plus one branch abandoning e, with
-    live & ~edge_copies[e].  conflict(c), the copies sharing an edge with
-    c, is the or of edge_copies over the C(k,2) edges of c; `avoid` builds
+    The copies come from `enumerate_copies` as vertex tuples, in
+    vertex-tuple order, and copy indices follow that order.  `row[v]`, from
+    `_copies_at_vertices`, is the bitset over copy indices of the copies at
+    vertex v, so the copies through the edge {u, v} are row[u] & row[v].
+    A node's state is one bitset, `live`, over copy indices: the copies
+    still addable.  The node picks the coverable edge e with the fewest
+    live copies through it, lowest edge index on ties, and branches on
+    each of those copies c in index order, with live & ~conflict(c), plus
+    one branch abandoning e, with live & ~(the copies through e).
+    conflict(c), the copies sharing an edge with c, is the or of
+    row[u] & row[v] over the C(k,2) pairs {u, v} of c; `avoid` builds
     ~conflict(c) the first time the search takes c, and keeps it.
     Branching on any coverable edge is complete: the copies through e share
     e, so an optimal packing within the live copies holds at most one of
@@ -265,7 +263,7 @@ def max_packing_exact(
     A node counts its live copies on its parent's coverable edges (every
     edge at the root); a child's live copies are among its parent's, so
     those edges hold its own.  The nonzero counts mark the node's coverable
-    edges, handed on to its children as (edge bit, edge_copies) pairs in
+    edges, handed on to its children as (edge bit, copies through it) pairs in
     edge-index order, and give the branch edge.  A greedy completion at
     every node (take the lowest live copy, drop its conflict, repeat) moves
     the incumbent early.  Two admissible prunes cut a node whose chosen
@@ -318,7 +316,7 @@ def max_packing_exact(
         raise ValueError(f"node_budget must be at least 1, got {node_budget}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     n = t.n
-    copies: tuple[TTCopy, ...] = ()
+    copies: tuple[tuple[int, ...], ...] = ()
     best = -1
     best_members: tuple[int, ...] = ()
     nodes = 0
@@ -327,11 +325,8 @@ def max_packing_exact(
         found = avoiding[c]
         if found is None:
             found = 0
-            m = masks[c]
-            while m:
-                low = m & -m
-                m ^= low
-                found |= edge_copies[low.bit_length() - 1]
+            for u, v in combinations(copies[c], 2):
+                found |= row[u] & row[v]
             # kept inverted: and-ing with it costs one pass, not an inversion too
             found = avoiding[c] = ~found
         return found
@@ -382,21 +377,22 @@ def max_packing_exact(
 
     try:
         copies = enumerate_copies(t, k, deadline).copies
-        masks = [c.edge_mask for c in copies]
-        # edge_copies[e]: bitset over copy indices of the copies through edge e
-        edge_copies = _copies_through_edges([c.vertices for c in copies], n, deadline)
-        avoiding: list[int | None] = [None] * len(masks)
+        row = _copies_at_vertices(copies, n, deadline)
+        avoiding: list[int | None] = [None] * len(copies)
         # each edge's bit is read from the cached _pair_bits, not made again
         bits = _pair_bits(n)
-        pairs = zip(combinations(range(n), 2), edge_copies)
-        dfs((1 << len(masks)) - 1, [], [(bits[u][v], through) for (u, v), through in pairs])
+        pairs = combinations(range(n), 2)
+        dfs((1 << len(copies)) - 1, [], [(bits[u][v], row[u] & row[v]) for u, v in pairs])
         optimal = True
     except TimeoutError:
         optimal = False
+    # as in _transitive_chains: dfs reaches itself through its closure, and
+    # the cycle would hold the copies and their bitsets past the return
+    del dfs
     return Packing(
         n=n,
         k=k,
-        copies=tuple(copies[c].vertices for c in sorted(best_members)),
+        copies=tuple(copies[c] for c in sorted(best_members)),
         optimal=optimal,
         nodes_explored=nodes,
     )
@@ -404,18 +400,16 @@ def max_packing_exact(
 
 def greedy_packing(t: Tournament, k: int, seed: int) -> Packing:
     """Maximal packing from a seeded random scan order; never exceeds the optimum."""
-    cl = enumerate_copies(t, k)
-    order = list(range(len(cl.copies)))
-    stdlib_rng(seed).shuffle(order)
+    copies = list(enumerate_copies(t, k).copies)
+    stdlib_rng(seed).shuffle(copies)
     covered = 0
     members = []
-    for c in order:
-        m = cl.copies[c].edge_mask
+    for vs in copies:
+        m = _edge_mask(t.n, vs)
         if m & covered == 0:
             covered |= m
-            members.append(c)
-    members.sort()
-    return Packing(n=t.n, k=k, copies=tuple(cl.copies[c].vertices for c in members))
+            members.append(vs)
+    return Packing(n=t.n, k=k, copies=tuple(sorted(members)))
 
 
 def verify_packing(t: Tournament, p: Packing) -> bool:

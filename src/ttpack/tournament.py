@@ -111,11 +111,14 @@ def parse_tournament(text: str) -> Tournament:
     nl = text.find("\n")
     if nl < 0:
         raise ValueError(f"missing newline after header (byte offset {len(text)})")
-    header = text[:nl]
+    count = text[2:nl]
     try:
-        n = int(header[2:])
+        n = int(count)
     except ValueError:
         raise ValueError("vertex count is not an integer (byte offset 2)") from None
+    # int() also takes a sign, spaces, underscores, leading zeros and non-ASCII digits
+    if count != str(n):
+        raise ValueError(f"vertex count {count!r} is not written as {str(n)!r} (byte offset 2)")
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES} (byte offset 2)")
     want = n * (n - 1) // 2

@@ -716,6 +716,11 @@ GOLDEN = {
         "f7eb65934d4d140248582b322573c5936c1ba2d9833a56fde6c3967f3643a86a",
         "70215acd143de81a53336b32883889500dfc0dfc83a1f23735caaa09f942497a",
     ),
+    "density-k4": (
+        ("experiment", "density", "--n", "12", "--k", "4", "--trials", "2", "--improve"),
+        "302292ff488755caf15b22da0dcd83dac589743783f8a889ba32eaa595e0ead8",
+        "ed6978e7a8c530b3572efe3700794bc934f12b56db32928dd209c9267f712a42",
+    ),
     "edge-stats": (
         ("experiment", "edge-stats", "--n", "13", "--k", "4"),
         "25954f4ffe552f1991d1ff060e3a52e15419b2d89aaed070df430e074acb8cdd",

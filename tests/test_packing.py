@@ -18,8 +18,8 @@ from oracles import (
 from ttpack.constructions import blowup, qr7
 from ttpack.packing import (
     Packing,
-    TTCopy,
-    _copies_through_edges,
+    _copies_at_vertices,
+    _edge_mask,
     _leave_bound,
     enumerate_copies,
     greedy_packing,
@@ -46,12 +46,13 @@ def test_enumerate_copies_on_transitive_host():
 
 def test_copies_listed_in_vertex_tuple_order():
     t = transitive_tournament(5)
-    vs = [c.vertices for c in enumerate_copies(t, 3).copies]
+    vs = list(enumerate_copies(t, 3).copies)
     assert vs == sorted(vs)
 
 
 def _listed(t, k):
-    return [(c.vertices, c.edge_mask) for c in enumerate_copies(t, k).copies]
+    # the pair masks come from _edge_mask, so the oracle checks it as well
+    return [(vs, _edge_mask(t.n, vs)) for vs in enumerate_copies(t, k).copies]
 
 
 def test_chain_walk_lists_the_scanned_copies_on_every_small_class(cache_dir):
@@ -72,7 +73,8 @@ def test_chain_walk_lists_the_scanned_copies_on_random_hosts(n, seed, ks):
 
 
 def test_copy_listing_honours_its_own_deadline():
-    # about C(64,6) * 6!/2^15, some 1.6 million copies: far more than 0.5 s lists
+    # about C(64,6) * 6!/2^15, some 1.6 million copies: listing them all
+    # takes about 2 s on a 2-core Xeon, Python 3.11.7, far more than 0.5 s
     t = random_tournament(64, 0)
     start = time.monotonic()
     with pytest.raises(TimeoutError):
@@ -85,50 +87,76 @@ def test_copy_listing_checks_its_deadline_after_the_walk(monkeypatch):
 
     import ttpack.packing as packing
 
-    made = []
+    def walk(passed_at):
+        # a clock that counts its reads and passes the deadline at read
+        # passed_at alone
+        reads = count(1)
+        clock = types.SimpleNamespace(monotonic=lambda: 2.0 if next(reads) == passed_at else 0.0)
+        monkeypatch.setattr(packing, "time", clock)
+        try:
+            return packing._transitive_chains(12, t.out, 3, deadline=1.0)
+        finally:
+            assert next(reads) == 13
 
-    class Recorded(TTCopy):
-        __slots__ = ()
-
-        def __new__(cls, *fields):
-            made.append(fields)
-            return super().__new__(cls, *fields)
-
-    monkeypatch.setattr(packing, "TTCopy", Recorded)
-    # on a transitive host the last copy, (9, 10, 11), is made under the
-    # walk's last prefix of one vertex: no vertex above 9 has two higher
-    # vertices, so no check inside the walk follows that copy
+    # the walk reads 12 times: at the empty prefix, at the ten one-vertex
+    # prefixes 0..9 with two higher vertices, and once after the walk.  On
+    # a transitive host the last copy, (9, 10, 11), is made under the
+    # prefix 9, so no read inside the walk follows that copy
     t = transitive_tournament(12)
-    listed = packing._transitive_chains(12, t.out, 3)
-    total = len(made)
-    assert total == 220 and [c.vertices for c in listed] == [vs for vs, _ in made]
-    made.clear()
-    # the clock passes the deadline once the walk has made its last copy
-    clock = types.SimpleNamespace(monotonic=lambda: 2.0 if len(made) == total else 0.0)
-    monkeypatch.setattr(packing, "time", clock)
+    listed = walk(None)
+    assert len(listed) == 220 and listed[-1] == (9, 10, 11)
+    # the clock passes the deadline at the walk's last read alone
     with pytest.raises(TimeoutError) as raised:
-        packing._transitive_chains(12, t.out, 3, deadline=1.0)
-    assert len(made) == total
+        walk(12)
     # _check_deadline raised, called by the walk's function, not by grow
     assert [entry.name for entry in raised.traceback[-2:]] == ["_transitive_chains", "_check_deadline"]
+
+
+def test_the_walk_and_the_search_leave_no_reference_cycle():
+    # a recursive closure reaches itself through its cell.  Left as it is,
+    # the cycle holds the listed copies, or the search's bitsets, until a
+    # full collection, which lists of int tuples seldom set off: 30
+    # budgeted k = 4 solves of 40-vertex hosts reached 150 MB of RSS
+    import gc
+
+    t = random_tournament(12, 0)
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_copies(t, 3)
+        max_packing_exact(t, 3)
+        max_packing_exact(t, 3, node_budget=2)
+        try:
+            enumerate_copies(t, 3, time.monotonic() - 1)
+        except TimeoutError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_copy_bitsets_match_per_copy_bits():
     # 10,744 copies, so the deadline is checked several times during the build
     t = random_tournament(30, 0)
     copies = enumerate_copies(t, 4).copies
-    tuples = [c.vertices for c in copies]
     want = [0] * (30 * 29 // 2)
-    for c, copy in enumerate(copies):
+    for c, vs in enumerate(copies):
+        mask = _edge_mask(30, vs)
         for e in range(len(want)):
-            if copy.edge_mask >> e & 1:
+            if mask >> e & 1:
                 want[e] |= 1 << c
-    assert len(tuples) > 10_000
-    assert _copies_through_edges(tuples, 30, None) == want
-    assert _copies_through_edges(tuples[:5], 30, None) == [w & 31 for w in want]
-    assert _copies_through_edges([], 30, None) == [0] * len(want)
+    assert len(copies) > 10_000
+
+    def through_edges(copies):
+        # the copies through the pair {u, v} are those at both u and v
+        row = _copies_at_vertices(copies, 30, None)
+        return [row[u] & row[v] for u, v in combinations(range(30), 2)]
+
+    assert through_edges(copies) == want
+    assert through_edges(copies[:5]) == [w & 31 for w in want]
+    assert _copies_at_vertices([], 30, None) == [0] * 30
     with pytest.raises(TimeoutError):
-        _copies_through_edges(tuples, 30, time.monotonic() - 1)
+        _copies_at_vertices(copies, 30, time.monotonic() - 1)
 
 
 def test_exact_matches_brute_force_on_order_four(cache_dir):
@@ -230,15 +258,15 @@ def test_deadline_after_the_bitsets_keeps_the_root_greedy(monkeypatch):
     # gets no time at all; the root's greedy completion must still count
     import ttpack.packing as packing
 
-    build = packing._copies_through_edges
+    build = packing._copies_at_vertices
 
-    def slow_build(masks, n, deadline):
-        rows = build(masks, n, deadline)
+    def slow_build(copies, n, deadline):
+        rows = build(copies, n, deadline)
         while time.monotonic() <= deadline:
             time.sleep(0.01)
         return rows
 
-    monkeypatch.setattr(packing, "_copies_through_edges", slow_build)
+    monkeypatch.setattr(packing, "_copies_at_vertices", slow_build)
     t = random_tournament(12, 0)
     p = max_packing_exact(t, 3, time_budget=0.05)
     assert not p.optimal
@@ -383,8 +411,8 @@ def test_leave_bound_is_at_least_brute_force(cache_dir):
         for n in orders:
             for t in enumerate_nonisomorphic(n, cache_dir=cache_dir):
                 coverable = 0
-                for c in enumerate_copies(t, k).copies if n >= k else ():
-                    coverable |= c.edge_mask
+                for vs in enumerate_copies(t, k).copies if n >= k else ():
+                    coverable |= _edge_mask(n, vs)
                 assert _leave_bound(coverable, n, k) >= brute_max_packing(t, k)
 
 

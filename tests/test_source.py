@@ -145,6 +145,10 @@ READ_ONLY_IN = {
     # per-byte rows of a code int serve the triangle scan alone; every code
     # is decoded into out-sets by tournament.tournament_from_code
     "_byte_tables": {("pipeline", "_triples")},
+    # a copy is its vertex tuple; only the greedy baseline and the local
+    # search build its pair mask, so the listing and the solver keep one
+    # form of a copy
+    "_edge_mask": {("packing", "greedy_packing"), ("experiments", "improve_packing")},
 }
 
 

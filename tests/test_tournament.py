@@ -49,6 +49,13 @@ def test_parse_rejects_bad_header():
         ("m=3\n110\n", "expected header 'n=<int>' (byte offset 0)"),
         ("n=3", "missing newline after header (byte offset 3)"),
         ("n=x\n101\n", "vertex count is not an integer (byte offset 2)"),
+        # int() takes each of these as 3; the header must read n=3 exactly
+        ("n=+3\n101\n", "vertex count '+3' is not written as '3' (byte offset 2)"),
+        ("n= 3\n101\n", "vertex count ' 3' is not written as '3' (byte offset 2)"),
+        ("n=0_3\n101\n", "vertex count '0_3' is not written as '3' (byte offset 2)"),
+        ("n=03\n101\n", "vertex count '03' is not written as '3' (byte offset 2)"),
+        ("n=3 \n101\n", "vertex count '3 ' is not written as '3' (byte offset 2)"),
+        ("n=\u0663\n101\n", "vertex count '\u0663' is not written as '3' (byte offset 2)"),
     ]:
         with pytest.raises(ValueError) as exc:
             parse_tournament(text)
