@@ -144,7 +144,12 @@ def _min_code_rows(out: Sequence[int]) -> list[int]:
                 dfs(new_cells, rows)
         rows.pop()
 
-    dfs([(1 << n) - 1] if n else [], [])
+    try:
+        dfs([(1 << n) - 1] if n else [], [])
+    finally:
+        # dfs reaches itself through its closure; dropping the name breaks
+        # that cycle, so a labeling leaves no garbage for the collector
+        del dfs
     if best is None:
         raise AssertionError("canonical labeling self-check failed: the search reached no leaf")
     return best

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial
 
 from .packing import Packing, _edge_mask, _transitive_chains, greedy_packing
@@ -115,16 +114,24 @@ def _transitive_subsets_within(t: Tournament, k: int, allowed: int) -> list[tupl
     every pair outside `allowed` dropped from both rows.  The walk takes its
     in-sets by transposing the rows it is given, so a dropped pair joins its
     two vertices in neither direction, and the walk reaches exactly the
-    copies inside the allowed edges.
+    copies inside the allowed edges.  The pairs {i, j}, j > i, fill one
+    field of `allowed`, j at bit j - i - 1, so vertex i's allowed higher
+    vertices are one shift away: i's row keeps those it beats, and each
+    that beats i takes i into its own row.
     """
-    rows = [0] * t.n
-    for e, (i, j) in enumerate(combinations(range(t.n), 2)):
-        if allowed >> e & 1:
-            if t.has_edge(i, j):
-                rows[i] |= 1 << j
-            else:
-                rows[j] |= 1 << i
-    return _transitive_chains(t.n, rows, k)
+    n, out = t.n, t.out
+    rows = [0] * n
+    for i in range(n):
+        width = n - 1 - i
+        higher = (allowed & (1 << width) - 1) << i + 1
+        allowed >>= width
+        rows[i] |= out[i] & higher
+        beaten = higher & ~out[i]
+        while beaten:
+            low = beaten & -beaten
+            beaten ^= low
+            rows[low.bit_length() - 1] |= 1 << i
+    return _transitive_chains(n, rows, k)
 
 
 def improve_packing(t: Tournament, p: Packing) -> Packing:

@@ -4,9 +4,10 @@ Covers five instruments.  Three rest on one scan over the labeled
 maximum triangle packings of K_n, 3 <= n <= 8: the triangle-count
 regimes of all 456 seven-vertex classes, each class's packing verified
 in the worker that scanned it; the exact minimum packing value over all
-classes of order n, read off the scan for triples and solved class by
-class for larger k; and a randomized 49-vertex decomposition pipeline
-that packs each block by the scan and verifies every assembled packing.
+classes of order n, read off one scan of all its classes for triples
+and solved class by class for larger k; and a randomized 49-vertex
+decomposition pipeline that packs each block by the scan and verifies
+every assembled packing.
 The others are an exact expectation identity for induced subtournaments
 and an exact-rational LP over the regimes.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -179,6 +181,29 @@ def _cyclic_mask(n: int, bits: int) -> int:
     return ~(ij ^ jk) & (ij ^ ik)
 
 
+def _cyclic_columns(n: int, codes: Sequence[str]) -> list[int]:
+    """Per triple index of order n, the bitset of the classes with these codes on which it is cyclic.
+
+    Bit c of each bitset belongs to codes[c].  The codes are joined and
+    read column by column: pair p's characters, the classes in reverse
+    order, parse with int(col, 2) to the bitset of the classes that hold
+    pair p's bit.  Each triple then takes _cyclic_mask's rule on the
+    columns of its three pairs, so one int operation serves every class.
+    Raises ValueError unless every code has the order's C(n,2) bits.
+    """
+    width = comb(n, 2)
+    wrong = set(map(len, codes)) - {width}
+    if wrong:
+        raise ValueError(f"codes of order {n} have {width} bits, got {min(wrong)}")
+    text = "".join(codes)
+    column = {pair: int(text[p - width :: -width], 2) for p, pair in enumerate(combinations(range(n), 2))}
+    cyclic = []
+    for i, j, k in _triples(n)[0]:
+        ij, jk, ik = column[i, j], column[j, k], column[i, k]
+        cyclic.append(~(ij ^ jk) & (ij ^ ik))
+    return cyclic
+
+
 def _solve_code(code: str, k: int) -> int:
     """Exact packing value of the class with this code, solved with no budget and verified here."""
     t = tournament_from_code(code)
@@ -266,9 +291,35 @@ def _scan_code(code: str) -> tuple[int, int]:
     return cyclic.bit_count(), len(lines)
 
 
-def _scan_value(n: int, code: str) -> int:
-    """P_3 of the class of order n with this code, M - least by _scan."""
-    return len(_scan(n, _cyclic_mask(n, int(code, 2)), "class", code)[1])
+def _scan_values(n: int, codes: Sequence[str]) -> list[int]:
+    """P_3 of each class of order n with these codes, in order: M - least, read as _scan reads it.
+
+    One walk of _max_packings(n) serves every class at once.  An entry's
+    hits are the OR of its lines' _cyclic_columns bitsets, the classes
+    with a cyclic triple on it, and unsettled keeps the classes that
+    every entry so far hits.  A class that drops out has least = 0 and
+    value M, and the walk stops once none is left.  Each class still
+    unsettled at the end has least >= 1, and _scan settles it from its
+    own cyclic mask, in class order, raising past the exact range.
+    """
+    table = _max_packings(n)
+    index = _triples(n)[0]
+    columns = _cyclic_columns(n, codes)
+    unsettled = (1 << len(codes)) - 1
+    for _, lines in table:
+        hits = 0
+        for line in lines:
+            hits |= columns[index[line]]
+        unsettled &= hits
+        if not unsettled:
+            break
+    values = [len(table[0][1])] * len(codes)
+    while unsettled:
+        low = unsettled & -unsettled
+        unsettled ^= low
+        c = low.bit_length() - 1
+        values[c] = len(_scan(n, _cyclic_mask(n, int(codes[c], 2)), "class", codes[c])[1])
+    return values
 
 
 def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> ThresholdReport:
@@ -297,18 +348,20 @@ def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> Thre
 def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) -> FMinRecord:
     """Exact minimum of the packing number over all isomorphism classes of order n.
 
-    At k = 3 no class is solved: each class's value is read off _scan as
-    M - least, exact by the argument in _scan's docstring, and a class
-    past the scan's exact range raises, naming it.  Certificate: the
-    table's entries are certified once, here before any worker forks
-    (see _max_packings), and a class's packing is the lines of an entry
-    that its cyclic mask misses, one AND, so each line is transitive on
-    the class: together the facts verify_packing checks.  At any other
-    k, every class is solved exactly by _solve_code, its packing verified
-    in the worker that solved it.  At every k each argmin class is solved
-    again by _solve_code, in the same pool, and must come back at the
-    minimum.  No class is censused.  Both
-    n and k are checked before the class list is built.
+    At k = 3 no class is solved: _scan_values reads every class's value
+    as M - least, exact by the argument in _scan's docstring, in this
+    process, and a class past the scan's exact range raises, naming it.
+    Certificate: the table's entries are certified once (see
+    _max_packings), and a class's packing is the lines of an entry that
+    none of its cyclic triples is on, so each line is transitive on the
+    class: together the facts verify_packing checks.  The test costs one
+    AND per entry, over every class at once, and a class with least >= 1
+    is tested again entry by entry in _scan.  At any other k, every class
+    is solved exactly by _solve_code, its packing verified in the worker
+    that solved it.  At every k each argmin class is solved again by
+    _solve_code, in the pool, and must come back at the minimum.  No
+    class is censused.  Both n and k are checked before the class list
+    is built.
     """
     if not 3 <= n <= MAX_ENUMERATION_VERTICES:
         raise ValueError(f"minimum packing sweep supports 3 <= n <= {MAX_ENUMERATION_VERTICES}, got {n}")
@@ -316,11 +369,10 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
         raise ValueError(f"k must satisfy 3 <= k <= n={n}, got {k}")
     codes = enumerate_codes(n, cache_dir=cache_dir, workers=workers)
     if k == 3:
-        _max_packings(n)  # built here, so forked workers inherit it
-        value = partial(_scan_value, n)
+        values = _scan_values(n, codes)
     else:
-        value = partial(_solve_code, k=k)
-    exact = dict(zip(codes, _pool_map(value, codes, workers)))
+        values = _pool_map(partial(_solve_code, k=k), codes, workers)
+    exact = dict(zip(codes, values))
     f = min(exact.values())
     argmin = tuple(sorted(code for code, p in exact.items() if p == f))
     for code, again in zip(argmin, _pool_map(partial(_solve_code, k=k), argmin, workers)):

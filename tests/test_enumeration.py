@@ -186,6 +186,22 @@ def test_canonical_code_is_relabeling_invariant():
             assert canonical_code(relabel(host, perm)) == reference
 
 
+def test_the_labeling_leaves_no_reference_cycle():
+    # as for the copy walk and the search: the labeler's recursive closure
+    # would reach itself through its cell, one garbage cycle per labeling
+    import gc
+
+    hosts = [random_tournament(8, seed) for seed in range(4)]
+    gc.collect()
+    gc.disable()
+    try:
+        for host in hosts:
+            canonical_code(host)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_canonical_order_relabels_to_the_code(cache_dir):
     rng = random.Random(4)
     for n in range(1, 9):

@@ -322,6 +322,21 @@ def test_f_min_re_solves_its_argmin_in_the_sweeps_pool(cache_dir, monkeypatch):
     assert pooled == [(*solve, codes, 2), (*solve, record.argmin_codes, 2)]
 
 
+def test_f_min_at_k3_pools_only_its_argmin_re_solves(cache_dir, monkeypatch):
+    # the scan reads every class in this process; the workers serve the
+    # re-solves alone
+    pooled = []
+    original = pipeline._pool_map
+
+    def recording(fn, jobs, workers):
+        pooled.append((fn.func, fn.keywords, tuple(jobs), workers))
+        return original(fn, jobs, workers)
+
+    monkeypatch.setattr(pipeline, "_pool_map", recording)
+    record = f_min(8, cache_dir=cache_dir, workers=2)
+    assert pooled == [(pipeline._solve_code, {"k": 3}, record.argmin_codes, 2)]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_f_min_rejects_an_argmin_that_re_solves_off_the_minimum(cache_dir, monkeypatch, workers):
     # at k=3 the argmin re-solves are the only calls to _solve_code, so
@@ -416,12 +431,12 @@ def test_f_min_rejects_a_class_the_scan_does_not_settle(cache_dir, monkeypatch, 
         f_min(7, cache_dir=cache_dir, workers=workers)
 
 
-def test_scan_value_raises_past_the_exact_range(cache_dir, monkeypatch):
+def test_scan_values_raises_past_the_exact_range(cache_dir, monkeypatch):
     # least = 2 is exact at n = 7 alone, by the completion lemma; at other
     # orders the scan proves only the lower bound there
     codes = enumerate_codes(7, cache_dir=cache_dir)
     sevens = [code for code in codes if pipeline._scan(7, pipeline._cyclic_mask(7, int(code, 2)))[0] == 2]
-    assert [pipeline._scan_value(7, code) for code in sevens] == [5, 5]
+    assert pipeline._scan_values(7, sevens) == [5, 5]
     entry = pipeline._max_packings(6)[:1]
     six = next(
         code
@@ -430,7 +445,35 @@ def test_scan_value_raises_past_the_exact_range(cache_dir, monkeypatch):
     )
     monkeypatch.setattr(pipeline, "_max_packings", lambda n: entry)
     with pytest.raises(PipelineError, match=f"^no maximum packing has under 2 cyclic lines on class {six}$"):
-        pipeline._scan_value(6, six)
+        pipeline._scan_values(6, [six])
+
+
+@pytest.mark.parametrize("n, scanned", [(3, 1), (4, 0), (5, 0), (6, 1), (7, 49), (8, 8)], ids=range(3, 9))
+def test_scan_values_read_every_class_as_the_scan_does(cache_dir, monkeypatch, n, scanned):
+    # bit c of each triple's column is that triple's bit in the byte-table
+    # mask of class c; each value is M - least by _scan; and _scan runs, in
+    # class order, on exactly the classes with least >= 1
+    codes = enumerate_codes(n, cache_dir=cache_dir)
+    size = len(pipeline._max_packings(n)[0][1])
+    masks = [pipeline._cyclic_mask(n, int(code, 2)) for code in codes]
+    leasts = [pipeline._scan(n, mask)[0] for mask in masks]
+    columns = pipeline._cyclic_columns(n, codes)
+    assert len(columns) == comb(n, 3)
+    for x, column in enumerate(columns):
+        assert column == sum((mask >> x & 1) << c for c, mask in enumerate(masks)), x
+    calls = counting_scans(monkeypatch)
+    assert pipeline._scan_values(n, codes) == [size - least for least in leasts]
+    assert calls == [mask for mask, least in zip(masks, leasts) if least]
+    assert len(calls) == scanned
+
+
+def test_scan_values_reject_codes_of_another_order(cache_dir):
+    with pytest.raises(ValueError, match="^codes of order 8 have 28 bits, got 21$"):
+        pipeline._scan_values(8, enumerate_codes(7, cache_dir=cache_dir))
+    # one code short and one long add up to the right length, and still raise
+    a, b = enumerate_codes(8, cache_dir=cache_dir)[:2]
+    with pytest.raises(ValueError, match="^codes of order 8 have 28 bits, got 27$"):
+        pipeline._scan_values(8, [a[:-1], b + "0"])
 
 
 def test_witness_fit_agrees_with_verify_packing(cache_dir):
