@@ -3,11 +3,11 @@
 Covers five instruments.  Three rest on one scan over the labeled
 maximum triangle packings of K_n, 3 <= n <= 8: the triangle-count
 regimes of all 456 seven-vertex classes, each class's packing verified
-in the worker that scanned it; the exact minimum packing value over all
-classes of order n, read off one scan of all its classes for triples
-and solved class by class for larger k; and a randomized 49-vertex
-decomposition pipeline that packs each block by the scan and verifies
-every assembled packing.
+in the calling process; the exact minimum packing value over all
+classes of order n, read off the same scan of all its classes for
+triples and solved class by class for larger k; and a randomized
+49-vertex decomposition pipeline that packs each block by the scan and
+verifies every assembled packing.
 The others are an exact expectation identity for induced subtournaments
 and an exact-rational LP over the regimes.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -277,67 +277,68 @@ def _scan(n: int, cyclic: int, *subject) -> tuple[int, tuple[tuple[int, ...], ..
     return least, tuple(line for line in lines if not cyclic >> index[line] & 1)
 
 
-def _scan_code(code: str) -> tuple[int, int]:
-    """(t, P) of the 7-vertex class with this code, by _scan, its packing verified here.
+def _members(classes: int) -> Iterator[int]:
+    """Indices of the set bits of classes, lowest first."""
+    while classes:
+        low = classes & -classes
+        classes ^= low
+        yield low.bit_length() - 1
 
-    The code is read twice: as an int for its cyclic mask, and by
-    tournament_from_code for the tournament that the packing is verified
-    on.
+
+def _scan_classes(n: int, codes: Sequence[str]) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """(lines, classes) parts of the classes of order n with these codes, bit c of classes for codes[c].
+
+    Each class is in one part, whose lines are _scan's first least entry
+    for it.  One walk of _max_packings(n) serves every class at once: an
+    entry's hits are the OR of its lines' _cyclic_columns bitsets, the
+    classes with a cyclic triple on it, and unsettled keeps the classes
+    that every entry so far hits.  The classes an entry is the first to
+    miss have least = 0 and form its part.  Each class still unsettled
+    at the end has least >= 1, and _scan settles it from its own cyclic
+    mask as a part of its own, in class order, raising past the exact
+    range.
     """
-    cyclic = _cyclic_mask(7, int(code, 2))
-    lines = _scan(7, cyclic, "class", code)[1]
-    if not verify_packing(tournament_from_code(code), Packing(n=7, k=3, copies=lines)):
-        raise PipelineError(f"class {code} has a packing of {len(lines)} copies that fails verification")
-    return cyclic.bit_count(), len(lines)
-
-
-def _scan_values(n: int, codes: Sequence[str]) -> list[int]:
-    """P_3 of each class of order n with these codes, in order: M - least, read as _scan reads it.
-
-    One walk of _max_packings(n) serves every class at once.  An entry's
-    hits are the OR of its lines' _cyclic_columns bitsets, the classes
-    with a cyclic triple on it, and unsettled keeps the classes that
-    every entry so far hits.  A class that drops out has least = 0 and
-    value M, and the walk stops once none is left.  Each class still
-    unsettled at the end has least >= 1, and _scan settles it from its
-    own cyclic mask, in class order, raising past the exact range.
-    """
-    table = _max_packings(n)
     index = _triples(n)[0]
     columns = _cyclic_columns(n, codes)
     unsettled = (1 << len(codes)) - 1
-    for _, lines in table:
+    parts = []
+    for _, lines in _max_packings(n):
         hits = 0
         for line in lines:
             hits |= columns[index[line]]
-        unsettled &= hits
+        missed = unsettled & ~hits
+        if missed:
+            parts.append((lines, missed))
+        unsettled ^= missed
         if not unsettled:
             break
-    values = [len(table[0][1])] * len(codes)
-    while unsettled:
-        low = unsettled & -unsettled
-        unsettled ^= low
-        c = low.bit_length() - 1
-        values[c] = len(_scan(n, _cyclic_mask(n, int(codes[c], 2)), "class", codes[c])[1])
-    return values
+    for c in _members(unsettled):
+        parts.append((_scan(n, _cyclic_mask(n, int(codes[c], 2)), "class", codes[c])[1], 1 << c))
+    return parts
 
 
 def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> ThresholdReport:
-    """Settle every 7-vertex class by _scan and check it against REGIMES.
+    """Settle every 7-vertex class by _scan_classes and check it against REGIMES.
 
-    No class is solved.  Each worker scans a class, and the class's P is
-    the size of its verified packing, a least Fano plane's 7 - least
-    transitive lines: exact by the argument in _scan's docstring.  A
-    class with t directed triangles must pack at least its regime's
-    value and at most the perfect packing C(7,2)/3 = 7.  A class past
-    the scan's exact range, a packing that fails verification or a
-    violation raises, naming the class's code.
+    No class is solved and no worker forked; workers serves only a cold
+    class-list build.  A class's P is the size of its packing, a least
+    Fano plane's 7 - least transitive lines, exact by the argument in
+    _scan's docstring, and verified here, in class order; its t is read
+    off its code by _cyclic_mask.  A class with t directed triangles
+    must pack at least its regime's value and at most the perfect
+    packing C(7,2)/3 = 7.  A class past the scan's exact range, a
+    packing that fails verification or a violation raises, naming the
+    class's code.
     """
     perfect = comb(7, 2) // 3
     codes = enumerate_codes(7, cache_dir=cache_dir, workers=workers)
-    _max_packings(7)  # built here, so forked workers inherit it
+    lines_of = {c: lines for lines, classes in _scan_classes(7, codes) for c in _members(classes)}
     records = []
-    for code, (t, p) in zip(codes, _pool_map(_scan_code, codes, workers)):
+    for c, code in enumerate(codes):
+        lines = lines_of[c]
+        if not verify_packing(tournament_from_code(code), Packing(n=7, k=3, copies=lines)):
+            raise PipelineError(f"class {code} has a packing of {len(lines)} copies that fails verification")
+        t, p = _cyclic_mask(7, int(code, 2)).bit_count(), len(lines)
         records.append(ClassThreshold(code, t, p))
         floor = REGIMES[_regime(t)][1]
         if not floor <= p <= perfect:
@@ -348,20 +349,19 @@ def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> Thre
 def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) -> FMinRecord:
     """Exact minimum of the packing number over all isomorphism classes of order n.
 
-    At k = 3 no class is solved: _scan_values reads every class's value
-    as M - least, exact by the argument in _scan's docstring, in this
-    process, and a class past the scan's exact range raises, naming it.
-    Certificate: the table's entries are certified once (see
-    _max_packings), and a class's packing is the lines of an entry that
-    none of its cyclic triples is on, so each line is transitive on the
-    class: together the facts verify_packing checks.  The test costs one
-    AND per entry, over every class at once, and a class with least >= 1
-    is tested again entry by entry in _scan.  At any other k, every class
-    is solved exactly by _solve_code, its packing verified in the worker
-    that solved it.  At every k each argmin class is solved again by
-    _solve_code, in the pool, and must come back at the minimum.  No
-    class is censused.  Both n and k are checked before the class list
-    is built.
+    f and its argmins are read off (value, classes) parts, each class in
+    one.  At k = 3 no class is solved: the parts are _scan_classes's, in
+    this process, each valued at its M - least lines, exact by the
+    argument in _scan's docstring, and a class past the scan's exact
+    range raises, naming it.  Certificate: the table's entries are
+    certified once (see _max_packings), and a class's packing is the
+    lines of an entry that none of its cyclic triples is on, so each
+    line is transitive on the class: together the facts verify_packing
+    checks.  At any other k, every class is its own part, solved exactly
+    by _solve_code, its packing verified in the worker that solved it.
+    At every k each argmin class is solved again by _solve_code, in the
+    pool, and must come back at the minimum.  No class is censused.
+    Both n and k are checked before the class list is built.
     """
     if not 3 <= n <= MAX_ENUMERATION_VERTICES:
         raise ValueError(f"minimum packing sweep supports 3 <= n <= {MAX_ENUMERATION_VERTICES}, got {n}")
@@ -369,12 +369,11 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
         raise ValueError(f"k must satisfy 3 <= k <= n={n}, got {k}")
     codes = enumerate_codes(n, cache_dir=cache_dir, workers=workers)
     if k == 3:
-        values = _scan_values(n, codes)
+        parts = [(len(lines), classes) for lines, classes in _scan_classes(n, codes)]
     else:
-        values = _pool_map(partial(_solve_code, k=k), codes, workers)
-    exact = dict(zip(codes, values))
-    f = min(exact.values())
-    argmin = tuple(sorted(code for code, p in exact.items() if p == f))
+        parts = [(p, 1 << c) for c, p in enumerate(_pool_map(partial(_solve_code, k=k), codes, workers))]
+    f = min(p for p, _ in parts)
+    argmin = tuple(sorted(codes[c] for p, classes in parts if p == f for c in _members(classes)))
     for code, again in zip(argmin, _pool_map(partial(_solve_code, k=k), argmin, workers)):
         if again != f:
             raise PipelineError(f"argmin certification failed for {code}")

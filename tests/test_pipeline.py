@@ -85,16 +85,18 @@ def test_threshold_sweep_is_the_same_at_two_workers(cache_dir, threshold_report)
 
 
 def force_copies(monkeypatch, code, edit):
-    # the scan of this class's cyclic triples returns edit(its lines) in
-    # place of its lines, and the same least
-    target = pipeline._cyclic_mask(7, int(code, 2))
-    original = pipeline._scan
+    # the class scan moves this class into a part of its own, with
+    # edit(its lines) in place of its lines; every other class keeps its part
+    original = pipeline._scan_classes
 
-    def forced(n, cyclic, *subject):
-        least, lines = original(n, cyclic, *subject)
-        return (least, edit(lines)) if cyclic == target else (least, lines)
+    def forced(n, codes):
+        target = 1 << codes.index(code)
+        parts = original(n, codes)
+        own = next(lines for lines, classes in parts if classes & target)
+        rest = [(lines, classes & ~target) for lines, classes in parts if classes & ~target]
+        return [*rest, (edit(own), target)]
 
-    monkeypatch.setattr(pipeline, "_scan", forced)
+    monkeypatch.setattr(pipeline, "_scan_classes", forced)
 
 
 @pytest.mark.parametrize(
@@ -134,9 +136,8 @@ def test_threshold_sweep_verifies_every_packing_it_counts(cache_dir, threshold_r
     ids=["regime", "verification"],
 )
 def test_threshold_sweep_fails_closed_at_two_workers(cache_dir, threshold_report, monkeypatch, t, value, message):
-    # the patch reaches the pool workers because they are forked from the
-    # patched process; the regime check runs in the caller, verification
-    # in the worker that scanned the class
+    # on a warm cache no worker is forked: the scan, verification and the
+    # regime check all run in the caller, so the patch holds at two workers
     code = next(r.code for r in threshold_report.records if r.t == t)
     force_copies(monkeypatch, code, lambda copies: (copies * 2)[:value])
     with pytest.raises(PipelineError, match=f"class {code} {message}"):
@@ -153,6 +154,21 @@ def test_threshold_sweep_rejects_a_class_no_fano_plane_packs(cache_dir, monkeypa
     monkeypatch.setattr(pipeline, "REGIMES", ((0, 0),))
     with pytest.raises(PipelineError, match="no maximum packing has under [3-7] cyclic lines on class [01]{21}$"):
         verify_t7_thresholds(cache_dir, workers=workers)
+
+
+def test_threshold_sweep_pools_no_job_on_a_warm_cache(cache_dir, threshold_report, monkeypatch):
+    # the scan reads and verifies every class in this process; the workers
+    # serve only a cold class-list build
+    pooled = []
+    original = pipeline._pool_map
+
+    def recording(fn, jobs, workers):
+        pooled.append((fn, tuple(jobs), workers))
+        return original(fn, jobs, workers)
+
+    monkeypatch.setattr(pipeline, "_pool_map", recording)
+    assert verify_t7_thresholds(cache_dir, workers=2) == threshold_report
+    assert pooled == []
 
 
 def test_threshold_sweep_scans_without_solving(cache_dir, threshold_report, monkeypatch):
@@ -431,12 +447,12 @@ def test_f_min_rejects_a_class_the_scan_does_not_settle(cache_dir, monkeypatch, 
         f_min(7, cache_dir=cache_dir, workers=workers)
 
 
-def test_scan_values_raises_past_the_exact_range(cache_dir, monkeypatch):
+def test_scan_classes_raises_past_the_exact_range(cache_dir, monkeypatch):
     # least = 2 is exact at n = 7 alone, by the completion lemma; at other
     # orders the scan proves only the lower bound there
     codes = enumerate_codes(7, cache_dir=cache_dir)
     sevens = [code for code in codes if pipeline._scan(7, pipeline._cyclic_mask(7, int(code, 2)))[0] == 2]
-    assert pipeline._scan_values(7, sevens) == [5, 5]
+    assert [(len(lines), classes) for lines, classes in pipeline._scan_classes(7, sevens)] == [(5, 1), (5, 2)]
     entry = pipeline._max_packings(6)[:1]
     six = next(
         code
@@ -445,35 +461,43 @@ def test_scan_values_raises_past_the_exact_range(cache_dir, monkeypatch):
     )
     monkeypatch.setattr(pipeline, "_max_packings", lambda n: entry)
     with pytest.raises(PipelineError, match=f"^no maximum packing has under 2 cyclic lines on class {six}$"):
-        pipeline._scan_values(6, [six])
+        pipeline._scan_classes(6, [six])
 
 
 @pytest.mark.parametrize("n, scanned", [(3, 1), (4, 0), (5, 0), (6, 1), (7, 49), (8, 8)], ids=range(3, 9))
-def test_scan_values_read_every_class_as_the_scan_does(cache_dir, monkeypatch, n, scanned):
+def test_scan_classes_read_every_class_as_the_scan_does(cache_dir, monkeypatch, n, scanned):
     # bit c of each triple's column is that triple's bit in the byte-table
-    # mask of class c; each value is M - least by _scan; and _scan runs, in
-    # class order, on exactly the classes with least >= 1
+    # mask of class c; the parts cover each class exactly once, with _scan's
+    # lines for it, M - least of them; and _scan runs, in class order, on
+    # exactly the classes with least >= 1
     codes = enumerate_codes(n, cache_dir=cache_dir)
     size = len(pipeline._max_packings(n)[0][1])
     masks = [pipeline._cyclic_mask(n, int(code, 2)) for code in codes]
-    leasts = [pipeline._scan(n, mask)[0] for mask in masks]
+    leasts, class_lines = zip(*(pipeline._scan(n, mask) for mask in masks))
     columns = pipeline._cyclic_columns(n, codes)
     assert len(columns) == comb(n, 3)
     for x, column in enumerate(columns):
         assert column == sum((mask >> x & 1) << c for c, mask in enumerate(masks)), x
     calls = counting_scans(monkeypatch)
-    assert pipeline._scan_values(n, codes) == [size - least for least in leasts]
+    parts = pipeline._scan_classes(n, codes)
+    # no part is empty, and the part sizes add up to the class count, so
+    # with every class read off some part, none is in two
+    assert all(classes for _, classes in parts)
+    assert sum(classes.bit_count() for _, classes in parts) == len(codes)
+    read = {c: lines for lines, classes in parts for c in range(len(codes)) if classes >> c & 1}
+    assert [read[c] for c in range(len(codes))] == list(class_lines)
+    assert [len(lines) for lines in class_lines] == [size - least for least in leasts]
     assert calls == [mask for mask, least in zip(masks, leasts) if least]
     assert len(calls) == scanned
 
 
-def test_scan_values_reject_codes_of_another_order(cache_dir):
+def test_scan_classes_reject_codes_of_another_order(cache_dir):
     with pytest.raises(ValueError, match="^codes of order 8 have 28 bits, got 21$"):
-        pipeline._scan_values(8, enumerate_codes(7, cache_dir=cache_dir))
+        pipeline._scan_classes(8, enumerate_codes(7, cache_dir=cache_dir))
     # one code short and one long add up to the right length, and still raise
     a, b = enumerate_codes(8, cache_dir=cache_dir)[:2]
     with pytest.raises(ValueError, match="^codes of order 8 have 28 bits, got 27$"):
-        pipeline._scan_values(8, [a[:-1], b + "0"])
+        pipeline._scan_classes(8, [a[:-1], b + "0"])
 
 
 def test_witness_fit_agrees_with_verify_packing(cache_dir):

@@ -149,6 +149,11 @@ READ_ONLY_IN = {
     # search build its pair mask, so the listing and the solver keep one
     # form of a copy
     "_edge_mask": {("packing", "greedy_packing"), ("experiments", "improve_packing")},
+    # _scan_classes is the one reader of classes, for verify lemma22 and
+    # fmin, and the pipeline scans its blocks one pattern at a time; a new
+    # sweep reads its classes through _scan_classes, not beside it
+    "_scan": {("pipeline", "_scan_classes"), ("pipeline", "_pipeline_trial")},
+    "_cyclic_columns": {("pipeline", "_scan_classes")},
 }
 
 
