@@ -192,12 +192,13 @@ def _leave_bound(coverable: int, n: int, k: int) -> int:
     d_v is the degree of v in `coverable` and c_v counts the copies at v.
     That degree is at least r_v = d_v mod (k-1), so the leave has
     L >= ceil(sum r_v / 2) edges; and L = |coverable| - C(k,2) * copies, so
-    L = |coverable| (mod C(k,2)).  For k = 3 with every d_v even, every leave
-    degree is even too: a nonempty leave contains a cycle, so L >= 3 once
-    |coverable| mod 3 != 0 rules out L = 0.  The least such L gives
+    L = |coverable| (mod C(k,2)).  With every r_v = 0, every leave degree is
+    a multiple of k-1, and a nonempty leave (|coverable| mod C(k,2) != 0
+    rules out L = 0) has a vertex of degree >= k-1 whose >= k-1 neighbours
+    have it too: L >= C(k,2), a cycle at k = 3.  The least such L gives
     copies <= (|coverable| - L) / C(k,2).  This is the leave argument behind
-    Schönheim's bound (1966); it is why K_n with n = 5 (mod 6) packs one
-    triangle fewer than floor(C(n,2) / 3).
+    Schönheim's bound (1966): K_n with n = 5 (mod 6) packs one triangle
+    fewer than floor(C(n,2) / 3), and K_7 two K_4s, not floor(21 / 6) = 3.
 
     Since L >= 0 and 2L >= sum r_v = sum d_v - (k-1) * sum floor(d_v/(k-1)),
     the bound never exceeds floor(|coverable| / C(k,2)) nor
@@ -209,8 +210,8 @@ def _leave_bound(coverable: int, n: int, k: int) -> int:
     for vm in _vertex_edge_masks(n):
         residue += (coverable & vm).bit_count() % (k - 1)
     leave = (residue + 1) // 2
-    if k == 3 and residue == 0 and size % 3:
-        leave = 3
+    if residue == 0 and size % per_copy:
+        leave = per_copy
     # floor division rounds the leave up to the least L = size (mod per_copy)
     return (size - leave) // per_copy
 
@@ -270,7 +271,8 @@ def max_packing_exact(
     copies plus an upper bound on the copies still addable cannot beat the
     incumbent:
 
-    - the leave bound of `_leave_bound` on the coverable edges;
+    - the leave bound of `_leave_bound` on the coverable edges, from their
+      degrees mod k-1 and their count mod C(k,2);
     - a hitting set: any edge set meeting every live copy caps the copies
       still addable, since disjoint copies use distinct edges of it.  It
       is built greedily (the edge through the most live copies not yet

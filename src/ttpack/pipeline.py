@@ -255,12 +255,12 @@ def _scan(n: int, cyclic: int, *subject) -> tuple[int, tuple[tuple[int, ...], ..
     has no directed triangle (Moon), so a least entry's other lines are
     M - least edge-disjoint transitive triples: P_3(T) >= M - least.
     The upper bound: any M edge-disjoint triples form an entry, so P = M
-    iff least = 0, and P = M - least whenever least <= 1.  At n = 7, any
-    6 edge-disjoint triples leave 3 edges in which every vertex has even
-    degree, a triangle, so they complete to a Fano plane: P = 6 iff
-    least = 1, and P = 5 when least = 2.  So the exact range is
-    least <= 1, and least <= 2 at n = 7; past it the scan proves only
-    the lower bound, and raises, naming subject (say "class", code).
+    iff least = 0, and P = M - least whenever least <= 1.  If the entries
+    decompose K_n, 3M = C(n,2) (the Fano planes at n = 7), any M - 1
+    edge-disjoint triples leave 3 edges of even degree, a triangle, which
+    completes them to an entry: P = M - 2 when least = 2.  So the exact
+    range is least <= 1, and least <= 2 when 3M = C(n,2); past it the
+    scan proves only the lower bound, and raises, naming subject.
     The table is closed under relabeling, so least depends on T's class
     alone.
     """
@@ -270,7 +270,7 @@ def _scan(n: int, cyclic: int, *subject) -> tuple[int, tuple[tuple[int, ...], ..
             return 0, lines
     mask, lines = min(table, key=lambda entry: (entry[0] & cyclic).bit_count())
     least = (mask & cyclic).bit_count()
-    if least > (2 if n == 7 else 1):
+    if least > (2 if 3 * len(lines) == comb(n, 2) else 1):
         where = " ".join(map(str, subject))
         raise PipelineError(f"no maximum packing has under {least} cyclic lines on {where}")
     index = _triples(n)[0]
@@ -357,8 +357,9 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     certified once (see _max_packings), and a class's packing is the
     lines of an entry that none of its cyclic triples is on, so each
     line is transitive on the class: together the facts verify_packing
-    checks.  At any other k, every class is its own part, solved exactly
-    by _solve_code, its packing verified in the worker that solved it.
+    checks.  At any other k, every class is solved exactly by _solve_code,
+    verified in the worker that solved it, and each value is one part,
+    whose bitset parses from a "0"/"1" string over the classes.
     At every k each argmin class is solved again by _solve_code, in the
     pool, and must come back at the minimum.  No class is censused.
     Both n and k are checked before the class list is built.
@@ -371,7 +372,8 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     if k == 3:
         parts = [(len(lines), classes) for lines, classes in _scan_classes(n, codes)]
     else:
-        parts = [(p, 1 << c) for c, p in enumerate(_pool_map(partial(_solve_code, k=k), codes, workers))]
+        values = list(_pool_map(partial(_solve_code, k=k), codes, workers))
+        parts = [(p, int("".join("1" if v == p else "0" for v in reversed(values)), 2)) for p in set(values)]
     f = min(p for p, _ in parts)
     argmin = tuple(sorted(codes[c] for p, classes in parts if p == f for c in _members(classes)))
     for code, again in zip(argmin, _pool_map(partial(_solve_code, k=k), argmin, workers)):

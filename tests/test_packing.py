@@ -167,15 +167,16 @@ def test_exact_matches_brute_force_on_order_four(cache_dir):
 
 # summed nodes_explored over every class of the order, per k; before a
 # node stopped branching once the incumbent met its leave bound they were
-# {6: {3: 113, 4: 56}, 7: {3: 2_247, 4: 1_954}}
-CLASS_NODES = {6: {3: 84, 4: 56}, 7: {3: 1_292, 4: 1_858}}
+# {6: {3: 113, 4: 56}, 7: {3: 2_247, 4: 1_954}}, and 7: {4: 1_858} before
+# the leave bound's zero-residue case held at every k, not only at k = 3
+CLASS_NODES = {6: {3: 84, 4: 56, 5: 56, 6: 56}, 7: {3: 1_292, 4: 979}}
 
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_exact_matches_brute_force_on_every_class(n, cache_dir):
-    nodes = {3: 0, 4: 0}
+    nodes = dict.fromkeys(CLASS_NODES[n], 0)
     for t in enumerate_nonisomorphic(n, cache_dir=cache_dir):
-        for k in (3, 4):
+        for k in nodes:
             p = max_packing_exact(t, k)
             assert p.value == brute_max_packing(t, k)
             nodes[k] += p.nodes_explored
@@ -404,6 +405,26 @@ def test_solve_benchmark_hosts_node_counts():
     hosts = [(random_tournament(n, 0), 3) for n in range(11, 16)] + [(blowup(qr7(), 2), 4)]
     nodes = [max_packing_exact(t, k).nodes_explored for t, k in hosts]
     assert nodes == [15, 20, 75, 144, 29, 18]
+
+
+@pytest.mark.parametrize(
+    "n, k, bound",
+    [(7, 4, 2), (9, 5, 2), (13, 4, 13), (11, 3, 17)],
+    ids=["K7-k4", "K9-k5", "K13-k4", "K11-k3"],
+)
+def test_leave_bound_on_every_pair_of_k_n(n, k, bound):
+    # K_7 at k = 4 and K_9 at k = 5 have every degree a multiple of k - 1
+    # and an edge count that C(k,2) does not divide, so some leave has
+    # C(k,2) edges; 78 is a multiple of 6, so K_13 keeps its 13 K_4s, and
+    # K_11's leave at k = 3 has 3 edges or more, so 4
+    assert _leave_bound((1 << n * (n - 1) // 2) - 1, n, k) == bound
+
+
+@pytest.mark.parametrize("n, k", [(7, 4), (9, 5)])
+def test_leave_bound_closes_the_transitive_host_at_the_root(n, k):
+    # 19 and 69 nodes while the zero-residue case held only at k = 3
+    p = max_packing_exact(transitive_tournament(n), k)
+    assert (p.value, p.optimal, p.nodes_explored) == (2, True, 1)
 
 
 def test_leave_bound_is_at_least_brute_force(cache_dir):

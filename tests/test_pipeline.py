@@ -11,7 +11,7 @@ import pytest
 
 from oracles import canonical_code, is_transitive_subset, reverse
 from ttpack import enumeration, pipeline
-from ttpack.designs import ag2_lines, all_sts7
+from ttpack.designs import _orbit, ag2_lines, all_sts7
 from ttpack.enumeration import enumerate_codes
 from ttpack.packing import Packing, max_packing_exact, verify_packing
 from ttpack.pipeline import (
@@ -399,11 +399,12 @@ def test_f_min_solve_count_at_order_8(cache_dir, monkeypatch):
         assert sum(nodes for _, nodes in solves) == 36
 
 
-@pytest.mark.parametrize("n, k, count, nodes", [(6, 5, 91, 91), (7, 4, 457, 1859)], ids=["6-5", "7-4"])
+@pytest.mark.parametrize("n, k, count, nodes", [(6, 5, 91, 91), (7, 4, 457, 980)], ids=["6-5", "7-4"])
 def test_f_min_solves_each_class_once_above_k3(cache_dir, monkeypatch, n, k, count, nodes):
     # one exact solve per class and one re-solve per argmin class, and no
     # other host is solved; order 7 took 1,955 nodes before a node stopped
-    # branching once the incumbent met its leave bound
+    # branching once the incumbent met its leave bound, and 1,859 before
+    # the leave bound's zero-residue case held at every k
     solves = counted_solves(monkeypatch)
     record = f_min(n, k=k, cache_dir=cache_dir)
     assert len(solves) == len(enumerate_codes(n, cache_dir=cache_dir)) + len(record.argmin_codes) == count
@@ -448,8 +449,9 @@ def test_f_min_rejects_a_class_the_scan_does_not_settle(cache_dir, monkeypatch, 
 
 
 def test_scan_classes_raises_past_the_exact_range(cache_dir, monkeypatch):
-    # least = 2 is exact at n = 7 alone, by the completion lemma; at other
-    # orders the scan proves only the lower bound there
+    # least = 2 is exact only where the table's entries decompose K_n,
+    # 3M = C(n,2), by the completion lemma: at n = 7 among the orders
+    # tabled; elsewhere the scan proves only the lower bound there
     codes = enumerate_codes(7, cache_dir=cache_dir)
     sevens = [code for code in codes if pipeline._scan(7, pipeline._cyclic_mask(7, int(code, 2)))[0] == 2]
     assert [(len(lines), classes) for lines, classes in pipeline._scan_classes(7, sevens)] == [(5, 1), (5, 2)]
@@ -462,6 +464,22 @@ def test_scan_classes_raises_past_the_exact_range(cache_dir, monkeypatch):
     monkeypatch.setattr(pipeline, "_max_packings", lambda n: entry)
     with pytest.raises(PipelineError, match=f"^no maximum packing has under 2 cyclic lines on class {six}$"):
         pipeline._scan_classes(6, [six])
+
+
+def test_scan_reads_the_exact_range_off_the_table(monkeypatch):
+    # the 840 labeled affine planes of order 3 decompose K_9, 3 * 12 =
+    # C(9,2), so as a table of order 9 they make least = 2 exact with no
+    # case for the order: the circulant i -> i + {1, 3, 4, 7} (mod 9),
+    # with the pair {1, 8} reversed, has least 2 and packs 12 - 2 triples
+    index = pipeline._triples(9)[0]
+    table = tuple(sorted((sum(1 << index[line] for line in d.blocks), d.blocks) for d in _orbit(ag2_lines(3))))
+    monkeypatch.setattr(pipeline, "_max_packings", {9: table}.__getitem__)
+    code = "101100101011000101100101101011101101"
+    t = tournament_from_code(code)
+    least, lines = pipeline._scan(9, pipeline._cyclic_mask(9, int(code, 2)))
+    assert (least, len(lines)) == (2, 10)
+    assert verify_packing(t, Packing(n=9, k=3, copies=lines))
+    assert max_packing_exact(t, 3).value == 10
 
 
 @pytest.mark.parametrize("n, scanned", [(3, 1), (4, 0), (5, 0), (6, 1), (7, 49), (8, 8)], ids=range(3, 9))
