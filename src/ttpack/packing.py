@@ -420,8 +420,8 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
     Every copy must have k distinct vertices of the host, each an int (not
     a bool) in range, and induce a transitive subtournament; the copies
     must be pairwise edge-disjoint.  First a bulk screen, in builtins,
-    checks every vertex's type and then the least and greatest vertex.
-    Then one pass over the copies checks the rest, with one loop over
+    checks every vertex's type and then, in one set difference, that
+    every vertex lies in range(n).  Then one pass over the copies checks the rest, with one loop over
     each copy's vertices.  Its mask is the set of its vertices, d of
     them.  met[v] is v and every vertex that shares an earlier copy with
     v, so the copy repeats a pair exactly when met[v] & mask != 1 << v for
@@ -455,7 +455,7 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
     copies = p.copies
     if set(map(type, chain.from_iterable(copies))) - {int}:
         return False
-    if min(chain.from_iterable(copies), default=0) < 0 or max(chain.from_iterable(copies), default=0) >= n:
+    if set(chain.from_iterable(copies)).difference(range(n)):
         return False
     out = t.out
     # bits[v] is 1 << v, read from a list, which is cheaper than shifting;

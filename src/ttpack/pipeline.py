@@ -1,13 +1,12 @@
 """Mechanized bound arguments built on the solver and the designs.
 
 Covers five instruments.  Three rest on one scan over the labeled
-maximum triangle packings of K_n, 3 <= n <= 8: the triangle-count
+maximum K_k-packings of K_n, 3 <= k <= n <= 8: the triangle-count
 regimes of all 456 seven-vertex classes, each class's packing verified
 in the calling process; the exact minimum packing value over all
-classes of order n, read off the same scan of all its classes for
-triples and solved class by class for larger k; and a randomized
-49-vertex decomposition pipeline that packs each block by the scan and
-verifies every assembled packing.
+classes of order n, read off the same scan of all its classes at every
+k; and a randomized 49-vertex decomposition pipeline that packs each
+block by the scan and verifies every assembled packing.
 The others are an exact expectation identity for induced subtournaments
 and an exact-rational LP over the regimes.
 """
@@ -19,10 +18,10 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import combinations
 from math import comb
-from operator import itemgetter
+from operator import and_, itemgetter, or_
 
 from .designs import _orbit, ag2_lines, all_sts7, verify_design
 from .enumeration import MAX_ENUMERATION_VERTICES, _pool_map, enumerate_codes
@@ -213,36 +212,65 @@ def _solve_code(code: str, k: int) -> int:
     return p.value
 
 
-@lru_cache(maxsize=None)
-def _max_packings(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-    """(triple mask, lines) of every labeled maximum triangle packing of K_n, 3 <= n <= 8.
+# (M, count) of _max_packings(n, k), by (n, k): the most edge-disjoint
+# k-subsets of 0..n-1, and the labeled families of that many.
+PACKING_COUNTS = {
+    (3, 3): (1, 1), (4, 3): (1, 4), (5, 3): (2, 15), (6, 3): (4, 30), (7, 3): (7, 30), (8, 3): (8, 840),
+    (4, 4): (1, 1), (5, 4): (1, 5), (6, 4): (1, 15), (7, 4): (2, 70), (8, 4): (2, 595),
+    (5, 5): (1, 1), (6, 5): (1, 6), (7, 5): (1, 21), (8, 5): (1, 56),
+    (6, 6): (1, 1), (7, 6): (1, 7), (8, 6): (1, 28),
+    (7, 7): (1, 1), (8, 7): (1, 8),
+    (8, 8): (1, 1),
+}
 
-    A maximum packing has M = 1, 1, 2, 4, 7, 8 triples at n = 3..8, and
-    each is the lines inside 0..n-1 of a labeled triple system: one of
-    the 30 7-point systems, or at n = 8 one of the 840 9-point systems
-    off its point 8 (a maximum packing of K_8 leaves a perfect matching,
-    which a new point completes).  The table is read off designs' cached
-    all_sts7() and the orbit of ag2_lines(3), keeping each system's lines
-    inside 0..n-1 when there are M of them, and sorted by lines, as
-    designs orders its systems: at n = 7 the lines are all_sts7()'s
-    blocks.
-    Certificate, once per process: an entry's lines are triples i<j<k of
-    0..n-1, each found in the triple index for its mask, and it is kept
-    only if they cover 3M distinct pairs; and the count is pinned,
-    so a build that loses an entry raises, and completeness is checkable
-    against an exhaustive search.  The build reads _triples(n), so a
-    caller that builds the table before its map forks gives every
-    worker the byte tables of _cyclic_mask too.
+
+@lru_cache(maxsize=None)
+def _max_packings(n: int, k: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """(mask, lines) of every labeled maximum K_k-packing of K_n, 3 <= k <= n <= 8, sorted by lines.
+
+    An entry's lines are M edge-disjoint k-subsets of 0..n-1, M the most
+    there are, and its mask has bit x for the line at position x of
+    combinations(range(n), k).  At k = 3 each entry is the lines inside
+    0..n-1 of a labeled triple system: one of the 30 7-point systems, or
+    at n = 8 one of the 840 9-point systems off its point 8 (a maximum
+    packing of K_8 leaves a perfect matching, which a new point
+    completes), read off designs' cached all_sts7() and the orbit of
+    ag2_lines(3): at n = 7 the lines are all_sts7()'s blocks, in
+    designs' order.  At k >= 4 a plain exhaustive search grows the
+    families of edge-disjoint k-subsets by one later subset at a time
+    and keeps the largest; at k = 3 the orbit is far cheaper.
+    Certificate, once per process: an entry's lines are k-subsets of
+    0..n-1, each found in the index for its mask, and it is kept only if
+    it has M of them covering C(k,2) M distinct pairs; and (M, count) is
+    pinned in PACKING_COUNTS, so a build that loses an entry raises, and
+    completeness is checkable against an exhaustive search.  The k = 3
+    build reads _triples(n), so a caller that builds the table before
+    its map forks gives every worker the byte tables of _cyclic_mask too.
     """
-    m, count = {3: (1, 1), 4: (1, 4), 5: (2, 15), 6: (4, 30), 7: (7, 30), 8: (8, 840)}[n]
-    index = _triples(n)[0]
-    systems = all_sts7() if n <= 7 else _orbit(ag2_lines(3))
+    m, count = PACKING_COUNTS[n, k]
+    if k == 3:
+        index = _triples(n)[0]
+        systems = all_sts7() if n <= 7 else _orbit(ag2_lines(3))
+        families = {tuple(line for line in d.blocks if line[-1] < n) for d in systems}
+    else:
+        blocks = list(combinations(range(n), k))
+        index = {block: x for x, block in enumerate(blocks)}
+        pairs = {block: {*combinations(block, 2)} for block in blocks}
+        level = [((), set())]
+        while level:
+            families = [lines for lines, _ in level]
+            level = [
+                ((*lines, block), used | pairs[block])
+                for lines, used in level
+                for block in blocks[index[lines[-1]] + 1 if lines else 0 :]
+                if not used & pairs[block]
+            ]
     table = []
-    for lines in sorted({tuple(line for line in d.blocks if line[-1] < n) for d in systems}):
-        if len(lines) == m and len({pair for line in lines for pair in combinations(line, 2)}) == 3 * m:
+    for lines in sorted(families):
+        if len(lines) == m and len({pair for line in lines for pair in combinations(line, 2)}) == comb(k, 2) * m:
             table.append((sum(1 << index[line] for line in lines), lines))
     if len(table) != count:
-        raise PipelineError(f"{len(table)} labeled maximum packings of K_{n} passed, not {count}")
+        raise PipelineError(f"{len(table)} labeled maximum K_{k}-packings of K_{n} passed, not {count}")
     return tuple(table)
 
 
@@ -251,7 +279,7 @@ def _scan(n: int, cyclic: int, *subject) -> tuple[int, tuple[tuple[int, ...], ..
 
     cyclic is the directed-triangle mask, by triple index, of an n-vertex
     tournament T, and least is the fewest of its triples on the M lines
-    of any entry of _max_packings(n).  A tournament is transitive iff it
+    of any entry of _max_packings(n, 3).  A tournament is transitive iff it
     has no directed triangle (Moon), so a least entry's other lines are
     M - least edge-disjoint transitive triples: P_3(T) >= M - least.
     The upper bound: any M edge-disjoint triples form an entry, so P = M
@@ -264,7 +292,7 @@ def _scan(n: int, cyclic: int, *subject) -> tuple[int, tuple[tuple[int, ...], ..
     The table is closed under relabeling, so least depends on T's class
     alone.
     """
-    table = _max_packings(n)
+    table = _max_packings(n, 3)
     for mask, lines in table:
         if not mask & cyclic:
             return 0, lines
@@ -285,34 +313,62 @@ def _members(classes: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
-def _scan_classes(n: int, codes: Sequence[str]) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+def _scan_classes(n: int, codes: Sequence[str], k: int) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
     """(lines, classes) parts of the classes of order n with these codes, bit c of classes for codes[c].
 
-    Each class is in one part, whose lines are _scan's first least entry
-    for it.  One walk of _max_packings(n) serves every class at once: an
-    entry's hits are the OR of its lines' _cyclic_columns bitsets, the
-    classes with a cyclic triple on it, and unsettled keeps the classes
-    that every entry so far hits.  The classes an entry is the first to
-    miss have least = 0 and form its part.  Each class still unsettled
-    at the end has least >= 1, and _scan settles it from its own cyclic
-    mask as a part of its own, in class order, raising past the exact
-    range.
+    Each class is in one part, whose lines are the M - least transitive
+    lines of the first entry of _max_packings(n, k) with the fewest,
+    least, non-transitive lines on it: _scan's lines at k = 3.  A
+    k-subset is transitive iff it has no cyclic triple (Moon), so its
+    bitset, the classes on which it is not, is the OR of its triples'
+    _cyclic_columns, and bit-sliced walks of the table serve every class
+    at once.  The first takes least = 0: an entry's hits are the OR of
+    its lines' bitsets, and the classes it is the first to miss are its
+    part.  The second takes least = 1: once and twice are the classes
+    that at least one and at least two of an entry's lines hit, and
+    those in once alone that the entry is the first to hit form a part
+    per line hit, with the entry's other lines.  A class left with no transitive
+    k-subset, in the AND of all bitsets, packs nothing: a part with no
+    lines.  Exact: every M-packing is an entry, so P = M iff least = 0,
+    and P <= M - 1 otherwise, which the other lines reach at least = 1.
+    At k = 3, _scan settles each class left, least >= 2, from its own
+    cyclic mask as a part of its own, in class order, raising past its
+    exact range; at k >= 4 a class left raises.
     """
-    index = _triples(n)[0]
-    columns = _cyclic_columns(n, codes)
+    columns = dict(zip(combinations(range(n), 3), _cyclic_columns(n, codes)))
+    bitsets = {line: reduce(or_, [columns[ijk] for ijk in combinations(line, 3)]) for line in combinations(range(n), k)}
+    table = _max_packings(n, k)
     unsettled = (1 << len(codes)) - 1
     parts = []
-    for _, lines in _max_packings(n):
+    for _, lines in table:
+        if not unsettled:
+            break
         hits = 0
         for line in lines:
-            hits |= columns[index[line]]
+            hits |= bitsets[line]
         missed = unsettled & ~hits
         if missed:
             parts.append((lines, missed))
-        unsettled ^= missed
+            unsettled ^= missed
+    for _, lines in table:
         if not unsettled:
             break
+        once = twice = 0
+        for line in lines:
+            twice |= once & bitsets[line]
+            once |= bitsets[line]
+        single = unsettled & once & ~twice
+        for line in lines:
+            if single & bitsets[line]:
+                parts.append((tuple(other for other in lines if other != line), single & bitsets[line]))
+        unsettled ^= single
+    blocked = reduce(and_, bitsets.values(), unsettled)
+    if blocked:
+        parts.append(((), blocked))
+        unsettled ^= blocked
     for c in _members(unsettled):
+        if k != 3:
+            raise PipelineError(f"no maximum packing has under 2 non-transitive lines on class {codes[c]}")
         parts.append((_scan(n, _cyclic_mask(n, int(codes[c], 2)), "class", codes[c])[1], 1 << c))
     return parts
 
@@ -323,16 +379,16 @@ def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> Thre
     No class is solved and no worker forked; workers serves only a cold
     class-list build.  A class's P is the size of its packing, a least
     Fano plane's 7 - least transitive lines, exact by the argument in
-    _scan's docstring, and verified here, in class order; its t is read
-    off its code by _cyclic_mask.  A class with t directed triangles
-    must pack at least its regime's value and at most the perfect
-    packing C(7,2)/3 = 7.  A class past the scan's exact range, a
+    _scan_classes's docstring, and verified here, in class order; its t
+    is read off its code by _cyclic_mask.  A class with t directed
+    triangles must pack at least its regime's value and at most the
+    perfect packing C(7,2)/3 = 7.  A class past the scan's exact range, a
     packing that fails verification or a violation raises, naming the
     class's code.
     """
     perfect = comb(7, 2) // 3
     codes = enumerate_codes(7, cache_dir=cache_dir, workers=workers)
-    lines_of = {c: lines for lines, classes in _scan_classes(7, codes) for c in _members(classes)}
+    lines_of = {c: lines for lines, classes in _scan_classes(7, codes, 3) for c in _members(classes)}
     records = []
     for c, code in enumerate(codes):
         lines = lines_of[c]
@@ -349,18 +405,18 @@ def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> Thre
 def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) -> FMinRecord:
     """Exact minimum of the packing number over all isomorphism classes of order n.
 
-    f and its argmins are read off (value, classes) parts, each class in
-    one.  At k = 3 no class is solved: the parts are _scan_classes's, in
-    this process, each valued at its M - least lines, exact by the
-    argument in _scan's docstring, and a class past the scan's exact
-    range raises, naming it.  Certificate: the table's entries are
-    certified once (see _max_packings), and a class's packing is the
-    lines of an entry that none of its cyclic triples is on, so each
-    line is transitive on the class: together the facts verify_packing
-    checks.  At any other k, every class is solved exactly by _solve_code,
-    verified in the worker that solved it, and each value is one part,
-    whose bitset parses from a "0"/"1" string over the classes.
-    At every k each argmin class is solved again by _solve_code, in the
+    f and its argmins are read off _scan_classes(n, codes, k), in this
+    process, at every k: each class is valued at its part's lines, exact
+    by the argument in _scan_classes's docstring, and a class the scan
+    does not settle raises, naming it.  No class is solved for its
+    value.  Certificate: the table's entries are certified once (see
+    _max_packings), and a class's packing is an entry's lines less
+    those with a cyclic triple on the class, so its lines are
+    edge-disjoint and each is transitive on the class: together the
+    facts verify_packing checks.  The upper bound is the table's
+    completeness: any M edge-disjoint k-subsets of 0..n-1 are an entry,
+    so a class with a non-transitive line on every entry packs at most
+    M - 1.  Each argmin class is then solved by _solve_code, in the
     pool, and must come back at the minimum.  No class is censused.
     Both n and k are checked before the class list is built.
     """
@@ -369,13 +425,9 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     if not 3 <= k <= n:
         raise ValueError(f"k must satisfy 3 <= k <= n={n}, got {k}")
     codes = enumerate_codes(n, cache_dir=cache_dir, workers=workers)
-    if k == 3:
-        parts = [(len(lines), classes) for lines, classes in _scan_classes(n, codes)]
-    else:
-        values = list(_pool_map(partial(_solve_code, k=k), codes, workers))
-        parts = [(p, int("".join("1" if v == p else "0" for v in reversed(values)), 2)) for p in set(values)]
-    f = min(p for p, _ in parts)
-    argmin = tuple(sorted(codes[c] for p, classes in parts if p == f for c in _members(classes)))
+    parts = _scan_classes(n, codes, k)
+    f = min(len(lines) for lines, _ in parts)
+    argmin = tuple(sorted(codes[c] for lines, classes in parts if len(lines) == f for c in _members(classes)))
     for code, again in zip(argmin, _pool_map(partial(_solve_code, k=k), argmin, workers)):
         if again != f:
             raise PipelineError(f"argmin certification failed for {code}")
@@ -519,7 +571,7 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
 
-    _max_packings(7)  # built here, so forked workers inherit it
+    _max_packings(7, 3)  # built here, so forked workers inherit it
     trial = partial(_pipeline_trial, t, design.blocks, seed, {})
     totals = []
     histogram: Counter[int] = Counter()

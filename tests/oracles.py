@@ -189,6 +189,27 @@ def brute_max_packing(t: Tournament, k: int) -> int:
     return grow(0, frozenset())
 
 
+def edge_disjoint_families(n: int, k: int) -> dict[int, set[frozenset[tuple[int, ...]]]]:
+    """Every family of pairwise edge-disjoint k-subsets of 0..n-1, by family size.
+
+    Subset recursion over the k-subsets in lexicographic order, each
+    family grown only by later subsets, with its covered pairs kept as an
+    explicit set; the empty family has size 0.
+    """
+    subsets = [(vs, frozenset(combinations(vs, 2))) for vs in combinations(range(n), k)]
+    families: dict[int, set[frozenset[tuple[int, ...]]]] = {}
+
+    def grow(start: int, family: tuple, covered: frozenset) -> None:
+        families.setdefault(len(family), set()).add(frozenset(family))
+        for i in range(start, len(subsets)):
+            vs, pairs = subsets[i]
+            if covered.isdisjoint(pairs):
+                grow(i + 1, (*family, vs), covered | pairs)
+
+    grow(0, (), frozenset())
+    return families
+
+
 def brute_induced_average(t: Tournament, m: int):
     """Exact average of transitive-triple counts over all induced m-subsets."""
     from fractions import Fraction

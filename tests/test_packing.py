@@ -464,6 +464,7 @@ def test_verifier_rejects_overlap_and_bad_copies():
         {"copies": ((0, 1, 2), (1, 2, 5))},
         {"copies": ((0, 1, 2), (5, 2, 1))},
         {"copies": ((0, 1, 3),)},
+        {"copies": ((0, 1, 7),)},
     ],
     ids=[
         "negative-vertex",
@@ -478,6 +479,7 @@ def test_verifier_rejects_overlap_and_bad_copies():
         "overlap",
         "reversed-overlap",
         "cyclic-copy",
+        "vertex-equal-to-n",
     ],
 )
 def test_verifier_rejection_table(changes):

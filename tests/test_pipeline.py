@@ -1,6 +1,8 @@
 """Threshold sweeps, minimum packing values, expectation identities, the
 rational LP corner, and the 49-vertex decomposition pipeline."""
 
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -9,7 +11,7 @@ from math import comb
 
 import pytest
 
-from oracles import canonical_code, is_transitive_subset, reverse
+from oracles import canonical_code, edge_disjoint_families, is_transitive_subset, reverse
 from ttpack import enumeration, pipeline
 from ttpack.designs import _orbit, ag2_lines, all_sts7
 from ttpack.enumeration import enumerate_codes
@@ -89,9 +91,9 @@ def force_copies(monkeypatch, code, edit):
     # edit(its lines) in place of its lines; every other class keeps its part
     original = pipeline._scan_classes
 
-    def forced(n, codes):
+    def forced(n, codes, k):
         target = 1 << codes.index(code)
-        parts = original(n, codes)
+        parts = original(n, codes, k)
         own = next(lines for lines, classes in parts if classes & target)
         rest = [(lines, classes & ~target) for lines, classes in parts if classes & ~target]
         return [*rest, (edit(own), target)]
@@ -149,8 +151,8 @@ def test_threshold_sweep_rejects_a_class_no_fano_plane_packs(cache_dir, monkeypa
     # with one plane left in the table, some class has 3 or more cyclic
     # lines on it, where the scan proves no upper bound; with every regime
     # floor at 0, the scan's own check is the one that must stop the sweep
-    planes = pipeline._max_packings(7)[:1]
-    monkeypatch.setattr(pipeline, "_max_packings", lambda n: planes)
+    planes = pipeline._max_packings(7, 3)[:1]
+    monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: planes)
     monkeypatch.setattr(pipeline, "REGIMES", ((0, 0),))
     with pytest.raises(PipelineError, match="no maximum packing has under [3-7] cyclic lines on class [01]{21}$"):
         verify_t7_thresholds(cache_dir, workers=workers)
@@ -190,32 +192,14 @@ def test_threshold_sweep_scans_without_solving(cache_dir, threshold_report, monk
     assert verified == [(tournament_from_code(r.code).out, r.p) for r in threshold_report.records]
 
 
-def edge_disjoint_families(n):
-    # triple mask of every family of pairwise edge-disjoint triples on
-    # 0..n-1, by family size: an exhaustive search with no solver
-    index = pipeline._triples(n)[0]
-    triples = [(1 << index[ijk], sum(1 << (n * a + b) for a, b in combinations(ijk, 2))) for ijk in index]
-    families = {}
-
-    def grow(start, mask, pairs, size):
-        families.setdefault(size, []).append(mask)
-        for i in range(start, len(triples)):
-            bit, edges = triples[i]
-            if not edges & pairs:
-                grow(i + 1, mask | bit, pairs | edges, size + 1)
-
-    grow(0, 0, 0, 0)
-    return families
-
-
 def test_six_edge_disjoint_triples_on_seven_points_lie_in_a_fano_plane():
     # the completion lemma behind the scan's upper bound at n = 7: every
     # family of 6 pairwise edge-disjoint triples lies inside one of the 30
     # planes, and every family of 7 is one
-    planes = {mask for mask, _ in pipeline._max_packings(7)}
-    families = edge_disjoint_families(7)
-    assert all(any(mask & plane == mask for plane in planes) for mask in families[6])
-    assert set(families[7]) == planes
+    planes = {frozenset(lines) for _, lines in pipeline._max_packings(7, 3)}
+    families = edge_disjoint_families(7, 3)
+    assert all(any(family <= plane for plane in planes) for family in families[6])
+    assert families[7] == planes
     assert (len(families[6]), len(families[7]), 8 in families) == (30 * 7, 30, False)
 
 
@@ -225,12 +209,12 @@ def test_six_edge_disjoint_triples_on_seven_points_lie_in_a_fano_plane():
 def test_max_packing_table_holds_every_maximum_family(n, size, count):
     # the table is exactly the families of the most pairwise edge-disjoint
     # triples, each entry's mask the bits of its lines
-    table = pipeline._max_packings(n)
+    table = pipeline._max_packings(n, 3)
     index = pipeline._triples(n)[0]
-    families = edge_disjoint_families(n)
+    families = edge_disjoint_families(n, 3)
     assert max(families) == size
     assert len(families[size]) == len(table) == count
-    assert {mask for mask, _ in table} == set(families[size])
+    assert {frozenset(lines) for _, lines in table} == families[size]
     for mask, lines in table:
         assert len(lines) == size
         assert mask == sum(1 << index[line] for line in lines)
@@ -243,7 +227,28 @@ def test_max_packing_table_holds_every_maximum_family(n, size, count):
 def test_order_7_table_lists_the_planes_of_all_sts7_in_order():
     # pipeline and verify lemma22 take the first least plane, so the table
     # keeps designs' order of the 30 labeled planes
-    assert [lines for _, lines in pipeline._max_packings(7)] == [d.blocks for d in all_sts7()]
+    assert [lines for _, lines in pipeline._max_packings(7, 3)] == [d.blocks for d in all_sts7()]
+
+
+ABOVE_K3 = [(n, k) for n in range(4, 9) for k in range(4, n + 1)]
+
+
+@pytest.mark.parametrize("n, k", ABOVE_K3, ids=[f"{n}-{k}" for n, k in ABOVE_K3])
+def test_max_packing_table_above_k3_holds_every_maximum_family(n, k):
+    # the search's table is exactly the families of the most pairwise
+    # edge-disjoint k-subsets, found by the oracle's own search, sorted,
+    # each entry's mask the bits of its lines in combinations order; the
+    # pins are M = 2 with 70 and 595 entries at (7, 4) and (8, 4), and
+    # every k-subset alone elsewhere
+    table = pipeline._max_packings(n, k)
+    families = edge_disjoint_families(n, k)
+    size = max(families)
+    assert (size, len(table)) == {(7, 4): (2, 70), (8, 4): (2, 595)}.get((n, k), (1, comb(n, k)))
+    assert {frozenset(lines) for _, lines in table} == families[size]
+    assert [lines for _, lines in table] == sorted(lines for _, lines in table)
+    index = {line: x for x, line in enumerate(combinations(range(n), k))}
+    for mask, lines in table:
+        assert len(lines) == size and mask == sum(1 << index[line] for line in lines)
 
 
 def test_max_packing_build_that_loses_an_entry_raises(monkeypatch):
@@ -254,8 +259,8 @@ def test_max_packing_build_that_loses_an_entry_raises(monkeypatch):
         return [line[:2]] * 3 if line == (0, 1, 2) else combinations(line, r)
 
     monkeypatch.setattr(pipeline, "combinations", pairs)
-    with pytest.raises(PipelineError, match="^3 labeled maximum packings of K_4 passed, not 4$"):
-        pipeline._max_packings.__wrapped__(4)
+    with pytest.raises(PipelineError, match="^3 labeled maximum K_3-packings of K_4 passed, not 4$"):
+        pipeline._max_packings.__wrapped__(4, 3)
 
 
 def test_packing_value_is_reversal_invariant(threshold_report):
@@ -300,7 +305,8 @@ def test_f_min_is_the_same_at_two_workers(cache_dir, n):
 
 
 def test_f_min_at_k4_is_the_same_at_two_workers(cache_dir):
-    # at k = 4 every class is solved by _solve_code, through the forked pool
+    # at k = 4 the scan reads every class in this process, and the pool
+    # re-solves the argmin
     assert f_min(7, k=4, cache_dir=cache_dir, workers=2) == f_min(7, k=4, cache_dir=cache_dir, workers=1)
 
 
@@ -332,10 +338,10 @@ def test_f_min_re_solves_its_argmin_in_the_sweeps_pool(cache_dir, monkeypatch):
         return original(fn, jobs, workers)
 
     monkeypatch.setattr(pipeline, "_pool_map", recording)
+    # at k = 5, as at k = 3, the scan reads every class in this process,
+    # and the workers serve the argmin re-solves alone
     record = f_min(6, 5, cache_dir=cache_dir, workers=2)
-    codes = tuple(enumerate_codes(6, cache_dir=cache_dir))
-    solve = (pipeline._solve_code, {"k": 5})
-    assert pooled == [(*solve, codes, 2), (*solve, record.argmin_codes, 2)]
+    assert pooled == [(pipeline._solve_code, {"k": 5}, record.argmin_codes, 2)]
 
 
 def test_f_min_at_k3_pools_only_its_argmin_re_solves(cache_dir, monkeypatch):
@@ -366,7 +372,8 @@ def test_f_min_rejects_an_argmin_that_re_solves_off_the_minimum(cache_dir, monke
 
 def test_f_min_pool_does_not_carry_over_to_another_k(cache_dir):
     # a k=3 run reads its values off the triangle-packing table, which
-    # says nothing about packings of TT_4: a k=4 run after it still solves
+    # says nothing about packings of TT_4: a k=4 run after it reads the
+    # table of K_4-packings, and agrees with a solve of every class
     codes = enumerate_codes(7, cache_dir=cache_dir)
     values = [max_packing_exact(tournament_from_code(code), 4).value for code in codes]
     f_min(7, cache_dir=cache_dir)
@@ -399,15 +406,14 @@ def test_f_min_solve_count_at_order_8(cache_dir, monkeypatch):
         assert sum(nodes for _, nodes in solves) == 36
 
 
-@pytest.mark.parametrize("n, k, count, nodes", [(6, 5, 91, 91), (7, 4, 457, 980)], ids=["6-5", "7-4"])
-def test_f_min_solves_each_class_once_above_k3(cache_dir, monkeypatch, n, k, count, nodes):
-    # one exact solve per class and one re-solve per argmin class, and no
-    # other host is solved; order 7 took 1,955 nodes before a node stopped
-    # branching once the incumbent met its leave bound, and 1,859 before
-    # the leave bound's zero-residue case held at every k
+@pytest.mark.parametrize("n, k, count, nodes", [(6, 5, 35, 35), (7, 4, 1, 1)], ids=["6-5", "7-4"])
+def test_f_min_solves_only_its_argmin_above_k3(cache_dir, monkeypatch, n, k, count, nodes):
+    # the scan reads every class, so the only solves are one re-solve per
+    # argmin class, each exact; while every class was solved as well, these
+    # took 91 solves and 91 nodes, and 457 solves and 980 nodes
     solves = counted_solves(monkeypatch)
     record = f_min(n, k=k, cache_dir=cache_dir)
-    assert len(solves) == len(enumerate_codes(n, cache_dir=cache_dir)) + len(record.argmin_codes) == count
+    assert len(solves) == len(record.argmin_codes) == count
     assert all(optimal for optimal, _ in solves)
     assert sum(nodes for _, nodes in solves) == nodes
 
@@ -428,9 +434,8 @@ def test_f_min_verifies_every_packing_it_solves(cache_dir, monkeypatch):
 
 @pytest.mark.parametrize("k, workers", [(3, 1), (4, 1), (4, 2)])
 def test_f_min_rejects_an_exact_packing_that_fails_verification(cache_dir, monkeypatch, k, workers):
-    # at k=3 the exact packings are the argmin re-solves; at k=4 every
-    # class is solved exactly, and its packing is verified in the worker
-    # that solved it
+    # at every k the exact packings are the argmin re-solves, each verified
+    # in the worker that solved it
     original = pipeline.verify_packing
     monkeypatch.setattr(pipeline, "verify_packing", lambda t, p: not p.optimal and original(t, p))
     with pytest.raises(PipelineError, match="class [01]+ has a packing of [0-9]+ copies that fails verification") as e:
@@ -442,8 +447,8 @@ def test_f_min_rejects_an_exact_packing_that_fails_verification(cache_dir, monke
 def test_f_min_rejects_a_class_the_scan_does_not_settle(cache_dir, monkeypatch, workers):
     # with one plane left in the table, some class has 3 or more cyclic
     # lines on it, where the scan proves no upper bound
-    planes = pipeline._max_packings(7)[:1]
-    monkeypatch.setattr(pipeline, "_max_packings", lambda n: planes)
+    planes = pipeline._max_packings(7, 3)[:1]
+    monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: planes)
     with pytest.raises(PipelineError, match="no maximum packing has under [3-7] cyclic lines on class [01]{21}$"):
         f_min(7, cache_dir=cache_dir, workers=workers)
 
@@ -454,16 +459,16 @@ def test_scan_classes_raises_past_the_exact_range(cache_dir, monkeypatch):
     # tabled; elsewhere the scan proves only the lower bound there
     codes = enumerate_codes(7, cache_dir=cache_dir)
     sevens = [code for code in codes if pipeline._scan(7, pipeline._cyclic_mask(7, int(code, 2)))[0] == 2]
-    assert [(len(lines), classes) for lines, classes in pipeline._scan_classes(7, sevens)] == [(5, 1), (5, 2)]
-    entry = pipeline._max_packings(6)[:1]
+    assert [(len(lines), classes) for lines, classes in pipeline._scan_classes(7, sevens, 3)] == [(5, 1), (5, 2)]
+    entry = pipeline._max_packings(6, 3)[:1]
     six = next(
         code
         for code in enumerate_codes(6, cache_dir=cache_dir)
         if (entry[0][0] & pipeline._cyclic_mask(6, int(code, 2))).bit_count() == 2
     )
-    monkeypatch.setattr(pipeline, "_max_packings", lambda n: entry)
+    monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: entry)
     with pytest.raises(PipelineError, match=f"^no maximum packing has under 2 cyclic lines on class {six}$"):
-        pipeline._scan_classes(6, [six])
+        pipeline._scan_classes(6, [six], 3)
 
 
 def test_scan_reads_the_exact_range_off_the_table(monkeypatch):
@@ -473,7 +478,7 @@ def test_scan_reads_the_exact_range_off_the_table(monkeypatch):
     # with the pair {1, 8} reversed, has least 2 and packs 12 - 2 triples
     index = pipeline._triples(9)[0]
     table = tuple(sorted((sum(1 << index[line] for line in d.blocks), d.blocks) for d in _orbit(ag2_lines(3))))
-    monkeypatch.setattr(pipeline, "_max_packings", {9: table}.__getitem__)
+    monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: table)
     code = "101100101011000101100101101011101101"
     t = tournament_from_code(code)
     least, lines = pipeline._scan(9, pipeline._cyclic_mask(9, int(code, 2)))
@@ -482,14 +487,16 @@ def test_scan_reads_the_exact_range_off_the_table(monkeypatch):
     assert max_packing_exact(t, 3).value == 10
 
 
-@pytest.mark.parametrize("n, scanned", [(3, 1), (4, 0), (5, 0), (6, 1), (7, 49), (8, 8)], ids=range(3, 9))
+@pytest.mark.parametrize("n, scanned", [(3, 0), (4, 0), (5, 0), (6, 0), (7, 2), (8, 0)], ids=range(3, 9))
 def test_scan_classes_read_every_class_as_the_scan_does(cache_dir, monkeypatch, n, scanned):
     # bit c of each triple's column is that triple's bit in the byte-table
     # mask of class c; the parts cover each class exactly once, with _scan's
     # lines for it, M - least of them; and _scan runs, in class order, on
-    # exactly the classes with least >= 1
+    # exactly the classes with least >= 2: the least-one walk settles the
+    # 1, 0, 0, 1, 49 and 8 classes at n = 3..8 that _scan read one by one
+    # before it
     codes = enumerate_codes(n, cache_dir=cache_dir)
-    size = len(pipeline._max_packings(n)[0][1])
+    size = len(pipeline._max_packings(n, 3)[0][1])
     masks = [pipeline._cyclic_mask(n, int(code, 2)) for code in codes]
     leasts, class_lines = zip(*(pipeline._scan(n, mask) for mask in masks))
     columns = pipeline._cyclic_columns(n, codes)
@@ -497,7 +504,7 @@ def test_scan_classes_read_every_class_as_the_scan_does(cache_dir, monkeypatch, 
     for x, column in enumerate(columns):
         assert column == sum((mask >> x & 1) << c for c, mask in enumerate(masks)), x
     calls = counting_scans(monkeypatch)
-    parts = pipeline._scan_classes(n, codes)
+    parts = pipeline._scan_classes(n, codes, 3)
     # no part is empty, and the part sizes add up to the class count, so
     # with every class read off some part, none is in two
     assert all(classes for _, classes in parts)
@@ -505,17 +512,54 @@ def test_scan_classes_read_every_class_as_the_scan_does(cache_dir, monkeypatch, 
     read = {c: lines for lines, classes in parts for c in range(len(codes)) if classes >> c & 1}
     assert [read[c] for c in range(len(codes))] == list(class_lines)
     assert [len(lines) for lines in class_lines] == [size - least for least in leasts]
-    assert calls == [mask for mask, least in zip(masks, leasts) if least]
+    assert calls == [mask for mask, least in zip(masks, leasts) if least >= 2]
     assert len(calls) == scanned
 
 
 def test_scan_classes_reject_codes_of_another_order(cache_dir):
     with pytest.raises(ValueError, match="^codes of order 8 have 28 bits, got 21$"):
-        pipeline._scan_classes(8, enumerate_codes(7, cache_dir=cache_dir))
+        pipeline._scan_classes(8, enumerate_codes(7, cache_dir=cache_dir), 3)
     # one code short and one long add up to the right length, and still raise
     a, b = enumerate_codes(8, cache_dir=cache_dir)[:2]
     with pytest.raises(ValueError, match="^codes of order 8 have 28 bits, got 27$"):
-        pipeline._scan_classes(8, [a[:-1], b + "0"])
+        pipeline._scan_classes(8, [a[:-1], b + "0"], 3)
+
+
+SCANNED = [(n, k) for n in range(3, 8) for k in range(3, n + 1)] + [(8, 4)]
+
+
+@pytest.mark.parametrize("n, k", SCANNED, ids=[f"{n}-{k}" for n, k in SCANNED])
+def test_scan_classes_value_every_class_as_the_solver_does(cache_dir, n, k):
+    # each class's part holds a verified packing of its class, and as many
+    # lines as the exact solver packs
+    codes = enumerate_codes(n, cache_dir=cache_dir)
+    read = {c: lines for lines, classes in pipeline._scan_classes(n, codes, k) for c in pipeline._members(classes)}
+    assert sorted(read) == list(range(len(codes)))
+    for c, code in enumerate(codes):
+        assert verify_packing(tournament_from_code(code), Packing(n=n, k=k, copies=read[c])), code
+        assert len(read[c]) == pipeline._solve_code(code, k), code
+
+
+def test_f_min_above_k3_keeps_its_values(cache_dir):
+    # sha256 of json.dumps([n, k, f, argmin_codes]) for every 4 <= k <= n <= 8,
+    # one line each in (n, k) order, as when every class was solved
+    lines = []
+    for n, k in ABOVE_K3:
+        record = f_min(n, k, cache_dir=cache_dir)
+        lines.append(json.dumps([record.n, record.k, record.f, list(record.argmin_codes)]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9e18f370db7e8e2af46c88dbcf0445f5698aae99139ebda419e28af215c31519"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_f_min_rejects_a_class_the_scan_does_not_settle_above_k3(cache_dir, monkeypatch, workers):
+    # with only the last entry left in the K_4 table, some class has both
+    # its lines non-transitive and a transitive 4-set elsewhere, where the
+    # scan proves no upper bound (with the first entry alone, no class does)
+    entry = pipeline._max_packings(7, 4)[-1:]
+    monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: entry)
+    with pytest.raises(PipelineError, match="^no maximum packing has under 2 non-transitive lines on class [01]{21}$"):
+        f_min(7, k=4, cache_dir=cache_dir, workers=workers)
 
 
 def test_witness_fit_agrees_with_verify_packing(cache_dir):
@@ -523,7 +567,7 @@ def test_witness_fit_agrees_with_verify_packing(cache_dir):
     # triples: on every order-7 class and entry, and a slice at order 8
     fits = Counter()
     for n, classes, entries in ((7, slice(None), slice(None)), (8, slice(None, None, 344), slice(None, None, 42))):
-        table = pipeline._max_packings(n)[entries]
+        table = pipeline._max_packings(n, 3)[entries]
         for code in enumerate_codes(n, cache_dir=cache_dir)[classes]:
             t = tournament_from_code(code)
             cyclic = pipeline._cyclic_mask(n, int(code, 2))
@@ -700,8 +744,8 @@ def test_pipeline_workers_agree():
 def test_pipeline_rejects_a_block_no_fano_plane_packs(monkeypatch, workers):
     # with one plane left in the table, some block of the random host has
     # 3 or more cyclic lines on it, where the scan proves no value
-    planes = pipeline._max_packings(7)[:1]
-    monkeypatch.setattr(pipeline, "_max_packings", lambda n: planes)
+    planes = pipeline._max_packings(7, 3)[:1]
+    monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: planes)
     with pytest.raises(PipelineError, match="no maximum packing has under [3-7] cyclic lines on block"):
         decomposition_pipeline(random_tournament(49, 7), trials=2, seed=11, workers=workers)
 
@@ -794,7 +838,7 @@ def test_scan_is_exact_on_every_class(cache_dir, n, histogram):
     # verified lines, and exactly that by the solver; at least = 0 the
     # value is M, the most any n-vertex tournament packs, so at order 8
     # only the classes with least >= 1 are solved
-    size = len(pipeline._max_packings(n)[0][1])
+    size = len(pipeline._max_packings(n, 3)[0][1])
     leasts = Counter()
     for i, code in enumerate(enumerate_codes(n, cache_dir=cache_dir)):
         canonical = tournament_from_code(code)
