@@ -7,12 +7,11 @@ censuses.  Every JSON report carries the tool and format versions, the
 seed (null where no random number is drawn), and an echo of the run
 configuration, and contains no timestamps, so identical invocations
 produce byte-identical output.  The result of solve, census, fmin,
-pipeline, lp and the two experiments is the fields of the frozen record
-the library returns, read by vars() with no copy (dataclasses.asdict
-would deep-copy every int), plus only the keys no record holds: value
-for solve, n and packing_lower_bound for census, and
-mean_covered_fraction for density.  _jsonable alone writes a Fraction,
-as "p/q".
+pipeline, lp and the two experiments is the fields of the NamedTuple
+record the library returns, read by _asdict(), which copies no field
+value, plus only the keys no record holds: value for solve, n and
+packing_lower_bound for census, and mean_covered_fraction for density.
+_jsonable alone writes a Fraction, as "p/q".
 
 Exit codes: 0 on success, 1 when a verified claim fails to hold, 2 on
 usage errors including malformed input files and options a command
@@ -151,14 +150,14 @@ def _cmd_solve(args) -> int:
     budget = args.budget_ms / 1000 if args.budget_ms is not None else None
     p = max_packing_exact(t, args.k, time_budget=budget, node_budget=args.node_budget)
     label = "exact" if p.optimal else "lower bound (budget hit)"
-    _emit(args, {**vars(p), "value": p.value}, [f"P_{p.k} = {p.value} ({label})"])
+    _emit(args, {**p._asdict(), "value": p.value}, [f"P_{p.k} = {p.value} ({label})"])
     return 0
 
 
 def _cmd_census(args) -> int:
     t = _load_tournament(args.infile)
     c = census(t)
-    result = {**vars(c), "n": t.n, "packing_lower_bound": transitive_triples_lower_bound(max(t.n, 3))}
+    result = {**c._asdict(), "n": t.n, "packing_lower_bound": transitive_triples_lower_bound(max(t.n, 3))}
     _emit(args, result, [f"n={t.n} a={c.a} t={c.t}"])
     return 0
 
@@ -232,7 +231,7 @@ def _cmd_verify_packing(args) -> int:
 
 def _cmd_fmin(args) -> int:
     record = f_min(args.n, k=args.k, cache_dir=args.cache, workers=args.workers)
-    _emit(args, vars(record), [f"f({record.n}) = {record.f}"])
+    _emit(args, record._asdict(), [f"f({record.n}) = {record.f}"])
     return 0
 
 
@@ -240,7 +239,7 @@ def _cmd_pipeline(args) -> int:
     t = _load_tournament(args.infile)
     report = decomposition_pipeline(t, trials=args.trials, seed=args.seed, workers=args.workers)
     text = f"trials={report.trials} min_total={report.min_total} mean_block={float(report.mean_block_packing):.3f}"
-    _emit(args, vars(report), [text])
+    _emit(args, report._asdict(), [text])
     return 0
 
 
@@ -249,7 +248,7 @@ def _cmd_lp(args) -> int:
     # an empty --costs is no costs, as a one-value LP needs
     costs = tuple(map(_fraction, args.costs.split(","))) if args.costs else ()
     res = lp_step(_fraction(args.budget), values, costs)
-    _emit(args, vars(res), [f"minimum={_jsonable(res.minimum)} at ({', '.join(map(_jsonable, res.argmin))})"])
+    _emit(args, res._asdict(), [f"minimum={_jsonable(res.minimum)} at ({', '.join(map(_jsonable, res.argmin))})"])
     return 0
 
 
@@ -286,7 +285,7 @@ def _cmd_experiment_density(args) -> int:
     report = density_experiment(args.n, args.k, args.trials, args.seed, improve=args.improve)
     rows = enumerate(zip(report.copy_counts, report.covered_fractions))
     lines = ["trial,copies,covered_fraction", *(f"{i},{count},{float(frac):.6f}" for i, (count, frac) in rows)]
-    _emit(args, {**vars(report), "mean_covered_fraction": sum(report.covered_fractions) / report.trials}, lines)
+    _emit(args, {**report._asdict(), "mean_covered_fraction": sum(report.covered_fractions) / report.trials}, lines)
     return 0
 
 
@@ -297,7 +296,7 @@ def _cmd_experiment_edge_stats(args) -> int:
         args.seed = DEFAULT_SEED  # config and the envelope echo the seed of an --n host
     t = _load_tournament(args.infile) if args.n is None else random_tournament(args.n, args.seed)
     stats = edge_copy_stats(t, args.k)
-    _emit(args, vars(stats), [f"mean={float(stats.mean):.4f} expectation={float(stats.expectation):.4f}"])
+    _emit(args, stats._asdict(), [f"mean={float(stats.mean):.4f} expectation={float(stats.expectation):.4f}"])
     return 0
 
 

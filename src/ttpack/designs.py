@@ -12,10 +12,10 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import isqrt
+from typing import NamedTuple
 
 __all__ = [
     "BlockDesign",
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BlockDesign:
+class BlockDesign(NamedTuple):
     """Uniform blocks over points 0..point_count-1, sorted canonically."""
 
     point_count: int

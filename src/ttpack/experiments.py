@@ -9,9 +9,9 @@ covered-edge fractions against the perfect-packing density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .packing import Packing, _edge_mask, _transitive_chains, greedy_packing
 from .rng import sub_seed
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EdgeCopyStats:
+class EdgeCopyStats(NamedTuple):
     """Per-edge transitive-subtournament counts plus the expectation reference.
 
     counts[e] is the number of transitive k-subsets whose vertex pairs
@@ -44,8 +43,7 @@ class EdgeCopyStats:
     expectation: Fraction
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """Greedy packing sizes and covered-edge fractions over seeded trials."""
 
     n: int

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, compress
 from operator import itemgetter
+from typing import NamedTuple
 
 from .rng import stdlib_rng
 from .tournament import Tournament, edge_index
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CopyList:
+class CopyList(NamedTuple):
     """All TT_k copies of one host, each its k vertices ascending, ordered by vertex tuple."""
 
     n: int
@@ -40,8 +39,7 @@ class CopyList:
     copies: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Packing:
+class Packing(NamedTuple):
     """An edge-disjoint family of copies plus search metadata.
 
     copies: the vertex tuples of the packed copies; they alone define the

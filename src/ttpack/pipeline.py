@@ -16,12 +16,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import combinations
 from math import comb
 from operator import and_, itemgetter, or_
+from typing import NamedTuple
 
 from .designs import _orbit, ag2_lines, all_sts7, verify_design
 from .enumeration import MAX_ENUMERATION_VERTICES, _pool_map, enumerate_codes
@@ -59,8 +59,7 @@ class PipelineError(RuntimeError):
     """Raised when a verified claim fails; unusable inputs raise ValueError."""
 
 
-@dataclass(frozen=True)
-class ClassThreshold:
+class ClassThreshold(NamedTuple):
     """Exact triangle count and packing number for one 7-vertex class."""
 
     code: str
@@ -68,8 +67,7 @@ class ClassThreshold:
     p: int
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """Per-class records, each within its regime, since a failed check raises."""
 
     records: tuple[ClassThreshold, ...]
@@ -81,8 +79,7 @@ class ThresholdReport:
         return min(r.p for r in self.records)
 
 
-@dataclass(frozen=True)
-class FMinRecord:
+class FMinRecord(NamedTuple):
     """Exact minimum packing value over all classes of order n, with witnesses."""
 
     n: int
@@ -91,22 +88,19 @@ class FMinRecord:
     argmin_codes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class InducedExpectation:
+class InducedExpectation(NamedTuple):
     """Exact expectation of transitive triples in a random induced m-subset."""
 
     exact: Fraction
     lower_bound: Fraction
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     minimum: Fraction
     argmin: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     """Aggregate of seeded decomposition trials on a 49-vertex host."""
 
     n: int

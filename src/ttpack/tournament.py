@@ -7,17 +7,16 @@ tests are single AND/popcount operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .rng import coin
 
 MAX_VERTICES = 64
 
 
-@dataclass(frozen=True)
-class Tournament:
+class Tournament(NamedTuple):
     """Orientation of K_n: `out[v]` is the bitset of out-neighbors of v."""
 
     n: int
@@ -49,8 +48,7 @@ class Tournament:
                     raise ValueError(f"pair ({u},{v}) not oriented exactly once")
 
 
-@dataclass(frozen=True)
-class TriangleCensus:
+class TriangleCensus(NamedTuple):
     """Counts of transitive triples (a) and directed triangles (t)."""
 
     a: int

@@ -2,10 +2,27 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import ttpack
+from ttpack.designs import BlockDesign
+from ttpack.experiments import DensityReport, EdgeCopyStats
+from ttpack.packing import CopyList, Packing
+from ttpack.pipeline import (
+    ClassThreshold,
+    FMinRecord,
+    InducedExpectation,
+    LPResult,
+    PipelineReport,
+    ThresholdReport,
+)
+from ttpack.tournament import Tournament, TriangleCensus
 
 
 def test_package_has_no_bare_assert():
@@ -89,11 +106,9 @@ def test_every_exported_name_is_bound():
     assert unbound == []
 
 
-def test_one_process_pool_helper():
-    # no module imports multiprocessing, and fork is read only inside
-    # enumeration._pool_map
+def importers_of(top: str) -> list[str]:
+    """The package's files that import the module top or a submodule of it."""
     importers = []
-    outside = []
     for path in sorted(Path(ttpack.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -103,8 +118,17 @@ def test_one_process_pool_helper():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "multiprocessing" for m in modules):
+            if any(m.split(".")[0] == top for m in modules):
                 importers.append(path.name)
+    return importers
+
+
+def test_one_process_pool_helper():
+    # no module imports multiprocessing, and fork is read only inside
+    # enumeration._pool_map
+    outside = []
+    for path in sorted(Path(ttpack.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         inside = set()
         if path.name == "enumeration.py":
             helpers = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_pool_map"]
@@ -116,8 +140,57 @@ def test_one_process_pool_helper():
                 name = node.name
             if name == "fork" and id(node) not in inside:
                 outside.append(f"{path.name}:{node.lineno}")
-    assert importers == []
+    assert importers_of("multiprocessing") == []
     assert outside == []
+
+
+def test_package_does_not_import_dataclasses():
+    # records are NamedTuples: a frozen dataclass runs six generated methods
+    # through exec when its class is defined, on every import of the package
+    assert importers_of("dataclasses") == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every command pays for importing the package, and dataclasses imports
+    # inspect; -S keeps whatever site imports out of sys.modules
+    env = {**os.environ, "PYTHONPATH": str(Path(ttpack.__file__).parent.parent)}
+    script = "import sys, ttpack.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, check=False)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+
+
+RECORDS = (
+    Tournament,
+    TriangleCensus,
+    CopyList,
+    Packing,
+    BlockDesign,
+    EdgeCopyStats,
+    DensityReport,
+    ClassThreshold,
+    ThresholdReport,
+    FMinRecord,
+    InducedExpectation,
+    LPResult,
+    PipelineReport,
+)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_a_record_is_immutable_and_replaces_one_field(record):
+    # a record's fields cannot be assigned, nor new attributes added, and
+    # _replace builds a new record that differs in the named field alone
+    values = list(range(len(record._fields)))
+    r = record(*values)
+    with pytest.raises(AttributeError):
+        r.extra = 0
+    for i, name in enumerate(record._fields):
+        with pytest.raises(AttributeError):
+            setattr(r, name, -1)
+        changed = r._replace(**{name: -1})
+        assert type(changed) is record
+        assert [getattr(changed, field) for field in record._fields] == values[:i] + [-1] + values[i + 1 :]
+        assert [getattr(r, field) for field in record._fields] == values
 
 
 def test_one_deadline_check():
