@@ -1,12 +1,13 @@
 """Mechanized bound arguments built on the solver and the designs.
 
-Covers five instruments.  Three rest on one scan over the labeled
-maximum K_k-packings of K_n, 3 <= k <= n <= 8: the triangle-count
+Covers five instruments.  Three rest on the labeled maximum
+K_k-packings of K_n, 3 <= k <= n <= 8.  Two sweep all classes of an
+order at once, by bit-sliced walks of that table: the triangle-count
 regimes of all 456 seven-vertex classes, each class's packing verified
-in the calling process; the exact minimum packing value over all
-classes of order n, read off the same scan of all its classes at every
-k; and a randomized 49-vertex decomposition pipeline that packs each
-block by the scan and verifies every assembled packing.
+in the calling process, and the exact minimum packing value over all
+classes of order n at every k.  The third, a randomized 49-vertex
+decomposition pipeline, scans each block pattern on its own against
+the Fano planes and verifies every assembled packing.
 The others are an exact expectation identity for induced subtournaments
 and an exact-rational LP over the regimes.
 """
@@ -115,17 +116,28 @@ class PipelineReport(NamedTuple):
     reference_density: Fraction
 
 
-def _byte_tables(masks: list[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Per-byte lookup rows of a code int, given one mask per pair of its order.
+@lru_cache(maxsize=None)
+def _role_tables(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per-byte lookup rows of an order-n code read as an int, by triple role.
 
-    masks[p] belongs to the pair at position p of combinations(range(n), 2),
-    which a code of order n, read as an int, holds at bit C(n,2) - 1 - p.
-    One row per byte of the int holds its shift and 256 entries: entry b
-    is the OR of the masks of the pairs at the set bits of b in that byte.
-    The top byte is partial when 8 does not divide C(n,2): its bits past
-    the code select nothing.
+    A triple i<j<k of index x in combinations(range(n), 3) has its pairs
+    in three roles, (i,j), (j,k) and (i,k), and role r owns the field of
+    C(n,3) bits from r * C(n,3): a pair's mask sets bit x of a role's
+    field for each triple x in which it plays that role.  The pair at
+    position p of combinations(range(n), 2) is bit C(n,2) - 1 - p of the
+    int, and one row per byte of the int holds its shift and 256
+    entries: entry b is the OR of the masks of the pairs at the set bits
+    of b in that byte.  The top byte is partial when 8 does not divide
+    C(n,2): its bits past the code select nothing.
     """
-    at = [*reversed(masks), *[0] * (-len(masks) % 8)]  # at[s] is the mask of bit s
+    triples = list(combinations(range(n), 3))
+    width = len(triples)
+    roles = dict.fromkeys(combinations(range(n), 2), 0)
+    for x, (i, j, k) in enumerate(triples):
+        roles[i, j] |= 1 << x
+        roles[j, k] |= 1 << width + x
+        roles[i, k] |= 1 << 2 * width + x
+    at = [*reversed(roles.values()), *[0] * (-len(roles) % 8)]  # at[s] is the mask of bit s
     tables = []
     for shift in range(0, len(at), 8):
         table = [0]
@@ -135,39 +147,17 @@ def _byte_tables(masks: list[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(tables)
 
 
-@lru_cache(maxsize=None)
-def _triples(n: int) -> tuple[dict[tuple[int, int, int], int], tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Triple indices of order n, and _byte_tables of the code's pairs by triple role.
-
-    A triple i<j<k has its index x in combinations(range(n), 3) order.
-    Its pairs play three roles, (i,j), (j,k) and (i,k), and role r owns
-    the field of C(n,3) bits from r * C(n,3): a pair's mask sets bit x of
-    a role's field for each triple x in which it plays that role.  So
-    entry b of a byte's row is, per role, the triples whose pair of that
-    role is a set bit of b in that byte.
-    """
-    index = {ijk: x for x, ijk in enumerate(combinations(range(n), 3))}
-    width = len(index)
-    roles = dict.fromkeys(combinations(range(n), 2), 0)
-    for (i, j, k), x in index.items():
-        roles[i, j] |= 1 << x
-        roles[j, k] |= 1 << width + x
-        roles[i, k] |= 1 << 2 * width + x
-    return index, _byte_tables(list(roles.values()))
-
-
 def _cyclic_mask(n: int, bits: int) -> int:
     """Bitset of the directed triangles, by triple index, of the order-n code read as the int bits.
 
-    Each byte of bits makes one lookup in its row of _triples(n)'s
-    tables, and the OR of the entries is split by shifts into one triple
-    mask per role.
+    Each byte of bits makes one lookup in its row of _role_tables(n), and
+    the OR of the entries is split by shifts into one triple mask per
+    role.
     """
-    index, tables = _triples(n)
     roles = 0
-    for shift, table in tables:
+    for shift, table in _role_tables(n):
         roles |= table[bits >> shift & 255]
-    width = len(index)
+    width = comb(n, 3)
     full = (1 << width) - 1
     ij, jk, ik = roles & full, roles >> width & full, roles >> 2 * width
     # for i<j<k the triple is cyclic iff (i,j) and (j,k) agree and (i,k) differs
@@ -191,7 +181,7 @@ def _cyclic_columns(n: int, codes: Sequence[str]) -> list[int]:
     text = "".join(codes)
     column = {pair: int(text[p - width :: -width], 2) for p, pair in enumerate(combinations(range(n), 2))}
     cyclic = []
-    for i, j, k in _triples(n)[0]:
+    for i, j, k in combinations(range(n), 3):
         ij, jk, ik = column[i, j], column[j, k], column[i, k]
         cyclic.append(~(ij ^ jk) & (ij ^ ik))
     return cyclic
@@ -223,32 +213,29 @@ def _max_packings(n: int, k: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...
     """(mask, lines) of every labeled maximum K_k-packing of K_n, 3 <= k <= n <= 8, sorted by lines.
 
     An entry's lines are M edge-disjoint k-subsets of 0..n-1, M the most
-    there are, and its mask has bit x for the line at position x of
-    combinations(range(n), k).  At k = 3 each entry is the lines inside
-    0..n-1 of a labeled triple system: one of the 30 7-point systems, or
-    at n = 8 one of the 840 9-point systems off its point 8 (a maximum
-    packing of K_8 leaves a perfect matching, which a new point
-    completes), read off designs' cached all_sts7() and the orbit of
-    ag2_lines(3): at n = 7 the lines are all_sts7()'s blocks, in
-    designs' order.  At k >= 4 a plain exhaustive search grows the
+    there are, in combinations(range(n), k) order, and its mask has bit
+    x for the line at position x of that order.  At k = 3 each entry is
+    the lines inside 0..n-1 of a labeled triple system: one of the 30
+    7-point systems, or at n = 8 one of the 840 9-point systems off its
+    point 8 (a maximum packing of K_8 leaves a perfect matching, which a
+    new point completes), read off designs' cached all_sts7() and the
+    orbit of ag2_lines(3): at n = 7 the lines are all_sts7()'s blocks,
+    in designs' order.  At k >= 4 a plain exhaustive search grows the
     families of edge-disjoint k-subsets by one later subset at a time
     and keeps the largest; at k = 3 the orbit is far cheaper.
     Certificate, once per process: an entry's lines are k-subsets of
     0..n-1, each found in the index for its mask, and it is kept only if
     it has M of them covering C(k,2) M distinct pairs; and (M, count) is
     pinned in PACKING_COUNTS, so a build that loses an entry raises, and
-    completeness is checkable against an exhaustive search.  The k = 3
-    build reads _triples(n), so a caller that builds the table before
-    its map forks gives every worker the byte tables of _cyclic_mask too.
+    completeness is checkable against an exhaustive search.
     """
     m, count = PACKING_COUNTS[n, k]
+    blocks = list(combinations(range(n), k))
+    index = {block: x for x, block in enumerate(blocks)}
     if k == 3:
-        index = _triples(n)[0]
         systems = all_sts7() if n <= 7 else _orbit(ag2_lines(3))
         families = {tuple(line for line in d.blocks if line[-1] < n) for d in systems}
     else:
-        blocks = list(combinations(range(n), k))
-        index = {block: x for x, block in enumerate(blocks)}
         pairs = {block: {*combinations(block, 2)} for block in blocks}
         level = [((), set())]
         while level:
@@ -273,18 +260,12 @@ def _scan(n: int, cyclic: int, *subject) -> tuple[int, tuple[tuple[int, ...], ..
 
     cyclic is the directed-triangle mask, by triple index, of an n-vertex
     tournament T, and least is the fewest of its triples on the M lines
-    of any entry of _max_packings(n, 3).  A tournament is transitive iff it
-    has no directed triangle (Moon), so a least entry's other lines are
-    M - least edge-disjoint transitive triples: P_3(T) >= M - least.
-    The upper bound: any M edge-disjoint triples form an entry, so P = M
-    iff least = 0, and P = M - least whenever least <= 1.  If the entries
-    decompose K_n, 3M = C(n,2) (the Fano planes at n = 7), any M - 1
-    edge-disjoint triples leave 3 edges of even degree, a triangle, which
-    completes them to an entry: P = M - 2 when least = 2.  So the exact
-    range is least <= 1, and least <= 2 when 3M = C(n,2); past it the
-    scan proves only the lower bound, and raises, naming subject.
-    The table is closed under relabeling, so least depends on T's class
-    alone.
+    of any entry of _max_packings(n, 3).  The first least entry's other
+    lines, read off its mask's bits in line order, are M - least
+    edge-disjoint transitive triples, so P_3(T) = M - least within the
+    exact range stated in _scan_classes's docstring; past it the scan
+    raises, naming subject.  The table is closed under relabeling, so
+    least depends on T's class alone.
     """
     table = _max_packings(n, 3)
     for mask, lines in table:
@@ -295,8 +276,7 @@ def _scan(n: int, cyclic: int, *subject) -> tuple[int, tuple[tuple[int, ...], ..
     if least > (2 if 3 * len(lines) == comb(n, 2) else 1):
         where = " ".join(map(str, subject))
         raise PipelineError(f"no maximum packing has under {least} cyclic lines on {where}")
-    index = _triples(n)[0]
-    return least, tuple(line for line in lines if not cyclic >> index[line] & 1)
+    return least, tuple(line for line, x in zip(lines, _members(mask)) if not cyclic >> x & 1)
 
 
 def _members(classes: int) -> Iterator[int]:
@@ -312,28 +292,33 @@ def _scan_classes(n: int, codes: Sequence[str], k: int) -> list[tuple[tuple[tupl
 
     Each class is in one part, whose lines are the M - least transitive
     lines of the first entry of _max_packings(n, k) with the fewest,
-    least, non-transitive lines on it: _scan's lines at k = 3.  A
-    k-subset is transitive iff it has no cyclic triple (Moon), so its
-    bitset, the classes on which it is not, is the OR of its triples'
-    _cyclic_columns, and bit-sliced walks of the table serve every class
-    at once.  The first takes least = 0: an entry's hits are the OR of
-    its lines' bitsets, and the classes it is the first to miss are its
-    part.  The second takes least = 1: once and twice are the classes
-    that at least one and at least two of an entry's lines hit, and
-    those in once alone that the entry is the first to hit form a part
-    per line hit, with the entry's other lines.  A class left with no transitive
-    k-subset, in the AND of all bitsets, packs nothing: a part with no
-    lines.  Exact: every M-packing is an entry, so P = M iff least = 0,
-    and P <= M - 1 otherwise, which the other lines reach at least = 1.
-    At k = 3, _scan settles each class left, least >= 2, from its own
-    cyclic mask as a part of its own, in class order, raising past its
-    exact range; at k >= 4 a class left raises.
+    least, non-transitive lines on it.  A k-subset is transitive iff it
+    has no cyclic triple (Moon), so its bitset, the classes on which it
+    is not, is the OR of its triples' _cyclic_columns, and bit-sliced
+    walks of the table serve every class at once.  A class with no
+    transitive k-subset, in the AND of all bitsets, packs nothing: a
+    part with no lines.  The first walk takes least = 0: an entry's hits
+    are the OR of its lines' bitsets, and the classes it is the first to
+    miss are its part.  Each later walk takes one least of the exact
+    range: hits[j] holds the classes that more than j of an entry's
+    lines hit, and those in hits[least - 1] alone that the entry is the
+    first to hit form a part per least lines hit, with its other lines.
+    The rule, at every k: every M edge-disjoint k-subsets are an entry,
+    so P = M iff least = 0, and P <= M - 1 otherwise, which the other
+    lines reach at least = 1.  If the entries decompose K_n, C(k,2) M =
+    C(n,2) (the Fano planes at n = 7), each degree n - 1 is a multiple
+    of k - 1, and so is each degree of the C(k,2) edges that any M - 1
+    edge-disjoint k-subsets leave: a nonzero one is at least k - 1, so
+    the leave spans at most k vertices, a K_k that completes them to an
+    entry, and P = M - 2 at least = 2.  Past that exact range the table
+    proves only P >= M - least, and a class left raises, naming it.
     """
     columns = dict(zip(combinations(range(n), 3), _cyclic_columns(n, codes)))
     bitsets = {line: reduce(or_, [columns[ijk] for ijk in combinations(line, 3)]) for line in combinations(range(n), k)}
     table = _max_packings(n, k)
-    unsettled = (1 << len(codes)) - 1
-    parts = []
+    blocked = reduce(and_, bitsets.values())
+    parts = [((), blocked)] if blocked else []
+    unsettled = (1 << len(codes)) - 1 ^ blocked
     for _, lines in table:
         if not unsettled:
             break
@@ -344,26 +329,27 @@ def _scan_classes(n: int, codes: Sequence[str], k: int) -> list[tuple[tuple[tupl
         if missed:
             parts.append((lines, missed))
             unsettled ^= missed
-    for _, lines in table:
-        if not unsettled:
-            break
-        once = twice = 0
-        for line in lines:
-            twice |= once & bitsets[line]
-            once |= bitsets[line]
-        single = unsettled & once & ~twice
-        for line in lines:
-            if single & bitsets[line]:
-                parts.append((tuple(other for other in lines if other != line), single & bitsets[line]))
-        unsettled ^= single
-    blocked = reduce(and_, bitsets.values(), unsettled)
-    if blocked:
-        parts.append(((), blocked))
-        unsettled ^= blocked
-    for c in _members(unsettled):
-        if k != 3:
-            raise PipelineError(f"no maximum packing has under 2 non-transitive lines on class {codes[c]}")
-        parts.append((_scan(n, _cyclic_mask(n, int(codes[c], 2)), "class", codes[c])[1], 1 << c))
+    top = 2 if comb(k, 2) * len(table[0][1]) == comb(n, 2) else 1
+    for least in range(1, top + 1):
+        for _, lines in table:
+            if not unsettled:
+                break
+            hits = [0] * (least + 1)
+            for line in lines:
+                for j in range(least, 0, -1):
+                    hits[j] |= hits[j - 1] & bitsets[line]
+                hits[0] |= bitsets[line]
+            exact = unsettled & hits[least - 1] & ~hits[least]
+            if not exact:
+                continue
+            for hit in combinations(lines, least):
+                classes = reduce(and_, [bitsets[line] for line in hit], exact)
+                if classes:
+                    parts.append((tuple(line for line in lines if line not in hit), classes))
+            unsettled ^= exact
+    if unsettled:
+        code = codes[next(_members(unsettled))]
+        raise PipelineError(f"no maximum packing has under {top + 1} non-transitive lines on class {code}")
     return parts
 
 
@@ -372,13 +358,14 @@ def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> Thre
 
     No class is solved and no worker forked; workers serves only a cold
     class-list build.  A class's P is the size of its packing, a least
-    Fano plane's 7 - least transitive lines, exact by the argument in
-    _scan_classes's docstring, and verified here, in class order; its t
-    is read off its code by _cyclic_mask.  A class with t directed
-    triangles must pack at least its regime's value and at most the
-    perfect packing C(7,2)/3 = 7.  A class past the scan's exact range, a
-    packing that fails verification or a violation raises, naming the
-    class's code.
+    Fano plane's 7 - least transitive lines, exact by the rule in
+    _scan_classes's docstring, and verified here, in class order, on the
+    out-sets its code decodes to.  Its t is read off the same out-sets:
+    C(7,3) less the transitive triples, C(d, 2) at each vertex of
+    outdegree d.  A class with t directed triangles must pack at least
+    its regime's value and at most the perfect packing C(7,2)/3 = 7.  A
+    class past the scan's exact range, a packing that fails verification
+    or a violation raises, naming the class's code.
     """
     perfect = comb(7, 2) // 3
     codes = enumerate_codes(7, cache_dir=cache_dir, workers=workers)
@@ -386,9 +373,10 @@ def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> Thre
     records = []
     for c, code in enumerate(codes):
         lines = lines_of[c]
-        if not verify_packing(tournament_from_code(code), Packing(n=7, k=3, copies=lines)):
+        host = tournament_from_code(code)
+        if not verify_packing(host, Packing(n=7, k=3, copies=lines)):
             raise PipelineError(f"class {code} has a packing of {len(lines)} copies that fails verification")
-        t, p = _cyclic_mask(7, int(code, 2)).bit_count(), len(lines)
+        t, p = comb(7, 3) - sum(comb(out.bit_count(), 2) for out in host.out), len(lines)
         records.append(ClassThreshold(code, t, p))
         floor = REGIMES[_regime(t)][1]
         if not floor <= p <= perfect:
@@ -551,7 +539,7 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
     Its cyclic triples are read off the pattern, and _scan gives
     least, the fewest of them on the lines of any Fano plane; the
     block's value is 7 - least, packed by that plane's transitive lines,
-    exact by the argument in _scan's docstring.  A block past the
+    exact by the rule in _scan_classes's docstring.  A block past the
     scan's exact range raises.  A memo made empty by this call keeps
     each pattern's t and lines; a forked worker inherits it before any
     trial fills it.  Each block's regime is tallied by t, and each

@@ -154,7 +154,7 @@ def test_threshold_sweep_rejects_a_class_no_fano_plane_packs(cache_dir, monkeypa
     planes = pipeline._max_packings(7, 3)[:1]
     monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: planes)
     monkeypatch.setattr(pipeline, "REGIMES", ((0, 0),))
-    with pytest.raises(PipelineError, match="no maximum packing has under [3-7] cyclic lines on class [01]{21}$"):
+    with pytest.raises(PipelineError, match="^no maximum packing has under 3 non-transitive lines on class [01]{21}$"):
         verify_t7_thresholds(cache_dir, workers=workers)
 
 
@@ -210,7 +210,7 @@ def test_max_packing_table_holds_every_maximum_family(n, size, count):
     # the table is exactly the families of the most pairwise edge-disjoint
     # triples, each entry's mask the bits of its lines
     table = pipeline._max_packings(n, 3)
-    index = pipeline._triples(n)[0]
+    index = {line: x for x, line in enumerate(combinations(range(n), 3))}
     families = edge_disjoint_families(n, 3)
     assert max(families) == size
     assert len(families[size]) == len(table) == count
@@ -449,7 +449,7 @@ def test_f_min_rejects_a_class_the_scan_does_not_settle(cache_dir, monkeypatch, 
     # lines on it, where the scan proves no upper bound
     planes = pipeline._max_packings(7, 3)[:1]
     monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: planes)
-    with pytest.raises(PipelineError, match="no maximum packing has under [3-7] cyclic lines on class [01]{21}$"):
+    with pytest.raises(PipelineError, match="^no maximum packing has under 3 non-transitive lines on class [01]{21}$"):
         f_min(7, cache_dir=cache_dir, workers=workers)
 
 
@@ -459,7 +459,9 @@ def test_scan_classes_raises_past_the_exact_range(cache_dir, monkeypatch):
     # tabled; elsewhere the scan proves only the lower bound there
     codes = enumerate_codes(7, cache_dir=cache_dir)
     sevens = [code for code in codes if pipeline._scan(7, pipeline._cyclic_mask(7, int(code, 2)))[0] == 2]
-    assert [(len(lines), classes) for lines, classes in pipeline._scan_classes(7, sevens, 3)] == [(5, 1), (5, 2)]
+    # both leave the same two lines of the same plane, so the least-2 walk
+    # gives them one part
+    assert [(len(lines), classes) for lines, classes in pipeline._scan_classes(7, sevens, 3)] == [(5, 0b11)]
     entry = pipeline._max_packings(6, 3)[:1]
     six = next(
         code
@@ -467,8 +469,18 @@ def test_scan_classes_raises_past_the_exact_range(cache_dir, monkeypatch):
         if (entry[0][0] & pipeline._cyclic_mask(6, int(code, 2))).bit_count() == 2
     )
     monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: entry)
-    with pytest.raises(PipelineError, match=f"^no maximum packing has under 2 cyclic lines on class {six}$"):
+    with pytest.raises(PipelineError, match=f"^no maximum packing has under 2 non-transitive lines on class {six}$"):
         pipeline._scan_classes(6, [six], 3)
+
+
+def affine_table():
+    # the 840 labeled affine planes of order 3, as a table of order 9
+    index = {line: x for x, line in enumerate(combinations(range(9), 3))}
+    return tuple(sorted((sum(1 << index[line] for line in d.blocks), d.blocks) for d in _orbit(ag2_lines(3))))
+
+
+# a class of order 9 with least 2 on affine_table()
+AFFINE_CODE = "101100101011000101100101101011101101"
 
 
 def test_scan_reads_the_exact_range_off_the_table(monkeypatch):
@@ -476,25 +488,42 @@ def test_scan_reads_the_exact_range_off_the_table(monkeypatch):
     # C(9,2), so as a table of order 9 they make least = 2 exact with no
     # case for the order: the circulant i -> i + {1, 3, 4, 7} (mod 9),
     # with the pair {1, 8} reversed, has least 2 and packs 12 - 2 triples
-    index = pipeline._triples(9)[0]
-    table = tuple(sorted((sum(1 << index[line] for line in d.blocks), d.blocks) for d in _orbit(ag2_lines(3))))
+    table = affine_table()
     monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: table)
-    code = "101100101011000101100101101011101101"
-    t = tournament_from_code(code)
-    least, lines = pipeline._scan(9, pipeline._cyclic_mask(9, int(code, 2)))
+    t = tournament_from_code(AFFINE_CODE)
+    least, lines = pipeline._scan(9, pipeline._cyclic_mask(9, int(AFFINE_CODE, 2)))
     assert (least, len(lines)) == (2, 10)
     assert verify_packing(t, Packing(n=9, k=3, copies=lines))
     assert max_packing_exact(t, 3).value == 10
 
 
-@pytest.mark.parametrize("n, scanned", [(3, 0), (4, 0), (5, 0), (6, 0), (7, 2), (8, 0)], ids=range(3, 9))
-def test_scan_classes_read_every_class_as_the_scan_does(cache_dir, monkeypatch, n, scanned):
+def refusing_scans(monkeypatch):
+    # the per-pattern path of the pipeline, patched to raise if a sweep reads it
+    def refuse(*args):
+        raise AssertionError("a class sweep must not read a class by the per-pattern scan")
+
+    monkeypatch.setattr(pipeline, "_scan", refuse)
+    monkeypatch.setattr(pipeline, "_cyclic_mask", refuse)
+
+
+def test_scan_classes_read_the_exact_range_off_the_table(monkeypatch):
+    # the least-2 walk settles the circulant above by the affine-plane
+    # table alone: 12 - 2 verified lines, none read by the per-pattern scan
+    table = affine_table()
+    monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: table)
+    refusing_scans(monkeypatch)
+    [(lines, classes)] = pipeline._scan_classes(9, [AFFINE_CODE], 3)
+    assert (len(lines), classes) == (10, 1)
+    assert verify_packing(tournament_from_code(AFFINE_CODE), Packing(n=9, k=3, copies=lines))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_scan_classes_read_every_class_as_the_scan_does(cache_dir, monkeypatch, n):
     # bit c of each triple's column is that triple's bit in the byte-table
-    # mask of class c; the parts cover each class exactly once, with _scan's
-    # lines for it, M - least of them; and _scan runs, in class order, on
-    # exactly the classes with least >= 2: the least-one walk settles the
-    # 1, 0, 0, 1, 49 and 8 classes at n = 3..8 that _scan read one by one
-    # before it
+    # mask of class c; and with _scan and _cyclic_mask refusing every
+    # call, the parts cover each class exactly once, with _scan's lines
+    # for it, M - least of them: the walks settle every class, the 2
+    # order-7 classes with least 2 among them
     codes = enumerate_codes(n, cache_dir=cache_dir)
     size = len(pipeline._max_packings(n, 3)[0][1])
     masks = [pipeline._cyclic_mask(n, int(code, 2)) for code in codes]
@@ -503,7 +532,7 @@ def test_scan_classes_read_every_class_as_the_scan_does(cache_dir, monkeypatch, 
     assert len(columns) == comb(n, 3)
     for x, column in enumerate(columns):
         assert column == sum((mask >> x & 1) << c for c, mask in enumerate(masks)), x
-    calls = counting_scans(monkeypatch)
+    refusing_scans(monkeypatch)
     parts = pipeline._scan_classes(n, codes, 3)
     # no part is empty, and the part sizes add up to the class count, so
     # with every class read off some part, none is in two
@@ -512,8 +541,6 @@ def test_scan_classes_read_every_class_as_the_scan_does(cache_dir, monkeypatch, 
     read = {c: lines for lines, classes in parts for c in range(len(codes)) if classes >> c & 1}
     assert [read[c] for c in range(len(codes))] == list(class_lines)
     assert [len(lines) for lines in class_lines] == [size - least for least in leasts]
-    assert calls == [mask for mask, least in zip(masks, leasts) if least >= 2]
-    assert len(calls) == scanned
 
 
 def test_scan_classes_reject_codes_of_another_order(cache_dir):
@@ -585,7 +612,7 @@ def test_cyclic_mask_marks_the_nontransitive_triples_of_every_class(cache_dir, n
     # on every class of order n, so its popcount is the class's t; the
     # oracle's answer on i<j<k reads only the orientations of its three
     # pairs, so it is asked once per orientation
-    index = pipeline._triples(n)[0]
+    index = {ijk: x for x, ijk in enumerate(combinations(range(n), 3))}
     transitive = {}
     for code in enumerate_codes(n, cache_dir=cache_dir):
         t = tournament_from_code(code)
@@ -605,7 +632,7 @@ def test_cyclic_mask_reads_the_partial_top_byte(n):
     # C(7,2) = 21 and C(8,2) = 28 bits end inside their top byte: random,
     # all-zero and all-one codes read right, and that byte's bits past
     # the code read as 0
-    index = pipeline._triples(n)[0]
+    index = {ijk: x for x, ijk in enumerate(combinations(range(n), 3))}
     width = comb(n, 2)
     top = 8 * ((width - 1) // 8)
     past = (1 << top + 8) - (1 << width)

@@ -215,17 +215,19 @@ def test_one_deadline_check():
 
 # Each name, and the functions of the package that alone may read it.
 READ_ONLY_IN = {
-    # per-byte rows of a code int serve the triangle scan alone; every code
-    # is decoded into out-sets by tournament.tournament_from_code
-    "_byte_tables": {("pipeline", "_triples")},
+    # per-byte rows of a code int serve the pipeline's block reader alone;
+    # every code is decoded into out-sets by tournament.tournament_from_code
+    "_role_tables": {("pipeline", "_cyclic_mask")},
     # a copy is its vertex tuple; only the greedy baseline and the local
     # search build its pair mask, so the listing and the solver keep one
     # form of a copy
     "_edge_mask": {("packing", "greedy_packing"), ("experiments", "improve_packing")},
     # _scan_classes is the one reader of classes, for verify lemma22 and
-    # fmin, and the pipeline scans its blocks one pattern at a time; a new
-    # sweep reads its classes through _scan_classes, not beside it
-    "_scan": {("pipeline", "_scan_classes"), ("pipeline", "_pipeline_trial")},
+    # fmin, by its own walks at every k; the pipeline alone reads its
+    # blocks one pattern at a time.  A new sweep reads its classes through
+    # _scan_classes, not beside it
+    "_scan": {("pipeline", "_pipeline_trial")},
+    "_cyclic_mask": {("pipeline", "_pipeline_trial")},
     "_cyclic_columns": {("pipeline", "_scan_classes")},
 }
 
