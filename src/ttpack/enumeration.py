@@ -4,20 +4,23 @@ Canonical form: the lexicographically minimal upper-triangle bit string over
 all vertex relabelings.  Computed by an ordered-partition refinement search
 rather than an n! scan: the code is minimized row by row, and the set of
 orderings achieving the minimal rows so far is exactly captured by a list of
-position cells that get split by each newly placed vertex's out-set.  Ties
-branch; the answer is the minimum over branch leaves, which equals the
-unpruned definition (asserted against a full permutation scan for n <= 6 in
-the test suite).  Once every cell is a single vertex the order is forced,
-so the rest of the path is read off as one leaf rather than searched level
-by level (see `_min_code_rows`).
+position cells that get split by each newly placed vertex's out-set.  A
+node places one of its first cell's vertices, chosen cell by cell as those
+with the fewest out-neighbours in each cell in turn.  Ties branch; the answer
+is the minimum over branch leaves, which equals the unpruned definition
+(asserted against a full permutation scan for n <= 6 in the test suite).
+Once every cell is a single vertex the order is forced, so the rest of the
+path is read off as one leaf rather than searched level by level (see
+`_min_code_rows`).
 
 Enumeration is orderly: extend each canonical representative of order n-1 by
 one new vertex, canonicalize, deduplicate.  Of the 2^(n-1) extensions, only
 those whose new vertex has the least key (out-degree, then the sum of its
 out-neighbours' out-degrees) are canonicalized; every class still has such an
 extension.  They are listed directly, and their keys found by arithmetic on
-the representative's degrees (see `_extension_codes`).  Results are cached on
-disk in one file per order, classes_n{n}.txt, whatever the report format, and
+the representative's degrees, in plain loops that stop at the first old
+vertex of smaller key (see `_extension_codes`).  Results are cached on disk
+in one file per order, classes_n{n}.txt, whatever the report format, and
 every list, read or built, must match the order's pinned digest in
 `CLASS_TABLE`.  A code is the text format's orientation string, so
 `tournament.tournament_from_code` decodes it; this module encodes only.
@@ -76,14 +79,16 @@ def _min_code_rows(out: Sequence[int]) -> list[int]:
     row a candidate u would emit holds, cell by cell (the head without u,
     then the other cells in order), as many 0s as the cell has
     non-out-neighbours of u followed by as many 1s as it has out-neighbours:
-    so each cell's field of width |cell| reads (1 << ones) - 1, and the row
-    is these fields joined as one int.  Every candidate at a node sees the
-    same cells, so the fields have the same widths for each, and comparing
-    the ints compares the per-cell ones counts lexicographically, with more
-    ones in the first differing cell giving the larger row.  The least int
-    is therefore the node's row, and its candidates are exactly those with
-    the least tuple of counts.  The head's field is the row's top field, so
-    its width never enters the int.
+    a field (1 << ones) - 1 of width |cell|.  Every candidate at a node sees
+    the same cells, so the widths agree and rows compare as their tuples of
+    per-cell counts do, lexicographically.  So the candidates are chosen
+    cell by cell: walking the cells in order, keep those with the fewest
+    out-neighbours in the cell, in vertex order, and once one is left read
+    its remaining fields off `ones`.  The node's row is the fields of the
+    least counts; the head's is its top field, so the head's width never
+    enters the int.  A child of u splits each cell c (the head without u
+    first) into c ^ o, then o = c & out[u], dropping an empty part, since
+    the 0s of u's row come first.
 
     Forced tail: a node whose cells are all singletons has one ordering
     left, so its remaining rows are read straight off the out-sets and the
@@ -111,34 +116,35 @@ def _min_code_rows(out: Sequence[int]) -> list[int]:
             if best is None or full < best:
                 best = full
             return
-        head = cells[0]
-        rest = cells[1:]
-        fields = [(c, c.bit_count()) for c in rest]
-        # the candidates of least row, in increasing vertex order; every
-        # row is below 1 << n
-        cands: list[int] = []
-        least = 1 << n
-        for u in members[head]:
-            ou = out[u]
-            row = ones[ou & head]
-            for c, width in fields:
-                row = (row << width) | ones[ou & c]
-            if row < least:
-                least, cands = row, [u]
-            elif row == least:
-                cands.append(u)
-        rows.append(least)
+        # the candidates, cell by cell; rebinding cands leaves the list a loop reads
+        cands = members[cells[0]]
+        row = 0
+        for c in cells:
+            if len(cands) == 1:
+                fewest = ones[out[cands[0]] & c]
+            else:
+                fewest = 1 << n
+                for u in cands:
+                    f = ones[out[u] & c]
+                    if f < fewest:
+                        fewest, cands = f, [u]
+                    elif f == fewest:
+                        cands.append(u)
+            row = (row << c.bit_count()) | fewest
+        rows.append(row)
         # prune against the live incumbent; equal widths per index make the
         # row-int list comparison the same as bit-string comparison
         if best is None or rows <= best[: depth + 1]:
+            # cells is this node's own list: the head without u goes in place
+            head = cells[0]
             for u in cands:
                 ou = out[u]
+                cells[0] = head ^ (1 << u)
                 new_cells: list[int] = []
-                for c in (head ^ (1 << u), *rest):
-                    z = c & ~ou
+                for c in cells:
                     o = c & ou
-                    if z:
-                        new_cells.append(z)
+                    if o != c:
+                        new_cells.append(c ^ o)
                     if o:
                         new_cells.append(o)
                 dfs(new_cells, rows)
@@ -186,28 +192,39 @@ def _extension_codes(code: str) -> set[str]:
     tied old vertex is in mask with deg[v] = d or outside it with
     deg[v] = d - 1.  Its second key is s0[v] - |out(v) & mask|, plus d if
     outside mask, where s0[v] sums deg[w] + 1 over out(v); the new vertex's
-    sums deg[w] over mask.
+    sums deg[w] over mask.  One plain loop over mask builds it and that
+    sum; the test then loops over the tied vertices in mask and outside it,
+    stopping at the first whose second key is smaller.
     """
     out = tournament_from_code(code).out
     m = len(out)
     members = _set_tables(m)[0]
     deg = [o.bit_count() for o in out]
     s0 = [sum(deg[w] + 1 for w in members[o]) for o in out]
+    plus = [o | 1 << m for o in out]
     low = min(deg)
     codes: set[str] = set()
     for d in range(low + 2):
         beside = [(v, s0[v] + d) for v in range(m) if deg[v] == d - 1]  # tied, outside mask
-        for bits in combinations([1 << v for v in range(m) if deg[v] >= d], d):
-            mask = sum(bits)
-            if d >= low:  # below min(deg), no old vertex ties
-                vs = members[mask]
-                own = sum(deg[v] for v in vs)
-                tied = [(v, s0[v]) for v in vs if deg[v] == d] + beside
-                if any(key - (out[v] & mask).bit_count() < own for v, key in tied):
-                    continue
-            ext = [o if mask >> v & 1 else o | 1 << m for v, o in enumerate(out)]
-            ext.append(mask)
-            codes.add(_code(ext))
+        for vs in combinations([v for v in range(m) if deg[v] >= d], d):
+            mask = own = 0
+            for v in vs:
+                mask |= 1 << v
+                own += deg[v]
+            # the least-key test, stopping at the first tied old vertex of
+            # smaller second key; below d = min(deg), no old vertex ties
+            for v in vs:
+                if deg[v] == d and s0[v] - (out[v] & mask).bit_count() < own:
+                    break
+            else:
+                for v, key in beside:
+                    if key - (out[v] & mask).bit_count() < own:
+                        break
+                else:  # out-sets in the extension: out[v] in mask, plus[v] outside
+                    ext = [*plus, mask]
+                    for v in vs:
+                        ext[v] = out[v]
+                    codes.add(_code(ext))
     return codes
 
 

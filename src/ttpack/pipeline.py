@@ -273,10 +273,18 @@ def _scan(n: int, cyclic: int, *subject) -> tuple[int, tuple[tuple[int, ...], ..
             return 0, lines
     mask, lines = min(table, key=lambda entry: (entry[0] & cyclic).bit_count())
     least = (mask & cyclic).bit_count()
-    if least > (2 if 3 * len(lines) == comb(n, 2) else 1):
-        where = " ".join(map(str, subject))
-        raise PipelineError(f"no maximum packing has under {least} cyclic lines on {where}")
+    if least > 1 and least > _exact_top(n, 3, table):
+        raise _past_exact_range(least, " ".join(map(str, subject)))
     return least, tuple(line for line, x in zip(lines, _members(mask)) if not cyclic >> x & 1)
+
+
+def _exact_top(n: int, k: int, table) -> int:
+    """The largest least in the exact range of _scan_classes's rule, M read off table's first entry."""
+    return 2 if comb(k, 2) * len(table[0][1]) == comb(n, 2) else 1
+
+
+def _past_exact_range(m: int, subject: str) -> PipelineError:
+    return PipelineError(f"no maximum packing has under {m} non-transitive lines on {subject}")
 
 
 def _members(classes: int) -> Iterator[int]:
@@ -329,7 +337,7 @@ def _scan_classes(n: int, codes: Sequence[str], k: int) -> list[tuple[tuple[tupl
         if missed:
             parts.append((lines, missed))
             unsettled ^= missed
-    top = 2 if comb(k, 2) * len(table[0][1]) == comb(n, 2) else 1
+    top = _exact_top(n, k, table)
     for least in range(1, top + 1):
         for _, lines in table:
             if not unsettled:
@@ -348,8 +356,7 @@ def _scan_classes(n: int, codes: Sequence[str], k: int) -> list[tuple[tuple[tupl
                     parts.append((tuple(line for line in lines if line not in hit), classes))
             unsettled ^= exact
     if unsettled:
-        code = codes[next(_members(unsettled))]
-        raise PipelineError(f"no maximum packing has under {top + 1} non-transitive lines on class {code}")
+        raise _past_exact_range(top + 1, f"class {codes[next(_members(unsettled))]}")
     return parts
 
 

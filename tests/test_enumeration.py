@@ -229,6 +229,49 @@ def test_canonical_code_matches_brute_force_on_small_orders():
         assert canonical_code(t) == brute_force_canonical_code(t)
 
 
+def head_tie_split_later(t: Tournament) -> bool:
+    """Whether, below some root vertex u of least out-degree, two vertices tie on the head cell and not on u's out-set.
+
+    There the labeler's candidates tie on the head field, the non-out-
+    neighbours of u, and only the next cell tells them apart.
+    """
+    full = (1 << t.n) - 1
+    low = min(o.bit_count() for o in t.out)
+    for u, ou in enumerate(t.out):
+        if ou.bit_count() == low:
+            head = full & ~ou & ~(1 << u)
+            counts = {w: (t.out[w] & head).bit_count() for w in range(t.n) if head >> w & 1}
+            fewest = min(counts.values())
+            if len({(t.out[w] & ou).bit_count() for w, c in counts.items() if c == fewest}) > 1:
+                return True
+    return False
+
+
+# Labeler inputs of the order-7 and order-8 builds, picked by running the
+# labeler over all of them: at depth 1 two or three head vertices tie on the
+# head cell and the second cell leaves one or two of them; at depth 2 the
+# last two split a three-way head tie at the second cell, then the third.
+LATER_CELL_TIES = (
+    (96, 17, 3, 87, 101, 78, 6),
+    (112, 33, 3, 103, 78, 84, 6),
+    (224, 193, 19, 71, 171, 14, 180, 44),
+)
+
+
+@pytest.mark.parametrize("out", LATER_CELL_TIES)
+def test_canonical_code_breaks_head_ties_on_later_cells(out):
+    host = Tournament(len(out), out)
+    host.validate()
+    assert head_tie_split_later(host)
+    reference = canonical_code(host)
+    assert reference == brute_force_canonical_code(host)
+    rng = random.Random(len(out))
+    for _ in range(20):
+        perm = list(range(host.n))
+        rng.shuffle(perm)
+        assert canonical_code(relabel(host, perm)) == reference
+
+
 def test_canonical_form_is_capped_at_ten_vertices():
     assert len(canonical_code(random_tournament(10, 0))) == 45
     with pytest.raises(ValueError, match="canonical form capped at n <= 10"):

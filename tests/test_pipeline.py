@@ -773,7 +773,8 @@ def test_pipeline_rejects_a_block_no_fano_plane_packs(monkeypatch, workers):
     # 3 or more cyclic lines on it, where the scan proves no value
     planes = pipeline._max_packings(7, 3)[:1]
     monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: planes)
-    with pytest.raises(PipelineError, match="no maximum packing has under [3-7] cyclic lines on block"):
+    block = r"block \[\d+(, \d+){6}\] in trial [01]"
+    with pytest.raises(PipelineError, match=f"^no maximum packing has under [3-7] non-transitive lines on {block}$"):
         decomposition_pipeline(random_tournament(49, 7), trials=2, seed=11, workers=workers)
 
 
