@@ -131,14 +131,17 @@ def _load_tournament(path: str) -> Tournament:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.score:
-        want = [int(s) for s in args.score.split(",")]
+    if args.score is not None:
+        try:
+            want = [int(s) for s in args.score.split(",")]
+        except ValueError:
+            raise ValueError(f"score must be comma-separated integers, got '{args.score}'") from None
         if len(want) != args.n:
             raise ValueError(f"score has {len(want)} entries for n={args.n}")
         if want != sorted(want, reverse=True):
             raise ValueError(f"score must be non-increasing, got {args.score}")
     codes = enumerate_codes(args.n, cache_dir=args.cache, workers=args.workers)
-    if args.score:
+    if args.score is not None:
         codes = tuple(code for code in codes if list(tournament_from_code(code).score()) == want)
     result = {"n": args.n, "count": len(codes), "codes": list(codes)}
     _emit(args, result, [f"n={args.n} classes={len(codes)}", *codes])

@@ -1,13 +1,14 @@
 """Mechanized bound arguments built on the solver and the designs.
 
 Covers five instruments.  Three rest on the labeled maximum
-K_k-packings of K_n, 3 <= k <= n <= 8.  Two sweep all classes of an
-order at once, by bit-sliced walks of that table: the triangle-count
-regimes of all 456 seven-vertex classes, each class's packing verified
-in the calling process, and the exact minimum packing value over all
-classes of order n at every k.  The third, a randomized 49-vertex
-decomposition pipeline, scans each block pattern on its own against
-the Fano planes and verifies every assembled packing.
+K_k-packings of K_n, 3 <= k <= n <= 8, and read their classes by
+bit-sliced walks of that table, _scan_classes.  Two sweep all classes
+of an order at once: the triangle-count regimes of all 456 seven-vertex
+classes, each class's packing verified in the calling process, and the
+exact minimum packing value over all classes of order n at every k.
+The third, a randomized 49-vertex decomposition pipeline, walks the
+distinct blocks of each share of its trials against the Fano planes
+and verifies every assembled packing.
 The others are an exact expectation identity for induced subtournaments
 and an exact-rational LP over the regimes.
 """
@@ -19,7 +20,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from operator import and_, itemgetter, or_
 from typing import NamedTuple
@@ -116,63 +117,16 @@ class PipelineReport(NamedTuple):
     reference_density: Fraction
 
 
-@lru_cache(maxsize=None)
-def _role_tables(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Per-byte lookup rows of an order-n code read as an int, by triple role.
-
-    A triple i<j<k of index x in combinations(range(n), 3) has its pairs
-    in three roles, (i,j), (j,k) and (i,k), and role r owns the field of
-    C(n,3) bits from r * C(n,3): a pair's mask sets bit x of a role's
-    field for each triple x in which it plays that role.  The pair at
-    position p of combinations(range(n), 2) is bit C(n,2) - 1 - p of the
-    int, and one row per byte of the int holds its shift and 256
-    entries: entry b is the OR of the masks of the pairs at the set bits
-    of b in that byte.  The top byte is partial when 8 does not divide
-    C(n,2): its bits past the code select nothing.
-    """
-    triples = list(combinations(range(n), 3))
-    width = len(triples)
-    roles = dict.fromkeys(combinations(range(n), 2), 0)
-    for x, (i, j, k) in enumerate(triples):
-        roles[i, j] |= 1 << x
-        roles[j, k] |= 1 << width + x
-        roles[i, k] |= 1 << 2 * width + x
-    at = [*reversed(roles.values()), *[0] * (-len(roles) % 8)]  # at[s] is the mask of bit s
-    tables = []
-    for shift in range(0, len(at), 8):
-        table = [0]
-        for mask in at[shift : shift + 8]:
-            table += [entry | mask for entry in table]
-        tables.append((shift, tuple(table)))
-    return tuple(tables)
-
-
-def _cyclic_mask(n: int, bits: int) -> int:
-    """Bitset of the directed triangles, by triple index, of the order-n code read as the int bits.
-
-    Each byte of bits makes one lookup in its row of _role_tables(n), and
-    the OR of the entries is split by shifts into one triple mask per
-    role.
-    """
-    roles = 0
-    for shift, table in _role_tables(n):
-        roles |= table[bits >> shift & 255]
-    width = comb(n, 3)
-    full = (1 << width) - 1
-    ij, jk, ik = roles & full, roles >> width & full, roles >> 2 * width
-    # for i<j<k the triple is cyclic iff (i,j) and (j,k) agree and (i,k) differs
-    return ~(ij ^ jk) & (ij ^ ik)
-
-
 def _cyclic_columns(n: int, codes: Sequence[str]) -> list[int]:
     """Per triple index of order n, the bitset of the classes with these codes on which it is cyclic.
 
     Bit c of each bitset belongs to codes[c].  The codes are joined and
     read column by column: pair p's characters, the classes in reverse
     order, parse with int(col, 2) to the bitset of the classes that hold
-    pair p's bit.  Each triple then takes _cyclic_mask's rule on the
-    columns of its three pairs, so one int operation serves every class.
-    Raises ValueError unless every code has the order's C(n,2) bits.
+    pair p's bit.  A triple i<j<k is cyclic iff (i,j) and (j,k) agree
+    and (i,k) differs, so one int operation on the columns of its three
+    pairs serves every class.  Raises ValueError unless every code has
+    the order's C(n,2) bits.
     """
     width = comb(n, 2)
     wrong = set(map(len, codes)) - {width}
@@ -255,38 +209,6 @@ def _max_packings(n: int, k: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...
     return tuple(table)
 
 
-def _scan(n: int, cyclic: int, *subject) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Least cyclic lines of a maximum packing of K_n, and a least packing's other lines.
-
-    cyclic is the directed-triangle mask, by triple index, of an n-vertex
-    tournament T, and least is the fewest of its triples on the M lines
-    of any entry of _max_packings(n, 3).  The first least entry's other
-    lines, read off its mask's bits in line order, are M - least
-    edge-disjoint transitive triples, so P_3(T) = M - least within the
-    exact range stated in _scan_classes's docstring; past it the scan
-    raises, naming subject.  The table is closed under relabeling, so
-    least depends on T's class alone.
-    """
-    table = _max_packings(n, 3)
-    for mask, lines in table:
-        if not mask & cyclic:
-            return 0, lines
-    mask, lines = min(table, key=lambda entry: (entry[0] & cyclic).bit_count())
-    least = (mask & cyclic).bit_count()
-    if least > 1 and least > _exact_top(n, 3, table):
-        raise _past_exact_range(least, " ".join(map(str, subject)))
-    return least, tuple(line for line, x in zip(lines, _members(mask)) if not cyclic >> x & 1)
-
-
-def _exact_top(n: int, k: int, table) -> int:
-    """The largest least in the exact range of _scan_classes's rule, M read off table's first entry."""
-    return 2 if comb(k, 2) * len(table[0][1]) == comb(n, 2) else 1
-
-
-def _past_exact_range(m: int, subject: str) -> PipelineError:
-    return PipelineError(f"no maximum packing has under {m} non-transitive lines on {subject}")
-
-
 def _members(classes: int) -> Iterator[int]:
     """Indices of the set bits of classes, lowest first."""
     while classes:
@@ -337,7 +259,7 @@ def _scan_classes(n: int, codes: Sequence[str], k: int) -> list[tuple[tuple[tupl
         if missed:
             parts.append((lines, missed))
             unsettled ^= missed
-    top = _exact_top(n, k, table)
+    top = 2 if comb(k, 2) * len(table[0][1]) == comb(n, 2) else 1
     for least in range(1, top + 1):
         for _, lines in table:
             if not unsettled:
@@ -356,7 +278,8 @@ def _scan_classes(n: int, codes: Sequence[str], k: int) -> list[tuple[tuple[tupl
                     parts.append((tuple(line for line in lines if line not in hit), classes))
             unsettled ^= exact
     if unsettled:
-        raise _past_exact_range(top + 1, f"class {codes[next(_members(unsettled))]}")
+        code = codes[next(_members(unsettled))]
+        raise PipelineError(f"no maximum packing has under {top + 1} non-transitive lines on class {code}")
     return parts
 
 
@@ -493,41 +416,46 @@ REFERENCE_DENSITY = lp_step(
 ).minimum / (2 * comb(7, 2))
 
 
-def _pipeline_trial(
+def _pipeline_share(
     host: Tournament,
     blocks: tuple[tuple[int, ...], ...],
     seed: int,
-    memo: dict[int, tuple[int, tuple[tuple[int, ...], ...]]],
-    i: int,
-) -> tuple[list[int], list[int]]:
-    """Block values and triangle counts of trial i, whose packing is verified here.
+    share: range,
+) -> list[tuple[list[int], list[int]]]:
+    """Block values and triangle counts of each trial in share, in trial order, each packing verified here.
 
-    memo maps each block pattern met so far to its t and the transitive
-    lines of a best Fano plane, as positions in sorted vertex order.
+    A block's code is its subtournament's, relabeled 0..6 in sorted
+    vertex order.  Each distinct code of the share takes a class index,
+    and its t once, C(7,3) less C(d, 2) at each of the block's vertices
+    of outdegree d in the block; one _scan_classes walk then gives every
+    class its lines, as positions in sorted vertex order.
     """
     out = host.out
-    perm = list(range(host.n))
-    stdlib_rng(sub_seed(seed, i)).shuffle(perm)
-    block_values = []
-    block_ts = []
-    copies: list[tuple[int, ...]] = []
-    for block in blocks:
-        vs = sorted(perm[p] for p in block)
-        pattern = 0
-        for u, w in combinations(vs, 2):
-            pattern = pattern << 1 | (out[u] >> w & 1)
-        entry = memo.get(pattern)
-        if entry is None:
-            cyclic = _cyclic_mask(7, pattern)
-            lines = _scan(7, cyclic, "block", vs, "in trial", i)[1]
-            entry = memo[pattern] = (cyclic.bit_count(), lines)
-        t_count, lines = entry
-        block_ts.append(t_count)
-        block_values.append(len(lines))
-        copies.extend((vs[a], vs[b], vs[c]) for a, b, c in lines)
-    if not verify_packing(host, Packing(n=host.n, k=3, copies=tuple(copies))):
-        raise PipelineError(f"assembled packing failed verification in trial {i}")
-    return block_values, block_ts
+    index: dict[str, int] = {}  # code -> class index
+    ts = []
+    placed = []  # per trial, its blocks' sorted vertices and class indices
+    for i in share:
+        perm = list(range(host.n))
+        stdlib_rng(sub_seed(seed, i)).shuffle(perm)
+        trial = []
+        for block in blocks:
+            vs = sorted(perm[p] for p in block)
+            code = "".join(["01"[out[u] >> w & 1] for u, w in combinations(vs, 2)])
+            c = index.get(code)
+            if c is None:
+                c = index[code] = len(ts)
+                inside = sum(1 << v for v in vs)
+                ts.append(comb(7, 3) - sum(comb((out[v] & inside).bit_count(), 2) for v in vs))
+            trial.append((vs, c))
+        placed.append(trial)
+    lines_of = {c: lines for lines, classes in _scan_classes(7, list(index), 3) for c in _members(classes)}
+    results = []
+    for i, trial in zip(share, placed):
+        copies = tuple((vs[p], vs[q], vs[r]) for vs, c in trial for p, q, r in lines_of[c])
+        if not verify_packing(host, Packing(n=host.n, k=3, copies=copies)):
+            raise PipelineError(f"assembled packing failed verification in trial {i}")
+        results.append(([len(lines_of[c]) for _, c in trial], [ts[c] for _, c in trial]))
+    return results
 
 
 def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int = 1) -> PipelineReport:
@@ -541,16 +469,14 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
     56 per-block exact values.  p1-p3 are the shares of blocks in each
     regime.
 
-    A block is read as its pattern: its subtournament relabeled 0..6 in
-    sorted vertex order, kept as an int of its C(7,2) orientation bits.
-    Its cyclic triples are read off the pattern, and _scan gives
-    least, the fewest of them on the lines of any Fano plane; the
-    block's value is 7 - least, packed by that plane's transitive lines,
-    exact by the rule in _scan_classes's docstring.  A block past the
-    scan's exact range raises.  A memo made empty by this call keeps
-    each pattern's t and lines; a forked worker inherits it before any
-    trial fills it.  Each block's regime is tallied by t, and each
-    distinct t is mapped to its regime once.
+    The trials are cut into w = min(workers, trials) contiguous shares,
+    one job of _pool_map each.  A share reads each block as the class of
+    its code, and all its distinct codes in one _scan_classes walk: a
+    block's value is 7 - least, packed by the transitive lines of the
+    first Fano plane with the fewest, least, cyclic lines on it, exact
+    by the rule in _scan_classes's docstring.  A block past the walk's
+    exact range raises, naming its code.  Each block's regime is tallied
+    by t, and each distinct t is mapped to its regime once.
     """
     design = ag2_lines(7)
     if t.n != design.point_count:
@@ -561,12 +487,14 @@ def decomposition_pipeline(t: Tournament, trials: int, seed: int, workers: int =
         raise ValueError(f"trials must be positive, got {trials}")
 
     _max_packings(7, 3)  # built here, so forked workers inherit it
-    trial = partial(_pipeline_trial, t, design.blocks, seed, {})
+    w = max(1, min(workers, trials))
+    shares = [range(s * trials // w, (s + 1) * trials // w) for s in range(w)]
+    share = partial(_pipeline_share, t, design.blocks, seed)
     totals = []
     histogram: Counter[int] = Counter()
     ts: Counter[int] = Counter()
     floor = min(value for _, value in REGIMES) * len(design.blocks)
-    for i, (block_values, block_ts) in enumerate(_pool_map(trial, range(trials), workers)):
+    for i, (block_values, block_ts) in enumerate(chain.from_iterable(_pool_map(share, shares, workers))):
         total = sum(block_values)
         if total < floor:
             raise PipelineError(f"trial {i} total {total} fell below {floor}")

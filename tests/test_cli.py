@@ -318,6 +318,15 @@ def test_enumerate_rejects_a_score_out_of_order(capsys, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("score", ["", "2,x"], ids=["empty", "not-a-number"])
+def test_enumerate_rejects_a_score_that_is_not_integers(capsys, tmp_path, score):
+    # an empty score is a filter that matches nothing, not a missing one
+    code, out, err = run(capsys, "enumerate", "--n", "4", "--score", score, "--cache", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: score must be comma-separated integers, got '{score}'\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_enumerate_score_filter_partitions_the_classes(capsys, cache_dir):
     # at every order up to 7, each score's filter picks exactly its classes;
     # the order-1 class has the code "" and the score 0

@@ -5,13 +5,12 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from oracles import canonical_code, edge_disjoint_families, is_transitive_subset, reverse
+from oracles import canonical_code, edge_disjoint_families, is_transitive_subset, least_fit, reverse
 from ttpack import enumeration, pipeline
 from ttpack.designs import _orbit, ag2_lines, all_sts7
 from ttpack.enumeration import enumerate_codes
@@ -458,7 +457,8 @@ def test_scan_classes_raises_past_the_exact_range(cache_dir, monkeypatch):
     # 3M = C(n,2), by the completion lemma: at n = 7 among the orders
     # tabled; elsewhere the scan proves only the lower bound there
     codes = enumerate_codes(7, cache_dir=cache_dir)
-    sevens = [code for code in codes if pipeline._scan(7, pipeline._cyclic_mask(7, int(code, 2)))[0] == 2]
+    planes = pipeline._max_packings(7, 3)
+    sevens = [code for code in codes if least_fit(tournament_from_code(code), planes)[0] == 2]
     # both leave the same two lines of the same plane, so the least-2 walk
     # gives them one part
     assert [(len(lines), classes) for lines, classes in pipeline._scan_classes(7, sevens, 3)] == [(5, 0b11)]
@@ -466,7 +466,7 @@ def test_scan_classes_raises_past_the_exact_range(cache_dir, monkeypatch):
     six = next(
         code
         for code in enumerate_codes(6, cache_dir=cache_dir)
-        if (entry[0][0] & pipeline._cyclic_mask(6, int(code, 2))).bit_count() == 2
+        if least_fit(tournament_from_code(code), entry)[0] == 2
     )
     monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: entry)
     with pytest.raises(PipelineError, match=f"^no maximum packing has under 2 non-transitive lines on class {six}$"):
@@ -483,64 +483,64 @@ def affine_table():
 AFFINE_CODE = "101100101011000101100101101011101101"
 
 
-def test_scan_reads_the_exact_range_off_the_table(monkeypatch):
+def test_scan_classes_read_the_exact_range_off_the_table(monkeypatch):
     # the 840 labeled affine planes of order 3 decompose K_9, 3 * 12 =
     # C(9,2), so as a table of order 9 they make least = 2 exact with no
-    # case for the order: the circulant i -> i + {1, 3, 4, 7} (mod 9),
-    # with the pair {1, 8} reversed, has least 2 and packs 12 - 2 triples
+    # case for the order: the least-2 walk settles the circulant
+    # i -> i + {1, 3, 4, 7} (mod 9), with the pair {1, 8} reversed, by
+    # that table alone, with the oracle's 12 - 2 verified lines, and the
+    # solver packs no more
     table = affine_table()
     monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: table)
     t = tournament_from_code(AFFINE_CODE)
-    least, lines = pipeline._scan(9, pipeline._cyclic_mask(9, int(AFFINE_CODE, 2)))
-    assert (least, len(lines)) == (2, 10)
+    [(lines, classes)] = pipeline._scan_classes(9, [AFFINE_CODE], 3)
+    assert (lines, classes) == (least_fit(t, table)[1], 1)
+    assert len(lines) == 10
     assert verify_packing(t, Packing(n=9, k=3, copies=lines))
     assert max_packing_exact(t, 3).value == 10
 
 
-def refusing_scans(monkeypatch):
-    # the per-pattern path of the pipeline, patched to raise if a sweep reads it
-    def refuse(*args):
-        raise AssertionError("a class sweep must not read a class by the per-pattern scan")
-
-    monkeypatch.setattr(pipeline, "_scan", refuse)
-    monkeypatch.setattr(pipeline, "_cyclic_mask", refuse)
-
-
-def test_scan_classes_read_the_exact_range_off_the_table(monkeypatch):
-    # the least-2 walk settles the circulant above by the affine-plane
-    # table alone: 12 - 2 verified lines, none read by the per-pattern scan
-    table = affine_table()
-    monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: table)
-    refusing_scans(monkeypatch)
-    [(lines, classes)] = pipeline._scan_classes(9, [AFFINE_CODE], 3)
-    assert (len(lines), classes) == (10, 1)
-    assert verify_packing(tournament_from_code(AFFINE_CODE), Packing(n=9, k=3, copies=lines))
+@pytest.mark.parametrize("n", range(3, 9))
+def test_cyclic_mask_marks_the_nontransitive_triples_of_every_class(cache_dir, n):
+    # class c's cyclic mask, bit c of each triple's column, marks the
+    # triple iff it is not transitive on the class, on every class of
+    # order n, so its popcount is the class's t; the oracle's answer on
+    # i<j<k reads only the orientations of its three pairs, so it is asked
+    # once per orientation
+    codes = enumerate_codes(n, cache_dir=cache_dir)
+    columns = pipeline._cyclic_columns(n, codes)
+    assert len(columns) == comb(n, 3)
+    assert all(0 <= column < 1 << len(codes) for column in columns)
+    transitive = {}
+    for c, code in enumerate(codes):
+        t = tournament_from_code(code)
+        cyclic = [column >> c & 1 for column in columns]
+        assert sum(cyclic) == census(t).t, code
+        for bit, (i, j, k) in zip(cyclic, combinations(range(n), 3)):
+            key = (t.out[i] >> j & 1, t.out[j] >> k & 1, t.out[i] >> k & 1)
+            if key not in transitive:
+                transitive[key] = is_transitive_subset(t, (i, j, k))
+            assert bool(bit) != transitive[key], (code, i, j, k)
+    assert set(transitive.values()) == {False, True}
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_scan_classes_read_every_class_as_the_scan_does(cache_dir, monkeypatch, n):
-    # bit c of each triple's column is that triple's bit in the byte-table
-    # mask of class c; and with _scan and _cyclic_mask refusing every
-    # call, the parts cover each class exactly once, with _scan's lines
+def test_scan_classes_read_every_class_as_the_scan_does(cache_dir, n):
+    # the parts cover each class exactly once, with the oracle's lines
     # for it, M - least of them: the walks settle every class, the 2
     # order-7 classes with least 2 among them
     codes = enumerate_codes(n, cache_dir=cache_dir)
-    size = len(pipeline._max_packings(n, 3)[0][1])
-    masks = [pipeline._cyclic_mask(n, int(code, 2)) for code in codes]
-    leasts, class_lines = zip(*(pipeline._scan(n, mask) for mask in masks))
-    columns = pipeline._cyclic_columns(n, codes)
-    assert len(columns) == comb(n, 3)
-    for x, column in enumerate(columns):
-        assert column == sum((mask >> x & 1) << c for c, mask in enumerate(masks)), x
-    refusing_scans(monkeypatch)
+    table = pipeline._max_packings(n, 3)
+    hosts = [tournament_from_code(code) for code in codes]
     parts = pipeline._scan_classes(n, codes, 3)
     # no part is empty, and the part sizes add up to the class count, so
     # with every class read off some part, none is in two
     assert all(classes for _, classes in parts)
     assert sum(classes.bit_count() for _, classes in parts) == len(codes)
-    read = {c: lines for lines, classes in parts for c in range(len(codes)) if classes >> c & 1}
+    read = {c: lines for lines, classes in parts for c in pipeline._members(classes)}
+    leasts, class_lines = zip(*(least_fit(t, table) for t in hosts))
     assert [read[c] for c in range(len(codes))] == list(class_lines)
-    assert [len(lines) for lines in class_lines] == [size - least for least in leasts]
+    assert [len(lines) for lines in class_lines] == [len(table[0][1]) - least for least in leasts]
 
 
 def test_scan_classes_reject_codes_of_another_order(cache_dir):
@@ -590,81 +590,59 @@ def test_f_min_rejects_a_class_the_scan_does_not_settle_above_k3(cache_dir, monk
 
 
 def test_witness_fit_agrees_with_verify_packing(cache_dir):
-    # an entry's lines pack a class iff its mask misses the class's cyclic
-    # triples: on every order-7 class and entry, and a slice at order 8
+    # an entry's lines pack a class iff the class's bit is clear in the
+    # cyclic columns of every line, iff the oracle finds none of them
+    # non-transitive: on every order-7 class and entry, and a slice at
+    # order 8
     fits = Counter()
     for n, classes, entries in ((7, slice(None), slice(None)), (8, slice(None, None, 344), slice(None, None, 42))):
         table = pipeline._max_packings(n, 3)[entries]
-        for code in enumerate_codes(n, cache_dir=cache_dir)[classes]:
+        codes = enumerate_codes(n, cache_dir=cache_dir)[classes]
+        columns = dict(zip(combinations(range(n), 3), pipeline._cyclic_columns(n, codes)))
+        for c, code in enumerate(codes):
             t = tournament_from_code(code)
-            cyclic = pipeline._cyclic_mask(n, int(code, 2))
-            assert cyclic.bit_count() == census(t).t
-            for mask, lines in table:
-                fit = not mask & cyclic
-                assert fit == verify_packing(t, Packing(n=n, k=3, copies=lines)), (code, lines)
+            for entry in table:
+                fit = not any(columns[line] >> c & 1 for line in entry[1])
+                assert fit == (least_fit(t, [entry])[0] == 0), (code, entry[1])
+                assert fit == verify_packing(t, Packing(n=n, k=3, copies=entry[1])), (code, entry[1])
                 fits[n, fit] += 1
     assert all(fits[n, fit] for n in (7, 8) for fit in (False, True))
 
 
-@pytest.mark.parametrize("n", range(3, 9))
-def test_cyclic_mask_marks_the_nontransitive_triples_of_every_class(cache_dir, n):
-    # bit x of the byte-table mask is set iff triple x is not transitive,
-    # on every class of order n, so its popcount is the class's t; the
-    # oracle's answer on i<j<k reads only the orientations of its three
-    # pairs, so it is asked once per orientation
-    index = {ijk: x for x, ijk in enumerate(combinations(range(n), 3))}
-    transitive = {}
-    for code in enumerate_codes(n, cache_dir=cache_dir):
-        t = tournament_from_code(code)
-        cyclic = pipeline._cyclic_mask(n, int(code, 2))
-        assert 0 <= cyclic < 1 << len(index), code
-        assert cyclic.bit_count() == census(t).t, code
-        for (i, j, k), x in index.items():
-            key = (t.out[i] >> j & 1, t.out[j] >> k & 1, t.out[i] >> k & 1)
-            if key not in transitive:
-                transitive[key] = is_transitive_subset(t, (i, j, k))
-            assert bool(cyclic >> x & 1) != transitive[key], (code, i, j, k)
-    assert set(transitive.values()) == {False, True}
+def recording_walks(monkeypatch):
+    # the codes of each _scan_classes call in this process, in call order
+    walks = []
+    original = pipeline._scan_classes
+
+    def recording(n, codes, k):
+        walks.append(list(codes))
+        return original(n, codes, k)
+
+    monkeypatch.setattr(pipeline, "_scan_classes", recording)
+    return walks
 
 
-@pytest.mark.parametrize("n", [7, 8])
-def test_cyclic_mask_reads_the_partial_top_byte(n):
-    # C(7,2) = 21 and C(8,2) = 28 bits end inside their top byte: random,
-    # all-zero and all-one codes read right, and that byte's bits past
-    # the code read as 0
-    index = {ijk: x for x, ijk in enumerate(combinations(range(n), 3))}
-    width = comb(n, 2)
-    top = 8 * ((width - 1) // 8)
-    past = (1 << top + 8) - (1 << width)
-    rng = stdlib_rng(sub_seed(n, width))
-    for bits in [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(300))]:
-        t = tournament_from_code(format(bits, f"0{width}b"))
-        cyclic = pipeline._cyclic_mask(n, bits)
-        assert cyclic == sum(1 << x for ijk, x in index.items() if not is_transitive_subset(t, ijk)), bits
-        assert pipeline._cyclic_mask(n, bits | past) == cyclic, bits
-
-
-def test_pipeline_reads_each_block_as_the_int_of_its_induced_code():
-    # every block of one trial is looked up by the int of its induced
-    # subtournament's code, and a pattern's t is that subtournament's
-    looked_up = []
-
-    class RecordingMemo(dict):
-        def get(self, pattern):
-            looked_up.append(pattern)
-            return super().get(pattern)
-
-    memo = RecordingMemo()
+def test_pipeline_reads_each_block_as_the_int_of_its_induced_code(monkeypatch):
+    # the codes a share passes to _scan_classes are the distinct codes of
+    # its blocks' induced subtournaments, and a block's t is that
+    # subtournament's
+    walks = recording_walks(monkeypatch)
     host = random_tournament(49, 7)
     blocks = ag2_lines(7).blocks
-    pipeline._pipeline_trial(host, blocks, 11, memo, 0)
-    perm = list(range(host.n))
-    stdlib_rng(sub_seed(11, 0)).shuffle(perm)
-    assert len(looked_up) == len(blocks)
-    for pattern, block in zip(looked_up, blocks):
-        block_tournament = induced(host, [perm[p] for p in block])
-        assert pattern == int(tournament_bits(block_tournament), 2), block
-        assert memo[pattern][0] == census(block_tournament).t, block
+    share = range(3, 5)
+    results = pipeline._pipeline_share(host, blocks, 11, share)
+    codes = set()
+    for i, (_, block_ts) in zip(share, results):
+        perm = list(range(host.n))
+        stdlib_rng(sub_seed(11, i)).shuffle(perm)
+        assert len(block_ts) == len(blocks)
+        for block, t_count in zip(blocks, block_ts):
+            block_tournament = induced(host, [perm[p] for p in block])
+            codes.add(tournament_bits(block_tournament))
+            assert t_count == census(block_tournament).t, (i, block)
+    [walk] = walks
+    assert len(walk) == len(set(walk))
+    assert set(walk) == codes
 
 
 def test_f_min_rejects_out_of_range(cache_dir):
@@ -761,20 +739,20 @@ def test_pipeline_rejects_wrong_order():
 
 
 def test_pipeline_workers_agree():
+    # 5 trials cut into 1, 2 and 3 shares, the last two uneven
     t = random_tournament(49, 3)
-    a = decomposition_pipeline(t, trials=2, seed=5)
-    b = decomposition_pipeline(t, trials=2, seed=5, workers=2)
-    assert a.totals == b.totals
+    a = decomposition_pipeline(t, trials=5, seed=5)
+    assert decomposition_pipeline(t, trials=5, seed=5, workers=2) == a
+    assert decomposition_pipeline(t, trials=5, seed=5, workers=3) == a
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pipeline_rejects_a_block_no_fano_plane_packs(monkeypatch, workers):
     # with one plane left in the table, some block of the random host has
-    # 3 or more cyclic lines on it, where the scan proves no value
+    # 3 or more cyclic lines on it, where the walk proves no value
     planes = pipeline._max_packings(7, 3)[:1]
     monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: planes)
-    block = r"block \[\d+(, \d+){6}\] in trial [01]"
-    with pytest.raises(PipelineError, match=f"^no maximum packing has under [3-7] non-transitive lines on {block}$"):
+    with pytest.raises(PipelineError, match="^no maximum packing has under 3 non-transitive lines on class [01]{21}$"):
         decomposition_pipeline(random_tournament(49, 7), trials=2, seed=11, workers=workers)
 
 
@@ -789,30 +767,34 @@ def test_pipeline_rejects_a_packing_that_fails_verification(monkeypatch, workers
 
 
 @pytest.mark.parametrize("fault", ["cyclic-line", "repeated-line"])
-def test_trial_verifier_rejects_a_corrupted_pattern_entry(fault):
+def test_trial_verifier_rejects_a_corrupted_pattern_entry(monkeypatch, fault):
     # the real verify_packing, unpatched, checks the lines a trial reads
-    # from its pattern memo: one entry is corrupted between two runs of the
-    # same trial, by a cyclic line in place of a transitive one (the
-    # plane's left-out cyclic line, which shares no pair with the others)
-    # or by one line repeated, so two copies share a pair
-    memo = {}
-    trial = partial(pipeline._pipeline_trial, random_tournament(49, 7), ag2_lines(7).blocks, 11, memo)
-    trial(0)
-    pattern, (t_count, lines) = next((pattern, entry) for pattern, entry in memo.items() if len(entry[1]) < 7)
-    block = tournament_from_code(format(pattern, "021b"))
-    if fault == "cyclic-line":
-        used = {pair for line in lines[1:] for pair in combinations(line, 2)}
-        cyclic = next(
-            vs
-            for vs in combinations(range(7), 3)
-            if not is_transitive_subset(block, vs) and used.isdisjoint(combinations(vs, 2))
-        )
-        corrupted = (cyclic, *lines[1:])
-    else:
-        corrupted = (lines[0], lines[0], *lines[2:])
-    memo[pattern] = (t_count, corrupted)
+    # off its share's walk: the walk's lines for one class are corrupted,
+    # by a cyclic line in place of a transitive one (the plane's left-out
+    # cyclic line, which shares no pair with the others) or by one line
+    # repeated, so two copies share a pair
+    original = pipeline._scan_classes
+
+    def corrupting(n, codes, k):
+        parts = original(n, codes, k)
+        x, (lines, classes) = next((x, part) for x, part in enumerate(parts) if len(part[0]) < 7)
+        block = tournament_from_code(codes[next(pipeline._members(classes))])
+        if fault == "cyclic-line":
+            used = {pair for line in lines[1:] for pair in combinations(line, 2)}
+            cyclic = next(
+                vs
+                for vs in combinations(range(7), 3)
+                if not is_transitive_subset(block, vs) and used.isdisjoint(combinations(vs, 2))
+            )
+            corrupted = (cyclic, *lines[1:])
+        else:
+            corrupted = (lines[0], lines[0], *lines[2:])
+        parts[x] = (corrupted, classes)
+        return parts
+
+    monkeypatch.setattr(pipeline, "_scan_classes", corrupting)
     with pytest.raises(PipelineError, match="failed verification in trial 0"):
-        trial(0)
+        pipeline._pipeline_share(random_tournament(49, 7), ag2_lines(7).blocks, 11, range(1))
 
 
 GATE_HOSTS = {
@@ -820,33 +802,6 @@ GATE_HOSTS = {
     "turan3": lambda: turan3_tournament(49),
     "transitive": lambda: transitive_tournament(49),
 }
-
-
-def counting_scans(monkeypatch):
-    # a scan runs exactly on a miss of the pattern memo
-    calls = []
-    original = pipeline._scan
-
-    def counting(n, cyclic, *subject):
-        calls.append(cyclic)
-        return original(n, cyclic, *subject)
-
-    monkeypatch.setattr(pipeline, "_scan", counting)
-    return calls
-
-
-def recording_memos(monkeypatch):
-    # the pattern memo of each decomposition_pipeline call, in call order
-    memos = []
-    original = pipeline._pipeline_trial
-
-    def recording(host, blocks, seed, memo, i):
-        if not any(memo is seen for seen in memos):
-            memos.append(memo)
-        return original(host, blocks, seed, memo, i)
-
-    monkeypatch.setattr(pipeline, "_pipeline_trial", recording)
-    return memos
 
 
 @pytest.mark.parametrize(
@@ -862,14 +817,15 @@ def recording_memos(monkeypatch):
     ids=range(3, 9),
 )
 def test_scan_is_exact_on_every_class(cache_dir, n, histogram):
-    # every class, as it is and relabeled, packs M - least by the scan's
-    # verified lines, and exactly that by the solver; at least = 0 the
-    # value is M, the most any n-vertex tournament packs, so at order 8
-    # only the classes with least >= 1 are solved
+    # every class, as it is and relabeled by a seeded permutation, is read
+    # by one walk and packs M - least by the walk's verified lines, and
+    # exactly that by the solver; at least = 0 the value is M, the most
+    # any n-vertex tournament packs, so at order 8 only the classes with
+    # least >= 1 are solved
     size = len(pipeline._max_packings(n, 3)[0][1])
-    leasts = Counter()
-    for i, code in enumerate(enumerate_codes(n, cache_dir=cache_dir)):
-        canonical = tournament_from_code(code)
+    codes = enumerate_codes(n, cache_dir=cache_dir)
+    hosts = [tournament_from_code(code) for code in codes]
+    for i, canonical in enumerate(hosts[:]):
         perm = list(range(n))
         stdlib_rng(sub_seed(n, i)).shuffle(perm)
         out = [0] * n
@@ -877,14 +833,18 @@ def test_scan_is_exact_on_every_class(cache_dir, n, histogram):
             for w in range(n):
                 if canonical.out[u] >> w & 1:
                     out[perm[u]] |= 1 << perm[w]
-        least = pipeline._scan(n, pipeline._cyclic_mask(n, int(code, 2)))[0]
+        hosts.append(Tournament(n, tuple(out)))
+    parts = pipeline._scan_classes(n, [tournament_bits(t) for t in hosts], 3)
+    read = {c: lines for lines, classes in parts for c in pipeline._members(classes)}
+    leasts = Counter()
+    for i, code in enumerate(codes):
+        least = size - len(read[i])
         leasts[least] += 1
-        for t in (canonical, Tournament(n, tuple(out))):
-            scanned, lines = pipeline._scan(n, pipeline._cyclic_mask(n, int(tournament_bits(t), 2)))
-            assert scanned == least and len(lines) == size - least, code
-            assert verify_packing(t, Packing(n=n, k=3, copies=lines)), code
+        for c in (i, len(codes) + i):
+            assert len(read[c]) == size - least, code
+            assert verify_packing(hosts[c], Packing(n=n, k=3, copies=read[c])), code
             if n < 8 or least:
-                assert max_packing_exact(t, 3).value == size - least, code
+                assert max_packing_exact(hosts[c], 3).value == size - least, code
     assert leasts == histogram
 
 
@@ -892,22 +852,23 @@ def test_scan_is_exact_on_every_class(cache_dir, n, histogram):
     "host, trials, most", [("transitive", 2, 1), ("turan3", 10, 22)]
 )
 def test_pipeline_labels_each_block_pattern_once(monkeypatch, host, trials, most):
-    calls = counting_scans(monkeypatch)
-    memos = recording_memos(monkeypatch)
+    # one share, one walk, which reads each distinct block code once
+    walks = recording_walks(monkeypatch)
     decomposition_pipeline(GATE_HOSTS[host](), trials=trials, seed=11, workers=1)
-    assert 1 <= len(calls) <= most
-    assert [len(memo) for memo in memos] == [len(calls)]
+    [walk] = walks
+    assert len(walk) == len(set(walk))
+    assert 1 <= len(walk) <= most
 
 
 @pytest.mark.parametrize("host", sorted(GATE_HOSTS))
 def test_pipeline_block_values_match_exact_class_solves(monkeypatch, host):
     trial_results = []
-    original_trial = pipeline._pipeline_trial
+    original_share = pipeline._pipeline_share
 
-    def recording_trial(*args):
-        result = original_trial(*args)
-        trial_results.append(result)
-        return result
+    def recording_share(*args):
+        results = original_share(*args)
+        trial_results.extend(results)
+        return results
 
     assembled = []
     original_verify = pipeline.verify_packing
@@ -926,7 +887,7 @@ def test_pipeline_block_values_match_exact_class_solves(monkeypatch, host):
 
         return wrapper
 
-    monkeypatch.setattr(pipeline, "_pipeline_trial", recording_trial)
+    monkeypatch.setattr(pipeline, "_pipeline_share", recording_share)
     monkeypatch.setattr(pipeline, "verify_packing", recording_verify)
     monkeypatch.setattr(pipeline, "max_packing_exact", counting(solver_calls, max_packing_exact))
     # every labeling, by whatever name it is reached, runs _min_code_rows
@@ -959,21 +920,6 @@ def test_pipeline_block_values_match_exact_class_solves(monkeypatch, host):
                 for copy in copies[start : start + value]:
                     assert set(copy) <= set(vs), (seed, trial, block, copy)
                 start += value
-
-
-def test_second_pipeline_call_rebuilds_the_pattern_memo(monkeypatch):
-    t = turan3_tournament(49)
-    memos = recording_memos(monkeypatch)
-    first = decomposition_pipeline(t, trials=3, seed=11)
-    patterns = dict(memos[0])
-    calls = counting_scans(monkeypatch)
-    second = decomposition_pipeline(t, trials=3, seed=11)
-    # the second call's memo is its own and starts empty: every pattern
-    # is scanned again, once, and the first call's memo is left as it was
-    assert len(memos) == 2
-    assert len(calls) == len(patterns) >= 1
-    assert memos == [patterns, patterns]
-    assert first == second
 
 
 def test_turan_host_meets_pipeline_floor():

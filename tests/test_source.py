@@ -215,19 +215,17 @@ def test_one_deadline_check():
 
 # Each name, and the functions of the package that alone may read it.
 READ_ONLY_IN = {
-    # per-byte rows of a code int serve the pipeline's block reader alone;
-    # every code is decoded into out-sets by tournament.tournament_from_code
-    "_role_tables": {("pipeline", "_cyclic_mask")},
     # a copy is its vertex tuple; only the greedy baseline and the local
     # search build its pair mask, so the listing and the solver keep one
     # form of a copy
     "_edge_mask": {("packing", "greedy_packing"), ("experiments", "improve_packing")},
-    # _scan_classes is the one reader of classes, for verify lemma22 and
-    # fmin, by its own walks at every k; the pipeline alone reads its
-    # blocks one pattern at a time.  A new sweep reads its classes through
-    # _scan_classes, not beside it
-    "_scan": {("pipeline", "_pipeline_trial")},
-    "_cyclic_mask": {("pipeline", "_pipeline_trial")},
+    # _scan_classes is the one reader of classes, by its own walks at
+    # every k: for verify lemma22, for fmin, and for the pipeline's blocks,
+    # one walk per share of trials.  The packing table is walked there
+    # alone, and built before the pipeline forks.  A new reader of classes
+    # goes through _scan_classes, not beside it
+    "_scan_classes": {("pipeline", "verify_t7_thresholds"), ("pipeline", "f_min"), ("pipeline", "_pipeline_share")},
+    "_max_packings": {("pipeline", "_scan_classes"), ("pipeline", "decomposition_pipeline")},
     "_cyclic_columns": {("pipeline", "_scan_classes")},
 }
 
