@@ -217,8 +217,21 @@ def _members(classes: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
-def _scan_classes(n: int, codes: Sequence[str], k: int) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
-    """(lines, classes) parts of the classes of order n with these codes, bit c of classes for codes[c].
+def _column_sums(columns: Sequence[int], width: int) -> bytes:
+    """Byte c < width counts the columns with bit c set, added up in bit planes; each count must be below 256."""
+    planes = [0] * len(columns).bit_length()
+    for carry in columns:
+        for j, plane in enumerate(planes):
+            planes[j], carry = plane ^ carry, plane & carry
+    digits = bytes.maketrans(b"01", b"\0\1")
+    bits = [int.from_bytes(format(plane, f"0{width}b").encode().translate(digits)) for plane in planes]
+    return sum(bit << j for j, bit in enumerate(bits)).to_bytes(width, "little")
+
+
+def _scan_classes(
+    n: int, codes: Sequence[str], k: int
+) -> tuple[list[tuple[tuple[tuple[int, ...], ...], int]], bytes]:
+    """(parts, ts) of the classes of order n with these codes, bit c of a part's classes for codes[c].
 
     Each class is in one part, whose lines are the M - least transitive
     lines of the first entry of _max_packings(n, k) with the fewest,
@@ -242,8 +255,11 @@ def _scan_classes(n: int, codes: Sequence[str], k: int) -> list[tuple[tuple[tupl
     the leave spans at most k vertices, a K_k that completes them to an
     entry, and P = M - 2 at least = 2.  Past that exact range the table
     proves only P >= M - least, and a class left raises, naming it.
+    Each ts[c] is codes[c]'s t, its cyclic triples summed off the
+    columns by _column_sums, below 256 as C(n,3) <= 84 for n <= 9.
     """
-    columns = dict(zip(combinations(range(n), 3), _cyclic_columns(n, codes)))
+    cyclic = _cyclic_columns(n, codes)
+    columns = dict(zip(combinations(range(n), 3), cyclic))
     bitsets = {line: reduce(or_, [columns[ijk] for ijk in combinations(line, 3)]) for line in combinations(range(n), k)}
     table = _max_packings(n, k)
     blocked = reduce(and_, bitsets.values())
@@ -280,7 +296,7 @@ def _scan_classes(n: int, codes: Sequence[str], k: int) -> list[tuple[tuple[tupl
     if unsettled:
         code = codes[next(_members(unsettled))]
         raise PipelineError(f"no maximum packing has under {top + 1} non-transitive lines on class {code}")
-    return parts
+    return parts, _column_sums(cyclic, len(codes))
 
 
 def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> ThresholdReport:
@@ -290,23 +306,23 @@ def verify_t7_thresholds(cache_dir: str | None = None, workers: int = 1) -> Thre
     class-list build.  A class's P is the size of its packing, a least
     Fano plane's 7 - least transitive lines, exact by the rule in
     _scan_classes's docstring, and verified here, in class order, on the
-    out-sets its code decodes to.  Its t is read off the same out-sets:
-    C(7,3) less the transitive triples, C(d, 2) at each vertex of
-    outdegree d.  A class with t directed triangles must pack at least
-    its regime's value and at most the perfect packing C(7,2)/3 = 7.  A
-    class past the scan's exact range, a packing that fails verification
-    or a violation raises, naming the class's code.
+    out-sets its code decodes to.  Its t is read off the same scan.  A
+    class with t directed triangles must pack at least its regime's
+    value and at most the perfect packing C(7,2)/3 = 7.  A class past
+    the scan's exact range, a packing that fails verification or a
+    violation raises, naming the class's code.
     """
     perfect = comb(7, 2) // 3
     codes = enumerate_codes(7, cache_dir=cache_dir, workers=workers)
-    lines_of = {c: lines for lines, classes in _scan_classes(7, codes, 3) for c in _members(classes)}
+    parts, ts = _scan_classes(7, codes, 3)
+    lines_of = {c: lines for lines, classes in parts for c in _members(classes)}
     records = []
     for c, code in enumerate(codes):
         lines = lines_of[c]
         host = tournament_from_code(code)
         if not verify_packing(host, Packing(n=7, k=3, copies=lines)):
             raise PipelineError(f"class {code} has a packing of {len(lines)} copies that fails verification")
-        t, p = comb(7, 3) - sum(comb(out.bit_count(), 2) for out in host.out), len(lines)
+        t, p = ts[c], len(lines)
         records.append(ClassThreshold(code, t, p))
         floor = REGIMES[_regime(t)][1]
         if not floor <= p <= perfect:
@@ -337,7 +353,7 @@ def f_min(n: int, k: int = 3, cache_dir: str | None = None, workers: int = 1) ->
     if not 3 <= k <= n:
         raise ValueError(f"k must satisfy 3 <= k <= n={n}, got {k}")
     codes = enumerate_codes(n, cache_dir=cache_dir, workers=workers)
-    parts = _scan_classes(n, codes, k)
+    parts, _ = _scan_classes(n, codes, k)
     f = min(len(lines) for lines, _ in parts)
     argmin = tuple(sorted(codes[c] for lines, classes in parts if len(lines) == f for c in _members(classes)))
     for code, again in zip(argmin, _pool_map(partial(_solve_code, k=k), argmin, workers)):
@@ -426,13 +442,11 @@ def _pipeline_share(
 
     A block's code is its subtournament's, relabeled 0..6 in sorted
     vertex order.  Each distinct code of the share takes a class index,
-    and its t once, C(7,3) less C(d, 2) at each of the block's vertices
-    of outdegree d in the block; one _scan_classes walk then gives every
-    class its lines, as positions in sorted vertex order.
+    and one _scan_classes walk gives every class its t and its lines,
+    as positions in sorted vertex order.
     """
     out = host.out
     index: dict[str, int] = {}  # code -> class index
-    ts = []
     placed = []  # per trial, its blocks' sorted vertices and class indices
     for i in share:
         perm = list(range(host.n))
@@ -441,14 +455,10 @@ def _pipeline_share(
         for block in blocks:
             vs = sorted(perm[p] for p in block)
             code = "".join(["01"[out[u] >> w & 1] for u, w in combinations(vs, 2)])
-            c = index.get(code)
-            if c is None:
-                c = index[code] = len(ts)
-                inside = sum(1 << v for v in vs)
-                ts.append(comb(7, 3) - sum(comb((out[v] & inside).bit_count(), 2) for v in vs))
-            trial.append((vs, c))
+            trial.append((vs, index.setdefault(code, len(index))))
         placed.append(trial)
-    lines_of = {c: lines for lines, classes in _scan_classes(7, list(index), 3) for c in _members(classes)}
+    parts, ts = _scan_classes(7, list(index), 3)
+    lines_of = {c: lines for lines, classes in parts for c in _members(classes)}
     results = []
     for i, trial in zip(share, placed):
         copies = tuple((vs[p], vs[q], vs[r]) for vs, c in trial for p, q, r in lines_of[c])

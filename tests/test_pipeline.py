@@ -87,15 +87,16 @@ def test_threshold_sweep_is_the_same_at_two_workers(cache_dir, threshold_report)
 
 def force_copies(monkeypatch, code, edit):
     # the class scan moves this class into a part of its own, with
-    # edit(its lines) in place of its lines; every other class keeps its part
+    # edit(its lines) in place of its lines; every other class keeps its
+    # part, and every class its t
     original = pipeline._scan_classes
 
     def forced(n, codes, k):
         target = 1 << codes.index(code)
-        parts = original(n, codes, k)
+        parts, ts = original(n, codes, k)
         own = next(lines for lines, classes in parts if classes & target)
         rest = [(lines, classes & ~target) for lines, classes in parts if classes & ~target]
-        return [*rest, (edit(own), target)]
+        return [*rest, (edit(own), target)], ts
 
     monkeypatch.setattr(pipeline, "_scan_classes", forced)
 
@@ -461,7 +462,7 @@ def test_scan_classes_raises_past_the_exact_range(cache_dir, monkeypatch):
     sevens = [code for code in codes if least_fit(tournament_from_code(code), planes)[0] == 2]
     # both leave the same two lines of the same plane, so the least-2 walk
     # gives them one part
-    assert [(len(lines), classes) for lines, classes in pipeline._scan_classes(7, sevens, 3)] == [(5, 0b11)]
+    assert [(len(lines), classes) for lines, classes in pipeline._scan_classes(7, sevens, 3)[0]] == [(5, 0b11)]
     entry = pipeline._max_packings(6, 3)[:1]
     six = next(
         code
@@ -493,8 +494,9 @@ def test_scan_classes_read_the_exact_range_off_the_table(monkeypatch):
     table = affine_table()
     monkeypatch.setattr(pipeline, "_max_packings", lambda n, k: table)
     t = tournament_from_code(AFFINE_CODE)
-    [(lines, classes)] = pipeline._scan_classes(9, [AFFINE_CODE], 3)
+    [(lines, classes)], ts = pipeline._scan_classes(9, [AFFINE_CODE], 3)
     assert (lines, classes) == (least_fit(t, table)[1], 1)
+    assert list(ts) == [census(t).t]
     assert len(lines) == 10
     assert verify_packing(t, Packing(n=9, k=3, copies=lines))
     assert max_packing_exact(t, 3).value == 10
@@ -524,15 +526,29 @@ def test_cyclic_mask_marks_the_nontransitive_triples_of_every_class(cache_dir, n
     assert set(transitive.values()) == {False, True}
 
 
+def test_column_sums_count_every_bit_up_to_the_byte_limit():
+    # 255 all-ones columns fill every byte, the counter's limit; random
+    # columns, of a width that is not a whole number of bytes, give each
+    # bit its plain sum, and no columns give zeros
+    width = 77
+    assert pipeline._column_sums([(1 << width) - 1] * 255, width) == bytes([255] * width)
+    rng = stdlib_rng(51)
+    columns = [rng.getrandbits(width) for _ in range(200)]
+    assert list(pipeline._column_sums(columns, width)) == [sum(col >> c & 1 for col in columns) for c in range(width)]
+    assert pipeline._column_sums([], width) == bytes(width)
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_scan_classes_read_every_class_as_the_scan_does(cache_dir, n):
     # the parts cover each class exactly once, with the oracle's lines
     # for it, M - least of them: the walks settle every class, the 2
-    # order-7 classes with least 2 among them
+    # order-7 classes with least 2 among them; and ts gives each class,
+    # in code order, its census t
     codes = enumerate_codes(n, cache_dir=cache_dir)
     table = pipeline._max_packings(n, 3)
     hosts = [tournament_from_code(code) for code in codes]
-    parts = pipeline._scan_classes(n, codes, 3)
+    parts, ts = pipeline._scan_classes(n, codes, 3)
+    assert list(ts) == [census(t).t for t in hosts]
     # no part is empty, and the part sizes add up to the class count, so
     # with every class read off some part, none is in two
     assert all(classes for _, classes in parts)
@@ -560,7 +576,7 @@ def test_scan_classes_value_every_class_as_the_solver_does(cache_dir, n, k):
     # each class's part holds a verified packing of its class, and as many
     # lines as the exact solver packs
     codes = enumerate_codes(n, cache_dir=cache_dir)
-    read = {c: lines for lines, classes in pipeline._scan_classes(n, codes, k) for c in pipeline._members(classes)}
+    read = {c: lines for lines, classes in pipeline._scan_classes(n, codes, k)[0] for c in pipeline._members(classes)}
     assert sorted(read) == list(range(len(codes)))
     for c, code in enumerate(codes):
         assert verify_packing(tournament_from_code(code), Packing(n=n, k=k, copies=read[c])), code
@@ -776,7 +792,7 @@ def test_trial_verifier_rejects_a_corrupted_pattern_entry(monkeypatch, fault):
     original = pipeline._scan_classes
 
     def corrupting(n, codes, k):
-        parts = original(n, codes, k)
+        parts, ts = original(n, codes, k)
         x, (lines, classes) = next((x, part) for x, part in enumerate(parts) if len(part[0]) < 7)
         block = tournament_from_code(codes[next(pipeline._members(classes))])
         if fault == "cyclic-line":
@@ -790,7 +806,7 @@ def test_trial_verifier_rejects_a_corrupted_pattern_entry(monkeypatch, fault):
         else:
             corrupted = (lines[0], lines[0], *lines[2:])
         parts[x] = (corrupted, classes)
-        return parts
+        return parts, ts
 
     monkeypatch.setattr(pipeline, "_scan_classes", corrupting)
     with pytest.raises(PipelineError, match="failed verification in trial 0"):
@@ -834,7 +850,7 @@ def test_scan_is_exact_on_every_class(cache_dir, n, histogram):
                 if canonical.out[u] >> w & 1:
                     out[perm[u]] |= 1 << perm[w]
         hosts.append(Tournament(n, tuple(out)))
-    parts = pipeline._scan_classes(n, [tournament_bits(t) for t in hosts], 3)
+    parts, _ = pipeline._scan_classes(n, [tournament_bits(t) for t in hosts], 3)
     read = {c: lines for lines, classes in parts for c in pipeline._members(classes)}
     leasts = Counter()
     for i, code in enumerate(codes):

@@ -223,10 +223,13 @@ READ_ONLY_IN = {
     # every k: for verify lemma22, for fmin, and for the pipeline's blocks,
     # one walk per share of trials.  The packing table is walked there
     # alone, and built before the pipeline forks.  A new reader of classes
-    # goes through _scan_classes, not beside it
+    # goes through _scan_classes, not beside it.  It is also the one source
+    # of a class's t, counted off the cyclic columns it builds, so no
+    # caller derives t from out-degrees beside it
     "_scan_classes": {("pipeline", "verify_t7_thresholds"), ("pipeline", "f_min"), ("pipeline", "_pipeline_share")},
     "_max_packings": {("pipeline", "_scan_classes"), ("pipeline", "decomposition_pipeline")},
     "_cyclic_columns": {("pipeline", "_scan_classes")},
+    "_column_sums": {("pipeline", "_scan_classes")},
 }
 
 
