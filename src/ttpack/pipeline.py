@@ -224,7 +224,7 @@ def _column_sums(columns: Sequence[int], width: int) -> bytes:
         for j, plane in enumerate(planes):
             planes[j], carry = plane ^ carry, plane & carry
     digits = bytes.maketrans(b"01", b"\0\1")
-    bits = [int.from_bytes(format(plane, f"0{width}b").encode().translate(digits)) for plane in planes]
+    bits = [int.from_bytes(format(plane, f"0{width}b").encode().translate(digits), "big") for plane in planes]
     return sum(bit << j for j, bit in enumerate(bits)).to_bytes(width, "little")
 
 

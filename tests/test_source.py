@@ -36,6 +36,24 @@ def test_package_has_no_bare_assert():
     assert bare == []
 
 
+def test_package_passes_every_byte_order():
+    # before Python 3.11, int.from_bytes and int.to_bytes have no default
+    # byte order, and the package supports 3.10
+    unordered = []
+    for path in sorted(Path(ttpack.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        unordered += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"from_bytes", "to_bytes"}
+            and len(node.args) < 2
+            and not any(keyword.arg == "byteorder" for keyword in node.keywords)
+        ]
+    assert unordered == []
+
+
 def test_package_defines_one_exception_class():
     # bad input raises plain ValueError, whose message names the byte offset
     # of a defect in a tournament file, a failed claim PipelineError, and a
