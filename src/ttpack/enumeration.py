@@ -284,8 +284,8 @@ def _share(fn, jobs: list) -> tuple[list, Exception | None]:
     return results, None
 
 
-def _pool_map(fn, jobs: list, workers: int):
-    """fn over jobs, yielding results in job order, as map would.
+def _pool_map(fn, jobs: list, workers: int) -> list:
+    """The list of fn over jobs, in job order, as list(map(fn, jobs)) would give.
 
     Runs in this process when workers <= 1.  Otherwise the jobs are cut
     into w = min(workers, len(jobs)) strided shares, share s being
@@ -294,22 +294,19 @@ def _pool_map(fn, jobs: list, workers: int):
     pickled (results, exception or None) to its pipe and ends by
     os._exit, whatever was raised, so it never returns into the caller's
     frames.  This process computes share 0 meanwhile, then reads each
-    pipe to its end and reaps each child, all before the first result is
-    yielded, so a caller that stops early leaves no child behind.
+    pipe to its end and reaps each child, so no child outlives the call.
 
     A share stops at its first failing job.  Job j is result j // w of
     share j % w, so a share that failed after r results failed at job
-    s + r * w; the least such job's exception is raised once the results
-    before it are yielded, the exception map would raise.  A child that
-    exits without writing its share raises RuntimeError.  Needs POSIX
-    fork, which is safe here as ttpack starts no thread: the children see
-    this process's state as it was at the call, the caches and test
-    patches included.
+    s + r * w; the least such job's exception is raised, the one map
+    would raise.  A child that exits without writing its share raises
+    RuntimeError.  Needs POSIX fork, which is safe here as ttpack starts
+    no thread: the children see this process's state as it was at the
+    call, the caches and test patches included.
     """
     w = min(workers, len(jobs))
     if w <= 1:
-        yield from map(fn, jobs)
-        return
+        return list(map(fn, jobs))
     children = []  # (pid, read end of its pipe) of each child not yet reaped
     try:
         for s in range(1, w):
@@ -342,10 +339,9 @@ def _pool_map(fn, jobs: list, workers: int):
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     failed = min((s + len(results) * w for s, (results, exc) in enumerate(shares) if exc is not None), default=len(jobs))
-    for j in range(failed):
-        yield shares[j % w][0][j // w]
     if failed < len(jobs):
         raise shares[failed % w][1]
+    return [shares[j % w][0][j // w] for j in range(len(jobs))]
 
 
 def _read_or_build_codes(n: int, cache_dir: str, workers: int) -> tuple[str, ...]:

@@ -163,12 +163,11 @@ PACKING_COUNTS = {
 
 
 @lru_cache(maxsize=None)
-def _max_packings(n: int, k: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-    """(mask, lines) of every labeled maximum K_k-packing of K_n, 3 <= k <= n <= 8, sorted by lines.
+def _max_packings(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The lines of every labeled maximum K_k-packing of K_n, 3 <= k <= n <= 8, sorted.
 
-    An entry's lines are M edge-disjoint k-subsets of 0..n-1, M the most
-    there are, in combinations(range(n), k) order, and its mask has bit
-    x for the line at position x of that order.  At k = 3 each entry is
+    An entry is M edge-disjoint k-subsets of 0..n-1, M the most there
+    are, in combinations(range(n), k) order.  At k = 3 each entry is
     the lines inside 0..n-1 of a labeled triple system: one of the 30
     7-point systems, or at n = 8 one of the 840 9-point systems off its
     point 8 (a maximum packing of K_8 leaves a perfect matching, which a
@@ -177,11 +176,11 @@ def _max_packings(n: int, k: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...
     in designs' order.  At k >= 4 a plain exhaustive search grows the
     families of edge-disjoint k-subsets by one later subset at a time
     and keeps the largest; at k = 3 the orbit is far cheaper.
-    Certificate, once per process: an entry's lines are k-subsets of
-    0..n-1, each found in the index for its mask, and it is kept only if
-    it has M of them covering C(k,2) M distinct pairs; and (M, count) is
-    pinned in PACKING_COUNTS, so a build that loses an entry raises, and
-    completeness is checkable against an exhaustive search.
+    Certificate, once per process: an entry is kept only if its M lines
+    are each in the index of sorted k-subsets of 0..n-1 and cover C(k,2)
+    M distinct pairs; and (M, count) is pinned in PACKING_COUNTS, so a
+    build that loses an entry raises, and completeness is checkable
+    against an exhaustive search.
     """
     m, count = PACKING_COUNTS[n, k]
     blocks = list(combinations(range(n), k))
@@ -200,13 +199,15 @@ def _max_packings(n: int, k: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...
                 for block in blocks[index[lines[-1]] + 1 if lines else 0 :]
                 if not used & pairs[block]
             ]
-    table = []
-    for lines in sorted(families):
-        if len(lines) == m and len({pair for line in lines for pair in combinations(line, 2)}) == comb(k, 2) * m:
-            table.append((sum(1 << index[line] for line in lines), lines))
+    table = tuple(
+        lines
+        for lines in sorted(families)
+        if len(lines) == m and {*lines} <= index.keys()
+        and len({pair for line in lines for pair in combinations(line, 2)}) == comb(k, 2) * m
+    )
     if len(table) != count:
         raise PipelineError(f"{len(table)} labeled maximum K_{k}-packings of K_{n} passed, not {count}")
-    return tuple(table)
+    return table
 
 
 def _members(classes: int) -> Iterator[int]:
@@ -238,7 +239,7 @@ def _scan_classes(
     least, non-transitive lines on it.  A k-subset is transitive iff it
     has no cyclic triple (Moon), so its bitset, the classes on which it
     is not, is the OR of its triples' _cyclic_columns, and bit-sliced
-    walks of the table serve every class at once.  A class with no
+    walks of the table's lines serve every class at once.  A class with no
     transitive k-subset, in the AND of all bitsets, packs nothing: a
     part with no lines.  The first walk takes least = 0: an entry's hits
     are the OR of its lines' bitsets, and the classes it is the first to
@@ -265,7 +266,7 @@ def _scan_classes(
     blocked = reduce(and_, bitsets.values())
     parts = [((), blocked)] if blocked else []
     unsettled = (1 << len(codes)) - 1 ^ blocked
-    for _, lines in table:
+    for lines in table:
         if not unsettled:
             break
         hits = 0
@@ -275,9 +276,9 @@ def _scan_classes(
         if missed:
             parts.append((lines, missed))
             unsettled ^= missed
-    top = 2 if comb(k, 2) * len(table[0][1]) == comb(n, 2) else 1
+    top = 2 if comb(k, 2) * len(table[0]) == comb(n, 2) else 1
     for least in range(1, top + 1):
-        for _, lines in table:
+        for lines in table:
             if not unsettled:
                 break
             hits = [0] * (least + 1)

@@ -190,23 +190,23 @@ def brute_max_packing(t: Tournament, k: int) -> int:
 
 
 def least_fit(t: Tournament, table) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(least, lines) of t on a table of (mask, lines) entries, read one class at a time.
+    """(least, lines) of t on a table of entries, each a tuple of lines, read one class at a time.
 
     Every line is marked transitive or not by is_transitive_subset; least
     is the fewest non-transitive lines on any entry, and lines are the
     transitive lines of the first entry with least of them, in its order.
-    It stops at the first entry with none, and reads no mask.
+    It stops at the first entry with none.
     """
     transitive: dict[tuple[int, ...], bool] = {}
     marked = []
-    for _, lines in table:
+    for lines in table:
         for line in lines:
             if line not in transitive:
                 transitive[line] = is_transitive_subset(t, line)
         marked.append(tuple(line for line in lines if transitive[line]))
         if len(marked[-1]) == len(lines):
             break
-    fits = [len(lines) - len(kept) for (_, lines), kept in zip(table, marked)]
+    fits = [len(lines) - len(kept) for lines, kept in zip(table, marked)]
     least = min(fits)
     return least, marked[fits.index(least)]
 

@@ -395,7 +395,8 @@ def test_enumeration_respects_workers(cache_dir, tmp_path):
 @pytest.mark.parametrize("count", [0, 1, 3, 40])
 def test_pool_map_equals_map(workers, count):
     jobs = [(j, -j) for j in range(count)]
-    assert list(_pool_map(repr, jobs, workers)) == list(map(repr, jobs))
+    got = _pool_map(repr, jobs, workers)
+    assert type(got) is list and got == list(map(repr, jobs))
 
 
 @pytest.mark.parametrize(
@@ -412,11 +413,8 @@ def test_pool_map_raises_the_first_failing_job_by_job_order(failing, first):
             raise failing[j](f"job {j} failed")
         return j
 
-    got = []
     with pytest.raises(failing[first], match=f"^'?job {first} failed'?$"):
-        for result in _pool_map(fn, list(range(12)), 3):
-            got.append(result)
-    assert got == list(range(first))
+        _pool_map(fn, list(range(12)), 3)
 
 
 def test_pool_map_raises_when_a_child_exits_without_its_share():
@@ -434,16 +432,18 @@ def test_pool_map_raises_when_a_child_exits_without_its_share():
     signal.alarm(30)
     try:
         with pytest.raises(RuntimeError, match="exited with code 3 before returning its share"):
-            list(_pool_map(fn, list(range(9)), 3))
+            _pool_map(fn, list(range(9)), 3)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_pool_map_reaps_every_child_when_the_caller_stops_early():
-    results = _pool_map(abs, list(range(-40, 0)), 3)
-    assert next(results) == 40
-    results.close()
+def test_pool_map_reaps_every_child_when_it_returns_or_raises():
+    assert _pool_map(abs, list(range(-40, 0)), 3) == list(range(40, 0, -1))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with pytest.raises(ZeroDivisionError):
+        _pool_map(lambda j: 1 // j, list(range(-20, 20)), 3)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -196,7 +196,7 @@ def test_six_edge_disjoint_triples_on_seven_points_lie_in_a_fano_plane():
     # the completion lemma behind the scan's upper bound at n = 7: every
     # family of 6 pairwise edge-disjoint triples lies inside one of the 30
     # planes, and every family of 7 is one
-    planes = {frozenset(lines) for _, lines in pipeline._max_packings(7, 3)}
+    planes = set(map(frozenset, pipeline._max_packings(7, 3)))
     families = edge_disjoint_families(7, 3)
     assert all(any(family <= plane for plane in planes) for family in families[6])
     assert families[7] == planes
@@ -208,16 +208,14 @@ def test_six_edge_disjoint_triples_on_seven_points_lie_in_a_fano_plane():
 )
 def test_max_packing_table_holds_every_maximum_family(n, size, count):
     # the table is exactly the families of the most pairwise edge-disjoint
-    # triples, each entry's mask the bits of its lines
+    # triples
     table = pipeline._max_packings(n, 3)
-    index = {line: x for x, line in enumerate(combinations(range(n), 3))}
     families = edge_disjoint_families(n, 3)
     assert max(families) == size
     assert len(families[size]) == len(table) == count
-    assert {frozenset(lines) for _, lines in table} == families[size]
-    for mask, lines in table:
+    assert set(map(frozenset, table)) == families[size]
+    for lines in table:
         assert len(lines) == size
-        assert mask == sum(1 << index[line] for line in lines)
         pairs = [pair for line in lines for pair in combinations(line, 2)]
         assert len(set(pairs)) == len(pairs) == 3 * size
         if n == 7:
@@ -227,7 +225,7 @@ def test_max_packing_table_holds_every_maximum_family(n, size, count):
 def test_order_7_table_lists_the_planes_of_all_sts7_in_order():
     # pipeline and verify lemma22 take the first least plane, so the table
     # keeps designs' order of the 30 labeled planes
-    assert [lines for _, lines in pipeline._max_packings(7, 3)] == [d.blocks for d in all_sts7()]
+    assert list(pipeline._max_packings(7, 3)) == [d.blocks for d in all_sts7()]
 
 
 ABOVE_K3 = [(n, k) for n in range(4, 9) for k in range(4, n + 1)]
@@ -236,19 +234,17 @@ ABOVE_K3 = [(n, k) for n in range(4, 9) for k in range(4, n + 1)]
 @pytest.mark.parametrize("n, k", ABOVE_K3, ids=[f"{n}-{k}" for n, k in ABOVE_K3])
 def test_max_packing_table_above_k3_holds_every_maximum_family(n, k):
     # the search's table is exactly the families of the most pairwise
-    # edge-disjoint k-subsets, found by the oracle's own search, sorted,
-    # each entry's mask the bits of its lines in combinations order; the
-    # pins are M = 2 with 70 and 595 entries at (7, 4) and (8, 4), and
+    # edge-disjoint k-subsets, found by the oracle's own search, sorted;
+    # the pins are M = 2 with 70 and 595 entries at (7, 4) and (8, 4), and
     # every k-subset alone elsewhere
     table = pipeline._max_packings(n, k)
     families = edge_disjoint_families(n, k)
     size = max(families)
     assert (size, len(table)) == {(7, 4): (2, 70), (8, 4): (2, 595)}.get((n, k), (1, comb(n, k)))
-    assert {frozenset(lines) for _, lines in table} == families[size]
-    assert [lines for _, lines in table] == sorted(lines for _, lines in table)
-    index = {line: x for x, line in enumerate(combinations(range(n), k))}
-    for mask, lines in table:
-        assert len(lines) == size and mask == sum(1 << index[line] for line in lines)
+    assert set(map(frozenset, table)) == families[size]
+    assert list(table) == sorted(table)
+    for lines in table:
+        assert len(lines) == size
 
 
 def test_max_packing_build_that_loses_an_entry_raises(monkeypatch):
@@ -261,6 +257,17 @@ def test_max_packing_build_that_loses_an_entry_raises(monkeypatch):
     monkeypatch.setattr(pipeline, "combinations", pairs)
     with pytest.raises(PipelineError, match="^3 labeled maximum K_3-packings of K_4 passed, not 4$"):
         pipeline._max_packings.__wrapped__(4, 3)
+
+
+def test_max_packing_build_drops_a_line_outside_the_index(monkeypatch):
+    # one plane with one line reversed holds no k-subset of combinations
+    # order, so the certificate drops that plane and the count pin raises,
+    # not a KeyError
+    first, *rest = all_sts7()
+    lines = (first.blocks[0][::-1], *first.blocks[1:])
+    monkeypatch.setattr(pipeline, "all_sts7", lambda: (first._replace(blocks=lines), *rest))
+    with pytest.raises(PipelineError, match="^29 labeled maximum K_3-packings of K_7 passed, not 30$"):
+        pipeline._max_packings.__wrapped__(7, 3)
 
 
 def test_packing_value_is_reversal_invariant(threshold_report):
@@ -476,8 +483,7 @@ def test_scan_classes_raises_past_the_exact_range(cache_dir, monkeypatch):
 
 def affine_table():
     # the 840 labeled affine planes of order 3, as a table of order 9
-    index = {line: x for x, line in enumerate(combinations(range(9), 3))}
-    return tuple(sorted((sum(1 << index[line] for line in d.blocks), d.blocks) for d in _orbit(ag2_lines(3))))
+    return tuple(d.blocks for d in _orbit(ag2_lines(3)))
 
 
 # a class of order 9 with least 2 on affine_table()
@@ -556,7 +562,7 @@ def test_scan_classes_read_every_class_as_the_scan_does(cache_dir, n):
     read = {c: lines for lines, classes in parts for c in pipeline._members(classes)}
     leasts, class_lines = zip(*(least_fit(t, table) for t in hosts))
     assert [read[c] for c in range(len(codes))] == list(class_lines)
-    assert [len(lines) for lines in class_lines] == [len(table[0][1]) - least for least in leasts]
+    assert [len(lines) for lines in class_lines] == [len(table[0]) - least for least in leasts]
 
 
 def test_scan_classes_reject_codes_of_another_order(cache_dir):
@@ -618,9 +624,9 @@ def test_witness_fit_agrees_with_verify_packing(cache_dir):
         for c, code in enumerate(codes):
             t = tournament_from_code(code)
             for entry in table:
-                fit = not any(columns[line] >> c & 1 for line in entry[1])
-                assert fit == (least_fit(t, [entry])[0] == 0), (code, entry[1])
-                assert fit == verify_packing(t, Packing(n=n, k=3, copies=entry[1])), (code, entry[1])
+                fit = not any(columns[line] >> c & 1 for line in entry)
+                assert fit == (least_fit(t, [entry])[0] == 0), (code, entry)
+                assert fit == verify_packing(t, Packing(n=n, k=3, copies=entry)), (code, entry)
                 fits[n, fit] += 1
     assert all(fits[n, fit] for n in (7, 8) for fit in (False, True))
 
@@ -775,8 +781,8 @@ def test_pipeline_rejects_a_block_no_fano_plane_packs(monkeypatch, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pipeline_rejects_a_packing_that_fails_verification(monkeypatch, workers):
     # at workers=2 the patch reaches the pool workers only because they are
-    # forked from the patched process: the default start method on Linux
-    # with Python 3.11
+    # forked from the patched process: _pool_map forks them with os.fork
+    # itself, on every Python version the package supports (3.10 and on)
     monkeypatch.setattr(pipeline, "verify_packing", lambda t, p: False)
     with pytest.raises(PipelineError, match="failed verification in trial 0"):
         decomposition_pipeline(random_tournament(49, 7), trials=2, seed=11, workers=workers)
@@ -838,7 +844,7 @@ def test_scan_is_exact_on_every_class(cache_dir, n, histogram):
     # exactly that by the solver; at least = 0 the value is M, the most
     # any n-vertex tournament packs, so at order 8 only the classes with
     # least >= 1 are solved
-    size = len(pipeline._max_packings(n, 3)[0][1])
+    size = len(pipeline._max_packings(n, 3)[0])
     codes = enumerate_codes(n, cache_dir=cache_dir)
     hosts = [tournament_from_code(code) for code in codes]
     for i, canonical in enumerate(hosts[:]):
