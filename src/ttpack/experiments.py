@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple
 
-from .packing import Packing, _edge_mask, _transitive_chains, greedy_packing
+from .packing import Packing, _transitive_chains, greedy_packing
 from .rng import sub_seed
 from .tournament import Tournament, _edge_splits, random_tournament
 
@@ -105,33 +105,6 @@ def edge_copy_stats(t: Tournament, k: int) -> EdgeCopyStats:
     )
 
 
-def _transitive_subsets_within(t: Tournament, k: int, allowed: int) -> list[tuple[int, ...]]:
-    """Transitive k-subsets all of whose pairs lie in the allowed edge set, lex order.
-
-    The ascending walk of `_transitive_chains` runs on the host's rows with
-    every pair outside `allowed` dropped from both rows.  The walk takes its
-    in-sets by transposing the rows it is given, so a dropped pair joins its
-    two vertices in neither direction, and the walk reaches exactly the
-    copies inside the allowed edges.  The pairs {i, j}, j > i, fill one
-    field of `allowed`, j at bit j - i - 1, so vertex i's allowed higher
-    vertices are one shift away: i's row keeps those it beats, and each
-    that beats i takes i into its own row.
-    """
-    n, out = t.n, t.out
-    rows = [0] * n
-    for i in range(n):
-        width = n - 1 - i
-        higher = (allowed & (1 << width) - 1) << i + 1
-        allowed >>= width
-        rows[i] |= out[i] & higher
-        beaten = higher & ~out[i]
-        while beaten:
-            low = beaten & -beaten
-            beaten ^= low
-            rows[low.bit_length() - 1] |= 1 << i
-    return _transitive_chains(n, rows, k)
-
-
 def improve_packing(t: Tournament, p: Packing) -> Packing:
     """1-for-2 local search: swap one member for two edge-disjoint replacements.
 
@@ -139,47 +112,71 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
     edges) with swaps until neither applies.  Every successful round
     grows the packing by one, so termination is immediate; the result
     never has fewer members than the input.
+
+    A copy is its vertex tuple, and the covered pairs are kept as
+    `verify_packing` keeps them: met[v] is the vertices that share a member
+    with v, v left out.  The uncovered rows out[v] & ~met[v] drop every
+    covered pair, so `_transitive_chains` on them lists the copies that
+    fit.  A swap's rows add back the member's own pairs.  Two k-sets share
+    a pair exactly when they share two vertices.  Members are
+    edge-disjoint, so removing one clears its mask from the rows of its
+    vertices without uncovering another member's pair.
     """
-    n = t.n
-    per_copy = p.k * (p.k - 1) // 2
-    members = {vs: _edge_mask(n, vs) for vs in p.copies}
-    covered = 0
-    for m in members.values():
-        covered |= m
-    all_edges = (1 << (n * (n - 1) // 2)) - 1
+    n, k, out = t.n, p.k, t.out
+    per_copy = k * (k - 1) // 2
+    members: set[tuple[int, ...]] = set()
+    met = [0] * n
+
+    def mask_of(vs: tuple[int, ...]) -> int:
+        return sum(1 << v for v in vs)
+
+    def take(vs: tuple[int, ...]) -> None:
+        members.add(vs)
+        mask = mask_of(vs)
+        for v in vs:
+            met[v] |= mask ^ 1 << v
+
+    for vs in p.copies:
+        take(vs)
     changed = True
     while changed:
         changed = False
-        for vs in _transitive_subsets_within(t, p.k, all_edges & ~covered):
-            m = _edge_mask(n, vs)
-            if m & covered == 0:
-                members[vs] = m
-                covered |= m
+        for vs in _transitive_chains(n, [out[v] & ~met[v] for v in range(n)], k):
+            mask = mask_of(vs)
+            if not any(met[v] & mask for v in vs):
+                take(vs)
                 changed = True
+        uncovered = [out[v] & ~met[v] for v in range(n)]
         for vs in sorted(members):
-            allowed = (all_edges & ~covered) | members[vs]
+            mask = mask_of(vs)
+            allowed = uncovered.copy()
+            for v in vs:
+                allowed[v] = out[v] & ~(met[v] & ~mask)
             found = []
-            for cand in _transitive_subsets_within(t, p.k, allowed):
-                cm = _edge_mask(n, cand)
-                if found and cm & found[0][1] == 0:
-                    found.append((cand, cm))
+            for cand in _transitive_chains(n, allowed, k):
+                if found and len(first.intersection(cand)) < 2:
+                    found.append(cand)
                     break
                 if not found and cand != vs:
-                    found.append((cand, cm))
+                    found.append(cand)
+                    first = set(cand)
             if len(found) == 2:
-                covered &= ~members.pop(vs)
-                for cand, cm in found:
-                    members[cand] = cm
-                    covered |= cm
+                members.remove(vs)
+                for v in vs:
+                    met[v] &= ~mask
+                for cand in found:
+                    take(cand)
                 changed = True
                 break
     ordered = sorted(members)
-    if covered.bit_count() != len(ordered) * per_copy:
+    # met holds each covered pair at both of its vertices
+    covered = sum(map(int.bit_count, met)) // 2
+    if covered != len(ordered) * per_copy:
         raise AssertionError(
             f"improve_packing self-check failed: {len(ordered)} copies cover "
-            f"{covered.bit_count()} edges, not {len(ordered) * per_copy}"
+            f"{covered} edges, not {len(ordered) * per_copy}"
         )
-    return Packing(n=n, k=p.k, copies=tuple(ordered), nodes_explored=p.nodes_explored)
+    return Packing(n=n, k=k, copies=tuple(ordered), nodes_explored=p.nodes_explored)
 
 
 def density_experiment(

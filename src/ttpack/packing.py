@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .rng import stdlib_rng
-from .tournament import Tournament, edge_index
+from .tournament import Tournament
 
 __all__ = [
     "CopyList",
@@ -71,29 +71,16 @@ def _check_deadline(deadline: float | None) -> None:
 
 
 @lru_cache(maxsize=None)
-def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
-    """bits[v][u] is the bit 1 << edge_index(n, u, v) of the pair {u, v}."""
-    return tuple(
-        tuple(0 if u == v else 1 << edge_index(n, u, v) for u in range(n)) for v in range(n)
-    )
-
-
-@lru_cache(maxsize=None)
 def _vertex_edge_masks(n: int) -> tuple[int, ...]:
     """Per vertex, the bitmask of the n-1 unordered-pair indices at it.
 
-    Row v of _pair_bits(n) holds those pairs' bits, each once, and 0 at v.
+    A pair's index is its rank in combinations(range(n), 2).
     """
-    return tuple(map(sum, _pair_bits(n)))
-
-
-def _edge_mask(n: int, vs: Sequence[int]) -> int:
-    """The bitmask of the unordered-pair indices among the distinct vertices vs."""
-    bits = _pair_bits(n)
-    mask = 0
-    for u, v in combinations(vs, 2):
-        mask |= bits[u][v]
-    return mask
+    rows = [0] * n
+    for p, (u, v) in enumerate(combinations(range(n), 2)):
+        rows[u] |= 1 << p
+        rows[v] |= 1 << p
+    return tuple(rows)
 
 
 def _transitive_chains(
@@ -379,10 +366,8 @@ def max_packing_exact(
         copies = enumerate_copies(t, k, deadline).copies
         row = _copies_at_vertices(copies, n, deadline)
         avoiding: list[int | None] = [None] * len(copies)
-        # each edge's bit is read from the cached _pair_bits, not made again
-        bits = _pair_bits(n)
-        pairs = combinations(range(n), 2)
-        dfs((1 << len(copies)) - 1, [], [(bits[u][v], row[u] & row[v]) for u, v in pairs])
+        pairs = enumerate(combinations(range(n), 2))
+        dfs((1 << len(copies)) - 1, [], [(1 << p, row[u] & row[v]) for p, (u, v) in pairs])
         optimal = True
     except TimeoutError:
         optimal = False
@@ -399,15 +384,28 @@ def max_packing_exact(
 
 
 def greedy_packing(t: Tournament, k: int, seed: int) -> Packing:
-    """Maximal packing from a seeded random scan order; never exceeds the optimum."""
+    """Maximal packing from a seeded random scan order; never exceeds the optimum.
+
+    The taken pairs are kept as `verify_packing` keeps them: met[v] is v
+    and every vertex that shares a taken copy with v, so a copy, whose
+    mask is the set of its vertices, fits exactly when
+    met[v] & mask == 1 << v at each of its vertices v.
+    """
     copies = list(enumerate_copies(t, k).copies)
     stdlib_rng(seed).shuffle(copies)
-    covered = 0
+    bits = [1 << v for v in range(t.n)]
+    met = bits.copy()
     members = []
     for vs in copies:
-        m = _edge_mask(t.n, vs)
-        if m & covered == 0:
-            covered |= m
+        mask = 0
+        for v in vs:
+            mask |= bits[v]
+        for v in vs:
+            if met[v] & mask != bits[v]:
+                break
+        else:
+            for v in vs:
+                met[v] |= mask
             members.append(vs)
     return Packing(n=t.n, k=k, copies=tuple(sorted(members)))
 

@@ -58,8 +58,9 @@ class TriangleCensus(NamedTuple):
 def edge_index(n: int, i: int, j: int) -> int:
     """Row-major rank of the pair {i, j}, the order combinations(range(n), 2) lists pairs in.
 
-    This ranking is the shared contract for edge indices in packings,
-    covered-edge bitsets and the text format.
+    This ranking is the shared contract for edge indices in the solver's
+    coverable-edge field, in `_edge_splits` and the per-edge stats, in the
+    coin key of the constructions, and in the text format.
     """
     if i > j:
         i, j = j, i

@@ -154,21 +154,22 @@ def packing_is_valid(t: Tournament, k: int, copies) -> bool:
     return True
 
 
+def edge_mask(n: int, vs) -> int:
+    """The bits 1 << edge_index(n, u, w) of the pairs {u, w} among the distinct vertices vs."""
+    mask = 0
+    for a, u in enumerate(vs):
+        for w in vs[a + 1 :]:
+            mask |= 1 << edge_index(n, u, w)
+    return mask
+
+
 def scanned_copies(t: Tournament, k: int) -> list[tuple[tuple[int, ...], int]]:
     """(vertices, edge mask) of every transitive k-subset, by scanning all C(n, k) subsets.
 
     The subsets come out of `combinations` in lexicographic order, and each
-    mask is or-ed together from `edge_index` pair by pair.
+    mask is `edge_mask`, or-ed together from `edge_index` pair by pair.
     """
-    out = []
-    for vs in combinations(range(t.n), k):
-        if is_transitive_on(t, vs):
-            mask = 0
-            for a, u in enumerate(vs):
-                for w in vs[a + 1 :]:
-                    mask |= 1 << edge_index(t.n, u, w)
-            out.append((vs, mask))
-    return out
+    return [(vs, edge_mask(t.n, vs)) for vs in combinations(range(t.n), k) if is_transitive_on(t, vs)]
 
 
 def brute_max_packing(t: Tournament, k: int) -> int:

@@ -9,18 +9,20 @@ import pytest
 from oracles import scanned_copies
 from ttpack import experiments
 from ttpack.experiments import (
-    _transitive_subsets_within,
     density_experiment,
     edge_copy_stats,
     improve_packing,
 )
 from ttpack.packing import (
+    Packing,
+    _transitive_chains,
     enumerate_copies,
     greedy_packing,
     max_packing_exact,
     verify_packing,
 )
 from ttpack.tournament import (
+    edge_index,
     random_tournament,
     tournament_bits,
     transitive_tournament,
@@ -105,7 +107,8 @@ def test_handshake_mismatch_is_a_self_check_failure(monkeypatch):
 
 
 def test_restricted_walk_lists_the_copies_inside_the_allowed_edges():
-    # about half the pairs allowed, then about three quarters: no 5-set
+    # improve_packing walks the host's rows with its covered pairs dropped.
+    # About half the pairs allowed, then about three quarters: no 5-set
     # keeps all 10 of its pairs at half, so k = 5 is read at the denser sets
     listed_at_five = 0
     for seed in range(4):
@@ -113,11 +116,29 @@ def test_restricted_walk_lists_the_copies_inside_the_allowed_edges():
         allowed = int(tournament_bits(random_tournament(13, 90 + seed)), 2)
         denser = allowed | int(tournament_bits(random_tournament(13, 190 + seed)), 2)
         for edges in (allowed, denser):
+            rows = [
+                sum(1 << w for w in range(13) if t.out[u] >> w & 1 and edges >> edge_index(13, u, w) & 1)
+                for u in range(13)
+            ]
             for k in (3, 4, 5):
                 want = [vs for vs, m in scanned_copies(t, k) if m & ~edges == 0]
-                assert _transitive_subsets_within(t, k, edges) == want
+                assert _transitive_chains(13, rows, k) == want
                 listed_at_five += len(want) if k == 5 else 0
     assert listed_at_five == 35
+
+
+def test_improve_self_check_catches_an_overlapping_input():
+    # the first listed copy and the first copy sharing two vertices with it
+    # share one pair, so the 20 copies the search ends with cover one edge
+    # fewer than 20 * C(3,2)
+    t = random_tournament(12, 100)
+    copies = enumerate_copies(t, 3).copies
+    first = copies[0]
+    other = next(vs for vs in copies if len(set(vs) & set(first)) == 2)
+    with pytest.raises(
+        AssertionError, match=r"^improve_packing self-check failed: 20 copies cover 59 edges, not 60$"
+    ):
+        improve_packing(t, Packing(12, 3, (first, other)))
 
 
 def test_improve_never_loses_copies():

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     brute_max_packing,
+    edge_mask,
     enumerate_nonisomorphic,
     is_transitive_subset,
     packing_is_valid,
@@ -18,7 +19,6 @@ from ttpack.constructions import blowup, qr7
 from ttpack.packing import (
     Packing,
     _copies_at_vertices,
-    _edge_mask,
     _leave_bound,
     enumerate_copies,
     greedy_packing,
@@ -50,8 +50,8 @@ def test_copies_listed_in_vertex_tuple_order():
 
 
 def _listed(t, k):
-    # the pair masks come from _edge_mask, so the oracle checks it as well
-    return [(vs, _edge_mask(t.n, vs)) for vs in enumerate_copies(t, k).copies]
+    # a copy is its vertex tuple; the oracle's scan pairs each with its mask
+    return [(vs, edge_mask(t.n, vs)) for vs in enumerate_copies(t, k).copies]
 
 
 def test_chain_walk_lists_the_scanned_copies_on_every_small_class(cache_dir):
@@ -140,7 +140,7 @@ def test_copy_bitsets_match_per_copy_bits():
     copies = enumerate_copies(t, 4).copies
     want = [0] * (30 * 29 // 2)
     for c, vs in enumerate(copies):
-        mask = _edge_mask(30, vs)
+        mask = edge_mask(30, vs)
         for e in range(len(want)):
             if mask >> e & 1:
                 want[e] |= 1 << c
@@ -435,7 +435,7 @@ def test_leave_bound_is_at_least_brute_force(cache_dir):
             for t in enumerate_nonisomorphic(n, cache_dir=cache_dir):
                 coverable = 0
                 for vs in enumerate_copies(t, k).copies if n >= k else ():
-                    coverable |= _edge_mask(n, vs)
+                    coverable |= edge_mask(n, vs)
                 assert _leave_bound(coverable, n, k) >= brute_max_packing(t, k)
 
 

@@ -233,10 +233,9 @@ def test_one_deadline_check():
 
 # Each name, and the functions of the package that alone may read it.
 READ_ONLY_IN = {
-    # a copy is its vertex tuple; only the greedy baseline and the local
-    # search build its pair mask, so the listing and the solver keep one
-    # form of a copy
-    "_edge_mask": {("packing", "greedy_packing"), ("experiments", "improve_packing")},
+    # a copy is its vertex tuple everywhere, and covered pairs are per-vertex
+    # rows; the C(n,2)-bit pair field belongs to the solver's bound alone
+    "_vertex_edge_masks": {("packing", "_leave_bound")},
     # _scan_classes is the one reader of classes, by its own walks at
     # every k: for verify lemma22, for fmin, and for the pipeline's blocks,
     # one walk per share of trials.  The packing table is walked there
