@@ -11,7 +11,8 @@ pipeline, lp and the two experiments is the fields of the NamedTuple
 record the library returns, read by _asdict(), which copies no field
 value, plus only the keys no record holds: value for solve, n and
 packing_lower_bound for census, and mean_covered_fraction for density.
-_jsonable alone writes a Fraction, as "p/q".
+_jsonable alone writes a Fraction, as "p/q".  A subcommand's parser is
+built only when a call names it, through argparse's public parser_class.
 
 Exit codes: 0 on success, 1 when a verified claim fails to hold, 2 on
 usage errors including malformed input files and options a command
@@ -303,33 +304,25 @@ def _cmd_experiment_edge_stats(args) -> int:
     return 0
 
 
-class _Unbuilt:
-    """A subcommand's parser before it is built: its constructor arguments and its fill."""
+class _Deferred:
+    """A subcommand's parser, built only when argparse dispatches to it.
 
-    def __init__(self, fill, **kwargs):
-        self.fill = fill
-        self.kwargs = kwargs
-
-
-class _Subcommands(argparse._SubParsersAction):
-    """Subcommands whose parsers are built only when argparse dispatches to one.
-
-    add_parser(name, fill=..., help=...) goes through argparse's own
-    add_parser, which registers the name, its help line and its prog, so
-    help, usage and "invalid choice" output are those of eager parsers.
-    Only the parser is deferred: on dispatch it is built with those
-    arguments and fill(parser) adds its arguments, one level at a time.
+    add_subparsers(parser_class=_Deferred) makes argparse's own add_parser
+    construct this with the name's prog and the fill= keyword, after it has
+    registered the name and its help line, so help, usage and "invalid
+    choice" output are those of eager parsers.  On dispatch argparse calls
+    only parse_known_args, which builds the parser with those arguments,
+    lets fill(parser) add its arguments, one level at a time, and delegates.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **{**kwargs, "parser_class": _Unbuilt})
+    def __init__(self, fill, **kwargs):
+        self.fill, self.kwargs, self.parser = fill, kwargs, None
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        unbuilt = self.choices[values[0]]
-        if isinstance(unbuilt, _Unbuilt):
-            self.choices[values[0]] = built = type(parser)(**unbuilt.kwargs)
-            unbuilt.fill(built)
-        super().__call__(parser, namespace, values, option_string)
+    def parse_known_args(self, args=None, namespace=None):
+        if self.parser is None:
+            self.parser = argparse.ArgumentParser(**self.kwargs)
+            self.fill(self.parser)
+        return self.parser.parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ttpack",
         description="Exact and randomized tooling for edge-disjoint packings of transitive subtournaments.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Deferred)
 
     def common(p, cache=False, workers=False, fmt=("json", "text")):
         p.add_argument("--out", help="write the report to this path instead of stdout")
@@ -371,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=_cmd_census)
 
     def verify(p):
-        targets = p.add_subparsers(dest="verify_target", required=True, action=_Subcommands)
+        targets = p.add_subparsers(dest="verify_target", required=True, parser_class=_Deferred)
         targets.add_parser("lemma22", fill=lemma22, help="triangle-count thresholds over all 7-vertex classes")
         targets.add_parser("conjecture", fill=conjecture, help="minimum packing values against the ceiling formula")
         targets.add_parser("design", fill=verify_design_, help="pairwise balance of a design file")
@@ -438,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=_cmd_design)
 
     def experiment(p):
-        kinds = p.add_subparsers(dest="experiment_kind", required=True, action=_Subcommands)
+        kinds = p.add_subparsers(dest="experiment_kind", required=True, parser_class=_Deferred)
         kinds.add_parser("density", fill=density, help="greedy packing density trials")
         kinds.add_parser("edge-stats", fill=edge_stats, help="per-edge copy counts vs expectation")
 

@@ -368,5 +368,5 @@ def _read_or_build_codes(n: int, cache_dir: str, workers: int) -> tuple[str, ...
 def enumerate_codes(n: int, cache_dir: str | None = None, workers: int = 1) -> tuple[str, ...]:
     """Sorted canonical codes of all isomorphism classes of order n."""
     if not 1 <= n <= MAX_ENUMERATION_VERTICES:
-        raise ValueError(f"enumeration capped at n <= {MAX_ENUMERATION_VERTICES}")
+        raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUMERATION_VERTICES}, got {n}")
     return _read_or_build_codes(n, resolve_cache_dir(cache_dir), workers)

@@ -111,7 +111,8 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
     Alternates plain augmentation (add any copy fitting in uncovered
     edges) with swaps until neither applies.  Every successful round
     grows the packing by one, so termination is immediate; the result
-    never has fewer members than the input.
+    never has fewer members than the input.  An input that lists a copy
+    twice, or two copies sharing a pair, fails the self-check.
 
     A copy is its vertex tuple, and the covered pairs are kept as
     `verify_packing` keeps them: met[v] is the vertices that share a member
@@ -138,6 +139,10 @@ def improve_packing(t: Tournament, p: Packing) -> Packing:
 
     for vs in p.copies:
         take(vs)
+    if len(members) < len(p.copies):
+        raise AssertionError(
+            f"improve_packing self-check failed: {len(p.copies)} input copies hold {len(members)} distinct ones"
+        )
     changed = True
     while changed:
         changed = False

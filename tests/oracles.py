@@ -454,24 +454,23 @@ def enumerate_nonisomorphic(n: int, cache_dir: str | None = None) -> list[Tourna
     return [tournament_from_code(code) for code in enumerate_codes(n, cache_dir)]
 
 
-class EagerSubcommands(argparse._SubParsersAction):
-    """ttpack.cli's subcommand action with argparse's own eager add_parser.
+class EagerParser(argparse.ArgumentParser):
+    """ttpack.cli's subcommand parser, built and filled when it is added.
 
-    Every parser is built and filled when it is added, as argparse does,
-    so its help, usage and errors are the reference for the deferred ones.
+    Every parser is built up front, as argparse does by default, so its
+    help, usage and errors are the reference for the deferred ones.
     """
 
-    def add_parser(self, name, fill, **kwargs):
-        parser = super().add_parser(name, **kwargs)
-        fill(parser)
-        return parser
+    def __init__(self, fill, **kwargs):
+        super().__init__(**kwargs)
+        fill(self)
 
 
 def eager_main(argv: list[str]) -> int:
     """ttpack.cli.main(argv) with every subcommand's parser built up front."""
-    deferred = cli._Subcommands
-    cli._Subcommands = EagerSubcommands
+    deferred = cli._Deferred
+    cli._Deferred = EagerParser
     try:
         return cli.main(argv)
     finally:
-        cli._Subcommands = deferred
+        cli._Deferred = deferred

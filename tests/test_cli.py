@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ttpack
-from oracles import EagerSubcommands, eager_main
+from oracles import EagerParser, eager_main
 from ttpack import DEFAULT_SEED, FORMAT_VERSION, TOOL_VERSION
 from ttpack.cli import build_parser, main
 from ttpack.constructions import qr7
@@ -318,6 +318,14 @@ def test_enumerate_rejects_a_score_out_of_order(capsys, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("score", ["1,1", "1,1,1,0"], ids=["short", "long"])
+def test_enumerate_rejects_a_score_of_the_wrong_length(capsys, tmp_path, score):
+    code, out, err = run(capsys, "enumerate", "--n", "3", "--score", score, "--cache", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: score has {score.count(',') + 1} entries for n=3\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("score", ["", "2,x"], ids=["empty", "not-a-number"])
 def test_enumerate_rejects_a_score_that_is_not_integers(capsys, tmp_path, score):
     # an empty score is a filter that matches nothing, not a missing one
@@ -582,7 +590,7 @@ def leaf_parsers(parser, path=()):
 
 
 def test_exactly_the_seeded_commands_take_a_seed(monkeypatch):
-    monkeypatch.setattr("ttpack.cli._Subcommands", EagerSubcommands)
+    monkeypatch.setattr("ttpack.cli._Deferred", EagerParser)
     options = {
         path: [action.option_strings[0] for action in parser._actions if action.option_strings and action.dest != "help"]
         for path, parser in leaf_parsers(build_parser())

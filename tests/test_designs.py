@@ -133,6 +133,9 @@ def test_serialize_parse_round_trip():
 
 
 def test_parse_design_rejects_bad_input():
+    for blank in ("", "\n \n"):
+        with pytest.raises(ValueError, match="^empty design text$"):
+            parse_design(blank)
     with pytest.raises(ValueError, match="bad design header 'v=7 k=3'"):
         parse_design("v=7 k=3\n0 1 2\n")
     with pytest.raises(ValueError, match="block '0 1' does not have 3 points"):

@@ -278,6 +278,13 @@ def test_canonical_form_is_capped_at_ten_vertices():
         canonical_code(random_tournament(11, 0))
 
 
+@pytest.mark.parametrize("n", [0, 9])
+def test_enumeration_rejects_an_order_outside_its_range(tmp_path, n):
+    with pytest.raises(ValueError, match=f"^enumeration supports 1 <= n <= 8, got {n}$"):
+        enumerate_codes(n, cache_dir=str(tmp_path))
+    assert not list(tmp_path.iterdir())
+
+
 def test_distinct_classes_have_distinct_codes(cache_dir):
     ts = enumerate_nonisomorphic(5, cache_dir=cache_dir)
     assert len(ts) == 12

@@ -141,6 +141,18 @@ def test_improve_self_check_catches_an_overlapping_input():
         improve_packing(t, Packing(12, 3, (first, other)))
 
 
+def test_improve_self_check_catches_a_copy_listed_twice():
+    # verify_packing rejects the input; a member set alone would collapse
+    # the repeat and return 19 verified copies
+    t = random_tournament(12, 100)
+    first = enumerate_copies(t, 3).copies[0]
+    assert not verify_packing(t, Packing(12, 3, (first, first)))
+    with pytest.raises(
+        AssertionError, match=r"^improve_packing self-check failed: 2 input copies hold 1 distinct ones$"
+    ):
+        improve_packing(t, Packing(12, 3, (first, first)))
+
+
 def test_improve_never_loses_copies():
     for seed in range(5):
         t = random_tournament(12, 100 + seed)

@@ -277,18 +277,13 @@ def test_code_readers_are_read_in_their_functions():
     assert read_in == {(name, where) for name, places in READ_ONLY_IN.items() for where in places}
 
 
-def test_argparse_internals_are_read_in_one_class():
-    # private argparse names, and any argparse._name, are read only inside
-    # cli._Subcommands, the one class that defers subcommand parsers
+def test_package_reads_no_private_argparse_name():
+    # subcommand parsers are deferred through add_subparsers' public
+    # parser_class, so no module subclasses or reads argparse's internals
     private = {"_SubParsersAction", "_name_parser_map", "_choices_actions", "_prog_prefix", "_parser_class"}
-    outside = []
+    found = []
     for path in sorted(Path(ttpack.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        inside = set()
-        if path.name == "cli.py":
-            classes = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "_Subcommands"]
-            assert len(classes) == 1
-            inside = {id(node) for node in ast.walk(classes[0])}
         for node in ast.walk(tree):
             name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
             if name is None and isinstance(node, ast.alias):
@@ -299,9 +294,9 @@ def test_argparse_internals_are_read_in_one_class():
                 and node.value.id == "argparse"
                 and node.attr.startswith("_")
             )
-            if (name in private or of_argparse) and id(node) not in inside:
-                outside.append(f"{path.name}:{node.lineno} {name}")
-    assert outside == []
+            if name in private or of_argparse:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 # Names that no module of the package reads, each kept for a reason.

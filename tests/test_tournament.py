@@ -163,6 +163,12 @@ def test_random_tournament_is_seed_deterministic():
     assert digest == "52d236e7908a5bc4e445d55bd87cdae47b500c8ab39987c6aa5bdefa174aff60"
 
 
+@pytest.mark.parametrize("n", [0, 65])
+def test_random_tournament_rejects_a_vertex_count_outside_1_to_64(n):
+    with pytest.raises(ValueError, match=f"^vertex count {n} outside 1..64$"):
+        random_tournament(n, 0)
+
+
 def test_random_tournament_orientation_is_roughly_balanced():
     heads = sum(random_tournament(4, seed).out[0] >> 1 & 1 for seed in range(200))
     assert 60 <= heads <= 140
@@ -174,6 +180,20 @@ def test_induced_relabels_in_sorted_order():
     # vertex 1 -> 0, vertex 3 -> 1; in t, edge (1,3) is oriented 1 -> 3
     assert sub.n == 2
     assert sub.out[0] == 0b10
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([], "induced subtournament needs at least one vertex"),
+        ([4], "vertex out of range"),
+        ([-1], "vertex out of range"),
+        ([0, 4], "vertex out of range"),
+    ],
+)
+def test_induced_rejects_an_empty_or_out_of_range_vertex_set(vertices, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        induced(parse_tournament("n=4\n101011\n"), vertices)
 
 
 def test_is_transitive():
@@ -217,3 +237,9 @@ def test_transitive_triple_floor_is_attained():
     from ttpack.constructions import qr7
 
     assert census(qr7()).a == transitive_triples_lower_bound(7) == 21
+
+
+def test_transitive_triple_floor_starts_at_three_vertices():
+    assert transitive_triples_lower_bound(3) == 0
+    with pytest.raises(ValueError, match="^bound defined for k >= 3$"):
+        transitive_triples_lower_bound(2)
