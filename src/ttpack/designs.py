@@ -123,6 +123,16 @@ def serialize_design(d: BlockDesign) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _integer(token: str, where: str) -> int:
+    """token as an int, if str() writes it back: int() also reads signs, underscores and leading zeros."""
+    try:
+        if str(int(token)) == token:
+            return int(token)
+    except ValueError:
+        pass
+    raise ValueError(f"{token!r} {where} is not a canonical integer")
+
+
 def parse_design(text: str) -> BlockDesign:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -130,16 +140,15 @@ def parse_design(text: str) -> BlockDesign:
     head = lines[0].split()
     try:
         fields = dict(part.split("=", 1) for part in head)
-        v = int(fields["v"])
-        k = int(fields["k"])
-        b = int(fields["b"])
+        v, k, b = (fields[key] for key in "vkb")
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad design header {lines[0]!r}") from exc
+    v, k, b = (_integer(value, f"of header {lines[0]!r}") for value in (v, k, b))
     if len(lines) - 1 != b:
         raise ValueError(f"header promises {b} blocks, found {len(lines) - 1}")
     blocks = []
     for ln in lines[1:]:
-        block = tuple(int(p) for p in ln.split())
+        block = tuple(_integer(p, f"of block {ln!r}") for p in ln.split())
         if len(block) != k:
             raise ValueError(f"block {ln!r} does not have {k} points")
         blocks.append(block)

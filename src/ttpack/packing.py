@@ -5,8 +5,11 @@ host.  A packing is a set of copies whose unordered-pair edge sets are
 pairwise disjoint; the packing number is the maximum size of such a set.
 The exact solver is a branch-and-bound over edges with greedy completion
 at every node: each node branches on the coverable edge with the fewest
-live copies through it.  It is deterministic by construction, so node
-counts reproduce.
+live copies through it, and takes first the copy through it that leaves
+the most live copies.  The root's greedy hitting set, when it ends below
+the leave bound, caps every packing, and the search stops once the
+incumbent meets that ceiling.  It is deterministic by construction, so
+node counts reproduce.
 """
 
 from __future__ import annotations
@@ -236,11 +239,16 @@ def max_packing_exact(
     A node's state is one bitset, `live`, over copy indices: the copies
     still addable.  The node picks the coverable edge e with the fewest
     live copies through it, lowest edge index on ties, and branches on
-    each of those copies c in index order, with live & ~conflict(c), plus
-    one branch abandoning e, with live & ~(the copies through e).
+    each of those copies c, with live & ~conflict(c), plus one branch
+    abandoning e, with live & ~(the copies through e), always last.
     conflict(c), the copies sharing an edge with c, is the or of
     row[u] & row[v] over the C(k,2) pairs {u, v} of c; `avoid` builds
-    ~conflict(c) the first time the search takes c, and keeps it.
+    ~conflict(c) the first time the search takes c, and keeps it.  The
+    copies leaving the most live copies go first, lowest index on ties,
+    the value-ordering counterpart of the fail-first choice of e
+    (Haralick and Elliott, 1980); the key builds a conflict not yet kept
+    without keeping it.  The order moves node counts and which optimum is
+    returned, never the value.
     Branching on any coverable edge is complete: the copies through e share
     e, so an optimal packing within the live copies holds at most one of
     them.  If it holds one, it lies in that copy's branch; if none, it
@@ -276,28 +284,36 @@ def max_packing_exact(
       an edge whose count fell to zero can neither be the largest count
       nor add to the sum of the largest ones, so it need not be dropped.
 
-    A node that branches stops once the incumbent meets its bound, chosen
-    plus the leave bound: after a child returns with the incumbent at or
-    above it, neither the remaining copies nor the abandon branch is
-    searched.  Every packing below the node is its chosen copies plus
-    edge-disjoint live copies inside its coverable edges, so none holds
-    more than the bound; the incumbent moves only on a strict increase,
-    so the skipped children could not have changed it, and only the node
-    count drops.  On random hosts the root's bound is often the optimum,
-    and this exit ends the search as soon as a packing meets it.
+    After its leave bound the root builds the same set with target = the
+    leave bound - 1, given up where it could cap nothing.  If it ends, its
+    size is the ceiling, a bound on every packing of the host.  The set's
+    picks do not depend on the target, so the root's own prune would end
+    above the incumbent too, and is skipped.  A node's bound is the lesser
+    of the ceiling and chosen plus the leave bound.
+
+    A node that branches stops once the incumbent meets its bound: after a
+    child returns with the incumbent at or above it, neither the remaining
+    copies nor the abandon branch is searched.  Every packing below the
+    node is its chosen copies plus edge-disjoint live copies inside its
+    coverable edges, so none holds more than the bound (nor any packing of
+    the host more than the ceiling); the incumbent moves only on a strict
+    increase, so the skipped children could not have changed it, and only
+    the node count drops.  On random hosts the root's leave bound is often
+    the optimum, and on the three-class hosts the ceiling is; this exit
+    ends the search as soon as a packing meets it.
 
     time_budget (seconds) sets one deadline.  `_check_deadline` tests it
     while the copies are listed and while their per-edge bitsets are
     built, at every node after its greedy completion, and at every round
-    of the hitting set that runs.  node_budget, at least 1, stops the
-    search at its node_budget-th node, right after that node's deadline
-    check; it reads no clock, so its stop does not depend on the machine.
-    Either stop raises TimeoutError, which is caught here once, and the
-    result is the incumbent, with optimal=False: the empty packing if the
-    bitsets were never built, and at least the root's greedy completion
-    after that.  A search that would end at the budget's last node is
-    reported as not optimal too.  With neither budget the search runs to
-    completion and the result is optimal.
+    of each hitting set that runs, the ceiling's included.  node_budget,
+    at least 1, stops the search at its node_budget-th node, right after
+    that node's deadline check; it reads no clock, so its stop does not
+    depend on the machine.  Either stop raises TimeoutError, which is
+    caught here once, and the result is the incumbent, with optimal=False:
+    the empty packing if the bitsets were never built, and at least the
+    root's greedy completion after that.  A search that would end at the
+    budget's last node is reported as not optimal too.  With neither
+    budget the search runs to completion and the result is optimal.
     """
     if node_budget is not None and node_budget < 1:
         raise ValueError(f"node_budget must be at least 1, got {node_budget}")
@@ -308,18 +324,34 @@ def max_packing_exact(
     best_members: tuple[int, ...] = ()
     nodes = 0
 
+    def conflict(c: int) -> int:
+        found = 0
+        for u, v in combinations(copies[c], 2):
+            found |= row[u] & row[v]
+        return found
+
     def avoid(c: int) -> int:
         found = avoiding[c]
         if found is None:
-            found = 0
-            for u, v in combinations(copies[c], 2):
-                found |= row[u] & row[v]
             # kept inverted: and-ing with it costs one pass, not an inversion too
-            found = avoiding[c] = ~found
+            found = avoiding[c] = ~conflict(c)
         return found
 
+    def hits(live: int, edges: list[tuple[int, int]], counts: list[int], target: int) -> int | None:
+        # the greedy hitting set's size, or None once the counting bound
+        # shows it ends above target; counts are live's on edges
+        size = 0
+        while sum(sorted(counts, reverse=True)[: target - size]) >= live.bit_count():
+            live &= ~edges[counts.index(max(counts))][1]
+            size += 1
+            if not live:
+                return size
+            _check_deadline(deadline)
+            counts = [(live & b).bit_count() for _, b in edges]
+        return None
+
     def dfs(live: int, chosen: list[int], edges: list[tuple[int, int]]) -> None:
-        nonlocal best, best_members, nodes
+        nonlocal best, best_members, nodes, ceiling
         nodes += 1
         greedy = list(chosen)
         rest = live
@@ -335,26 +367,27 @@ def max_packing_exact(
             raise TimeoutError("ran past the node budget")
         counts = [(live & b).bit_count() for _, b in edges]
         edges = list(compress(edges, counts))
-        counts = first = list(filter(None, counts))
-        bound = len(chosen) + _leave_bound(sum(map(itemgetter(0), edges)), n, k)
+        counts = list(filter(None, counts))
+        bound = min(ceiling, len(chosen) + _leave_bound(sum(map(itemgetter(0), edges)), n, k))
         if bound <= best:
             return
-        # the hitting set, with `spare` = target - p edges left to pick
-        spare = best - len(chosen)
-        rest = live
-        while sum(sorted(counts, reverse=True)[:spare]) >= rest.bit_count():
-            rest &= ~edges[counts.index(max(counts))][1]
-            spare -= 1
-            if not rest:
+        if nodes == 1:
+            # the root: its ceiling, if the set ends below the leave bound
+            ceiling = bound = hits(live, edges, counts, bound - 1) or bound
+            if bound <= best:
                 return
-            _check_deadline(deadline)
-            counts = [(rest & b).bit_count() for _, b in edges]
-        through = edges[first.index(min(first))][1]
+        elif hits(live, edges, counts, best - len(chosen)) is not None:
+            return
+        through = edges[counts.index(min(counts))][1]
+        order = []
         branch = live & through
         while branch:
             low = branch & -branch
             branch ^= low
             c = low.bit_length() - 1
+            a = avoiding[c]
+            order.append((-(live & (~conflict(c) if a is None else a)).bit_count(), c))
+        for _, c in sorted(order):
             chosen.append(c)
             dfs(live & avoid(c), chosen, edges)
             chosen.pop()
@@ -366,6 +399,7 @@ def max_packing_exact(
         copies = enumerate_copies(t, k, deadline).copies
         row = _copies_at_vertices(copies, n, deadline)
         avoiding: list[int | None] = [None] * len(copies)
+        ceiling = len(copies)
         pairs = enumerate(combinations(range(n), 2))
         dfs((1 << len(copies)) - 1, [], [(1 << p, row[u] & row[v]) for p, (u, v) in pairs])
         optimal = True

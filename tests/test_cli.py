@@ -184,6 +184,14 @@ def test_verify_design_round_trip(capsys, tmp_path):
     code, doc, err = run_json(capsys, "verify", "design", "--in", str(empty))
     assert code == 1 and err == ""
     assert doc["result"] == {"block_size": 3, "blocks": 0, "points": 7, "valid": False}
+    # int() reads "+2" as 2, which made this a valid design; it is a usage error
+    signed = tmp_path / "signed.txt"
+    signed.write_text("v=3 k=3 b=1\n0 1 +2\n")
+    assert run(capsys, "verify", "design", "--in", str(signed)) == (
+        2,
+        "",
+        "error: '+2' of block '0 1 +2' is not a canonical integer\n",
+    )
 
 
 def test_construct_round_trips_through_parser(capsys, tmp_path):
@@ -672,10 +680,12 @@ GOLDEN = {
         "13c7fddb1bf1039ba84e47b33903e48685d0d40f5d1ed7fff6a18a1fbca489b4",
         None,
     ),
+    # 338 copies after 5 nodes; 346 while a node took its branch copies in
+    # index order and the root's hitting set gave no ceiling
     "solve-node-budget": (
         ("solve", "--in", "t49.txt", "--node-budget", "5"),
-        "01a48d34180ea5cf1fb09681866c11c3b80cb8b151b01e6aad887a4a78827d80",
-        "75dfff9082a47e25a99ed821f3021e4810918432d4db2954b7748771daf3ab9d",
+        "88d3ff8b4ba27224fb67b5cba6f8f1cee390683e1d3e9f552fcaa8acec9098f1",
+        "2e3f2b77faae73522abfc993cb1bfe4c16c6524ea78d4fa8b1c46fabe77f96e7",
     ),
     "census-json": (
         ("census", "--in", "qr7.txt"),

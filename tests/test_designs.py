@@ -1,5 +1,6 @@
 """Triple systems, the 49-point line design, and the design file format."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -142,3 +143,14 @@ def test_parse_design_rejects_bad_input():
         parse_design("v=7 k=3 b=1\n0 1\n")
     with pytest.raises(ValueError, match="header promises 2 blocks, found 1"):
         parse_design("v=7 k=3 b=2\n0 1 2\n")
+    # int() reads each of these, and str() writes none of them back
+    for point in ("+2", "0_2", "02", "\u0662", "x", "2.0"):
+        block = f"0 1 {point}"
+        with pytest.raises(ValueError, match=re.escape(f"{point!r} of block {block!r} is not a canonical integer")):
+            parse_design(f"v=3 k=3 b=1\n{block}\n")
+    for header, token in (("v=+3 k=3 b=1", "+3"), ("v=3 k=03 b=1", "03"), ("v=3 k=3 b=0_1", "0_1"), ("v=x k=3 b=1", "x")):
+        with pytest.raises(ValueError, match=re.escape(f"{token!r} of header {header!r} is not a canonical integer")):
+            parse_design(f"{header}\n0 1 2\n")
+    # the canonical forms still parse, negative points included (verify_design rejects those)
+    assert parse_design("v=3 k=3 b=1\n0 1 2\n") == BlockDesign(3, 3, ((0, 1, 2),))
+    assert parse_design("v=3 k=3 b=1\n-1 1 2\n").blocks == ((-1, 1, 2),)

@@ -15,7 +15,7 @@ from oracles import (
     packing_is_valid,
     scanned_copies,
 )
-from ttpack.constructions import blowup, qr7
+from ttpack.constructions import blowup, intra_class_edge_bound, qr7, turan3_tournament
 from ttpack.packing import (
     Packing,
     _copies_at_vertices,
@@ -167,8 +167,10 @@ def test_exact_matches_brute_force_on_order_four(cache_dir):
 # summed nodes_explored over every class of the order, per k; before a
 # node stopped branching once the incumbent met its leave bound they were
 # {6: {3: 113, 4: 56}, 7: {3: 2_247, 4: 1_954}}, and 7: {4: 1_858} before
-# the leave bound's zero-residue case held at every k, not only at k = 3
-CLASS_NODES = {6: {3: 84, 4: 56, 5: 56, 6: 56}, 7: {3: 1_292, 4: 979}}
+# the leave bound's zero-residue case held at every k, not only at k = 3;
+# {6: {3: 84}, 7: {3: 1_292, 4: 979}} while a node took its branch copies
+# in index order and the root's hitting set gave no ceiling
+CLASS_NODES = {6: {3: 78, 4: 56, 5: 56, 6: 56}, 7: {3: 1_216, 4: 941}}
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -278,51 +280,75 @@ def test_deadline_after_the_bitsets_keeps_the_root_greedy(monkeypatch):
 
 
 def test_budgeted_large_host_searches_past_the_root(monkeypatch):
-    # the root's greedy completion packs 601 copies, so 615 takes nodes
+    # the root's greedy completion packs 601 copies, so 607 takes nodes
     # below the root; a greedy hitting set run to its end at every node
     # would spend the whole budget in the first few.  The solver's clock
     # advances 10 ms on each read, so the 3.0 s budget is 300 reads on any
-    # machine: the search holds 615 copies after 206 nodes, not proved
+    # machine: the search holds 607 copies after 156 nodes, not proved
     # optimal, in about 1.4 s of real time on a 2-core Xeon, Python 3.11.7.
     # The listing reads 64 times (at the empty prefix, at the 62 one-vertex
-    # prefixes with two higher vertices, and once after the walk) and the
-    # bitset build 31 times.  The pin moves if a clock read moves, so it is
-    # retaken only with a change to the solver, as CLASS_NODES is; it was
-    # 203 nodes while the listing walked dominance chains, read 67 times
+    # prefixes with two higher vertices, and once after the walk), the
+    # bitset build 31 times, and the root's ceiling 50 times before it
+    # gives up; no other hitting-set round runs.  The pin moves if a clock
+    # read moves, so it is retaken only with a change to the solver, as
+    # CLASS_NODES is; it was 615 copies after 206 nodes before the ceiling
+    # and the copy order, and 203 nodes while the listing walked dominance
+    # chains, read 67 times
     import ttpack.packing as packing
 
     reads = count()
     monkeypatch.setattr(packing.time, "monotonic", lambda: next(reads) * 0.01)
     t = random_tournament(64, 0)
     p = max_packing_exact(t, 3, time_budget=3.0)
-    assert (p.value, p.nodes_explored, p.optimal) == (615, 206, False)
+    assert (p.value, p.nodes_explored, p.optimal) == (607, 156, False)
     assert next(reads) == 302  # the deadline's own read, then 301 checks
     assert verify_packing(t, p)
 
 
 def test_budgeted_search_checks_the_deadline_in_hitting_set_rounds(monkeypatch):
-    # no hitting-set round runs in the search above; here 12 of the 52
-    # clock reads are rounds, so without their check the same 0.5 s of
-    # 10 ms reads ends after 23 nodes holding 97 copies.  The listing
-    # reads 26 times; it read 29 times, and the search stopped after 10
-    # nodes, while the listing walked dominance chains
+    # here 15 of the 52 clock reads are rounds, 10 of them the root's
+    # ceiling, so without their check the same 0.5 s of 10 ms reads ends
+    # after 23 nodes holding 97 copies.  The listing reads 26 times; it
+    # read 29 times, and the search stopped after 10 nodes, while the
+    # listing walked dominance chains.  Before the ceiling and the copy
+    # order the search stopped after 11 nodes, with 12 rounds
     import ttpack.packing as packing
 
     reads = count()
     monkeypatch.setattr(packing.time, "monotonic", lambda: next(reads) * 0.01)
     t = random_tournament(26, 2)
     p = max_packing_exact(t, 3, time_budget=0.5)
-    assert (p.value, p.nodes_explored, p.optimal) == (95, 11, False)
+    assert (p.value, p.nodes_explored, p.optimal) == (95, 8, False)
     assert next(reads) == 52
     assert verify_packing(t, p)
 
 
-@pytest.mark.parametrize("budget, value", [(203, 615), (500, 638)])
+def test_a_deadline_inside_the_ceiling_keeps_the_root_greedy(monkeypatch):
+    # the clock of the hitting-set pin above: the listing and the bitsets
+    # read 28 times after the deadline's own read, the root checks at read
+    # 29, and its ceiling's 10 rounds read 30-39 before the set is given
+    # up.  A deadline of 0.335 s passes at read 34, inside those rounds, so
+    # the result is the root's greedy completion; without the rounds'
+    # check the search ran on to 6 nodes
+    import ttpack.packing as packing
+
+    t = random_tournament(26, 2)
+    root = max_packing_exact(t, 3, node_budget=1)
+    reads = count()
+    monkeypatch.setattr(packing.time, "monotonic", lambda: next(reads) * 0.01)
+    p = max_packing_exact(t, 3, time_budget=0.335)
+    assert (p.value, p.nodes_explored, p.optimal) == (92, 1, False)
+    assert next(reads) == 35
+    assert p == root
+    assert verify_packing(t, p)
+
+
+@pytest.mark.parametrize("budget, value", [(203, 615), (500, 643)])
 def test_node_budget_stops_the_large_host_at_its_last_node(budget, value):
-    # a node budget reads no clock, so these pins hold on any machine; 203
-    # nodes run no hitting-set round and pack what the time-budgeted search
-    # above held after 203 nodes.  2,000 nodes pack 656 in 6-11 s of CPU
-    # on a shared 2-core Xeon, Python 3.11.7, too slow to pin here
+    # a node budget reads no clock, so these pins hold on any machine; 500
+    # nodes packed 638 before the copy order.  2,000 nodes pack 658 (656
+    # before the copy order) in about 8 s of CPU on a shared 2-core Xeon,
+    # Python 3.11.7, too slow to pin here
     t = random_tournament(64, 0)
     p = max_packing_exact(t, 3, node_budget=budget)
     assert (p.value, p.nodes_explored, p.optimal) == (value, budget, False)
@@ -331,7 +357,7 @@ def test_node_budget_stops_the_large_host_at_its_last_node(budget, value):
 
 def test_the_budget_that_runs_out_first_stops_the_search(monkeypatch):
     # the clock of the hitting-set pin above: 0.5 s alone stops the search
-    # after 11 nodes and 52 reads
+    # after 8 nodes and 52 reads
     import ttpack.packing as packing
 
     t = random_tournament(26, 2)
@@ -343,14 +369,14 @@ def test_the_budget_that_runs_out_first_stops_the_search(monkeypatch):
         assert verify_packing(t, p)
         return p.value, p.nodes_explored, p.optimal, next(reads)
 
-    assert solve(5) == (95, 5, False, 34)  # the node budget first
-    assert solve(12) == (95, 11, False, 52)  # the time budget first
+    assert solve(5) == (94, 5, False, 44)  # the node budget first
+    assert solve(12) == (95, 8, False, 52)  # the time budget first
     # a search that ends before its node budget is optimal; one that would
     # end at the budget's last node is stopped there
     t = random_tournament(11, 0)
-    assert max_packing_exact(t, 3, node_budget=16) == max_packing_exact(t, 3)
-    p = max_packing_exact(t, 3, node_budget=15)
-    assert (p.value, p.nodes_explored, p.optimal) == (17, 15, False)
+    assert max_packing_exact(t, 3, node_budget=11) == max_packing_exact(t, 3)
+    p = max_packing_exact(t, 3, node_budget=10)
+    assert (p.value, p.nodes_explored, p.optimal) == (17, 10, False)
 
 
 @pytest.mark.parametrize("n", [11, 17])
@@ -366,47 +392,87 @@ def test_leave_bound_proves_transitive_hosts(n):
 
 def test_node_count_is_deterministic():
     # 40 nodes before a node stopped branching once the incumbent met its
-    # leave bound; the optimum is found at node 15
+    # leave bound, and 15 while a node took its branch copies in index
+    # order; the optimum is found at node 10
     p = max_packing_exact(random_tournament(11, 0), 3)
-    assert (p.value, p.optimal, p.nodes_explored) == (17, True, 15)
+    assert (p.value, p.optimal, p.nodes_explored) == (17, True, 10)
 
 
 def test_fewest_copies_branching_proves_a_perfect_packing_fast():
     # the root's leave bound is already 35 here, so the whole search is the
     # hunt for a perfect packing: 26,723 nodes when branching on the lowest
-    # coverable edge, and 104 on the fewest copies while a node still
-    # branched after the incumbent met its leave bound
+    # coverable edge, 104 on the fewest copies while a node still branched
+    # after the incumbent met its leave bound, and 29 while a node took its
+    # branch copies in index order
     t = random_tournament(15, 0)
     p = max_packing_exact(t, 3)
-    assert (p.value, p.optimal, p.nodes_explored) == (35, True, 29)
+    assert (p.value, p.optimal, p.nodes_explored) == (35, True, 19)
     assert verify_packing(t, p)
 
 
-def test_random_hosts_keep_their_packings_with_fewer_nodes():
-    # on all 70 hosts the optimum equals the root's leave bound; the digest
-    # of the (n, seed, value, copies) lines was taken before a node stopped
-    # branching once the incumbent met its leave bound, when the hosts took
-    # 8,317 nodes
+def test_random_hosts_pack_their_root_leave_bound():
+    # the digest of the (n, seed, value, copies) lines moves with the copy
+    # order, which picks among the optima: it was 7d2e5ce3... while a node
+    # took its branch copies in index order, when the hosts took 3,968
+    # nodes, and 8,317 before a node stopped branching once the incumbent
+    # met its leave bound
     lines = []
     nodes = 0
     for n, s in product(range(11, 18), range(10)):
-        p = max_packing_exact(random_tournament(n, s), 3)
+        t = random_tournament(n, s)
+        p = max_packing_exact(t, 3)
         assert p.optimal
+        coverable = 0
+        for vs in enumerate_copies(t, 3).copies:
+            coverable |= edge_mask(n, vs)
+        assert p.value == _leave_bound(coverable, n, 3)
         lines.append(json.dumps([n, s, p.value, p.copies]))
         nodes += p.nodes_explored
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "7d2e5ce3f7bbde348f6ffffaf82ce98b36ab2fe487a5fc8cfdc537fa2f4553ff"
-    assert nodes == 3_968
+    assert digest == "37098725ac6c9c51a5e3d13abadad8c78a5e00a6a622b7bb9fdd69d3afbbbadf"
+    assert nodes == 3_699
 
 
 def test_solve_benchmark_hosts_node_counts():
     # the hosts of the solve benchmark: random orders 11-15 at seed 0, k = 3,
-    # and the blow-up of qr7 at k = 4, 301 nodes in all; 40, 57, 113, 209,
-    # 104 and 18 nodes, 541 in all, before a node stopped branching once the
-    # incumbent met its leave bound
+    # and the blow-up of qr7 at k = 4, 113 nodes in all; 15, 20, 75, 144, 29
+    # and 18 nodes, 301 in all, while a node took its branch copies in
+    # index order and the root's hitting set gave no ceiling; 40, 57, 113,
+    # 209, 104 and 18 nodes, 541 in all, before a node stopped branching
+    # once the incumbent met its leave bound
     hosts = [(random_tournament(n, 0), 3) for n in range(11, 16)] + [(blowup(qr7(), 2), 4)]
     nodes = [max_packing_exact(t, k).nodes_explored for t, k in hosts]
-    assert nodes == [15, 20, 75, 144, 29, 18]
+    assert nodes == [10, 27, 22, 33, 19, 2]
+
+
+def test_the_solver_proves_the_gate_host_optimum():
+    # 392 = C(49,2) / 3 is the root's leave bound, so the packing is a
+    # perfect one; the search held 388 after 3,000 nodes while a node took
+    # its branch copies in index order.  About 1 s of CPU on a 2-core Xeon,
+    # Python 3.11.7, and a node budget reads no clock
+    t = random_tournament(49, 7)
+    p = max_packing_exact(t, 3, node_budget=1000)
+    assert (p.value, p.optimal, p.nodes_explored) == (392, True, 391)
+    assert verify_packing(t, p)
+
+
+def test_the_root_ceiling_closes_the_structured_hosts():
+    # every transitive triple of the three-class host holds an intra-class
+    # edge, so those edges hit every copy, and the root's greedy hitting
+    # set has the formula's size; at n = 27 and 29 the search holds one
+    # copy fewer after 50,000 nodes.  Without the ceiling n = 20 held 57,
+    # not proved optimal, after 50,000 nodes, and n = 30 took 618
+    nodes = {}
+    for n in sorted(set(range(6, 31)) - {27, 29}):
+        t = turan3_tournament(n)
+        p = max_packing_exact(t, 3, node_budget=1000)
+        assert (p.value, p.optimal) == (intra_class_edge_bound(n), True), n
+        nodes[n] = p.nodes_explored
+    assert (nodes[20], nodes[30]) == (35, 134)
+    # criterion 8's P_4 <= 7 on the blow-up of qr7, as 7 edges hitting
+    # every copy: 18 nodes without the ceiling
+    p = max_packing_exact(blowup(qr7(), 2), 4)
+    assert (p.value, p.optimal, p.nodes_explored) == (7, True, 2)
 
 
 @pytest.mark.parametrize(
