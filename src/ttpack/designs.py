@@ -137,13 +137,20 @@ def parse_design(text: str) -> BlockDesign:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty design text")
-    head = lines[0].split()
-    try:
-        fields = dict(part.split("=", 1) for part in head)
-        v, k, b = (fields[key] for key in "vkb")
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad design header {lines[0]!r}") from exc
-    v, k, b = (_integer(value, f"of header {lines[0]!r}") for value in (v, k, b))
+    header = lines[0]
+    fields: dict[str, str] = {}
+    for part in header.split():
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"bad design header {header!r}")
+        if key not in ("v", "k", "b"):
+            raise ValueError(f"unknown key {key!r} in design header {header!r}")
+        if key in fields:
+            raise ValueError(f"repeated key {key!r} in design header {header!r}")
+        fields[key] = value
+    if len(fields) < 3:
+        raise ValueError(f"bad design header {header!r}")
+    v, k, b = (_integer(fields[key], f"of header {header!r}") for key in "vkb")
     if len(lines) - 1 != b:
         raise ValueError(f"header promises {b} blocks, found {len(lines) - 1}")
     blocks = []

@@ -8,8 +8,9 @@ at every node: each node branches on the coverable edge with the fewest
 live copies through it, and takes first the copy through it that leaves
 the most live copies.  The root's greedy hitting set, when it ends below
 the leave bound, caps every packing, and the search stops once the
-incumbent meets that ceiling.  It is deterministic by construction, so
-node counts reproduce.
+incumbent meets that ceiling; only on such a host does every node build
+its own set too.  It is deterministic by construction, so node counts
+reproduce.
 """
 
 from __future__ import annotations
@@ -289,7 +290,14 @@ def max_packing_exact(
     size is the ceiling, a bound on every packing of the host.  The set's
     picks do not depend on the target, so the root's own prune would end
     above the incumbent too, and is skipped.  A node's bound is the lesser
-    of the ceiling and chosen plus the leave bound.
+    of the ceiling and chosen plus the leave bound.  The nodes below the
+    root build their sets only when the root's set ended: on a host whose
+    root set is given up (random hosts, as a rule) the nodes' sets are
+    mostly given up too, after several recounts of every coverable edge,
+    and the few nodes they cut cost less than the rounds.  Leaving a prune
+    out never cuts an optimal packing, so it moves node counts and which
+    optimum is returned, never the value; where the root's set ends, the
+    search is the same as with every node building one.
 
     A node that branches stops once the incumbent meets its bound: after a
     child returns with the incumbent at or above it, neither the remaining
@@ -351,7 +359,7 @@ def max_packing_exact(
         return None
 
     def dfs(live: int, chosen: list[int], edges: list[tuple[int, int]]) -> None:
-        nonlocal best, best_members, nodes, ceiling
+        nonlocal best, best_members, nodes, ceiling, capped
         nodes += 1
         greedy = list(chosen)
         rest = live
@@ -373,10 +381,11 @@ def max_packing_exact(
             return
         if nodes == 1:
             # the root: its ceiling, if the set ends below the leave bound
-            ceiling = bound = hits(live, edges, counts, bound - 1) or bound
+            capped = hits(live, edges, counts, bound - 1)
+            ceiling = bound = capped or bound
             if bound <= best:
                 return
-        elif hits(live, edges, counts, best - len(chosen)) is not None:
+        elif capped and hits(live, edges, counts, best - len(chosen)) is not None:
             return
         through = edges[counts.index(min(counts))][1]
         order = []
@@ -400,6 +409,7 @@ def max_packing_exact(
         row = _copies_at_vertices(copies, n, deadline)
         avoiding: list[int | None] = [None] * len(copies)
         ceiling = len(copies)
+        capped = None
         pairs = enumerate(combinations(range(n), 2))
         dfs((1 << len(copies)) - 1, [], [(1 << p, row[u] & row[v]) for p, (u, v) in pairs])
         optimal = True

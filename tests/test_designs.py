@@ -137,8 +137,19 @@ def test_parse_design_rejects_bad_input():
     for blank in ("", "\n \n"):
         with pytest.raises(ValueError, match="^empty design text$"):
             parse_design(blank)
-    with pytest.raises(ValueError, match="bad design header 'v=7 k=3'"):
-        parse_design("v=7 k=3\n0 1 2\n")
+    for header in ("v=7 k=3", "v=7 k=3 b"):
+        with pytest.raises(ValueError, match=re.escape(f"bad design header {header!r}")):
+            parse_design(f"{header}\n0 1 2\n")
+    # a repeated key no longer silently wins, nor is an unknown one ignored
+    for header, problem in (
+        ("v=7 k=3 b=1 v=3", "repeated key 'v'"),
+        ("v=3 k=3 b=1 b=1", "repeated key 'b'"),
+        ("v=3 k=3 b=1 q=9", "unknown key 'q'"),
+        ("v=3 k=3 =1 b=1", "unknown key ''"),
+        ("v=3 vk=3 b=1", "unknown key 'vk'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{problem} in design header {header!r}")):
+            parse_design(f"{header}\n0 1 2\n")
     with pytest.raises(ValueError, match="block '0 1' does not have 3 points"):
         parse_design("v=7 k=3 b=1\n0 1\n")
     with pytest.raises(ValueError, match="header promises 2 blocks, found 1"):

@@ -169,8 +169,9 @@ def test_exact_matches_brute_force_on_order_four(cache_dir):
 # {6: {3: 113, 4: 56}, 7: {3: 2_247, 4: 1_954}}, and 7: {4: 1_858} before
 # the leave bound's zero-residue case held at every k, not only at k = 3;
 # {6: {3: 84}, 7: {3: 1_292, 4: 979}} while a node took its branch copies
-# in index order and the root's hitting set gave no ceiling
-CLASS_NODES = {6: {3: 78, 4: 56, 5: 56, 6: 56}, 7: {3: 1_216, 4: 941}}
+# in index order and the root's hitting set gave no ceiling; 7: {3: 1_216}
+# while every node built a hitting set, not only on hosts with a ceiling
+CLASS_NODES = {6: {3: 78, 4: 56, 5: 56, 6: 56}, 7: {3: 1_248, 4: 941}}
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -221,22 +222,30 @@ def test_greedy_is_seed_deterministic():
     assert greedy_packing(t, 3, 9).copies == greedy_packing(t, 3, 9).copies
 
 
-def test_time_budget_marks_result_nonoptimal():
-    # proving this host's optimum of 104 copies takes 152,181 nodes, about
-    # 13 s on a 2-core Xeon, Python 3.11.7: far more than fit in 0.05 s
+def test_time_budget_marks_result_nonoptimal(monkeypatch):
+    # this host's search closes in a few hundred nodes, a few hundredths of
+    # a second, so a real-time budget would make the test depend on the
+    # machine.  The solver's clock advances 10 ms on each read instead, so
+    # the 0.4 s budget passes at read 41, after the root's ceiling gives up
+    # and 3 nodes in, on any machine
+    import ttpack.packing as packing
+
+    reads = count()
+    monkeypatch.setattr(packing.time, "monotonic", lambda: next(reads) * 0.01)
     t = random_tournament(26, 2)
-    p = max_packing_exact(t, 3, time_budget=0.05)
+    p = max_packing_exact(t, 3, time_budget=0.4)
     assert not p.optimal
     assert p.value > 0
     assert verify_packing(t, p)
 
 
 def test_time_budget_is_honoured_on_a_large_host():
-    # a node here costs milliseconds, so the deadline must be checked at
-    # every node and inside the hitting-set rounds.  2 s reach about 360
-    # nodes on a 2-core Xeon, Python 3.11.7, and the host's search holds 656
-    # copies, not proved optimal, after 2,000 and after 20,000 nodes, so a
-    # solver many times faster still stops on the budget here
+    # a node here costs about a millisecond, so the deadline must be
+    # checked at every node and inside the root's hitting-set rounds.  2 s
+    # reach about 3,000 nodes on a 2-core Xeon, Python 3.11.7, and the
+    # host's search holds 658 copies, not proved optimal, after 2,000 and
+    # after 100,000 nodes, so a solver many times faster still stops on
+    # the budget here
     t = random_tournament(64, 0)
     budget = 2.0
     start = time.monotonic()
@@ -306,25 +315,27 @@ def test_budgeted_large_host_searches_past_the_root(monkeypatch):
 
 
 def test_budgeted_search_checks_the_deadline_in_hitting_set_rounds(monkeypatch):
-    # here 15 of the 52 clock reads are rounds, 10 of them the root's
-    # ceiling, so without their check the same 0.5 s of 10 ms reads ends
-    # after 23 nodes holding 97 copies.  The listing reads 26 times; it
-    # read 29 times, and the search stopped after 10 nodes, while the
-    # listing walked dominance chains.  Before the ceiling and the copy
-    # order the search stopped after 11 nodes, with 12 rounds
+    # the root's hitting set ends on the three-class host, so every node
+    # builds one too.  Of the 152 clock reads of 1.5 s at 10 ms each, the
+    # listing takes 21, the bitsets 1, the node checks 12, the root's
+    # ceiling 62 and the nodes' rounds 55; without the rounds' check the
+    # search proves 63 optimal after 99 nodes and 122 reads.  The pin was
+    # random_tournament(26, 2) at 0.5 s, 95 copies after 8 nodes and 52
+    # reads, while every node built a set; that host's root set is given
+    # up, so now only the root's rounds read the clock there
     import ttpack.packing as packing
 
     reads = count()
     monkeypatch.setattr(packing.time, "monotonic", lambda: next(reads) * 0.01)
-    t = random_tournament(26, 2)
-    p = max_packing_exact(t, 3, time_budget=0.5)
-    assert (p.value, p.nodes_explored, p.optimal) == (95, 8, False)
-    assert next(reads) == 52
+    t = turan3_tournament(21)
+    p = max_packing_exact(t, 3, time_budget=1.5)
+    assert (p.value, p.nodes_explored, p.optimal) == (55, 12, False)
+    assert next(reads) == 152
     assert verify_packing(t, p)
 
 
 def test_a_deadline_inside_the_ceiling_keeps_the_root_greedy(monkeypatch):
-    # the clock of the hitting-set pin above: the listing and the bitsets
+    # the 10 ms clock on random_tournament(26, 2): the listing and the bitsets
     # read 28 times after the deadline's own read, the root checks at read
     # 29, and its ceiling's 10 rounds read 30-39 before the set is given
     # up.  A deadline of 0.335 s passes at read 34, inside those rounds, so
@@ -343,12 +354,12 @@ def test_a_deadline_inside_the_ceiling_keeps_the_root_greedy(monkeypatch):
     assert verify_packing(t, p)
 
 
-@pytest.mark.parametrize("budget, value", [(203, 615), (500, 643)])
+@pytest.mark.parametrize("budget, value", [(203, 615), (500, 643), (2000, 658)])
 def test_node_budget_stops_the_large_host_at_its_last_node(budget, value):
     # a node budget reads no clock, so these pins hold on any machine; 500
-    # nodes packed 638 before the copy order.  2,000 nodes pack 658 (656
-    # before the copy order) in about 8 s of CPU on a shared 2-core Xeon,
-    # Python 3.11.7, too slow to pin here
+    # nodes packed 638, and 2,000 nodes 656, before the copy order.  The
+    # 2,000 nodes take about 2.3 s of CPU on a shared 2-core Xeon, Python
+    # 3.11.7; they took about 8 s while every node built a hitting set
     t = random_tournament(64, 0)
     p = max_packing_exact(t, 3, node_budget=budget)
     assert (p.value, p.nodes_explored, p.optimal) == (value, budget, False)
@@ -356,8 +367,12 @@ def test_node_budget_stops_the_large_host_at_its_last_node(budget, value):
 
 
 def test_the_budget_that_runs_out_first_stops_the_search(monkeypatch):
-    # the clock of the hitting-set pin above: 0.5 s alone stops the search
-    # after 8 nodes and 52 reads
+    # the 10 ms clock: 0.5 s alone stops the search after 13 nodes and 52
+    # reads.  The root's hitting set is given up here, so no node builds
+    # one: after the 29 reads of the deadline, the listing and the bitsets,
+    # the root's ceiling takes 10 and the node checks the rest.  While every
+    # node built a set, 0.5 s stopped it after 8 nodes, so a node budget of
+    # 12 came second; now that budget stops the search first, at read 51
     import ttpack.packing as packing
 
     t = random_tournament(26, 2)
@@ -370,7 +385,7 @@ def test_the_budget_that_runs_out_first_stops_the_search(monkeypatch):
         return p.value, p.nodes_explored, p.optimal, next(reads)
 
     assert solve(5) == (94, 5, False, 44)  # the node budget first
-    assert solve(12) == (95, 8, False, 52)  # the time budget first
+    assert solve(14) == (95, 13, False, 52)  # the time budget first
     # a search that ends before its node budget is optimal; one that would
     # end at the budget's last node is stopped there
     t = random_tournament(11, 0)
@@ -415,7 +430,8 @@ def test_random_hosts_pack_their_root_leave_bound():
     # order, which picks among the optima: it was 7d2e5ce3... while a node
     # took its branch copies in index order, when the hosts took 3,968
     # nodes, and 8,317 before a node stopped branching once the incumbent
-    # met its leave bound
+    # met its leave bound; 3,699 nodes while every node built a hitting
+    # set, not only on hosts with a ceiling, with the same digest
     lines = []
     nodes = 0
     for n, s in product(range(11, 18), range(10)):
@@ -430,7 +446,7 @@ def test_random_hosts_pack_their_root_leave_bound():
         nodes += p.nodes_explored
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "37098725ac6c9c51a5e3d13abadad8c78a5e00a6a622b7bb9fdd69d3afbbbadf"
-    assert nodes == 3_699
+    assert nodes == 3_956
 
 
 def test_solve_benchmark_hosts_node_counts():
@@ -461,14 +477,15 @@ def test_the_root_ceiling_closes_the_structured_hosts():
     # edge, so those edges hit every copy, and the root's greedy hitting
     # set has the formula's size; at n = 27 and 29 the search holds one
     # copy fewer after 50,000 nodes.  Without the ceiling n = 20 held 57,
-    # not proved optimal, after 50,000 nodes, and n = 30 took 618
+    # not proved optimal, after 50,000 nodes, and n = 30 took 618.  At
+    # n = 21 the nodes' own hitting sets matter: 10,977 nodes without them
     nodes = {}
     for n in sorted(set(range(6, 31)) - {27, 29}):
         t = turan3_tournament(n)
         p = max_packing_exact(t, 3, node_budget=1000)
         assert (p.value, p.optimal) == (intra_class_edge_bound(n), True), n
         nodes[n] = p.nodes_explored
-    assert (nodes[20], nodes[30]) == (35, 134)
+    assert (nodes[20], nodes[21], nodes[30]) == (35, 99, 134)
     # criterion 8's P_4 <= 7 on the blow-up of qr7, as 7 edges hitting
     # every copy: 18 nodes without the ceiling
     p = max_packing_exact(blowup(qr7(), 2), 4)
