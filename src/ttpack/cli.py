@@ -127,7 +127,8 @@ def _write_output(args, payload: str) -> None:
 
 
 def _load_tournament(path: str) -> Tournament:
-    with open(path, "r", encoding="ascii") as fh:
+    # latin-1 reads each byte as one character, so parse_tournament names any bad byte's offset
+    with open(path, "r", encoding="latin-1") as fh:
         return parse_tournament(fh.read())
 
 

@@ -460,7 +460,8 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
     Every copy must have k distinct vertices of the host, each an int (not
     a bool) in range, and induce a transitive subtournament; the copies
     must be pairwise edge-disjoint.  First a bulk screen, in builtins,
-    checks every vertex's type and then, in one set difference, that
+    checks every vertex's type, where a copy that is not iterable raises
+    TypeError and is rejected, and then, in one set difference, that
     every vertex lies in range(n).  Then one pass over the copies checks the rest, with one loop over
     each copy's vertices.  Its mask is the set of its vertices, d of
     them.  met[v] is v and every vertex that shares an earlier copy with
@@ -493,7 +494,10 @@ def verify_packing(t: Tournament, p: Packing) -> bool:
     if p.n != n or not 3 <= k <= n:
         return False
     copies = p.copies
-    if set(map(type, chain.from_iterable(copies))) - {int}:
+    try:
+        if set(map(type, chain.from_iterable(copies))) - {int}:
+            return False
+    except TypeError:
         return False
     if set(chain.from_iterable(copies)).difference(range(n)):
         return False

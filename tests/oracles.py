@@ -18,6 +18,7 @@ from ttpack import cli
 from ttpack.designs import BlockDesign
 from ttpack.enumeration import _code, enumerate_codes
 from ttpack.tournament import (
+    MAX_VERTICES,
     Tournament,
     census,
     edge_index,
@@ -28,6 +29,20 @@ from ttpack.tournament import (
 
 def beats(t: Tournament, u: int, v: int) -> bool:
     return bool(t.out[u] >> v & 1)
+
+
+def is_tournament(t: Tournament) -> bool:
+    """True iff t has n rows, 1 <= n <= 64, and orients each pair of 0..n-1 exactly once.
+
+    No vertex may beat itself or a vertex outside 0..n-1.
+    """
+    n, out = t.n, t.out
+    return (
+        1 <= n <= MAX_VERTICES
+        and len(out) == n
+        and all(0 <= m < 1 << n and not beats(t, v, v) for v, m in enumerate(out))
+        and all(beats(t, u, v) != beats(t, v, u) for u, v in combinations(range(n), 2))
+    )
 
 
 MAX_CANONICAL_VERTICES = 10

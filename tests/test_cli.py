@@ -13,7 +13,7 @@ import pytest
 import ttpack
 from oracles import EagerParser, eager_main
 from ttpack import DEFAULT_SEED, FORMAT_VERSION, TOOL_VERSION
-from ttpack.cli import build_parser, main
+from ttpack.cli import _jsonable, build_parser, main
 from ttpack.constructions import qr7
 from ttpack.enumeration import MAX_ENUMERATION_VERTICES, _cache_path, enumerate_codes
 from ttpack.experiments import DensityReport, EdgeCopyStats
@@ -91,6 +91,35 @@ def test_malformed_file_exits_2_with_byte_offset(capsys, tmp_path):
     code, out, err = run(capsys, "census", "--in", str(path))
     assert code == 2
     assert "byte offset 5" in err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"n=3\n1\xc30\n", "invalid orientation character '\xc3' (byte offset 5)"),
+        (b"n=\xc3\n101\n", "vertex count is not an integer (byte offset 2)"),
+    ],
+    ids=["body", "header"],
+)
+def test_a_non_ascii_byte_exits_2_with_its_offset(capsys, tmp_path, data, message):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    code, _, err = run(capsys, "solve", "--in", str(path))
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_a_crlf_host_file_parses(capsys, tmp_path):
+    path = tmp_path / "qr7.txt"
+    path.write_bytes(serialize_tournament(qr7()).replace("\n", "\r\n").encode("ascii"))
+    code, doc, _ = run_json(capsys, "census", "--in", str(path))
+    assert code == 0
+    assert doc["result"]["a"] == 21 and doc["result"]["t"] == 14
+
+
+def test_jsonable_rejects_a_type_json_cannot_write():
+    with pytest.raises(TypeError, match=r"^not JSON serializable: \{1, 2\}$"):
+        _jsonable({1, 2})
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

@@ -24,6 +24,7 @@ from oracles import (
     brute_force_canonical_code,
     canonical_code,
     enumerate_nonisomorphic,
+    is_tournament,
     labeled_count_with_score,
     least_key_extensions,
     oracle_canonical_code,
@@ -178,7 +179,7 @@ def test_canonical_code_is_relabeling_invariant():
         hosts.append(Tournament(10, out + (beaten,)))
     rng = random.Random(9)
     for host in hosts:
-        host.validate()
+        assert is_tournament(host)
         reference = canonical_code(host)
         for _ in range(20):
             perm = list(range(host.n))
@@ -261,7 +262,7 @@ LATER_CELL_TIES = (
 @pytest.mark.parametrize("out", LATER_CELL_TIES)
 def test_canonical_code_breaks_head_ties_on_later_cells(out):
     host = Tournament(len(out), out)
-    host.validate()
+    assert is_tournament(host)
     assert head_tie_split_later(host)
     reference = canonical_code(host)
     assert reference == brute_force_canonical_code(host)

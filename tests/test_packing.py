@@ -542,6 +542,8 @@ def test_verifier_rejects_overlap_and_bad_copies():
         {"copies": ((0, 1.0, 2),)},
         {"copies": ((0, True, 2),)},
         {"copies": ((0, 1, "2"),)},
+        {"copies": (5,)},
+        {"copies": (None,)},
         {"copies": ((0, 1, 2, 4),)},
         {"n": 8},
         {"k": 2, "copies": ((0, 1),)},
@@ -557,6 +559,8 @@ def test_verifier_rejects_overlap_and_bad_copies():
         "float-vertex",
         "bool-vertex",
         "string-vertex",
+        "int-copy",
+        "none-copy",
         "wrong-length",
         "order-mismatch",
         "k-below-3",

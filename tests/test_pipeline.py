@@ -698,6 +698,23 @@ def test_induced_expectation_on_transitive_host():
     assert r.exact == Fraction(comb(9, 3) * 5 * 4 * 3, 9 * 8 * 7)
 
 
+def test_induced_expectation_rejects_an_expectation_below_the_bound(monkeypatch):
+    # a census that understates a, on a host past the brute-force range
+    real = pipeline.census
+    monkeypatch.setattr(pipeline, "census", lambda t: real(t)._replace(a=0))
+    with pytest.raises(PipelineError, match="^expectation 0 fell below the bound 20/3$"):
+        induced_expectation_check(random_tournament(11, 0), 5)
+
+
+def test_induced_expectation_rejects_a_brute_average_that_disagrees(monkeypatch):
+    # every induced 4-set reads as transitive, so the brute average is C(4,3)
+    t = random_tournament(8, 2)
+    exact = Fraction(census(t).a * 4 * 3 * 2, 8 * 7 * 6)
+    monkeypatch.setattr(pipeline, "induced", lambda t, vs: transitive_tournament(len(vs)))
+    with pytest.raises(PipelineError, match=f"^closed form {exact} disagrees with brute average 4$"):
+        induced_expectation_check(t, 4)
+
+
 def test_lp_interior_budget():
     res = lp_step(Fraction(35, 4), (Fraction(7), Fraction(6), Fraction(5)), (Fraction(5), Fraction(12)))
     assert res.minimum == Fraction(153, 28)
@@ -768,6 +785,26 @@ def test_pipeline_workers_agree():
     a = decomposition_pipeline(t, trials=5, seed=5)
     assert decomposition_pipeline(t, trials=5, seed=5, workers=2) == a
     assert decomposition_pipeline(t, trials=5, seed=5, workers=3) == a
+
+
+def test_pipeline_rejects_a_design_that_fails_verification(monkeypatch):
+    monkeypatch.setattr(pipeline, "verify_design", lambda d: False)
+    with pytest.raises(PipelineError, match="^block design failed verification$"):
+        decomposition_pipeline(transitive_tournament(49), trials=1, seed=1)
+
+
+def test_pipeline_rejects_a_trial_below_the_floor(monkeypatch):
+    # every block keeps no line, so a trial totals 0, under the floor of
+    # 5 copies in each of the 56 blocks
+    real = pipeline._scan_classes
+
+    def no_lines(n, codes, k):
+        parts, ts = real(n, codes, k)
+        return [((), classes) for _, classes in parts], ts
+
+    monkeypatch.setattr(pipeline, "_scan_classes", no_lines)
+    with pytest.raises(PipelineError, match="^trial 0 total 0 fell below 280$"):
+        decomposition_pipeline(transitive_tournament(49), trials=1, seed=1, workers=1)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -10,6 +10,7 @@ import pytest
 
 from oracles import (
     degree_formula_transitive,
+    is_tournament,
     is_transitive_subset,
     max_transitive_subset,
     reverse,
@@ -63,10 +64,19 @@ def test_parse_rejects_bad_header():
 
 
 def test_parse_rejects_bad_orientation_char():
-    with pytest.raises(ValueError) as exc:
-        parse_tournament("n=3\n1x0\n")
-    # the offending character is the fifth byte of the file
-    assert str(exc.value).endswith("(byte offset 5)")
+    # the offending character of n=3\n1x0\n is the fifth byte of the file;
+    # an n=4 body runs from byte offset 4 to 9, and the first of two bad
+    # characters is the one named
+    for text, message in [
+        ("n=3\n1x0\n", "invalid orientation character 'x' (byte offset 5)"),
+        ("n=4\nx10010\n", "invalid orientation character 'x' (byte offset 4)"),
+        ("n=4\n11001x\n", "invalid orientation character 'x' (byte offset 9)"),
+        ("n=4\n1a01b0\n", "invalid orientation character 'a' (byte offset 5)"),
+        ("n=4\n110\xc3\xc30\n", "invalid orientation character '\xc3' (byte offset 7)"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            parse_tournament(text)
+        assert str(exc.value) == message
 
 
 def test_parse_rejects_wrong_length():
@@ -101,7 +111,7 @@ def test_tournament_from_code_round_trips(cache_dir):
         codes += ["".join(rng.choice("01") for _ in range(width)) for _ in range(100)]
     for code in codes:
         t = tournament_from_code(code)
-        t.validate()
+        assert is_tournament(t), code
         assert tournament_bits(t) == code, code
 
 
@@ -111,18 +121,19 @@ def test_tournament_from_code_validates_length():
     for length in (2, 4, 5, 7):
         with pytest.raises(ValueError, match=f"code length {length} "):
             tournament_from_code("1" * length)
-    # validate rejects each malformed out-set tuple, naming the defect
-    for n, out, message in [
-        (0, (), "vertex count 0 outside 1..64"),
-        (65, (0,) * 65, "vertex count 65 outside 1..64"),
-        (3, (0b110, 0b100), "out-set row count does not match n"),
-        (3, (0b011, 0b100, 0b001), "self-loop at vertex 0"),
-        (3, (0b1010, 0b100, 0b001), "out-set of vertex 0 exceeds vertex range"),
-        (3, (0b110, 0b100, 0b001), "pair (0,2) not oriented exactly once"),
+    # the oracle that checks decoded tournaments rejects each malformed
+    # out-set tuple: order 0 and 65, a missing row, a self-loop, an arc
+    # out of range and a pair oriented both ways
+    assert is_tournament(Tournament(3, (0b010, 0b100, 0b001)))
+    for n, out in [
+        (0, ()),
+        (65, (0,) * 65),
+        (3, (0b110, 0b100)),
+        (3, (0b011, 0b100, 0b001)),
+        (3, (0b1010, 0b100, 0b001)),
+        (3, (0b110, 0b100, 0b001)),
     ]:
-        with pytest.raises(ValueError) as exc:
-            Tournament(n, out).validate()
-        assert str(exc.value) == message
+        assert not is_tournament(Tournament(n, out))
 
 
 def test_census_both_routes_and_complement():
